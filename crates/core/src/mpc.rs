@@ -31,9 +31,10 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
+use dcm_model::mva::ConvCache;
 use dcm_ntier::world::{SimEngine, World};
 use dcm_obs::journal::{Decision, DecisionJournal, JournalEntry, PlanProvenance, TierObservation};
-use dcm_oracle::planner::{predict, PlannedTier, Prediction};
+use dcm_oracle::planner::{predict_with, PlannedTier, Prediction};
 
 use crate::agents::{ActionRecord, AppAgent, VmAgent};
 use crate::aggregate::TierWindow;
@@ -144,7 +145,7 @@ impl std::fmt::Debug for ModelPredictive {
 }
 
 /// One enumerated candidate plan.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Candidate {
     app_servers: usize,
     db_servers: usize,
@@ -271,7 +272,9 @@ impl ModelPredictive {
     }
 
     /// Enumerates and evaluates every candidate within caps and step
-    /// limits; returns them in deterministic enumeration order.
+    /// limits; returns them in deterministic enumeration order. The
+    /// candidates share one tick-local convolution cache: the web tier is
+    /// common to all of them and each app and db configuration recurs.
     fn enumerate(&mut self, world: &World, population: u32) -> Vec<Candidate> {
         let (lo, hi) = (self.config.min_servers, self.config.max_servers);
         let span = |cur: usize| {
@@ -295,6 +298,7 @@ impl ModelPredictive {
         let app = self.estimates[&self.config.app_tier];
         let db = self.estimates[&self.config.db_tier];
 
+        let mut cache = ConvCache::default();
         let mut out = Vec::new();
         for a in span(cur_app.max(1)) {
             for d in span(cur_db.max(1)) {
@@ -325,7 +329,12 @@ impl ModelPredictive {
                                 visits: db.visits.max(1e-6),
                             },
                         ];
-                        let prediction = predict(&tiers, self.config.think_time_secs, population);
+                        let prediction = predict_with(
+                            &tiers,
+                            self.config.think_time_secs,
+                            population,
+                            &mut cache,
+                        );
                         self.planner_evals += 1;
                         out.push(Candidate {
                             app_servers: a,
@@ -344,15 +353,15 @@ impl ModelPredictive {
     /// The cheapest SLO-meeting candidate, or the lowest-response
     /// best-effort one. Ties break toward fewer VMs, then lower predicted
     /// response, then enumeration order — all deterministic.
-    fn choose(
+    fn choose<'a>(
         &self,
-        candidates: &[Candidate],
+        candidates: &'a [Candidate],
         cur_app: usize,
         cur_db: usize,
-    ) -> (Candidate, &'static str) {
+    ) -> (&'a Candidate, &'static str) {
         let slo = self.config.slo_secs;
-        let mut best_meeting: Option<Candidate> = None;
-        let mut best_effort: Option<Candidate> = None;
+        let mut best_meeting: Option<&Candidate> = None;
+        let mut best_effort: Option<&Candidate> = None;
         for c in candidates {
             // Giving capacity back needs margin, not a borderline pass.
             let shrinks = c.app_servers < cur_app || c.db_servers < cur_db;
@@ -362,7 +371,7 @@ impl ModelPredictive {
                 slo
             };
             if c.prediction.response_time <= bar {
-                let better = match &best_meeting {
+                let better = match best_meeting {
                     None => true,
                     Some(b) => {
                         c.cost() < b.cost()
@@ -371,15 +380,15 @@ impl ModelPredictive {
                     }
                 };
                 if better {
-                    best_meeting = Some(c.clone());
+                    best_meeting = Some(c);
                 }
             }
-            let better = match &best_effort {
+            let better = match best_effort {
                 None => true,
                 Some(b) => c.prediction.response_time < b.prediction.response_time - 1e-12,
             };
             if better {
-                best_effort = Some(c.clone());
+                best_effort = Some(c);
             }
         }
         match best_meeting {
@@ -768,6 +777,11 @@ mod tests {
         let entry = journal.borrow().entries()[0].clone();
         let plan = entry.plan.expect("plan provenance journaled");
         assert!(plan.candidates > 0);
+        assert_eq!(
+            mpc.planner_evals(),
+            u64::from(plan.candidates),
+            "one planner evaluation per candidate, cache hits included"
+        );
         assert!(plan.predicted_throughput > 0.0);
         assert!(
             plan.prediction_error.is_none(),

@@ -24,12 +24,30 @@
 //! recursion, which loses mass to cancellation for wide multi-server
 //! stations near saturation) the algorithm is numerically stable; each
 //! working vector is max-normalized against overflow, and the scales
-//! cancel in every reported ratio. Cost is `O(stations · N²)`, trivial
-//! for the populations the simulator sweeps.
+//! cancel in every reported ratio.
+//!
+//! Cost: with `k` bounded (non-delay) stations a solve at population `N`
+//! runs `3k − 4` full `O(N²)` convolutions for `k ≥ 2` and none for
+//! `k ≤ 1` — `k − 1` prefixes, `k − 2` suffixes and `k − 1` station
+//! complements — plus `O(k·N)` for the factors and marginals. The
+//! textbook prefix/suffix scheme's other convolutions are skipped because
+//! they cannot change a bit. Convolving with the identity
+//! `[0, −∞, −∞, …]` leaves output slot `n` at most one finite term,
+//! `a[n] + 0 − a[n] = 0`, whose `exp` sums to exactly 1 with logarithm 0,
+//! so the slot returns `a[n]` unchanged; that covers the innermost suffix
+//! and the last station's complement. (This holds while no log factor is
+//! `+∞`, which would take a `V/μ` or `Z` beyond the f64 range.) Slot `n`
+//! of a convolution reads only the first `n + 1` entries of each operand,
+//! so the full network's `G` is evaluated at just the two slots
+//! `X(N) = G(N−1)/G(N)` needs. Batches of solves that share stations
+//! share the partial convolutions themselves through a [`ConvCache`].
 //!
 //! [`asymptotic_bounds`] provides the classic operational bounds
 //! `X(N) ≤ min(N/(Z+ΣD), min_m μ_m^max/V_m)` that any measurement must
 //! respect regardless of distributional assumptions.
+
+use std::collections::BTreeMap;
+use std::rc::Rc;
 
 use serde::{Deserialize, Serialize};
 
@@ -165,6 +183,21 @@ impl Station {
         matches!(self, Station::Delay { .. })
     }
 
+    /// Appends the exact bits the station's service factor depends on, in
+    /// a self-delimiting encoding so that station sequences concatenate
+    /// into unambiguous [`ConvCache`] keys.
+    fn push_key_bits(&self, key: &mut Vec<u64>) {
+        key.extend([self.visit_ratio().to_bits(), self.service_time().to_bits()]);
+        match self {
+            Station::Delay { .. } => key.push(0),
+            Station::Queueing { servers, .. } => key.extend([1, u64::from(*servers)]),
+            Station::LoadDependent { rate, .. } => {
+                key.extend([2, rate.len() as u64]);
+                key.extend(rate.iter().map(|r| r.to_bits()));
+            }
+        }
+    }
+
     fn validate(&self) {
         let v = self.visit_ratio();
         let s = self.service_time();
@@ -219,6 +252,13 @@ impl ClosedNetwork {
     /// Solves the network exactly for population `n` via the convolution
     /// algorithm. `n = 0` yields the degenerate all-zero solution.
     pub fn solve(&self, n: u32) -> MvaSolution {
+        self.solve_with(n, &mut ConvCache::default())
+    }
+
+    /// [`ClosedNetwork::solve`], reusing the partial convolutions earlier
+    /// solves left in `cache` and adding this solve's own. The result is
+    /// bit-identical to an uncached solve.
+    pub fn solve_with(&self, n: u32, cache: &mut ConvCache) -> MvaSolution {
         let m = self.stations.len();
         if n == 0 {
             return MvaSolution {
@@ -259,10 +299,10 @@ impl ClosedNetwork {
             }
             lf
         };
-        let factors: Vec<Vec<f64>> = bounded
+        let stations: Vec<&Station> = bounded.iter().map(|&i| &self.stations[i]).collect();
+        let factors: Vec<Rc<[f64]>> = stations
             .iter()
-            .map(|&i| {
-                let s = &self.stations[i];
+            .map(|s| {
                 let v = s.visit_ratio();
                 let mut lf = vec![0.0f64; cap + 1];
                 for j in 1..=cap {
@@ -273,37 +313,56 @@ impl ClosedNetwork {
                         f64::NEG_INFINITY
                     };
                 }
-                lf
+                lf.into()
             })
             .collect();
 
-        // Prefix/suffix convolutions over [IS, bounded stations…] so each
-        // station's complement network G^(m) is one extra convolution.
+        // Prefix convolutions prefix[i] = ((IS ⊛ f_0) ⊛ …) ⊛ f_{i-1} for
+        // i < k, so each station's complement network G^(m) is one
+        // prefix ⊛ suffix convolution.
         let k = bounded.len();
-        let mut prefix: Vec<Vec<f64>> = Vec::with_capacity(k + 1);
-        prefix.push(is_factor.clone());
-        for f in &factors {
-            let g = log_convolve(prefix.last().expect("non-empty"), f);
+        let mut prefix: Vec<Rc<[f64]>> = Vec::with_capacity(k.max(1));
+        prefix.push(is_factor.into());
+        for (i, f) in factors.iter().enumerate().take(k.saturating_sub(1)) {
+            let key = conv_key(n, Some(z_total), &stations[..=i], &[]);
+            let g = cache.get_or_insert_with(key, || log_convolve(&prefix[i], f));
             prefix.push(g);
         }
-        let g_full = prefix.last().expect("non-empty").clone();
-        let mut suffix: Vec<Vec<f64>> = vec![Vec::new(); k + 1];
-        let mut acc = log_delta(cap);
-        suffix[k] = acc.clone();
-        for i in (0..k).rev() {
-            acc = log_convolve(&factors[i], &acc);
-            suffix[i] = acc.clone();
-        }
+        let last = prefix.last().expect("prefix starts with the IS factor");
 
-        // X(N) = G(N-1)/G(N).
-        let throughput = (g_full[cap - 1] - g_full[cap]).exp();
+        // X(N) = G(N-1)/G(N), with G = prefix[k-1] ⊛ f_{k-1}.
+        let (g_before, g_at) = match factors.last() {
+            Some(f) => (
+                log_convolve_at(last, f, cap - 1),
+                log_convolve_at(last, f, cap),
+            ),
+            None => (last[cap - 1], last[cap]),
+        };
+        let throughput = (g_before - g_at).exp();
 
+        // Stations last to first, carrying the suffix f_{bi+1} ⊛ (… ⊛
+        // f_{k-1}) of the stations after bi; the innermost suffix is
+        // f_{k-1} itself and the last station's complement is prefix[k-1].
         let mut station_queue = vec![0.0; m];
-        for (bi, &i) in bounded.iter().enumerate() {
+        let mut suffix: Option<Rc<[f64]>> = None;
+        for (bi, &i) in bounded.iter().enumerate().rev() {
             // Complement of station i: IS ⊛ the other bounded stations.
-            let mut compl = prefix[bi].clone();
-            if bi < k {
-                compl = log_convolve(&compl, &suffix[bi + 1]);
+            let compl = match &suffix {
+                None => Rc::clone(&prefix[bi]),
+                Some(after) => {
+                    let (before, from) = stations.split_at(bi);
+                    let key = conv_key(n, Some(z_total), before, &from[1..]);
+                    cache.get_or_insert_with(key, || log_convolve(&prefix[bi], after))
+                }
+            };
+            if bi > 0 {
+                suffix = Some(match &suffix {
+                    None => Rc::clone(&factors[bi]),
+                    Some(after) => {
+                        let key = conv_key(n, None, &[], &stations[bi..]);
+                        cache.get_or_insert_with(key, || log_convolve(&factors[bi], after))
+                    }
+                });
             }
             // Exact marginal p(j|N) ∝ f_i(j)·G^(i)(N-j); normalizing over
             // j removes the shared scale at once.
@@ -358,11 +417,6 @@ impl ClosedNetwork {
         }
     }
 
-    /// Solves for every population `1..=n` (the full ramp, one exact pass).
-    pub fn solve_ramp(&self, n: u32) -> Vec<MvaSolution> {
-        (1..=n).map(|k| self.solve(k)).collect()
-    }
-
     /// Classic asymptotic operational bounds for population `n`.
     pub fn asymptotic_bounds(&self, n: u32) -> AsymptoticBounds {
         let d_total = self.total_demand();
@@ -392,25 +446,72 @@ impl ClosedNetwork {
 /// any population.
 fn log_convolve(a: &[f64], b: &[f64]) -> Vec<f64> {
     debug_assert_eq!(a.len(), b.len());
-    let len = a.len();
-    let mut out = vec![f64::NEG_INFINITY; len];
-    for (n, slot) in out.iter_mut().enumerate() {
-        let mx = (0..=n)
-            .map(|j| a[j] + b[n - j])
-            .fold(f64::NEG_INFINITY, f64::max);
-        if mx > f64::NEG_INFINITY {
-            let sum: f64 = (0..=n).map(|j| (a[j] + b[n - j] - mx).exp()).sum();
-            *slot = mx + sum.ln();
-        }
-    }
-    out
+    (0..a.len()).map(|n| log_convolve_at(a, b, n)).collect()
 }
 
-/// The log-space convolution identity: `[0, -inf, -inf, …]`.
-fn log_delta(cap: usize) -> Vec<f64> {
-    let mut v = vec![f64::NEG_INFINITY; cap + 1];
-    v[0] = 0.0;
-    v
+/// Slot `n` of [`log_convolve`]; reads only `a[..=n]` and `b[..=n]`.
+fn log_convolve_at(a: &[f64], b: &[f64], n: usize) -> f64 {
+    let mx = (0..=n)
+        .map(|j| a[j] + b[n - j])
+        .fold(f64::NEG_INFINITY, f64::max);
+    if mx > f64::NEG_INFINITY {
+        let sum: f64 = (0..=n).map(|j| (a[j] + b[n - j] - mx).exp()).sum();
+        mx + sum.ln()
+    } else {
+        f64::NEG_INFINITY
+    }
+}
+
+/// A memo of the partial convolutions [`ClosedNetwork::solve_with`]
+/// builds, shared by a batch of solves whose networks have stations in
+/// common (a planner scoring candidate deployments that differ in one
+/// tier at a time).
+///
+/// Each entry is keyed by the exact bits its vector depends on: the
+/// population, the think time plus delay demands `Z + Σ_delay D` when the
+/// infinite-server factor is part of it, and each convolved bounded
+/// station's kind, visit ratio, service time, and servers or rate table,
+/// in convolution order. Equal keys mean bit-identical vectors, so a hit
+/// changes no result. Entries live as long as the cache; drop it with the
+/// batch.
+#[derive(Debug, Default)]
+pub struct ConvCache {
+    entries: BTreeMap<Vec<u64>, Rc<[f64]>>,
+}
+
+impl ConvCache {
+    /// Distinct partial convolutions held.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// True when nothing has been memoized yet.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// The vector stored under `key`, computed by `make` on a miss.
+    fn get_or_insert_with(&mut self, key: Vec<u64>, make: impl FnOnce() -> Vec<f64>) -> Rc<[f64]> {
+        Rc::clone(self.entries.entry(key).or_insert_with(|| make().into()))
+    }
+}
+
+/// The [`ConvCache`] key of `(((IS ⊛ l_0) ⊛ l_1) ⊛ …) ⊛ (r_0 ⊛ (r_1 ⊛ …))`
+/// at population `n`, where `IS` is the infinite-server factor of
+/// `z_total`. Without `z_total` the IS factor is absent and `left` must be
+/// empty. The counts and the stations' self-delimiting encodings make the
+/// key determine the operands and their convolution order.
+fn conv_key(n: u32, z_total: Option<f64>, left: &[&Station], right: &[&Station]) -> Vec<u64> {
+    let mut key = vec![
+        u64::from(n),
+        u64::from(z_total.is_some()),
+        z_total.map_or(0, f64::to_bits),
+        left.len() as u64,
+    ];
+    for s in left.iter().chain(right) {
+        s.push_key_bits(&mut key);
+    }
+    key
 }
 
 /// The exact MVA solution at one population.

@@ -19,7 +19,7 @@
 //! `X ≤ min(N/(Z+ΣD), min_m c_m/D_m)` — properties the planner proptests
 //! pin down.
 
-use dcm_model::mva::{ClosedNetwork, Station};
+use dcm_model::mva::{ClosedNetwork, ConvCache, Station};
 
 /// One tier of a candidate deployment, as the planner sees it.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -96,7 +96,24 @@ fn network(tiers: &[PlannedTier], think: f64) -> ClosedNetwork {
 /// Panics on an empty tier list, a non-positive demand, or a negative /
 /// non-finite think time (same contract as [`ClosedNetwork::new`]).
 pub fn predict(tiers: &[PlannedTier], think: f64, population: u32) -> Prediction {
-    let sol = network(tiers, think).solve(population);
+    predict_with(tiers, think, population, &mut ConvCache::default())
+}
+
+/// [`predict`], sharing partial convolutions through `cache` with the
+/// other predictions of a batch, such as one control tick's candidate
+/// grid, where candidates that share tiers reuse the convolutions built
+/// from them. Bit-identical to [`predict`].
+///
+/// # Panics
+///
+/// Same contract as [`predict`].
+pub fn predict_with(
+    tiers: &[PlannedTier],
+    think: f64,
+    population: u32,
+    cache: &mut ConvCache,
+) -> Prediction {
+    let sol = network(tiers, think).solve_with(population, cache);
     Prediction {
         population,
         throughput: sol.throughput,
@@ -177,6 +194,50 @@ mod tests {
         more_conc[2].concurrency += 4;
         let p2 = predict(&more_conc, 1.0, 120);
         assert!(p2.throughput >= p0.throughput - 1e-12);
+    }
+
+    /// The population and the bits of every float field.
+    fn bits(p: &Prediction) -> (u32, Vec<u64>) {
+        let fields = [p.throughput, p.response_time]
+            .into_iter()
+            .chain(p.residence.iter().copied())
+            .chain(p.utilization.iter().copied());
+        (p.population, fields.map(f64::to_bits).collect())
+    }
+
+    /// One MPC tick's candidate grid through one cache: every prediction
+    /// is bit-identical to an uncached one, and the cache ends with the 85
+    /// distinct convolutions of the 36 candidates — IS⊛web, 6
+    /// (IS⊛web)⊛app prefixes, 36 app⊛db suffixes, 36 IS⊛(app⊛db) and 6
+    /// (IS⊛web)⊛db complements — out of 180 lookups.
+    #[test]
+    fn shared_cache_is_bit_identical_on_an_mpc_grid() {
+        let tier = |servers, concurrency, demand, visits| PlannedTier {
+            servers,
+            concurrency,
+            demand,
+            visits,
+        };
+        let mut cache = ConvCache::default();
+        for a in 1..=3 {
+            for d in 1..=3 {
+                for threads in [13, 15] {
+                    for conns in [36, 40] {
+                        // Pool-size contention stretches each demand.
+                        let app_demand = 0.012 * (1.0 + 0.02 * f64::from(threads));
+                        let db_demand = 0.004 * (1.0 + 0.01 * f64::from(conns));
+                        let tiers = [
+                            tier(1, 1024, 0.002, 1.0),
+                            tier(a, threads, app_demand, 1.0),
+                            tier(d, conns, db_demand, 2.0),
+                        ];
+                        let shared = predict_with(&tiers, 3.0, 240, &mut cache);
+                        assert_eq!(bits(&shared), bits(&predict(&tiers, 3.0, 240)));
+                    }
+                }
+            }
+        }
+        assert_eq!(cache.len(), 85);
     }
 
     #[test]
