@@ -137,9 +137,10 @@ fn usage() -> String {
      \x20             cohort-aggregated users (writes results/fleet.json\n\
      \x20             and results/fleet.csv — virtual-time quantities only,\n\
      \x20             byte-identical for every --jobs value)\n\
-     \x20 queuebench  event-queue microbenchmarks: calendar engine vs a\n\
-     \x20             binary-heap reference (hold / cancel-heavy /\n\
-     \x20             timeout-churn; wall-clock rates feed the perf log)\n\
+     \x20 queuebench  event-queue microbenchmarks: the engine's indexed heap\n\
+     \x20             vs a tombstoning binary-heap reference (hold /\n\
+     \x20             cancel-heavy / timeout-churn; wall-clock rates feed\n\
+     \x20             the perf log)\n\
      \x20 perf        the performance baseline: training + trace +\n\
      \x20             queuebench + fleet in one run, accumulated into\n\
      \x20             results/perf.json (the file CI gates against; every\n\
@@ -766,7 +767,7 @@ fn main() -> ExitCode {
 
     if wants("queuebench") {
         matched = true;
-        out.section("Queue microbenchmarks: calendar engine vs binary-heap reference");
+        out.section("Queue microbenchmarks: engine vs binary-heap reference");
         let result = queuebench::run_queuebench(f);
         out.table("queuebench", &result.table());
         out.findings(&result.findings());

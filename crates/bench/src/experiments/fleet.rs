@@ -4,9 +4,9 @@
 //! The paper's experiments top out at a handful of servers per tier; this
 //! experiment exercises the simulator itself at cloud-fleet scale — up to
 //! 1,000 servers *per tier* (3,000 total) and 1,000,000 closed-loop users —
-//! to demonstrate that the calendar event queue, the request slab, and the
-//! cohort user aggregation keep the event rate and the memory footprint
-//! flat as the modelled system grows.
+//! to demonstrate that the event queue, the request slab, and the cohort
+//! user aggregation keep the event rate and the memory footprint flat as
+//! the modelled system grows.
 //!
 //! Every size is an independent job fanned out through
 //! [`dcm_sim::runner::run_ordered`], so `results/fleet.json` and

@@ -116,9 +116,7 @@ pub fn mesh_experiment_config(trace: MeshTrace, fidelity: Fidelity) -> MeshExper
     };
     let trace = match trace {
         MeshTrace::Step => traces::step(60, 240, 30.0),
-        MeshTrace::Flash => {
-            traces::flash_crowd(60, 280, horizon_secs * 0.35, horizon_secs * 0.25)
-        }
+        MeshTrace::Flash => traces::flash_crowd(60, 280, horizon_secs * 0.35, horizon_secs * 0.25),
     };
     let mut run = TraceExperimentConfig::figure5(trace);
     run.horizon = SimTime::from_secs_f64(horizon_secs);
@@ -132,10 +130,12 @@ pub fn mesh_experiment_config(trace: MeshTrace, fidelity: Fidelity) -> MeshExper
         run,
         nodes: vec![
             MeshNode::new("web", reference::apache(), 1000),
-            MeshNode::new("app", reference::tomcat(), 200).conns(40).vm_policy(VmPolicy {
-                types: vec![VmType::LARGE, VmType::XLARGE],
-                selection: VmSelection::CheapestPerCapacity,
-            }),
+            MeshNode::new("app", reference::tomcat(), 200)
+                .conns(40)
+                .vm_policy(VmPolicy {
+                    types: vec![VmType::LARGE, VmType::XLARGE],
+                    selection: VmSelection::CheapestPerCapacity,
+                }),
             MeshNode::new("db", reference::mysql(), 800)
                 .vm_policy(VmPolicy::cycle(vec![VmType::SMALL, VmType::LARGE])),
             MeshNode::new("svc", reference::tomcat(), 50).count(2),
@@ -214,7 +214,12 @@ pub struct MeshBench {
     pub horizon_secs: f64,
 }
 
-fn run_cell(controller: MeshController, trace: MeshTrace, fidelity: Fidelity, models: DcmModels) -> TraceRunResult {
+fn run_cell(
+    controller: MeshController,
+    trace: MeshTrace,
+    fidelity: Fidelity,
+    models: DcmModels,
+) -> TraceRunResult {
     let config = mesh_experiment_config(trace, fidelity);
     match controller {
         MeshController::Dcm => {

@@ -1,10 +1,10 @@
-//! Event-queue microbenchmarks: the calendar engine vs a binary-heap
-//! reference.
+//! Event-queue microbenchmarks: the engine vs a binary-heap reference.
 //!
-//! The engine's calendar (ladder) queue replaced a `BinaryHeap` with
-//! tombstoned cancellation. These microbenchmarks drive both backends with
-//! identical, seeded operation streams through three profiles that bracket
-//! the simulator's real access patterns:
+//! The engine keeps pending events in an indexed heap with eager
+//! cancellation (see `dcm_sim::engine`). These microbenchmarks drive it
+//! and a tombstoning `BinaryHeap` with identical, seeded operation streams
+//! through three profiles that bracket the simulator's real access
+//! patterns:
 //!
 //! * **hold** — the classic hold model: a steady pending set where every
 //!   pop schedules one replacement at `now + Exp(1)`. This is the pure
@@ -18,9 +18,9 @@
 //!   the request-timeout pattern on the simulator's hot path, where
 //!   almost every timeout is armed and then cancelled.
 //!
-//! The heap reference reproduces the pre-calendar engine faithfully:
-//! a `BinaryHeap` ordered by `(time, seq)` storing boxed closures, with
-//! O(1) cancellation via generation-stamped tombstones that are discarded
+//! The heap reference is the engine's original design: a `BinaryHeap`
+//! ordered by `(time, seq)` storing boxed closures, with O(1)
+//! cancellation via generation-stamped tombstones that are discarded
 //! lazily when they surface. Timing uses wall clocks, so the results are
 //! machine-dependent and live in `results/perf.json` (exempt from the
 //! bit-identity rule); the *operation streams* are seeded and identical
@@ -54,7 +54,7 @@ fn iterations(fidelity: Fidelity) -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// The binary-heap reference backend (the pre-calendar engine, distilled).
+// The binary-heap reference backend (the original engine, distilled).
 // ---------------------------------------------------------------------------
 
 struct HeapEntry {
@@ -85,7 +85,7 @@ impl Ord for HeapEntry {
 }
 
 /// A `BinaryHeap` event queue with generation-stamped tombstone
-/// cancellation — the engine's data structure before the calendar queue.
+/// cancellation — the engine's original data structure.
 struct HeapQueue {
     heap: BinaryHeap<HeapEntry>,
     gens: Vec<u32>,
@@ -172,7 +172,7 @@ fn exp_delay(rng: &mut SimRng) -> SimDuration {
 
 /// The hold model: `HELD` pending events; every pop schedules one
 /// replacement. Returns (operations, wall seconds).
-fn hold_calendar(iters: u64) -> (u64, f64) {
+fn hold_engine(iters: u64) -> (u64, f64) {
     let mut engine: Engine<()> = Engine::new();
     let mut rng = SimRng::seed_from(SEED);
     for _ in 0..HELD {
@@ -205,7 +205,7 @@ fn hold_heap(iters: u64) -> (u64, f64) {
 }
 
 /// Cancel-heavy churn: schedule two, cancel one, pop one.
-fn cancel_calendar(iters: u64) -> (u64, f64) {
+fn cancel_engine(iters: u64) -> (u64, f64) {
     let mut engine: Engine<()> = Engine::new();
     let mut rng = SimRng::seed_from(SEED);
     let start = Instant::now();
@@ -238,7 +238,7 @@ fn cancel_heap(iters: u64) -> (u64, f64) {
 /// Timeout churn: a held set where every pop schedules a near completion
 /// plus a far timeout, and cancels the previous far timeout (the
 /// request-timeout pattern: armed, then cancelled on completion).
-fn churn_calendar(iters: u64) -> (u64, f64) {
+fn churn_engine(iters: u64) -> (u64, f64) {
     let mut engine: Engine<()> = Engine::new();
     let mut rng = SimRng::seed_from(SEED);
     let mut timeouts = Vec::with_capacity(HELD);
@@ -289,7 +289,7 @@ fn churn_heap(iters: u64) -> (u64, f64) {
 pub struct QueueBenchPoint {
     /// Profile name: `hold`, `cancel`, or `churn`.
     pub profile: &'static str,
-    /// Backend name: `calendar` or `heap`.
+    /// Backend name: `engine` or `heap`.
     pub backend: &'static str,
     /// Queue operations performed (schedules + pops + cancels).
     pub ops: u64,
@@ -308,7 +308,7 @@ impl QueueBenchPoint {
     }
 }
 
-/// The microbenchmark results, calendar and heap side by side.
+/// The microbenchmark results, engine and heap side by side.
 #[derive(Debug, Clone)]
 pub struct QueueBench {
     /// Measurements in (profile, backend) order.
@@ -324,15 +324,15 @@ pub fn run_queuebench(fidelity: Fidelity) -> QueueBench {
     let iters = iterations(fidelity);
     let mut points = Vec::new();
     let profiles: [(&'static str, ProfileFn, ProfileFn); 3] = [
-        ("hold", hold_calendar, hold_heap),
-        ("cancel", cancel_calendar, cancel_heap),
-        ("churn", churn_calendar, churn_heap),
+        ("hold", hold_engine, hold_heap),
+        ("cancel", cancel_engine, cancel_heap),
+        ("churn", churn_engine, churn_heap),
     ];
-    for (profile, calendar, heap) in profiles {
-        let (ops, wall_secs) = calendar(iters);
+    for (profile, engine, heap) in profiles {
+        let (ops, wall_secs) = engine(iters);
         points.push(QueueBenchPoint {
             profile,
-            backend: "calendar",
+            backend: "engine",
             ops,
             wall_secs,
         });
@@ -348,7 +348,7 @@ pub fn run_queuebench(fidelity: Fidelity) -> QueueBench {
 }
 
 impl QueueBench {
-    /// Speedup of the calendar backend over the heap for one profile.
+    /// Speedup of the engine backend over the heap for one profile.
     pub fn speedup(&self, profile: &str) -> Option<f64> {
         let rate = |backend: &str| {
             self.points
@@ -356,7 +356,7 @@ impl QueueBench {
                 .find(|p| p.profile == profile && p.backend == backend)
                 .map(QueueBenchPoint::ops_per_sec)
         };
-        match (rate("calendar"), rate("heap")) {
+        match (rate("engine"), rate("heap")) {
             (Some(c), Some(h)) if h > 0.0 => Some(c / h),
             _ => None,
         }
@@ -366,7 +366,7 @@ impl QueueBench {
     pub fn table(&self) -> TextTable {
         let mut t = TextTable::new(["profile", "backend", "ops", "wall(s)", "Mops/s", "speedup"]);
         for p in &self.points {
-            let speedup = if p.backend == "calendar" {
+            let speedup = if p.backend == "engine" {
                 self.speedup(p.profile)
                     .map(|s| format!("{s:.2}x"))
                     .unwrap_or_default()
@@ -385,13 +385,13 @@ impl QueueBench {
         t
     }
 
-    /// Summary of the calendar-vs-heap comparison.
+    /// Summary of the engine-vs-heap comparison.
     pub fn findings(&self) -> Vec<String> {
         let mut out = Vec::new();
         for profile in ["hold", "cancel", "churn"] {
             if let Some(s) = self.speedup(profile) {
                 out.push(format!(
-                    "{profile}: calendar queue at {s:.2}x the binary-heap \
+                    "{profile}: engine queue at {s:.2}x the binary-heap \
                      reference (identical seeded operation stream)"
                 ));
             }
@@ -407,7 +407,7 @@ mod tests {
     #[test]
     fn both_backends_agree_on_virtual_work() {
         // The heap reference must execute the same number of live events
-        // as the calendar engine for the same operation stream.
+        // as the engine for the same operation stream.
         let iters = 2_000;
         let mut engine: Engine<()> = Engine::new();
         let mut queue = HeapQueue::new();
@@ -433,15 +433,13 @@ mod tests {
 
     #[test]
     fn all_tombstone_bucket_purge_never_reorders() {
-        // Regression for the calendar's tombstone-purge path: when a
-        // bucket drains to nothing but tombstones, the cursor advance
-        // must stop at the far list's minimum bucket — sliding past it
-        // would later replay the far event behind the clock and reorder
-        // execution. Build that shape deliberately, round after round:
-        // a jittered cluster of near events landing in one ~1 ms bucket,
-        // one live event parked beyond the 64-bucket ring window, then
-        // cancel the whole cluster so the purge path runs. Both backends
-        // consume the same seeded stream and must pop the same instants.
+        // Ordering regression, first written for a bucketed queue whose
+        // purge of a cancelled-only bucket could slide past a far event
+        // and replay it behind the clock. The shape stays a useful
+        // ordering check: round after round, a jittered cluster of near
+        // events, one live event well beyond them, then cancel the whole
+        // cluster so only the far event may pop. Both backends consume the
+        // same seeded stream and must pop the same instants.
         use rand::RngCore;
         let mut engine: Engine<()> = Engine::new();
         let mut queue = HeapQueue::new();
@@ -463,9 +461,9 @@ mod tests {
             for (a, b) in cluster {
                 assert_eq!(engine.cancel(a), queue.cancel(b));
             }
-            // The only live event left this round is the far one; any
-            // cursor overshoot during the all-tombstone purge would trip
-            // the engine's release-mode ordering assert on a later pop.
+            // The only live event left this round is the far one; a pop
+            // out of order would trip the engine's release-mode ordering
+            // assert.
             assert!(engine.step(&mut ()));
             assert!(queue.step());
             assert_eq!(engine.now(), queue.now, "diverged at round {round}");

@@ -345,7 +345,11 @@ impl Validate {
                 p.bound_ok,
                 p.audit_violations,
                 self.mesh_point_ok(p),
-                if i + 1 < self.mesh_points.len() { "," } else { "" }
+                if i + 1 < self.mesh_points.len() {
+                    ","
+                } else {
+                    ""
+                }
             ));
         }
         json.push_str("  ]\n}\n");

@@ -9,11 +9,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use dcm_bus::{Entry, GroupConsumer};
 use dcm_ntier::audit::ConservationAuditor;
+use dcm_ntier::graph::TopologyGraph;
 use dcm_ntier::ids::ServerId;
 use dcm_ntier::metrics::ServerSample;
 use dcm_ntier::request::Completion;
 use dcm_ntier::spans::Span;
-use dcm_ntier::graph::TopologyGraph;
 use dcm_ntier::system::{InterTierRetry, SystemCounters};
 use dcm_ntier::topology::{MeshBuilder, MeshNode, SoftConfig, ThreeTierBuilder};
 use dcm_ntier::world::{SimEngine, World};
@@ -25,7 +25,9 @@ use dcm_sim::faults::FaultPlan;
 use dcm_sim::stats::TimeSeries;
 use dcm_sim::time::{SimDuration, SimTime};
 use dcm_workload::generator::{RetryPolicy, UserPopulation};
-use dcm_workload::profile::{CacheEdge, MeshProfileFactory, NodeDemand, ProfileFactory, WorkloadFactory};
+use dcm_workload::profile::{
+    CacheEdge, MeshProfileFactory, NodeDemand, ProfileFactory, WorkloadFactory,
+};
 use dcm_workload::report::{windowed_series, LoadReport, WindowedSeries};
 use dcm_workload::traces::WorkloadTrace;
 

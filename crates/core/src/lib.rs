@@ -59,9 +59,9 @@ pub use agents::{Action, ActionRecord, AppAgent, VmAgent};
 pub use aggregate::{aggregate_by_tier, TierWindow};
 pub use controller::{Controller, Dcm, DcmConfig, DcmModels, Ec2AutoScale};
 pub use experiment::{
-    run_mesh_trace_experiment, run_trace_experiment, steady_state_throughput,
-    MeshExperimentConfig, ObsArtifacts, ObsConfig, SteadyStateOptions, SteadyStateReport,
-    TraceExperimentConfig, TraceRunResult,
+    run_mesh_trace_experiment, run_trace_experiment, steady_state_throughput, MeshExperimentConfig,
+    ObsArtifacts, ObsConfig, SteadyStateOptions, SteadyStateReport, TraceExperimentConfig,
+    TraceRunResult,
 };
 pub use monitor::{install_monitor, new_metrics_bus, MetricsBus, MonitorConfig, METRICS_TOPIC};
 pub use mpc::{ModelPredictive, MpcConfig};

@@ -206,13 +206,14 @@ impl ConservationAuditor {
         let mut abandoned_delta = Vec::with_capacity(tiers);
         let mut live_delta = Vec::with_capacity(tiers);
         let mut spans_at_tier = vec![0i128; tiers];
-        for m in 0..tiers {
+        // `live_now` has one count per tier.
+        for (m, &live) in live_now.iter().enumerate() {
             let e0 = self.tier_entries0.get(m).copied().unwrap_or(0);
             let a0 = self.tier_abandoned0.get(m).copied().unwrap_or(0);
             let l0 = self.live_frames0.get(m).copied().unwrap_or(0);
             entries_delta.push(i128::from(ledger.tier_entries()[m]) - i128::from(e0));
             abandoned_delta.push(i128::from(ledger.tier_abandoned()[m]) - i128::from(a0));
-            live_delta.push(i128::from(live_now[m]) - i128::from(l0));
+            live_delta.push(i128::from(live) - i128::from(l0));
         }
         for span in spans {
             if span.tier < tiers {

@@ -109,9 +109,7 @@ fn submit_inner(
         visit_counts: Vec::new(),
     });
     if let Some(d) = deadline {
-        let ev = engine.schedule_in(d, move |w: &mut World, e: &mut SimEngine| {
-            abandon(w, e, fid);
-        });
+        let ev = engine.schedule_fn_at(engine.now() + d, abandon, fid.raw());
         world
             .system
             .requests
@@ -123,10 +121,12 @@ fn submit_inner(
     rid
 }
 
-/// Client abandonment: unwind whatever the request holds and complete it
-/// as timed out. A no-op if the request already finished (the slab handle's
-/// generation check makes the stale timer closure inert).
-fn abandon(world: &mut World, engine: &mut SimEngine, fid: FlightId) {
+/// Client abandonment (the deadline timer, with the request's raw
+/// [`FlightId`] as payload): unwind whatever the request holds and complete
+/// it as timed out. A no-op if the request already finished (the slab
+/// handle's generation check makes a stale timer inert).
+fn abandon(world: &mut World, engine: &mut SimEngine, fid: u64) {
+    let fid = FlightId::from_raw(fid);
     if world.system.requests.get(fid).is_none() {
         return;
     }
@@ -279,9 +279,11 @@ fn resume_parked(world: &mut World, engine: &mut SimEngine, fid: FlightId) {
     }
 }
 
-/// Handles a server's CPU completion event: pops every due burst, advances
-/// the owning requests, then re-arms the completion timer.
-pub(crate) fn on_cpu_completion(world: &mut World, engine: &mut SimEngine, sid: ServerId) {
+/// Handles a server's CPU completion event (payload: the raw [`ServerId`]):
+/// pops every due burst, advances the owning requests, then re-arms the
+/// completion timer.
+fn on_cpu_completion(world: &mut World, engine: &mut SimEngine, sid: u64) {
+    let sid = ServerId::new(sid);
     loop {
         let now = engine.now();
         let Some(server) = world.system.server_mut(sid) else {
@@ -613,20 +615,28 @@ fn release_thread_during_unwind(
 }
 
 /// Re-arms a server's CPU completion event after any change to its CPU
-/// state (new burst, contention change, pop).
+/// state (new burst, contention change, pop). A pending timer is moved in
+/// place; one that just fired (its id is stale inside
+/// [`on_cpu_completion`]) is scheduled afresh. Either way the timer orders
+/// exactly as a cancel followed by a new schedule would.
 pub fn resched_completion(world: &mut World, engine: &mut SimEngine, sid: ServerId) {
     let now = engine.now();
     let Some(server) = world.system.server_mut(sid) else {
         return;
     };
-    if let Some(ev) = server.completion_event.take() {
-        engine.cancel(ev);
-    }
+    let pending = server.completion_event.take();
     server.cpu_mut().advance(now);
-    if let Some((at, _)) = server.cpu().next_completion(now) {
-        let ev = engine.schedule_at(at, move |w, e| on_cpu_completion(w, e, sid));
-        if let Some(server) = world.system.server_mut(sid) {
+    match server.cpu().next_completion(now) {
+        Some((at, _)) => {
+            let ev = pending
+                .and_then(|ev| engine.reschedule(ev, at))
+                .unwrap_or_else(|| engine.schedule_fn_at(at, on_cpu_completion, sid.raw()));
             server.completion_event = Some(ev);
+        }
+        None => {
+            if let Some(ev) = pending {
+                engine.cancel(ev);
+            }
         }
     }
 }

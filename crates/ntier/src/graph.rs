@@ -83,9 +83,15 @@ impl TopologyGraph {
         reachable.resize(tiers, false);
         reachable[0] = true;
         for &(from, to, calls) in edge_list {
-            assert!(from < tiers && to < tiers, "edge ({from},{to}) out of range");
+            assert!(
+                from < tiers && to < tiers,
+                "edge ({from},{to}) out of range"
+            );
             assert!(from < to, "edges must point forward: ({from},{to})");
-            assert!(calls >= 1, "edge ({from},{to}) must carry at least one call");
+            assert!(
+                calls >= 1,
+                "edge ({from},{to}) must carry at least one call"
+            );
             reachable[to] = true;
         }
         for (m, &ok) in reachable.iter().enumerate() {
@@ -193,8 +199,7 @@ impl TopologyGraph {
     /// the chain's cumulative visit product.
     pub fn visit_ratios(&self) -> Vec<u64> {
         let tiers = self.tiers();
-        let mut ratios = Vec::with_capacity(tiers);
-        ratios.resize(tiers, 0u64);
+        let mut ratios: Vec<u64> = std::iter::repeat_n(0, tiers).collect();
         ratios[0] = 1;
         for m in 0..tiers {
             let here = ratios[m];

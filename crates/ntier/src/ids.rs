@@ -89,6 +89,11 @@ impl FlightId {
     pub const fn raw(self) -> u64 {
         self.0
     }
+
+    /// Rebuilds a handle from its [`FlightId::raw`] value.
+    pub const fn from_raw(raw: u64) -> Self {
+        FlightId(raw)
+    }
 }
 
 impl fmt::Display for FlightId {

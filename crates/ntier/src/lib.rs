@@ -81,6 +81,8 @@ pub use request::{Completion, Outcome, RequestProfile, StageDemand};
 pub use server::{Server, ServerSpec, ServerState, VmType};
 pub use snapshot::SystemSnapshot;
 pub use spans::{ServerEvent, ServerEventKind, Span, SpanStatus};
-pub use system::{FlowLedger, InterTierRetry, System, SystemCounters, TierSpec, VmPolicy, VmSelection};
+pub use system::{
+    FlowLedger, InterTierRetry, System, SystemCounters, TierSpec, VmPolicy, VmSelection,
+};
 pub use topology::{MeshBuilder, MeshNode, SoftConfig, ThreeTierBuilder};
 pub use world::{SimEngine, World};

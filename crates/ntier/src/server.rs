@@ -374,7 +374,8 @@ impl Server {
     /// sooner). At the baseline capacity of 1.0 the division is an exact
     /// bitwise no-op.
     pub fn start_burst(&mut self, now: SimTime, req: FlightId, work: f64) {
-        self.cpu.add_burst(now, req, work * self.slowdown / self.vm.capacity);
+        self.cpu
+            .add_burst(now, req, work * self.slowdown / self.vm.capacity);
     }
 
     /// The current straggler multiplier (1.0 = healthy).

@@ -493,7 +493,11 @@ mod tests {
     fn chain_mesh(three: &ThreeTierBuilder) -> MeshBuilder {
         MeshBuilder::new()
             .node(MeshNode::new("web", reference::apache(), 1000))
-            .node(MeshNode::new("app", reference::tomcat(), 100).conns(80).count(2))
+            .node(
+                MeshNode::new("app", reference::tomcat(), 100)
+                    .conns(80)
+                    .count(2),
+            )
             .node(MeshNode::new("db", reference::mysql(), 800))
             .seed(7)
             .balancer(three.balancer)

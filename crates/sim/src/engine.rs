@@ -1,53 +1,44 @@
 //! The discrete-event simulation engine.
 //!
 //! [`Engine`] owns the virtual clock and a priority queue of scheduled
-//! actions. Actions are closures over a user-supplied *world* type `W` (the
-//! mutable simulation state), which keeps this crate independent of what is
-//! being simulated. Ties in time are broken by schedule order, so a run is a
-//! pure function of (initial world, seed, schedule), which the reproduction
-//! experiments rely on.
+//! actions. Actions are closures (or plain functions with a `u64` payload)
+//! over a user-supplied *world* type `W` (the mutable simulation state),
+//! which keeps this crate independent of what is being simulated. Ties in
+//! time are broken by schedule order, so a run is a pure function of
+//! (initial world, seed, schedule), which the reproduction experiments rely
+//! on.
 //!
-//! Cancellation uses generation-stamped slots rather than a hash set: each
-//! [`EventId`] packs a slot index and the generation the slot had when the
-//! event was scheduled. Cancelling (or executing) an event bumps the slot's
-//! generation, so stale queue entries are recognised by a single array
-//! compare on pop — no hashing anywhere on the hot path.
+//! # The queue
 //!
-//! # Calendar queue
+//! Pending events live in an indexed 4-ary min-heap of `(at, seq, slot)`
+//! entries, ordered by `(at, seq)`; `seq` is a monotonic schedule counter,
+//! so same-time events pop first in, first out. Each event owns a *slot*
+//! in a side table holding its action, its heap position, and a generation.
+//! An [`EventId`] packs the slot index and the generation the slot had when
+//! the event was scheduled; cancelling or executing an event bumps the
+//! generation, so a stale id is recognised by one array compare — no
+//! hashing anywhere on the hot path.
 //!
-//! The pending-event set is a calendar (bucketed) queue rather than a single
-//! binary heap, so that `schedule`/`pop` stay O(1) amortized at fleet scale
-//! (millions of pending timers) instead of O(log n):
+//! Because every slot knows where its entry sits in the heap:
 //!
-//! * **Ring**: a power-of-two array of buckets, each covering `2^shift`
-//!   nanoseconds of virtual time. An event lands in bucket
-//!   `(at >> shift) mod ring_len`; the ring covers the window of bucket
-//!   indices `(active_idx, active_idx + ring_len)`.
-//! * **Active heap**: all events whose bucket index is `<= active_idx` sit in
-//!   one small binary heap, ordered by exact `(time, seq)`. Pops come only
-//!   from this heap. When it drains, the cursor advances bucket by bucket,
-//!   spilling each ring bucket it passes into the heap.
-//! * **Far list**: events beyond the ring window wait in an unsorted overflow
-//!   list and are redistributed when the window slides into their range (or
-//!   wholesale when the ring drains).
+//! * [`Engine::cancel`] removes the entry at once — no tombstone waits in
+//!   the queue for its time to come, and the action is dropped
+//!   immediately;
+//! * [`Engine::reschedule`] moves a pending event to a new time in place,
+//!   keeping its action;
+//! * [`Engine::schedule_fn_at`] stores a plain function pointer and payload
+//!   in the slot, so the hottest timers need no `Box` at all.
 //!
-//! The structure periodically rebuilds — growing/shrinking the ring with the
-//! live count and re-deriving `shift` from the observed event-time span — so
-//! bucket occupancy stays O(1) as densities change.
-//!
-//! **Determinism argument.** Pop order is *exactly* global `(time, seq)`
-//! order, bit-identical to the previous single binary heap: every event in
-//! the active heap has bucket index `<= active_idx`, hence timestamp
-//! `< (active_idx + 1) << shift`; every event in the ring or far list has
-//! bucket index `> active_idx`, hence a timestamp at or past that boundary.
-//! The minimum of the active heap is therefore the global minimum, and the
-//! heap itself breaks ties by the monotonic schedule sequence. Bucket width,
-//! ring size, rebuild timing, and spill order affect only *where* an event
-//! waits, never *when* it pops, so committed artifacts are invariant under
-//! all calendar tuning.
+//! **Determinism argument.** Pop order is *exactly* global `(at, seq)`
+//! order: the heap always yields its minimum key, and keys are unique
+//! because `seq` is. `reschedule(id, at)` gives the entry a fresh `seq`,
+//! just as the schedule call in "cancel, then schedule the same action"
+//! would, and cancelling consumes no `seq`; it even returns the id that
+//! pair would, since a cancelled slot is the next one reused. So a run
+//! that moves events with `reschedule` pops the same events at the same
+//! instants as one that cancels and re-schedules them. Slot reuse and heap
+//! layout decide only *where* an entry waits, never *when* it pops.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 
@@ -72,8 +63,8 @@ pub fn reset_total_executed() -> u64 {
 }
 
 /// Opaque handle to a scheduled event, usable for cancellation (timeouts,
-/// superseded retries). Packs `(generation << 32) | slot`; a handle is only
-/// valid while its slot still carries the same generation.
+/// superseded retries) and rescheduling. Packs `(generation << 32) | slot`;
+/// a handle is only valid while its slot still carries the same generation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EventId(u64);
 
@@ -94,297 +85,50 @@ impl EventId {
     }
 }
 
-/// An action scheduled to run against the world at a point in virtual time.
-type Action<W> = Box<dyn FnOnce(&mut W, &mut Engine<W>)>;
+/// A plain-function event: called with the world, the engine, and the
+/// payload it was scheduled with.
+pub type EventFn<W> = fn(&mut W, &mut Engine<W>, u64);
 
-struct Scheduled<W> {
+/// A closure event, boxed.
+type BoxedFn<W> = Box<dyn FnOnce(&mut W, &mut Engine<W>)>;
+
+/// An action scheduled to run against the world at a point in virtual time.
+enum Action<W> {
+    Boxed(BoxedFn<W>),
+    Fn(EventFn<W>, u64),
+}
+
+/// A heap entry: the pop key `(at, seq)` and the slot holding the action.
+#[derive(Clone, Copy)]
+struct Entry {
     at: SimTime,
     /// Monotonic schedule order; FIFO tie-break among same-time events.
     seq: u64,
     slot: u32,
+}
+
+impl Entry {
+    /// True when `self` pops before `other`.
+    #[inline]
+    fn before(&self, other: &Entry) -> bool {
+        (self.at, self.seq) < (other.at, other.seq)
+    }
+}
+
+/// Per-slot bookkeeping. A slot is live (its event pending) iff an
+/// [`EventId`] carrying its current `gen` has been handed out; `pos` is
+/// meaningful only then. Kept apart from the actions so the position
+/// updates of every heap move touch a dense array.
+#[derive(Clone, Copy)]
+struct Slot {
     gen: u32,
-    action: Action<W>,
+    /// Index of the slot's entry in the heap.
+    pos: u32,
 }
 
-impl<W> PartialEq for Scheduled<W> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<W> Eq for Scheduled<W> {}
-impl<W> PartialOrd for Scheduled<W> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<W> Ord for Scheduled<W> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops
-        // first. `seq` rises monotonically, giving FIFO order among ties.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-/// Smallest ring size; also the initial size.
-const MIN_BUCKETS: usize = 64;
-/// Largest ring size (2^20 buckets ≈ 24 MB of `Vec` headers).
-const MAX_BUCKETS: usize = 1 << 20;
-/// Largest bucket width exponent: 2^40 ns ≈ 18 minutes per bucket.
-const MAX_SHIFT: u32 = 40;
-/// Initial bucket width exponent: 2^20 ns ≈ 1 ms per bucket.
-const INITIAL_SHIFT: u32 = 20;
-
-/// The calendar queue described in the module docs. Stores [`Scheduled`]
-/// entries (including tombstones for cancelled events — the [`Engine`]
-/// filters those by generation on pop, exactly as with the old heap).
-struct Calendar<W> {
-    /// Events with bucket index `<= active_idx`; the only pop source.
-    active: BinaryHeap<Scheduled<W>>,
-    /// Buckets for the window `(active_idx, active_idx + ring.len())`.
-    ring: Vec<Vec<Scheduled<W>>>,
-    /// Entries currently stored across all ring buckets.
-    ring_count: usize,
-    /// Global bucket index (`at >> shift`) of the active window's edge.
-    active_idx: u64,
-    /// Bucket width is `1 << shift` nanoseconds.
-    shift: u32,
-    /// Events beyond the ring window, unsorted.
-    far: Vec<Scheduled<W>>,
-    /// Minimum timestamp (nanos) in `far`; `u64::MAX` when `far` is empty.
-    far_min: u64,
-    /// Total stored entries (including tombstones).
-    entries: usize,
-    /// Push/pop operations since the last rebuild; amortizes rebuild cost.
-    ops_since_rebuild: usize,
-}
-
-impl<W> Calendar<W> {
-    fn new() -> Self {
-        Calendar {
-            active: BinaryHeap::new(),
-            ring: (0..MIN_BUCKETS).map(|_| Vec::new()).collect(),
-            ring_count: 0,
-            active_idx: 0,
-            shift: INITIAL_SHIFT,
-            far: Vec::new(),
-            far_min: u64::MAX,
-            entries: 0,
-            ops_since_rebuild: 0,
-        }
-    }
-
-    /// True when `ev` was cancelled (or already executed): its slot's
-    /// current generation no longer matches. Dead entries are dropped
-    /// whenever a structural operation touches them, so cancel-heavy
-    /// workloads (timeout churn) cannot accumulate tombstones.
-    #[inline]
-    fn dead(ev: &Scheduled<W>, slots: &[u32]) -> bool {
-        slots[ev.slot as usize] != ev.gen
-    }
-
-    /// Files an entry into active heap, ring, or far list by bucket index.
-    /// Placement never affects pop order (see module docs), only cost.
-    fn place(&mut self, ev: Scheduled<W>) {
-        let b = ev.at.as_nanos() >> self.shift;
-        if b <= self.active_idx {
-            self.active.push(ev);
-        } else if b < self.active_idx.saturating_add(self.ring.len() as u64) {
-            let idx = (b & (self.ring.len() as u64 - 1)) as usize;
-            self.ring[idx].push(ev);
-            self.ring_count += 1;
-        } else {
-            self.far_min = self.far_min.min(ev.at.as_nanos());
-            self.far.push(ev);
-        }
-    }
-
-    fn push(&mut self, ev: Scheduled<W>, slots: &[u32]) {
-        self.entries += 1;
-        self.ops_since_rebuild += 1;
-        self.place(ev);
-        let grow = self.entries > self.ring.len() * 4 && self.ring.len() < MAX_BUCKETS;
-        let far_heavy = self.far.len() > 64 && self.far.len() * 2 > self.entries;
-        if (grow || far_heavy) && self.ops_since_rebuild * 2 >= self.entries {
-            self.rebuild(slots);
-        }
-    }
-
-    fn peek(&mut self, slots: &[u32]) -> Option<&Scheduled<W>> {
-        self.ensure_active(slots);
-        self.active.peek()
-    }
-
-    fn pop(&mut self, slots: &[u32]) -> Option<Scheduled<W>> {
-        self.ensure_active(slots);
-        let ev = self.active.pop()?;
-        self.entries -= 1;
-        self.ops_since_rebuild += 1;
-        if self.entries * 8 < self.ring.len()
-            && self.ring.len() > MIN_BUCKETS
-            && self.ops_since_rebuild * 2 >= self.entries
-        {
-            self.rebuild(slots);
-        }
-        Some(ev)
-    }
-
-    /// Refills the active heap from the ring/far list until it holds the
-    /// global minimum (or the queue is confirmed empty).
-    fn ensure_active(&mut self, slots: &[u32]) {
-        while self.active.is_empty() {
-            if self.ring_count == 0 {
-                if self.far.is_empty() {
-                    return;
-                }
-                self.retarget_far(slots);
-                continue;
-            }
-            // Far events the sliding window is about to pass must re-enter
-            // the ring before the cursor crosses their bucket.
-            if self.far_due() {
-                self.redistribute_far(slots);
-                continue;
-            }
-            let mask = self.ring.len() as u64 - 1;
-            loop {
-                self.active_idx += 1;
-                let idx = (self.active_idx & mask) as usize;
-                if !self.ring[idx].is_empty() {
-                    self.ring_count -= self.ring[idx].len();
-                    while let Some(ev) = self.ring[idx].pop() {
-                        if Self::dead(&ev, slots) {
-                            self.entries -= 1;
-                            continue;
-                        }
-                        self.active.push(ev);
-                    }
-                    if !self.active.is_empty() {
-                        break;
-                    }
-                    // The bucket held only tombstones. Re-run the outer
-                    // checks if the ring drained or far events became due
-                    // (the cursor must never advance past the far
-                    // minimum's bucket); otherwise keep advancing.
-                    if self.ring_count == 0 || self.far_due() {
-                        break;
-                    }
-                    continue;
-                }
-                if self.far_due() {
-                    break; // handled at the top of the outer loop
-                }
-            }
-        }
-    }
-
-    /// True when the far list's earliest event falls inside (or at the edge
-    /// of) the bucket the cursor would advance to next.
-    #[inline]
-    fn far_due(&self) -> bool {
-        !self.far.is_empty() && (self.far_min >> self.shift) <= self.active_idx.saturating_add(1)
-    }
-
-    /// Re-files every far event under the current geometry, dropping dead
-    /// entries.
-    fn redistribute_far(&mut self, slots: &[u32]) {
-        let far = std::mem::take(&mut self.far);
-        self.far_min = u64::MAX;
-        for ev in far {
-            if Self::dead(&ev, slots) {
-                self.entries -= 1;
-                continue;
-            }
-            self.place(ev);
-        }
-    }
-
-    /// Ring and active are empty: jump the window to the far minimum,
-    /// re-deriving the bucket width from the far population's density.
-    fn retarget_far(&mut self, slots: &[u32]) {
-        debug_assert!(self.active.is_empty() && self.ring_count == 0);
-        self.shift = tuned_shift(self.far.iter().map(|ev| ev.at.as_nanos()), self.ring.len());
-        self.active_idx = self.far_min >> self.shift;
-        self.redistribute_far(slots);
-        self.ops_since_rebuild = 0;
-    }
-
-    /// Full rebuild: resize the ring to the live population, re-derive the
-    /// bucket width, and re-file everything outside the active heap. The
-    /// active heap keeps its contents — the new window edge is chosen so its
-    /// invariant (`active` holds the global minimum) still holds.
-    fn rebuild(&mut self, slots: &[u32]) {
-        // Timestamp boundary below which every current active-heap entry
-        // lies; computed under the *old* geometry before retuning.
-        let boundary = (u128::from(self.active_idx) + 1) << self.shift;
-        let boundary = u64::try_from(boundary).unwrap_or(u64::MAX);
-
-        // Dead entries are dropped rather than moved: a rebuild visits
-        // every stored entry anyway, so cancelled events cost nothing
-        // beyond the rebuild that finally discards them.
-        let mut moved: Vec<Scheduled<W>> = Vec::with_capacity(self.ring_count + self.far.len());
-        for bucket in &mut self.ring {
-            for ev in bucket.drain(..) {
-                if Self::dead(&ev, slots) {
-                    self.entries -= 1;
-                    continue;
-                }
-                moved.push(ev);
-            }
-        }
-        for ev in self.far.drain(..) {
-            if Self::dead(&ev, slots) {
-                self.entries -= 1;
-                continue;
-            }
-            moved.push(ev);
-        }
-        self.ring_count = 0;
-        self.far_min = u64::MAX;
-
-        let mut len = self.ring.len();
-        while self.entries > len * 4 && len < MAX_BUCKETS {
-            len *= 2;
-        }
-        while self.entries * 8 < len && len > MIN_BUCKETS {
-            len /= 2;
-        }
-        if len != self.ring.len() {
-            self.ring = (0..len).map(|_| Vec::new()).collect();
-        }
-
-        self.shift = tuned_shift(moved.iter().map(|ev| ev.at.as_nanos()), len);
-        // Every moved event has `at >= boundary` (it had bucket index
-        // `> active_idx` under the old geometry), so an edge at the bucket
-        // of `boundary - 1` keeps all of them at or past the window edge.
-        self.active_idx = boundary.saturating_sub(1) >> self.shift;
-        for ev in moved {
-            self.place(ev);
-        }
-        self.ops_since_rebuild = 0;
-    }
-}
-
-/// Picks a bucket-width exponent so the given timestamps spread over roughly
-/// one event per bucket, capped at half the ring. A distant outlier inflates
-/// the width (degrading gracefully toward one big bucket — i.e. the plain
-/// heap) rather than ever affecting pop order.
-fn tuned_shift(times: impl Iterator<Item = u64>, ring_len: usize) -> u32 {
-    let (mut n, mut min, mut max) = (0u64, u64::MAX, 0u64);
-    for t in times {
-        n += 1;
-        min = min.min(t);
-        max = max.max(t);
-    }
-    if n == 0 {
-        return INITIAL_SHIFT;
-    }
-    let spread = n.min(ring_len as u64 / 2).max(1);
-    let width = ((max - min) / spread).max(1);
-    (63 - width.leading_zeros()).min(MAX_SHIFT)
-}
+/// Children per heap node: 4 halves a binary heap's depth, so a pop waits
+/// on half as many dependent loads for a few more compares per level.
+const ARITY: usize = 4;
 
 /// Discrete-event engine over a world type `W`.
 ///
@@ -408,15 +152,14 @@ fn tuned_shift(times: impl Iterator<Item = u64>, ring_len: usize) -> u32 {
 /// ```
 pub struct Engine<W> {
     now: SimTime,
-    queue: Calendar<W>,
-    /// Current generation per slot. An id is live iff `slots[id.slot] ==
-    /// id.gen`; cancel and execute both bump the generation.
-    slots: Vec<u32>,
+    /// Pending events; `heap[0]` pops next.
+    heap: Vec<Entry>,
+    slots: Vec<Slot>,
+    /// Each live slot's action.
+    actions: Vec<Option<Action<W>>>,
     /// Slots whose latest generation has been retired, ready for reuse.
     free: Vec<u32>,
     next_seq: u64,
-    /// Live (scheduled, not yet executed or cancelled) events.
-    live: usize,
     executed: u64,
 }
 
@@ -424,7 +167,7 @@ impl<W> fmt::Debug for Engine<W> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Engine")
             .field("now", &self.now)
-            .field("pending", &self.live)
+            .field("pending", &self.heap.len())
             .field("executed", &self.executed)
             .finish()
     }
@@ -449,11 +192,11 @@ impl<W> Engine<W> {
     pub fn new() -> Self {
         Engine {
             now: SimTime::ZERO,
-            queue: Calendar::new(),
+            heap: Vec::new(),
             slots: Vec::new(),
+            actions: Vec::new(),
             free: Vec::new(),
             next_seq: 0,
-            live: 0,
             executed: 0,
         }
     }
@@ -468,10 +211,9 @@ impl<W> Engine<W> {
         self.executed
     }
 
-    /// Number of live pending events (cancelled events are excluded even if
-    /// their queue entries have not been popped yet).
+    /// Number of pending events (scheduled, not yet executed or cancelled).
     pub fn pending(&self) -> usize {
-        self.live
+        self.heap.len()
     }
 
     /// Schedules `action` at absolute time `at`.
@@ -483,30 +225,15 @@ impl<W> Engine<W> {
         at: SimTime,
         action: impl FnOnce(&mut W, &mut Engine<W>) + 'static,
     ) -> EventId {
-        let at = at.max(self.now);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let slot = match self.free.pop() {
-            Some(slot) => slot,
-            None => {
-                let slot = u32::try_from(self.slots.len()).expect("more than 2^32 live events");
-                self.slots.push(0);
-                slot
-            }
-        };
-        let gen = self.slots[slot as usize];
-        self.live += 1;
-        self.queue.push(
-            Scheduled {
-                at,
-                seq,
-                slot,
-                gen,
-                action: Box::new(action),
-            },
-            &self.slots,
-        );
-        EventId::new(slot, gen)
+        self.push(at, Action::Boxed(Box::new(action)))
+    }
+
+    /// Schedules the plain function `f` at absolute time `at`; it runs as
+    /// `f(world, engine, arg)`. Orders exactly like [`Engine::schedule_at`]
+    /// but allocates nothing, which suits timers armed once per request or
+    /// per CPU-state change.
+    pub fn schedule_fn_at(&mut self, at: SimTime, f: EventFn<W>, arg: u64) -> EventId {
+        self.push(at, Action::Fn(f, arg))
     }
 
     /// Schedules `action` after a relative delay.
@@ -526,56 +253,122 @@ impl<W> Engine<W> {
         self.schedule_at(self.now, action)
     }
 
-    /// Cancels a pending event in O(1). Returns `true` if the event had not
-    /// yet run or been cancelled. The queue entry becomes a tombstone and is
-    /// discarded whenever it surfaces.
+    fn push(&mut self, at: SimTime, action: Action<W>) -> EventId {
+        let at = at.max(self.now);
+        let seq = self.take_seq();
+        let pos = self.heap.len() as u32;
+        let slot = match self.free.pop() {
+            Some(slot) => slot,
+            None => {
+                let slot = u32::try_from(self.slots.len()).expect("more than 2^32 live events");
+                self.slots.push(Slot { gen: 0, pos });
+                self.actions.push(None);
+                slot
+            }
+        };
+        self.actions[slot as usize] = Some(action);
+        let gen = self.slots[slot as usize].gen;
+        self.heap.push(Entry { at, seq, slot });
+        self.sift_up(pos as usize);
+        EventId::new(slot, gen)
+    }
+
+    #[inline]
+    fn take_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
+    }
+
+    /// The heap position of `id`'s entry, or `None` if the event already
+    /// ran or was cancelled.
+    #[inline]
+    fn live_pos(&self, id: EventId) -> Option<usize> {
+        self.slots
+            .get(id.slot() as usize)
+            .filter(|s| s.gen == id.gen())
+            .map(|s| s.pos as usize)
+    }
+
+    /// Cancels a pending event, removing it from the queue and dropping its
+    /// action. Returns `true` if the event had not yet run or been
+    /// cancelled.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        let slot = id.slot() as usize;
-        if slot >= self.slots.len() || self.slots[slot] != id.gen() {
+        let Some(pos) = self.live_pos(id) else {
             return false;
-        }
+        };
+        self.remove_at(pos);
+        self.actions[id.slot() as usize] = None;
         self.retire(id.slot());
-        self.live -= 1;
         true
     }
 
-    /// Bumps a slot's generation (invalidating outstanding ids and queue
-    /// entries stamped with the old one) and queues it for reuse.
+    /// Moves a pending event to absolute time `at` (clamped to now), keeping
+    /// its action, and returns its new id; `id` goes stale. The event orders
+    /// as if it had been cancelled and its action scheduled afresh: it runs
+    /// after every event already scheduled for the same instant. Returns
+    /// `None`, and schedules nothing, if the event already ran or was
+    /// cancelled.
+    pub fn reschedule(&mut self, id: EventId, at: SimTime) -> Option<EventId> {
+        let pos = self.live_pos(id)?;
+        let at = at.max(self.now);
+        let seq = self.take_seq();
+        let slot = &mut self.slots[id.slot() as usize];
+        slot.gen = slot.gen.wrapping_add(1);
+        let gen = slot.gen;
+        let earlier = at < self.heap[pos].at;
+        self.heap[pos] = Entry {
+            at,
+            seq,
+            slot: id.slot(),
+        };
+        // The fresh `seq` exceeds every other key's, so the entry can only
+        // move up if its time moved earlier.
+        if earlier {
+            self.sift_up(pos);
+        } else {
+            self.sift_down(pos);
+        }
+        Some(EventId::new(id.slot(), gen))
+    }
+
+    /// Bumps a slot's generation (invalidating outstanding ids) and queues it
+    /// for reuse.
     #[inline]
     fn retire(&mut self, slot: u32) {
-        self.slots[slot as usize] = self.slots[slot as usize].wrapping_add(1);
+        let s = &mut self.slots[slot as usize];
+        s.gen = s.gen.wrapping_add(1);
         self.free.push(slot);
     }
 
     /// Executes the next event, advancing the clock. Returns `false` when no
     /// events remain.
     pub fn step(&mut self, world: &mut W) -> bool {
-        loop {
-            let Some(ev) = self.queue.pop(&self.slots) else {
-                return false;
-            };
-            if self.slots[ev.slot as usize] != ev.gen {
-                continue; // cancelled tombstone
-            }
-            self.retire(ev.slot);
-            self.live -= 1;
-            // Release-mode guard for the calendar's ordering contract: a
-            // cursor advance past a not-yet-redistributed far minimum (the
-            // all-tombstone-bucket purge path) would surface here as a pop
-            // that travels backwards in time. One u64 compare per event —
-            // cheap enough to keep on in release, where a silent reorder
-            // would otherwise corrupt the simulation undetected.
-            assert!(
-                ev.at >= self.now,
-                "event queue ordering violated: popped t={:?} while clock at t={:?}",
-                ev.at,
-                self.now
-            );
-            self.now = ev.at;
-            self.executed += 1;
-            (ev.action)(world, self);
-            return true;
+        let Some(ev) = self.pop_min() else {
+            return false;
+        };
+        let action = self.actions[ev.slot as usize]
+            .take()
+            .expect("a queued slot holds its action");
+        self.retire(ev.slot);
+        // Release-mode guard for the queue's ordering contract: a heap bug
+        // would surface here as a pop that travels backwards in time. One
+        // u64 compare per event — cheap enough to keep on in release, where
+        // a silent reorder would otherwise corrupt the simulation
+        // undetected.
+        assert!(
+            ev.at >= self.now,
+            "event queue ordering violated: popped t={:?} while clock at t={:?}",
+            ev.at,
+            self.now
+        );
+        self.now = ev.at;
+        self.executed += 1;
+        match action {
+            Action::Boxed(f) => f(world, self),
+            Action::Fn(f, arg) => f(world, self, arg),
         }
+        true
     }
 
     /// Runs until the event queue drains.
@@ -588,31 +381,113 @@ impl<W> Engine<W> {
     /// clock is left at `deadline` (or at the last event if the queue
     /// drained early).
     pub fn run_until(&mut self, world: &mut W, deadline: SimTime) {
-        loop {
-            match self.peek_time() {
-                Some(t) if t <= deadline => {
-                    self.step(world);
-                }
-                _ => break,
-            }
+        while self.peek_time().is_some_and(|t| t <= deadline) {
+            self.step(world);
         }
         if self.now < deadline {
             self.now = deadline;
         }
     }
 
-    /// The timestamp of the next live event, if any. Discards cancelled
-    /// tombstones encountered at the front of the queue.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
+    /// The timestamp of the next pending event, if any.
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.heap.first().map(|ev| ev.at)
+    }
+
+    /// Removes and returns the minimum entry.
+    fn pop_min(&mut self) -> Option<Entry> {
+        let last = self.heap.pop()?;
+        let Some(&top) = self.heap.first() else {
+            return Some(last);
+        };
+        // The last entry usually belongs near the leaves, so walk the root
+        // hole all the way down along minimum children and sift `last` up
+        // from there: fewer compares than sifting it down from the root.
+        let len = self.heap.len();
+        let mut pos = 0;
         loop {
-            match self.queue.peek(&self.slots) {
-                None => return None,
-                Some(ev) if self.slots[ev.slot as usize] == ev.gen => return Some(ev.at),
-                Some(_) => {
-                    self.queue.pop(&self.slots);
-                }
+            let first = pos * ARITY + 1;
+            if first >= len {
+                break;
+            }
+            let child_pos = self.min_child(first, len.min(first + ARITY));
+            let child = self.heap[child_pos];
+            self.place(pos, child);
+            pos = child_pos;
+        }
+        self.heap[pos] = last;
+        self.sift_up(pos);
+        Some(top)
+    }
+
+    /// Heap index of the entry that pops first among `heap[first..end]`.
+    #[inline]
+    fn min_child(&self, first: usize, end: usize) -> usize {
+        let mut best = first;
+        for c in first + 1..end {
+            if self.heap[c].before(&self.heap[best]) {
+                best = c;
             }
         }
+        best
+    }
+
+    /// Removes the entry at heap index `pos`, filling the hole with the last
+    /// entry and restoring the heap order around it.
+    fn remove_at(&mut self, pos: usize) {
+        let last = self.heap.pop().expect("a live slot has a heap entry");
+        if pos == self.heap.len() {
+            return;
+        }
+        let removed = std::mem::replace(&mut self.heap[pos], last);
+        if last.before(&removed) {
+            self.sift_up(pos);
+        } else {
+            self.sift_down(pos);
+        }
+    }
+
+    /// Records that the entry at heap index `pos` is `ev`.
+    #[inline]
+    fn place(&mut self, pos: usize, ev: Entry) {
+        self.heap[pos] = ev;
+        self.slots[ev.slot as usize].pos = pos as u32;
+    }
+
+    /// Moves the entry at `pos` toward the root until its parent pops first.
+    fn sift_up(&mut self, mut pos: usize) {
+        let ev = self.heap[pos];
+        while pos > 0 {
+            let parent_pos = (pos - 1) / ARITY;
+            let parent = self.heap[parent_pos];
+            if !ev.before(&parent) {
+                break;
+            }
+            self.place(pos, parent);
+            pos = parent_pos;
+        }
+        self.place(pos, ev);
+    }
+
+    /// Moves the entry at `pos` toward the leaves until it pops before all
+    /// of its children.
+    fn sift_down(&mut self, mut pos: usize) {
+        let ev = self.heap[pos];
+        let len = self.heap.len();
+        loop {
+            let first = pos * ARITY + 1;
+            if first >= len {
+                break;
+            }
+            let child_pos = self.min_child(first, len.min(first + ARITY));
+            let child = self.heap[child_pos];
+            if !child.before(&ev) {
+                break;
+            }
+            self.place(pos, child);
+            pos = child_pos;
+        }
+        self.place(pos, ev);
     }
 }
 
@@ -767,6 +642,19 @@ mod tests {
     }
 
     #[test]
+    fn reschedule_after_execution_returns_none() {
+        let mut w: W = vec![];
+        let mut e = Engine::new();
+        let a = push_at(&mut e, 1, 1);
+        e.run(&mut w);
+        assert_eq!(e.reschedule(a, SimTime::from_secs(2)), None);
+        assert_eq!(e.pending(), 0, "a stale reschedule schedules nothing");
+        e.run(&mut w);
+        assert_eq!(w, vec![1]);
+        assert_eq!(e.now(), SimTime::from_secs(1));
+    }
+
+    #[test]
     fn heavy_cancellation_keeps_counts_consistent() {
         let mut w: W = vec![];
         let mut e = Engine::new();
@@ -796,10 +684,9 @@ mod tests {
     }
 
     #[test]
-    fn wide_time_spread_triggers_calendar_retuning() {
-        // Mix nanosecond-scale and hour-scale timestamps so pushes land in
-        // the far list, rebuilds retune the bucket width, and pops still
-        // come out in exact time order.
+    fn wide_time_spread_pops_in_exact_order() {
+        // Mix nanosecond-scale and hour-scale timestamps, scheduled out of
+        // order: pops must still come out in exact (time, seq) order.
         let mut w: W = vec![];
         let mut e = Engine::new();
         let mut expect: Vec<(u64, u32)> = vec![];
@@ -819,18 +706,23 @@ mod tests {
         assert_eq!(
             w,
             expect.iter().map(|&(_, tag)| tag).collect::<Vec<_>>(),
-            "calendar queue must pop in exact (time, seq) order"
+            "the queue must pop in exact (time, seq) order"
         );
     }
 
-    /// Reference-model check: random schedule/cancel/pop interleavings
-    /// against a plain `BinaryHeap` + cancelled-set model must pop in
-    /// byte-identical `(time, seq)` order, across slot reuse and stale
-    /// generations.
+    /// Reference-model check: random schedule/cancel/reschedule/pop
+    /// interleavings against a plain `BinaryHeap` + cancelled-set model
+    /// must pop in identical `(time, seq)` order, across slot reuse and
+    /// stale generations. The model treats a reschedule as a cancel plus a
+    /// fresh-`seq` schedule of the same action.
     #[test]
     fn random_interleavings_match_binary_heap_reference() {
         use std::cmp::Reverse;
-        use std::collections::BTreeSet;
+        use std::collections::{BTreeSet, BinaryHeap};
+
+        fn push_u64(w: &mut Vec<u64>, _: &mut Engine<Vec<u64>>, tag: u64) {
+            w.push(tag);
+        }
 
         for seed in 0..12u64 {
             let mut sm = SplitMix64::new(0xCA1E_0000 + seed);
@@ -839,42 +731,61 @@ mod tests {
             // Model: (at_nanos, seq, tag) min-heap plus cancelled seq set.
             let mut model: BinaryHeap<Reverse<(u64, u64, u64)>> = BinaryHeap::new();
             let mut cancelled: BTreeSet<u64> = BTreeSet::new();
-            let mut live: Vec<(EventId, u64)> = vec![]; // (handle, seq)
-            let mut dead: Vec<EventId> = vec![]; // retired handles (stale gens)
+            let mut live: Vec<(EventId, u64, u64)> = vec![]; // (handle, seq, tag)
+            let mut dead: Vec<EventId> = vec![]; // executed, cancelled or moved
             let mut next_seq = 0u64;
+            let mut next_tag = 0u64;
             let mut expected: Vec<u64> = vec![];
 
             for _ in 0..4000 {
+                // Delays mix zero, dense and sparse scales.
+                let delay = match sm.next_u64() % 5 {
+                    0 => 0,
+                    1 => sm.next_u64() % 1_000,
+                    2 => sm.next_u64() % 1_000_000,
+                    3 => sm.next_u64() % 1_000_000_000,
+                    _ => sm.next_u64() % 600_000_000_000,
+                };
+                let at = e.now() + SimDuration::from_nanos(delay);
                 match sm.next_u64() % 100 {
-                    // Schedule with a delay mixing zero, dense, and sparse
-                    // scales so entries hit active heap, ring, and far list.
-                    0..=54 => {
-                        let delay = match sm.next_u64() % 5 {
-                            0 => 0,
-                            1 => sm.next_u64() % 1_000,
-                            2 => sm.next_u64() % 1_000_000,
-                            3 => sm.next_u64() % 1_000_000_000,
-                            _ => sm.next_u64() % 600_000_000_000,
-                        };
-                        let at = e.now() + SimDuration::from_nanos(delay);
-                        let seq = next_seq;
+                    // Schedule, half as boxed closures, half as fn events.
+                    0..=44 => {
+                        let (seq, tag) = (next_seq, next_tag);
                         next_seq += 1;
-                        let id = e.schedule_at(at, move |w: &mut Vec<u64>, _| w.push(seq));
-                        model.push(Reverse((at.as_nanos(), seq, seq)));
-                        live.push((id, seq));
+                        next_tag += 1;
+                        let id = if tag % 2 == 0 {
+                            e.schedule_at(at, move |w: &mut Vec<u64>, _| w.push(tag))
+                        } else {
+                            e.schedule_fn_at(at, push_u64, tag)
+                        };
+                        model.push(Reverse((at.as_nanos(), seq, tag)));
+                        live.push((id, seq, tag));
                     }
                     // Cancel a random live event; both sides forget it.
-                    55..=74 if !live.is_empty() => {
+                    45..=59 if !live.is_empty() => {
                         let i = (sm.next_u64() % live.len() as u64) as usize;
-                        let (id, seq) = live.swap_remove(i);
+                        let (id, seq, _) = live.swap_remove(i);
                         assert!(e.cancel(id), "live handle must cancel");
                         cancelled.insert(seq);
                         dead.push(id);
                     }
-                    // Stale handles (slot since reused or retired) stay dead.
+                    // Move a random live event: cancel + fresh-seq schedule.
+                    60..=74 if !live.is_empty() => {
+                        let i = (sm.next_u64() % live.len() as u64) as usize;
+                        let (id, seq, tag) = live[i];
+                        let moved = e.reschedule(id, at).expect("live handle must move");
+                        cancelled.insert(seq);
+                        model.push(Reverse((at.as_nanos(), next_seq, tag)));
+                        live[i] = (moved, next_seq, tag);
+                        next_seq += 1;
+                        dead.push(id);
+                    }
+                    // Stale handles (slot since reused or retired) stay dead:
+                    // they neither cancel nor move, and schedule nothing.
                     75..=79 if !dead.is_empty() => {
                         let i = (sm.next_u64() % dead.len() as u64) as usize;
                         assert!(!e.cancel(dead[i]), "stale handle must stay dead");
+                        assert_eq!(e.reschedule(dead[i], at), None, "stale handle moved");
                     }
                     // Pop a few events; record what the model expects.
                     _ => {
@@ -895,8 +806,8 @@ mod tests {
                                 Some((seq, tag)) => {
                                     assert!(e.step(&mut w));
                                     expected.push(tag);
-                                    let i = live.iter().position(|&(_, s)| s == seq).unwrap();
-                                    let (id, _) = live.swap_remove(i);
+                                    let i = live.iter().position(|&(_, s, _)| s == seq).unwrap();
+                                    let (id, _, _) = live.swap_remove(i);
                                     dead.push(id);
                                 }
                             }
@@ -904,6 +815,10 @@ mod tests {
                     }
                 }
                 assert_eq!(e.pending(), live.len(), "live count must track the model");
+                assert_eq!(
+                    w, expected,
+                    "seed {seed}: pop order diverged from reference"
+                );
             }
 
             // Drain both sides completely.
@@ -919,6 +834,12 @@ mod tests {
                 "seed {seed}: pop order diverged from reference"
             );
             assert_eq!(e.pending(), 0);
+            for id in dead {
+                assert!(
+                    !e.cancel(id),
+                    "seed {seed}: a retired handle came back to life"
+                );
+            }
         }
     }
 }

@@ -9,7 +9,7 @@
 //! time submits in wake-up order, and the timer re-arms for the next due
 //! member. The event-queue footprint is thus `O(users / cohort_size)`
 //! instead of `O(users)` — at a million users with 256-user cohorts the
-//! calendar queue holds ~4 k population timers instead of a million.
+//! event queue holds ~4 k population timers instead of a million.
 //!
 //! ## When aggregation is exact
 //!
@@ -403,8 +403,8 @@ fn rearm(state: &Rc<RefCell<CohortState>>, engine: &mut SimEngine, cohort: usize
 mod tests {
     use super::*;
 
-    use crate::profile::ProfileFactory;
     use crate::generator::UserPopulation;
+    use crate::profile::ProfileFactory;
     use dcm_ntier::topology::ThreeTierBuilder;
 
     fn run_per_user(seed: u64, users: u32, think: Option<Dist>) -> (Vec<Completion>, u64) {

@@ -545,8 +545,7 @@ mod tests {
 
     fn diamond_factory() -> MeshProfileFactory {
         // web → {svc-a, svc-b} → db
-        let graph =
-            TopologyGraph::from_edges(4, &[(0, 1, 1), (0, 2, 1), (1, 3, 2), (2, 3, 1)]);
+        let graph = TopologyGraph::from_edges(4, &[(0, 1, 1), (0, 2, 1), (1, 3, 2), (2, 3, 1)]);
         MeshProfileFactory::new(
             graph,
             vec![
@@ -623,8 +622,11 @@ mod tests {
             ]
         };
         let plain = MeshProfileFactory::new(graph.clone(), demands());
-        let zeroed = MeshProfileFactory::new(graph, demands())
-            .with_cache(2, 3, crate::cache::CacheDynamics::new(0.0, 100.0));
+        let zeroed = MeshProfileFactory::new(graph, demands()).with_cache(
+            2,
+            3,
+            crate::cache::CacheDynamics::new(0.0, 100.0),
+        );
         let mut rng_a = SimRng::seed_from(31);
         let mut rng_b = SimRng::seed_from(31);
         for _ in 0..100 {
