@@ -139,7 +139,8 @@ fn usage() -> String {
      \x20             byte-identical for every --jobs value)\n\
      \x20 queuebench  event-queue microbenchmarks: the engine's indexed heap\n\
      \x20             vs a tombstoning binary-heap reference (hold /\n\
-     \x20             cancel-heavy / timeout-churn; wall-clock rates feed\n\
+     \x20             cancel-heavy / timeout-churn / 16-byte captured\n\
+     \x20             payloads, also as fn events; wall-clock rates feed\n\
      \x20             the perf log)\n\
      \x20 perf        the performance baseline: training + trace +\n\
      \x20             queuebench + fleet in one run, accumulated into\n\

@@ -17,6 +17,14 @@
 //!   timeout that is cancelled when the completion pops first — exactly
 //!   the request-timeout pattern on the simulator's hot path, where
 //!   almost every timeout is armed and then cancelled.
+//! * **capture** — the hold stream again, but every event carries a
+//!   16-byte payload (a tag and its own timestamp) that its action folds
+//!   into the world. As a capturing closure it costs a `Box` per event,
+//!   which the other profiles' empty closures never pay. A third backend,
+//!   `fn`, schedules the same stream with `Engine::schedule_fn_at`: the
+//!   tag rides in the `u64` payload and the timestamp half is the engine's
+//!   clock when the event runs, so it folds the same values with no
+//!   allocation.
 //!
 //! The heap reference is the engine's original design: a `BinaryHeap`
 //! ordered by `(time, seq)` storing boxed closures, with O(1)
@@ -284,12 +292,98 @@ fn churn_heap(iters: u64) -> (u64, f64) {
     (4 * iters, start.elapsed().as_secs_f64())
 }
 
+/// The 16-byte payload a capture-profile event folds into the world.
+#[inline]
+fn fold_payload(acc: u64, (tag, at_nanos): (u64, u64)) -> u64 {
+    acc.rotate_left(5) ^ tag.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ at_nanos
+}
+
+/// The hold stream with a capturing closure per event (one `Box` each).
+/// Returns (operations, wall seconds) and the fold of every payload run.
+fn capture_engine_fold(iters: u64) -> (u64, f64, u64) {
+    let mut engine: Engine<u64> = Engine::new();
+    let mut rng = SimRng::seed_from(SEED);
+    let mut fold = 0u64;
+    let schedule = |engine: &mut Engine<u64>, at: SimTime, tag: u64| {
+        let payload = (tag, at.as_nanos());
+        engine.schedule_at(at, move |w: &mut u64, _| *w = fold_payload(*w, payload));
+    };
+    for tag in 0..HELD as u64 {
+        schedule(&mut engine, SimTime::ZERO + exp_delay(&mut rng), tag);
+    }
+    let start = Instant::now();
+    for i in 0..iters {
+        engine.step(&mut fold);
+        let at = engine.now() + exp_delay(&mut rng);
+        schedule(&mut engine, at, HELD as u64 + i);
+    }
+    (2 * iters, start.elapsed().as_secs_f64(), fold)
+}
+
+/// The capture stream as fn events: the tag is the payload, the
+/// timestamp the clock at execution.
+fn capture_fn_fold(iters: u64) -> (u64, f64, u64) {
+    fn fold_event(w: &mut u64, engine: &mut Engine<u64>, tag: u64) {
+        *w = fold_payload(*w, (tag, engine.now().as_nanos()));
+    }
+    let mut engine: Engine<u64> = Engine::new();
+    let mut rng = SimRng::seed_from(SEED);
+    let mut fold = 0u64;
+    for tag in 0..HELD as u64 {
+        let at = SimTime::ZERO + exp_delay(&mut rng);
+        engine.schedule_fn_at(at, fold_event, tag);
+    }
+    let start = Instant::now();
+    for i in 0..iters {
+        engine.step(&mut fold);
+        let at = engine.now() + exp_delay(&mut rng);
+        engine.schedule_fn_at(at, fold_event, HELD as u64 + i);
+    }
+    (2 * iters, start.elapsed().as_secs_f64(), fold)
+}
+
+fn capture_engine(iters: u64) -> (u64, f64) {
+    let (ops, secs, fold) = capture_engine_fold(iters);
+    std::hint::black_box(fold);
+    (ops, secs)
+}
+
+fn capture_fn(iters: u64) -> (u64, f64) {
+    let (ops, secs, fold) = capture_fn_fold(iters);
+    std::hint::black_box(fold);
+    (ops, secs)
+}
+
+fn capture_heap(iters: u64) -> (u64, f64) {
+    let mut queue = HeapQueue::new();
+    let mut rng = SimRng::seed_from(SEED);
+    let schedule = |queue: &mut HeapQueue, at: SimTime, tag: u64| {
+        let payload = (tag, at.as_nanos());
+        queue.schedule_at(
+            at,
+            Box::new(move || {
+                std::hint::black_box(payload);
+            }),
+        );
+    };
+    for tag in 0..HELD as u64 {
+        schedule(&mut queue, SimTime::ZERO + exp_delay(&mut rng), tag);
+    }
+    let start = Instant::now();
+    for i in 0..iters {
+        queue.step();
+        let at = queue.now + exp_delay(&mut rng);
+        schedule(&mut queue, at, HELD as u64 + i);
+    }
+    (2 * iters, start.elapsed().as_secs_f64())
+}
+
 /// One (profile, backend) measurement.
 #[derive(Debug, Clone)]
 pub struct QueueBenchPoint {
-    /// Profile name: `hold`, `cancel`, or `churn`.
+    /// Profile name: `hold`, `cancel`, `churn` or `capture`.
     pub profile: &'static str,
-    /// Backend name: `engine` or `heap`.
+    /// Backend name: `engine`, `heap`, or (capture only) `fn`.
     pub backend: &'static str,
     /// Queue operations performed (schedules + pops + cancels).
     pub ops: u64,
@@ -318,45 +412,46 @@ pub struct QueueBench {
 /// A microbenchmark body: takes the iteration count, returns (ops, wall secs).
 type ProfileFn = fn(u64) -> (u64, f64);
 
-/// Runs all three profiles on both backends. Wall-clock timing: run on an
+/// Runs every profile on its backends. Wall-clock timing: run on an
 /// otherwise idle machine for stable numbers.
 pub fn run_queuebench(fidelity: Fidelity) -> QueueBench {
     let iters = iterations(fidelity);
-    let mut points = Vec::new();
-    let profiles: [(&'static str, ProfileFn, ProfileFn); 3] = [
-        ("hold", hold_engine, hold_heap),
-        ("cancel", cancel_engine, cancel_heap),
-        ("churn", churn_engine, churn_heap),
+    let runs: [(&'static str, &'static str, ProfileFn); 9] = [
+        ("hold", "engine", hold_engine),
+        ("hold", "heap", hold_heap),
+        ("cancel", "engine", cancel_engine),
+        ("cancel", "heap", cancel_heap),
+        ("churn", "engine", churn_engine),
+        ("churn", "heap", churn_heap),
+        ("capture", "engine", capture_engine),
+        ("capture", "heap", capture_heap),
+        ("capture", "fn", capture_fn),
     ];
-    for (profile, engine, heap) in profiles {
-        let (ops, wall_secs) = engine(iters);
-        points.push(QueueBenchPoint {
-            profile,
-            backend: "engine",
-            ops,
-            wall_secs,
-        });
-        let (ops, wall_secs) = heap(iters);
-        points.push(QueueBenchPoint {
-            profile,
-            backend: "heap",
-            ops,
-            wall_secs,
-        });
-    }
+    let points = runs
+        .into_iter()
+        .map(|(profile, backend, run)| {
+            let (ops, wall_secs) = run(iters);
+            QueueBenchPoint {
+                profile,
+                backend,
+                ops,
+                wall_secs,
+            }
+        })
+        .collect();
     QueueBench { points }
 }
 
 impl QueueBench {
-    /// Speedup of the engine backend over the heap for one profile.
-    pub fn speedup(&self, profile: &str) -> Option<f64> {
+    /// Speedup of `backend` over the heap reference for one profile.
+    pub fn speedup(&self, profile: &str, backend: &str) -> Option<f64> {
         let rate = |backend: &str| {
             self.points
                 .iter()
                 .find(|p| p.profile == profile && p.backend == backend)
                 .map(QueueBenchPoint::ops_per_sec)
         };
-        match (rate("engine"), rate("heap")) {
+        match (rate(backend), rate("heap")) {
             (Some(c), Some(h)) if h > 0.0 => Some(c / h),
             _ => None,
         }
@@ -366,12 +461,12 @@ impl QueueBench {
     pub fn table(&self) -> TextTable {
         let mut t = TextTable::new(["profile", "backend", "ops", "wall(s)", "Mops/s", "speedup"]);
         for p in &self.points {
-            let speedup = if p.backend == "engine" {
-                self.speedup(p.profile)
+            let speedup = if p.backend == "heap" {
+                String::new()
+            } else {
+                self.speedup(p.profile, p.backend)
                     .map(|s| format!("{s:.2}x"))
                     .unwrap_or_default()
-            } else {
-                String::new()
             };
             t.row([
                 p.profile.to_string(),
@@ -389,12 +484,21 @@ impl QueueBench {
     pub fn findings(&self) -> Vec<String> {
         let mut out = Vec::new();
         for profile in ["hold", "cancel", "churn"] {
-            if let Some(s) = self.speedup(profile) {
+            if let Some(s) = self.speedup(profile, "engine") {
                 out.push(format!(
                     "{profile}: engine queue at {s:.2}x the binary-heap \
                      reference (identical seeded operation stream)"
                 ));
             }
+        }
+        if let (Some(boxed), Some(fns)) = (
+            self.speedup("capture", "engine"),
+            self.speedup("capture", "fn"),
+        ) {
+            out.push(format!(
+                "capture: 16-byte payloads as boxed closures at {boxed:.2}x \
+                 the binary-heap reference, as fn events at {fns:.2}x"
+            ));
         }
         out
     }
@@ -475,14 +579,26 @@ mod tests {
     }
 
     #[test]
+    fn capture_backends_fold_the_same_payloads() {
+        // The fn backend rebuilds each 16-byte payload from its tag and
+        // the clock, so both engine backends must run the same events at
+        // the same instants and fold identical values.
+        let (ops_boxed, _, boxed) = capture_engine_fold(5_000);
+        let (ops_fn, _, fns) = capture_fn_fold(5_000);
+        assert_eq!(ops_boxed, ops_fn);
+        assert_eq!(boxed, fns);
+        assert_ne!(boxed, 0);
+    }
+
+    #[test]
     fn quick_bench_produces_all_points() {
         let bench = run_queuebench(Fidelity::Quick);
-        assert_eq!(bench.points.len(), 6);
+        assert_eq!(bench.points.len(), 9);
         for p in &bench.points {
             assert!(p.ops > 0);
             assert!(p.wall_secs >= 0.0);
         }
-        assert_eq!(bench.findings().len(), 3);
-        assert_eq!(bench.table().len(), 6);
+        assert_eq!(bench.findings().len(), 4);
+        assert_eq!(bench.table().len(), 9);
     }
 }

@@ -739,7 +739,7 @@ where
     let controller = controller.borrow();
     TraceRunResult {
         controller: controller.name(),
-        completions: population.completions(),
+        completions: population.take_completions(),
         offered: population.offered_series(),
         tier_vm_counts: recorder.tier_vm_counts,
         tier_cpu_util: recorder.tier_cpu_util,

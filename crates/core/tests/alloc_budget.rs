@@ -1,0 +1,228 @@
+//! Allocation budget of the per-request path.
+//!
+//! A counting global allocator tallies the heap allocations (and
+//! reallocations) made on the test's own thread. Each case warms its
+//! workload up — the request slab, the spare profiles and the engine's
+//! tables reach their working size — then counts a measurement window and
+//! divides by the requests completed in it. Sampling a profile, submitting
+//! it, arming think and cohort timers and firing completion callbacks
+//! reuse storage, so what remains per request is the amortised growth of
+//! logs plus the rare boxed events (retry backoff, faults, monitor ticks).
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use dcm_ntier::faults::install_fault_plan;
+use dcm_ntier::graph::TopologyGraph;
+use dcm_ntier::law::reference;
+use dcm_ntier::system::InterTierRetry;
+use dcm_ntier::topology::{MeshBuilder, MeshNode, ThreeTierBuilder};
+use dcm_ntier::world::{SimEngine, World};
+use dcm_sim::dist::Dist;
+use dcm_sim::faults::FaultPlan;
+use dcm_sim::time::{SimDuration, SimTime};
+use dcm_workload::cache::CacheDynamics;
+use dcm_workload::cohort::CohortPopulation;
+use dcm_workload::generator::{RetryPolicy, UserPopulation};
+use dcm_workload::profile::{MeshProfileFactory, NodeDemand, ProfileFactory};
+use dcm_workload::traces;
+
+/// Allocations per completed request each case must stay under. Boxing
+/// the completion callback and the think timer alone would cost 2.
+const BUDGET: f64 = 0.5;
+
+struct Counting;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    // `try_with`: the slot may already be gone while the thread exits.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards to the system allocator with the caller's
+// arguments unchanged, so the `GlobalAlloc` contract the caller upholds for
+// this allocator is exactly the one `System` requires; the counter is a
+// const-initialised thread-local `Cell`, which never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: forwarded unchanged (see the impl).
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: forwarded unchanged (see the impl).
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: forwarded unchanged (see the impl).
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
+
+/// Runs `engine` from `warm` to `until` and returns the allocations per
+/// request completed in that window (`completed` reads the running total).
+fn per_request(
+    world: &mut World,
+    engine: &mut SimEngine,
+    warm: SimTime,
+    until: SimTime,
+    completed: impl Fn(&World) -> u64,
+) -> f64 {
+    engine.run_until(world, warm);
+    let (allocs_before, done_before) = (allocations(), completed(world));
+    engine.run_until(world, until);
+    let allocs = allocations() - allocs_before;
+    let done = completed(world) - done_before;
+    assert!(done > 1_000, "the window completes many requests ({done})");
+    allocs as f64 / done as f64
+}
+
+fn completed(world: &World) -> u64 {
+    let c = world.system.counters();
+    c.completed + c.rejected + c.timed_out + c.failed
+}
+
+fn assert_within_budget(case: &str, per_request: f64) {
+    assert!(
+        per_request < BUDGET,
+        "{case}: {per_request:.3} allocations per request, budget {BUDGET}"
+    );
+}
+
+#[test]
+fn trace_driven_users_with_retry_deadline_and_crash() {
+    let (mut world, mut engine) = ThreeTierBuilder::new().counts(1, 3, 1).seed(11).build();
+    world.system.inter_tier_retry = Some(InterTierRetry::default());
+    install_fault_plan(
+        &mut world,
+        &mut engine,
+        &FaultPlan::none()
+            .with_crash(120.0, 1, 0)
+            .with_straggler(180.0, 2, 0, 4.0, 30.0)
+            .with_transient_failures(0.002),
+    );
+    let pop = UserPopulation::start_trace_driven(
+        &mut world,
+        &mut engine,
+        ProfileFactory::rubbos(),
+        &traces::step(60, 120, 40.0),
+        3.0,
+        SimTime::from_secs(300),
+    );
+    pop.set_client_retry(RetryPolicy::default());
+    pop.set_request_deadline(SimDuration::from_secs(1));
+    let cost = per_request(
+        &mut world,
+        &mut engine,
+        SimTime::from_secs(60),
+        SimTime::from_secs(300),
+        completed,
+    );
+    let c = world.system.counters();
+    assert!(pop.retries_issued() > 0, "the window retries requests");
+    assert!(
+        c.timed_out > 0,
+        "the window abandons requests at the deadline"
+    );
+    assert!(c.failed > 0, "the crash fails requests");
+    assert_within_budget("trace-driven users", cost);
+}
+
+#[test]
+fn cohort_population() {
+    let (mut world, mut engine) = ThreeTierBuilder::new().counts(2, 2, 2).seed(12).build();
+    let pop = CohortPopulation::start_staggered(
+        &mut world,
+        &mut engine,
+        ProfileFactory::rubbos(),
+        600,
+        64,
+        Dist::exponential_mean(2.0),
+        SimTime::from_secs(120),
+    );
+    pop.disable_log();
+    let cost = per_request(
+        &mut world,
+        &mut engine,
+        SimTime::from_secs(30),
+        SimTime::from_secs(120),
+        completed,
+    );
+    assert_within_budget("cohort population", cost);
+}
+
+#[test]
+fn mesh_factory_with_cache_edge() {
+    // web -> app -> {svc, db×2}, with a warming cache on app -> db: graph
+    // profiles, per-visit demands and per-request edge edits all run
+    // through the recycled profile buffers.
+    let graph = TopologyGraph::from_edges(4, &[(0, 1, 1), (1, 2, 1), (1, 3, 2)]);
+    let (mut world, mut engine) = MeshBuilder::new()
+        .node(MeshNode::new("web", reference::apache(), 1000))
+        .node(MeshNode::new("app", reference::tomcat(), 100).conns(80))
+        .node(MeshNode::new("svc", reference::tomcat(), 50))
+        .node(MeshNode::new("db", reference::mysql(), 800).count(2))
+        .seed(13)
+        .build();
+    let factory = MeshProfileFactory::new(
+        graph,
+        vec![
+            NodeDemand::split(Dist::constant(0.002)),
+            NodeDemand::split(Dist::constant(0.008)),
+            NodeDemand::leaf(Dist::exponential_mean(0.01)).iid_visits(),
+            NodeDemand::leaf(Dist::exponential_mean(0.02)).iid_visits(),
+        ],
+    )
+    .with_cache(1, 3, CacheDynamics::new(0.5, 200.0));
+    let _pop = UserPopulation::start_think_time(
+        &mut world,
+        &mut engine,
+        factory,
+        60,
+        0.5,
+        SimTime::from_secs(200),
+    );
+    let cost = per_request(
+        &mut world,
+        &mut engine,
+        SimTime::from_secs(30),
+        SimTime::from_secs(200),
+        completed,
+    );
+    assert_within_budget("mesh factory with a cache edge", cost);
+}
+
+#[test]
+fn closed_loop_training_point() {
+    // The shape of one `dcm_core::training` sweep level: 1/1/1, zero
+    // think time, warm-up then measurement window.
+    let (mut world, mut engine) = ThreeTierBuilder::new().counts(1, 1, 1).seed(14).build();
+    let _pop = UserPopulation::start_closed_loop(
+        &mut world,
+        &mut engine,
+        ProfileFactory::rubbos(),
+        60,
+        SimTime::from_secs(50),
+    );
+    let cost = per_request(
+        &mut world,
+        &mut engine,
+        SimTime::from_secs(10),
+        SimTime::from_secs(50),
+        completed,
+    );
+    assert_within_budget("closed-loop training point", cost);
+}

@@ -2,11 +2,13 @@
 //!
 //! All bursts active on a server progress at the *same* speed
 //! `1/f(N)` (work-seconds per second), where `f(N)` is the inflation factor
-//! of the server's [`ServiceLaw`] at its current contention level `N`. That
-//! uniformity admits an O(log n) implementation: keep a **work clock**
-//! `W(t) = ∫ speed dt`; a burst with `w` work-seconds remaining completes
-//! when the clock reaches `W_now + w`, so completions are just a min-heap on
-//! target clock values. Changing contention only changes the clock's slope.
+//! of the server's [`ServiceLaw`] at its contention level `N`, the number
+//! of bursts on the CPU. That uniformity admits an O(log n)
+//! implementation: keep a **work clock** `W(t) = ∫ speed dt`; a burst with
+//! `w` work-seconds remaining completes when the clock reaches `W_now + w`,
+//! so completions are just a min-heap on target clock values. A burst
+//! starting, finishing or being cancelled only changes the clock's slope,
+//! so the speed is computed once per such change, not per use.
 //!
 //! With `N` saturated threads each carrying bursts of `S⁰` work, a burst
 //! takes `S⁰·f(N) = S*(N)` wall seconds and completions occur at rate
@@ -73,7 +75,6 @@ impl<R: Copy + Eq> Ord for Burst<R> {
 ///
 /// let mut cpu = CpuScheduler::new(ServiceLaw::frictionless(0.01));
 /// let t0 = SimTime::ZERO;
-/// cpu.set_contention(t0, 1);
 /// cpu.add_burst(t0, RequestId::new(1), 0.01);
 /// let (at, req) = cpu.next_completion(t0).unwrap();
 /// assert_eq!(req, RequestId::new(1));
@@ -84,8 +85,10 @@ pub struct CpuScheduler<R = RequestId> {
     law: ServiceLaw,
     work_clock: f64,
     last_update: SimTime,
-    contention: u32,
     bursts: BinaryHeap<Reverse<Burst<R>>>,
+    /// `law.progress_speed(bursts.len())`, refreshed whenever the burst
+    /// count changes.
+    speed: f64,
     seq: u64,
     busy_seconds: f64,
     completed_work: f64,
@@ -104,8 +107,8 @@ impl<R: Copy + Eq + std::fmt::Debug> CpuScheduler<R> {
             law,
             work_clock: 0.0,
             last_update: SimTime::ZERO,
-            contention: 0,
             bursts: BinaryHeap::new(),
+            speed: law.progress_speed(0),
             seq: 0,
             busy_seconds: 0.0,
             completed_work: 0.0,
@@ -121,11 +124,6 @@ impl<R: Copy + Eq + std::fmt::Debug> CpuScheduler<R> {
     /// Number of bursts currently executing.
     pub fn active_bursts(&self) -> usize {
         self.bursts.len()
-    }
-
-    /// The contention level currently applied to the law.
-    pub fn contention(&self) -> u32 {
-        self.contention
     }
 
     /// Cumulative seconds during which at least one burst was active.
@@ -163,7 +161,7 @@ impl<R: Copy + Eq + std::fmt::Debug> CpuScheduler<R> {
         let projected_clock = if self.bursts.is_empty() {
             self.work_clock
         } else {
-            self.work_clock + dt * self.speed()
+            self.work_clock + dt * self.speed
         };
         let in_progress: f64 = self
             .bursts
@@ -176,11 +174,11 @@ impl<R: Copy + Eq + std::fmt::Debug> CpuScheduler<R> {
         self.completed_work + in_progress
     }
 
-    fn speed(&self) -> f64 {
-        // Contention never reads below the number of bursts actually on the
-        // CPU — a server cannot be less contended than its running work.
-        let n = self.contention.max(self.bursts.len() as u32);
-        self.law.progress_speed(n)
+    /// Recomputes the speed after the burst count changed. The contention
+    /// level is the burst count: threads parked in a pool or on a
+    /// downstream call do not contend for the CPU.
+    fn refresh_speed(&mut self) {
+        self.speed = self.law.progress_speed(self.bursts.len() as u32);
     }
 
     /// Advances the work clock to `now`.
@@ -193,19 +191,11 @@ impl<R: Copy + Eq + std::fmt::Debug> CpuScheduler<R> {
         let dt = now.saturating_since(self.last_update).as_secs_f64();
         if dt > 0.0 {
             if !self.bursts.is_empty() {
-                self.work_clock += dt * self.speed();
+                self.work_clock += dt * self.speed;
                 self.busy_seconds += dt;
             }
             self.last_update = now;
         }
-    }
-
-    /// Updates the contention level (threads in use on the server),
-    /// advancing the clock first so past progress is settled at the old
-    /// speed.
-    pub fn set_contention(&mut self, now: SimTime, n: u32) {
-        self.advance(now);
-        self.contention = n;
     }
 
     /// Starts a burst of `work` work-seconds for `req`.
@@ -227,6 +217,7 @@ impl<R: Copy + Eq + std::fmt::Debug> CpuScheduler<R> {
         };
         self.seq += 1;
         self.bursts.push(Reverse(burst));
+        self.refresh_speed();
         self.max_active_bursts = self.max_active_bursts.max(self.bursts.len());
     }
 
@@ -236,9 +227,9 @@ impl<R: Copy + Eq + std::fmt::Debug> CpuScheduler<R> {
         let &Reverse(burst) = self.bursts.peek()?;
         // Project the clock forward from `now` (callers advance first).
         let pending_dt = now.saturating_since(self.last_update).as_secs_f64();
-        let projected_clock = self.work_clock + pending_dt * self.speed();
+        let projected_clock = self.work_clock + pending_dt * self.speed;
         let remaining = (burst.target.0 - projected_clock).max(0.0);
-        let dt = remaining / self.speed();
+        let dt = remaining / self.speed;
         Some((
             now + dcm_sim::time::SimDuration::from_secs_f64(dt),
             burst.req,
@@ -252,6 +243,7 @@ impl<R: Copy + Eq + std::fmt::Debug> CpuScheduler<R> {
         let &Reverse(burst) = self.bursts.peek()?;
         if burst.target.0 <= self.work_clock + WORK_EPSILON {
             self.bursts.pop();
+            self.refresh_speed();
             self.completed_work += burst.work.0;
             Some(burst.req)
         } else {
@@ -260,17 +252,17 @@ impl<R: Copy + Eq + std::fmt::Debug> CpuScheduler<R> {
     }
 
     /// Removes a specific request's burst (e.g. the request was aborted).
-    /// Returns `true` if a burst was removed. O(n) rebuild — rare path.
+    /// Returns `true` if a burst was removed. O(n) rebuild in the heap's
+    /// own buffer — rare path.
     pub fn cancel_burst(&mut self, now: SimTime, req: R) -> bool {
         self.advance(now);
-        let before = self.bursts.len();
-        let retained: Vec<_> = self
-            .bursts
-            .drain()
-            .filter(|&Reverse(b)| b.req != req)
-            .collect();
-        self.bursts = retained.into();
-        before != self.bursts.len()
+        let mut bursts = std::mem::take(&mut self.bursts).into_vec();
+        let before = bursts.len();
+        bursts.retain(|&Reverse(b)| b.req != req);
+        let removed = before != bursts.len();
+        self.bursts = bursts.into();
+        self.refresh_speed();
+        removed
     }
 }
 
@@ -290,7 +282,6 @@ mod tests {
     #[test]
     fn single_burst_completes_after_its_work() {
         let mut cpu = CpuScheduler::new(ServiceLaw::frictionless(1.0));
-        cpu.set_contention(t(0.0), 1);
         cpu.add_burst(t(0.0), r(1), 0.5);
         let (at, req) = cpu.next_completion(t(0.0)).unwrap();
         assert_eq!(req, r(1));
@@ -307,7 +298,6 @@ mod tests {
         let law = reference::tomcat();
         let s_star_2 = law.adjusted_service_time(2);
         let mut cpu = CpuScheduler::new(law);
-        cpu.set_contention(t(0.0), 2);
         cpu.add_burst(t(0.0), r(1), law.s0());
         cpu.add_burst(t(0.0), r(2), law.s0());
         let (at, _) = cpu.next_completion(t(0.0)).unwrap();
@@ -326,7 +316,6 @@ mod tests {
         let law = reference::mysql();
         let n = 36u32;
         let mut cpu = CpuScheduler::new(law);
-        cpu.set_contention(t(0.0), n);
         let mut next_id = 0u64;
         for _ in 0..n {
             cpu.add_burst(t(0.0), r(next_id), law.s0());
@@ -358,12 +347,13 @@ mod tests {
     fn speed_change_settles_progress_first() {
         let law = ServiceLaw::new(1.0, 0.5, 0.0); // f(1)=1, f(2)=1.5
         let mut cpu = CpuScheduler::new(law);
-        cpu.set_contention(t(0.0), 1);
         cpu.add_burst(t(0.0), r(1), 1.0);
-        // Run half the burst at speed 1 (0.5 work done by t=0.5).
-        cpu.set_contention(t(0.5), 2);
+        // Run half the burst alone at speed 1 (0.5 work done by t=0.5),
+        // then a second burst joins and both run at speed 1/1.5.
+        cpu.add_burst(t(0.5), r(2), 10.0);
         // Remaining 0.5 work at speed 1/1.5 → 0.75 s more.
-        let (at, _) = cpu.next_completion(t(0.5)).unwrap();
+        let (at, req) = cpu.next_completion(t(0.5)).unwrap();
+        assert_eq!(req, r(1));
         assert!(
             (at.as_secs_f64() - 1.25).abs() < 1e-9,
             "{}",
@@ -372,9 +362,32 @@ mod tests {
     }
 
     #[test]
+    fn speed_follows_pops_and_cancels() {
+        let law = ServiceLaw::new(1.0, 0.5, 0.0); // f(1)=1, f(2)=1.5
+        let mut cpu = CpuScheduler::new(law);
+        cpu.add_burst(t(0.0), r(1), 0.5);
+        cpu.add_burst(t(0.0), r(2), 2.0);
+        // Both run at speed 1/1.5: the short burst is done at 0.75 s.
+        let (done, req) = cpu.next_completion(t(0.0)).unwrap();
+        assert_eq!(req, r(1));
+        assert!((done.as_secs_f64() - 0.75).abs() < 1e-9);
+        assert_eq!(cpu.pop_completed(done), Some(r(1)));
+        // Alone again at speed 1: 1.5 work left finishes 1.5 s later.
+        let (at, _) = cpu.next_completion(done).unwrap();
+        assert!((at.as_secs_f64() - 2.25).abs() < 1e-9, "{at:?}");
+
+        let mut cpu = CpuScheduler::new(law);
+        cpu.add_burst(t(0.0), r(1), 1.0);
+        cpu.add_burst(t(0.0), r(2), 1.0);
+        // 0.3 s at speed 1/1.5 does 0.2 work; the cancel restores speed 1.
+        assert!(cpu.cancel_burst(t(0.3), r(2)));
+        let (at, _) = cpu.next_completion(t(0.3)).unwrap();
+        assert!((at.as_secs_f64() - 1.1).abs() < 1e-9, "{at:?}");
+    }
+
+    #[test]
     fn fifo_among_equal_targets() {
         let mut cpu = CpuScheduler::new(ServiceLaw::frictionless(1.0));
-        cpu.set_contention(t(0.0), 2);
         cpu.add_burst(t(0.0), r(1), 0.3);
         cpu.add_burst(t(0.0), r(2), 0.3);
         let done_at = cpu.next_completion(t(0.0)).unwrap().0;
@@ -387,7 +400,6 @@ mod tests {
         let mut cpu = CpuScheduler::new(ServiceLaw::frictionless(1.0));
         cpu.advance(t(1.0)); // idle
         assert_eq!(cpu.busy_seconds(), 0.0);
-        cpu.set_contention(t(1.0), 1);
         cpu.add_burst(t(1.0), r(1), 0.5);
         cpu.advance(t(1.5));
         assert!((cpu.busy_seconds() - 0.5).abs() < 1e-9);
@@ -399,7 +411,6 @@ mod tests {
     #[test]
     fn cancel_burst_removes_request() {
         let mut cpu = CpuScheduler::new(ServiceLaw::frictionless(1.0));
-        cpu.set_contention(t(0.0), 2);
         cpu.add_burst(t(0.0), r(1), 0.5);
         cpu.add_burst(t(0.0), r(2), 0.2);
         assert!(cpu.cancel_burst(t(0.1), r(2)));
@@ -411,17 +422,15 @@ mod tests {
     #[test]
     fn zero_work_burst_completes_immediately() {
         let mut cpu = CpuScheduler::new(ServiceLaw::frictionless(1.0));
-        cpu.set_contention(t(0.0), 1);
         cpu.add_burst(t(0.0), r(1), 0.0);
         assert_eq!(cpu.pop_completed(t(0.0)), Some(r(1)));
     }
 
     #[test]
-    fn contention_floor_is_active_bursts() {
-        // Even with contention set low, 10 active bursts imply N >= 10.
+    fn contention_is_the_active_burst_count() {
+        // 10 active bursts run at the law's speed for N = 10.
         let law = reference::tomcat();
         let mut cpu = CpuScheduler::new(law);
-        cpu.set_contention(t(0.0), 1);
         for i in 0..10 {
             cpu.add_burst(t(0.0), r(i), law.s0());
         }

@@ -6,6 +6,37 @@
 //! [`crate::request`]; scaling actions implement the raw operations the
 //! DCM/EC2 controllers invoke (boot a VM, drain a VM, resize a pool at
 //! runtime).
+//!
+//! # CPU re-arms
+//!
+//! Each server has one engine timer for its next CPU completion. The
+//! invariant: **every change to a server's CPU state requests a re-arm,
+//! and every entry point flushes before it returns.**
+//!
+//! * A request (`resched_completion`) only reserves the `seq` an eager
+//!   re-arm would have taken there (`Engine::reserve_seq`; none when the
+//!   CPU is idle, where the eager path cancels) and marks the server
+//!   dirty. Bursts starting, finishing and being cancelled request one;
+//!   so do thread grants, releases and thread-pool resizes, which once
+//!   set the CPU's contention level, so the keys stay as they were.
+//! * The entry points are the event functions the engine calls and the
+//!   public request, scaling and fault actions. A flush makes one heap
+//!   move per dirty server: the timer goes to the completion time the CPU
+//!   state now implies, keyed with the server's latest reserved `seq`.
+//!   Debug builds check at the start of each event function that nothing
+//!   is left dirty.
+//! * Draining and crashing a server cancel its timer and drop any pending
+//!   re-arm.
+//!
+//! Nothing pops while a handler runs, and the CPU state does not change
+//! between a server's last request and the flush, so the flushed
+//! `(at, seq)` key is exactly the key re-arming eagerly at every request
+//! would have left (see the determinism argument in `dcm_sim::engine`): the
+//! run pops the same events in the same order, with one heap move per
+//! dirty server per handler instead of one per request. A flush nested
+//! inside a handler (a completion callback that submits) may place a timer
+//! early; the handler's own later requests and flush move it to the same
+//! final key.
 
 use std::fmt;
 
@@ -14,8 +45,8 @@ use dcm_sim::time::{SimDuration, SimTime};
 use crate::balancer::BalancerPolicy;
 use crate::ids::{FlightId, RequestId, ServerId, TierId};
 use crate::request::{Completion, Frame, Outcome, Phase, RequestProfile};
-use crate::server::ServerState;
-use crate::system::{CompletionCallback, RequestInFlight};
+use crate::server::{Server, ServerState};
+use crate::system::{CompletionCallback, CompletionFn, OnComplete, RequestInFlight};
 use crate::world::{SimEngine, World};
 
 /// Error from a scaling action.
@@ -62,7 +93,7 @@ pub fn submit(
     profile: RequestProfile,
     on_complete: CompletionCallback,
 ) -> RequestId {
-    submit_inner(world, engine, profile, None, on_complete)
+    submit_inner(world, engine, profile, None, OnComplete::Boxed(on_complete))
 }
 
 /// Like [`submit`], with a client deadline: if the request has not finished
@@ -80,7 +111,39 @@ pub fn submit_with_deadline(
     deadline: SimDuration,
     on_complete: CompletionCallback,
 ) -> RequestId {
-    submit_inner(world, engine, profile, Some(deadline), on_complete)
+    submit_inner(
+        world,
+        engine,
+        profile,
+        Some(deadline),
+        OnComplete::Boxed(on_complete),
+    )
+}
+
+/// Like [`submit`] (or [`submit_with_deadline`] when `deadline` is set),
+/// with a plain-function callback: `on_complete(world, engine, completion,
+/// payload)` fires when the request leaves. Nothing is allocated per
+/// request; the payload typically indexes the client in
+/// [`World::clients`](crate::world::World).
+///
+/// # Panics
+///
+/// Panics if the profile's tier count does not match the system's.
+pub fn submit_fn(
+    world: &mut World,
+    engine: &mut SimEngine,
+    profile: RequestProfile,
+    deadline: Option<SimDuration>,
+    on_complete: CompletionFn,
+    payload: u64,
+) -> RequestId {
+    submit_inner(
+        world,
+        engine,
+        profile,
+        deadline,
+        OnComplete::Fn(on_complete, payload),
+    )
 }
 
 fn submit_inner(
@@ -88,7 +151,7 @@ fn submit_inner(
     engine: &mut SimEngine,
     profile: RequestProfile,
     deadline: Option<SimDuration>,
-    on_complete: CompletionCallback,
+    on_complete: OnComplete,
 ) -> RequestId {
     assert_eq!(
         profile.tiers(),
@@ -118,6 +181,7 @@ fn submit_inner(
             .timeout_event = Some(ev);
     }
     enter_tier(world, engine, fid, 0);
+    flush_rearms(world, engine);
     rid
 }
 
@@ -126,11 +190,13 @@ fn submit_inner(
 /// it as timed out. A no-op if the request already finished (the slab
 /// handle's generation check makes a stale timer inert).
 fn abandon(world: &mut World, engine: &mut SimEngine, fid: u64) {
+    debug_assert_flushed(world);
     let fid = FlightId::from_raw(fid);
     if world.system.requests.get(fid).is_none() {
         return;
     }
     unwind(world, engine, fid, Outcome::TimedOut);
+    flush_rearms(world, engine);
 }
 
 /// Routes the request behind `fid` into `tier`: picks a server, pushes a
@@ -224,11 +290,13 @@ fn enter_tier(world: &mut World, engine: &mut SimEngine, fid: FlightId, tier: us
 
 /// A retry timer fired for a request parked on a capacity-less tier.
 fn retry_entry(world: &mut World, engine: &mut SimEngine, fid: FlightId, tier: usize) {
+    debug_assert_flushed(world);
     let Some(req) = world.system.requests.get_mut(fid) else {
         return; // Abandoned (e.g. client timeout) while parked.
     };
     req.retry_event = None;
     enter_tier(world, engine, fid, tier);
+    flush_rearms(world, engine);
 }
 
 /// The top frame was granted its server thread: start the pre burst (or
@@ -281,8 +349,9 @@ fn resume_parked(world: &mut World, engine: &mut SimEngine, fid: FlightId) {
 
 /// Handles a server's CPU completion event (payload: the raw [`ServerId`]):
 /// pops every due burst, advances the owning requests, then re-arms the
-/// completion timer.
+/// completion timer and flushes.
 fn on_cpu_completion(world: &mut World, engine: &mut SimEngine, sid: u64) {
+    debug_assert_flushed(world);
     let sid = ServerId::new(sid);
     loop {
         let now = engine.now();
@@ -295,6 +364,7 @@ fn on_cpu_completion(world: &mut World, engine: &mut SimEngine, sid: u64) {
         }
     }
     resched_completion(world, engine, sid);
+    flush_rearms(world, engine);
 }
 
 /// A CPU burst belonging to `fid` finished.
@@ -500,8 +570,17 @@ fn complete(world: &mut World, engine: &mut SimEngine, fid: FlightId, outcome: O
         finished: now,
         outcome,
     };
-    if let Some(cb) = req.on_complete.take() {
-        cb(world, engine, completion);
+    // Hand the profile to the callback (a client retry resubmits it), and
+    // keep an enclosing callback's profile aside across this one: a
+    // callback's own submission can complete re-entrantly.
+    let outer = world.system.finished_profile.replace(req.profile);
+    match req.on_complete {
+        Some(OnComplete::Boxed(cb)) => cb(world, engine, completion),
+        Some(OnComplete::Fn(f, payload)) => f(world, engine, completion, payload),
+        None => {}
+    }
+    if let Some(unclaimed) = std::mem::replace(&mut world.system.finished_profile, outer) {
+        world.system.recycle_profile(unclaimed);
     }
 }
 
@@ -614,31 +693,75 @@ fn release_thread_during_unwind(
     maybe_finish_drain(world, engine, sid);
 }
 
-/// Re-arms a server's CPU completion event after any change to its CPU
-/// state (new burst, contention change, pop). A pending timer is moved in
-/// place; one that just fired (its id is stale inside
-/// [`on_cpu_completion`]) is scheduled afresh. Either way the timer orders
-/// exactly as a cancel followed by a new schedule would.
-pub fn resched_completion(world: &mut World, engine: &mut SimEngine, sid: ServerId) {
-    let now = engine.now();
+/// Requests a re-arm of a server's CPU completion timer after a change to
+/// its CPU state: reserves the `seq` an eager re-arm would take here (none
+/// when the CPU is idle: the eager path would cancel) and marks the server
+/// dirty for [`flush_rearms`].
+fn resched_completion(world: &mut World, engine: &mut SimEngine, sid: ServerId) {
     let Some(server) = world.system.server_mut(sid) else {
         return;
     };
-    let pending = server.completion_event.take();
-    server.cpu_mut().advance(now);
-    match server.cpu().next_completion(now) {
-        Some((at, _)) => {
-            let ev = pending
-                .and_then(|ev| engine.reschedule(ev, at))
-                .unwrap_or_else(|| engine.schedule_fn_at(at, on_cpu_completion, sid.raw()));
-            server.completion_event = Some(ev);
+    if server.cpu().active_bursts() > 0 {
+        server.rearm_seq = engine.reserve_seq();
+    }
+    if !server.rearm_pending {
+        server.rearm_pending = true;
+        world.system.rearm_dirty.push(sid);
+    }
+}
+
+/// Applies every pending re-arm: one heap move per dirty server. A pending
+/// timer moves in place; one that just fired (its id is stale inside
+/// [`on_cpu_completion`]) is scheduled afresh; an idle CPU's timer is
+/// cancelled. The timer takes the server's latest reserved `seq`, so it
+/// orders exactly as re-arming eagerly at every request would have left it.
+fn flush_rearms(world: &mut World, engine: &mut SimEngine) {
+    let now = engine.now();
+    while let Some(sid) = world.system.rearm_dirty.pop() {
+        let server = world
+            .system
+            .server_mut(sid)
+            .expect("only existing servers are marked dirty");
+        if !std::mem::take(&mut server.rearm_pending) {
+            continue; // Dropped by a drain or crash.
         }
-        None => {
-            if let Some(ev) = pending {
-                engine.cancel(ev);
+        let pending = server.completion_event.take();
+        server.cpu_mut().advance(now);
+        match server.cpu().next_completion(now) {
+            Some((at, _)) => {
+                let seq = server.rearm_seq;
+                let ev = pending
+                    .and_then(|ev| engine.reschedule_reserved(ev, at, seq))
+                    .unwrap_or_else(|| {
+                        engine.schedule_fn_reserved(at, on_cpu_completion, sid.raw(), seq)
+                    });
+                server.completion_event = Some(ev);
+            }
+            None => {
+                if let Some(ev) = pending {
+                    engine.cancel(ev);
+                }
             }
         }
     }
+}
+
+/// Checks, at the start of an event the engine dispatches, that every
+/// earlier handler flushed its re-arms before returning.
+fn debug_assert_flushed(world: &World) {
+    debug_assert!(
+        world.system.rearm_dirty.is_empty(),
+        "a flow entry point returned without flushing its CPU re-arms"
+    );
+}
+
+/// Cancels a server's CPU completion timer and drops any pending re-arm
+/// of it (the server is stopping).
+fn disarm(engine: &mut SimEngine, server: &mut Server) {
+    if let Some(ev) = server.completion_event.take() {
+        engine.cancel(ev);
+    }
+    server.rearm_pending = false;
 }
 
 /// Stops and retires a draining server once idle.
@@ -648,9 +771,7 @@ fn maybe_finish_drain(world: &mut World, engine: &mut SimEngine, sid: ServerId) 
         return;
     };
     if server.drained() {
-        if let Some(ev) = server.completion_event.take() {
-            engine.cancel(ev);
-        }
+        disarm(engine, server);
         world.system.mark_server_stopped(sid, now);
         world.system.retire_server(sid, now);
     }
@@ -687,10 +808,12 @@ pub fn provision_server(
         kind: crate::spans::ServerEventKind::BootRequested { ready_at },
     });
     engine.schedule_at(ready_at, move |w, e| boot_complete(w, e, sid));
+    flush_rearms(world, engine);
     Ok(sid)
 }
 
 fn boot_complete(world: &mut World, engine: &mut SimEngine, sid: ServerId) {
+    debug_assert_flushed(world);
     let now = engine.now();
     let p = world.system.boot_failure_prob;
     let failed = p > 0.0 && world.rng.next_f64() < p;
@@ -717,7 +840,7 @@ fn boot_complete(world: &mut World, engine: &mut SimEngine, sid: ServerId) {
             crate::spans::ServerEventKind::BootCompleted
         },
     });
-    let _ = engine;
+    flush_rearms(world, engine);
 }
 
 /// Drains and removes one server from `tier` (most recently launched
@@ -748,6 +871,7 @@ pub fn decommission_one(
         kind: crate::spans::ServerEventKind::DrainStarted,
     });
     maybe_finish_drain(world, engine, victim);
+    flush_rearms(world, engine);
     Ok(victim)
 }
 
@@ -776,9 +900,7 @@ pub fn crash_server(world: &mut World, engine: &mut SimEngine, sid: ServerId) {
     let tier = server.tier();
     // Dead first: cancel the CPU timer and leave Running before anything
     // else observes the server, so no unwound waiter can restart work here.
-    if let Some(ev) = server.completion_event.take() {
-        engine.cancel(ev);
-    }
+    disarm(engine, server);
     world.system.mark_server_stopped(sid, now);
     world.system.record_server_event(crate::spans::ServerEvent {
         at: now,
@@ -805,6 +927,7 @@ pub fn crash_server(world: &mut World, engine: &mut SimEngine, sid: ServerId) {
         }
     }
     world.system.retire_server(sid, now);
+    flush_rearms(world, engine);
 }
 
 /// Sets a server's straggler multiplier: future CPU bursts cost
@@ -824,6 +947,7 @@ pub fn set_server_slowdown(world: &mut World, engine: &mut SimEngine, sid: Serve
         tier,
         kind: crate::spans::ServerEventKind::SlowdownSet { factor },
     });
+    flush_rearms(world, engine);
 }
 
 // ---------------------------------------------------------------------------
@@ -890,6 +1014,7 @@ pub fn set_server_thread_pool(world: &mut World, engine: &mut SimEngine, sid: Se
     for fid in admitted {
         resume_parked(world, engine, fid);
     }
+    flush_rearms(world, engine);
 }
 
 /// Resizes one server's downstream connection pool at runtime.
@@ -902,4 +1027,5 @@ pub fn set_server_conn_pool(world: &mut World, engine: &mut SimEngine, sid: Serv
     for fid in admitted {
         resume_parked(world, engine, fid);
     }
+    flush_rearms(world, engine);
 }

@@ -34,13 +34,44 @@ pub struct GraphEdge {
 /// A DAG of tiers with per-edge call counts, stored as a flat edge list
 /// with a per-node prefix index (`first_edge[m]..first_edge[m + 1]` are the
 /// out-edges of node `m`, in call order).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TopologyGraph {
     first_edge: Vec<u32>,
     edges: Vec<GraphEdge>,
 }
 
+/// `clone_from` copies into the existing buffers, so a recycled request
+/// profile installs its per-request graph without allocating.
+impl Clone for TopologyGraph {
+    fn clone(&self) -> Self {
+        let mut graph = TopologyGraph::empty();
+        graph.clone_from(self);
+        graph
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.first_edge.clone_from(&source.first_edge);
+        self.edges.clone_from(&source.edges);
+    }
+}
+
 impl TopologyGraph {
+    /// The node-less graph a chain request profile holds in place of a
+    /// topology; it allocates nothing.
+    pub(crate) fn empty() -> Self {
+        TopologyGraph {
+            first_edge: Vec::new(),
+            edges: Vec::new(),
+        }
+    }
+
+    /// Empties the graph back to [`TopologyGraph::empty`], keeping its
+    /// buffers' capacity.
+    pub(crate) fn clear(&mut self) {
+        self.first_edge.clear();
+        self.edges.clear();
+    }
+
     /// The chain topology for the given per-hop visit counts (`visits[m]`
     /// calls from tier `m − 1` into tier `m`; `visits[0]` must be 1).
     ///
@@ -198,8 +229,17 @@ impl TopologyGraph {
     /// one client request visits node `m` (root = 1), the DAG analogue of
     /// the chain's cumulative visit product.
     pub fn visit_ratios(&self) -> Vec<u64> {
+        let mut ratios = Vec::new();
+        self.visit_ratios_into(&mut ratios);
+        ratios
+    }
+
+    /// [`TopologyGraph::visit_ratios`] written into `ratios`, reusing its
+    /// buffer.
+    pub(crate) fn visit_ratios_into(&self, ratios: &mut Vec<u64>) {
         let tiers = self.tiers();
-        let mut ratios: Vec<u64> = std::iter::repeat_n(0, tiers).collect();
+        ratios.clear();
+        ratios.resize(tiers, 0);
         ratios[0] = 1;
         for m in 0..tiers {
             let here = ratios[m];
@@ -208,7 +248,6 @@ impl TopologyGraph {
                 ratios[to] = ratios[to].saturating_add(here.saturating_mul(u64::from(e.calls)));
             }
         }
-        ratios
     }
 
     /// Invokes `f(from, to, calls)` for every edge, parents in index order.

@@ -46,7 +46,10 @@ impl StageDemand {
 /// the visit ratios between adjacent tiers.
 ///
 /// Built by workload generators (which own the service-demand
-/// distributions); consumed by the system simulator.
+/// distributions); consumed by the system simulator. A generator on the
+/// per-request path rebuilds a finished request's profile in place
+/// ([`RequestProfile::new_reusing`] and the `set_*` methods) rather than
+/// allocating a new one.
 ///
 /// # Examples
 ///
@@ -67,23 +70,49 @@ impl StageDemand {
 /// assert_eq!(profile.tiers(), 3);
 /// assert_eq!(profile.visits_to(2), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RequestProfile {
     demands: Vec<StageDemand>,
     visits: Vec<u32>,
     class: u16,
-    /// Per-visit demand overrides, indexed `[tier][global visit index]`.
-    /// Empty inner vectors mean every visit to that tier uses
-    /// `demands[tier]`. Workload generators fill this when per-visit
-    /// demands must be sampled independently (e.g. i.i.d. exponential DB
-    /// queries — reusing one sample across a request's visits correlates
-    /// service times and breaks the product-form model the MVA oracle
-    /// checks against).
-    per_visit: Vec<Vec<StageDemand>>,
-    /// Call-graph topology. `None` means the linear chain (tier `m` calls
-    /// tier `m + 1` `visits[m + 1]` times); `Some` routes downstream calls
-    /// through an arbitrary DAG instead.
-    graph: Option<TopologyGraph>,
+    /// Per-visit demand overrides of every tier, concatenated: tier `m`'s
+    /// overrides, indexed by global visit index, are the
+    /// `per_visit_spans[m] = (start, len)` slice of this vector. A tier
+    /// without a span, or with an empty one, uses `demands[tier]` for
+    /// every visit. Workload generators fill this when per-visit demands
+    /// must be sampled independently (e.g. i.i.d. exponential DB queries —
+    /// reusing one sample across a request's visits correlates service
+    /// times and breaks the product-form model the MVA oracle checks
+    /// against). One flat buffer, so a recycled profile keeps its capacity.
+    per_visit: Vec<StageDemand>,
+    per_visit_spans: Vec<(u32, u32)>,
+    /// Call-graph topology. Empty (no nodes) means the linear chain (tier
+    /// `m` calls tier `m + 1` `visits[m + 1]` times); otherwise downstream
+    /// calls route through this DAG. A value rather than an `Option`, so a
+    /// recycled profile keeps the graph's buffers.
+    graph: TopologyGraph,
+    /// `graph.visit_ratios()`, refreshed whenever the graph changes; empty
+    /// on the chain.
+    graph_ratios: Vec<u64>,
+}
+
+/// Equality is semantic: the per-visit overrides compare tier by tier, so
+/// the order in which tiers were given overrides does not matter.
+impl PartialEq for RequestProfile {
+    fn eq(&self, other: &Self) -> bool {
+        self.demands == other.demands
+            && self.visits == other.visits
+            && self.class == other.class
+            && self.graph == other.graph
+            && (0..self.demands.len()).all(|m| self.per_visit_of(m) == other.per_visit_of(m))
+    }
+}
+
+fn assert_valid_demand(d: &StageDemand) {
+    assert!(
+        d.pre.is_finite() && d.pre >= 0.0 && d.post.is_finite() && d.post >= 0.0,
+        "demands must be finite and non-negative"
+    );
 }
 
 impl RequestProfile {
@@ -99,29 +128,72 @@ impl RequestProfile {
     /// Panics if the vectors are empty, have different lengths, any demand
     /// is negative/non-finite, or `visits[0] != 1`.
     pub fn new(demands: Vec<StageDemand>, visits: Vec<u32>, class: u16) -> Self {
-        assert!(
-            !demands.is_empty(),
-            "a request must visit at least one tier"
-        );
-        assert_eq!(
-            demands.len(),
-            visits.len(),
-            "demands and visits must cover the same tiers"
-        );
-        assert_eq!(visits[0], 1, "the client makes exactly one front-tier call");
-        for d in &demands {
-            assert!(
-                d.pre.is_finite() && d.pre >= 0.0 && d.post.is_finite() && d.post >= 0.0,
-                "demands must be finite and non-negative"
-            );
-        }
-        RequestProfile {
+        let profile = RequestProfile {
             demands,
             visits,
             class,
+            ..Self::empty()
+        };
+        profile.validate();
+        profile
+    }
+
+    /// A profile with no tiers: only ever a buffer to build into.
+    fn empty() -> Self {
+        RequestProfile {
+            demands: Vec::new(),
+            visits: Vec::new(),
+            class: 0,
             per_visit: Vec::new(),
-            graph: None,
+            per_visit_spans: Vec::new(),
+            graph: TopologyGraph::empty(),
+            graph_ratios: Vec::new(),
         }
+    }
+
+    /// Like [`RequestProfile::new`], but built in `spare`'s buffers when one
+    /// is given: every field is overwritten (graph and per-visit overrides
+    /// cleared) and only buffer capacity survives, so the result equals
+    /// what `new` returns for the same arguments, whatever `spare` held.
+    ///
+    /// # Panics
+    ///
+    /// As [`RequestProfile::new`].
+    pub fn new_reusing(
+        spare: Option<RequestProfile>,
+        demands: impl IntoIterator<Item = StageDemand>,
+        visits: impl IntoIterator<Item = u32>,
+        class: u16,
+    ) -> Self {
+        let mut profile = spare.unwrap_or_else(Self::empty);
+        profile.demands.clear();
+        profile.demands.extend(demands);
+        profile.visits.clear();
+        profile.visits.extend(visits);
+        profile.class = class;
+        profile.per_visit.clear();
+        profile.per_visit_spans.clear();
+        profile.graph.clear();
+        profile.graph_ratios.clear();
+        profile.validate();
+        profile
+    }
+
+    fn validate(&self) {
+        assert!(
+            !self.demands.is_empty(),
+            "a request must visit at least one tier"
+        );
+        assert_eq!(
+            self.demands.len(),
+            self.visits.len(),
+            "demands and visits must cover the same tiers"
+        );
+        assert_eq!(
+            self.visits[0], 1,
+            "the client makes exactly one front-tier call"
+        );
+        self.demands.iter().for_each(assert_valid_demand);
     }
 
     /// Routes this request's downstream calls through `graph` instead of
@@ -137,28 +209,57 @@ impl RequestProfile {
     ///
     /// Panics if the graph's node count differs from the profile's tiers.
     pub fn with_graph(mut self, graph: TopologyGraph) -> Self {
+        self.graph = graph;
+        self.graph_changed();
+        self
+    }
+
+    /// In-place [`RequestProfile::with_graph`]: copies `graph` into this
+    /// profile's graph buffers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the graph's node count differs from the profile's tiers.
+    pub fn set_graph(&mut self, graph: &TopologyGraph) {
+        self.graph.clone_from(graph);
+        self.graph_changed();
+    }
+
+    /// Overrides the call count of the installed graph's `from → to` edge
+    /// for this request (a cache hit sets its edge to 0 calls), re-deriving
+    /// the visit counts. Call it before installing per-visit demands.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no graph is installed or it holds no such edge.
+    pub fn set_edge_calls(&mut self, from: usize, to: usize, calls: u32) {
+        assert!(self.graph().is_some(), "no graph installed");
+        self.graph.set_edge_calls(from, to, calls);
+        self.graph_changed();
+    }
+
+    fn graph_changed(&mut self) {
         assert_eq!(
-            graph.tiers(),
+            self.graph.tiers(),
             self.demands.len(),
             "graph nodes must match profile tiers"
         );
         for (m, v) in self.visits.iter_mut().enumerate() {
-            *v = graph.in_calls(m);
+            *v = self.graph.in_calls(m);
         }
-        self.graph = Some(graph);
-        self
+        self.graph.visit_ratios_into(&mut self.graph_ratios);
     }
 
     /// The call graph, when this profile routes through one.
     pub fn graph(&self) -> Option<&TopologyGraph> {
-        self.graph.as_ref()
+        (self.graph.tiers() > 0).then_some(&self.graph)
     }
 
     /// Total downstream calls a frame at tier `m` makes: the chain makes
     /// `visits[m + 1]` calls into the next tier (0 at the last tier); a
     /// graph profile sums its out-edge call counts.
     pub fn total_calls_from(&self, m: usize) -> u32 {
-        match &self.graph {
+        match self.graph() {
             Some(g) => g.total_calls(m),
             None => {
                 let next = m.saturating_add(1);
@@ -179,7 +280,7 @@ impl RequestProfile {
     ///
     /// Panics if `k` is not less than [`RequestProfile::total_calls_from`].
     pub fn call_target(&self, m: usize, k: u32) -> usize {
-        match &self.graph {
+        match self.graph() {
             Some(g) => g.call_target(m, k),
             None => {
                 assert!(k < self.total_calls_from(m), "call index out of range");
@@ -199,23 +300,54 @@ impl RequestProfile {
     /// request's [`RequestProfile::cumulative_visits`] to tier `m`, or any
     /// demand is negative/non-finite.
     pub fn with_per_visit_demands(mut self, m: usize, demands: Vec<StageDemand>) -> Self {
+        self.set_per_visit_demands(m, demands);
+        self
+    }
+
+    /// In-place [`RequestProfile::with_per_visit_demands`], drawing the
+    /// demands from an iterator into this profile's own buffer.
+    ///
+    /// # Panics
+    ///
+    /// As [`RequestProfile::with_per_visit_demands`].
+    pub fn set_per_visit_demands(
+        &mut self,
+        m: usize,
+        demands: impl IntoIterator<Item = StageDemand>,
+    ) {
         assert!(m < self.demands.len(), "tier {m} out of range");
+        if let Some(&(start, len)) = self.per_visit_spans.get(m) {
+            // Replacing an earlier override: drop its block, close the gap.
+            let start = start as usize;
+            self.per_visit.drain(start..start + len as usize);
+            for span in &mut self.per_visit_spans {
+                if span.0 as usize > start {
+                    span.0 -= len;
+                }
+            }
+        } else {
+            self.per_visit_spans.resize(m + 1, (0, 0));
+        }
+        let start = self.per_visit.len();
+        self.per_visit.extend(demands);
+        let installed = &self.per_visit[start..];
         assert_eq!(
-            demands.len() as u64,
+            installed.len() as u64,
             self.cumulative_visits(m),
             "per-visit demands must cover every visit to tier {m}"
         );
-        for d in &demands {
-            assert!(
-                d.pre.is_finite() && d.pre >= 0.0 && d.post.is_finite() && d.post >= 0.0,
-                "demands must be finite and non-negative"
-            );
+        installed.iter().for_each(assert_valid_demand);
+        let start = u32::try_from(start).expect("per-visit demands fit u32");
+        let len = u32::try_from(installed.len()).expect("per-visit demands fit u32");
+        self.per_visit_spans[m] = (start, len);
+    }
+
+    /// Tier `m`'s per-visit overrides (empty when it has none).
+    fn per_visit_of(&self, m: usize) -> &[StageDemand] {
+        match self.per_visit_spans.get(m) {
+            Some(&(start, len)) => &self.per_visit[start as usize..][..len as usize],
+            None => &[],
         }
-        if self.per_visit.len() <= m {
-            self.per_visit.resize(m + 1, Vec::new());
-        }
-        self.per_visit[m] = demands;
-        self
     }
 
     /// Number of tiers this request traverses.
@@ -240,9 +372,9 @@ impl RequestProfile {
     ///
     /// Panics if `m` is out of range.
     pub fn demand_for_visit(&self, m: usize, visit: u64) -> StageDemand {
-        self.per_visit
-            .get(m)
-            .and_then(|v| usize::try_from(visit).ok().and_then(|k| v.get(k)))
+        usize::try_from(visit)
+            .ok()
+            .and_then(|k| self.per_visit_of(m).get(k))
             .copied()
             .unwrap_or(self.demands[m])
     }
@@ -265,9 +397,9 @@ impl RequestProfile {
     /// for the multiplicative visit ratios along the chain (the `V_m · S_m`
     /// service demand of the paper's Eq. 2).
     pub fn service_demand(&self, m: usize) -> f64 {
-        match self.per_visit.get(m) {
-            Some(v) if !v.is_empty() => v.iter().map(StageDemand::total).sum(),
-            _ => self.demands[m].total() * self.cumulative_visits(m) as f64,
+        match self.per_visit_of(m) {
+            [] => self.demands[m].total() * self.cumulative_visits(m) as f64,
+            visits => visits.iter().map(StageDemand::total).sum(),
         }
     }
 
@@ -275,8 +407,8 @@ impl RequestProfile {
     /// (product of per-hop visits on the chain; the DAG visit-ratio sum
     /// when a graph is installed).
     pub fn cumulative_visits(&self, m: usize) -> u64 {
-        match &self.graph {
-            Some(g) => g.visit_ratios()[m],
+        match self.graph() {
+            Some(_) => self.graph_ratios[m],
             None => self.visits[..=m].iter().map(|&v| u64::from(v)).product(),
         }
     }
@@ -432,6 +564,58 @@ mod tests {
         // Tier 2: 0.007 per query × 2 queries.
         assert!((p.service_demand(2) - 0.014).abs() < 1e-12);
         assert!((p.service_demand(1) - 0.028).abs() < 1e-12);
+    }
+
+    #[test]
+    fn per_visit_overrides_compare_by_tier_and_replace_in_place() {
+        let base = || {
+            RequestProfile::new(
+                vec![
+                    StageDemand::pre_only(0.001),
+                    StageDemand::split(0.02),
+                    StageDemand::pre_only(0.005),
+                ],
+                vec![1, 2, 2],
+                0,
+            )
+        };
+        let d = |x: f64| StageDemand::pre_only(x);
+        let app = vec![d(0.1), d(0.2)];
+        let db = vec![d(1.0), d(2.0), d(3.0), d(4.0)];
+        let forward = base()
+            .with_per_visit_demands(1, app.clone())
+            .with_per_visit_demands(2, db.clone());
+        let backward = base()
+            .with_per_visit_demands(2, db.clone())
+            .with_per_visit_demands(1, app.clone());
+        assert_eq!(forward, backward, "install order does not matter");
+        assert_eq!(forward.demand_for_visit(2, 3), d(4.0));
+        assert_eq!(forward.demand_for_visit(1, 1), d(0.2));
+
+        // Replacing tier 1's overrides keeps tier 2's intact.
+        let mut replaced = backward;
+        replaced.set_per_visit_demands(1, [d(0.5), d(0.6)]);
+        assert_eq!(replaced.demand_for_visit(1, 0), d(0.5));
+        assert_eq!(replaced.demand_for_visit(2, 0), d(1.0));
+        assert_eq!(replaced.demand_for_visit(2, 3), d(4.0));
+        assert!((replaced.service_demand(1) - 1.1).abs() < 1e-12);
+        assert!((replaced.service_demand(2) - 10.0).abs() < 1e-12);
+        assert_ne!(replaced, forward);
+    }
+
+    #[test]
+    fn new_reusing_overwrites_every_field() {
+        let graph = TopologyGraph::from_edges(3, &[(0, 1, 1), (0, 2, 2), (1, 2, 1)]);
+        let mut spare = RequestProfile::new(vec![StageDemand::pre_only(0.1); 3], vec![1, 1, 1], 9)
+            .with_graph(graph);
+        spare.set_per_visit_demands(2, vec![StageDemand::pre_only(0.3); 3]);
+        let demands = [StageDemand::pre_only(0.001), StageDemand::split(0.02)];
+        let reused = RequestProfile::new_reusing(Some(spare), demands, [1, 3], 4);
+        let fresh = RequestProfile::new(demands.to_vec(), vec![1, 3], 4);
+        assert_eq!(reused, fresh);
+        assert_eq!(format!("{reused:?}"), format!("{fresh:?}"));
+        assert!(reused.graph().is_none());
+        assert_eq!(reused.cumulative_visits(1), 3);
     }
 
     #[test]

@@ -215,6 +215,19 @@ impl SystemCounters {
 pub type CompletionCallback =
     Box<dyn FnOnce(&mut crate::world::World, &mut crate::world::SimEngine, Completion)>;
 
+/// A plain-function completion callback: runs as
+/// `f(world, engine, completion, payload)` with the payload the request was
+/// submitted with ([`crate::flow::submit_fn`]). Unlike a
+/// [`CompletionCallback`] it needs no allocation, which suits clients that
+/// submit on every think cycle.
+pub type CompletionFn = fn(&mut crate::world::World, &mut crate::world::SimEngine, Completion, u64);
+
+/// How a finished request reports back to its submitter.
+pub(crate) enum OnComplete {
+    Boxed(CompletionCallback),
+    Fn(CompletionFn, u64),
+}
+
 /// Inter-tier retry configuration: when a tier momentarily has no routable
 /// server (e.g. its only VM just crashed and the replacement is booting),
 /// the caller parks the request and re-attempts entry after an exponential
@@ -251,7 +264,7 @@ pub struct RequestInFlight {
     /// Submission time.
     pub submitted: SimTime,
     /// Completion callback, taken when the request leaves.
-    pub(crate) on_complete: Option<CompletionCallback>,
+    pub(crate) on_complete: Option<OnComplete>,
     /// The client-abandonment timer, if a deadline was set.
     pub(crate) timeout_event: Option<dcm_sim::engine::EventId>,
     /// Inter-tier entry attempts consumed so far (for retry backoff).
@@ -378,6 +391,11 @@ impl RequestSlab {
         self.live
     }
 
+    /// Slots ever created: the peak number of requests in flight at once.
+    pub(crate) fn peak(&self) -> usize {
+        self.entries.len()
+    }
+
     /// Live entries in slot order (NOT public-id order; sort by
     /// [`RequestInFlight::id`] where accumulation order matters).
     pub(crate) fn iter(&self) -> impl Iterator<Item = (FlightId, &RequestInFlight)> {
@@ -486,6 +504,15 @@ pub struct System {
     pub(crate) event_log: Option<Vec<crate::spans::ServerEvent>>,
     /// Per-tier / per-edge traffic counts for the flow-balance audit.
     flow_ledger: FlowLedger,
+    /// Profiles of finished requests, for workload factories to refill in
+    /// place; never longer than the request slab's peak occupancy.
+    spare_profiles: Vec<RequestProfile>,
+    /// The profile of the request whose completion callback is running,
+    /// until the callback takes it or it is recycled.
+    pub(crate) finished_profile: Option<RequestProfile>,
+    /// Servers whose CPU completion timer awaits a re-arm (see the
+    /// `crate::flow` module docs).
+    pub(crate) rearm_dirty: Vec<ServerId>,
 }
 
 impl System {
@@ -526,6 +553,9 @@ impl System {
             span_log: None,
             event_log: None,
             flow_ledger: FlowLedger::new(tier_count),
+            spare_profiles: Vec::new(),
+            finished_profile: None,
+            rearm_dirty: Vec::new(),
         };
         for (m, &count) in initial.iter().enumerate() {
             for _ in 0..count {
@@ -659,6 +689,33 @@ impl System {
     /// the slab hit-rate counters surfaced in perf artifacts.
     pub fn request_slab_stats(&self) -> (u64, u64) {
         self.requests.stats()
+    }
+
+    /// A finished request's profile for a workload factory to rebuild in
+    /// place (see `RequestProfile::new_reusing`), or `None` when no spare
+    /// is left. Profiles come back when their request completes, so a
+    /// client that draws each new profile here allocates none once the
+    /// system has reached its peak number of requests in flight.
+    pub fn recycled_profile(&mut self) -> Option<RequestProfile> {
+        self.spare_profiles.pop()
+    }
+
+    /// The profile of the request whose completion callback is running.
+    /// A callback that resubmits the same plan (a client retry) takes it
+    /// here instead of keeping a copy; a profile left untaken is recycled
+    /// when the callback returns. `None` outside a completion callback or
+    /// once taken. A callback whose own submission completes re-entrantly
+    /// (an immediate rejection) still finds its profile here afterwards.
+    pub fn take_finished_profile(&mut self) -> Option<RequestProfile> {
+        self.finished_profile.take()
+    }
+
+    /// Returns a finished request's profile to the spare list, unless the
+    /// list already holds one per slot of the request slab.
+    pub(crate) fn recycle_profile(&mut self, profile: RequestProfile) {
+        if self.spare_profiles.len() < self.requests.peak() {
+            self.spare_profiles.push(profile);
+        }
     }
 
     /// The outcome counters.

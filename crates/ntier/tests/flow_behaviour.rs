@@ -444,3 +444,89 @@ fn spans_capture_queueing_under_contention() {
         breakdown[&1]
     );
 }
+
+fn classed_profile(class: u16) -> RequestProfile {
+    RequestProfile::new(
+        vec![
+            StageDemand::pre_only(0.0006),
+            StageDemand::split(0.0284),
+            StageDemand::pre_only(0.02955),
+        ],
+        vec![1, 1, 2],
+        class,
+    )
+}
+
+#[test]
+fn finished_profile_survives_a_reentrant_rejection() {
+    // With the only web server crashed, every submission is rejected
+    // synchronously: the outer callback's own submission completes inside
+    // it, and each callback must still be handed its own request's profile.
+    let (mut world, mut engine) = ThreeTierBuilder::new().build();
+    let web = world.system.tier(0).members()[0];
+    flow::crash_server(&mut world, &mut engine, web);
+    let seen: Rc<RefCell<Vec<u16>>> = Rc::new(RefCell::new(Vec::new()));
+    let outer_seen = Rc::clone(&seen);
+    flow::submit(
+        &mut world,
+        &mut engine,
+        classed_profile(1),
+        Box::new(move |w, e, done| {
+            assert!(!done.is_success());
+            let inner_seen = Rc::clone(&outer_seen);
+            flow::submit(
+                w,
+                e,
+                classed_profile(2),
+                Box::new(move |w, _, _| {
+                    let mine = w.system.take_finished_profile().expect("inner profile");
+                    inner_seen.borrow_mut().push(mine.class());
+                }),
+            );
+            let mine = w.system.take_finished_profile().expect("outer profile");
+            outer_seen.borrow_mut().push(mine.class());
+        }),
+    );
+    assert_eq!(*seen.borrow(), vec![2, 1]);
+    assert!(
+        world.system.take_finished_profile().is_none(),
+        "no profile is handed out outside a callback"
+    );
+    assert_eq!(world.system.counters().rejected, 2);
+}
+
+#[test]
+fn untaken_profiles_are_recycled_up_to_peak_in_flight() {
+    let (mut world, mut engine) = ThreeTierBuilder::new().build();
+    for _ in 0..3 {
+        flow::submit(
+            &mut world,
+            &mut engine,
+            rubbos_profile(),
+            Box::new(|_, _, _| {}),
+        );
+    }
+    engine.run(&mut world);
+    // Three requests were in flight at once, so three spares come back.
+    let mut spares = 0;
+    while let Some(spare) = world.system.recycled_profile() {
+        assert_eq!(spare, rubbos_profile());
+        spares += 1;
+    }
+    assert_eq!(spares, 3);
+    // One at a time: the spare list never outgrows the slab's peak.
+    for _ in 0..5 {
+        flow::submit(
+            &mut world,
+            &mut engine,
+            rubbos_profile(),
+            Box::new(|_, _, _| {}),
+        );
+        engine.run(&mut world);
+    }
+    let mut spares = 0;
+    while world.system.recycled_profile().is_some() {
+        spares += 1;
+    }
+    assert_eq!(spares, 3, "bounded by the three slots ever in flight");
+}

@@ -27,7 +27,12 @@
 //! * [`Engine::reschedule`] moves a pending event to a new time in place,
 //!   keeping its action;
 //! * [`Engine::schedule_fn_at`] stores a plain function pointer and payload
-//!   in the slot, so the hottest timers need no `Box` at all.
+//!   in the slot, so the hottest timers need no `Box` at all;
+//! * [`Engine::reserve_seq`] hands out the next `seq` without scheduling
+//!   anything, and [`Engine::reschedule_reserved`] and
+//!   [`Engine::schedule_fn_reserved`] later key an event with it, so a
+//!   caller that would move one timer several times within a handler can
+//!   reserve a key at each move and apply only the last.
 //!
 //! **Determinism argument.** Pop order is *exactly* global `(at, seq)`
 //! order: the heap always yields its minimum key, and keys are unique
@@ -38,6 +43,18 @@
 //! that moves events with `reschedule` pops the same events at the same
 //! instants as one that cancels and re-schedules them. Slot reuse and heap
 //! layout decide only *where* an entry waits, never *when* it pops.
+//!
+//! A reserved `seq` comes from the same counter, so it is unique too, and
+//! an event keyed with it pops exactly where an event scheduled at the
+//! moment of reservation would have: everything scheduled before the
+//! reservation orders ahead of it at equal times, everything scheduled
+//! after orders behind it. Because that key can be smaller than others
+//! already queued, the reserved forms sift the entry in whichever direction
+//! its key demands. A reserved `seq` that is never used leaves a gap in the
+//! counter, which changes no relative order. Hence a caller that reserves
+//! a `seq` at each of several moves of one event and applies only the last
+//! reservation, before the engine pops anything, leaves the queue ordered
+//! exactly as applying every move eagerly would.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
@@ -236,6 +253,21 @@ impl<W> Engine<W> {
         self.push(at, Action::Fn(f, arg))
     }
 
+    /// Like [`Engine::schedule_fn_at`], keyed with `seq` from
+    /// [`Engine::reserve_seq`] instead of a fresh one: the event orders as
+    /// if it had been scheduled when `seq` was reserved. Each reserved
+    /// `seq` may key at most one event.
+    pub fn schedule_fn_reserved(
+        &mut self,
+        at: SimTime,
+        f: EventFn<W>,
+        arg: u64,
+        seq: u64,
+    ) -> EventId {
+        debug_assert!(seq < self.next_seq, "seq {seq} was never reserved");
+        self.push_keyed(at, seq, Action::Fn(f, arg))
+    }
+
     /// Schedules `action` after a relative delay.
     pub fn schedule_in(
         &mut self,
@@ -254,8 +286,12 @@ impl<W> Engine<W> {
     }
 
     fn push(&mut self, at: SimTime, action: Action<W>) -> EventId {
-        let at = at.max(self.now);
         let seq = self.take_seq();
+        self.push_keyed(at, seq, action)
+    }
+
+    fn push_keyed(&mut self, at: SimTime, seq: u64, action: Action<W>) -> EventId {
+        let at = at.max(self.now);
         let pos = self.heap.len() as u32;
         let slot = match self.free.pop() {
             Some(slot) => slot,
@@ -278,6 +314,14 @@ impl<W> Engine<W> {
         let seq = self.next_seq;
         self.next_seq += 1;
         seq
+    }
+
+    /// Takes the next schedule sequence number without scheduling
+    /// anything, for a later [`Engine::reschedule_reserved`] or
+    /// [`Engine::schedule_fn_reserved`]. Orders exactly as a schedule call
+    /// made now would; an unused reservation changes no relative order.
+    pub fn reserve_seq(&mut self) -> u64 {
+        self.take_seq()
     }
 
     /// The heap position of `id`'s entry, or `None` if the event already
@@ -311,25 +355,43 @@ impl<W> Engine<W> {
     /// cancelled.
     pub fn reschedule(&mut self, id: EventId, at: SimTime) -> Option<EventId> {
         let pos = self.live_pos(id)?;
-        let at = at.max(self.now);
         let seq = self.take_seq();
+        Some(self.move_entry(id, pos, at, seq))
+    }
+
+    /// Like [`Engine::reschedule`], keyed with `seq` from
+    /// [`Engine::reserve_seq`] instead of a fresh one: the event orders as
+    /// if it had been cancelled and re-scheduled when `seq` was reserved.
+    /// Returns `None`, and schedules nothing, if the event already ran or
+    /// was cancelled.
+    pub fn reschedule_reserved(&mut self, id: EventId, at: SimTime, seq: u64) -> Option<EventId> {
+        debug_assert!(seq < self.next_seq, "seq {seq} was never reserved");
+        let pos = self.live_pos(id)?;
+        Some(self.move_entry(id, pos, at, seq))
+    }
+
+    /// Re-keys the live entry of `id` at heap index `pos` with `(at, seq)`,
+    /// bumping its generation, and restores the heap order around it.
+    fn move_entry(&mut self, id: EventId, pos: usize, at: SimTime, seq: u64) -> EventId {
+        let at = at.max(self.now);
         let slot = &mut self.slots[id.slot() as usize];
         slot.gen = slot.gen.wrapping_add(1);
         let gen = slot.gen;
-        let earlier = at < self.heap[pos].at;
-        self.heap[pos] = Entry {
+        let moved = Entry {
             at,
             seq,
             slot: id.slot(),
         };
-        // The fresh `seq` exceeds every other key's, so the entry can only
-        // move up if its time moved earlier.
-        if earlier {
+        // A reserved `seq` can be smaller than keys already queued, so the
+        // entry may have to move either way, whichever way its time went.
+        let up = moved.before(&self.heap[pos]);
+        self.heap[pos] = moved;
+        if up {
             self.sift_up(pos);
         } else {
             self.sift_down(pos);
         }
-        Some(EventId::new(id.slot(), gen))
+        EventId::new(id.slot(), gen)
     }
 
     /// Bumps a slot's generation (invalidating outstanding ids) and queues it
@@ -714,7 +776,10 @@ mod tests {
     /// interleavings against a plain `BinaryHeap` + cancelled-set model
     /// must pop in identical `(time, seq)` order, across slot reuse and
     /// stale generations. The model treats a reschedule as a cancel plus a
-    /// fresh-`seq` schedule of the same action.
+    /// fresh-`seq` schedule of the same action, and keys an event scheduled
+    /// or moved with a reserved `seq` by that `seq`: reservations are taken
+    /// between other schedules and used later (so their keys undercut
+    /// events already queued), and some are never used at all.
     #[test]
     fn random_interleavings_match_binary_heap_reference() {
         use std::cmp::Reverse;
@@ -733,6 +798,7 @@ mod tests {
             let mut cancelled: BTreeSet<u64> = BTreeSet::new();
             let mut live: Vec<(EventId, u64, u64)> = vec![]; // (handle, seq, tag)
             let mut dead: Vec<EventId> = vec![]; // executed, cancelled or moved
+            let mut reserved: Vec<u64> = vec![]; // reserved, not yet used
             let mut next_seq = 0u64;
             let mut next_tag = 0u64;
             let mut expected: Vec<u64> = vec![];
@@ -749,7 +815,7 @@ mod tests {
                 let at = e.now() + SimDuration::from_nanos(delay);
                 match sm.next_u64() % 100 {
                     // Schedule, half as boxed closures, half as fn events.
-                    0..=44 => {
+                    0..=39 => {
                         let (seq, tag) = (next_seq, next_tag);
                         next_seq += 1;
                         next_tag += 1;
@@ -762,7 +828,7 @@ mod tests {
                         live.push((id, seq, tag));
                     }
                     // Cancel a random live event; both sides forget it.
-                    45..=59 if !live.is_empty() => {
+                    40..=51 if !live.is_empty() => {
                         let i = (sm.next_u64() % live.len() as u64) as usize;
                         let (id, seq, _) = live.swap_remove(i);
                         assert!(e.cancel(id), "live handle must cancel");
@@ -770,7 +836,7 @@ mod tests {
                         dead.push(id);
                     }
                     // Move a random live event: cancel + fresh-seq schedule.
-                    60..=74 if !live.is_empty() => {
+                    52..=63 if !live.is_empty() => {
                         let i = (sm.next_u64() % live.len() as u64) as usize;
                         let (id, seq, tag) = live[i];
                         let moved = e.reschedule(id, at).expect("live handle must move");
@@ -781,11 +847,49 @@ mod tests {
                         dead.push(id);
                     }
                     // Stale handles (slot since reused or retired) stay dead:
-                    // they neither cancel nor move, and schedule nothing.
-                    75..=79 if !dead.is_empty() => {
+                    // they neither cancel nor move, and schedule nothing (a
+                    // reserved-seq move leaves its reservation unused).
+                    64..=67 if !dead.is_empty() => {
                         let i = (sm.next_u64() % dead.len() as u64) as usize;
                         assert!(!e.cancel(dead[i]), "stale handle must stay dead");
                         assert_eq!(e.reschedule(dead[i], at), None, "stale handle moved");
+                        if let Some(&seq) = reserved.last() {
+                            assert_eq!(
+                                e.reschedule_reserved(dead[i], at, seq),
+                                None,
+                                "stale handle moved with a reserved seq"
+                            );
+                        }
+                    }
+                    // Reserve a seq for later; some are never used.
+                    68..=73 => {
+                        assert_eq!(e.reserve_seq(), next_seq, "reservations share the counter");
+                        reserved.push(next_seq);
+                        next_seq += 1;
+                    }
+                    // Schedule a fn event keyed with an older reservation.
+                    74..=78 if !reserved.is_empty() => {
+                        let i = (sm.next_u64() % reserved.len() as u64) as usize;
+                        let seq = reserved.swap_remove(i);
+                        let tag = next_tag;
+                        next_tag += 1;
+                        let id = e.schedule_fn_reserved(at, push_u64, tag, seq);
+                        model.push(Reverse((at.as_nanos(), seq, tag)));
+                        live.push((id, seq, tag));
+                    }
+                    // Move a live event with an older reservation.
+                    79..=83 if !reserved.is_empty() && !live.is_empty() => {
+                        let r = (sm.next_u64() % reserved.len() as u64) as usize;
+                        let new_seq = reserved.swap_remove(r);
+                        let i = (sm.next_u64() % live.len() as u64) as usize;
+                        let (id, seq, tag) = live[i];
+                        let moved = e
+                            .reschedule_reserved(id, at, new_seq)
+                            .expect("live handle must move");
+                        cancelled.insert(seq);
+                        model.push(Reverse((at.as_nanos(), new_seq, tag)));
+                        live[i] = (moved, new_seq, tag);
+                        dead.push(id);
                     }
                     // Pop a few events; record what the model expects.
                     _ => {
@@ -819,6 +923,15 @@ mod tests {
                     w, expected,
                     "seed {seed}: pop order diverged from reference"
                 );
+                for &(id, _, _) in &live {
+                    assert!(e.live_pos(id).is_some(), "seed {seed}: a live handle died");
+                }
+                for &id in &dead {
+                    assert!(
+                        e.live_pos(id).is_none(),
+                        "seed {seed}: a retired handle came back to life"
+                    );
+                }
             }
 
             // Drain both sides completely.

@@ -31,6 +31,12 @@
 //! request deadlines, think-time modulation): the fleet experiments that
 //! need millions of users use none of them, and the per-user generator
 //! remains available when they matter.
+//!
+//! Like the per-user generator, a cohort population registers its state in
+//! the world's [`ClientTable`](dcm_ntier::world::ClientTable): cohort
+//! timers and completion callbacks are plain functions whose payload packs
+//! the table index and the cohort index, and profiles are sampled into
+//! recycled buffers, so a member's cycle allocates nothing.
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
@@ -145,6 +151,8 @@ struct CohortState {
 #[derive(Debug, Clone)]
 pub struct CohortPopulation {
     inner: Rc<RefCell<CohortState>>,
+    /// The population's index in its world's client table.
+    client: u32,
 }
 
 impl CohortPopulation {
@@ -169,15 +177,19 @@ impl CohortPopulation {
         think: Option<Dist>,
         stop_at: SimTime,
     ) -> Self {
-        let pop = Self::build(factory, think, users, cohort_size, stop_at);
+        let pop = Self::build(world, factory, think, users, cohort_size, stop_at);
         for member in 0..users {
             {
                 let mut st = pop.inner.borrow_mut();
                 st.active += 1;
                 st.total_spawned += 1;
             }
-            let cohort = (member / cohort_size) as usize;
-            wake_member(Rc::clone(&pop.inner), world, engine, cohort);
+            wake_member(
+                &pop.inner,
+                world,
+                engine,
+                payload(pop.client, member / cohort_size),
+            );
         }
         pop
     }
@@ -203,7 +215,7 @@ impl CohortPopulation {
         think: Dist,
         stop_at: SimTime,
     ) -> Self {
-        let pop = Self::build(factory, Some(think), users, cohort_size, stop_at);
+        let pop = Self::build(world, factory, Some(think), users, cohort_size, stop_at);
         let now = engine.now();
         {
             let mut st = pop.inner.borrow_mut();
@@ -219,14 +231,15 @@ impl CohortPopulation {
                 st.cohorts[cohort].push(now + SimDuration::from_secs_f64(delay));
             }
         }
-        let cohorts = pop.inner.borrow().cohorts.len();
+        let cohorts = pop.inner.borrow().cohorts.len() as u32;
         for cohort in 0..cohorts {
-            rearm(&pop.inner, engine, cohort);
+            rearm(&pop.inner, engine, payload(pop.client, cohort));
         }
         pop
     }
 
     fn build(
+        world: &mut World,
         factory: impl Into<WorkloadFactory>,
         think: Option<Dist>,
         users: u32,
@@ -235,20 +248,20 @@ impl CohortPopulation {
     ) -> Self {
         assert!(cohort_size > 0, "cohort size must be positive");
         let cohorts = users.div_ceil(cohort_size) as usize;
-        CohortPopulation {
-            inner: Rc::new(RefCell::new(CohortState {
-                factory: factory.into(),
-                think,
-                stop_at,
-                target: users,
-                active: 0,
-                log: Vec::new(),
-                log_enabled: true,
-                stats: CohortStats::default(),
-                total_spawned: 0,
-                cohorts: (0..cohorts).map(|_| Cohort::new()).collect(),
-            })),
-        }
+        let inner = Rc::new(RefCell::new(CohortState {
+            factory: factory.into(),
+            think,
+            stop_at,
+            target: users,
+            active: 0,
+            log: Vec::new(),
+            log_enabled: true,
+            stats: CohortStats::default(),
+            total_spawned: 0,
+            cohorts: (0..cohorts).map(|_| Cohort::new()).collect(),
+        }));
+        let client = world.clients.register(Rc::clone(&inner));
+        CohortPopulation { inner, client }
     }
 
     /// Disables the per-completion log (aggregate [`CohortStats`] are
@@ -293,14 +306,33 @@ impl CohortPopulation {
     }
 }
 
-/// One member of `cohort` wakes up *now*: retire it if the run is over,
-/// otherwise sample a profile and submit. Mirrors the per-user
+/// The fn-event payload addressing `cohort` of the population registered
+/// at `client`.
+fn payload(client: u32, cohort: u32) -> u64 {
+    (u64::from(client) << 32) | u64::from(cohort)
+}
+
+/// The cohort index a [`payload`] addresses.
+fn cohort_of(payload: u64) -> usize {
+    payload as u32 as usize
+}
+
+/// The population and cohort index a [`payload`] addresses.
+fn unpack(world: &World, payload: u64) -> (Rc<RefCell<CohortState>>, usize) {
+    (
+        world.clients.get((payload >> 32) as u32),
+        cohort_of(payload),
+    )
+}
+
+/// One member of the payload's cohort wakes up *now*: retire it if the run
+/// is over, otherwise sample a profile and submit. Mirrors the per-user
 /// `user_cycle` check-sample-submit order exactly.
 fn wake_member(
-    state: Rc<RefCell<CohortState>>,
+    state: &RefCell<CohortState>,
     world: &mut World,
     engine: &mut SimEngine,
-    cohort: usize,
+    payload: u64,
 ) {
     let profile = {
         let mut st = state.borrow_mut();
@@ -308,49 +340,46 @@ fn wake_member(
             st.active -= 1;
             return;
         }
-        st.factory.sample(&mut world.rng)
+        let spare = world.system.recycled_profile();
+        st.factory.sample_reusing(&mut world.rng, spare)
     };
-    let cb_state = Rc::clone(&state);
-    let callback: dcm_ntier::system::CompletionCallback = Box::new(
-        move |w: &mut World, e: &mut SimEngine, completion: Completion| {
-            let due = {
-                let mut st = cb_state.borrow_mut();
-                st.stats.completed += 1;
-                if completion.is_success() {
-                    st.stats.succeeded += 1;
-                }
-                let rt = completion.response_time().as_secs_f64();
-                st.stats.response_sum += rt;
-                st.stats.response_max = st.stats.response_max.max(rt);
-                if st.log_enabled {
-                    st.log.push(completion);
-                }
-                let think = st
-                    .think
-                    .as_ref()
-                    .map(|d| d.sample(&mut w.rng))
-                    .unwrap_or(0.0);
-                let due = e.now() + SimDuration::from_secs_f64(think);
-                st.cohorts[cohort].push(due);
-                due
-            };
-            let _ = due;
-            rearm(&cb_state, e, cohort);
-        },
-    );
-    flow::submit(world, engine, profile, callback);
+    flow::submit_fn(world, engine, profile, None, member_done, payload);
 }
 
-/// The armed timer of `cohort` fired: wake every member due at or before
-/// now (collected *before* any submission, so reentrant completions — a
-/// rejected request completes synchronously — extend the heap without
-/// extending this batch), then re-arm for the next due member.
-fn cohort_fire(
-    state: Rc<RefCell<CohortState>>,
-    world: &mut World,
-    engine: &mut SimEngine,
-    cohort: usize,
-) {
+/// A member's request left the system: record it, sample the member's
+/// think time and queue its wake-up in the cohort.
+fn member_done(w: &mut World, e: &mut SimEngine, completion: Completion, payload: u64) {
+    let (state, cohort) = unpack(w, payload);
+    {
+        let mut st = state.borrow_mut();
+        st.stats.completed += 1;
+        if completion.is_success() {
+            st.stats.succeeded += 1;
+        }
+        let rt = completion.response_time().as_secs_f64();
+        st.stats.response_sum += rt;
+        st.stats.response_max = st.stats.response_max.max(rt);
+        if st.log_enabled {
+            st.log.push(completion);
+        }
+        let think = st
+            .think
+            .as_ref()
+            .map(|d| d.sample(&mut w.rng))
+            .unwrap_or(0.0);
+        let due = e.now() + SimDuration::from_secs_f64(think);
+        st.cohorts[cohort].push(due);
+    }
+    rearm(&state, e, payload);
+}
+
+/// The armed timer of the payload's cohort fired: wake every member due
+/// at or before now (collected *before* any submission, so reentrant
+/// completions — a rejected request completes synchronously — extend the
+/// heap without extending this batch), then re-arm for the next due
+/// member.
+fn cohort_fire(world: &mut World, engine: &mut SimEngine, payload: u64) {
+    let (state, cohort) = unpack(world, payload);
     let now = engine.now();
     let batch = {
         let mut st = state.borrow_mut();
@@ -363,15 +392,16 @@ fn cohort_fire(
         batch
     };
     for _ in 0..batch {
-        wake_member(Rc::clone(&state), world, engine, cohort);
+        wake_member(&state, world, engine, payload);
     }
-    rearm(&state, engine, cohort);
+    rearm(&state, engine, payload);
 }
 
-/// Ensures `cohort`'s engine timer is armed for its earliest due member
+/// Ensures the payload's cohort timer is armed for its earliest due member
 /// (re-arming only when a new wake-up undercuts the current timer, so the
 /// common completion path costs one heap push and a comparison).
-fn rearm(state: &Rc<RefCell<CohortState>>, engine: &mut SimEngine, cohort: usize) {
+fn rearm(state: &RefCell<CohortState>, engine: &mut SimEngine, payload: u64) {
+    let cohort = cohort_of(payload);
     let (arm_at, stale) = {
         let st = state.borrow();
         let c = &st.cohorts[cohort];
@@ -390,10 +420,7 @@ fn rearm(state: &Rc<RefCell<CohortState>>, engine: &mut SimEngine, cohort: usize
     let Some(at) = arm_at else {
         return;
     };
-    let fire_state = Rc::clone(state);
-    let ev = engine.schedule_at(at, move |w: &mut World, e: &mut SimEngine| {
-        cohort_fire(fire_state, w, e, cohort);
-    });
+    let ev = engine.schedule_fn_at(at, cohort_fire, payload);
     let mut st = state.borrow_mut();
     st.cohorts[cohort].timer = Some(ev);
     st.cohorts[cohort].timer_at = at;

@@ -16,12 +16,20 @@
 //! All three share one mechanism: a [`UserPopulation`] whose virtual users
 //! run submit → (complete → think) cycles and lazily retire when the
 //! population target drops.
+//!
+//! A population registers its state in the world's
+//! [`ClientTable`](dcm_ntier::world::ClientTable). Think timers and
+//! first-attempt completion callbacks are plain functions whose payload is
+//! that table index, and each profile is sampled into a finished request's
+//! recycled buffers, so a user cycle allocates nothing. Only client retries
+//! (their backoff timer and the retried attempt's callback) use boxed
+//! closures.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use dcm_ntier::flow;
-use dcm_ntier::request::Completion;
+use dcm_ntier::request::{Completion, RequestProfile};
 use dcm_ntier::world::{SimEngine, World};
 use dcm_sim::dist::{Dist, Sample};
 use dcm_sim::stats::TimeSeries;
@@ -79,7 +87,8 @@ struct PopState {
 
 /// A population of virtual users driving the system.
 ///
-/// Cloning the handle shares the same population.
+/// Cloning the handle shares the same population. Methods taking a world
+/// must be given the world the population was started in.
 ///
 /// # Examples
 ///
@@ -103,6 +112,8 @@ struct PopState {
 #[derive(Debug, Clone)]
 pub struct UserPopulation {
     inner: Rc<RefCell<PopState>>,
+    /// The population's index in its world's client table.
+    client: u32,
 }
 
 impl UserPopulation {
@@ -229,23 +240,23 @@ impl UserPopulation {
     ) -> Self {
         let mut offered = TimeSeries::new();
         offered.push(engine.now(), f64::from(users));
-        let pop = UserPopulation {
-            inner: Rc::new(RefCell::new(PopState {
-                factory: factory.into(),
-                think,
-                think_multiplier: None,
-                stop_at,
-                target: users,
-                active: 0,
-                log: Vec::new(),
-                offered,
-                total_spawned: 0,
-                retry: None,
-                retry_budget_left: 0,
-                retries_issued: 0,
-                deadline: None,
-            })),
-        };
+        let inner = Rc::new(RefCell::new(PopState {
+            factory: factory.into(),
+            think,
+            think_multiplier: None,
+            stop_at,
+            target: users,
+            active: 0,
+            log: Vec::new(),
+            offered,
+            total_spawned: 0,
+            retry: None,
+            retry_budget_left: 0,
+            retries_issued: 0,
+            deadline: None,
+        }));
+        let client = world.clients.register(Rc::clone(&inner));
+        let pop = UserPopulation { inner, client };
         pop.spawn_to_target(world, engine);
         pop
     }
@@ -273,7 +284,7 @@ impl UserPopulation {
                 st.active += 1;
                 st.total_spawned += 1;
             }
-            user_cycle(Rc::clone(&self.inner), world, engine);
+            user_cycle(world, engine, u64::from(self.client));
         }
     }
 
@@ -300,6 +311,12 @@ impl UserPopulation {
     /// A copy of the completion log.
     pub fn completions(&self) -> Vec<Completion> {
         self.inner.borrow().log.clone()
+    }
+
+    /// Moves the completion log out, leaving it empty — for a caller done
+    /// with the population, which need not pay for a copy.
+    pub fn take_completions(&self) -> Vec<Completion> {
+        std::mem::take(&mut self.inner.borrow_mut().log)
     }
 
     /// Runs `f` over the completion log without copying.
@@ -342,97 +359,53 @@ impl UserPopulation {
     }
 }
 
-/// One user's submit → complete → think loop.
-fn user_cycle(state: Rc<RefCell<PopState>>, world: &mut World, engine: &mut SimEngine) {
-    let profile = {
+/// The population behind a client-table index.
+fn population(world: &World, client: u64) -> Rc<RefCell<PopState>> {
+    world
+        .clients
+        .get(u32::try_from(client).expect("client payloads hold a u32 index"))
+}
+
+/// One user's submit → complete → think loop: the think-timer event
+/// (payload: the population's client index).
+fn user_cycle(world: &mut World, engine: &mut SimEngine, client: u64) {
+    let state = population(world, client);
+    let (profile, deadline) = {
         let mut st = state.borrow_mut();
         if engine.now() >= st.stop_at || st.active > st.target {
             // Stop condition or population shrank: retire this user.
             st.active -= 1;
             return;
         }
-        st.factory.sample(&mut world.rng)
+        let spare = world.system.recycled_profile();
+        let profile = st.factory.sample_reusing(&mut world.rng, spare);
+        (profile, st.deadline)
     };
-    submit_attempt(state, world, engine, profile, 1, None);
+    flow::submit_fn(world, engine, profile, deadline, first_attempt_done, client);
 }
 
-/// Submits one attempt of a logical request. On a non-success outcome with
-/// retry attempts and budget remaining, the same profile is resubmitted
-/// after an exponential backoff; otherwise the (final) completion is
-/// logged — stamped with the first attempt's submission time, so reports
-/// measure client-perceived latency — and the user moves on to thinking.
-fn submit_attempt(
-    state: Rc<RefCell<PopState>>,
+/// Completion callback of a logical request's first attempt (payload: the
+/// population's client index).
+fn first_attempt_done(world: &mut World, engine: &mut SimEngine, done: Completion, client: u64) {
+    attempt_done(world, engine, done, client, 1, None);
+}
+
+/// Submits a retry of a logical request: attempt `attempt` of `profile`,
+/// first submitted at `first`. Retries are rare, so the callback carrying
+/// the attempt number and first submission time is a boxed closure.
+fn submit_retry(
     world: &mut World,
     engine: &mut SimEngine,
-    profile: dcm_ntier::request::RequestProfile,
+    client: u64,
+    profile: RequestProfile,
     attempt: u32,
-    first_submitted: Option<SimTime>,
+    first: SimTime,
 ) {
-    let deadline = state.borrow().deadline;
-    let cb_state = Rc::clone(&state);
-    let retry_profile = profile.clone();
-    let callback: dcm_ntier::system::CompletionCallback = Box::new(
-        move |w: &mut World, e: &mut SimEngine, completion: Completion| {
-            let first = first_submitted.unwrap_or(completion.submitted);
-            let backoff = {
-                let mut st = cb_state.borrow_mut();
-                match st.retry {
-                    Some(policy)
-                        if !completion.is_success()
-                            && attempt < policy.max_attempts
-                            && st.retry_budget_left > 0
-                            && e.now() < st.stop_at =>
-                    {
-                        st.retry_budget_left -= 1;
-                        st.retries_issued += 1;
-                        Some(
-                            policy.base_backoff_secs
-                                * policy.backoff_multiplier.powi(attempt as i32 - 1),
-                        )
-                    }
-                    _ => None,
-                }
-            };
-            if let Some(backoff_secs) = backoff {
-                let next_state = Rc::clone(&cb_state);
-                e.schedule_in(
-                    SimDuration::from_secs_f64(backoff_secs),
-                    move |w: &mut World, e: &mut SimEngine| {
-                        submit_attempt(next_state, w, e, retry_profile, attempt + 1, Some(first));
-                    },
-                );
-                return;
-            }
-            let think_delay = {
-                let mut st = cb_state.borrow_mut();
-                st.log.push(Completion {
-                    submitted: first,
-                    ..completion
-                });
-                let base = st
-                    .think
-                    .as_ref()
-                    .map(|d| d.sample(&mut w.rng))
-                    .unwrap_or(0.0);
-                let multiplier = st.think_multiplier.as_ref().map_or(1.0, |cell| cell.get());
-                base * multiplier
-            };
-            let next_state = Rc::clone(&cb_state);
-            if think_delay > 0.0 {
-                e.schedule_in(
-                    SimDuration::from_secs_f64(think_delay),
-                    move |w: &mut World, e: &mut SimEngine| user_cycle(next_state, w, e),
-                );
-            } else {
-                // Zero think time: defer through the queue instead of
-                // recursing so long closed-loop runs keep a flat stack.
-                e.schedule_now(move |w: &mut World, e: &mut SimEngine| {
-                    user_cycle(next_state, w, e)
-                });
-            }
-        },
-    );
+    let deadline = population(world, client).borrow().deadline;
+    let callback: dcm_ntier::system::CompletionCallback =
+        Box::new(move |w: &mut World, e: &mut SimEngine, done: Completion| {
+            attempt_done(w, e, done, client, attempt, Some(first));
+        });
     match deadline {
         Some(d) => {
             flow::submit_with_deadline(world, engine, profile, d, callback);
@@ -441,6 +414,76 @@ fn submit_attempt(
             flow::submit(world, engine, profile, callback);
         }
     }
+}
+
+/// One attempt of a logical request finished. On a non-success outcome
+/// with retry attempts and budget remaining, the same profile (handed back
+/// by the system) is resubmitted after an exponential backoff; otherwise
+/// the (final) completion is logged — stamped with the first attempt's
+/// submission time, so reports measure client-perceived latency — and the
+/// user moves on to thinking.
+fn attempt_done(
+    w: &mut World,
+    e: &mut SimEngine,
+    completion: Completion,
+    client: u64,
+    attempt: u32,
+    first_submitted: Option<SimTime>,
+) {
+    let state = population(w, client);
+    let first = first_submitted.unwrap_or(completion.submitted);
+    let backoff = {
+        let mut st = state.borrow_mut();
+        match st.retry {
+            Some(policy)
+                if !completion.is_success()
+                    && attempt < policy.max_attempts
+                    && st.retry_budget_left > 0
+                    && e.now() < st.stop_at =>
+            {
+                st.retry_budget_left -= 1;
+                st.retries_issued += 1;
+                Some(policy.base_backoff_secs * policy.backoff_multiplier.powi(attempt as i32 - 1))
+            }
+            _ => None,
+        }
+    };
+    if let Some(backoff_secs) = backoff {
+        let profile = w
+            .system
+            .take_finished_profile()
+            .expect("a completion callback is handed its request's profile");
+        e.schedule_in(
+            SimDuration::from_secs_f64(backoff_secs),
+            move |w: &mut World, e: &mut SimEngine| {
+                submit_retry(w, e, client, profile, attempt + 1, first);
+            },
+        );
+        return;
+    }
+    let think_delay = {
+        let mut st = state.borrow_mut();
+        st.log.push(Completion {
+            submitted: first,
+            ..completion
+        });
+        let base = st
+            .think
+            .as_ref()
+            .map(|d| d.sample(&mut w.rng))
+            .unwrap_or(0.0);
+        let multiplier = st.think_multiplier.as_ref().map_or(1.0, |cell| cell.get());
+        base * multiplier
+    };
+    // Zero think time still goes through the queue (as the next same-time
+    // event) instead of recursing, so long closed-loop runs keep a flat
+    // stack.
+    let wake = if think_delay > 0.0 {
+        e.now() + SimDuration::from_secs_f64(think_delay)
+    } else {
+        e.now()
+    };
+    e.schedule_fn_at(wake, user_cycle, client);
 }
 
 #[cfg(test)]

@@ -125,6 +125,18 @@ impl ProfileFactory {
 
     /// Samples one request's execution plan.
     pub fn sample(&self, rng: &mut SimRng) -> RequestProfile {
+        self.sample_reusing(rng, None)
+    }
+
+    /// Like [`ProfileFactory::sample`], rebuilding `spare` in place when
+    /// one is given (see [`RequestProfile::new_reusing`]): the same draws
+    /// and the same profile, without allocating once `spare`'s buffers are
+    /// large enough.
+    pub fn sample_reusing(
+        &self,
+        rng: &mut SimRng,
+        spare: Option<RequestProfile>,
+    ) -> RequestProfile {
         let idx = self.mix.sample_index(rng);
         let servlet = self.mix.servlet(idx);
         let web = self.web_base.sample(rng) * servlet.web_mult;
@@ -135,59 +147,48 @@ impl ProfileFactory {
             post: app * (1.0 - self.app_pre_fraction),
         };
         let queries = servlet.db_queries.max(1);
+        let (mut profile, db_tier) = if self.four_tier {
+            // web → app → lb (per query) → db (one forward each).
+            let demands = [
+                StageDemand::pre_only(web),
+                app_demand,
+                StageDemand::pre_only(1.0e-4),
+                StageDemand::pre_only(db),
+            ];
+            let visits = [1, 1, queries, 1];
+            let mut profile = RequestProfile::new_reusing(spare, demands, visits, idx as u16);
+            if self.attach_chain_graph {
+                profile.set_graph(&TopologyGraph::chain(&visits));
+            }
+            (profile, 3)
+        } else {
+            let demands = [
+                StageDemand::pre_only(web),
+                app_demand,
+                StageDemand::pre_only(db),
+            ];
+            let visits = [1, 1, queries];
+            let mut profile = RequestProfile::new_reusing(spare, demands, visits, idx as u16);
+            if self.attach_chain_graph {
+                profile.set_graph(&TopologyGraph::chain(&visits));
+            }
+            (profile, 2)
+        };
         // Each query's demand is an independent draw: reusing one sample
         // across a request's queries correlates the DB station's service
         // times (long query ⇒ the next is long too), which inflates
         // queueing beyond the product-form model the MVA oracle solves.
         // The first query reuses `db` so single-query requests draw
         // exactly as before.
-        let per_query: Vec<StageDemand> = if queries > 1 {
-            std::iter::once(db)
-                .chain((1..queries).map(|_| self.db_base.sample(rng) * servlet.db_mult))
-                .map(StageDemand::pre_only)
-                .collect()
-        } else {
-            Vec::new()
-        };
-        if self.four_tier {
-            // web → app → lb (per query) → db (one forward each).
-            let mut profile = RequestProfile::new(
-                vec![
-                    StageDemand::pre_only(web),
-                    app_demand,
-                    StageDemand::pre_only(1.0e-4),
-                    StageDemand::pre_only(db),
-                ],
-                vec![1, 1, queries, 1],
-                idx as u16,
+        if queries > 1 {
+            profile.set_per_visit_demands(
+                db_tier,
+                std::iter::once(db)
+                    .chain((1..queries).map(|_| self.db_base.sample(rng) * servlet.db_mult))
+                    .map(StageDemand::pre_only),
             );
-            if self.attach_chain_graph {
-                profile = profile.with_graph(TopologyGraph::chain(&[1, 1, queries, 1]));
-            }
-            if per_query.is_empty() {
-                profile
-            } else {
-                profile.with_per_visit_demands(3, per_query)
-            }
-        } else {
-            let mut profile = RequestProfile::new(
-                vec![
-                    StageDemand::pre_only(web),
-                    app_demand,
-                    StageDemand::pre_only(db),
-                ],
-                vec![1, 1, queries],
-                idx as u16,
-            );
-            if self.attach_chain_graph {
-                profile = profile.with_graph(TopologyGraph::chain(&[1, 1, queries]));
-            }
-            if per_query.is_empty() {
-                profile
-            } else {
-                profile.with_per_visit_demands(2, per_query)
-            }
         }
+        profile
     }
 }
 
@@ -205,9 +206,19 @@ pub enum WorkloadFactory {
 impl WorkloadFactory {
     /// Samples one request's execution plan.
     pub fn sample(&self, rng: &mut SimRng) -> RequestProfile {
+        self.sample_reusing(rng, None)
+    }
+
+    /// Samples one request's execution plan into `spare`'s buffers when
+    /// one is given (see [`ProfileFactory::sample_reusing`]).
+    pub fn sample_reusing(
+        &self,
+        rng: &mut SimRng,
+        spare: Option<RequestProfile>,
+    ) -> RequestProfile {
         match self {
-            WorkloadFactory::Chain(f) => f.sample(rng),
-            WorkloadFactory::Mesh(f) => f.sample(rng),
+            WorkloadFactory::Chain(f) => f.sample_reusing(rng, spare),
+            WorkloadFactory::Mesh(f) => f.sample_reusing(rng, spare),
         }
     }
 }
@@ -394,22 +405,33 @@ impl MeshProfileFactory {
     /// order, then the cache hit/miss decision, then independent per-visit
     /// demands in node order (the first visit reuses the base draw).
     pub fn sample(&self, rng: &mut SimRng) -> RequestProfile {
-        let n = self.graph.tiers();
-        let mut stage = Vec::with_capacity(n);
-        for node in &self.demands {
+        self.sample_reusing(rng, None)
+    }
+
+    /// Like [`MeshProfileFactory::sample`], rebuilding `spare` in place
+    /// when one is given (see [`RequestProfile::new_reusing`]).
+    pub fn sample_reusing(
+        &self,
+        rng: &mut SimRng,
+        spare: Option<RequestProfile>,
+    ) -> RequestProfile {
+        let stage = self.demands.iter().map(|node| {
             let d = node.base.sample(rng);
-            stage.push(StageDemand {
+            StageDemand {
                 pre: d * node.pre_fraction,
                 post: d * (1.0 - node.pre_fraction),
-            });
-        }
-        let mut graph = self.graph.clone();
-        if let Some(cache) = &self.cache {
-            if cache.dynamics.decide(rng) {
-                graph.set_edge_calls(cache.from, cache.to, 0);
             }
+        });
+        let visits = std::iter::repeat_n(1, self.graph.tiers());
+        let mut profile = RequestProfile::new_reusing(spare, stage, visits, self.class);
+        let hit = self
+            .cache
+            .as_ref()
+            .filter(|cache| cache.dynamics.decide(rng));
+        profile.set_graph(&self.graph);
+        if let Some(cache) = hit {
+            profile.set_edge_calls(cache.from, cache.to, 0);
         }
-        let mut profile = RequestProfile::new(stage, vec![1; n], self.class).with_graph(graph);
         for (m, node) in self.demands.iter().enumerate() {
             if !node.per_visit_iid {
                 continue;
@@ -418,16 +440,15 @@ impl MeshProfileFactory {
             if visits <= 1 {
                 continue;
             }
-            let mut per_visit = Vec::with_capacity(visits);
-            per_visit.push(profile.demand(m));
-            for _ in 1..visits {
+            let first = profile.demand(m);
+            let rest = (1..visits).map(|_| {
                 let d = node.base.sample(rng);
-                per_visit.push(StageDemand {
+                StageDemand {
                     pre: d * node.pre_fraction,
                     post: d * (1.0 - node.pre_fraction),
-                });
-            }
-            profile = profile.with_per_visit_demands(m, per_visit);
+                }
+            });
+            profile.set_per_visit_demands(m, std::iter::once(first).chain(rest));
         }
         profile
     }
@@ -631,6 +652,36 @@ mod tests {
         let mut rng_b = SimRng::seed_from(31);
         for _ in 0..100 {
             assert_eq!(plain.sample(&mut rng_a), zeroed.sample(&mut rng_b));
+        }
+        assert_eq!(rng_a.next_f64(), rng_b.next_f64());
+    }
+
+    /// Refilling must overwrite every field: whatever spare a factory is
+    /// handed — chain or graph, with or without per-visit demands — it
+    /// builds exactly the profile a fresh sample gives, from the same draws.
+    #[test]
+    fn recycled_profiles_equal_fresh_ones() {
+        let factories = || -> [WorkloadFactory; 3] {
+            [
+                ProfileFactory::rubbos().into(),
+                ProfileFactory::rubbos_four_tier().with_chain_graph().into(),
+                diamond_factory()
+                    .with_cache(1, 3, crate::cache::CacheDynamics::steady(0.5))
+                    .into(),
+            ]
+        };
+        let (fresh, reusing) = (factories(), factories());
+        let mut rng_a = SimRng::seed_from(41);
+        let mut rng_b = SimRng::seed_from(41);
+        let mut spares: Vec<RequestProfile> = Vec::new();
+        for i in 0..600 {
+            let a = fresh[i % 3].sample(&mut rng_a);
+            // The spare was sampled two draws ago, by another factory.
+            let spare = (spares.len() > 1).then(|| spares.remove(0));
+            let b = reusing[i % 3].sample_reusing(&mut rng_b, spare);
+            assert_eq!(a, b, "sample {i}");
+            assert_eq!(format!("{a:?}"), format!("{b:?}"), "sample {i}");
+            spares.push(b);
         }
         assert_eq!(rng_a.next_f64(), rng_b.next_f64());
     }
