@@ -6,9 +6,10 @@
 //! cargo run -p dcm-bench --release --bin repro -- table1 --csv results/
 //! ```
 
+use std::cell::RefCell;
 use std::env;
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -140,8 +141,9 @@ fn usage() -> String {
      \x20 queuebench  event-queue microbenchmarks: the engine's indexed heap\n\
      \x20             vs a tombstoning binary-heap reference (hold /\n\
      \x20             cancel-heavy / timeout-churn / 16-byte captured\n\
-     \x20             payloads, also as fn events; wall-clock rates feed\n\
-     \x20             the perf log)\n\
+     \x20             payloads, also as fn events / successors scheduled\n\
+     \x20             from the popped event's handler; wall-clock rates\n\
+     \x20             feed the perf log)\n\
      \x20 perf        the performance baseline: training + trace +\n\
      \x20             queuebench + fleet in one run, accumulated into\n\
      \x20             results/perf.json (the file CI gates against; every\n\
@@ -260,7 +262,7 @@ impl Perf {
         }
     }
 
-    fn write(&self, command: &str, fidelity: Fidelity, jobs: usize) {
+    fn write(&self, out: &Output, command: &str, fidelity: Fidelity, jobs: usize) {
         if self.log.is_empty() {
             return;
         }
@@ -285,10 +287,7 @@ impl Perf {
             jobs,
             self.started.elapsed().as_secs_f64(),
         );
-        match fs::create_dir_all(&dir).and_then(|()| fs::write(&path, json)) {
-            Ok(()) => println!("\nwrote {}", path.display()),
-            Err(err) => eprintln!("warning: could not write {}: {err}", path.display()),
-        }
+        out.artifacts(&[(path, json)]);
     }
 }
 
@@ -310,11 +309,21 @@ fn run_lint() -> ExitCode {
     let write = fs::create_dir_all(root.join("results"))
         .and_then(|()| fs::write(&path, report.to_json()))
         .and_then(|()| fs::write(&sarif_path, report.to_sarif()));
-    match write {
-        Ok(()) => println!("\nwrote {} and {}", path.display(), sarif_path.display()),
-        Err(err) => eprintln!("warning: could not write lint reports: {err}"),
-    }
-    if report.errors() > 0 {
+    let write_failed = match write {
+        Ok(()) => {
+            println!("\nwrote {} and {}", path.display(), sarif_path.display());
+            false
+        }
+        Err(err) => {
+            eprintln!(
+                "error: could not write {} and {}: {err}",
+                path.display(),
+                sarif_path.display()
+            );
+            true
+        }
+    };
+    if report.errors() > 0 || write_failed {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
@@ -392,6 +401,9 @@ fn rate(events: u64, secs: f64) -> f64 {
 
 struct Output {
     csv_dir: Option<PathBuf>,
+    /// Artifacts that could not be written; any makes the run exit 1 once
+    /// its output is printed.
+    failed_writes: RefCell<Vec<PathBuf>>,
 }
 
 impl Output {
@@ -402,11 +414,39 @@ impl Output {
     fn table(&self, name: &str, table: &TextTable) {
         print!("{}", table.render());
         if let Some(dir) = &self.csv_dir {
-            if let Err(err) = fs::create_dir_all(dir)
-                .and_then(|()| fs::write(dir.join(format!("{name}.csv")), table.to_csv()))
-            {
-                eprintln!("warning: could not write {name}.csv: {err}");
+            self.write(&dir.join(format!("{name}.csv")), &table.to_csv());
+        }
+    }
+
+    /// Writes `contents` to `path`, creating its directory; false, with
+    /// the failure reported and recorded, if that fails.
+    fn write(&self, path: &Path, contents: &str) -> bool {
+        let dir = path.parent().unwrap_or(Path::new("."));
+        match fs::create_dir_all(dir).and_then(|()| fs::write(path, contents)) {
+            Ok(()) => true,
+            Err(err) => {
+                self.write_failed(path, &err);
+                false
             }
+        }
+    }
+
+    fn write_failed(&self, path: &Path, err: &dyn std::fmt::Display) {
+        eprintln!("error: could not write {}: {err}", path.display());
+        self.failed_writes.borrow_mut().push(path.to_path_buf());
+    }
+
+    /// Writes a command's artifact files and lists those written.
+    fn artifacts(&self, files: &[(PathBuf, String)]) {
+        let wrote: Vec<String> = files
+            .iter()
+            .filter(|(path, contents)| self.write(path, contents))
+            .map(|(path, _)| path.display().to_string())
+            .collect();
+        match wrote.split_last() {
+            Some((last, [])) => println!("\nwrote {last}"),
+            Some((last, rest)) => println!("\nwrote {} and {last}", rest.join(", ")),
+            None => {}
         }
     }
 
@@ -433,6 +473,7 @@ fn main() -> ExitCode {
     }
     let out = Output {
         csv_dir: cli.csv_dir.clone(),
+        failed_writes: RefCell::new(Vec::new()),
     };
     dcm_sim::runner::set_jobs(cli.jobs);
     dcm_core::experiment::set_global_audit(cli.audit);
@@ -618,13 +659,7 @@ fn main() -> ExitCode {
                         println!("wrote {}", p.display());
                     }
                 }
-                Err(err) => {
-                    eprintln!(
-                        "could not write obs artifacts into {}: {err}",
-                        cli.obs_dir.display()
-                    );
-                    return ExitCode::FAILURE;
-                }
+                Err(err) => out.write_failed(&cli.obs_dir, &err),
             }
         }
     }
@@ -697,17 +732,10 @@ fn main() -> ExitCode {
         out.table("chaos", &result.table());
         out.findings(&result.findings());
         let dir = PathBuf::from("results");
-        let write = fs::create_dir_all(&dir)
-            .and_then(|()| fs::write(dir.join("chaos.json"), result.to_json()))
-            .and_then(|()| fs::write(dir.join("chaos.csv"), result.table().to_csv()));
-        match write {
-            Ok(()) => println!(
-                "\nwrote {} and {}",
-                dir.join("chaos.json").display(),
-                dir.join("chaos.csv").display()
-            ),
-            Err(err) => eprintln!("warning: could not write chaos results: {err}"),
-        }
+        out.artifacts(&[
+            (dir.join("chaos.json"), result.to_json()),
+            (dir.join("chaos.csv"), result.table().to_csv()),
+        ]);
     }
 
     // `league` runs the full controller × trace matrix; like `hunt` it is
@@ -722,24 +750,14 @@ fn main() -> ExitCode {
         out.table("league", &result.table());
         out.findings(&result.findings());
         let dir = PathBuf::from("results");
-        let write = fs::create_dir_all(&dir)
-            .and_then(|()| fs::write(dir.join("league.json"), result.to_json()))
-            .and_then(|()| fs::write(dir.join("league.csv"), result.to_csv()))
-            .and_then(|()| {
-                fs::write(
-                    dir.join("league_mpc.journal.json"),
-                    &result.mpc_journal_json,
-                )
-            });
-        match write {
-            Ok(()) => println!(
-                "\nwrote {}, {} and {}",
-                dir.join("league.json").display(),
-                dir.join("league.csv").display(),
-                dir.join("league_mpc.journal.json").display()
+        out.artifacts(&[
+            (dir.join("league.json"), result.to_json()),
+            (dir.join("league.csv"), result.to_csv()),
+            (
+                dir.join("league_mpc.journal.json"),
+                result.mpc_journal_json.clone(),
             ),
-            Err(err) => eprintln!("warning: could not write league results: {err}"),
-        }
+        ]);
     }
 
     // `mesh` takes the controllers off the three-tier chain: a fan-out
@@ -753,17 +771,10 @@ fn main() -> ExitCode {
         out.table("mesh", &result.table());
         out.findings(&result.findings());
         let dir = PathBuf::from("results");
-        let write = fs::create_dir_all(&dir)
-            .and_then(|()| fs::write(dir.join("mesh.json"), result.to_json()))
-            .and_then(|()| fs::write(dir.join("mesh.csv"), result.to_csv()));
-        match write {
-            Ok(()) => println!(
-                "\nwrote {} and {}",
-                dir.join("mesh.json").display(),
-                dir.join("mesh.csv").display()
-            ),
-            Err(err) => eprintln!("warning: could not write mesh results: {err}"),
-        }
+        out.artifacts(&[
+            (dir.join("mesh.json"), result.to_json()),
+            (dir.join("mesh.csv"), result.to_csv()),
+        ]);
     }
 
     if wants("queuebench") {
@@ -790,17 +801,10 @@ fn main() -> ExitCode {
         perf.record_slab("fleet", allocated, reused);
         perf.record_peak_rss("fleet");
         let dir = PathBuf::from("results");
-        let write = fs::create_dir_all(&dir)
-            .and_then(|()| fs::write(dir.join("fleet.json"), result.to_json()))
-            .and_then(|()| fs::write(dir.join("fleet.csv"), result.table().to_csv()));
-        match write {
-            Ok(()) => println!(
-                "\nwrote {} and {}",
-                dir.join("fleet.json").display(),
-                dir.join("fleet.csv").display()
-            ),
-            Err(err) => eprintln!("warning: could not write fleet results: {err}"),
-        }
+        out.artifacts(&[
+            (dir.join("fleet.json"), result.to_json()),
+            (dir.join("fleet.csv"), result.table().to_csv()),
+        ]);
     }
 
     let mut gate_failed = false;
@@ -811,17 +815,10 @@ fn main() -> ExitCode {
         out.table("validate", &result.table());
         out.findings(&result.findings());
         let dir = PathBuf::from("results");
-        let write = fs::create_dir_all(&dir)
-            .and_then(|()| fs::write(dir.join("validate.json"), result.to_json()))
-            .and_then(|()| fs::write(dir.join("validate.csv"), result.table().to_csv()));
-        match write {
-            Ok(()) => println!(
-                "\nwrote {} and {}",
-                dir.join("validate.json").display(),
-                dir.join("validate.csv").display()
-            ),
-            Err(err) => eprintln!("warning: could not write validate results: {err}"),
-        }
+        out.artifacts(&[
+            (dir.join("validate.json"), result.to_json()),
+            (dir.join("validate.csv"), result.table().to_csv()),
+        ]);
         if !result.passed() {
             eprintln!(
                 "validate: conformance gate FAILED (per-user worst {:.3}% / {:.3}% \
@@ -849,26 +846,20 @@ fn main() -> ExitCode {
         out.table("hunt", &result.table());
         out.findings(&result.findings());
         let dir = PathBuf::from("results");
-        let write = fs::create_dir_all(&dir)
-            .and_then(|()| fs::write(dir.join("hunt.json"), result.to_json()))
-            .and_then(|()| fs::write(dir.join("hunt.csv"), result.table().to_csv()));
-        match write {
-            Ok(()) => println!(
-                "\nwrote {} and {}",
-                dir.join("hunt.json").display(),
-                dir.join("hunt.csv").display()
-            ),
-            Err(err) => eprintln!("warning: could not write hunt results: {err}"),
-        }
+        out.artifacts(&[
+            (dir.join("hunt.json"), result.to_json()),
+            (dir.join("hunt.csv"), result.table().to_csv()),
+        ]);
         if !result.passed() {
             eprint!("{}", result.log.render_text());
-            match result.write_regressions(&PathBuf::from("tests/regressions")) {
+            let pins = PathBuf::from("tests/regressions");
+            match result.write_regressions(&pins) {
                 Ok(paths) => {
                     for p in paths {
                         eprintln!("pinned minimized regression case at {}", p.display());
                     }
                 }
-                Err(err) => eprintln!("warning: could not pin regression cases: {err}"),
+                Err(err) => out.write_failed(&pins, &err),
             }
             eprintln!(
                 "hunt: campaign FAILED ({} of {} scenarios violated an oracle)",
@@ -883,7 +874,12 @@ fn main() -> ExitCode {
         eprintln!("unknown command `{}`\n{}", cli.command, usage());
         return ExitCode::FAILURE;
     }
-    perf.write(&cli.command, f, jobs);
+    perf.write(&out, &cli.command, f, jobs);
+    let failed_writes = out.failed_writes.into_inner();
+    if !failed_writes.is_empty() {
+        eprintln!("repro: {} artifact write(s) failed", failed_writes.len());
+        return ExitCode::FAILURE;
+    }
     if gate_failed {
         return ExitCode::FAILURE;
     }

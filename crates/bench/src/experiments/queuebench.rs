@@ -3,7 +3,7 @@
 //! The engine keeps pending events in an indexed heap with eager
 //! cancellation (see `dcm_sim::engine`). These microbenchmarks drive it
 //! and a tombstoning `BinaryHeap` with identical, seeded operation streams
-//! through three profiles that bracket the simulator's real access
+//! through profiles that bracket the simulator's real access
 //! patterns:
 //!
 //! * **hold** — the classic hold model: a steady pending set where every
@@ -25,6 +25,11 @@
 //!   tag rides in the `u64` payload and the timestamp half is the engine's
 //!   clock when the event runs, so it folds the same values with no
 //!   allocation.
+//! * **handler** — the hold stream once more, but each popped event's own
+//!   handler schedules its successor, as every simulator timer does. The
+//!   engine runs it as fn events and fuses each pop with that schedule;
+//!   the heap reference, which cannot schedule from inside a pop, replays
+//!   the stream as in `hold`.
 //!
 //! The heap reference is the engine's original design: a `BinaryHeap`
 //! ordered by `(time, seq)` storing boxed closures, with O(1)
@@ -179,8 +184,8 @@ fn exp_delay(rng: &mut SimRng) -> SimDuration {
 }
 
 /// The hold model: `HELD` pending events; every pop schedules one
-/// replacement. Returns (operations, wall seconds).
-fn hold_engine(iters: u64) -> (u64, f64) {
+/// replacement. Returns (operations, wall seconds) and the final clock.
+fn hold_engine_clock(iters: u64) -> (u64, f64, SimTime) {
     let mut engine: Engine<()> = Engine::new();
     let mut rng = SimRng::seed_from(SEED);
     for _ in 0..HELD {
@@ -193,7 +198,38 @@ fn hold_engine(iters: u64) -> (u64, f64) {
         let at = engine.now() + exp_delay(&mut rng);
         engine.schedule_at(at, |_, _| {});
     }
-    (2 * iters, start.elapsed().as_secs_f64())
+    (2 * iters, start.elapsed().as_secs_f64(), engine.now())
+}
+
+fn hold_engine(iters: u64) -> (u64, f64) {
+    let (ops, secs, _) = hold_engine_clock(iters);
+    (ops, secs)
+}
+
+/// The hold stream with each successor scheduled by the popped fn event's
+/// own handler, drawing from the world's RNG. Returns (operations, wall
+/// seconds) and the final clock.
+fn handler_engine_clock(iters: u64) -> (u64, f64, SimTime) {
+    fn hold_next(rng: &mut SimRng, engine: &mut Engine<SimRng>, _: u64) {
+        let at = engine.now() + exp_delay(rng);
+        engine.schedule_fn_at(at, hold_next, 0);
+    }
+    let mut engine: Engine<SimRng> = Engine::new();
+    let mut rng = SimRng::seed_from(SEED);
+    for _ in 0..HELD {
+        let at = SimTime::ZERO + exp_delay(&mut rng);
+        engine.schedule_fn_at(at, hold_next, 0);
+    }
+    let start = Instant::now();
+    for _ in 0..iters {
+        engine.step(&mut rng);
+    }
+    (2 * iters, start.elapsed().as_secs_f64(), engine.now())
+}
+
+fn handler_engine(iters: u64) -> (u64, f64) {
+    let (ops, secs, _) = handler_engine_clock(iters);
+    (ops, secs)
 }
 
 fn hold_heap(iters: u64) -> (u64, f64) {
@@ -381,7 +417,7 @@ fn capture_heap(iters: u64) -> (u64, f64) {
 /// One (profile, backend) measurement.
 #[derive(Debug, Clone)]
 pub struct QueueBenchPoint {
-    /// Profile name: `hold`, `cancel`, `churn` or `capture`.
+    /// Profile name: `hold`, `cancel`, `churn`, `capture` or `handler`.
     pub profile: &'static str,
     /// Backend name: `engine`, `heap`, or (capture only) `fn`.
     pub backend: &'static str,
@@ -416,7 +452,7 @@ type ProfileFn = fn(u64) -> (u64, f64);
 /// otherwise idle machine for stable numbers.
 pub fn run_queuebench(fidelity: Fidelity) -> QueueBench {
     let iters = iterations(fidelity);
-    let runs: [(&'static str, &'static str, ProfileFn); 9] = [
+    let runs: [(&'static str, &'static str, ProfileFn); 11] = [
         ("hold", "engine", hold_engine),
         ("hold", "heap", hold_heap),
         ("cancel", "engine", cancel_engine),
@@ -426,6 +462,8 @@ pub fn run_queuebench(fidelity: Fidelity) -> QueueBench {
         ("capture", "engine", capture_engine),
         ("capture", "heap", capture_heap),
         ("capture", "fn", capture_fn),
+        ("handler", "engine", handler_engine),
+        ("handler", "heap", hold_heap),
     ];
     let points = runs
         .into_iter()
@@ -498,6 +536,13 @@ impl QueueBench {
             out.push(format!(
                 "capture: 16-byte payloads as boxed closures at {boxed:.2}x \
                  the binary-heap reference, as fn events at {fns:.2}x"
+            ));
+        }
+        if let Some(s) = self.speedup("handler", "engine") {
+            out.push(format!(
+                "handler: successors scheduled by the popped event's own \
+                 handler (one fused pop and schedule each) at {s:.2}x the \
+                 binary-heap reference"
             ));
         }
         out
@@ -591,14 +636,26 @@ mod tests {
     }
 
     #[test]
+    fn handler_profile_replays_the_hold_stream() {
+        // Scheduling each successor from the popped event's handler must
+        // draw the same delays at the same instants as scheduling it after
+        // the pop, so both profiles end at the same clock.
+        let (ops_hold, _, hold) = hold_engine_clock(5_000);
+        let (ops_handler, _, handler) = handler_engine_clock(5_000);
+        assert_eq!(ops_hold, ops_handler);
+        assert_eq!(hold, handler);
+        assert!(hold > SimTime::ZERO);
+    }
+
+    #[test]
     fn quick_bench_produces_all_points() {
         let bench = run_queuebench(Fidelity::Quick);
-        assert_eq!(bench.points.len(), 9);
+        assert_eq!(bench.points.len(), 11);
         for p in &bench.points {
             assert!(p.ops > 0);
             assert!(p.wall_secs >= 0.0);
         }
-        assert_eq!(bench.findings().len(), 4);
-        assert_eq!(bench.table().len(), 9);
+        assert_eq!(bench.findings().len(), 5);
+        assert_eq!(bench.table().len(), 11);
     }
 }

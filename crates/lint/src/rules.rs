@@ -132,9 +132,10 @@ pub const RULES: &[RuleSpec] = &[
     },
     RuleSpec {
         name: "hot-path-alloc",
-        description: "allocation in a hot module (sim::engine, sim::queue, ntier::flow, \
-                      workload::cohort): clone()/to_vec()/format! or unbounded Vec \
-                      growth inside the per-event path erases DES throughput",
+        description: "allocation in a hot module (sim::engine, ntier::flow, ntier::graph, \
+                      ntier::cpu, workload::cache, workload::cohort): \
+                      clone()/to_vec()/format! or unbounded Vec growth inside the \
+                      per-event path erases DES throughput",
         strict_only: true,
         hint: "borrow instead of cloning, pre-size with with_capacity, or hoist the \
                allocation out of the per-event path",
@@ -190,6 +191,7 @@ pub const NO_SUPPRESS_CRATES: &[&str] = &["sim", "ntier", "model", "oracle"];
 /// only run here.
 pub const HOT_MODULES: &[&str] = &[
     "crates/sim/src/engine.rs",
+    "crates/ntier/src/cpu.rs",
     "crates/ntier/src/flow.rs",
     "crates/ntier/src/graph.rs",
     "crates/workload/src/cache.rs",

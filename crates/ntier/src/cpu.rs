@@ -22,41 +22,41 @@ use dcm_sim::time::SimTime;
 use crate::ids::RequestId;
 use crate::law::ServiceLaw;
 
-/// Totally ordered wrapper over non-NaN `f64` for heap keys.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct OrdF64(f64);
-
-impl Eq for OrdF64 {}
-impl PartialOrd for OrdF64 {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for OrdF64 {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0
-            .partial_cmp(&other.0)
-            .expect("NaN rejected at insert")
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 struct Burst<R> {
-    target: OrdF64,
+    /// Work-clock value at which the burst completes; never negative or
+    /// NaN, so its bit pattern orders like its value.
+    target: f64,
     seq: u64,
     req: R,
-    work: OrdF64,
+    work: f64,
 }
 
-impl<R: Copy + Eq> PartialOrd for Burst<R> {
+/// Packs a burst's `(target, seq)` into one integer that orders like the
+/// tuple, the target's bits on top: the bit pattern of a non-negative
+/// finite `f64` orders like its value.
+#[inline]
+fn burst_key(target: f64, seq: u64) -> u128 {
+    (u128::from(target.to_bits()) << 64) | u128::from(seq)
+}
+
+impl<R> PartialEq for Burst<R> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl<R> Eq for Burst<R> {}
+
+impl<R> PartialOrd for Burst<R> {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl<R: Copy + Eq> Ord for Burst<R> {
+impl<R> Ord for Burst<R> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.target, self.seq).cmp(&(other.target, other.seq))
+        burst_key(self.target, self.seq).cmp(&burst_key(other.target, other.seq))
     }
 }
 
@@ -167,8 +167,8 @@ impl<R: Copy + Eq + std::fmt::Debug> CpuScheduler<R> {
             .bursts
             .iter()
             .map(|&Reverse(b)| {
-                let remaining = (b.target.0 - projected_clock).max(0.0);
-                (b.work.0 - remaining).max(0.0)
+                let remaining = (b.target - projected_clock).max(0.0);
+                (b.work - remaining).max(0.0)
             })
             .sum();
         self.completed_work + in_progress
@@ -209,11 +209,16 @@ impl<R: Copy + Eq + std::fmt::Debug> CpuScheduler<R> {
             "burst work must be finite and >= 0"
         );
         self.advance(now);
+        let target = self.work_clock + work;
+        debug_assert!(
+            target.is_sign_positive() && !target.is_nan(),
+            "burst target {target} would not order by its bits"
+        );
         let burst = Burst {
-            target: OrdF64(self.work_clock + work),
+            target,
             seq: self.seq,
             req,
-            work: OrdF64(work),
+            work,
         };
         self.seq += 1;
         self.bursts.push(Reverse(burst));
@@ -228,7 +233,7 @@ impl<R: Copy + Eq + std::fmt::Debug> CpuScheduler<R> {
         // Project the clock forward from `now` (callers advance first).
         let pending_dt = now.saturating_since(self.last_update).as_secs_f64();
         let projected_clock = self.work_clock + pending_dt * self.speed;
-        let remaining = (burst.target.0 - projected_clock).max(0.0);
+        let remaining = (burst.target - projected_clock).max(0.0);
         let dt = remaining / self.speed;
         Some((
             now + dcm_sim::time::SimDuration::from_secs_f64(dt),
@@ -241,10 +246,10 @@ impl<R: Copy + Eq + std::fmt::Debug> CpuScheduler<R> {
     pub fn pop_completed(&mut self, now: SimTime) -> Option<R> {
         self.advance(now);
         let &Reverse(burst) = self.bursts.peek()?;
-        if burst.target.0 <= self.work_clock + WORK_EPSILON {
+        if burst.target <= self.work_clock + WORK_EPSILON {
             self.bursts.pop();
             self.refresh_speed();
-            self.completed_work += burst.work.0;
+            self.completed_work += burst.work;
             Some(burst.req)
         } else {
             None
@@ -270,6 +275,48 @@ impl<R: Copy + Eq + std::fmt::Debug> CpuScheduler<R> {
 mod tests {
     use super::*;
     use crate::law::reference;
+    use proptest::prelude::*;
+
+    /// Burst targets of every kind a work clock can hold: zero, subnormal,
+    /// small and large normal values, and any finite non-negative bit
+    /// pattern up to the largest finite one.
+    fn target() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            Just(0.0),
+            (1u64..1 << 52).prop_map(f64::from_bits),
+            0.0..1e-3,
+            0.0..1e6,
+            (0u64..=f64::MAX.to_bits()).prop_map(f64::from_bits),
+        ]
+    }
+
+    fn seq() -> impl Strategy<Value = u64> {
+        prop_oneof![0u64..4, any::<u64>()]
+    }
+
+    proptest! {
+        /// The packed burst key orders `(target, seq)` exactly as the
+        /// `(f64, u64)` tuple does, equal targets included.
+        #[test]
+        fn burst_key_orders_like_the_tuple(
+            bursts in prop::collection::vec((target(), seq()), 2..40),
+        ) {
+            for &(t1, s1) in &bursts {
+                for &(t2, s2) in &bursts {
+                    for (a, b) in [((t1, s1), (t2, s2)), ((t1, s1), (t1, s2))] {
+                        let tuple = a.partial_cmp(&b).expect("targets are not NaN");
+                        prop_assert_eq!(
+                            burst_key(a.0, a.1).cmp(&burst_key(b.0, b.1)),
+                            tuple,
+                            "{:?} vs {:?}",
+                            a,
+                            b
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     fn t(s: f64) -> SimTime {
         SimTime::from_secs_f64(s)

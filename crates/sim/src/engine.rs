@@ -12,7 +12,9 @@
 //!
 //! Pending events live in an indexed 4-ary min-heap of `(at, seq, slot)`
 //! entries, ordered by `(at, seq)`; `seq` is a monotonic schedule counter,
-//! so same-time events pop first in, first out. Each event owns a *slot*
+//! so same-time events pop first in, first out. Entries compare through
+//! one packed integer, [`SimTime::key`], which orders exactly like the
+//! tuple without a branch per field. Each event owns a *slot*
 //! in a side table holding its action, its heap position, and a generation.
 //! An [`EventId`] packs the slot index and the generation the slot had when
 //! the event was scheduled; cancelling or executing an event bumps the
@@ -55,6 +57,25 @@
 //! a `seq` at each of several moves of one event and applies only the last
 //! reservation, before the engine pops anything, leaves the queue ordered
 //! exactly as applying every move eagerly would.
+//!
+//! **The fused pop.** Most handlers schedule at least one event, so
+//! [`Engine::step`] does not remove the executing event's entry before
+//! running it. The entry stays in `heap[0]` as a *hole* while the handler
+//! runs, and the first event the handler schedules is written into the
+//! hole and sifted down: one descent instead of a removal and a separate
+//! insertion. Sifting down from the root restores heap order for any key,
+//! and the events handlers schedule (same-instant and short timers) often
+//! belong near the root, where the descent stops at once. If the handler
+//! schedules nothing, `step` removes the hole afterwards. Until then the
+//! heap stays valid with the hole at its root because every other entry
+//! orders after the hole: entries queued before the pop did (the hole was
+//! the minimum), and so does any key moved during the handler, except one
+//! keyed with a `seq` reserved before the pop at a time equal to the
+//! clock. Such a key would sift past the hole, so the hole is removed
+//! before the move. The hole is thus overwritten or removed before anything
+//! else can pop (a `step` nested in a handler removes it first), and pop
+//! order stays global `(at, seq)` order; ids, slot reuse and `seq`
+//! consumption happen exactly when they did with a plain pop.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
@@ -125,10 +146,15 @@ struct Entry {
 }
 
 impl Entry {
+    #[inline]
+    fn key(&self) -> u128 {
+        self.at.key(self.seq)
+    }
+
     /// True when `self` pops before `other`.
     #[inline]
     fn before(&self, other: &Entry) -> bool {
-        (self.at, self.seq) < (other.at, other.seq)
+        self.key() < other.key()
     }
 }
 
@@ -178,13 +204,16 @@ pub struct Engine<W> {
     free: Vec<u32>,
     next_seq: u64,
     executed: u64,
+    /// True while `heap[0]` is the executing event's retired entry, kept
+    /// for the handler's first schedule to overwrite (see the module doc).
+    hole: bool,
 }
 
 impl<W> fmt::Debug for Engine<W> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Engine")
             .field("now", &self.now)
-            .field("pending", &self.heap.len())
+            .field("pending", &self.pending())
             .field("executed", &self.executed)
             .finish()
     }
@@ -215,6 +244,7 @@ impl<W> Engine<W> {
             free: Vec::new(),
             next_seq: 0,
             executed: 0,
+            hole: false,
         }
     }
 
@@ -229,8 +259,9 @@ impl<W> Engine<W> {
     }
 
     /// Number of pending events (scheduled, not yet executed or cancelled).
+    /// Inside a handler the executing event is no longer pending.
     pub fn pending(&self) -> usize {
-        self.heap.len()
+        self.heap.len() - usize::from(self.hole)
     }
 
     /// Schedules `action` at absolute time `at`.
@@ -292,20 +323,29 @@ impl<W> Engine<W> {
 
     fn push_keyed(&mut self, at: SimTime, seq: u64, action: Action<W>) -> EventId {
         let at = at.max(self.now);
-        let pos = self.heap.len() as u32;
         let slot = match self.free.pop() {
             Some(slot) => slot,
             None => {
                 let slot = u32::try_from(self.slots.len()).expect("more than 2^32 live events");
-                self.slots.push(Slot { gen: 0, pos });
+                // `pos` is set when the entry is placed below.
+                self.slots.push(Slot { gen: 0, pos: 0 });
                 self.actions.push(None);
                 slot
             }
         };
         self.actions[slot as usize] = Some(action);
         let gen = self.slots[slot as usize].gen;
-        self.heap.push(Entry { at, seq, slot });
-        self.sift_up(pos as usize);
+        let ev = Entry { at, seq, slot };
+        if self.hole {
+            // The fused pop: the new entry takes the executing event's place.
+            self.hole = false;
+            self.heap[0] = ev;
+            self.sift_down(0);
+        } else {
+            let pos = self.heap.len();
+            self.heap.push(ev);
+            self.sift_up(pos);
+        }
         EventId::new(slot, gen)
     }
 
@@ -373,15 +413,22 @@ impl<W> Engine<W> {
     /// Re-keys the live entry of `id` at heap index `pos` with `(at, seq)`,
     /// bumping its generation, and restores the heap order around it.
     fn move_entry(&mut self, id: EventId, pos: usize, at: SimTime, seq: u64) -> EventId {
-        let at = at.max(self.now);
-        let slot = &mut self.slots[id.slot() as usize];
-        slot.gen = slot.gen.wrapping_add(1);
-        let gen = slot.gen;
         let moved = Entry {
-            at,
+            at: at.max(self.now),
             seq,
             slot: id.slot(),
         };
+        // Only a key that orders after the open hole may sift past it.
+        let pos = if self.hole && !self.heap[0].before(&moved) {
+            // Removing the hole shifts entries, this one possibly included.
+            self.close_hole();
+            self.slots[id.slot() as usize].pos as usize
+        } else {
+            pos
+        };
+        let slot = &mut self.slots[id.slot() as usize];
+        slot.gen = slot.gen.wrapping_add(1);
+        let gen = slot.gen;
         // A reserved `seq` can be smaller than keys already queued, so the
         // entry may have to move either way, whichever way its time went.
         let up = moved.before(&self.heap[pos]);
@@ -403,16 +450,28 @@ impl<W> Engine<W> {
         self.free.push(slot);
     }
 
+    /// Removes the hole, if one is open.
+    #[inline]
+    fn close_hole(&mut self) {
+        if self.hole {
+            self.hole = false;
+            self.remove_root();
+        }
+    }
+
     /// Executes the next event, advancing the clock. Returns `false` when no
     /// events remain.
     pub fn step(&mut self, world: &mut W) -> bool {
-        let Some(ev) = self.pop_min() else {
+        // Only a step nested in a handler finds a hole open.
+        self.close_hole();
+        let Some(&ev) = self.heap.first() else {
             return false;
         };
         let action = self.actions[ev.slot as usize]
             .take()
             .expect("a queued slot holds its action");
         self.retire(ev.slot);
+        self.hole = true;
         // Release-mode guard for the queue's ordering contract: a heap bug
         // would surface here as a pop that travels backwards in time. One
         // u64 compare per event — cheap enough to keep on in release, where
@@ -430,6 +489,7 @@ impl<W> Engine<W> {
             Action::Boxed(f) => f(world, self),
             Action::Fn(f, arg) => f(world, self, arg),
         }
+        self.close_hole();
         true
     }
 
@@ -451,47 +511,62 @@ impl<W> Engine<W> {
         }
     }
 
-    /// The timestamp of the next pending event, if any.
+    /// The timestamp of the next pending event, if any. Inside a handler
+    /// the executing event is not pending: the next one is then the
+    /// earliest child of the hole.
     pub fn peek_time(&self) -> Option<SimTime> {
+        if self.hole {
+            let len = self.heap.len();
+            return (len > 1).then(|| self.min_child(1, len.min(1 + ARITY)).1.at);
+        }
         self.heap.first().map(|ev| ev.at)
     }
 
-    /// Removes and returns the minimum entry.
-    fn pop_min(&mut self) -> Option<Entry> {
-        let last = self.heap.pop()?;
-        let Some(&top) = self.heap.first() else {
-            return Some(last);
-        };
+    /// Removes the root entry; the heap must not be empty.
+    fn remove_root(&mut self) {
+        let last = self.heap.pop().expect("removing the root of an empty heap");
+        let len = self.heap.len();
+        if len == 0 {
+            return;
+        }
         // The last entry usually belongs near the leaves, so walk the root
         // hole all the way down along minimum children and sift `last` up
         // from there: fewer compares than sifting it down from the root.
-        let len = self.heap.len();
         let mut pos = 0;
         loop {
             let first = pos * ARITY + 1;
             if first >= len {
                 break;
             }
-            let child_pos = self.min_child(first, len.min(first + ARITY));
-            let child = self.heap[child_pos];
+            let (child_pos, child) = self.min_child(first, len.min(first + ARITY));
             self.place(pos, child);
             pos = child_pos;
         }
         self.heap[pos] = last;
         self.sift_up(pos);
-        Some(top)
     }
 
-    /// Heap index of the entry that pops first among `heap[first..end]`.
-    #[inline]
-    fn min_child(&self, first: usize, end: usize) -> usize {
+    /// Heap index and entry of the entry that pops first among
+    /// `heap[first..end]`. A full group of four is settled by a two-round
+    /// tournament of branch-free selects; keys are unique, so it picks the
+    /// same child as the linear scan. Forced inline: as a call per level
+    /// it cost about a tenth of a fused step.
+    #[inline(always)]
+    fn min_child(&self, first: usize, end: usize) -> (usize, Entry) {
+        if let Some(&[a, b, c, d]) = self.heap.get(first..end) {
+            let (ka, kb, kc, kd) = (a.key(), b.key(), c.key(), d.key());
+            let (left, left_key) = if kb < ka { (1, kb) } else { (0, ka) };
+            let (right, right_key) = if kd < kc { (3, kd) } else { (2, kc) };
+            let best = first + if right_key < left_key { right } else { left };
+            return (best, self.heap[best]);
+        }
         let mut best = first;
         for c in first + 1..end {
             if self.heap[c].before(&self.heap[best]) {
                 best = c;
             }
         }
-        best
+        (best, self.heap[best])
     }
 
     /// Removes the entry at heap index `pos`, filling the hole with the last
@@ -512,6 +587,7 @@ impl<W> Engine<W> {
     /// Records that the entry at heap index `pos` is `ev`.
     #[inline]
     fn place(&mut self, pos: usize, ev: Entry) {
+        debug_assert!(pos != 0 || !self.hole, "an entry moved into the open hole");
         self.heap[pos] = ev;
         self.slots[ev.slot as usize].pos = pos as u32;
     }
@@ -541,8 +617,7 @@ impl<W> Engine<W> {
             if first >= len {
                 break;
             }
-            let child_pos = self.min_child(first, len.min(first + ARITY));
-            let child = self.heap[child_pos];
+            let (child_pos, child) = self.min_child(first, len.min(first + ARITY));
             if !child.before(&ev) {
                 break;
             }
@@ -679,6 +754,26 @@ mod tests {
     }
 
     #[test]
+    fn a_handler_sees_the_queue_without_itself() {
+        let mut w: W = vec![];
+        let mut e = Engine::new();
+        e.schedule_at(SimTime::from_secs(1), |w: &mut W, e| {
+            assert_eq!(e.pending(), 3);
+            assert_eq!(e.peek_time(), Some(SimTime::from_secs(2)));
+            assert!(format!("{e:?}").contains("pending: 3"));
+            w.push(1);
+        });
+        push_at(&mut e, 3, 3);
+        push_at(&mut e, 2, 2);
+        e.schedule_at(SimTime::from_secs(4), |_: &mut W, e| {
+            assert_eq!(e.pending(), 0);
+            assert_eq!(e.peek_time(), None);
+        });
+        e.run(&mut w);
+        assert_eq!(w, vec![1, 2, 3]);
+    }
+
+    #[test]
     fn reused_slot_does_not_resurrect_old_handle() {
         let mut w: W = vec![];
         let mut e = Engine::new();
@@ -779,180 +874,223 @@ mod tests {
     /// fresh-`seq` schedule of the same action, and keys an event scheduled
     /// or moved with a reserved `seq` by that `seq`: reservations are taken
     /// between other schedules and used later (so their keys undercut
-    /// events already queued), and some are never used at all.
+    /// events already queued), and some are never used at all. Every fn
+    /// event's handler performs 0–3 further operations itself, while its
+    /// own entry is the engine's open hole: reserved keys used there often
+    /// land at the current instant, ordering before the executing event.
     #[test]
     fn random_interleavings_match_binary_heap_reference() {
         use std::cmp::Reverse;
         use std::collections::{BTreeSet, BinaryHeap};
 
-        fn push_u64(w: &mut Vec<u64>, _: &mut Engine<Vec<u64>>, tag: u64) {
-            w.push(tag);
+        /// The model, kept in the world so that handlers can use it.
+        struct Harness {
+            sm: SplitMix64,
+            /// Tags in the order the engine ran them.
+            out: Vec<u64>,
+            /// (at_nanos, seq, tag) min-heap plus cancelled seq set.
+            model: BinaryHeap<Reverse<(u64, u64, u64)>>,
+            cancelled: BTreeSet<u64>,
+            live: Vec<(EventId, u64, u64)>, // (handle, seq, tag)
+            dead: Vec<EventId>,             // executed, cancelled or moved
+            reserved: Vec<u64>,             // reserved, not yet used
+            next_seq: u64,
+            next_tag: u64,
+            /// Tags in the order the model pops them.
+            expected: Vec<u64>,
         }
 
-        for seed in 0..12u64 {
-            let mut sm = SplitMix64::new(0xCA1E_0000 + seed);
-            let mut e: Engine<Vec<u64>> = Engine::new();
-            let mut w: Vec<u64> = vec![];
-            // Model: (at_nanos, seq, tag) min-heap plus cancelled seq set.
-            let mut model: BinaryHeap<Reverse<(u64, u64, u64)>> = BinaryHeap::new();
-            let mut cancelled: BTreeSet<u64> = BTreeSet::new();
-            let mut live: Vec<(EventId, u64, u64)> = vec![]; // (handle, seq, tag)
-            let mut dead: Vec<EventId> = vec![]; // executed, cancelled or moved
-            let mut reserved: Vec<u64> = vec![]; // reserved, not yet used
-            let mut next_seq = 0u64;
-            let mut next_tag = 0u64;
-            let mut expected: Vec<u64> = vec![];
+        /// A fn event: records its tag, then acts on the engine.
+        fn act(h: &mut Harness, e: &mut Engine<Harness>, tag: u64) {
+            h.out.push(tag);
+            assert_eq!(e.pending(), h.live.len(), "a handler sees itself pending");
+            for _ in 0..h.sm.next_u64() % 4 {
+                let roll = h.sm.next_u64() % 84;
+                operate(h, e, roll, true);
+                assert_eq!(e.pending(), h.live.len(), "pending diverged in a handler");
+            }
+        }
 
-            for _ in 0..4000 {
-                // Delays mix zero, dense and sparse scales.
-                let delay = match sm.next_u64() % 5 {
-                    0 => 0,
-                    1 => sm.next_u64() % 1_000,
-                    2 => sm.next_u64() % 1_000_000,
-                    3 => sm.next_u64() % 1_000_000_000,
-                    _ => sm.next_u64() % 600_000_000_000,
-                };
-                let at = e.now() + SimDuration::from_nanos(delay);
-                match sm.next_u64() % 100 {
-                    // Schedule, half as boxed closures, half as fn events.
-                    0..=39 => {
-                        let (seq, tag) = (next_seq, next_tag);
-                        next_seq += 1;
-                        next_tag += 1;
-                        let id = if tag % 2 == 0 {
-                            e.schedule_at(at, move |w: &mut Vec<u64>, _| w.push(tag))
-                        } else {
-                            e.schedule_fn_at(at, push_u64, tag)
-                        };
-                        model.push(Reverse((at.as_nanos(), seq, tag)));
-                        live.push((id, seq, tag));
-                    }
-                    // Cancel a random live event; both sides forget it.
-                    40..=51 if !live.is_empty() => {
-                        let i = (sm.next_u64() % live.len() as u64) as usize;
-                        let (id, seq, _) = live.swap_remove(i);
-                        assert!(e.cancel(id), "live handle must cancel");
-                        cancelled.insert(seq);
-                        dead.push(id);
-                    }
-                    // Move a random live event: cancel + fresh-seq schedule.
-                    52..=63 if !live.is_empty() => {
-                        let i = (sm.next_u64() % live.len() as u64) as usize;
-                        let (id, seq, tag) = live[i];
-                        let moved = e.reschedule(id, at).expect("live handle must move");
-                        cancelled.insert(seq);
-                        model.push(Reverse((at.as_nanos(), next_seq, tag)));
-                        live[i] = (moved, next_seq, tag);
-                        next_seq += 1;
-                        dead.push(id);
-                    }
-                    // Stale handles (slot since reused or retired) stay dead:
-                    // they neither cancel nor move, and schedule nothing (a
-                    // reserved-seq move leaves its reservation unused).
-                    64..=67 if !dead.is_empty() => {
-                        let i = (sm.next_u64() % dead.len() as u64) as usize;
-                        assert!(!e.cancel(dead[i]), "stale handle must stay dead");
-                        assert_eq!(e.reschedule(dead[i], at), None, "stale handle moved");
-                        if let Some(&seq) = reserved.last() {
-                            assert_eq!(
-                                e.reschedule_reserved(dead[i], at, seq),
-                                None,
-                                "stale handle moved with a reserved seq"
-                            );
-                        }
-                    }
-                    // Reserve a seq for later; some are never used.
-                    68..=73 => {
-                        assert_eq!(e.reserve_seq(), next_seq, "reservations share the counter");
-                        reserved.push(next_seq);
-                        next_seq += 1;
-                    }
-                    // Schedule a fn event keyed with an older reservation.
-                    74..=78 if !reserved.is_empty() => {
-                        let i = (sm.next_u64() % reserved.len() as u64) as usize;
-                        let seq = reserved.swap_remove(i);
-                        let tag = next_tag;
-                        next_tag += 1;
-                        let id = e.schedule_fn_reserved(at, push_u64, tag, seq);
-                        model.push(Reverse((at.as_nanos(), seq, tag)));
-                        live.push((id, seq, tag));
-                    }
-                    // Move a live event with an older reservation.
-                    79..=83 if !reserved.is_empty() && !live.is_empty() => {
-                        let r = (sm.next_u64() % reserved.len() as u64) as usize;
-                        let new_seq = reserved.swap_remove(r);
-                        let i = (sm.next_u64() % live.len() as u64) as usize;
-                        let (id, seq, tag) = live[i];
-                        let moved = e
-                            .reschedule_reserved(id, at, new_seq)
-                            .expect("live handle must move");
-                        cancelled.insert(seq);
-                        model.push(Reverse((at.as_nanos(), new_seq, tag)));
-                        live[i] = (moved, new_seq, tag);
-                        dead.push(id);
-                    }
-                    // Pop a few events; record what the model expects.
-                    _ => {
-                        for _ in 0..=(sm.next_u64() % 3) {
-                            let due = loop {
-                                match model.pop() {
-                                    None => break None,
-                                    Some(Reverse((_, seq, tag))) => {
-                                        if cancelled.remove(&seq) {
-                                            continue;
-                                        }
-                                        break Some((seq, tag));
-                                    }
-                                }
-                            };
-                            match due {
-                                None => assert!(!e.step(&mut w)),
-                                Some((seq, tag)) => {
-                                    assert!(e.step(&mut w));
-                                    expected.push(tag);
-                                    let i = live.iter().position(|&(_, s, _)| s == seq).unwrap();
-                                    let (id, _, _) = live.swap_remove(i);
-                                    dead.push(id);
-                                }
-                            }
-                        }
+        /// Applies operation `roll` to both sides; false if it did nothing.
+        fn operate(h: &mut Harness, e: &mut Engine<Harness>, roll: u64, in_handler: bool) -> bool {
+            // Delays mix zero, dense and sparse scales.
+            let delay = match h.sm.next_u64() % 5 {
+                0 => 0,
+                1 => h.sm.next_u64() % 1_000,
+                2 => h.sm.next_u64() % 1_000_000,
+                3 => h.sm.next_u64() % 1_000_000_000,
+                _ => h.sm.next_u64() % 600_000_000_000,
+            };
+            let at = e.now() + SimDuration::from_nanos(delay);
+            // In a handler, half the reserved keys land at the current
+            // instant, where a seq reserved before the pop undercuts the
+            // executing event.
+            let reserved_at = if in_handler && h.sm.next_u64().is_multiple_of(2) {
+                e.now()
+            } else {
+                at
+            };
+            match roll {
+                // Schedule, half as boxed closures, half as fn events.
+                0..=39 => {
+                    let (seq, tag) = (h.next_seq, h.next_tag);
+                    h.next_seq += 1;
+                    h.next_tag += 1;
+                    let id = if tag % 2 == 0 {
+                        e.schedule_at(at, move |h: &mut Harness, _| h.out.push(tag))
+                    } else {
+                        e.schedule_fn_at(at, act, tag)
+                    };
+                    h.model.push(Reverse((at.as_nanos(), seq, tag)));
+                    h.live.push((id, seq, tag));
+                }
+                // Cancel a random live event; both sides forget it.
+                40..=51 if !h.live.is_empty() => {
+                    let i = (h.sm.next_u64() % h.live.len() as u64) as usize;
+                    let (id, seq, _) = h.live.swap_remove(i);
+                    assert!(e.cancel(id), "live handle must cancel");
+                    h.cancelled.insert(seq);
+                    h.dead.push(id);
+                }
+                // Move a random live event: cancel + fresh-seq schedule.
+                52..=63 if !h.live.is_empty() => {
+                    let i = (h.sm.next_u64() % h.live.len() as u64) as usize;
+                    let (id, seq, tag) = h.live[i];
+                    let moved = e.reschedule(id, at).expect("live handle must move");
+                    h.cancelled.insert(seq);
+                    h.model.push(Reverse((at.as_nanos(), h.next_seq, tag)));
+                    h.live[i] = (moved, h.next_seq, tag);
+                    h.next_seq += 1;
+                    h.dead.push(id);
+                }
+                // Stale handles (slot since reused or retired, or the
+                // executing event's own) stay dead: they neither cancel nor
+                // move, and schedule nothing (a reserved-seq move leaves
+                // its reservation unused).
+                64..=67 if !h.dead.is_empty() => {
+                    let i = (h.sm.next_u64() % h.dead.len() as u64) as usize;
+                    let stale = h.dead[i];
+                    assert!(!e.cancel(stale), "stale handle must stay dead");
+                    assert_eq!(e.reschedule(stale, at), None, "stale handle moved");
+                    if let Some(&seq) = h.reserved.last() {
+                        assert_eq!(
+                            e.reschedule_reserved(stale, reserved_at, seq),
+                            None,
+                            "stale handle moved with a reserved seq"
+                        );
                     }
                 }
-                assert_eq!(e.pending(), live.len(), "live count must track the model");
-                assert_eq!(
-                    w, expected,
-                    "seed {seed}: pop order diverged from reference"
-                );
-                for &(id, _, _) in &live {
-                    assert!(e.live_pos(id).is_some(), "seed {seed}: a live handle died");
-                }
-                for &id in &dead {
-                    assert!(
-                        e.live_pos(id).is_none(),
-                        "seed {seed}: a retired handle came back to life"
+                // Reserve a seq for later; some are never used.
+                68..=73 => {
+                    assert_eq!(
+                        e.reserve_seq(),
+                        h.next_seq,
+                        "reservations share the counter"
                     );
+                    h.reserved.push(h.next_seq);
+                    h.next_seq += 1;
                 }
+                // Schedule a fn event keyed with an older reservation.
+                74..=78 if !h.reserved.is_empty() => {
+                    let i = (h.sm.next_u64() % h.reserved.len() as u64) as usize;
+                    let seq = h.reserved.swap_remove(i);
+                    let tag = h.next_tag;
+                    h.next_tag += 1;
+                    let id = e.schedule_fn_reserved(reserved_at, act, tag, seq);
+                    h.model.push(Reverse((reserved_at.as_nanos(), seq, tag)));
+                    h.live.push((id, seq, tag));
+                }
+                // Move a live event with an older reservation.
+                79..=83 if !h.reserved.is_empty() && !h.live.is_empty() => {
+                    let r = (h.sm.next_u64() % h.reserved.len() as u64) as usize;
+                    let new_seq = h.reserved.swap_remove(r);
+                    let i = (h.sm.next_u64() % h.live.len() as u64) as usize;
+                    let (id, seq, tag) = h.live[i];
+                    let moved = e
+                        .reschedule_reserved(id, reserved_at, new_seq)
+                        .expect("live handle must move");
+                    h.cancelled.insert(seq);
+                    h.model
+                        .push(Reverse((reserved_at.as_nanos(), new_seq, tag)));
+                    h.live[i] = (moved, new_seq, tag);
+                    h.dead.push(id);
+                }
+                _ => return false,
             }
+            true
+        }
 
-            // Drain both sides completely.
-            while let Some(Reverse((_, seq, tag))) = model.pop() {
-                if cancelled.remove(&seq) {
-                    continue;
+        /// Steps both sides once; false when both are drained.
+        fn pop(h: &mut Harness, e: &mut Engine<Harness>) -> bool {
+            let due = loop {
+                match h.model.pop() {
+                    None => break None,
+                    Some(Reverse((_, seq, tag))) => {
+                        if h.cancelled.remove(&seq) {
+                            continue;
+                        }
+                        break Some((seq, tag));
+                    }
                 }
-                expected.push(tag);
-            }
-            e.run(&mut w);
+            };
+            let Some((seq, tag)) = due else {
+                assert!(!e.step(h), "the engine ran an event the model lacks");
+                return false;
+            };
+            // The executing event is dead to its own handler.
+            h.expected.push(tag);
+            let i = h.live.iter().position(|&(_, s, _)| s == seq).unwrap();
+            let (id, _, _) = h.live.swap_remove(i);
+            h.dead.push(id);
+            assert!(e.step(h), "the engine drained before the model");
+            true
+        }
+
+        fn check(h: &Harness, e: &Engine<Harness>, seed: u64) {
+            assert_eq!(e.pending(), h.live.len(), "live count must track the model");
             assert_eq!(
-                w, expected,
+                h.out, h.expected,
                 "seed {seed}: pop order diverged from reference"
             );
-            assert_eq!(e.pending(), 0);
-            for id in dead {
+            for &(id, _, _) in &h.live {
+                assert!(e.live_pos(id).is_some(), "seed {seed}: a live handle died");
+            }
+            for &id in &h.dead {
                 assert!(
-                    !e.cancel(id),
+                    e.live_pos(id).is_none(),
                     "seed {seed}: a retired handle came back to life"
                 );
             }
+        }
+
+        for seed in 0..12u64 {
+            let mut h = Harness {
+                sm: SplitMix64::new(0xCA1E_0000 + seed),
+                out: vec![],
+                model: BinaryHeap::new(),
+                cancelled: BTreeSet::new(),
+                live: vec![],
+                dead: vec![],
+                reserved: vec![],
+                next_seq: 0,
+                next_tag: 0,
+                expected: vec![],
+            };
+            let mut e: Engine<Harness> = Engine::new();
+            for _ in 0..4000 {
+                let roll = h.sm.next_u64() % 100;
+                if roll >= 84 || !operate(&mut h, &mut e, roll, false) {
+                    // Pop a few events.
+                    for _ in 0..=(h.sm.next_u64() % 3) {
+                        pop(&mut h, &mut e);
+                    }
+                }
+                check(&h, &e, seed);
+            }
+            // Drain both sides completely (handlers still act meanwhile).
+            while pop(&mut h, &mut e) {}
+            check(&h, &e, seed);
+            assert_eq!(e.pending(), 0);
         }
     }
 }

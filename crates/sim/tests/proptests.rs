@@ -8,7 +8,28 @@ use dcm_sim::rng::SimRng;
 use dcm_sim::stats::{Histogram, OnlineStats, RateMeter, SampleQuantiles, StepGauge};
 use dcm_sim::time::{SimDuration, SimTime};
 
+fn key_half() -> impl Strategy<Value = u64> {
+    prop_oneof![0u64..4, any::<u64>(), Just(u64::MAX)]
+}
+
 proptest! {
+    /// `SimTime::key` orders `(time, seq)` pairs exactly as the tuple does,
+    /// up to `SimTime::MAX`, and gives the time back.
+    #[test]
+    fn sim_time_key_orders_like_the_tuple(
+        pairs in prop::collection::vec((key_half(), key_half()), 2..40),
+    ) {
+        for &(t1, s1) in &pairs {
+            let a = SimTime::from_nanos(t1);
+            prop_assert_eq!(SimTime::from_key(a.key(s1)), a);
+            for &(t2, s2) in &pairs {
+                let b = SimTime::from_nanos(t2);
+                prop_assert_eq!(a.key(s1).cmp(&b.key(s2)), (a, s1).cmp(&(b, s2)));
+                prop_assert_eq!(a.key(s1).cmp(&a.key(s2)), s1.cmp(&s2));
+            }
+        }
+    }
+
     /// Events always fire in non-decreasing time order, with ties in
     /// schedule order, regardless of insertion order.
     #[test]

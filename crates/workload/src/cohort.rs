@@ -53,12 +53,13 @@ use dcm_sim::time::{SimDuration, SimTime};
 use crate::profile::WorkloadFactory;
 
 /// One cohort: a min-heap of member wake-up times and the single engine
-/// timer armed for the earliest of them. The `seq` tie-breaker keeps
-/// members due at the same instant in FIFO wake-up order, mirroring the
-/// engine's own `(time, seq)` contract.
+/// timer armed for the earliest of them. The heap holds
+/// [`SimTime::key`]`(at, seq)`: the `seq` tie-breaker keeps members due at
+/// the same instant in FIFO wake-up order, mirroring the engine's own
+/// `(time, seq)` contract.
 #[derive(Debug)]
 struct Cohort {
-    due: BinaryHeap<Reverse<(SimTime, u64)>>,
+    due: BinaryHeap<Reverse<u128>>,
     seq: u64,
     timer: Option<EventId>,
     timer_at: SimTime,
@@ -77,7 +78,12 @@ impl Cohort {
     fn push(&mut self, at: SimTime) {
         let seq = self.seq;
         self.seq += 1;
-        self.due.push(Reverse((at, seq)));
+        self.due.push(Reverse(at.key(seq)));
+    }
+
+    /// The earliest member wake-up time, if any member is thinking.
+    fn next_due(&self) -> Option<SimTime> {
+        self.due.peek().map(|&Reverse(key)| SimTime::from_key(key))
     }
 }
 
@@ -385,7 +391,7 @@ fn cohort_fire(world: &mut World, engine: &mut SimEngine, payload: u64) {
         let mut st = state.borrow_mut();
         st.cohorts[cohort].timer = None;
         let mut batch = 0u32;
-        while matches!(st.cohorts[cohort].due.peek(), Some(&Reverse((at, _))) if at <= now) {
+        while st.cohorts[cohort].next_due().is_some_and(|at| at <= now) {
             st.cohorts[cohort].due.pop();
             batch += 1;
         }
@@ -405,8 +411,8 @@ fn rearm(state: &RefCell<CohortState>, engine: &mut SimEngine, payload: u64) {
     let (arm_at, stale) = {
         let st = state.borrow();
         let c = &st.cohorts[cohort];
-        match c.due.peek() {
-            Some(&Reverse((at, _))) => match c.timer {
+        match c.next_due() {
+            Some(at) => match c.timer {
                 None => (Some(at), None),
                 Some(ev) if c.timer_at > at => (Some(at), Some(ev)),
                 Some(_) => (None, None),
