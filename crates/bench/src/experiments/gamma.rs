@@ -12,7 +12,7 @@ use dcm_core::experiment::{SteadyStateOptions, SteadyStateReport};
 use dcm_ntier::balancer::BalancerPolicy;
 use dcm_ntier::topology::{SoftConfig, ThreeTierBuilder};
 use dcm_sim::time::SimTime;
-use dcm_workload::generator::UserPopulation;
+use dcm_workload::cohort::CohortPopulation;
 use dcm_workload::profile::ProfileFactory;
 use dcm_workload::report::LoadReport;
 
@@ -54,7 +54,7 @@ fn measure(k: u32, policy: BalancerPolicy, options: &SteadyStateOptions) -> Stea
         .build();
     let warmup_end = SimTime::ZERO + options.warmup;
     let measure_end = warmup_end + options.measure;
-    let population = UserPopulation::start_think_time(
+    let population = CohortPopulation::start_think_time(
         &mut world,
         &mut engine,
         ProfileFactory::rubbos(),

@@ -9,8 +9,8 @@
 //! be violated, and every point's conservation audit must be clean.
 
 use dcm_oracle::{
-    default_grid, default_mesh_grid, run_mesh_scenario, run_scenario, run_scenario_cohort,
-    ConformancePoint, MeshPoint, ScenarioKind,
+    default_grid, default_mesh_grid, run_mesh_scenario, run_scenario, ConformancePoint, MeshPoint,
+    ScenarioKind,
 };
 use dcm_sim::rng::derive_seed;
 
@@ -83,8 +83,8 @@ pub fn run_validate(fidelity: Fidelity) -> Validate {
         }
     }
     let points = dcm_sim::runner::run_ordered(jobs, |(scenario, population, seed)| ValidatePoint {
-        per_user: run_scenario(&scenario, population, seed),
-        cohort: run_scenario_cohort(&scenario, population, seed, COHORT_SIZE),
+        per_user: run_scenario(&scenario, population, seed, 1),
+        cohort: run_scenario(&scenario, population, seed, COHORT_SIZE),
     });
     let mut mesh_jobs = Vec::new();
     for (i, scenario) in default_mesh_grid().into_iter().enumerate() {

@@ -10,7 +10,7 @@ use dcm_core::training::{db_stress_sweep, SweepOptions};
 use dcm_ntier::topology::{SoftConfig, ThreeTierBuilder};
 use dcm_sim::runner::{run_ordered_with, set_jobs};
 use dcm_sim::time::{SimDuration, SimTime};
-use dcm_workload::generator::UserPopulation;
+use dcm_workload::cohort::CohortPopulation;
 use dcm_workload::profile::ProfileFactory;
 
 /// Serializes tests that mutate the process-wide jobs setting.
@@ -122,7 +122,7 @@ fn identical_runs_execute_identical_event_counts() {
             .seed(dcm_sim::rng::derive_seed(777, 3))
             .build();
         let horizon = SimTime::from_secs(20);
-        let _population = UserPopulation::start_closed_loop(
+        let _population = CohortPopulation::start_closed_loop(
             &mut world,
             &mut engine,
             ProfileFactory::rubbos(),

@@ -24,10 +24,9 @@ use dcm_obs::trace::{ControlTick, TraceData};
 use dcm_sim::faults::FaultPlan;
 use dcm_sim::stats::TimeSeries;
 use dcm_sim::time::{SimDuration, SimTime};
-use dcm_workload::generator::{RetryPolicy, UserPopulation};
-use dcm_workload::profile::{
-    CacheEdge, MeshProfileFactory, NodeDemand, ProfileFactory, WorkloadFactory,
-};
+use dcm_workload::cohort::CohortPopulation;
+use dcm_workload::generator::RetryPolicy;
+use dcm_workload::profile::{CacheEdge, NodeDemand, ProfileFactory};
 use dcm_workload::report::{windowed_series, LoadReport, WindowedSeries};
 use dcm_workload::traces::WorkloadTrace;
 
@@ -244,7 +243,7 @@ pub struct MeshExperimentConfig {
 /// Runs a trace experiment on a mesh topology with the controller
 /// produced by `make`. Identical harness to [`run_trace_experiment`] —
 /// monitor, per-second recorder, controller loop, optional obs/audit —
-/// over a [`MeshBuilder`] world driven by a [`MeshProfileFactory`].
+/// over a [`MeshBuilder`] world driven by a [`ProfileFactory`].
 pub fn run_mesh_trace_experiment<C, F>(config: &MeshExperimentConfig, make: F) -> TraceRunResult
 where
     C: Controller + 'static,
@@ -256,11 +255,11 @@ where
     }
     builder.check_graph(&config.graph);
     let (world, engine) = builder.build();
-    let mut factory = MeshProfileFactory::new(config.graph.clone(), config.demands.clone());
+    let mut factory = ProfileFactory::new(config.graph.clone(), config.demands.clone());
     if let Some(cache) = config.cache.clone() {
         factory = factory.with_cache(cache.from, cache.to, cache.dynamics);
     }
-    run_trace_on_world(&config.run, world, engine, factory.into(), make)
+    run_trace_on_world(&config.run, world, engine, factory, make)
 }
 
 /// Options for a steady-state throughput measurement under think-time
@@ -325,7 +324,7 @@ pub fn steady_state_throughput(
     });
     let warmup_end = SimTime::ZERO + options.warmup;
     let measure_end = warmup_end + options.measure;
-    let population = UserPopulation::start_think_time(
+    let population = CohortPopulation::start_think_time(
         &mut world,
         &mut engine,
         ProfileFactory::rubbos(),
@@ -559,7 +558,7 @@ where
         .soft(config.initial_soft)
         .seed(config.seed)
         .build();
-    run_trace_on_world(config, world, engine, ProfileFactory::rubbos().into(), make)
+    run_trace_on_world(config, world, engine, ProfileFactory::rubbos(), make)
 }
 
 /// The shared experiment core: full monitoring/control/obs stack over a
@@ -570,7 +569,7 @@ fn run_trace_on_world<C, F>(
     config: &TraceExperimentConfig,
     mut world: World,
     mut engine: SimEngine,
-    factory: WorkloadFactory,
+    factory: ProfileFactory,
     make: F,
 ) -> TraceRunResult
 where
@@ -618,7 +617,7 @@ where
     );
 
     // Workload.
-    let population = UserPopulation::start_trace_driven(
+    let population = CohortPopulation::start_trace_driven(
         &mut world,
         &mut engine,
         factory,

@@ -18,7 +18,7 @@ use dcm_ntier::topology::{SoftConfig, ThreeTierBuilder};
 use dcm_sim::rng::derive_seed;
 use dcm_sim::runner::run_ordered;
 use dcm_sim::time::{SimDuration, SimTime};
-use dcm_workload::generator::UserPopulation;
+use dcm_workload::cohort::CohortPopulation;
 use dcm_workload::profile::ProfileFactory;
 use dcm_workload::report::LoadReport;
 use serde::{Deserialize, Serialize};
@@ -91,7 +91,7 @@ pub fn measure_steady_state(
     let warmup_end = SimTime::ZERO + options.warmup;
     let measure_end = warmup_end + options.measure;
     let population =
-        UserPopulation::start_closed_loop(&mut world, &mut engine, factory, users, measure_end);
+        CohortPopulation::start_closed_loop(&mut world, &mut engine, factory, users, measure_end);
 
     // Warm up, then reset every server's measurement window.
     engine.run_until(&mut world, warmup_end);
@@ -179,7 +179,7 @@ pub fn db_stress_point(concurrency: u32, options: &SweepOptions) -> SweepPoint {
 
     let warmup_end = SimTime::ZERO + options.warmup;
     let measure_end = warmup_end + options.measure;
-    let _population = UserPopulation::start_closed_loop(
+    let _population = CohortPopulation::start_closed_loop(
         &mut world,
         &mut engine,
         factory,

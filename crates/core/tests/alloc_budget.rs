@@ -23,8 +23,8 @@ use dcm_sim::faults::FaultPlan;
 use dcm_sim::time::{SimDuration, SimTime};
 use dcm_workload::cache::CacheDynamics;
 use dcm_workload::cohort::CohortPopulation;
-use dcm_workload::generator::{RetryPolicy, UserPopulation};
-use dcm_workload::profile::{MeshProfileFactory, NodeDemand, ProfileFactory};
+use dcm_workload::generator::RetryPolicy;
+use dcm_workload::profile::{NodeDemand, ProfileFactory};
 use dcm_workload::traces;
 
 /// Allocations per completed request each case must stay under. Boxing
@@ -114,7 +114,7 @@ fn trace_driven_users_with_retry_deadline_and_crash() {
             .with_straggler(180.0, 2, 0, 4.0, 30.0)
             .with_transient_failures(0.002),
     );
-    let pop = UserPopulation::start_trace_driven(
+    let pop = CohortPopulation::start_trace_driven(
         &mut world,
         &mut engine,
         ProfileFactory::rubbos(),
@@ -177,7 +177,7 @@ fn mesh_factory_with_cache_edge() {
         .node(MeshNode::new("db", reference::mysql(), 800).count(2))
         .seed(13)
         .build();
-    let factory = MeshProfileFactory::new(
+    let factory = ProfileFactory::new(
         graph,
         vec![
             NodeDemand::split(Dist::constant(0.002)),
@@ -187,7 +187,7 @@ fn mesh_factory_with_cache_edge() {
         ],
     )
     .with_cache(1, 3, CacheDynamics::new(0.5, 200.0));
-    let _pop = UserPopulation::start_think_time(
+    let _pop = CohortPopulation::start_think_time(
         &mut world,
         &mut engine,
         factory,
@@ -210,7 +210,7 @@ fn closed_loop_training_point() {
     // The shape of one `dcm_core::training` sweep level: 1/1/1, zero
     // think time, warm-up then measurement window.
     let (mut world, mut engine) = ThreeTierBuilder::new().counts(1, 1, 1).seed(14).build();
-    let _pop = UserPopulation::start_closed_loop(
+    let _pop = CohortPopulation::start_closed_loop(
         &mut world,
         &mut engine,
         ProfileFactory::rubbos(),

@@ -133,7 +133,8 @@ pub const RULES: &[RuleSpec] = &[
     RuleSpec {
         name: "hot-path-alloc",
         description: "allocation in a hot module (sim::engine, ntier::flow, ntier::graph, \
-                      ntier::cpu, workload::cache, workload::cohort): \
+                      ntier::cpu, ntier::request, workload::cache, workload::cohort, \
+                      workload::profile): \
                       clone()/to_vec()/format! or unbounded Vec growth inside the \
                       per-event path erases DES throughput",
         strict_only: true,
@@ -194,8 +195,10 @@ pub const HOT_MODULES: &[&str] = &[
     "crates/ntier/src/cpu.rs",
     "crates/ntier/src/flow.rs",
     "crates/ntier/src/graph.rs",
+    "crates/ntier/src/request.rs",
     "crates/workload/src/cache.rs",
     "crates/workload/src/cohort.rs",
+    "crates/workload/src/profile.rs",
 ];
 
 /// True when `path` names one of the configured hot modules.

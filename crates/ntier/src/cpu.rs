@@ -92,6 +92,8 @@ pub struct CpuScheduler<R = RequestId> {
     seq: u64,
     busy_seconds: f64,
     completed_work: f64,
+    /// Work-seconds cancelled bursts had executed when they were removed.
+    cancelled_work: f64,
     max_active_bursts: usize,
 }
 
@@ -112,6 +114,7 @@ impl<R: Copy + Eq + std::fmt::Debug> CpuScheduler<R> {
             seq: 0,
             busy_seconds: 0.0,
             completed_work: 0.0,
+            cancelled_work: 0.0,
             max_active_bursts: 0,
         }
     }
@@ -154,8 +157,9 @@ impl<R: Copy + Eq + std::fmt::Debug> CpuScheduler<R> {
     }
 
     /// Total work-seconds *executed* through `now`: work credited to
-    /// completed bursts plus the progress already made on bursts still on
-    /// the CPU. Read-only (the clock is projected, not advanced).
+    /// completed bursts, the progress cancelled bursts had made, and the
+    /// progress already made on bursts still on the CPU. Read-only (the
+    /// clock is projected, not advanced).
     pub fn projected_executed_work(&self, now: SimTime) -> f64 {
         let dt = now.saturating_since(self.last_update).as_secs_f64();
         let projected_clock = if self.bursts.is_empty() {
@@ -171,7 +175,7 @@ impl<R: Copy + Eq + std::fmt::Debug> CpuScheduler<R> {
                 (b.work - remaining).max(0.0)
             })
             .sum();
-        self.completed_work + in_progress
+        self.completed_work + self.cancelled_work + in_progress
     }
 
     /// Recomputes the speed after the burst count changed. The contention
@@ -256,14 +260,24 @@ impl<R: Copy + Eq + std::fmt::Debug> CpuScheduler<R> {
         }
     }
 
-    /// Removes a specific request's burst (e.g. the request was aborted).
-    /// Returns `true` if a burst was removed. O(n) rebuild in the heap's
-    /// own buffer — rare path.
+    /// Removes a specific request's burst (e.g. the request was aborted),
+    /// keeping the work it had executed on the books of
+    /// [`CpuScheduler::projected_executed_work`]. Returns `true` if a burst
+    /// was removed. O(n) rebuild in the heap's own buffer — rare path.
     pub fn cancel_burst(&mut self, now: SimTime, req: R) -> bool {
         self.advance(now);
         let mut bursts = std::mem::take(&mut self.bursts).into_vec();
         let before = bursts.len();
-        bursts.retain(|&Reverse(b)| b.req != req);
+        let clock = self.work_clock;
+        let mut executed = 0.0;
+        bursts.retain(|&Reverse(b)| {
+            let cancelled = b.req == req;
+            if cancelled {
+                executed += (b.work - (b.target - clock).max(0.0)).max(0.0);
+            }
+            !cancelled
+        });
+        self.cancelled_work += executed;
         let removed = before != bursts.len();
         self.bursts = bursts.into();
         self.refresh_speed();
@@ -460,8 +474,12 @@ mod tests {
         let mut cpu = CpuScheduler::new(ServiceLaw::frictionless(1.0));
         cpu.add_burst(t(0.0), r(1), 0.5);
         cpu.add_burst(t(0.0), r(2), 0.2);
+        let executed = cpu.projected_executed_work(t(0.1));
+        assert!(executed > 0.0);
         assert!(cpu.cancel_burst(t(0.1), r(2)));
         assert!(!cpu.cancel_burst(t(0.1), r(2)));
+        // The cancelled burst's progress stays executed work.
+        assert!((cpu.projected_executed_work(t(0.1)) - executed).abs() < 1e-12);
         let (_, req) = cpu.next_completion(t(0.1)).unwrap();
         assert_eq!(req, r(1));
     }

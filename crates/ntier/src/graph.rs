@@ -56,8 +56,8 @@ impl Clone for TopologyGraph {
 }
 
 impl TopologyGraph {
-    /// The node-less graph a chain request profile holds in place of a
-    /// topology; it allocates nothing.
+    /// The node-less graph a request profile starts from before its
+    /// topology is installed; it allocates nothing.
     pub(crate) fn empty() -> Self {
         TopologyGraph {
             first_edge: Vec::new(),
@@ -67,7 +67,7 @@ impl TopologyGraph {
 
     /// Empties the graph back to [`TopologyGraph::empty`], keeping its
     /// buffers' capacity.
-    pub(crate) fn clear(&mut self) {
+    fn clear(&mut self) {
         self.first_edge.clear();
         self.edges.clear();
     }
@@ -80,19 +80,34 @@ impl TopologyGraph {
     /// Panics if `visits` is empty or `visits[0] != 1`.
     pub fn chain(visits: &[u32]) -> Self {
         assert!(!visits.is_empty(), "a chain needs at least one tier");
-        assert_eq!(visits[0], 1, "the client makes exactly one front-tier call");
-        let tiers = visits.len();
-        let mut first_edge = Vec::with_capacity(tiers.saturating_add(1));
-        let mut edges = Vec::with_capacity(tiers.saturating_sub(1));
-        for (m, &calls) in visits.iter().enumerate().skip(1) {
-            first_edge.push(edges.len() as u32);
-            let to = m as u16;
-            edges.push(GraphEdge { to, calls });
+        let mut graph = TopologyGraph::empty();
+        graph.set_chain(visits.iter().copied());
+        graph
+    }
+
+    /// Rebuilds this graph, in its own buffers, as the
+    /// [`TopologyGraph::chain`] for `visits`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `visits` is empty or its first count is not 1.
+    pub(crate) fn set_chain(&mut self, visits: impl IntoIterator<Item = u32>) {
+        self.clear();
+        let mut visits = visits.into_iter();
+        assert_eq!(
+            visits.next(),
+            Some(1),
+            "the client makes exactly one front-tier call"
+        );
+        self.first_edge.push(0);
+        for calls in visits {
+            // Node `m = first_edge.len() - 1` calls node `m + 1`.
+            let to = self.first_edge.len() as u16;
+            self.edges.push(GraphEdge { to, calls });
+            self.first_edge.push(self.edges.len() as u32);
         }
         // The last node has no out-edges; close the prefix table.
-        first_edge.push(edges.len() as u32);
-        first_edge.push(edges.len() as u32);
-        TopologyGraph { first_edge, edges }
+        self.first_edge.push(self.edges.len() as u32);
     }
 
     /// Builds a graph over `tiers` nodes from `(from, to, calls)` edges.

@@ -64,7 +64,6 @@ pub mod metrics;
 pub mod pool;
 pub mod request;
 pub mod server;
-pub mod snapshot;
 pub mod spans;
 pub mod system;
 pub mod topology;
@@ -79,7 +78,6 @@ pub use metrics::ServerSample;
 pub use pool::Pool;
 pub use request::{Completion, Outcome, RequestProfile, StageDemand};
 pub use server::{Server, ServerSpec, ServerState, VmType};
-pub use snapshot::SystemSnapshot;
 pub use spans::{ServerEvent, ServerEventKind, Span, SpanStatus};
 pub use system::{
     FlowLedger, InterTierRetry, System, SystemCounters, TierSpec, VmPolicy, VmSelection,

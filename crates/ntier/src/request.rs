@@ -1,11 +1,12 @@
 //! Request representation and the per-request execution state machine.
 //!
-//! An HTTP request travels the tier chain recursively: at tier *m* it holds
-//! a server thread, runs a **pre** CPU burst, makes `visits[m+1]` sequential
-//! calls into tier *m+1* (holding a downstream connection for each call),
-//! runs a **post** burst, and replies. The [`Frame`] stack records where in
-//! that recursion the request currently is; `dcm-ntier`'s flow module drives
-//! the transitions.
+//! An HTTP request travels its call graph recursively: at tier *m* it holds
+//! a server thread, runs a **pre** CPU burst, makes its out-edges'
+//! sequential calls into the downstream tiers (holding a downstream
+//! connection for each call; on the chain, `visits[m+1]` calls into tier
+//! *m+1*), runs a **post** burst, and replies. The [`Frame`] stack records
+//! where in that recursion the request currently is; `dcm-ntier`'s flow
+//! module drives the transitions.
 
 use dcm_sim::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -43,13 +44,15 @@ impl StageDemand {
 }
 
 /// The fully-sampled execution plan of one request: per-tier CPU demands and
-/// the visit ratios between adjacent tiers.
+/// the call graph routing its downstream calls.
 ///
 /// Built by workload generators (which own the service-demand
-/// distributions); consumed by the system simulator. A generator on the
-/// per-request path rebuilds a finished request's profile in place
-/// ([`RequestProfile::new_reusing`] and the `set_*` methods) rather than
-/// allocating a new one.
+/// distributions); consumed by the system simulator. Every profile routes
+/// through a [`TopologyGraph`]: [`RequestProfile::new`] builds the chain
+/// for a per-hop visits vector, [`RequestProfile::on_graph_reusing`] copies
+/// a DAG. A generator on the per-request path rebuilds a finished
+/// request's profile in place (the `*_reusing` constructors and the `set_*`
+/// methods) rather than allocating a new one.
 ///
 /// # Examples
 ///
@@ -73,7 +76,6 @@ impl StageDemand {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RequestProfile {
     demands: Vec<StageDemand>,
-    visits: Vec<u32>,
     class: u16,
     /// Per-visit demand overrides of every tier, concatenated: tier `m`'s
     /// overrides, indexed by global visit index, are the
@@ -86,13 +88,10 @@ pub struct RequestProfile {
     /// against). One flat buffer, so a recycled profile keeps its capacity.
     per_visit: Vec<StageDemand>,
     per_visit_spans: Vec<(u32, u32)>,
-    /// Call-graph topology. Empty (no nodes) means the linear chain (tier
-    /// `m` calls tier `m + 1` `visits[m + 1]` times); otherwise downstream
-    /// calls route through this DAG. A value rather than an `Option`, so a
-    /// recycled profile keeps the graph's buffers.
+    /// The call graph: a frame at tier `from` makes each out-edge's calls
+    /// into its `to` tier, in edge order.
     graph: TopologyGraph,
-    /// `graph.visit_ratios()`, refreshed whenever the graph changes; empty
-    /// on the chain.
+    /// `graph.visit_ratios()`, refreshed whenever the graph changes.
     graph_ratios: Vec<u64>,
 }
 
@@ -101,7 +100,6 @@ pub struct RequestProfile {
 impl PartialEq for RequestProfile {
     fn eq(&self, other: &Self) -> bool {
         self.demands == other.demands
-            && self.visits == other.visits
             && self.class == other.class
             && self.graph == other.graph
             && (0..self.demands.len()).all(|m| self.per_visit_of(m) == other.per_visit_of(m))
@@ -116,7 +114,7 @@ fn assert_valid_demand(d: &StageDemand) {
 }
 
 impl RequestProfile {
-    /// Creates a profile.
+    /// Creates a chain profile.
     ///
     /// `demands[m]` is the per-call CPU demand at tier `m`; `visits[m]` is
     /// the number of calls tier `m−1` makes into tier `m` per request
@@ -128,33 +126,13 @@ impl RequestProfile {
     /// Panics if the vectors are empty, have different lengths, any demand
     /// is negative/non-finite, or `visits[0] != 1`.
     pub fn new(demands: Vec<StageDemand>, visits: Vec<u32>, class: u16) -> Self {
-        let profile = RequestProfile {
-            demands,
-            visits,
-            class,
-            ..Self::empty()
-        };
-        profile.validate();
-        profile
-    }
-
-    /// A profile with no tiers: only ever a buffer to build into.
-    fn empty() -> Self {
-        RequestProfile {
-            demands: Vec::new(),
-            visits: Vec::new(),
-            class: 0,
-            per_visit: Vec::new(),
-            per_visit_spans: Vec::new(),
-            graph: TopologyGraph::empty(),
-            graph_ratios: Vec::new(),
-        }
+        Self::new_reusing(None, demands, visits, class)
     }
 
     /// Like [`RequestProfile::new`], but built in `spare`'s buffers when one
-    /// is given: every field is overwritten (graph and per-visit overrides
-    /// cleared) and only buffer capacity survives, so the result equals
-    /// what `new` returns for the same arguments, whatever `spare` held.
+    /// is given: every field is overwritten (per-visit overrides cleared)
+    /// and only buffer capacity survives, so the result equals what `new`
+    /// returns for the same arguments, whatever `spare` held.
     ///
     /// # Panics
     ///
@@ -165,75 +143,68 @@ impl RequestProfile {
         visits: impl IntoIterator<Item = u32>,
         class: u16,
     ) -> Self {
-        let mut profile = spare.unwrap_or_else(Self::empty);
-        profile.demands.clear();
-        profile.demands.extend(demands);
-        profile.visits.clear();
-        profile.visits.extend(visits);
-        profile.class = class;
-        profile.per_visit.clear();
-        profile.per_visit_spans.clear();
-        profile.graph.clear();
-        profile.graph_ratios.clear();
-        profile.validate();
+        let mut profile = Self::refill(spare, demands, class);
+        profile.graph.set_chain(visits);
+        profile.graph_changed();
         profile
     }
 
-    fn validate(&self) {
+    /// Like [`RequestProfile::new_reusing`], routing the downstream calls
+    /// through a copy of `graph` (copied into `spare`'s buffers) instead of
+    /// a chain.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `demands` is empty, does not cover the graph's nodes, or
+    /// holds a negative/non-finite demand.
+    pub fn on_graph_reusing(
+        spare: Option<RequestProfile>,
+        demands: impl IntoIterator<Item = StageDemand>,
+        graph: &TopologyGraph,
+        class: u16,
+    ) -> Self {
+        let mut profile = Self::refill(spare, demands, class);
+        profile.graph.clone_from(graph);
+        profile.graph_changed();
+        profile
+    }
+
+    /// `spare` (or a fresh profile) holding `demands` and `class`, with no
+    /// per-visit overrides and its graph still to be installed.
+    fn refill(
+        spare: Option<RequestProfile>,
+        demands: impl IntoIterator<Item = StageDemand>,
+        class: u16,
+    ) -> Self {
+        let mut profile = spare.unwrap_or_else(|| RequestProfile {
+            demands: Vec::new(),
+            class: 0,
+            per_visit: Vec::new(),
+            per_visit_spans: Vec::new(),
+            graph: TopologyGraph::empty(),
+            graph_ratios: Vec::new(),
+        });
+        profile.demands.clear();
+        profile.demands.extend(demands);
+        profile.class = class;
+        profile.per_visit.clear();
+        profile.per_visit_spans.clear();
         assert!(
-            !self.demands.is_empty(),
+            !profile.demands.is_empty(),
             "a request must visit at least one tier"
         );
-        assert_eq!(
-            self.demands.len(),
-            self.visits.len(),
-            "demands and visits must cover the same tiers"
-        );
-        assert_eq!(
-            self.visits[0], 1,
-            "the client makes exactly one front-tier call"
-        );
-        self.demands.iter().for_each(assert_valid_demand);
+        profile.demands.iter().for_each(assert_valid_demand);
+        profile
     }
 
-    /// Routes this request's downstream calls through `graph` instead of
-    /// the linear chain. The per-hop `visits` vector is re-derived from the
-    /// graph (sum of in-edge call counts per node) so chain-shaped graphs
-    /// report the same visit counts as before.
-    ///
-    /// Install the graph *before* [`RequestProfile::with_per_visit_demands`]
-    /// — per-visit demand lengths are validated against the graph's visit
-    /// ratios.
+    /// Overrides the call count of the graph's `from → to` edge for this
+    /// request (a cache hit sets its edge to 0 calls), re-deriving the
+    /// visit ratios. Call it before installing per-visit demands.
     ///
     /// # Panics
     ///
-    /// Panics if the graph's node count differs from the profile's tiers.
-    pub fn with_graph(mut self, graph: TopologyGraph) -> Self {
-        self.graph = graph;
-        self.graph_changed();
-        self
-    }
-
-    /// In-place [`RequestProfile::with_graph`]: copies `graph` into this
-    /// profile's graph buffers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the graph's node count differs from the profile's tiers.
-    pub fn set_graph(&mut self, graph: &TopologyGraph) {
-        self.graph.clone_from(graph);
-        self.graph_changed();
-    }
-
-    /// Overrides the call count of the installed graph's `from → to` edge
-    /// for this request (a cache hit sets its edge to 0 calls), re-deriving
-    /// the visit counts. Call it before installing per-visit demands.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no graph is installed or it holds no such edge.
+    /// Panics if the graph holds no such edge.
     pub fn set_edge_calls(&mut self, from: usize, to: usize, calls: u32) {
-        assert!(self.graph().is_some(), "no graph installed");
         self.graph.set_edge_calls(from, to, calls);
         self.graph_changed();
     }
@@ -242,51 +213,30 @@ impl RequestProfile {
         assert_eq!(
             self.graph.tiers(),
             self.demands.len(),
-            "graph nodes must match profile tiers"
+            "demands and the call graph must cover the same tiers"
         );
-        for (m, v) in self.visits.iter_mut().enumerate() {
-            *v = self.graph.in_calls(m);
-        }
         self.graph.visit_ratios_into(&mut self.graph_ratios);
     }
 
-    /// The call graph, when this profile routes through one.
-    pub fn graph(&self) -> Option<&TopologyGraph> {
-        (self.graph.tiers() > 0).then_some(&self.graph)
+    /// The call graph.
+    pub fn graph(&self) -> &TopologyGraph {
+        &self.graph
     }
 
-    /// Total downstream calls a frame at tier `m` makes: the chain makes
-    /// `visits[m + 1]` calls into the next tier (0 at the last tier); a
-    /// graph profile sums its out-edge call counts.
+    /// Total downstream calls a frame at tier `m` makes: the sum of its
+    /// out-edges' call counts (0 at a leaf).
     pub fn total_calls_from(&self, m: usize) -> u32 {
-        match self.graph() {
-            Some(g) => g.total_calls(m),
-            None => {
-                let next = m.saturating_add(1);
-                if next < self.visits.len() {
-                    self.visits[next]
-                } else {
-                    0
-                }
-            }
-        }
+        self.graph.total_calls(m)
     }
 
     /// The tier receiving call number `k` (0-based, in call order) from a
-    /// frame at tier `m`: always `m + 1` on the chain, the graph's edge
-    /// target otherwise.
+    /// frame at tier `m`.
     ///
     /// # Panics
     ///
     /// Panics if `k` is not less than [`RequestProfile::total_calls_from`].
     pub fn call_target(&self, m: usize, k: u32) -> usize {
-        match self.graph() {
-            Some(g) => g.call_target(m, k),
-            None => {
-                assert!(k < self.total_calls_from(m), "call index out of range");
-                m.saturating_add(1)
-            }
-        }
+        self.graph.call_target(m, k)
     }
 
     /// Installs independent per-visit demands for tier `m`: visit `k` of
@@ -379,13 +329,14 @@ impl RequestProfile {
             .unwrap_or(self.demands[m])
     }
 
-    /// Calls made into tier `m` per parent-tier call.
+    /// Calls made into tier `m` per visit of its parent tier(s): the sum
+    /// of its in-edges' call counts (1 for the front tier).
     ///
     /// # Panics
     ///
     /// Panics if `m` is out of range.
     pub fn visits_to(&self, m: usize) -> u32 {
-        self.visits[m]
+        self.graph.in_calls(m)
     }
 
     /// The workload class (servlet index) for bookkeeping.
@@ -403,14 +354,11 @@ impl RequestProfile {
         }
     }
 
-    /// The end-to-end visit ratio `V_m` from the client to tier `m`
-    /// (product of per-hop visits on the chain; the DAG visit-ratio sum
-    /// when a graph is installed).
+    /// The end-to-end visit ratio `V_m` from the client to tier `m` (the
+    /// product of per-hop visits on a chain, the DAG visit-ratio sum in
+    /// general).
     pub fn cumulative_visits(&self, m: usize) -> u64 {
-        match self.graph() {
-            Some(_) => self.graph_ratios[m],
-            None => self.visits[..=m].iter().map(|&v| u64::from(v)).product(),
-        }
+        self.graph_ratios[m]
     }
 }
 
@@ -606,15 +554,15 @@ mod tests {
     #[test]
     fn new_reusing_overwrites_every_field() {
         let graph = TopologyGraph::from_edges(3, &[(0, 1, 1), (0, 2, 2), (1, 2, 1)]);
-        let mut spare = RequestProfile::new(vec![StageDemand::pre_only(0.1); 3], vec![1, 1, 1], 9)
-            .with_graph(graph);
+        let mut spare =
+            RequestProfile::on_graph_reusing(None, [StageDemand::pre_only(0.1); 3], &graph, 9);
         spare.set_per_visit_demands(2, vec![StageDemand::pre_only(0.3); 3]);
         let demands = [StageDemand::pre_only(0.001), StageDemand::split(0.02)];
         let reused = RequestProfile::new_reusing(Some(spare), demands, [1, 3], 4);
         let fresh = RequestProfile::new(demands.to_vec(), vec![1, 3], 4);
         assert_eq!(reused, fresh);
         assert_eq!(format!("{reused:?}"), format!("{fresh:?}"));
-        assert!(reused.graph().is_none());
+        assert_eq!(reused.graph(), &TopologyGraph::chain(&[1, 3]));
         assert_eq!(reused.cumulative_visits(1), 3);
     }
 

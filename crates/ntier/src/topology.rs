@@ -1,6 +1,8 @@
-//! Convenience construction of the paper's RUBBoS-style three-tier
-//! deployment (`#W/#A/#D` hardware notation, `#W_T/#A_T/#A_C` soft-resource
-//! notation).
+//! World construction. [`MeshBuilder`] builds any microservice DAG, one
+//! [`MeshNode`] per tier; [`ThreeTierBuilder`] is its preset for the
+//! paper's RUBBoS-style three-tier chain (`#W/#A/#D` hardware notation,
+//! `#W_T/#A_T/#A_C` soft-resource notation), with the optional four-tier
+//! DB load balancer.
 
 use dcm_sim::time::SimDuration;
 
@@ -193,62 +195,27 @@ impl ThreeTierBuilder {
         self
     }
 
-    /// The tier specs this builder would install (exposed for custom
-    /// [`System`] construction).
-    pub fn tier_specs(&self) -> Vec<TierSpec> {
-        let mut specs = vec![
-            TierSpec {
-                name: "web".into(),
-                law: self.web_law,
-                default_threads: self.soft.web_threads,
-                default_conns: None,
-                balancer: self.balancer,
-                boot_delay: self.boot_delay,
-                vm_policy: VmPolicy::default(),
-            },
-            TierSpec {
-                name: "app".into(),
-                law: self.app_law,
-                default_threads: self.soft.app_threads,
-                default_conns: Some(self.soft.db_conns),
-                balancer: self.balancer,
-                boot_delay: self.boot_delay,
-                vm_policy: VmPolicy::default(),
-            },
-        ];
-        if self.db_load_balancer {
-            specs.push(TierSpec {
-                name: "lb".into(),
-                // HAProxy forwards in O(100 µs) with negligible contention.
-                law: ServiceLaw::new(1.0e-4, 1.0e-6, 1.0e-10),
-                default_threads: 4096,
-                default_conns: None,
-                balancer: self.balancer,
-                boot_delay: self.boot_delay,
-                vm_policy: VmPolicy::default(),
-            });
-        }
-        specs.push(TierSpec {
-            name: "db".into(),
-            law: self.db_law,
-            default_threads: self.db_threads,
-            default_conns: None,
-            balancer: self.balancer,
-            boot_delay: self.boot_delay,
-            vm_policy: VmPolicy::default(),
-        });
-        specs
-    }
-
-    /// Builds the world and a fresh engine.
+    /// Builds the world and a fresh engine: the [`MeshBuilder`] chain of
+    /// web, app (with its downstream connection pool), the optional lb
+    /// node, and db.
     pub fn build(&self) -> (World, SimEngine) {
-        let counts: Vec<u32> = if self.db_load_balancer {
-            vec![self.web, self.app, 1, self.db]
-        } else {
-            vec![self.web, self.app, self.db]
-        };
-        let system = System::new(self.tier_specs(), &counts, dcm_sim::time::SimTime::ZERO);
-        (World::new(system, self.seed), SimEngine::new())
+        let mut mesh = MeshBuilder::new()
+            .node(MeshNode::new("web", self.web_law, self.soft.web_threads).count(self.web))
+            .node(
+                MeshNode::new("app", self.app_law, self.soft.app_threads)
+                    .conns(self.soft.db_conns)
+                    .count(self.app),
+            );
+        if self.db_load_balancer {
+            // HAProxy forwards in O(100 µs) with negligible contention.
+            let law = ServiceLaw::new(1.0e-4, 1.0e-6, 1.0e-10);
+            mesh = mesh.node(MeshNode::new("lb", law, 4096));
+        }
+        mesh.node(MeshNode::new("db", self.db_law, self.db_threads).count(self.db))
+            .balancer(self.balancer)
+            .boot_delay(self.boot_delay)
+            .seed(self.seed)
+            .build()
     }
 }
 
@@ -307,12 +274,10 @@ impl MeshNode {
 }
 
 /// Builder for an arbitrary microservice-DAG world: one [`MeshNode`] per
-/// tier, with the call structure supplied per-request via
-/// [`crate::request::RequestProfile::with_graph`].
-///
-/// [`ThreeTierBuilder`] remains the chain special case; `MeshBuilder` is
-/// the general form used by the `repro mesh` scenarios (fan-out services,
-/// cache tiers, heterogeneous VM types).
+/// tier, with the call structure supplied per request by its profile's
+/// [`TopologyGraph`]. Every world is built here: [`ThreeTierBuilder`] is
+/// the chain preset, and the `repro mesh` scenarios add fan-out services,
+/// cache tiers and heterogeneous VM types.
 ///
 /// # Examples
 ///
@@ -506,15 +471,15 @@ mod tests {
 
     #[test]
     fn chain_shaped_mesh_specs_match_three_tier_builder() {
-        // Degeneracy: a mesh configured as the paper's chain must install
-        // the *same* tier specs as the dedicated chain builder.
+        // The chain preset must install the *same* tier specs as a mesh
+        // configured by hand as the paper's chain.
         let three = ThreeTierBuilder::new().counts(1, 2, 1).seed(7);
         let mesh = chain_mesh(&three);
-        assert_eq!(mesh.tier_specs(), three.tier_specs());
         let (mw, _me) = mesh.build();
         let (tw, _te) = three.build();
         assert_eq!(mw.system.tier_count(), tw.system.tier_count());
-        for m in 0..3 {
+        for (m, spec) in mesh.tier_specs().iter().enumerate() {
+            assert_eq!(tw.system.tier(m).spec(), spec);
             assert_eq!(mw.system.running_count(m), tw.system.running_count(m));
         }
     }

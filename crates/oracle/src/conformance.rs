@@ -12,7 +12,6 @@ use dcm_ntier::topology::{SoftConfig, ThreeTierBuilder};
 use dcm_sim::dist::Dist;
 use dcm_sim::time::SimTime;
 use dcm_workload::cohort::CohortPopulation;
-use dcm_workload::generator::UserPopulation;
 use dcm_workload::profile::ProfileFactory;
 use dcm_workload::servlets::{Servlet, ServletMix};
 use serde::{Deserialize, Serialize};
@@ -171,36 +170,22 @@ impl ConformancePoint {
     }
 }
 
-/// Runs one scenario at one population and compares against the oracle.
+/// Runs one scenario at one population of users in cohorts of
+/// `cohort_size` ([`CohortPopulation`]; 1 is the per-user run) and
+/// compares against the oracle. Larger cohorts re-order RNG draws across
+/// members, so the sample path differs from the per-user run — but the
+/// stationary distribution must not: every point is gated against the
+/// same exact-MVA oracle.
 ///
 /// # Panics
 ///
-/// Panics if the scenario index is inconsistent (population not in the
-/// scenario's sweep is allowed — any population works) or the DES produces
-/// no completions in the window.
-pub fn run_scenario(scenario: &Scenario, population: u32, seed: u64) -> ConformancePoint {
-    run_scenario_inner(scenario, population, seed, None)
-}
-
-/// Like [`run_scenario`], but drives the system with the cohort-aggregated
-/// generator ([`CohortPopulation`]) at the given cohort size. Aggregation
-/// re-orders RNG draws across members, so the sample path differs from the
-/// per-user run — but the stationary distribution must not: the point is
-/// gated against the same exact-MVA oracle.
-pub fn run_scenario_cohort(
+/// Panics if `cohort_size` is zero or the DES produces no completions in
+/// the window (any population works, in the scenario's sweep or not).
+pub fn run_scenario(
     scenario: &Scenario,
     population: u32,
     seed: u64,
     cohort_size: u32,
-) -> ConformancePoint {
-    run_scenario_inner(scenario, population, seed, Some(cohort_size))
-}
-
-fn run_scenario_inner(
-    scenario: &Scenario,
-    population: u32,
-    seed: u64,
-    cohort: Option<u32>,
 ) -> ConformancePoint {
     let (w, a, d) = scenario.counts;
     let horizon = scenario.warmup + scenario.measure + 60.0;
@@ -232,31 +217,15 @@ fn run_scenario_inner(
             Dist::constant(scenario.app_demand),
             Dist::exponential_mean(scenario.db_demand),
         );
-    let think = Some(Dist::constant(scenario.think));
-    let stop = SimTime::from_secs_f64(horizon);
-    match cohort {
-        Some(size) => {
-            let _pop = CohortPopulation::start_with_think_dist(
-                &mut world,
-                &mut engine,
-                factory,
-                population,
-                size,
-                think,
-                stop,
-            );
-        }
-        None => {
-            let _pop = UserPopulation::start_with_think_dist(
-                &mut world,
-                &mut engine,
-                factory,
-                population,
-                think,
-                stop,
-            );
-        }
-    }
+    let _pop = CohortPopulation::start_with_think_dist(
+        &mut world,
+        &mut engine,
+        factory,
+        population,
+        cohort_size,
+        Some(Dist::constant(scenario.think)),
+        SimTime::from_secs_f64(horizon),
+    );
 
     engine.run_until(&mut world, SimTime::from_secs_f64(scenario.warmup));
     let t0 = engine.now();
@@ -490,7 +459,7 @@ mod tests {
         let mut s = default_grid().into_iter().next().unwrap();
         s.warmup = 30.0;
         s.measure = 400.0;
-        let point = run_scenario(&s, 8, 1234);
+        let point = run_scenario(&s, 8, 1234, 1);
         assert_eq!(point.audit_violations, 0);
         assert!(point.bound_ok, "bound violated: {point:?}");
         assert!(point.max_rel_err() < 0.10, "errors too large: {point:?}");
@@ -503,7 +472,7 @@ mod tests {
         let mut s = default_grid().into_iter().next().unwrap();
         s.warmup = 30.0;
         s.measure = 400.0;
-        let point = run_scenario_cohort(&s, 8, 1234, 4);
+        let point = run_scenario(&s, 8, 1234, 4);
         assert_eq!(point.audit_violations, 0);
         assert!(point.bound_ok, "bound violated: {point:?}");
         assert!(point.max_rel_err() < 0.10, "errors too large: {point:?}");
@@ -520,7 +489,7 @@ mod tests {
         for (i, s) in default_grid().iter().enumerate() {
             for (j, &n) in s.populations.iter().enumerate() {
                 let seed = (i as u64) * 100 + j as u64 + 7;
-                let p = run_scenario(s, n, seed);
+                let p = run_scenario(s, n, seed, 1);
                 eprintln!(
                     "{:>9} N={:<3} X: {:.4}/{:.4} ({:+.3}%)  R: web {:+.3}% app {:+.3}% db {:+.3}%  Q_db {:+.3}%  audits={}",
                     p.scenario,

@@ -33,8 +33,7 @@ pub mod mesh;
 pub mod planner;
 
 pub use conformance::{
-    default_grid, run_scenario, run_scenario_cohort, ConformancePoint, Scenario, ScenarioKind,
-    TierComparison,
+    default_grid, run_scenario, ConformancePoint, Scenario, ScenarioKind, TierComparison,
 };
 pub use mesh::{
     default_mesh_grid, run_mesh_scenario, CacheSpec, MeshNodeSpec, MeshPoint, MeshScenario,

@@ -36,8 +36,8 @@ use dcm_ntier::topology::{MeshBuilder, MeshNode};
 use dcm_sim::dist::Dist;
 use dcm_sim::time::SimTime;
 use dcm_workload::cache::CacheDynamics;
-use dcm_workload::generator::UserPopulation;
-use dcm_workload::profile::{MeshProfileFactory, NodeDemand};
+use dcm_workload::cohort::CohortPopulation;
+use dcm_workload::profile::{NodeDemand, ProfileFactory};
 use serde::{Deserialize, Serialize};
 
 use crate::conformance::TierComparison;
@@ -162,7 +162,7 @@ impl MeshScenario {
     }
 
     /// The workload factory driving the DES side.
-    pub fn factory(&self) -> MeshProfileFactory {
+    pub fn factory(&self) -> ProfileFactory {
         let graph = self.graph();
         let mut demands = Vec::with_capacity(self.nodes.len());
         for (m, node) in self.nodes.iter().enumerate() {
@@ -181,7 +181,7 @@ impl MeshScenario {
             }
             demands.push(d);
         }
-        let factory = MeshProfileFactory::new(graph, demands);
+        let factory = ProfileFactory::new(graph, demands);
         match self.cache {
             Some(c) => factory.with_cache(c.from, c.to, CacheDynamics::steady(c.hit_ratio)),
             None => factory,
@@ -278,16 +278,14 @@ pub fn run_mesh_scenario(scenario: &MeshScenario, population: u32, seed: u64) ->
     let (mut world, mut engine) = scenario.build_world(seed);
     world.system.enable_tracing();
 
-    let factory = scenario.factory();
-    let think = Some(Dist::constant(scenario.think));
-    let stop = SimTime::from_secs_f64(horizon);
-    let _pop = UserPopulation::start_with_think_dist(
+    let _pop = CohortPopulation::start_with_think_dist(
         &mut world,
         &mut engine,
-        factory,
+        scenario.factory(),
         population,
-        think,
-        stop,
+        1,
+        Some(Dist::constant(scenario.think)),
+        SimTime::from_secs_f64(horizon),
     );
 
     engine.run_until(&mut world, SimTime::from_secs_f64(scenario.warmup));

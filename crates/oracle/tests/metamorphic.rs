@@ -11,8 +11,8 @@ use dcm_ntier::topology::{MeshBuilder, MeshNode, SoftConfig, ThreeTierBuilder};
 use dcm_oracle::{run_scenario, Scenario, ScenarioKind};
 use dcm_sim::dist::Dist;
 use dcm_sim::time::SimTime;
-use dcm_workload::generator::UserPopulation;
-use dcm_workload::profile::{MeshProfileFactory, NodeDemand, ProfileFactory};
+use dcm_workload::cohort::CohortPopulation;
+use dcm_workload::profile::{NodeDemand, ProfileFactory};
 
 /// Doubling every tier's server count AND the client population in a
 /// zero-overhead configuration leaves per-server utilization and mean
@@ -43,8 +43,8 @@ fn doubling_servers_and_load_preserves_per_server_state() {
         counts: (2, 2, 2),
         ..base.clone()
     };
-    let one = run_scenario(&base, 10, 9001);
-    let two = run_scenario(&doubled, 20, 9002);
+    let one = run_scenario(&base, 10, 9001, 1);
+    let two = run_scenario(&doubled, 20, 9002, 1);
     assert_eq!(one.audit_violations, 0);
     assert_eq!(two.audit_violations, 0);
 
@@ -97,7 +97,7 @@ fn permuting_identical_tier_configuration_is_bit_identical() {
             dcm_sim::dist::Dist::constant(demand),
             dcm_sim::dist::Dist::exponential_mean(demand),
         );
-        let pop = UserPopulation::start_think_time(
+        let pop = CohortPopulation::start_think_time(
             &mut world,
             &mut engine,
             factory,
@@ -117,51 +117,6 @@ fn permuting_identical_tier_configuration_is_bit_identical() {
     assert!(counters_a.completed > 1000, "sanity: the run did something");
     assert_eq!(
         finishes_a, finishes_b,
-        "per-request finish timestamps must be bit-identical"
-    );
-}
-
-/// The chain is the degenerate DAG: attaching the explicit chain graph to
-/// the request profiles (which routes every request through the
-/// DAG-dispatch path instead of the fixed-chain path) must reproduce the
-/// plain chain simulation bit for bit — same counters, same per-request
-/// finish timestamps.
-#[test]
-fn chain_graph_dispatch_is_bit_identical_to_plain_chain() {
-    let run = |chain_graph: bool| {
-        let (mut world, mut engine) = ThreeTierBuilder::new()
-            .counts(1, 2, 1)
-            .soft(SoftConfig::new(1000, 60, 24))
-            .seed(8080)
-            .build();
-        let factory = if chain_graph {
-            ProfileFactory::rubbos().with_chain_graph()
-        } else {
-            ProfileFactory::rubbos()
-        };
-        let pop = UserPopulation::start_think_time(
-            &mut world,
-            &mut engine,
-            factory,
-            40,
-            1.0,
-            SimTime::from_secs(120),
-        );
-        engine.run(&mut world);
-        let counters = world.system.counters();
-        let finishes =
-            pop.with_completions(|log| log.iter().map(|c| c.finished).collect::<Vec<_>>());
-        (counters, finishes)
-    };
-    let (counters_plain, finishes_plain) = run(false);
-    let (counters_dag, finishes_dag) = run(true);
-    assert_eq!(
-        counters_plain, counters_dag,
-        "DAG dispatch of the chain graph must not change outcomes"
-    );
-    assert!(counters_plain.completed > 1000, "sanity: the run did work");
-    assert_eq!(
-        finishes_plain, finishes_dag,
         "per-request finish timestamps must be bit-identical"
     );
 }
@@ -188,7 +143,7 @@ fn single_flavor_vm_policy_is_bit_identical_to_homogeneous_default() {
             .node(node("db", reference::mysql(), 800))
             .seed(6060)
             .build();
-        let factory = MeshProfileFactory::new(
+        let factory = ProfileFactory::new(
             graph,
             vec![
                 NodeDemand::split(Dist::constant(0.002)),
@@ -197,7 +152,7 @@ fn single_flavor_vm_policy_is_bit_identical_to_homogeneous_default() {
             ],
         );
         let pop =
-            UserPopulation::start_think_time(&mut world, &mut engine, factory, 30, 1.0, horizon);
+            CohortPopulation::start_think_time(&mut world, &mut engine, factory, 30, 1.0, horizon);
         engine.run(&mut world);
         let counters = world.system.counters();
         let finishes =

@@ -196,7 +196,7 @@ pub fn index_of_dispersion(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generator::UserPopulation;
+    use crate::cohort::CohortPopulation;
     use crate::profile::ProfileFactory;
     use dcm_ntier::topology::ThreeTierBuilder;
 
@@ -244,7 +244,7 @@ mod tests {
             let (mut world, mut engine) = ThreeTierBuilder::new().seed(9).build();
             let stop = SimTime::from_secs(400);
             let modulator = mmpp.map(|config| MmppModulator::install(&mut engine, config, stop));
-            let pop = UserPopulation::start_think_time_modulated(
+            let pop = CohortPopulation::start_think_time_modulated(
                 &mut world,
                 &mut engine,
                 ProfileFactory::rubbos(),

@@ -1,56 +1,63 @@
-//! Cohort-aggregated closed-loop users for fleet-scale simulation.
+//! Closed-loop virtual users multiplexed onto per-cohort timers: the one
+//! population state machine behind every workload generator.
 //!
-//! A [`CohortPopulation`] drives the same submit → complete → think cycle
-//! as [`crate::generator::UserPopulation`], but multiplexes many virtual
-//! users onto a handful of engine timers. Users are partitioned into
-//! cohorts of `cohort_size`; each cohort keeps a private min-heap of
-//! member wake-up times and arms **one** engine event for the earliest of
-//! them. When that event fires, every member due at or before the firing
-//! time submits in wake-up order, and the timer re-arms for the next due
-//! member. The event-queue footprint is thus `O(users / cohort_size)`
-//! instead of `O(users)` — at a million users with 256-user cohorts the
-//! event queue holds ~4 k population timers instead of a million.
+//! A [`CohortPopulation`] drives the submit → complete → think cycle of
+//! its virtual users. Users are partitioned into cohorts of `cohort_size`:
+//! member *k* (in spawn order) joins cohort *k / cohort_size*. Each cohort
+//! keeps a private min-heap of member wake-up times and arms **one**
+//! engine event for the earliest of them. When that event fires, every
+//! member due at or before the firing time submits in wake-up order, and
+//! the timer re-arms for the next due member. The event-queue footprint is
+//! thus `O(users / cohort_size)` instead of `O(users)` — at a million users
+//! with 256-user cohorts the event queue holds ~4 k population timers
+//! instead of a million.
 //!
-//! ## When aggregation is exact
+//! ## A per-user population is a cohort of one
 //!
-//! Cohort multiplexing is a *scheduling* change, not a modelling change:
-//! every member still samples its own profile and think time from the
-//! shared RNG and submits an individual request, so the stochastic process
-//! is the same closed queueing network. With `cohort_size == 1` the
-//! schedule is literally identical — each cohort holds one member, the
-//! timer is that member's think-time event, and the RNG draw order matches
-//! [`crate::generator::UserPopulation`] exactly, so runs are bit-identical
-//! (asserted by a metamorphic test). For larger cohorts, members whose
-//! wake-ups share a firing batch submit in due order rather than each from
-//! its own event, which permutes RNG draw order across members: sample
-//! paths differ run-to-run from the per-user generator, but the stationary
-//! distribution does not — `repro validate` checks the aggregated DES
-//! against exact MVA under the same 2 % / 5 % gates as the per-user DES.
+//! With `cohort_size == 1` each cohort holds one member, and its timer is
+//! that member's think-time event: every wake-up is one `schedule_fn_at`
+//! at the member's due instant, with no cancels. The state machine arms
+//! that event directly rather than through a one-entry heap, whose
+//! bookkeeping cost `chaos` (all per-user) about 7 % of its host time.
+//! The per-user generators ([`crate::generator`]) are this case.
 //!
-//! Cohort mode intentionally omits the per-user extras (client retry,
-//! request deadlines, think-time modulation): the fleet experiments that
-//! need millions of users use none of them, and the per-user generator
-//! remains available when they matter.
+//! For larger cohorts, members whose wake-ups share a firing batch submit
+//! in due order rather than each from its own event, which permutes RNG
+//! draw order across members: sample paths differ from the per-user run,
+//! but the stationary distribution does not — `repro validate` checks the
+//! aggregated DES against exact MVA under the same 2 % / 5 % gates as the
+//! per-user DES.
 //!
-//! Like the per-user generator, a cohort population registers its state in
-//! the world's [`ClientTable`](dcm_ntier::world::ClientTable): cohort
-//! timers and completion callbacks are plain functions whose payload packs
-//! the table index and the cohort index, and profiles are sampled into
-//! recycled buffers, so a member's cycle allocates nothing.
+//! Every population, whatever its cohort size, supports the trace-driven
+//! target ([`CohortPopulation::set_target`]: new members are appended,
+//! surplus members retire lazily at the end of their cycle), client retry
+//! with a shared token budget, a per-request deadline, think-time
+//! modulation, the offered-load series, the optional completion log and
+//! the aggregate [`CohortStats`].
+//!
+//! A population registers its state in the world's
+//! [`ClientTable`](dcm_ntier::world::ClientTable): cohort timers and
+//! first-attempt completion callbacks are plain functions whose payload
+//! packs the table index and the cohort index, and profiles are sampled
+//! into recycled buffers, so a member's cycle allocates nothing. Only
+//! client retries (their backoff timer and the retried attempt's callback)
+//! use boxed closures.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::rc::Rc;
 
 use dcm_ntier::flow;
-use dcm_ntier::request::Completion;
+use dcm_ntier::request::{Completion, RequestProfile};
 use dcm_ntier::world::{SimEngine, World};
 use dcm_sim::dist::{Dist, Sample};
 use dcm_sim::engine::EventId;
+use dcm_sim::stats::TimeSeries;
 use dcm_sim::time::{SimDuration, SimTime};
 
-use crate::profile::WorkloadFactory;
+use crate::generator::RetryPolicy;
+use crate::profile::ProfileFactory;
 
 /// One cohort: a min-heap of member wake-up times and the single engine
 /// timer armed for the earliest of them. The heap holds
@@ -87,9 +94,10 @@ impl Cohort {
     }
 }
 
-/// Aggregate response-time statistics, maintained even when the full
-/// completion log is disabled (fleet runs keep memory flat by skipping
-/// the log).
+/// Aggregate response-time statistics over the logical requests (a
+/// retried request counts once, from its first submission), maintained
+/// even when the full completion log is disabled (fleet runs keep memory
+/// flat by skipping the log).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CohortStats {
     /// Completions observed (any outcome).
@@ -115,22 +123,47 @@ impl CohortStats {
 
 /// Shared state behind a [`CohortPopulation`].
 #[derive(Debug)]
-struct CohortState {
-    factory: WorkloadFactory,
+pub(crate) struct PopState {
+    factory: ProfileFactory,
     think: Option<Dist>,
+    pub(crate) think_multiplier: Option<Rc<Cell<f64>>>,
     stop_at: SimTime,
+    cohort_size: u32,
     target: u32,
     active: u32,
     log: Vec<Completion>,
     log_enabled: bool,
     stats: CohortStats,
+    pub(crate) offered: TimeSeries,
     total_spawned: u64,
+    retry: Option<RetryPolicy>,
+    retry_budget_left: u64,
+    retries_issued: u64,
+    deadline: Option<SimDuration>,
     cohorts: Vec<Cohort>,
+}
+
+impl PopState {
+    /// The cohort the `member`-th spawned member joins, appended when it
+    /// is new. A cohort of one keeps no cohort state: its member's think
+    /// timer is the member's own event (index 0 in every payload).
+    fn join_cohort(&mut self, member: u64) -> u32 {
+        if self.cohort_size == 1 {
+            return 0;
+        }
+        let cohort = member / u64::from(self.cohort_size);
+        let cohort = u32::try_from(cohort).expect("fewer than 2^32 cohorts");
+        if cohort as usize == self.cohorts.len() {
+            self.cohorts.push(Cohort::new());
+        }
+        cohort
+    }
 }
 
 /// A population of virtual users multiplexed onto per-cohort timers.
 ///
-/// Cloning the handle shares the same population.
+/// Cloning the handle shares the same population. Methods taking a world
+/// must be given the world the population was started in.
 ///
 /// # Examples
 ///
@@ -156,20 +189,24 @@ struct CohortState {
 /// ```
 #[derive(Debug, Clone)]
 pub struct CohortPopulation {
-    inner: Rc<RefCell<CohortState>>,
+    pub(crate) inner: Rc<RefCell<PopState>>,
     /// The population's index in its world's client table.
     client: u32,
 }
 
 impl CohortPopulation {
     /// Starts `users` clients in cohorts of `cohort_size`, each submitting
-    /// its first request immediately (the spawn order and RNG draw order
-    /// match [`crate::generator::UserPopulation`], so `cohort_size == 1`
-    /// reproduces it bit-identically). `think = None` is a closed loop.
+    /// its first request immediately; `think = None` is a closed loop. No
+    /// new requests are issued at or after `stop_at`.
     ///
     /// `cohort_size > users` collapses to a single cohort holding everyone
     /// and is bit-identical to `cohort_size == users`; a non-dividing
     /// `cohort_size` leaves the last cohort short by the remainder.
+    ///
+    /// Delay terminals are insensitive to the think distribution in
+    /// product-form networks, so the conformance harness uses a constant
+    /// think time here to cut measurement variance without leaving the
+    /// model class.
     ///
     /// # Panics
     ///
@@ -177,26 +214,14 @@ impl CohortPopulation {
     pub fn start_with_think_dist(
         world: &mut World,
         engine: &mut SimEngine,
-        factory: impl Into<WorkloadFactory>,
+        factory: ProfileFactory,
         users: u32,
         cohort_size: u32,
         think: Option<Dist>,
         stop_at: SimTime,
     ) -> Self {
-        let pop = Self::build(world, factory, think, users, cohort_size, stop_at);
-        for member in 0..users {
-            {
-                let mut st = pop.inner.borrow_mut();
-                st.active += 1;
-                st.total_spawned += 1;
-            }
-            wake_member(
-                &pop.inner,
-                world,
-                engine,
-                payload(pop.client, member / cohort_size),
-            );
-        }
+        let pop = Self::build(world, engine, factory, think, users, cohort_size, stop_at);
+        pop.spawn_to_target(world, engine);
         pop
     }
 
@@ -215,15 +240,23 @@ impl CohortPopulation {
     pub fn start_staggered(
         world: &mut World,
         engine: &mut SimEngine,
-        factory: impl Into<WorkloadFactory>,
+        factory: ProfileFactory,
         users: u32,
         cohort_size: u32,
         think: Dist,
         stop_at: SimTime,
     ) -> Self {
-        let pop = Self::build(world, factory, Some(think), users, cohort_size, stop_at);
+        let pop = Self::build(
+            world,
+            engine,
+            factory,
+            Some(think),
+            users,
+            cohort_size,
+            stop_at,
+        );
         let now = engine.now();
-        {
+        let cohorts = {
             let mut st = pop.inner.borrow_mut();
             st.active = users;
             st.total_spawned = u64::from(users);
@@ -233,11 +266,16 @@ impl CohortPopulation {
                     .as_ref()
                     .expect("staggered start has a think dist")
                     .sample(&mut world.rng);
-                let cohort = (member / cohort_size) as usize;
-                st.cohorts[cohort].push(now + SimDuration::from_secs_f64(delay));
+                let due = now + SimDuration::from_secs_f64(delay);
+                let cohort = st.join_cohort(u64::from(member));
+                if cohort_size == 1 {
+                    engine.schedule_fn_at(due, member_wake, payload(pop.client, cohort));
+                } else {
+                    st.cohorts[cohort as usize].push(due);
+                }
             }
-        }
-        let cohorts = pop.inner.borrow().cohorts.len() as u32;
+            st.cohorts.len() as u32
+        };
         for cohort in 0..cohorts {
             rearm(&pop.inner, engine, payload(pop.client, cohort));
         }
@@ -246,28 +284,67 @@ impl CohortPopulation {
 
     fn build(
         world: &mut World,
-        factory: impl Into<WorkloadFactory>,
+        engine: &SimEngine,
+        factory: ProfileFactory,
         think: Option<Dist>,
         users: u32,
         cohort_size: u32,
         stop_at: SimTime,
     ) -> Self {
         assert!(cohort_size > 0, "cohort size must be positive");
-        let cohorts = users.div_ceil(cohort_size) as usize;
-        let inner = Rc::new(RefCell::new(CohortState {
-            factory: factory.into(),
+        let mut offered = TimeSeries::new();
+        offered.push(engine.now(), f64::from(users));
+        let inner = Rc::new(RefCell::new(PopState {
+            factory,
             think,
+            think_multiplier: None,
             stop_at,
+            cohort_size,
             target: users,
             active: 0,
             log: Vec::new(),
             log_enabled: true,
             stats: CohortStats::default(),
+            offered,
             total_spawned: 0,
-            cohorts: (0..cohorts).map(|_| Cohort::new()).collect(),
+            retry: None,
+            retry_budget_left: 0,
+            retries_issued: 0,
+            deadline: None,
+            cohorts: Vec::new(),
         }));
         let client = world.clients.register(Rc::clone(&inner));
         CohortPopulation { inner, client }
+    }
+
+    /// Changes the user target; new members spawn immediately (joining
+    /// cohorts by spawn order, new cohorts appended as needed), surplus
+    /// members retire lazily at the end of their current cycle (as real
+    /// users leave after their in-flight page load).
+    pub fn set_target(&self, world: &mut World, engine: &mut SimEngine, users: u32) {
+        {
+            let mut st = self.inner.borrow_mut();
+            st.target = users;
+            let now = engine.now();
+            st.offered.push(now, f64::from(users));
+        }
+        self.spawn_to_target(world, engine);
+    }
+
+    fn spawn_to_target(&self, world: &mut World, engine: &mut SimEngine) {
+        loop {
+            let cohort = {
+                let mut st = self.inner.borrow_mut();
+                if st.active >= st.target || engine.now() >= st.stop_at {
+                    return;
+                }
+                let member = st.total_spawned;
+                st.active += 1;
+                st.total_spawned += 1;
+                st.join_cohort(member)
+            };
+            wake_member(&self.inner, world, engine, payload(self.client, cohort));
+        }
     }
 
     /// Disables the per-completion log (aggregate [`CohortStats`] are
@@ -277,12 +354,31 @@ impl CohortPopulation {
         self.inner.borrow_mut().log_enabled = false;
     }
 
+    /// Enables client-side retry for every user of this population.
+    /// Applies to requests whose *completion* arrives after the call, so
+    /// configure it right after `start_*`, before running the engine. The
+    /// completion logged for a retried request carries the *first*
+    /// attempt's submission time (client-perceived latency), and only the
+    /// final attempt is logged.
+    pub fn set_client_retry(&self, policy: RetryPolicy) {
+        let mut st = self.inner.borrow_mut();
+        st.retry_budget_left = policy.budget;
+        st.retry = Some(policy);
+    }
+
+    /// Sets a per-request client deadline: requests not finished within
+    /// `deadline` are abandoned (and, with a retry policy, retried).
+    /// Applies to requests submitted after the call.
+    pub fn set_request_deadline(&self, deadline: SimDuration) {
+        self.inner.borrow_mut().deadline = Some(deadline);
+    }
+
     /// Currently active virtual users.
     pub fn active_users(&self) -> u32 {
         self.inner.borrow().active
     }
 
-    /// The (fixed) population target.
+    /// The population target currently in effect.
     pub fn target_users(&self) -> u32 {
         self.inner.borrow().target
     }
@@ -292,23 +388,32 @@ impl CohortPopulation {
         self.inner.borrow().total_spawned
     }
 
-    /// Number of completions observed (log entries when the log is on;
-    /// the aggregate count always).
+    /// Number of logical requests completed (any outcome; counted even
+    /// after [`Self::disable_log`]).
     pub fn completion_count(&self) -> usize {
         self.inner.borrow().stats.completed as usize
     }
 
     /// Runs `f` over the completion log without copying (the log is empty
-    /// after [`Self::disable_log`]). Callers that need an owned copy do
-    /// `with_completions(<[Completion]>::to_vec)` at their own expense —
-    /// there is deliberately no cloning accessor on the cohort hot path.
+    /// after [`Self::disable_log`]).
     pub fn with_completions<R>(&self, f: impl FnOnce(&[Completion]) -> R) -> R {
         f(&self.inner.borrow().log)
+    }
+
+    /// Moves the completion log out, leaving it empty — for a caller done
+    /// with the population, which need not pay for a copy.
+    pub fn take_completions(&self) -> Vec<Completion> {
+        std::mem::take(&mut self.inner.borrow_mut().log)
     }
 
     /// Aggregate response-time statistics.
     pub fn stats(&self) -> CohortStats {
         self.inner.borrow().stats
+    }
+
+    /// Retries issued so far (each consumed one budget token).
+    pub fn retries_issued(&self) -> u64 {
+        self.inner.borrow().retries_issued
     }
 }
 
@@ -323,41 +428,111 @@ fn cohort_of(payload: u64) -> usize {
     payload as u32 as usize
 }
 
-/// The population and cohort index a [`payload`] addresses.
-fn unpack(world: &World, payload: u64) -> (Rc<RefCell<CohortState>>, usize) {
-    (
-        world.clients.get((payload >> 32) as u32),
-        cohort_of(payload),
-    )
+/// The population a [`payload`] addresses.
+fn population(world: &World, payload: u64) -> Rc<RefCell<PopState>> {
+    world.clients.get((payload >> 32) as u32)
 }
 
 /// One member of the payload's cohort wakes up *now*: retire it if the run
-/// is over, otherwise sample a profile and submit. Mirrors the per-user
-/// `user_cycle` check-sample-submit order exactly.
-fn wake_member(
-    state: &RefCell<CohortState>,
-    world: &mut World,
-    engine: &mut SimEngine,
-    payload: u64,
-) {
-    let profile = {
+/// is over or the population shrank, otherwise sample a profile and
+/// submit.
+fn wake_member(state: &RefCell<PopState>, world: &mut World, engine: &mut SimEngine, payload: u64) {
+    let (profile, deadline) = {
         let mut st = state.borrow_mut();
         if engine.now() >= st.stop_at || st.active > st.target {
             st.active -= 1;
             return;
         }
         let spare = world.system.recycled_profile();
-        st.factory.sample_reusing(&mut world.rng, spare)
+        let profile = st.factory.sample_reusing(&mut world.rng, spare);
+        (profile, st.deadline)
     };
-    flow::submit_fn(world, engine, profile, None, member_done, payload);
+    flow::submit_fn(world, engine, profile, deadline, member_done, payload);
 }
 
-/// A member's request left the system: record it, sample the member's
-/// think time and queue its wake-up in the cohort.
+/// Completion callback of a logical request's first attempt.
 fn member_done(w: &mut World, e: &mut SimEngine, completion: Completion, payload: u64) {
-    let (state, cohort) = unpack(w, payload);
+    attempt_done(w, e, completion, payload, 1, None);
+}
+
+/// Submits a retry of a logical request: attempt `attempt` of `profile`,
+/// first submitted at `first`. Retries are rare, so the callback carrying
+/// the attempt number and first submission time is a boxed closure.
+fn submit_retry(
+    world: &mut World,
+    engine: &mut SimEngine,
+    payload: u64,
+    profile: RequestProfile,
+    attempt: u32,
+    first: SimTime,
+) {
+    let deadline = population(world, payload).borrow().deadline;
+    let callback: dcm_ntier::system::CompletionCallback =
+        Box::new(move |w: &mut World, e: &mut SimEngine, done: Completion| {
+            attempt_done(w, e, done, payload, attempt, Some(first));
+        });
+    match deadline {
+        Some(d) => {
+            flow::submit_with_deadline(world, engine, profile, d, callback);
+        }
+        None => {
+            flow::submit(world, engine, profile, callback);
+        }
+    }
+}
+
+/// One attempt of a logical request finished. On a non-success outcome
+/// with retry attempts and budget remaining, the same profile (handed back
+/// by the system) is resubmitted after an exponential backoff; otherwise
+/// the (final) completion is recorded — stamped with the first attempt's
+/// submission time, so reports measure client-perceived latency — and the
+/// member thinks: its wake-up is queued in its cohort, or armed as its own
+/// timer in a cohort of one.
+fn attempt_done(
+    w: &mut World,
+    e: &mut SimEngine,
+    completion: Completion,
+    payload: u64,
+    attempt: u32,
+    first_submitted: Option<SimTime>,
+) {
+    let state = population(w, payload);
+    let first = first_submitted.unwrap_or(completion.submitted);
+    let backoff = {
+        let mut st = state.borrow_mut();
+        match st.retry {
+            Some(policy)
+                if !completion.is_success()
+                    && attempt < policy.max_attempts
+                    && st.retry_budget_left > 0
+                    && e.now() < st.stop_at =>
+            {
+                st.retry_budget_left -= 1;
+                st.retries_issued += 1;
+                Some(policy.base_backoff_secs * policy.backoff_multiplier.powi(attempt as i32 - 1))
+            }
+            _ => None,
+        }
+    };
+    if let Some(backoff_secs) = backoff {
+        let profile = w
+            .system
+            .take_finished_profile()
+            .expect("a completion callback is handed its request's profile");
+        e.schedule_in(
+            SimDuration::from_secs_f64(backoff_secs),
+            move |w: &mut World, e: &mut SimEngine| {
+                submit_retry(w, e, payload, profile, attempt + 1, first);
+            },
+        );
+        return;
+    }
     {
         let mut st = state.borrow_mut();
+        let completion = Completion {
+            submitted: first,
+            ..completion
+        };
         st.stats.completed += 1;
         if completion.is_success() {
             st.stats.succeeded += 1;
@@ -368,15 +543,31 @@ fn member_done(w: &mut World, e: &mut SimEngine, completion: Completion, payload
         if st.log_enabled {
             st.log.push(completion);
         }
-        let think = st
+        let base = st
             .think
             .as_ref()
             .map(|d| d.sample(&mut w.rng))
             .unwrap_or(0.0);
-        let due = e.now() + SimDuration::from_secs_f64(think);
-        st.cohorts[cohort].push(due);
+        let multiplier = st.think_multiplier.as_ref().map_or(1.0, |cell| cell.get());
+        // Zero think time still goes through the queue (as the next
+        // same-time event) instead of recursing, so long closed-loop runs
+        // keep a flat stack.
+        let due = e.now() + SimDuration::from_secs_f64(base * multiplier);
+        if st.cohort_size > 1 {
+            st.cohorts[cohort_of(payload)].push(due);
+        } else {
+            drop(st);
+            e.schedule_fn_at(due, member_wake, payload);
+            return;
+        }
     }
     rearm(&state, e, payload);
+}
+
+/// The think timer of a cohort of one fired: its member wakes.
+fn member_wake(world: &mut World, engine: &mut SimEngine, payload: u64) {
+    let state = population(world, payload);
+    wake_member(&state, world, engine, payload);
 }
 
 /// The armed timer of the payload's cohort fired: wake every member due
@@ -385,7 +576,8 @@ fn member_done(w: &mut World, e: &mut SimEngine, completion: Completion, payload
 /// heap without extending this batch), then re-arm for the next due
 /// member.
 fn cohort_fire(world: &mut World, engine: &mut SimEngine, payload: u64) {
-    let (state, cohort) = unpack(world, payload);
+    let state = population(world, payload);
+    let cohort = cohort_of(payload);
     let now = engine.now();
     let batch = {
         let mut st = state.borrow_mut();
@@ -406,7 +598,7 @@ fn cohort_fire(world: &mut World, engine: &mut SimEngine, payload: u64) {
 /// Ensures the payload's cohort timer is armed for its earliest due member
 /// (re-arming only when a new wake-up undercuts the current timer, so the
 /// common completion path costs one heap push and a comparison).
-fn rearm(state: &RefCell<CohortState>, engine: &mut SimEngine, payload: u64) {
+fn rearm(state: &RefCell<PopState>, engine: &mut SimEngine, payload: u64) {
     let cohort = cohort_of(payload);
     let (arm_at, stale) = {
         let st = state.borrow();
@@ -436,23 +628,7 @@ fn rearm(state: &RefCell<CohortState>, engine: &mut SimEngine, payload: u64) {
 mod tests {
     use super::*;
 
-    use crate::generator::UserPopulation;
-    use crate::profile::ProfileFactory;
     use dcm_ntier::topology::ThreeTierBuilder;
-
-    fn run_per_user(seed: u64, users: u32, think: Option<Dist>) -> (Vec<Completion>, u64) {
-        let (mut world, mut engine) = ThreeTierBuilder::new().seed(seed).build();
-        let pop = UserPopulation::start_with_think_dist(
-            &mut world,
-            &mut engine,
-            ProfileFactory::rubbos(),
-            users,
-            think,
-            SimTime::from_secs(20),
-        );
-        engine.run(&mut world);
-        (pop.completions(), engine.executed())
-    }
 
     fn run_cohort(
         seed: u64,
@@ -475,19 +651,6 @@ mod tests {
             pop.with_completions(<[Completion]>::to_vec),
             engine.executed(),
         )
-    }
-
-    /// The metamorphic anchor: cohorts of one ARE the per-user generator —
-    /// same completions bit-for-bit, same event count.
-    #[test]
-    fn cohort_of_one_is_bit_identical_to_per_user() {
-        for think in [Some(Dist::exponential_mean(0.4)), None] {
-            let (per_user, per_user_events) = run_per_user(11, 12, think.clone());
-            let (cohort, cohort_events) = run_cohort(11, 12, 1, think);
-            assert!(!per_user.is_empty());
-            assert_eq!(per_user, cohort, "completion logs diverged");
-            assert_eq!(per_user_events, cohort_events, "event counts diverged");
-        }
     }
 
     /// Aggregation preserves the workload's scale: same users, same think
@@ -627,6 +790,96 @@ mod tests {
         assert_eq!(pop.completion_count(), 0);
         assert_eq!(pop.total_spawned(), 0);
         assert_eq!(world.system.counters().submitted, 0);
+    }
+
+    /// Cohorts carry the per-user extras: client retry, a deadline and
+    /// faults drain cleanly, conserve every request, and log each logical
+    /// request once however many attempts it took.
+    #[test]
+    fn cohorts_retry_and_time_out_through_faults() {
+        use dcm_ntier::audit::ConservationAuditor;
+        use dcm_ntier::faults::install_fault_plan;
+        use dcm_sim::faults::FaultPlan;
+
+        let (mut world, mut engine) = ThreeTierBuilder::new().counts(1, 3, 1).seed(37).build();
+        world.system.enable_tracing();
+        let auditor = ConservationAuditor::begin(&world.system, engine.now());
+        install_fault_plan(
+            &mut world,
+            &mut engine,
+            &FaultPlan::none()
+                .with_crash(30.0, 1, 0)
+                .with_transient_failures(0.002),
+        );
+        let pop = CohortPopulation::start_with_think_dist(
+            &mut world,
+            &mut engine,
+            ProfileFactory::rubbos(),
+            240,
+            8,
+            Some(Dist::exponential_mean(1.0)),
+            SimTime::from_secs(90),
+        );
+        pop.set_client_retry(RetryPolicy::default());
+        pop.set_request_deadline(SimDuration::from_secs(8));
+        engine.run(&mut world);
+
+        let c = world.system.counters();
+        assert_eq!(c.in_flight(), 0, "the run drains");
+        assert!(c.failed > 0, "the crash and transient faults strike");
+        assert!(pop.retries_issued() > 0, "failed requests are retried");
+        let spans = world.system.take_spans();
+        auditor
+            .finish(&world.system, &spans, engine.now())
+            .assert_clean();
+        let logged = pop.with_completions(<[Completion]>::len);
+        assert_eq!(logged, pop.completion_count());
+        assert_eq!(
+            logged as u64,
+            c.submitted - pop.retries_issued(),
+            "one completion per logical request"
+        );
+        assert_eq!(pop.active_users(), 0, "every member retires at stop");
+    }
+
+    /// The trace-driven target works at any cohort size: a step up
+    /// appends members (and cohorts), a step down retires the surplus as
+    /// members finish their cycle.
+    #[test]
+    fn cohort_target_follows_steps_up_and_down() {
+        let (mut world, mut engine) = ThreeTierBuilder::new().seed(41).build();
+        let pop = CohortPopulation::start_with_think_dist(
+            &mut world,
+            &mut engine,
+            ProfileFactory::rubbos(),
+            10,
+            4,
+            Some(Dist::exponential_mean(0.5)),
+            SimTime::from_secs(60),
+        );
+        engine.run_until(&mut world, SimTime::from_secs(10));
+        pop.set_target(&mut world, &mut engine, 30);
+        assert_eq!(pop.target_users(), 30);
+        assert_eq!(pop.active_users(), 30);
+        assert_eq!(pop.total_spawned(), 30);
+        assert_eq!(pop.inner.borrow().cohorts.len(), 8);
+
+        engine.run_until(&mut world, SimTime::from_secs(20));
+        pop.set_target(&mut world, &mut engine, 5);
+        // Every member cycles many times in 20 s at a 0.5 s mean think.
+        engine.run_until(&mut world, SimTime::from_secs(40));
+        assert_eq!(pop.target_users(), 5);
+        assert!(pop.active_users() <= 5, "still {}", pop.active_users());
+        assert_eq!(pop.total_spawned(), 30, "a step down spawns no one");
+
+        let remaining = pop.active_users();
+        pop.set_target(&mut world, &mut engine, 12);
+        assert_eq!(pop.total_spawned(), 30 + u64::from(12 - remaining));
+        engine.run(&mut world);
+        let offered: Vec<f64> = pop.offered_series().iter().map(|(_, v)| v).collect();
+        assert_eq!(offered, vec![10.0, 30.0, 5.0, 12.0]);
+        assert_eq!(pop.active_users(), 0);
+        assert_eq!(world.system.counters().in_flight(), 0);
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //!
 //! | Paper tool | Here | Role |
 //! |---|---|---|
-//! | Jmeter, zero think time | [`generator::UserPopulation::start_closed_loop`] | model training: offered concurrency = user count |
-//! | original RUBBoS client (3 s think) | [`generator::UserPopulation::start_think_time`] | model validation under realistic static load |
-//! | revised RUBBoS emulator + trace file | [`generator::UserPopulation::start_trace_driven`] | bursty Fig. 5 evaluation |
+//! | Jmeter, zero think time | [`cohort::CohortPopulation::start_closed_loop`] | model training: offered concurrency = user count |
+//! | original RUBBoS client (3 s think) | [`cohort::CohortPopulation::start_think_time`] | model validation under realistic static load |
+//! | revised RUBBoS emulator + trace file | [`cohort::CohortPopulation::start_trace_driven`] | bursty Fig. 5 evaluation |
 //!
 //! Plus the RUBBoS browse-only servlet mix ([`servlets`]), trace synthesis
 //! and parsing ([`traces`] — including the reconstructed "Large Variation"
@@ -28,7 +28,7 @@ pub use burstiness::{index_of_dispersion, MmppConfig, MmppModulator};
 pub use cache::CacheDynamics;
 pub use cohort::{CohortPopulation, CohortStats};
 pub use generator::{RetryPolicy, UserPopulation};
-pub use profile::{CacheEdge, MeshProfileFactory, NodeDemand, ProfileFactory, WorkloadFactory};
+pub use profile::{CacheEdge, NodeDemand, ProfileFactory};
 pub use report::{class_breakdown, shared_log, ClassStats, LoadReport, WindowedSeries};
 pub use servlets::{Servlet, ServletMix};
 pub use traces::{TraceError, WorkloadTrace};

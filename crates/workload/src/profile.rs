@@ -1,4 +1,5 @@
-//! Turning the servlet mix into per-request execution plans.
+//! Per-request execution plans: one factory samples [`RequestProfile`]s
+//! over any call graph, and the paper's RUBBoS deployment is its preset.
 
 use dcm_ntier::graph::TopologyGraph;
 use dcm_ntier::law::reference;
@@ -7,235 +8,9 @@ use dcm_sim::dist::{Dist, Sample};
 use dcm_sim::rng::SimRng;
 
 use crate::cache::CacheDynamics;
-use crate::servlets::ServletMix;
+use crate::servlets::{Servlet, ServletMix};
 
-/// Samples [`RequestProfile`]s for the three-tier RUBBoS deployment.
-///
-/// Per-tier demands are drawn from a base distribution scaled by the chosen
-/// servlet's multiplier; the base means default to the reference laws' `S⁰`
-/// so a server at the knee behaves exactly as the paper's model predicts.
-///
-/// # Examples
-///
-/// ```
-/// use dcm_workload::profile::ProfileFactory;
-/// use dcm_sim::rng::SimRng;
-///
-/// let factory = ProfileFactory::rubbos();
-/// let mut rng = SimRng::seed_from(1);
-/// let profile = factory.sample(&mut rng);
-/// assert_eq!(profile.tiers(), 3);
-/// assert!(profile.visits_to(2) >= 1);
-/// ```
-#[derive(Debug, Clone)]
-pub struct ProfileFactory {
-    mix: ServletMix,
-    web_base: Dist,
-    app_base: Dist,
-    db_base: Dist,
-    /// Fraction of app demand executed before the DB calls (the rest runs
-    /// after the last call returns).
-    app_pre_fraction: f64,
-    /// Insert the pass-through DB load-balancer tier (four-tier RUBBoS).
-    four_tier: bool,
-    /// Attach an explicit chain-shaped [`TopologyGraph`] to every sampled
-    /// profile (metamorphic check: the chain is the degenerate DAG).
-    attach_chain_graph: bool,
-}
-
-impl ProfileFactory {
-    /// The paper-matching factory: browse-only mix, per-tier demand means
-    /// equal to the reference laws' `S⁰`, moderate variability.
-    pub fn rubbos() -> Self {
-        ProfileFactory {
-            mix: ServletMix::browse_only(),
-            web_base: Dist::exponential_mean(reference::apache().s0()),
-            app_base: Dist::exponential_mean(reference::tomcat().s0()),
-            db_base: Dist::exponential_mean(reference::mysql().s0()),
-            app_pre_fraction: 0.5,
-            four_tier: false,
-            attach_chain_graph: false,
-        }
-    }
-
-    /// The paper's four-tier deployment: same demands, with each query
-    /// routed through the DB load-balancer tier (use together with
-    /// `ThreeTierBuilder::with_db_load_balancer`).
-    pub fn rubbos_four_tier() -> Self {
-        ProfileFactory {
-            four_tier: true,
-            ..Self::rubbos()
-        }
-    }
-
-    /// A deterministic variant (constant demands at the law means) for
-    /// noise-free unit tests and calibration runs.
-    pub fn rubbos_deterministic() -> Self {
-        ProfileFactory {
-            mix: ServletMix::browse_only(),
-            web_base: Dist::constant(reference::apache().s0()),
-            app_base: Dist::constant(reference::tomcat().s0()),
-            db_base: Dist::constant(reference::mysql().s0()),
-            app_pre_fraction: 0.5,
-            four_tier: false,
-            attach_chain_graph: false,
-        }
-    }
-
-    /// Attaches an explicit chain-shaped [`TopologyGraph`] to every sampled
-    /// profile. Demands, visit counts, and the RNG stream are untouched —
-    /// the chain is the degenerate DAG, so simulations driven by a
-    /// chain-graph factory must be bit-identical to the plain factory
-    /// (enforced by metamorphic tests).
-    pub fn with_chain_graph(mut self) -> Self {
-        self.attach_chain_graph = true;
-        self
-    }
-
-    /// Overrides the servlet mix.
-    pub fn with_mix(mut self, mix: ServletMix) -> Self {
-        self.mix = mix;
-        self
-    }
-
-    /// Overrides the per-tier base demand distributions
-    /// (web, app, db-per-query).
-    pub fn with_bases(mut self, web: Dist, app: Dist, db: Dist) -> Self {
-        self.web_base = web;
-        self.app_base = app;
-        self.db_base = db;
-        self
-    }
-
-    /// Sets the fraction of app-tier demand that runs before the DB calls.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fraction` is outside `[0, 1]`.
-    pub fn with_app_pre_fraction(mut self, fraction: f64) -> Self {
-        assert!((0.0..=1.0).contains(&fraction), "fraction must be in [0,1]");
-        self.app_pre_fraction = fraction;
-        self
-    }
-
-    /// The servlet mix in use.
-    pub fn mix(&self) -> &ServletMix {
-        &self.mix
-    }
-
-    /// Samples one request's execution plan.
-    pub fn sample(&self, rng: &mut SimRng) -> RequestProfile {
-        self.sample_reusing(rng, None)
-    }
-
-    /// Like [`ProfileFactory::sample`], rebuilding `spare` in place when
-    /// one is given (see [`RequestProfile::new_reusing`]): the same draws
-    /// and the same profile, without allocating once `spare`'s buffers are
-    /// large enough.
-    pub fn sample_reusing(
-        &self,
-        rng: &mut SimRng,
-        spare: Option<RequestProfile>,
-    ) -> RequestProfile {
-        let idx = self.mix.sample_index(rng);
-        let servlet = self.mix.servlet(idx);
-        let web = self.web_base.sample(rng) * servlet.web_mult;
-        let app = self.app_base.sample(rng) * servlet.app_mult;
-        let db = self.db_base.sample(rng) * servlet.db_mult;
-        let app_demand = StageDemand {
-            pre: app * self.app_pre_fraction,
-            post: app * (1.0 - self.app_pre_fraction),
-        };
-        let queries = servlet.db_queries.max(1);
-        let (mut profile, db_tier) = if self.four_tier {
-            // web → app → lb (per query) → db (one forward each).
-            let demands = [
-                StageDemand::pre_only(web),
-                app_demand,
-                StageDemand::pre_only(1.0e-4),
-                StageDemand::pre_only(db),
-            ];
-            let visits = [1, 1, queries, 1];
-            let mut profile = RequestProfile::new_reusing(spare, demands, visits, idx as u16);
-            if self.attach_chain_graph {
-                profile.set_graph(&TopologyGraph::chain(&visits));
-            }
-            (profile, 3)
-        } else {
-            let demands = [
-                StageDemand::pre_only(web),
-                app_demand,
-                StageDemand::pre_only(db),
-            ];
-            let visits = [1, 1, queries];
-            let mut profile = RequestProfile::new_reusing(spare, demands, visits, idx as u16);
-            if self.attach_chain_graph {
-                profile.set_graph(&TopologyGraph::chain(&visits));
-            }
-            (profile, 2)
-        };
-        // Each query's demand is an independent draw: reusing one sample
-        // across a request's queries correlates the DB station's service
-        // times (long query ⇒ the next is long too), which inflates
-        // queueing beyond the product-form model the MVA oracle solves.
-        // The first query reuses `db` so single-query requests draw
-        // exactly as before.
-        if queries > 1 {
-            profile.set_per_visit_demands(
-                db_tier,
-                std::iter::once(db)
-                    .chain((1..queries).map(|_| self.db_base.sample(rng) * servlet.db_mult))
-                    .map(StageDemand::pre_only),
-            );
-        }
-        profile
-    }
-}
-
-/// Any profile source a client population can drive: the chain factory or
-/// the mesh factory. Generators accept `impl Into<WorkloadFactory>`, so
-/// existing [`ProfileFactory`] call sites keep working unchanged.
-#[derive(Debug, Clone)]
-pub enum WorkloadFactory {
-    /// The three-/four-tier chain factory.
-    Chain(ProfileFactory),
-    /// The microservice-DAG factory.
-    Mesh(MeshProfileFactory),
-}
-
-impl WorkloadFactory {
-    /// Samples one request's execution plan.
-    pub fn sample(&self, rng: &mut SimRng) -> RequestProfile {
-        self.sample_reusing(rng, None)
-    }
-
-    /// Samples one request's execution plan into `spare`'s buffers when
-    /// one is given (see [`ProfileFactory::sample_reusing`]).
-    pub fn sample_reusing(
-        &self,
-        rng: &mut SimRng,
-        spare: Option<RequestProfile>,
-    ) -> RequestProfile {
-        match self {
-            WorkloadFactory::Chain(f) => f.sample_reusing(rng, spare),
-            WorkloadFactory::Mesh(f) => f.sample_reusing(rng, spare),
-        }
-    }
-}
-
-impl From<ProfileFactory> for WorkloadFactory {
-    fn from(f: ProfileFactory) -> Self {
-        WorkloadFactory::Chain(f)
-    }
-}
-
-impl From<MeshProfileFactory> for WorkloadFactory {
-    fn from(f: MeshProfileFactory) -> Self {
-        WorkloadFactory::Mesh(f)
-    }
-}
-
-/// Per-node demand specification for a [`MeshProfileFactory`].
+/// Per-node demand specification for a [`ProfileFactory`].
 #[derive(Debug, Clone)]
 pub struct NodeDemand {
     /// Base per-visit demand distribution.
@@ -298,12 +73,19 @@ pub struct CacheEdge {
     pub dynamics: CacheDynamics,
 }
 
-/// Samples [`RequestProfile`]s over an arbitrary microservice DAG: one
-/// demand spec per node, calls routed by a [`TopologyGraph`], and an
-/// optional cache edge whose hits drop the downstream hop.
+/// Samples [`RequestProfile`]s over a microservice DAG: one demand spec
+/// per node, calls routed by a [`TopologyGraph`], an optional cache edge
+/// whose hits drop the downstream hop, and an optional servlet mix.
 ///
-/// The chain factories ([`ProfileFactory`]) stay the special case; this is
-/// the general form driving the `repro mesh` scenarios.
+/// The RUBBoS presets ([`ProfileFactory::rubbos`] and its variants) are
+/// the web → app → db chain under the browse-only servlet mix: each
+/// request draws a servlet, whose multipliers scale the web, app and db
+/// demands, whose query count sets the app → db calls, and whose index is
+/// the profile's class (0 without a mix). Base means default to the
+/// reference laws' `S⁰`, so
+/// a server at the knee behaves exactly as the paper's model predicts. The
+/// `repro mesh` scenarios build fan-out and cache shapes with
+/// [`ProfileFactory::new`].
 ///
 /// # Examples
 ///
@@ -311,11 +93,16 @@ pub struct CacheEdge {
 /// use dcm_ntier::graph::TopologyGraph;
 /// use dcm_sim::dist::Dist;
 /// use dcm_sim::rng::SimRng;
-/// use dcm_workload::profile::{MeshProfileFactory, NodeDemand};
+/// use dcm_workload::profile::{NodeDemand, ProfileFactory};
+///
+/// let mut rng = SimRng::seed_from(1);
+/// let profile = ProfileFactory::rubbos().sample(&mut rng);
+/// assert_eq!(profile.tiers(), 3);
+/// assert!(profile.visits_to(2) >= 1);
 ///
 /// // web fans out to two services; each calls the shared db.
 /// let graph = TopologyGraph::from_edges(4, &[(0, 1, 1), (0, 2, 1), (1, 3, 1), (2, 3, 1)]);
-/// let factory = MeshProfileFactory::new(
+/// let factory = ProfileFactory::new(
 ///     graph,
 ///     vec![
 ///         NodeDemand::split(Dist::constant(0.001)),
@@ -324,20 +111,49 @@ pub struct CacheEdge {
 ///         NodeDemand::leaf(Dist::constant(0.007)),
 ///     ],
 /// );
-/// let mut rng = SimRng::seed_from(1);
 /// let p = factory.sample(&mut rng);
 /// assert_eq!(p.tiers(), 4);
 /// assert_eq!(p.cumulative_visits(3), 2); // one query via each service
 /// ```
 #[derive(Debug, Clone)]
-pub struct MeshProfileFactory {
+pub struct ProfileFactory {
     graph: TopologyGraph,
     demands: Vec<NodeDemand>,
     cache: Option<CacheEdge>,
-    class: u16,
+    servlets: Option<Servlets>,
 }
 
-impl MeshProfileFactory {
+const PRESET_ONLY: &str = "only the RUBBoS presets carry a servlet mix";
+
+/// The RUBBoS chain's web and app nodes; db is the last node.
+const WEB: usize = 0;
+const APP: usize = 1;
+
+/// A servlet mix over the RUBBoS chain. A servlet's multipliers scale the
+/// web, app and db nodes' draws, and its queries travel the app's
+/// out-edge (app → db, or app → lb on four tiers).
+#[derive(Debug, Clone)]
+struct Servlets {
+    mix: ServletMix,
+    /// Per servlet, in mix order: the chain with the servlet's query
+    /// count (at least 1) on the app's out-edge.
+    graphs: Vec<TopologyGraph>,
+}
+
+impl Servlets {
+    /// The mix over the `tiers`-node RUBBoS chain.
+    fn new(mix: ServletMix, tiers: usize) -> Self {
+        let servlet_chain = |servlet: &Servlet| {
+            let mut visits = [1; 4];
+            visits[2] = servlet.db_queries.max(1);
+            TopologyGraph::chain(&visits[..tiers])
+        };
+        let graphs = mix.servlets().iter().map(servlet_chain).collect();
+        Servlets { mix, graphs }
+    }
+}
+
+impl ProfileFactory {
     /// Creates a factory over `graph` with one demand spec per node.
     ///
     /// # Panics
@@ -356,12 +172,95 @@ impl MeshProfileFactory {
                 "fraction must be in [0,1]"
             );
         }
-        MeshProfileFactory {
+        ProfileFactory {
             graph,
             demands,
             cache: None,
-            class: 0,
+            servlets: None,
         }
+    }
+
+    /// The paper-matching factory: browse-only mix, per-tier demand means
+    /// equal to the reference laws' `S⁰`, moderate variability.
+    pub fn rubbos() -> Self {
+        Self::rubbos_chain(Dist::exponential_mean, false)
+    }
+
+    /// The paper's four-tier deployment: same demands, with each query
+    /// routed through the DB load-balancer tier (use together with
+    /// `ThreeTierBuilder::with_db_load_balancer`).
+    pub fn rubbos_four_tier() -> Self {
+        Self::rubbos_chain(Dist::exponential_mean, true)
+    }
+
+    /// A deterministic variant (constant demands at the law means) for
+    /// noise-free unit tests and calibration runs.
+    pub fn rubbos_deterministic() -> Self {
+        Self::rubbos_chain(Dist::constant, false)
+    }
+
+    /// The RUBBoS chain web → app → db under the browse-only mix, each base
+    /// demand `base(S⁰)` of its tier's reference law; `four_tier` puts the
+    /// DB load balancer (a constant 100 µs pass-through per query) between
+    /// app and db.
+    fn rubbos_chain(base: fn(f64) -> Dist, four_tier: bool) -> Self {
+        let mut demands = Vec::from([
+            NodeDemand::leaf(base(reference::apache().s0())),
+            NodeDemand::split(base(reference::tomcat().s0())),
+        ]);
+        if four_tier {
+            demands.push(NodeDemand::leaf(Dist::constant(1.0e-4)));
+        }
+        // Each query's demand is an independent draw: reusing one sample
+        // across a request's queries correlates the DB station's service
+        // times (long query ⇒ the next is long too), which inflates
+        // queueing beyond the product-form model the MVA oracle solves.
+        demands.push(NodeDemand::leaf(base(reference::mysql().s0())).iid_visits());
+        let graph = TopologyGraph::chain(&[1; 4][..demands.len()]);
+        ProfileFactory {
+            servlets: Some(Servlets::new(ServletMix::browse_only(), demands.len())),
+            ..Self::new(graph, demands)
+        }
+    }
+
+    /// Overrides a RUBBoS preset's servlet mix.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the factory is not a RUBBoS preset.
+    pub fn with_mix(mut self, mix: ServletMix) -> Self {
+        assert!(self.servlets.is_some(), "{PRESET_ONLY}");
+        self.servlets = Some(Servlets::new(mix, self.demands.len()));
+        self
+    }
+
+    /// Overrides a RUBBoS preset's base demand distributions (web, app,
+    /// db per query).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the factory is not a RUBBoS preset.
+    pub fn with_bases(mut self, web: Dist, app: Dist, db: Dist) -> Self {
+        assert!(self.servlets.is_some(), "{PRESET_ONLY}");
+        let last = self.demands.len() - 1;
+        self.demands[WEB].base = web;
+        self.demands[APP].base = app;
+        self.demands[last].base = db;
+        self
+    }
+
+    /// Sets the fraction of a RUBBoS preset's app-tier demand that runs
+    /// before the DB calls.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `fraction` is outside `[0, 1]` or the factory is not a
+    /// RUBBoS preset.
+    pub fn with_app_pre_fraction(mut self, fraction: f64) -> Self {
+        assert!((0.0..=1.0).contains(&fraction), "fraction must be in [0,1]");
+        assert!(self.servlets.is_some(), "{PRESET_ONLY}");
+        self.demands[APP].pre_fraction = fraction;
+        self
     }
 
     /// Installs a cache on the `from → to` edge: each request draws a
@@ -382,53 +281,57 @@ impl MeshProfileFactory {
         self
     }
 
-    /// Sets the workload class stamped on sampled profiles.
-    pub fn with_class(mut self, class: u16) -> Self {
-        self.class = class;
-        self
-    }
-
-    /// The factory's call graph (the miss-path shape; hits drop the cached
-    /// edge per request).
-    pub fn graph(&self) -> &TopologyGraph {
-        &self.graph
-    }
-
-    /// The cache edge, if one is installed.
-    pub fn cache(&self) -> Option<&CacheEdge> {
-        self.cache.as_ref()
-    }
-
     /// Samples one request's execution plan.
     ///
-    /// Draw order is deterministic: one base demand per node in node
-    /// order, then the cache hit/miss decision, then independent per-visit
+    /// Draw order is deterministic: the servlet index (with a mix), one
+    /// base demand per node in node order (constant nodes draw nothing),
+    /// then the cache hit/miss decision, then independent per-visit
     /// demands in node order (the first visit reuses the base draw).
     pub fn sample(&self, rng: &mut SimRng) -> RequestProfile {
         self.sample_reusing(rng, None)
     }
 
-    /// Like [`MeshProfileFactory::sample`], rebuilding `spare` in place
-    /// when one is given (see [`RequestProfile::new_reusing`]).
+    /// Like [`ProfileFactory::sample`], rebuilding `spare` in place when
+    /// one is given (see [`RequestProfile::on_graph_reusing`]): the same draws
+    /// and the same profile, without allocating once `spare`'s buffers are
+    /// large enough.
     pub fn sample_reusing(
         &self,
         rng: &mut SimRng,
         spare: Option<RequestProfile>,
     ) -> RequestProfile {
-        let stage = self.demands.iter().map(|node| {
-            let d = node.base.sample(rng);
+        let (graph, class, servlet) = match &self.servlets {
+            Some(servlets) => {
+                let index = servlets.mix.sample_index(rng);
+                let servlet = servlets.mix.servlet(index);
+                (&servlets.graphs[index], index as u16, Some(servlet))
+            }
+            None => (&self.graph, 0, None),
+        };
+        let db = self.demands.len() - 1;
+        let draw = |m: usize, node: &NodeDemand, rng: &mut SimRng| {
+            let multiplier = servlet.map_or(1.0, |servlet| match m {
+                WEB => servlet.web_mult,
+                APP => servlet.app_mult,
+                _ if m == db => servlet.db_mult,
+                _ => 1.0,
+            });
+            let d = node.base.sample(rng) * multiplier;
             StageDemand {
                 pre: d * node.pre_fraction,
                 post: d * (1.0 - node.pre_fraction),
             }
-        });
-        let visits = std::iter::repeat_n(1, self.graph.tiers());
-        let mut profile = RequestProfile::new_reusing(spare, stage, visits, self.class);
+        };
+        let stage = self
+            .demands
+            .iter()
+            .enumerate()
+            .map(|(m, node)| draw(m, node, rng));
+        let mut profile = RequestProfile::on_graph_reusing(spare, stage, graph, class);
         let hit = self
             .cache
             .as_ref()
             .filter(|cache| cache.dynamics.decide(rng));
-        profile.set_graph(&self.graph);
         if let Some(cache) = hit {
             profile.set_edge_calls(cache.from, cache.to, 0);
         }
@@ -441,13 +344,7 @@ impl MeshProfileFactory {
                 continue;
             }
             let first = profile.demand(m);
-            let rest = (1..visits).map(|_| {
-                let d = node.base.sample(rng);
-                StageDemand {
-                    pre: d * node.pre_fraction,
-                    post: d * (1.0 - node.pre_fraction),
-                }
-            });
+            let rest = (1..visits).map(|_| draw(m, node, rng));
             profile.set_per_visit_demands(m, std::iter::once(first).chain(rest));
         }
         profile
@@ -535,39 +432,10 @@ mod tests {
         let _ = ProfileFactory::rubbos().with_app_pre_fraction(1.5);
     }
 
-    #[test]
-    fn chain_graph_attachment_changes_nothing_but_the_graph() {
-        // Metamorphic: the chain is the degenerate DAG. Same seed, same
-        // demands, same visit counts, same RNG stream afterwards.
-        let plain = ProfileFactory::rubbos();
-        let chained = ProfileFactory::rubbos().with_chain_graph();
-        let mut rng_a = SimRng::seed_from(17);
-        let mut rng_b = SimRng::seed_from(17);
-        for _ in 0..200 {
-            let a = plain.sample(&mut rng_a);
-            let b = chained.sample(&mut rng_b);
-            assert!(b.graph().is_some());
-            assert_eq!(a.tiers(), b.tiers());
-            for m in 0..a.tiers() {
-                assert_eq!(a.demand(m), b.demand(m));
-                assert_eq!(a.visits_to(m), b.visits_to(m));
-                assert_eq!(a.cumulative_visits(m), b.cumulative_visits(m));
-                for k in 0..a.cumulative_visits(m) {
-                    assert_eq!(a.demand_for_visit(m, k), b.demand_for_visit(m, k));
-                }
-                assert_eq!(a.total_calls_from(m), b.total_calls_from(m));
-                for k in 0..a.total_calls_from(m) {
-                    assert_eq!(a.call_target(m, k), b.call_target(m, k));
-                }
-            }
-        }
-        assert_eq!(rng_a.next_f64(), rng_b.next_f64());
-    }
-
-    fn diamond_factory() -> MeshProfileFactory {
+    fn diamond_factory() -> ProfileFactory {
         // web → {svc-a, svc-b} → db
         let graph = TopologyGraph::from_edges(4, &[(0, 1, 1), (0, 2, 1), (1, 3, 2), (2, 3, 1)]);
-        MeshProfileFactory::new(
+        ProfileFactory::new(
             graph,
             vec![
                 NodeDemand::split(Dist::constant(0.001)),
@@ -600,7 +468,7 @@ mod tests {
     #[test]
     fn mesh_cache_hits_drop_the_cached_edge() {
         let graph = TopologyGraph::chain(&[1, 1, 1, 1]); // web → app → cache → db
-        let factory = MeshProfileFactory::new(
+        let factory = ProfileFactory::new(
             graph,
             vec![
                 NodeDemand::split(Dist::constant(0.001)),
@@ -642,8 +510,8 @@ mod tests {
                 NodeDemand::leaf(Dist::exponential_mean(0.007)),
             ]
         };
-        let plain = MeshProfileFactory::new(graph.clone(), demands());
-        let zeroed = MeshProfileFactory::new(graph, demands()).with_cache(
+        let plain = ProfileFactory::new(graph.clone(), demands());
+        let zeroed = ProfileFactory::new(graph, demands()).with_cache(
             2,
             3,
             crate::cache::CacheDynamics::new(0.0, 100.0),
@@ -657,17 +525,15 @@ mod tests {
     }
 
     /// Refilling must overwrite every field: whatever spare a factory is
-    /// handed — chain or graph, with or without per-visit demands — it
-    /// builds exactly the profile a fresh sample gives, from the same draws.
+    /// handed — any shape, with or without per-visit demands — it builds
+    /// exactly the profile a fresh sample gives, from the same draws.
     #[test]
     fn recycled_profiles_equal_fresh_ones() {
-        let factories = || -> [WorkloadFactory; 3] {
+        let factories = || -> [ProfileFactory; 3] {
             [
-                ProfileFactory::rubbos().into(),
-                ProfileFactory::rubbos_four_tier().with_chain_graph().into(),
-                diamond_factory()
-                    .with_cache(1, 3, crate::cache::CacheDynamics::steady(0.5))
-                    .into(),
+                ProfileFactory::rubbos(),
+                ProfileFactory::rubbos_four_tier(),
+                diamond_factory().with_cache(1, 3, crate::cache::CacheDynamics::steady(0.5)),
             ]
         };
         let (fresh, reusing) = (factories(), factories());
@@ -690,7 +556,7 @@ mod tests {
     #[should_panic(expected = "not in the graph")]
     fn cache_on_missing_edge_rejected() {
         let graph = TopologyGraph::chain(&[1, 1, 1]);
-        let _ = MeshProfileFactory::new(
+        let _ = ProfileFactory::new(
             graph,
             vec![
                 NodeDemand::split(Dist::constant(0.001)),

@@ -14,7 +14,7 @@ use dcm_ntier::topology::{SoftConfig, ThreeTierBuilder};
 use dcm_ntier::world::{SimEngine, World};
 use dcm_sim::time::{SimDuration, SimTime};
 use dcm_workload::burstiness::{index_of_dispersion, MmppConfig, MmppModulator};
-use dcm_workload::generator::UserPopulation;
+use dcm_workload::cohort::CohortPopulation;
 use dcm_workload::profile::ProfileFactory;
 use dcm_workload::report::LoadReport;
 
@@ -49,7 +49,7 @@ fn run(mmpp: Option<MmppConfig>, label: &str) {
     schedule_controller(&mut engine, controller, horizon);
 
     let modulator = mmpp.map(|config| MmppModulator::install(&mut engine, config, horizon));
-    let population = UserPopulation::start_think_time_modulated(
+    let population = CohortPopulation::start_think_time_modulated(
         &mut world,
         &mut engine,
         ProfileFactory::rubbos(),

@@ -9,7 +9,7 @@
 use dcm_ntier::flow;
 use dcm_ntier::topology::{SoftConfig, ThreeTierBuilder};
 use dcm_sim::time::SimTime;
-use dcm_workload::generator::UserPopulation;
+use dcm_workload::cohort::CohortPopulation;
 use dcm_workload::profile::ProfileFactory;
 use dcm_workload::report::LoadReport;
 
@@ -25,7 +25,7 @@ fn main() {
 
     // 300 virtual users browsing with ~3 s think time (the RUBBoS client).
     let horizon = SimTime::from_secs(240);
-    let population = UserPopulation::start_think_time(
+    let population = CohortPopulation::start_think_time(
         &mut world,
         &mut engine,
         ProfileFactory::rubbos(),

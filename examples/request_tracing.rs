@@ -10,7 +10,7 @@ use dcm_ntier::flow;
 use dcm_ntier::spans::{tier_breakdown, waterfall};
 use dcm_ntier::topology::{SoftConfig, ThreeTierBuilder};
 use dcm_sim::time::SimTime;
-use dcm_workload::generator::UserPopulation;
+use dcm_workload::cohort::CohortPopulation;
 use dcm_workload::profile::ProfileFactory;
 
 const TIER_NAMES: [&str; 3] = ["web", "app", "db "];
@@ -20,7 +20,7 @@ fn trace_under(soft: SoftConfig, label: &str) {
     world.system.enable_tracing();
 
     // Background load plus one traced probe request at t = 5 s.
-    UserPopulation::start_think_time(
+    CohortPopulation::start_think_time(
         &mut world,
         &mut engine,
         ProfileFactory::rubbos(),

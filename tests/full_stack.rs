@@ -235,7 +235,7 @@ fn monitor_outage_leaves_controller_holding() {
     // keeps ticking to t=120s under rising load.
     use dcm_core::monitor::{install_monitor, new_metrics_bus, MonitorConfig};
     use dcm_ntier::topology::ThreeTierBuilder;
-    use dcm_workload::generator::UserPopulation;
+    use dcm_workload::cohort::CohortPopulation;
     use dcm_workload::profile::ProfileFactory;
 
     let (mut world, mut engine) = ThreeTierBuilder::new().seed(31).build();
@@ -269,7 +269,7 @@ fn monitor_outage_leaves_controller_holding() {
         SimTime::from_secs(120),
     );
     // Load that would normally trigger scale-out arrives AFTER the outage.
-    UserPopulation::start_trace_driven(
+    CohortPopulation::start_trace_driven(
         &mut world,
         &mut engine,
         ProfileFactory::rubbos(),
@@ -296,7 +296,7 @@ fn least_connections_balances_heterogeneous_backends_better() {
     use dcm_ntier::balancer::BalancerPolicy;
     use dcm_ntier::topology::{SoftConfig, ThreeTierBuilder};
     use dcm_sim::dist::Dist;
-    use dcm_workload::generator::UserPopulation;
+    use dcm_workload::cohort::CohortPopulation;
     use dcm_workload::profile::ProfileFactory;
 
     let run = |policy: BalancerPolicy| {
@@ -312,7 +312,7 @@ fn least_connections_balances_heterogeneous_backends_better() {
             Dist::log_normal((0.0284f64).ln() - 0.72, 1.2),
             Dist::exponential_mean(0.0296),
         );
-        let pop = UserPopulation::start_think_time(
+        let pop = CohortPopulation::start_think_time(
             &mut world,
             &mut engine,
             factory,
@@ -344,7 +344,7 @@ fn four_tier_deployment_matches_three_tier() {
     // four-tier deployment's steady-state throughput must match the
     // three-tier one within a few percent.
     use dcm_ntier::topology::ThreeTierBuilder;
-    use dcm_workload::generator::UserPopulation;
+    use dcm_workload::cohort::CohortPopulation;
     use dcm_workload::profile::ProfileFactory;
     use dcm_workload::report::LoadReport;
 
@@ -362,7 +362,7 @@ fn four_tier_deployment_matches_three_tier() {
         } else {
             ProfileFactory::rubbos()
         };
-        let pop = UserPopulation::start_think_time(
+        let pop = CohortPopulation::start_think_time(
             &mut world,
             &mut engine,
             factory,
@@ -391,7 +391,7 @@ fn dcm_controls_the_four_tier_deployment() {
     // database sits at index 3 (behind the LB tier at 2).
     use dcm_core::monitor::{install_monitor, new_metrics_bus, MonitorConfig};
     use dcm_ntier::topology::{SoftConfig, ThreeTierBuilder};
-    use dcm_workload::generator::UserPopulation;
+    use dcm_workload::cohort::CohortPopulation;
     use dcm_workload::profile::ProfileFactory;
 
     let (mut world, mut engine) = ThreeTierBuilder::new()
@@ -431,7 +431,7 @@ fn dcm_controls_the_four_tier_deployment() {
         });
     }
     tick(&mut engine, std::rc::Rc::clone(&controller), horizon);
-    UserPopulation::start_trace_driven(
+    CohortPopulation::start_trace_driven(
         &mut world,
         &mut engine,
         ProfileFactory::rubbos_four_tier(),
@@ -485,7 +485,7 @@ fn spans_reconcile_with_request_outcomes_under_faults() {
     use dcm_ntier::faults::install_fault_plan;
     use dcm_ntier::topology::ThreeTierBuilder;
     use dcm_sim::faults::FaultPlan;
-    use dcm_workload::generator::UserPopulation;
+    use dcm_workload::cohort::CohortPopulation;
     use dcm_workload::profile::ProfileFactory;
     use std::collections::BTreeMap;
 
@@ -499,7 +499,7 @@ fn spans_reconcile_with_request_outcomes_under_faults() {
         .with_crash(60.0, 1, 1)
         .with_transient_failures(0.01);
     install_fault_plan(&mut world, &mut engine, &plan);
-    UserPopulation::start_trace_driven(
+    CohortPopulation::start_trace_driven(
         &mut world,
         &mut engine,
         ProfileFactory::rubbos(),
