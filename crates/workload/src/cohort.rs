@@ -16,10 +16,8 @@
 //!
 //! With `cohort_size == 1` each cohort holds one member, and its timer is
 //! that member's think-time event: every wake-up is one `schedule_fn_at`
-//! at the member's due instant, with no cancels. The state machine arms
-//! that event directly rather than through a one-entry heap, whose
-//! bookkeeping cost `chaos` (all per-user) about 7 % of its host time.
-//! The per-user generators ([`crate::generator`]) are this case.
+//! at the member's due instant, with no cancels. The per-user generators
+//! ([`crate::generator`]) are this case.
 //!
 //! For larger cohorts, members whose wake-ups share a firing batch submit
 //! in due order rather than each from its own event, which permutes RNG
@@ -92,6 +90,25 @@ impl Cohort {
     fn next_due(&self) -> Option<SimTime> {
         self.due.peek().map(|&Reverse(key)| SimTime::from_key(key))
     }
+
+    /// Ensures the timer (`payload` addresses this cohort) is armed for
+    /// the earliest due member, re-arming only when a new wake-up undercuts
+    /// the current timer, so the common completion path costs one heap
+    /// push and a comparison.
+    fn rearm(&mut self, engine: &mut SimEngine, payload: u64) {
+        let Some(at) = self.next_due() else {
+            return;
+        };
+        match self.timer {
+            Some(_) if self.timer_at <= at => return,
+            Some(stale) => {
+                engine.cancel(stale);
+            }
+            None => {}
+        }
+        self.timer = Some(engine.schedule_fn_at(at, cohort_fire, payload));
+        self.timer_at = at;
+    }
 }
 
 /// Aggregate response-time statistics over the logical requests (a
@@ -145,12 +162,8 @@ pub(crate) struct PopState {
 
 impl PopState {
     /// The cohort the `member`-th spawned member joins, appended when it
-    /// is new. A cohort of one keeps no cohort state: its member's think
-    /// timer is the member's own event (index 0 in every payload).
+    /// is new.
     fn join_cohort(&mut self, member: u64) -> u32 {
-        if self.cohort_size == 1 {
-            return 0;
-        }
         let cohort = member / u64::from(self.cohort_size);
         let cohort = u32::try_from(cohort).expect("fewer than 2^32 cohorts");
         if cohort as usize == self.cohorts.len() {
@@ -256,7 +269,7 @@ impl CohortPopulation {
             stop_at,
         );
         let now = engine.now();
-        let cohorts = {
+        {
             let mut st = pop.inner.borrow_mut();
             st.active = users;
             st.total_spawned = u64::from(users);
@@ -268,16 +281,11 @@ impl CohortPopulation {
                     .sample(&mut world.rng);
                 let due = now + SimDuration::from_secs_f64(delay);
                 let cohort = st.join_cohort(u64::from(member));
-                if cohort_size == 1 {
-                    engine.schedule_fn_at(due, member_wake, payload(pop.client, cohort));
-                } else {
-                    st.cohorts[cohort as usize].push(due);
-                }
+                st.cohorts[cohort as usize].push(due);
             }
-            st.cohorts.len() as u32
-        };
-        for cohort in 0..cohorts {
-            rearm(&pop.inner, engine, payload(pop.client, cohort));
+            for (index, cohort) in (0..).zip(st.cohorts.iter_mut()) {
+                cohort.rearm(engine, payload(pop.client, index));
+            }
         }
         pop
     }
@@ -486,8 +494,7 @@ fn submit_retry(
 /// by the system) is resubmitted after an exponential backoff; otherwise
 /// the (final) completion is recorded — stamped with the first attempt's
 /// submission time, so reports measure client-perceived latency — and the
-/// member thinks: its wake-up is queued in its cohort, or armed as its own
-/// timer in a cohort of one.
+/// member thinks: its wake-up is queued in its cohort.
 fn attempt_done(
     w: &mut World,
     e: &mut SimEngine,
@@ -527,47 +534,34 @@ fn attempt_done(
         );
         return;
     }
-    {
-        let mut st = state.borrow_mut();
-        let completion = Completion {
-            submitted: first,
-            ..completion
-        };
-        st.stats.completed += 1;
-        if completion.is_success() {
-            st.stats.succeeded += 1;
-        }
-        let rt = completion.response_time().as_secs_f64();
-        st.stats.response_sum += rt;
-        st.stats.response_max = st.stats.response_max.max(rt);
-        if st.log_enabled {
-            st.log.push(completion);
-        }
-        let base = st
-            .think
-            .as_ref()
-            .map(|d| d.sample(&mut w.rng))
-            .unwrap_or(0.0);
-        let multiplier = st.think_multiplier.as_ref().map_or(1.0, |cell| cell.get());
-        // Zero think time still goes through the queue (as the next
-        // same-time event) instead of recursing, so long closed-loop runs
-        // keep a flat stack.
-        let due = e.now() + SimDuration::from_secs_f64(base * multiplier);
-        if st.cohort_size > 1 {
-            st.cohorts[cohort_of(payload)].push(due);
-        } else {
-            drop(st);
-            e.schedule_fn_at(due, member_wake, payload);
-            return;
-        }
+    let mut st = state.borrow_mut();
+    let completion = Completion {
+        submitted: first,
+        ..completion
+    };
+    st.stats.completed += 1;
+    if completion.is_success() {
+        st.stats.succeeded += 1;
     }
-    rearm(&state, e, payload);
-}
-
-/// The think timer of a cohort of one fired: its member wakes.
-fn member_wake(world: &mut World, engine: &mut SimEngine, payload: u64) {
-    let state = population(world, payload);
-    wake_member(&state, world, engine, payload);
+    let rt = completion.response_time().as_secs_f64();
+    st.stats.response_sum += rt;
+    st.stats.response_max = st.stats.response_max.max(rt);
+    if st.log_enabled {
+        st.log.push(completion);
+    }
+    let base = st
+        .think
+        .as_ref()
+        .map(|d| d.sample(&mut w.rng))
+        .unwrap_or(0.0);
+    let multiplier = st.think_multiplier.as_ref().map_or(1.0, |cell| cell.get());
+    // Zero think time still goes through the queue (as the next
+    // same-time event) instead of recursing, so long closed-loop runs
+    // keep a flat stack.
+    let due = e.now() + SimDuration::from_secs_f64(base * multiplier);
+    let cohort = &mut st.cohorts[cohort_of(payload)];
+    cohort.push(due);
+    cohort.rearm(e, payload);
 }
 
 /// The armed timer of the payload's cohort fired: wake every member due
@@ -581,10 +575,11 @@ fn cohort_fire(world: &mut World, engine: &mut SimEngine, payload: u64) {
     let now = engine.now();
     let batch = {
         let mut st = state.borrow_mut();
-        st.cohorts[cohort].timer = None;
+        let c = &mut st.cohorts[cohort];
+        c.timer = None;
         let mut batch = 0u32;
-        while st.cohorts[cohort].next_due().is_some_and(|at| at <= now) {
-            st.cohorts[cohort].due.pop();
+        while c.next_due().is_some_and(|at| at <= now) {
+            c.due.pop();
             batch += 1;
         }
         batch
@@ -592,36 +587,7 @@ fn cohort_fire(world: &mut World, engine: &mut SimEngine, payload: u64) {
     for _ in 0..batch {
         wake_member(&state, world, engine, payload);
     }
-    rearm(&state, engine, payload);
-}
-
-/// Ensures the payload's cohort timer is armed for its earliest due member
-/// (re-arming only when a new wake-up undercuts the current timer, so the
-/// common completion path costs one heap push and a comparison).
-fn rearm(state: &RefCell<PopState>, engine: &mut SimEngine, payload: u64) {
-    let cohort = cohort_of(payload);
-    let (arm_at, stale) = {
-        let st = state.borrow();
-        let c = &st.cohorts[cohort];
-        match c.next_due() {
-            Some(at) => match c.timer {
-                None => (Some(at), None),
-                Some(ev) if c.timer_at > at => (Some(at), Some(ev)),
-                Some(_) => (None, None),
-            },
-            None => (None, None),
-        }
-    };
-    if let Some(ev) = stale {
-        engine.cancel(ev);
-    }
-    let Some(at) = arm_at else {
-        return;
-    };
-    let ev = engine.schedule_fn_at(at, cohort_fire, payload);
-    let mut st = state.borrow_mut();
-    st.cohorts[cohort].timer = Some(ev);
-    st.cohorts[cohort].timer_at = at;
+    state.borrow_mut().cohorts[cohort].rearm(engine, payload);
 }
 
 #[cfg(test)]

@@ -135,9 +135,18 @@ const APP: usize = 1;
 #[derive(Debug, Clone)]
 struct Servlets {
     mix: ServletMix,
-    /// Per servlet, in mix order: the chain with the servlet's query
-    /// count (at least 1) on the app's out-edge.
-    graphs: Vec<TopologyGraph>,
+    /// Per servlet, in mix order.
+    chains: Vec<ServletChain>,
+}
+
+/// One servlet's request shape over the RUBBoS chain.
+#[derive(Debug, Clone)]
+struct ServletChain {
+    /// The chain with the servlet's query count (at least 1) on the app's
+    /// out-edge.
+    graph: TopologyGraph,
+    /// The demand multiplier of each node (1 on the lb node).
+    mults: [f64; 4],
 }
 
 impl Servlets {
@@ -146,10 +155,19 @@ impl Servlets {
         let servlet_chain = |servlet: &Servlet| {
             let mut visits = [1; 4];
             visits[2] = servlet.db_queries.max(1);
-            TopologyGraph::chain(&visits[..tiers])
+            let mut mults = [1.0; 4];
+            mults[WEB] = servlet.web_mult;
+            mults[APP] = servlet.app_mult;
+            *mults[..tiers]
+                .last_mut()
+                .expect("a RUBBoS chain ends at its db node") = servlet.db_mult;
+            ServletChain {
+                graph: TopologyGraph::chain(&visits[..tiers]),
+                mults,
+            }
         };
-        let graphs = mix.servlets().iter().map(servlet_chain).collect();
-        Servlets { mix, graphs }
+        let chains = mix.servlets().iter().map(servlet_chain).collect();
+        Servlets { mix, chains }
     }
 }
 
@@ -300,23 +318,16 @@ impl ProfileFactory {
         rng: &mut SimRng,
         spare: Option<RequestProfile>,
     ) -> RequestProfile {
-        let (graph, class, servlet) = match &self.servlets {
+        let (graph, class, mults) = match &self.servlets {
             Some(servlets) => {
                 let index = servlets.mix.sample_index(rng);
-                let servlet = servlets.mix.servlet(index);
-                (&servlets.graphs[index], index as u16, Some(servlet))
+                let chain = &servlets.chains[index];
+                (&chain.graph, index as u16, Some(&chain.mults))
             }
             None => (&self.graph, 0, None),
         };
-        let db = self.demands.len() - 1;
         let draw = |m: usize, node: &NodeDemand, rng: &mut SimRng| {
-            let multiplier = servlet.map_or(1.0, |servlet| match m {
-                WEB => servlet.web_mult,
-                APP => servlet.app_mult,
-                _ if m == db => servlet.db_mult,
-                _ => 1.0,
-            });
-            let d = node.base.sample(rng) * multiplier;
+            let d = node.base.sample(rng) * mults.map_or(1.0, |mults| mults[m]);
             StageDemand {
                 pre: d * node.pre_fraction,
                 post: d * (1.0 - node.pre_fraction),

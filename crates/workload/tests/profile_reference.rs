@@ -134,7 +134,7 @@ fn single(name: &'static str, db_queries: u32) -> ServletMix {
 
 /// Every preset under test, as (name, preset, reference).
 fn cases() -> Vec<(&'static str, ProfileFactory, ChainReference)> {
-    // `conformance::run_scenario_inner`'s factory for a three-query
+    // `conformance::run_scenario`'s factory for a three-query
     // scenario.
     let conformance_bases = || {
         (
