@@ -5,9 +5,11 @@
 //! workload up — the request slab, the spare profiles and the engine's
 //! tables reach their working size — then counts a measurement window and
 //! divides by the requests completed in it. Sampling a profile, submitting
-//! it, arming think and cohort timers and firing completion callbacks
-//! reuse storage, so what remains per request is the amortised growth of
-//! logs plus the rare boxed events (retry backoff, faults, monitor ticks).
+//! it, arming think and cohort timers, firing completion callbacks and
+//! retrying a failed request on the client reuse storage, so what remains
+//! per request is the amortised growth of logs plus the rare boxed events
+//! (inter-tier retry backoff, faults, monitor ticks). One case divides by
+//! the client retries instead, which must allocate nothing of their own.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -30,6 +32,10 @@ use dcm_workload::traces;
 /// Allocations per completed request each case must stay under. Boxing
 /// the completion callback and the think timer alone would cost 2.
 const BUDGET: f64 = 0.5;
+
+/// Allocations per client retry. Boxing the backoff timer and the retried
+/// attempt's completion callback would cost 2.
+const RETRY_BUDGET: f64 = 0.1;
 
 struct Counting;
 
@@ -167,8 +173,8 @@ fn cohort_population() {
 #[test]
 fn mesh_factory_with_cache_edge() {
     // web -> app -> {svc, db×2}, with a warming cache on app -> db: graph
-    // profiles, per-visit demands and per-request edge edits all run
-    // through the recycled profile buffers.
+    // profiles and per-visit demands run through the recycled profile
+    // buffers, and hits and misses share the factory's two routes.
     let graph = TopologyGraph::from_edges(4, &[(0, 1, 1), (1, 2, 1), (1, 3, 2)]);
     let (mut world, mut engine) = MeshBuilder::new()
         .node(MeshNode::new("web", reference::apache(), 1000))
@@ -225,4 +231,42 @@ fn closed_loop_training_point() {
         completed,
     );
     assert_within_budget("closed-loop training point", cost);
+}
+
+#[test]
+fn client_retry() {
+    // Transient failures retried by the client, with no crash, deadline or
+    // inter-tier retry: every failed attempt waits out its backoff and
+    // resubmits its profile.
+    let (mut world, mut engine) = ThreeTierBuilder::new().counts(1, 2, 1).seed(15).build();
+    install_fault_plan(
+        &mut world,
+        &mut engine,
+        &FaultPlan::none().with_transient_failures(0.01),
+    );
+    let pop = CohortPopulation::start_think_time(
+        &mut world,
+        &mut engine,
+        ProfileFactory::rubbos(),
+        120,
+        2.0,
+        SimTime::from_secs(200),
+    );
+    pop.set_client_retry(RetryPolicy::default());
+    pop.disable_log();
+    engine.run_until(&mut world, SimTime::from_secs(30));
+    let (allocs_before, retries_before) = (allocations(), pop.retries_issued());
+    engine.run_until(&mut world, SimTime::from_secs(200));
+    let allocs = allocations() - allocs_before;
+    let retries = pop.retries_issued() - retries_before;
+    assert!(
+        retries >= 200,
+        "the window retries many requests ({retries})"
+    );
+    let per_retry = allocs as f64 / retries as f64;
+    assert!(
+        per_retry < RETRY_BUDGET,
+        "client retry: {per_retry:.3} allocations per retry ({allocs} in {retries} retries), \
+         budget {RETRY_BUDGET}"
+    );
 }

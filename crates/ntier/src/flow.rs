@@ -46,7 +46,7 @@ use crate::balancer::BalancerPolicy;
 use crate::ids::{FlightId, RequestId, ServerId, TierId};
 use crate::request::{Completion, Frame, Outcome, Phase, RequestProfile};
 use crate::server::{Server, ServerState};
-use crate::system::{CompletionCallback, CompletionFn, OnComplete, RequestInFlight};
+use crate::system::{CompletionFn, RequestInFlight};
 use crate::world::{SimEngine, World};
 
 /// Error from a scaling action.
@@ -81,8 +81,14 @@ impl std::error::Error for ScaleError {}
 // Request lifecycle
 // ---------------------------------------------------------------------------
 
-/// Submits a request with the given execution plan; `on_complete` fires when
-/// it finishes or is rejected.
+/// Submits a request with the given execution plan; `on_complete(world,
+/// engine, completion, payload)` fires when it finishes or is rejected.
+/// Nothing is allocated per request; the payload typically indexes the
+/// client in [`World::clients`](crate::world::World).
+///
+/// With a `deadline`, a request not finished within it is abandoned by its
+/// client: every held thread, connection, and CPU burst is released and
+/// the callback fires with [`Outcome::TimedOut`].
 ///
 /// # Panics
 ///
@@ -91,67 +97,9 @@ pub fn submit(
     world: &mut World,
     engine: &mut SimEngine,
     profile: RequestProfile,
-    on_complete: CompletionCallback,
-) -> RequestId {
-    submit_inner(world, engine, profile, None, OnComplete::Boxed(on_complete))
-}
-
-/// Like [`submit`], with a client deadline: if the request has not finished
-/// within `deadline`, the client abandons it — every held thread,
-/// connection, and CPU burst is released and the callback fires with
-/// [`Outcome::TimedOut`].
-///
-/// # Panics
-///
-/// Panics if the profile's tier count does not match the system's.
-pub fn submit_with_deadline(
-    world: &mut World,
-    engine: &mut SimEngine,
-    profile: RequestProfile,
-    deadline: SimDuration,
-    on_complete: CompletionCallback,
-) -> RequestId {
-    submit_inner(
-        world,
-        engine,
-        profile,
-        Some(deadline),
-        OnComplete::Boxed(on_complete),
-    )
-}
-
-/// Like [`submit`] (or [`submit_with_deadline`] when `deadline` is set),
-/// with a plain-function callback: `on_complete(world, engine, completion,
-/// payload)` fires when the request leaves. Nothing is allocated per
-/// request; the payload typically indexes the client in
-/// [`World::clients`](crate::world::World).
-///
-/// # Panics
-///
-/// Panics if the profile's tier count does not match the system's.
-pub fn submit_fn(
-    world: &mut World,
-    engine: &mut SimEngine,
-    profile: RequestProfile,
     deadline: Option<SimDuration>,
     on_complete: CompletionFn,
     payload: u64,
-) -> RequestId {
-    submit_inner(
-        world,
-        engine,
-        profile,
-        deadline,
-        OnComplete::Fn(on_complete, payload),
-    )
-}
-
-fn submit_inner(
-    world: &mut World,
-    engine: &mut SimEngine,
-    profile: RequestProfile,
-    deadline: Option<SimDuration>,
-    on_complete: OnComplete,
 ) -> RequestId {
     assert_eq!(
         profile.tiers(),
@@ -165,7 +113,7 @@ fn submit_inner(
         profile,
         frames: Vec::new(),
         submitted: engine.now(),
-        on_complete: Some(on_complete),
+        on_complete: (on_complete, payload),
         timeout_event: None,
         entry_attempts: 0,
         retry_event: None,
@@ -574,11 +522,8 @@ fn complete(world: &mut World, engine: &mut SimEngine, fid: FlightId, outcome: O
     // keep an enclosing callback's profile aside across this one: a
     // callback's own submission can complete re-entrantly.
     let outer = world.system.finished_profile.replace(req.profile);
-    match req.on_complete {
-        Some(OnComplete::Boxed(cb)) => cb(world, engine, completion),
-        Some(OnComplete::Fn(f, payload)) => f(world, engine, completion, payload),
-        None => {}
-    }
+    let (on_complete, payload) = req.on_complete;
+    on_complete(world, engine, completion, payload);
     if let Some(unclaimed) = std::mem::replace(&mut world.system.finished_profile, outer) {
         world.system.recycle_profile(unclaimed);
     }

@@ -6,13 +6,15 @@
 //! visit. The classic chain is the special case where node `m` has exactly
 //! one out-edge to node `m + 1` ([`TopologyGraph::chain`]); fan-out shapes
 //! (one frame calling several downstream services in order) and cache-skip
-//! shapes (an edge whose call count drops to zero for a cache hit) fall out
-//! of the same representation.
+//! shapes (a cache hit's route is a copy of the graph whose cached edge
+//! carries zero calls, [`TopologyGraph::skipping`]) fall out of the same
+//! representation.
 //!
 //! Nodes are topologically ordered by construction — every edge points from
 //! a lower index to a strictly higher one — so a single forward pass
 //! computes end-to-end visit ratios and the flow dispatcher never needs
-//! cycle detection.
+//! cycle detection. A graph is immutable and makes that pass when it is
+//! built, so every request sharing a route shares its ratios too.
 //!
 //! This module is on the request hot path (the flow state machine consults
 //! it on every downstream call), so all per-call accessors are allocation
@@ -33,43 +35,37 @@ pub struct GraphEdge {
 
 /// A DAG of tiers with per-edge call counts, stored as a flat edge list
 /// with a per-node prefix index (`first_edge[m]..first_edge[m + 1]` are the
-/// out-edges of node `m`, in call order).
-#[derive(Debug, PartialEq, Eq, Serialize, Deserialize)]
+/// out-edges of node `m`, in call order). A graph is never edited after it
+/// is built, so its visit ratios are computed once, at construction.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TopologyGraph {
     first_edge: Vec<u32>,
     edges: Vec<GraphEdge>,
-}
-
-/// `clone_from` copies into the existing buffers, so a recycled request
-/// profile installs its per-request graph without allocating.
-impl Clone for TopologyGraph {
-    fn clone(&self) -> Self {
-        let mut graph = TopologyGraph::empty();
-        graph.clone_from(self);
-        graph
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        self.first_edge.clone_from(&source.first_edge);
-        self.edges.clone_from(&source.edges);
-    }
+    /// End-to-end visit ratios (see [`TopologyGraph::visit_ratios`]).
+    ratios: Vec<u64>,
 }
 
 impl TopologyGraph {
-    /// The node-less graph a request profile starts from before its
-    /// topology is installed; it allocates nothing.
-    pub(crate) fn empty() -> Self {
-        TopologyGraph {
-            first_edge: Vec::new(),
-            edges: Vec::new(),
+    /// The graph over `first_edge` and `edges`, with its visit ratios.
+    fn with_ratios(first_edge: Vec<u32>, edges: Vec<GraphEdge>) -> Self {
+        let mut graph = TopologyGraph {
+            first_edge,
+            edges,
+            ratios: Vec::new(),
+        };
+        let tiers = graph.tiers();
+        // The client visits the root once; every other node is visited
+        // through its in-edges, all of which come from lower nodes.
+        let mut ratios: Vec<u64> = (0..tiers).map(|m| u64::from(m == 0)).collect();
+        for m in 0..tiers {
+            let here = ratios[m];
+            for e in graph.out_edges(m) {
+                let to = usize::from(e.to);
+                ratios[to] = ratios[to].saturating_add(here.saturating_mul(u64::from(e.calls)));
+            }
         }
-    }
-
-    /// Empties the graph back to [`TopologyGraph::empty`], keeping its
-    /// buffers' capacity.
-    fn clear(&mut self) {
-        self.first_edge.clear();
-        self.edges.clear();
+        graph.ratios = ratios;
+        graph
     }
 
     /// The chain topology for the given per-hop visit counts (`visits[m]`
@@ -80,34 +76,21 @@ impl TopologyGraph {
     /// Panics if `visits` is empty or `visits[0] != 1`.
     pub fn chain(visits: &[u32]) -> Self {
         assert!(!visits.is_empty(), "a chain needs at least one tier");
-        let mut graph = TopologyGraph::empty();
-        graph.set_chain(visits.iter().copied());
-        graph
-    }
-
-    /// Rebuilds this graph, in its own buffers, as the
-    /// [`TopologyGraph::chain`] for `visits`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `visits` is empty or its first count is not 1.
-    pub(crate) fn set_chain(&mut self, visits: impl IntoIterator<Item = u32>) {
-        self.clear();
-        let mut visits = visits.into_iter();
-        assert_eq!(
-            visits.next(),
-            Some(1),
-            "the client makes exactly one front-tier call"
-        );
-        self.first_edge.push(0);
-        for calls in visits {
-            // Node `m = first_edge.len() - 1` calls node `m + 1`.
-            let to = self.first_edge.len() as u16;
-            self.edges.push(GraphEdge { to, calls });
-            self.first_edge.push(self.edges.len() as u32);
+        assert_eq!(visits[0], 1, "the client makes exactly one front-tier call");
+        assert!(visits.len() <= usize::from(u16::MAX), "too many tiers");
+        let mut first_edge = Vec::with_capacity(visits.len() + 1);
+        let mut edges = Vec::with_capacity(visits.len() - 1);
+        first_edge.push(0);
+        // Node `m - 1` calls node `m`; the last node has no out-edges.
+        for (m, &calls) in visits.iter().enumerate().skip(1) {
+            edges.push(GraphEdge {
+                to: m as u16,
+                calls,
+            });
+            first_edge.push(edges.len() as u32);
         }
-        // The last node has no out-edges; close the prefix table.
-        self.first_edge.push(self.edges.len() as u32);
+        first_edge.push(edges.len() as u32);
+        Self::with_ratios(first_edge, edges)
     }
 
     /// Builds a graph over `tiers` nodes from `(from, to, calls)` edges.
@@ -155,17 +138,41 @@ impl TopologyGraph {
             }
         }
         first_edge.push(edges.len() as u32);
-        TopologyGraph { first_edge, edges }
+        Self::with_ratios(first_edge, edges)
+    }
+
+    /// A copy of this graph with the `from → to` edge's calls set to 0: the
+    /// route of a request whose cache hit at `from` skips that hop.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no such edge exists.
+    pub fn skipping(&self, from: usize, to: usize) -> Self {
+        let want = to as u16;
+        let pos = self
+            .out_edges(from)
+            .iter()
+            .position(|e| e.to == want)
+            .unwrap_or_else(|| panic!("edge ({from},{to}) not in the graph"));
+        let skipped = self.first_edge[from] as usize + pos;
+        let edges = self
+            .edges
+            .iter()
+            .enumerate()
+            .map(|(k, &e)| {
+                if k == skipped {
+                    GraphEdge { calls: 0, ..e }
+                } else {
+                    e
+                }
+            })
+            .collect();
+        Self::with_ratios(Vec::from(self.first_edge.as_slice()), edges)
     }
 
     /// Number of tiers (nodes).
     pub fn tiers(&self) -> usize {
         self.first_edge.len().saturating_sub(1)
-    }
-
-    /// Number of edges.
-    pub fn edge_count(&self) -> usize {
-        self.edges.len()
     }
 
     /// The out-edges of node `m`, in call order.
@@ -243,26 +250,8 @@ impl TopologyGraph {
     /// End-to-end visit ratios: `ratios[m]` is the expected number of times
     /// one client request visits node `m` (root = 1), the DAG analogue of
     /// the chain's cumulative visit product.
-    pub fn visit_ratios(&self) -> Vec<u64> {
-        let mut ratios = Vec::new();
-        self.visit_ratios_into(&mut ratios);
-        ratios
-    }
-
-    /// [`TopologyGraph::visit_ratios`] written into `ratios`, reusing its
-    /// buffer.
-    pub(crate) fn visit_ratios_into(&self, ratios: &mut Vec<u64>) {
-        let tiers = self.tiers();
-        ratios.clear();
-        ratios.resize(tiers, 0);
-        ratios[0] = 1;
-        for m in 0..tiers {
-            let here = ratios[m];
-            for e in self.out_edges(m) {
-                let to = usize::from(e.to);
-                ratios[to] = ratios[to].saturating_add(here.saturating_mul(u64::from(e.calls)));
-            }
-        }
+    pub fn visit_ratios(&self) -> &[u64] {
+        &self.ratios
     }
 
     /// Invokes `f(from, to, calls)` for every edge, parents in index order.
@@ -274,26 +263,6 @@ impl TopologyGraph {
             }
         }
     }
-
-    /// Overrides the call count on edge `(from, to)` — used per request to
-    /// drop a hop (e.g. a cache hit sets the cache → DB edge to 0 calls).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no such edge exists.
-    pub fn set_edge_calls(&mut self, from: usize, to: usize, calls: u32) {
-        let next = from.saturating_add(1);
-        let lo = self.first_edge[from] as usize;
-        let hi = self.first_edge[next] as usize;
-        let want = to as u16;
-        for e in self.edges[lo..hi].iter_mut() {
-            if e.to == want {
-                e.calls = calls;
-                return;
-            }
-        }
-        panic!("no edge ({from},{to}) in topology");
-    }
 }
 
 #[cfg(test)]
@@ -304,7 +273,6 @@ mod tests {
     fn chain_matches_visit_vector() {
         let g = TopologyGraph::chain(&[1, 1, 2]);
         assert_eq!(g.tiers(), 3);
-        assert_eq!(g.edge_count(), 2);
         assert_eq!(g.total_calls(0), 1);
         assert_eq!(g.total_calls(1), 2);
         assert_eq!(g.total_calls(2), 0);
@@ -340,10 +308,22 @@ mod tests {
 
     #[test]
     fn set_edge_calls_zeroes_a_hop() {
-        let mut g = TopologyGraph::from_edges(3, &[(0, 1, 1), (1, 2, 1)]);
-        g.set_edge_calls(1, 2, 0);
-        assert_eq!(g.total_calls(1), 0);
-        assert_eq!(g.visit_ratios(), [1, 1, 0]);
+        // A cache hit's route: `skipping` copies the graph with one edge's
+        // calls set to 0.
+        let g = TopologyGraph::from_edges(4, &[(0, 1, 1), (1, 2, 1), (1, 3, 2)]);
+        let hit = g.skipping(1, 3);
+        assert_eq!(hit.total_calls(1), 1);
+        assert_eq!(hit.call_target(1, 0), 2);
+        assert_eq!(hit.visit_ratios(), [1, 1, 1, 0]);
+        assert_eq!(hit.out_edges(1)[1], GraphEdge { to: 3, calls: 0 });
+        // The original is untouched.
+        assert_eq!(g.visit_ratios(), [1, 1, 1, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "edge (0,2) not in the graph")]
+    fn skipping_a_missing_edge_panics() {
+        let _ = TopologyGraph::chain(&[1, 1, 1]).skipping(0, 2);
     }
 
     #[test]

@@ -42,9 +42,10 @@
 //!     vec![1, 1, 2], // one AJP call, two SQL queries
 //!     0,
 //! );
-//! flow::submit(&mut world, &mut engine, profile, Box::new(|_w, _e, done| {
+//! // No deadline; the callback is a plain function with a `u64` payload.
+//! flow::submit(&mut world, &mut engine, profile, None, |_w, _e, done, _| {
 //!     assert!(done.is_success());
-//! }));
+//! }, 0);
 //! engine.run_until(&mut world, SimTime::from_secs(10));
 //! assert_eq!(world.system.counters().completed, 1);
 //! ```

@@ -1,12 +1,14 @@
 //! Request representation and the per-request execution state machine.
 //!
-//! An HTTP request travels its call graph recursively: at tier *m* it holds
-//! a server thread, runs a **pre** CPU burst, makes its out-edges'
-//! sequential calls into the downstream tiers (holding a downstream
-//! connection for each call; on the chain, `visits[m+1]` calls into tier
-//! *m+1*), runs a **post** burst, and replies. The [`Frame`] stack records
-//! where in that recursion the request currently is; `dcm-ntier`'s flow
-//! module drives the transitions.
+//! An HTTP request travels its route recursively: at tier *m* it holds a
+//! server thread, runs a **pre** CPU burst, makes the sequential calls of
+//! tier *m*'s out-edges in the route into the downstream tiers (holding a
+//! downstream connection for each call), runs a **post** burst, and
+//! replies. The route is a [`TopologyGraph`] shared by every request of the
+//! same shape. The [`Frame`] stack records where in that recursion the
+//! request currently is; `dcm-ntier`'s flow module drives the transitions.
+
+use std::rc::Rc;
 
 use dcm_sim::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -44,15 +46,16 @@ impl StageDemand {
 }
 
 /// The fully-sampled execution plan of one request: per-tier CPU demands and
-/// the call graph routing its downstream calls.
+/// the route (call graph) of its downstream calls.
 ///
 /// Built by workload generators (which own the service-demand
-/// distributions); consumed by the system simulator. Every profile routes
-/// through a [`TopologyGraph`]: [`RequestProfile::new`] builds the chain
-/// for a per-hop visits vector, [`RequestProfile::on_graph_reusing`] copies
-/// a DAG. A generator on the per-request path rebuilds a finished
-/// request's profile in place (the `*_reusing` constructors and the `set_*`
-/// methods) rather than allocating a new one.
+/// distributions); consumed by the system simulator. A route is shared, not
+/// copied: [`RequestProfile::new`] builds the chain for a per-hop visits
+/// vector, and [`RequestProfile::on_route_reusing`] installs a route its
+/// generator built once for every request of the same shape. A generator
+/// on the per-request path rebuilds a finished request's profile in place
+/// (`on_route_reusing`, then [`RequestProfile::set_per_visit_demands`])
+/// rather than allocating a new one.
 ///
 /// # Examples
 ///
@@ -73,12 +76,12 @@ impl StageDemand {
 /// assert_eq!(profile.tiers(), 3);
 /// assert_eq!(profile.visits_to(2), 2);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RequestProfile {
     demands: Vec<StageDemand>,
     class: u16,
-    /// Per-visit demand overrides of every tier, concatenated: tier `m`'s
-    /// overrides, indexed by global visit index, are the
+    /// Per-visit demand overrides of every tier, concatenated in tier
+    /// order: tier `m`'s overrides, indexed by global visit index, are the
     /// `per_visit_spans[m] = (start, len)` slice of this vector. A tier
     /// without a span, or with an empty one, uses `demands[tier]` for
     /// every visit. Workload generators fill this when per-visit demands
@@ -89,21 +92,9 @@ pub struct RequestProfile {
     per_visit: Vec<StageDemand>,
     per_visit_spans: Vec<(u32, u32)>,
     /// The call graph: a frame at tier `from` makes each out-edge's calls
-    /// into its `to` tier, in edge order.
-    graph: TopologyGraph,
-    /// `graph.visit_ratios()`, refreshed whenever the graph changes.
-    graph_ratios: Vec<u64>,
-}
-
-/// Equality is semantic: the per-visit overrides compare tier by tier, so
-/// the order in which tiers were given overrides does not matter.
-impl PartialEq for RequestProfile {
-    fn eq(&self, other: &Self) -> bool {
-        self.demands == other.demands
-            && self.class == other.class
-            && self.graph == other.graph
-            && (0..self.demands.len()).all(|m| self.per_visit_of(m) == other.per_visit_of(m))
-    }
+    /// into its `to` tier, in edge order. Shared by every request of the
+    /// same shape.
+    route: Rc<TopologyGraph>,
 }
 
 fn assert_valid_demand(d: &StageDemand) {
@@ -126,107 +117,60 @@ impl RequestProfile {
     /// Panics if the vectors are empty, have different lengths, any demand
     /// is negative/non-finite, or `visits[0] != 1`.
     pub fn new(demands: Vec<StageDemand>, visits: Vec<u32>, class: u16) -> Self {
-        Self::new_reusing(None, demands, visits, class)
+        let route = Rc::new(TopologyGraph::chain(&visits));
+        Self::on_route_reusing(None, demands, &route, class)
     }
 
-    /// Like [`RequestProfile::new`], but built in `spare`'s buffers when one
-    /// is given: every field is overwritten (per-visit overrides cleared)
-    /// and only buffer capacity survives, so the result equals what `new`
-    /// returns for the same arguments, whatever `spare` held.
+    /// A profile routing its downstream calls through `route`, built in
+    /// `spare`'s buffers when one is given. Every field is overwritten
+    /// (per-visit overrides cleared) and only buffer capacity survives, so
+    /// the result is the same whatever `spare` held. Installing the route
+    /// shares it: nothing is copied.
     ///
     /// # Panics
     ///
-    /// As [`RequestProfile::new`].
-    pub fn new_reusing(
-        spare: Option<RequestProfile>,
-        demands: impl IntoIterator<Item = StageDemand>,
-        visits: impl IntoIterator<Item = u32>,
-        class: u16,
-    ) -> Self {
-        let mut profile = Self::refill(spare, demands, class);
-        profile.graph.set_chain(visits);
-        profile.graph_changed();
-        profile
-    }
-
-    /// Like [`RequestProfile::new_reusing`], routing the downstream calls
-    /// through a copy of `graph` (copied into `spare`'s buffers) instead of
-    /// a chain.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `demands` is empty, does not cover the graph's nodes, or
+    /// Panics if `demands` does not cover exactly the route's nodes or
     /// holds a negative/non-finite demand.
-    pub fn on_graph_reusing(
+    pub fn on_route_reusing(
         spare: Option<RequestProfile>,
         demands: impl IntoIterator<Item = StageDemand>,
-        graph: &TopologyGraph,
+        route: &Rc<TopologyGraph>,
         class: u16,
     ) -> Self {
-        let mut profile = Self::refill(spare, demands, class);
-        profile.graph.clone_from(graph);
-        profile.graph_changed();
-        profile
-    }
-
-    /// `spare` (or a fresh profile) holding `demands` and `class`, with no
-    /// per-visit overrides and its graph still to be installed.
-    fn refill(
-        spare: Option<RequestProfile>,
-        demands: impl IntoIterator<Item = StageDemand>,
-        class: u16,
-    ) -> Self {
-        let mut profile = spare.unwrap_or_else(|| RequestProfile {
-            demands: Vec::new(),
-            class: 0,
-            per_visit: Vec::new(),
-            per_visit_spans: Vec::new(),
-            graph: TopologyGraph::empty(),
-            graph_ratios: Vec::new(),
-        });
+        let route = Rc::clone(route);
+        let mut profile = match spare {
+            Some(spare) => RequestProfile { route, ..spare },
+            None => RequestProfile {
+                demands: Vec::new(),
+                class: 0,
+                per_visit: Vec::new(),
+                per_visit_spans: Vec::new(),
+                route,
+            },
+        };
         profile.demands.clear();
         profile.demands.extend(demands);
         profile.class = class;
         profile.per_visit.clear();
         profile.per_visit_spans.clear();
-        assert!(
-            !profile.demands.is_empty(),
-            "a request must visit at least one tier"
+        assert_eq!(
+            profile.route.tiers(),
+            profile.demands.len(),
+            "demands and the call graph must cover the same tiers"
         );
         profile.demands.iter().for_each(assert_valid_demand);
         profile
     }
 
-    /// Overrides the call count of the graph's `from → to` edge for this
-    /// request (a cache hit sets its edge to 0 calls), re-deriving the
-    /// visit ratios. Call it before installing per-visit demands.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the graph holds no such edge.
-    pub fn set_edge_calls(&mut self, from: usize, to: usize, calls: u32) {
-        self.graph.set_edge_calls(from, to, calls);
-        self.graph_changed();
-    }
-
-    fn graph_changed(&mut self) {
-        assert_eq!(
-            self.graph.tiers(),
-            self.demands.len(),
-            "demands and the call graph must cover the same tiers"
-        );
-        self.graph.visit_ratios_into(&mut self.graph_ratios);
-    }
-
     /// The call graph.
     pub fn graph(&self) -> &TopologyGraph {
-        &self.graph
+        &self.route
     }
 
     /// Total downstream calls a frame at tier `m` makes: the sum of its
     /// out-edges' call counts (0 at a leaf).
     pub fn total_calls_from(&self, m: usize) -> u32 {
-        self.graph.total_calls(m)
+        self.route.total_calls(m)
     }
 
     /// The tier receiving call number `k` (0-based, in call order) from a
@@ -236,48 +180,32 @@ impl RequestProfile {
     ///
     /// Panics if `k` is not less than [`RequestProfile::total_calls_from`].
     pub fn call_target(&self, m: usize, k: u32) -> usize {
-        self.graph.call_target(m, k)
+        self.route.call_target(m, k)
     }
 
     /// Installs independent per-visit demands for tier `m`: visit `k` of
     /// the request at tier `m` (counting every visit across the whole
-    /// request, in call order) uses `demands[k]` instead of the shared
-    /// per-call demand.
+    /// request, in call order) uses the `k`-th demand instead of the shared
+    /// per-call demand. Each tier's demands are installed at most once,
+    /// in increasing tier order, on a freshly built profile.
     ///
     /// # Panics
     ///
-    /// Panics if `m` is out of range, `demands` does not cover exactly the
-    /// request's [`RequestProfile::cumulative_visits`] to tier `m`, or any
-    /// demand is negative/non-finite.
-    pub fn with_per_visit_demands(mut self, m: usize, demands: Vec<StageDemand>) -> Self {
-        self.set_per_visit_demands(m, demands);
-        self
-    }
-
-    /// In-place [`RequestProfile::with_per_visit_demands`], drawing the
-    /// demands from an iterator into this profile's own buffer.
-    ///
-    /// # Panics
-    ///
-    /// As [`RequestProfile::with_per_visit_demands`].
+    /// Panics if `m` is out of range, not above every tier installed so
+    /// far, `demands` does not cover exactly the request's
+    /// [`RequestProfile::cumulative_visits`] to tier `m`, or any demand is
+    /// negative/non-finite.
     pub fn set_per_visit_demands(
         &mut self,
         m: usize,
         demands: impl IntoIterator<Item = StageDemand>,
     ) {
         assert!(m < self.demands.len(), "tier {m} out of range");
-        if let Some(&(start, len)) = self.per_visit_spans.get(m) {
-            // Replacing an earlier override: drop its block, close the gap.
-            let start = start as usize;
-            self.per_visit.drain(start..start + len as usize);
-            for span in &mut self.per_visit_spans {
-                if span.0 as usize > start {
-                    span.0 -= len;
-                }
-            }
-        } else {
-            self.per_visit_spans.resize(m + 1, (0, 0));
-        }
+        assert!(
+            m >= self.per_visit_spans.len(),
+            "per-visit demands are installed once per tier, in increasing tier order"
+        );
+        self.per_visit_spans.resize(m + 1, (0, 0));
         let start = self.per_visit.len();
         self.per_visit.extend(demands);
         let installed = &self.per_visit[start..];
@@ -336,7 +264,7 @@ impl RequestProfile {
     ///
     /// Panics if `m` is out of range.
     pub fn visits_to(&self, m: usize) -> u32 {
-        self.graph.in_calls(m)
+        self.route.in_calls(m)
     }
 
     /// The workload class (servlet index) for bookkeeping.
@@ -344,21 +272,11 @@ impl RequestProfile {
         self.class
     }
 
-    /// Total CPU demand an average request places on tier `m`, accounting
-    /// for the multiplicative visit ratios along the chain (the `V_m · S_m`
-    /// service demand of the paper's Eq. 2).
-    pub fn service_demand(&self, m: usize) -> f64 {
-        match self.per_visit_of(m) {
-            [] => self.demands[m].total() * self.cumulative_visits(m) as f64,
-            visits => visits.iter().map(StageDemand::total).sum(),
-        }
-    }
-
     /// The end-to-end visit ratio `V_m` from the client to tier `m` (the
     /// product of per-hop visits on a chain, the DAG visit-ratio sum in
     /// general).
     pub fn cumulative_visits(&self, m: usize) -> u64 {
-        self.graph_ratios[m]
+        self.route.visit_ratios()[m]
     }
 }
 
@@ -507,62 +425,61 @@ mod tests {
     }
 
     #[test]
-    fn service_demand_weights_by_visits() {
-        let p = profile();
-        // Tier 2: 0.007 per query × 2 queries.
-        assert!((p.service_demand(2) - 0.014).abs() < 1e-12);
-        assert!((p.service_demand(1) - 0.028).abs() < 1e-12);
+    fn per_visit_demands_override_by_global_visit() {
+        let d = |x: f64| StageDemand::pre_only(x);
+        let mut p = RequestProfile::new(
+            vec![d(0.001), StageDemand::split(0.02), d(0.005)],
+            vec![1, 2, 2],
+            0,
+        );
+        p.set_per_visit_demands(1, [d(0.1), d(0.2)]);
+        p.set_per_visit_demands(2, [d(1.0), d(2.0), d(3.0), d(4.0)]);
+        assert_eq!(p.demand_for_visit(0, 0), d(0.001));
+        assert_eq!(p.demand_for_visit(1, 1), d(0.2));
+        assert_eq!(p.demand_for_visit(2, 3), d(4.0));
     }
 
     #[test]
-    fn per_visit_overrides_compare_by_tier_and_replace_in_place() {
-        let base = || {
-            RequestProfile::new(
-                vec![
-                    StageDemand::pre_only(0.001),
-                    StageDemand::split(0.02),
-                    StageDemand::pre_only(0.005),
-                ],
-                vec![1, 2, 2],
-                0,
-            )
-        };
-        let d = |x: f64| StageDemand::pre_only(x);
-        let app = vec![d(0.1), d(0.2)];
-        let db = vec![d(1.0), d(2.0), d(3.0), d(4.0)];
-        let forward = base()
-            .with_per_visit_demands(1, app.clone())
-            .with_per_visit_demands(2, db.clone());
-        let backward = base()
-            .with_per_visit_demands(2, db.clone())
-            .with_per_visit_demands(1, app.clone());
-        assert_eq!(forward, backward, "install order does not matter");
-        assert_eq!(forward.demand_for_visit(2, 3), d(4.0));
-        assert_eq!(forward.demand_for_visit(1, 1), d(0.2));
+    #[should_panic(expected = "increasing tier order")]
+    fn per_visit_demands_out_of_tier_order_panic() {
+        let d = StageDemand::pre_only(0.1);
+        let mut p = RequestProfile::new(vec![d; 3], vec![1, 2, 2], 0);
+        p.set_per_visit_demands(2, [d; 4]);
+        p.set_per_visit_demands(1, [d; 2]);
+    }
 
-        // Replacing tier 1's overrides keeps tier 2's intact.
-        let mut replaced = backward;
-        replaced.set_per_visit_demands(1, [d(0.5), d(0.6)]);
-        assert_eq!(replaced.demand_for_visit(1, 0), d(0.5));
-        assert_eq!(replaced.demand_for_visit(2, 0), d(1.0));
-        assert_eq!(replaced.demand_for_visit(2, 3), d(4.0));
-        assert!((replaced.service_demand(1) - 1.1).abs() < 1e-12);
-        assert!((replaced.service_demand(2) - 10.0).abs() < 1e-12);
-        assert_ne!(replaced, forward);
+    #[test]
+    #[should_panic(expected = "once per tier")]
+    fn per_visit_demands_twice_for_one_tier_panic() {
+        let d = StageDemand::pre_only(0.1);
+        let mut p = RequestProfile::new(vec![d; 3], vec![1, 2, 2], 0);
+        p.set_per_visit_demands(1, [d; 2]);
+        p.set_per_visit_demands(1, [d; 2]);
     }
 
     #[test]
     fn new_reusing_overwrites_every_field() {
-        let graph = TopologyGraph::from_edges(3, &[(0, 1, 1), (0, 2, 2), (1, 2, 1)]);
+        // The in-place constructor keeps nothing of its spare: neither its
+        // route nor its per-visit demands.
+        let graph = Rc::new(TopologyGraph::from_edges(
+            3,
+            &[(0, 1, 1), (0, 2, 2), (1, 2, 1)],
+        ));
         let mut spare =
-            RequestProfile::on_graph_reusing(None, [StageDemand::pre_only(0.1); 3], &graph, 9);
+            RequestProfile::on_route_reusing(None, [StageDemand::pre_only(0.1); 3], &graph, 9);
         spare.set_per_visit_demands(2, vec![StageDemand::pre_only(0.3); 3]);
         let demands = [StageDemand::pre_only(0.001), StageDemand::split(0.02)];
-        let reused = RequestProfile::new_reusing(Some(spare), demands, [1, 3], 4);
+        let chain = Rc::new(TopologyGraph::chain(&[1, 3]));
+        let reused = RequestProfile::on_route_reusing(Some(spare), demands, &chain, 4);
         let fresh = RequestProfile::new(demands.to_vec(), vec![1, 3], 4);
         assert_eq!(reused, fresh);
         assert_eq!(format!("{reused:?}"), format!("{fresh:?}"));
-        assert_eq!(reused.graph(), &TopologyGraph::chain(&[1, 3]));
+        assert!(std::ptr::eq(reused.graph(), &*chain), "the route is shared");
+        assert_eq!(
+            Rc::strong_count(&graph),
+            1,
+            "the spare's old route is dropped"
+        );
         assert_eq!(reused.cumulative_visits(1), 3);
     }
 

@@ -211,22 +211,17 @@ impl SystemCounters {
     }
 }
 
-/// Callback invoked when a request leaves the system.
-pub type CompletionCallback =
-    Box<dyn FnOnce(&mut crate::world::World, &mut crate::world::SimEngine, Completion)>;
-
-/// A plain-function completion callback: runs as
-/// `f(world, engine, completion, payload)` with the payload the request was
-/// submitted with ([`crate::flow::submit_fn`]). Unlike a
-/// [`CompletionCallback`] it needs no allocation, which suits clients that
-/// submit on every think cycle.
+/// A completion callback: runs as `f(world, engine, completion, payload)`
+/// with the payload the request was submitted with
+/// ([`crate::flow::submit`]). A plain function and a `u64` need no
+/// allocation, which suits clients that submit on every think cycle; the
+/// payload typically indexes the client in
+/// [`World::clients`](crate::world::World).
 pub type CompletionFn = fn(&mut crate::world::World, &mut crate::world::SimEngine, Completion, u64);
 
-/// How a finished request reports back to its submitter.
-pub(crate) enum OnComplete {
-    Boxed(CompletionCallback),
-    Fn(CompletionFn, u64),
-}
+/// How a finished request reports back to its submitter: the callback and
+/// its payload.
+pub(crate) type OnComplete = (CompletionFn, u64);
 
 /// Inter-tier retry configuration: when a tier momentarily has no routable
 /// server (e.g. its only VM just crashed and the replacement is booting),
@@ -253,6 +248,7 @@ impl Default for InterTierRetry {
 }
 
 /// An in-flight request: execution plan, call stack, bookkeeping.
+#[derive(Debug)]
 pub struct RequestInFlight {
     /// The request's public monotonic identity (spans, completions, trace
     /// export) — distinct from the recycled [`FlightId`] slab handle.
@@ -263,8 +259,8 @@ pub struct RequestInFlight {
     pub frames: Vec<Frame>,
     /// Submission time.
     pub submitted: SimTime,
-    /// Completion callback, taken when the request leaves.
-    pub(crate) on_complete: Option<OnComplete>,
+    /// Completion callback and its payload, called when the request leaves.
+    pub(crate) on_complete: OnComplete,
     /// The client-abandonment timer, if a deadline was set.
     pub(crate) timeout_event: Option<dcm_sim::engine::EventId>,
     /// Inter-tier entry attempts consumed so far (for retry backoff).
@@ -278,18 +274,6 @@ pub struct RequestInFlight {
     /// chain it equals the old parent-`calls_done` product fold because
     /// same-tier visits are strictly sequential.
     pub(crate) visit_counts: Vec<u32>,
-}
-
-impl std::fmt::Debug for RequestInFlight {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RequestInFlight")
-            .field("id", &self.id)
-            .field("profile", &self.profile)
-            .field("frames", &self.frames)
-            .field("submitted", &self.submitted)
-            .field("has_callback", &self.on_complete.is_some())
-            .finish()
-    }
 }
 
 /// Generation-checked slab holding every in-flight request.
@@ -692,7 +676,7 @@ impl System {
     }
 
     /// A finished request's profile for a workload factory to rebuild in
-    /// place (see `RequestProfile::new_reusing`), or `None` when no spare
+    /// place (see `RequestProfile::on_route_reusing`), or `None` when no spare
     /// is left. Profiles come back when their request completes, so a
     /// client that draws each new profile here allocates none once the
     /// system has reached its peak number of requests in flight.
@@ -1025,7 +1009,7 @@ mod tests {
             ),
             frames: Vec::new(),
             submitted: SimTime::ZERO,
-            on_complete: None,
+            on_complete: (|_, _, _, _| {}, 0),
             timeout_event: None,
             entry_attempts: 0,
             retry_event: None,

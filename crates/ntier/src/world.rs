@@ -38,7 +38,7 @@ impl World {
 ///
 /// A workload population registers its shared state here once. Its timers
 /// (`Engine::schedule_fn_at`) and completion callbacks
-/// ([`crate::flow::submit_fn`]) then carry only the index in their `u64`
+/// ([`crate::flow::submit`]) then carry only the index in their `u64`
 /// payload and look the state up when they run, so arming them allocates
 /// nothing. The world owns every entry, so an entry lives exactly as long
 /// as its world.

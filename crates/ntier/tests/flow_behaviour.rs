@@ -23,24 +23,33 @@ fn rubbos_profile() -> RequestProfile {
     )
 }
 
-type CompletionCb = Box<dyn FnOnce(&mut World, &mut SimEngine, Completion)>;
+type Log = RefCell<Vec<Completion>>;
 
-fn collect_completions() -> (Rc<RefCell<Vec<Completion>>>, impl Fn() -> CompletionCb) {
-    let log: Rc<RefCell<Vec<Completion>>> = Rc::new(RefCell::new(Vec::new()));
-    let log2 = Rc::clone(&log);
-    let make = move || {
-        let log = Rc::clone(&log2);
-        let cb: CompletionCb = Box::new(move |_w, _e, c| log.borrow_mut().push(c));
-        cb
-    };
-    (log, make)
+/// Registers a completion log in the world's client table and returns it
+/// with its index: a request submitted with [`log_completion`] and that
+/// index as payload appends its completion to the log.
+fn collect_completions(world: &mut World) -> (Rc<Log>, u64) {
+    let log = Rc::new(RefCell::new(Vec::new()));
+    let index = world.clients.register(Rc::clone(&log));
+    (log, u64::from(index))
+}
+
+fn log_completion(world: &mut World, _: &mut SimEngine, done: Completion, log: u64) {
+    world.clients.get::<Log>(log as u32).borrow_mut().push(done);
 }
 
 #[test]
 fn single_request_traverses_all_tiers() {
     let (mut world, mut engine) = ThreeTierBuilder::new().build();
-    let (log, cb) = collect_completions();
-    flow::submit(&mut world, &mut engine, rubbos_profile(), cb());
+    let (log, cb) = collect_completions(&mut world);
+    flow::submit(
+        &mut world,
+        &mut engine,
+        rubbos_profile(),
+        None,
+        log_completion,
+        cb,
+    );
     engine.run(&mut world);
 
     let done = log.borrow();
@@ -70,14 +79,13 @@ fn single_request_traverses_all_tiers() {
 #[test]
 fn conservation_under_concurrent_load() {
     let (mut world, mut engine) = ThreeTierBuilder::new().seed(7).build();
-    let (log, cb) = collect_completions();
+    let (log, cb) = collect_completions(&mut world);
     // 200 requests in a burst at t=0 plus stragglers.
     for i in 0..200 {
         let at = SimTime::from_secs_f64(i as f64 * 0.002);
         let profile = rubbos_profile();
-        let cb = cb();
         engine.schedule_at(at, move |w: &mut World, e: &mut SimEngine| {
-            flow::submit(w, e, profile, cb);
+            flow::submit(w, e, profile, None, log_completion, cb);
         });
     }
     engine.run(&mut world);
@@ -112,7 +120,7 @@ fn db_concurrency_is_capped_by_upstream_conn_pool() {
         .build();
     for _ in 0..100 {
         let profile = rubbos_profile();
-        flow::submit(&mut world, &mut engine, profile, Box::new(|_, _, _| {}));
+        flow::submit(&mut world, &mut engine, profile, None, |_, _, _, _| {}, 0);
     }
     // Step the simulation, checking the invariant as we go.
     let db = world
@@ -153,9 +161,16 @@ fn scale_out_becomes_routable_after_boot_delay() {
 fn scale_in_drains_then_stops() {
     let (mut world, mut engine) = ThreeTierBuilder::new().counts(1, 2, 1).build();
     // Hold a request in flight through app tier, then decommission.
-    let (log, cb) = collect_completions();
+    let (log, cb) = collect_completions(&mut world);
     for _ in 0..50 {
-        flow::submit(&mut world, &mut engine, rubbos_profile(), cb());
+        flow::submit(
+            &mut world,
+            &mut engine,
+            rubbos_profile(),
+            None,
+            log_completion,
+            cb,
+        );
     }
     // Run a few events so work lands on both app servers.
     for _ in 0..40 {
@@ -185,9 +200,16 @@ fn runtime_conn_pool_grow_admits_waiters() {
     let (mut world, mut engine) = ThreeTierBuilder::new()
         .soft(SoftConfig::new(1000, 200, 1))
         .build();
-    let (log, cb) = collect_completions();
+    let (log, cb) = collect_completions(&mut world);
     for _ in 0..20 {
-        flow::submit(&mut world, &mut engine, rubbos_profile(), cb());
+        flow::submit(
+            &mut world,
+            &mut engine,
+            rubbos_profile(),
+            None,
+            log_completion,
+            cb,
+        );
     }
     // Let the system make some progress with the tiny pool, then widen it.
     engine.run_until(&mut world, SimTime::from_secs_f64(0.05));
@@ -202,9 +224,16 @@ fn runtime_thread_pool_shrink_drains_without_disruption() {
     let (mut world, mut engine) = ThreeTierBuilder::new()
         .soft(SoftConfig::new(1000, 50, 40))
         .build();
-    let (log, cb) = collect_completions();
+    let (log, cb) = collect_completions(&mut world);
     for _ in 0..100 {
-        flow::submit(&mut world, &mut engine, rubbos_profile(), cb());
+        flow::submit(
+            &mut world,
+            &mut engine,
+            rubbos_profile(),
+            None,
+            log_completion,
+            cb,
+        );
     }
     engine.run_until(&mut world, SimTime::from_secs_f64(0.05));
     // Shrink Tomcat pool hard mid-flight.
@@ -243,7 +272,9 @@ fn faster_completion_with_optimal_concurrency_than_overload() {
                     vec![1, 1, 2],
                     0,
                 ),
-                Box::new(|_, _, _| {}),
+                None,
+                |_, _, _, _| {},
+                0,
             );
         }
         engine.run(&mut world);
@@ -272,8 +303,15 @@ fn replace_server_then_refuse_emptying_tier() {
     assert!(world.system.server(original).unwrap().is_stopped());
     assert!(flow::decommission_one(&mut world, &mut engine, 1).is_err());
 
-    let (log, cb) = collect_completions();
-    flow::submit(&mut world, &mut engine, rubbos_profile(), cb());
+    let (log, cb) = collect_completions(&mut world);
+    flow::submit(
+        &mut world,
+        &mut engine,
+        rubbos_profile(),
+        None,
+        log_completion,
+        cb,
+    );
     engine.run(&mut world);
     assert_eq!(log.borrow().len(), 1);
     assert!(log.borrow()[0].is_success(), "tier stayed routable");
@@ -309,14 +347,15 @@ fn deadline_abandons_stuck_requests_cleanly() {
     let (mut world, mut engine) = ThreeTierBuilder::new()
         .soft(SoftConfig::new(1000, 200, 1))
         .build();
-    let (log, cb) = collect_completions();
+    let (log, cb) = collect_completions(&mut world);
     for _ in 0..50 {
-        flow::submit_with_deadline(
+        flow::submit(
             &mut world,
             &mut engine,
             rubbos_profile(),
-            SimDuration::from_millis(2500),
-            cb(),
+            Some(SimDuration::from_millis(2500)),
+            log_completion,
+            cb,
         );
     }
     engine.run(&mut world);
@@ -364,14 +403,15 @@ fn deadline_abandons_stuck_requests_cleanly() {
 #[test]
 fn generous_deadline_never_fires() {
     let (mut world, mut engine) = ThreeTierBuilder::new().build();
-    let (log, cb) = collect_completions();
+    let (log, cb) = collect_completions(&mut world);
     for _ in 0..20 {
-        flow::submit_with_deadline(
+        flow::submit(
             &mut world,
             &mut engine,
             rubbos_profile(),
-            SimDuration::from_secs(60),
-            cb(),
+            Some(SimDuration::from_secs(60)),
+            log_completion,
+            cb,
         );
     }
     engine.run(&mut world);
@@ -386,8 +426,15 @@ fn span_tracing_records_tier_waterfalls() {
     let (mut world, mut engine) = ThreeTierBuilder::new().build();
     world.system.enable_tracing();
     assert!(world.system.tracing_enabled());
-    let (log, cb) = collect_completions();
-    let rid = flow::submit(&mut world, &mut engine, rubbos_profile(), cb());
+    let (log, cb) = collect_completions(&mut world);
+    let rid = flow::submit(
+        &mut world,
+        &mut engine,
+        rubbos_profile(),
+        None,
+        log_completion,
+        cb,
+    );
     engine.run(&mut world);
     assert!(log.borrow()[0].is_success());
 
@@ -413,7 +460,14 @@ fn span_tracing_records_tier_waterfalls() {
 
     // take_spans drains but keeps recording.
     assert!(world.system.take_spans().is_empty());
-    flow::submit(&mut world, &mut engine, rubbos_profile(), cb());
+    flow::submit(
+        &mut world,
+        &mut engine,
+        rubbos_profile(),
+        None,
+        log_completion,
+        cb,
+    );
     engine.run(&mut world);
     assert_eq!(world.system.take_spans().len(), 4);
 }
@@ -429,9 +483,16 @@ fn spans_capture_queueing_under_contention() {
         .soft(SoftConfig::new(1000, 200, 1))
         .build();
     world.system.enable_tracing();
-    let (_log, cb) = collect_completions();
+    let (_log, cb) = collect_completions(&mut world);
     for _ in 0..10 {
-        flow::submit(&mut world, &mut engine, rubbos_profile(), cb());
+        flow::submit(
+            &mut world,
+            &mut engine,
+            rubbos_profile(),
+            None,
+            log_completion,
+            cb,
+        );
     }
     engine.run(&mut world);
     let spans = world.system.take_spans();
@@ -457,6 +518,28 @@ fn classed_profile(class: u16) -> RequestProfile {
     )
 }
 
+type Seen = RefCell<Vec<u16>>;
+
+/// The outer request's callback: submits another request, whose rejection
+/// completes inside this callback, then takes its own profile.
+fn outer_done(w: &mut World, e: &mut SimEngine, done: Completion, seen: u64) {
+    assert!(!done.is_success());
+    flow::submit(w, e, classed_profile(2), None, inner_done, seen);
+    let mine = w.system.take_finished_profile().expect("outer profile");
+    w.clients
+        .get::<Seen>(seen as u32)
+        .borrow_mut()
+        .push(mine.class());
+}
+
+fn inner_done(w: &mut World, _: &mut SimEngine, _: Completion, seen: u64) {
+    let mine = w.system.take_finished_profile().expect("inner profile");
+    w.clients
+        .get::<Seen>(seen as u32)
+        .borrow_mut()
+        .push(mine.class());
+}
+
 #[test]
 fn finished_profile_survives_a_reentrant_rejection() {
     // With the only web server crashed, every submission is rejected
@@ -465,27 +548,15 @@ fn finished_profile_survives_a_reentrant_rejection() {
     let (mut world, mut engine) = ThreeTierBuilder::new().build();
     let web = world.system.tier(0).members()[0];
     flow::crash_server(&mut world, &mut engine, web);
-    let seen: Rc<RefCell<Vec<u16>>> = Rc::new(RefCell::new(Vec::new()));
-    let outer_seen = Rc::clone(&seen);
+    let seen: Rc<Seen> = Rc::new(RefCell::new(Vec::new()));
+    let index = u64::from(world.clients.register(Rc::clone(&seen)));
     flow::submit(
         &mut world,
         &mut engine,
         classed_profile(1),
-        Box::new(move |w, e, done| {
-            assert!(!done.is_success());
-            let inner_seen = Rc::clone(&outer_seen);
-            flow::submit(
-                w,
-                e,
-                classed_profile(2),
-                Box::new(move |w, _, _| {
-                    let mine = w.system.take_finished_profile().expect("inner profile");
-                    inner_seen.borrow_mut().push(mine.class());
-                }),
-            );
-            let mine = w.system.take_finished_profile().expect("outer profile");
-            outer_seen.borrow_mut().push(mine.class());
-        }),
+        None,
+        outer_done,
+        index,
     );
     assert_eq!(*seen.borrow(), vec![2, 1]);
     assert!(
@@ -503,7 +574,9 @@ fn untaken_profiles_are_recycled_up_to_peak_in_flight() {
             &mut world,
             &mut engine,
             rubbos_profile(),
-            Box::new(|_, _, _| {}),
+            None,
+            |_, _, _, _| {},
+            0,
         );
     }
     engine.run(&mut world);
@@ -520,7 +593,9 @@ fn untaken_profiles_are_recycled_up_to_peak_in_flight() {
             &mut world,
             &mut engine,
             rubbos_profile(),
-            Box::new(|_, _, _| {}),
+            None,
+            |_, _, _, _| {},
+            0,
         );
         engine.run(&mut world);
     }

@@ -11,7 +11,6 @@ use dcm_ntier::law::ServiceLaw;
 use dcm_ntier::pool::Pool;
 use dcm_ntier::request::{RequestProfile, StageDemand};
 use dcm_ntier::topology::{SoftConfig, ThreeTierBuilder};
-use dcm_ntier::world::{SimEngine, World};
 use dcm_sim::time::SimTime;
 
 #[derive(Debug, Clone)]
@@ -252,12 +251,7 @@ proptest! {
                 vec![1, 1, queries],
                 0,
             );
-            flow::submit(
-                &mut world,
-                &mut engine,
-                profile,
-                Box::new(|_: &mut World, _: &mut SimEngine, _| {}),
-            );
+            flow::submit(&mut world, &mut engine, profile, None, |_, _, _, _| {}, 0);
         }
         engine.run(&mut world);
         let c = world.system.counters();
@@ -303,7 +297,7 @@ proptest! {
                 vec![1, 1, 2],
                 0,
             );
-            flow::submit(&mut world, &mut engine, profile, Box::new(|_, _, _| {}));
+            flow::submit(&mut world, &mut engine, profile, None, |_, _, _, _| {}, 0);
         }
         engine.run_until(&mut world, SimTime::from_secs_f64(0.05));
         flow::set_tier_thread_pools(&mut world, &mut engine, 1, resize_to).unwrap();

@@ -35,11 +35,12 @@
 //!
 //! A population registers its state in the world's
 //! [`ClientTable`](dcm_ntier::world::ClientTable): cohort timers and
-//! first-attempt completion callbacks are plain functions whose payload
-//! packs the table index and the cohort index, and profiles are sampled
-//! into recycled buffers, so a member's cycle allocates nothing. Only
-//! client retries (their backoff timer and the retried attempt's callback)
-//! use boxed closures.
+//! completion callbacks are plain functions whose payload packs the table
+//! index and the cohort index, and profiles are sampled into recycled
+//! buffers, so a member's cycle allocates nothing. A client retry waits in
+//! a reused slot of the population's retry table, and its backoff timer
+//! and completion callback address that slot the same way, so retrying
+//! allocates nothing either.
 
 use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
@@ -158,6 +159,23 @@ pub(crate) struct PopState {
     retries_issued: u64,
     deadline: Option<SimDuration>,
     cohorts: Vec<Cohort>,
+    /// Client retries from their backoff to their completion, by slot.
+    retries: Vec<Option<PendingRetry>>,
+    /// The free slots of `retries`.
+    free_retries: Vec<u32>,
+}
+
+/// A client retry between its backoff and its completion.
+#[derive(Debug)]
+struct PendingRetry {
+    /// The request's profile, until the backoff ends and it is resubmitted.
+    profile: Option<RequestProfile>,
+    /// The retry's attempt number (2 for the first retry).
+    attempt: u32,
+    /// When the logical request's first attempt was submitted.
+    first: SimTime,
+    /// The cohort of the member whose request this is.
+    cohort: u32,
 }
 
 impl PopState {
@@ -170,6 +188,21 @@ impl PopState {
             self.cohorts.push(Cohort::new());
         }
         cohort
+    }
+
+    /// Parks `retry` in a free slot of the retry table and returns the slot.
+    fn park_retry(&mut self, retry: PendingRetry) -> u32 {
+        match self.free_retries.pop() {
+            Some(slot) => {
+                self.retries[slot as usize] = Some(retry);
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.retries.len()).expect("fewer than 2^32 retries");
+                self.retries.push(Some(retry));
+                slot
+            }
+        }
     }
 }
 
@@ -320,6 +353,8 @@ impl CohortPopulation {
             retries_issued: 0,
             deadline: None,
             cohorts: Vec::new(),
+            retries: Vec::new(),
+            free_retries: Vec::new(),
         }));
         let client = world.clients.register(Rc::clone(&inner));
         CohortPopulation { inner, client }
@@ -425,20 +460,25 @@ impl CohortPopulation {
     }
 }
 
-/// The fn-event payload addressing `cohort` of the population registered
-/// at `client`.
-fn payload(client: u32, cohort: u32) -> u64 {
-    (u64::from(client) << 32) | u64::from(cohort)
+/// The fn-event payload addressing entry `index` (a cohort, or a pending
+/// retry's slot) of the population registered at `client`.
+fn payload(client: u32, index: u32) -> u64 {
+    (u64::from(client) << 32) | u64::from(index)
 }
 
-/// The cohort index a [`payload`] addresses.
-fn cohort_of(payload: u64) -> usize {
+/// The client-table index of the population a [`payload`] addresses.
+fn client_of(payload: u64) -> u32 {
+    (payload >> 32) as u32
+}
+
+/// The cohort or retry slot a [`payload`] addresses.
+fn index_of(payload: u64) -> usize {
     payload as u32 as usize
 }
 
 /// The population a [`payload`] addresses.
 fn population(world: &World, payload: u64) -> Rc<RefCell<PopState>> {
-    world.clients.get((payload >> 32) as u32)
+    world.clients.get(client_of(payload))
 }
 
 /// One member of the payload's cohort wakes up *now*: retire it if the run
@@ -455,7 +495,7 @@ fn wake_member(state: &RefCell<PopState>, world: &mut World, engine: &mut SimEng
         let profile = st.factory.sample_reusing(&mut world.rng, spare);
         (profile, st.deadline)
     };
-    flow::submit_fn(world, engine, profile, deadline, member_done, payload);
+    flow::submit(world, engine, profile, deadline, member_done, payload);
 }
 
 /// Completion callback of a logical request's first attempt.
@@ -463,38 +503,45 @@ fn member_done(w: &mut World, e: &mut SimEngine, completion: Completion, payload
     attempt_done(w, e, completion, payload, 1, None);
 }
 
-/// Submits a retry of a logical request: attempt `attempt` of `profile`,
-/// first submitted at `first`. Retries are rare, so the callback carrying
-/// the attempt number and first submission time is a boxed closure.
-fn submit_retry(
-    world: &mut World,
-    engine: &mut SimEngine,
-    payload: u64,
-    profile: RequestProfile,
-    attempt: u32,
-    first: SimTime,
-) {
-    let deadline = population(world, payload).borrow().deadline;
-    let callback: dcm_ntier::system::CompletionCallback =
-        Box::new(move |w: &mut World, e: &mut SimEngine, done: Completion| {
-            attempt_done(w, e, done, payload, attempt, Some(first));
-        });
-    match deadline {
-        Some(d) => {
-            flow::submit_with_deadline(world, engine, profile, d, callback);
-        }
-        None => {
-            flow::submit(world, engine, profile, callback);
-        }
-    }
+/// The backoff of the retry in the payload's slot ended: resubmit its
+/// profile.
+fn retry_fire(world: &mut World, engine: &mut SimEngine, payload: u64) {
+    let (profile, deadline) = {
+        let state = population(world, payload);
+        let mut st = state.borrow_mut();
+        let profile = st.retries[index_of(payload)]
+            .as_mut()
+            .and_then(|retry| retry.profile.take())
+            .expect("a pending retry is resubmitted once");
+        (profile, st.deadline)
+    };
+    flow::submit(world, engine, profile, deadline, retry_done, payload);
 }
 
-/// One attempt of a logical request finished. On a non-success outcome
-/// with retry attempts and budget remaining, the same profile (handed back
-/// by the system) is resubmitted after an exponential backoff; otherwise
-/// the (final) completion is recorded — stamped with the first attempt's
-/// submission time, so reports measure client-perceived latency — and the
-/// member thinks: its wake-up is queued in its cohort.
+/// Completion callback of the retry in the payload's slot: frees the slot
+/// and hands the completion on as its attempt's.
+fn retry_done(w: &mut World, e: &mut SimEngine, completion: Completion, payload: u64) {
+    let slot = index_of(payload);
+    let retry = {
+        let state = population(w, payload);
+        let mut st = state.borrow_mut();
+        let retry = st.retries[slot]
+            .take()
+            .expect("a retry's events address its pending slot");
+        st.free_retries.push(slot as u32);
+        retry
+    };
+    let member = self::payload(client_of(payload), retry.cohort);
+    attempt_done(w, e, completion, member, retry.attempt, Some(retry.first));
+}
+
+/// One attempt of a logical request of the payload's cohort finished. On a
+/// non-success outcome with retry attempts and budget remaining, the same
+/// profile (handed back by the system) waits in the retry table and is
+/// resubmitted after an exponential backoff; otherwise the (final)
+/// completion is recorded — stamped with the first attempt's submission
+/// time, so reports measure client-perceived latency — and the member
+/// thinks: its wake-up is queued in its cohort.
 fn attempt_done(
     w: &mut World,
     e: &mut SimEngine,
@@ -526,12 +573,14 @@ fn attempt_done(
             .system
             .take_finished_profile()
             .expect("a completion callback is handed its request's profile");
-        e.schedule_in(
-            SimDuration::from_secs_f64(backoff_secs),
-            move |w: &mut World, e: &mut SimEngine| {
-                submit_retry(w, e, payload, profile, attempt + 1, first);
-            },
-        );
+        let slot = state.borrow_mut().park_retry(PendingRetry {
+            profile: Some(profile),
+            attempt: attempt + 1,
+            first,
+            cohort: index_of(payload) as u32,
+        });
+        let at = e.now() + SimDuration::from_secs_f64(backoff_secs);
+        e.schedule_fn_at(at, retry_fire, self::payload(client_of(payload), slot));
         return;
     }
     let mut st = state.borrow_mut();
@@ -559,7 +608,7 @@ fn attempt_done(
     // same-time event) instead of recursing, so long closed-loop runs
     // keep a flat stack.
     let due = e.now() + SimDuration::from_secs_f64(base * multiplier);
-    let cohort = &mut st.cohorts[cohort_of(payload)];
+    let cohort = &mut st.cohorts[index_of(payload)];
     cohort.push(due);
     cohort.rearm(e, payload);
 }
@@ -571,7 +620,7 @@ fn attempt_done(
 /// member.
 fn cohort_fire(world: &mut World, engine: &mut SimEngine, payload: u64) {
     let state = population(world, payload);
-    let cohort = cohort_of(payload);
+    let cohort = index_of(payload);
     let now = engine.now();
     let batch = {
         let mut st = state.borrow_mut();

@@ -1,6 +1,9 @@
 //! Per-request execution plans: one factory samples [`RequestProfile`]s
 //! over any call graph, and the paper's RUBBoS deployment is its preset.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use dcm_ntier::graph::TopologyGraph;
 use dcm_ntier::law::reference;
 use dcm_ntier::request::{RequestProfile, StageDemand};
@@ -117,10 +120,15 @@ pub struct CacheEdge {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ProfileFactory {
-    graph: TopologyGraph,
     demands: Vec<NodeDemand>,
     cache: Option<CacheEdge>,
-    servlets: Option<Servlets>,
+    /// The request shapes: one per servlet of the mix, in mix order, or
+    /// the factory's one graph without a mix.
+    shapes: Vec<Shape>,
+    mix: Option<ServletMix>,
+    /// The sample in progress's base draws, held until its cache decision
+    /// picks the route they are installed with.
+    base: RefCell<Vec<StageDemand>>,
 }
 
 const PRESET_ONLY: &str = "only the RUBBoS presets carry a servlet mix";
@@ -129,30 +137,37 @@ const PRESET_ONLY: &str = "only the RUBBoS presets carry a servlet mix";
 const WEB: usize = 0;
 const APP: usize = 1;
 
-/// A servlet mix over the RUBBoS chain. A servlet's multipliers scale the
-/// web, app and db nodes' draws, and its queries travel the app's
-/// out-edge (app → db, or app → lb on four tiers).
+/// One request shape: the routes its requests share, built once, and under
+/// a servlet mix the servlet's demand multipliers.
 #[derive(Debug, Clone)]
-struct Servlets {
-    mix: ServletMix,
-    /// Per servlet, in mix order.
-    chains: Vec<ServletChain>,
+struct Shape {
+    /// The route of a request without a cache hit.
+    miss: Rc<TopologyGraph>,
+    /// With a cache edge, the route of a hit: `miss` with the cached
+    /// edge's calls set to 0.
+    hit: Option<Rc<TopologyGraph>>,
+    /// Under a servlet mix, the demand multiplier of each RUBBoS node (1
+    /// on the lb node).
+    mults: Option<[f64; 4]>,
 }
 
-/// One servlet's request shape over the RUBBoS chain.
-#[derive(Debug, Clone)]
-struct ServletChain {
-    /// The chain with the servlet's query count (at least 1) on the app's
-    /// out-edge.
-    graph: TopologyGraph,
-    /// The demand multiplier of each node (1 on the lb node).
-    mults: [f64; 4],
-}
+impl Shape {
+    /// The shape routed through `miss`, with its hit route under `cache`.
+    fn new(miss: TopologyGraph, mults: Option<[f64; 4]>, cache: Option<&CacheEdge>) -> Self {
+        let hit = cache.map(|cache| Rc::new(miss.skipping(cache.from, cache.to)));
+        Shape {
+            miss: Rc::new(miss),
+            hit,
+            mults,
+        }
+    }
 
-impl Servlets {
-    /// The mix over the `tiers`-node RUBBoS chain.
-    fn new(mix: ServletMix, tiers: usize) -> Self {
-        let servlet_chain = |servlet: &Servlet| {
+    /// The shapes of `mix`'s servlets over the `tiers`-node RUBBoS chain.
+    /// A servlet's multipliers scale the web, app and db nodes' draws, and
+    /// its queries (at least 1) travel the app's out-edge (app → db, or
+    /// app → lb on four tiers).
+    fn servlets(mix: &ServletMix, tiers: usize, cache: Option<&CacheEdge>) -> Vec<Shape> {
+        let shape = |servlet: &Servlet| {
             let mut visits = [1; 4];
             visits[2] = servlet.db_queries.max(1);
             let mut mults = [1.0; 4];
@@ -161,13 +176,9 @@ impl Servlets {
             *mults[..tiers]
                 .last_mut()
                 .expect("a RUBBoS chain ends at its db node") = servlet.db_mult;
-            ServletChain {
-                graph: TopologyGraph::chain(&visits[..tiers]),
-                mults,
-            }
+            Shape::new(TopologyGraph::chain(&visits[..tiers]), Some(mults), cache)
         };
-        let chains = mix.servlets().iter().map(servlet_chain).collect();
-        Servlets { mix, chains }
+        mix.servlets().iter().map(shape).collect()
     }
 }
 
@@ -191,10 +202,11 @@ impl ProfileFactory {
             );
         }
         ProfileFactory {
-            graph,
             demands,
             cache: None,
-            servlets: None,
+            shapes: Vec::from([Shape::new(graph, None, None)]),
+            mix: None,
+            base: RefCell::default(),
         }
     }
 
@@ -235,8 +247,10 @@ impl ProfileFactory {
         // queueing beyond the product-form model the MVA oracle solves.
         demands.push(NodeDemand::leaf(base(reference::mysql().s0())).iid_visits());
         let graph = TopologyGraph::chain(&[1; 4][..demands.len()]);
+        let mix = ServletMix::browse_only();
         ProfileFactory {
-            servlets: Some(Servlets::new(ServletMix::browse_only(), demands.len())),
+            shapes: Shape::servlets(&mix, demands.len(), None),
+            mix: Some(mix),
             ..Self::new(graph, demands)
         }
     }
@@ -247,8 +261,9 @@ impl ProfileFactory {
     ///
     /// Panics if the factory is not a RUBBoS preset.
     pub fn with_mix(mut self, mix: ServletMix) -> Self {
-        assert!(self.servlets.is_some(), "{PRESET_ONLY}");
-        self.servlets = Some(Servlets::new(mix, self.demands.len()));
+        assert!(self.mix.is_some(), "{PRESET_ONLY}");
+        self.shapes = Shape::servlets(&mix, self.demands.len(), self.cache.as_ref());
+        self.mix = Some(mix);
         self
     }
 
@@ -259,7 +274,7 @@ impl ProfileFactory {
     ///
     /// Panics if the factory is not a RUBBoS preset.
     pub fn with_bases(mut self, web: Dist, app: Dist, db: Dist) -> Self {
-        assert!(self.servlets.is_some(), "{PRESET_ONLY}");
+        assert!(self.mix.is_some(), "{PRESET_ONLY}");
         let last = self.demands.len() - 1;
         self.demands[WEB].base = web;
         self.demands[APP].base = app;
@@ -276,25 +291,22 @@ impl ProfileFactory {
     /// RUBBoS preset.
     pub fn with_app_pre_fraction(mut self, fraction: f64) -> Self {
         assert!((0.0..=1.0).contains(&fraction), "fraction must be in [0,1]");
-        assert!(self.servlets.is_some(), "{PRESET_ONLY}");
+        assert!(self.mix.is_some(), "{PRESET_ONLY}");
         self.demands[APP].pre_fraction = fraction;
         self
     }
 
     /// Installs a cache on the `from → to` edge: each request draws a
-    /// hit/miss decision from `dynamics`; hits zero out that edge's calls.
+    /// hit/miss decision from `dynamics`; hits take a route whose edge
+    /// carries no calls, built here once per request shape.
     ///
     /// # Panics
     ///
     /// Panics if the graph holds no `from → to` edge.
     pub fn with_cache(mut self, from: usize, to: usize, dynamics: CacheDynamics) -> Self {
-        assert!(
-            self.graph
-                .out_edges(from)
-                .iter()
-                .any(|e| usize::from(e.to) == to),
-            "cache edge {from} -> {to} not in the graph"
-        );
+        for shape in &mut self.shapes {
+            shape.hit = Some(Rc::new(shape.miss.skipping(from, to)));
+        }
         self.cache = Some(CacheEdge { from, to, dynamics });
         self
     }
@@ -303,60 +315,62 @@ impl ProfileFactory {
     ///
     /// Draw order is deterministic: the servlet index (with a mix), one
     /// base demand per node in node order (constant nodes draw nothing),
-    /// then the cache hit/miss decision, then independent per-visit
-    /// demands in node order (the first visit reuses the base draw).
+    /// then the cache hit/miss decision, which picks the route, then
+    /// independent per-visit demands in node order (the first visit reuses
+    /// the base draw).
     pub fn sample(&self, rng: &mut SimRng) -> RequestProfile {
         self.sample_reusing(rng, None)
     }
 
     /// Like [`ProfileFactory::sample`], rebuilding `spare` in place when
-    /// one is given (see [`RequestProfile::on_graph_reusing`]): the same draws
-    /// and the same profile, without allocating once `spare`'s buffers are
-    /// large enough.
+    /// one is given (see [`RequestProfile::on_route_reusing`]): the same
+    /// draws and the same profile, without allocating once `spare`'s
+    /// buffers are large enough. The profile shares the route its shape
+    /// and cache decision pick.
     pub fn sample_reusing(
         &self,
         rng: &mut SimRng,
         spare: Option<RequestProfile>,
     ) -> RequestProfile {
-        let (graph, class, mults) = match &self.servlets {
-            Some(servlets) => {
-                let index = servlets.mix.sample_index(rng);
-                let chain = &servlets.chains[index];
-                (&chain.graph, index as u16, Some(&chain.mults))
+        let (shape, class) = match &self.mix {
+            Some(mix) => {
+                let index = mix.sample_index(rng);
+                (&self.shapes[index], index as u16)
             }
-            None => (&self.graph, 0, None),
+            None => (&self.shapes[0], 0),
         };
         let draw = |m: usize, node: &NodeDemand, rng: &mut SimRng| {
-            let d = node.base.sample(rng) * mults.map_or(1.0, |mults| mults[m]);
+            let d = node.base.sample(rng) * shape.mults.map_or(1.0, |mults| mults[m]);
             StageDemand {
                 pre: d * node.pre_fraction,
                 post: d * (1.0 - node.pre_fraction),
             }
         };
-        let stage = self
-            .demands
-            .iter()
-            .enumerate()
-            .map(|(m, node)| draw(m, node, rng));
-        let mut profile = RequestProfile::on_graph_reusing(spare, stage, graph, class);
+        let mut base = self.base.borrow_mut();
+        base.clear();
+        base.extend(
+            self.demands
+                .iter()
+                .enumerate()
+                .map(|(m, node)| draw(m, node, rng)),
+        );
         let hit = self
             .cache
             .as_ref()
-            .filter(|cache| cache.dynamics.decide(rng));
-        if let Some(cache) = hit {
-            profile.set_edge_calls(cache.from, cache.to, 0);
-        }
-        for (m, node) in self.demands.iter().enumerate() {
-            if !node.per_visit_iid {
+            .is_some_and(|cache| cache.dynamics.decide(rng));
+        let route = match &shape.hit {
+            Some(hit_route) if hit => hit_route,
+            _ => &shape.miss,
+        };
+        let mut profile =
+            RequestProfile::on_route_reusing(spare, base.iter().copied(), route, class);
+        let nodes = self.demands.iter().zip(route.visit_ratios());
+        for (m, (node, &visits)) in nodes.enumerate() {
+            if !node.per_visit_iid || visits <= 1 {
                 continue;
             }
-            let visits = usize::try_from(profile.cumulative_visits(m)).unwrap_or(usize::MAX);
-            if visits <= 1 {
-                continue;
-            }
-            let first = profile.demand(m);
             let rest = (1..visits).map(|_| draw(m, node, rng));
-            profile.set_per_visit_demands(m, std::iter::once(first).chain(rest));
+            profile.set_per_visit_demands(m, std::iter::once(base[m]).chain(rest));
         }
         profile
     }
@@ -533,6 +547,53 @@ mod tests {
             assert_eq!(plain.sample(&mut rng_a), zeroed.sample(&mut rng_b));
         }
         assert_eq!(rng_a.next_f64(), rng_b.next_f64());
+    }
+
+    #[test]
+    fn samples_of_one_servlet_share_its_route() {
+        let mix = ServletMix::from_servlets(
+            [("One", 1), ("Two", 2)]
+                .into_iter()
+                .map(|(name, db_queries)| Servlet {
+                    name,
+                    weight: 1.0,
+                    web_mult: 1.0,
+                    app_mult: 1.0,
+                    db_mult: 1.0,
+                    db_queries,
+                })
+                .collect(),
+        )
+        .unwrap();
+        let factory = ProfileFactory::rubbos().with_mix(mix);
+        let mut rng = SimRng::seed_from(5);
+        let samples: Vec<RequestProfile> = (0..64).map(|_| factory.sample(&mut rng)).collect();
+        let by_class = |class: u16| samples.iter().filter(move |p| p.class() == class);
+        for class in [0, 1] {
+            let first = by_class(class).next().expect("both servlets drawn");
+            assert!(by_class(class).all(|p| std::ptr::eq(p.graph(), first.graph())));
+        }
+        let (one, two) = (by_class(0).next().unwrap(), by_class(1).next().unwrap());
+        assert!(!std::ptr::eq(one.graph(), two.graph()));
+        assert_eq!(two.cumulative_visits(2), 2);
+    }
+
+    #[test]
+    fn cache_hits_share_one_route_and_misses_another() {
+        let factory = diamond_factory().with_cache(1, 3, crate::cache::CacheDynamics::steady(0.5));
+        let mut rng = SimRng::seed_from(9);
+        let samples: Vec<RequestProfile> = (0..200).map(|_| factory.sample(&mut rng)).collect();
+        // Two db visits through svc-a on a miss, none on a hit.
+        let (hits, misses): (Vec<_>, Vec<_>) =
+            samples.iter().partition(|p| p.cumulative_visits(3) == 1);
+        assert!(hits.len() > 50 && misses.len() > 50);
+        assert!(misses.iter().all(|p| p.cumulative_visits(3) == 3));
+        for group in [&hits, &misses] {
+            assert!(group
+                .iter()
+                .all(|p| std::ptr::eq(p.graph(), group[0].graph())));
+        }
+        assert!(!std::ptr::eq(hits[0].graph(), misses[0].graph()));
     }
 
     /// Refilling must overwrite every field: whatever spare a factory is

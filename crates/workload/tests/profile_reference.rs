@@ -68,8 +68,9 @@ impl ChainReference {
         self
     }
 
-    /// The chain sampler, verbatim but for the dropped chain-graph flag.
-    fn sample_reusing(&self, rng: &mut SimRng, spare: Option<RequestProfile>) -> RequestProfile {
+    /// The chain sampler, verbatim but for the dropped chain-graph flag and
+    /// its constructor: it builds each profile fresh and drops the spare.
+    fn sample_reusing(&self, rng: &mut SimRng, _spare: Option<RequestProfile>) -> RequestProfile {
         let idx = self.mix.sample_index(rng);
         let servlet = self.mix.servlet(idx);
         let web = self.web_base.sample(rng) * servlet.web_mult;
@@ -89,7 +90,7 @@ impl ChainReference {
                 StageDemand::pre_only(db),
             ];
             let visits = [1, 1, queries, 1];
-            let profile = RequestProfile::new_reusing(spare, demands, visits, idx as u16);
+            let profile = RequestProfile::new(demands.to_vec(), visits.to_vec(), idx as u16);
             (profile, 3)
         } else {
             let demands = [
@@ -98,7 +99,7 @@ impl ChainReference {
                 StageDemand::pre_only(db),
             ];
             let visits = [1, 1, queries];
-            let profile = RequestProfile::new_reusing(spare, demands, visits, idx as u16);
+            let profile = RequestProfile::new(demands.to_vec(), visits.to_vec(), idx as u16);
             (profile, 2)
         };
         // Each query's demand is an independent draw: reusing one sample

@@ -34,7 +34,7 @@ fn trace_under(soft: SoftConfig, label: &str) {
         engine.schedule_at(SimTime::from_secs(5), move |w, e| {
             let factory = ProfileFactory::rubbos_deterministic();
             let profile = factory.sample(&mut w.rng);
-            let rid = flow::submit(w, e, profile, Box::new(|_, _, _| {}));
+            let rid = flow::submit(w, e, profile, None, |_, _, _, _| {}, 0);
             probe.set(Some(rid));
         });
     }
