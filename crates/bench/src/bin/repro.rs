@@ -823,14 +823,13 @@ fn main() -> ExitCode {
             eprintln!(
                 "validate: conformance gate FAILED (per-user worst {:.3}% / {:.3}% \
                  zero-overhead / load-dependent vs gates {:.0}% / {:.0}%; cohort \
-                 worst {:.3}% / {:.3}% under the same gates; mesh worst {:.3}%)",
+                 worst {:.3}% / {:.3}% under the same gates)",
                 100.0 * result.max_rel_err(dcm_oracle::ScenarioKind::ZeroOverhead),
                 100.0 * result.max_rel_err(dcm_oracle::ScenarioKind::LoadDependent),
                 100.0 * result.tol_zero,
                 100.0 * result.tol_law,
                 100.0 * result.cohort_max_rel_err(dcm_oracle::ScenarioKind::ZeroOverhead),
                 100.0 * result.cohort_max_rel_err(dcm_oracle::ScenarioKind::LoadDependent),
-                100.0 * result.mesh_max_rel_err(),
             );
             gate_failed = true;
         }

@@ -88,16 +88,6 @@ fn run_with_config(config: &TraceExperimentConfig, models: DcmModels) -> Fig5 {
     Fig5 { dcm, ec2, models }
 }
 
-/// Trains models then runs the comparison.
-///
-/// # Errors
-///
-/// Propagates [`FitError`] from training.
-pub fn run_fig5_with_training(fidelity: Fidelity) -> Result<Fig5, FitError> {
-    let models = train_models(fidelity)?;
-    Ok(run_fig5(fidelity, models))
-}
-
 /// Summary metrics of one run, used in the comparison table.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct RunSummary {

@@ -62,7 +62,7 @@ use dcm_ntier::server::VmType;
 use dcm_ntier::system::{InterTierRetry, VmPolicy};
 use dcm_ntier::topology::{MeshNode, SoftConfig, ThreeTierBuilder};
 use dcm_obs::FailureLog;
-use dcm_oracle::{run_scenario, Scenario, ScenarioKind};
+use dcm_oracle::{run_scenario, Scenario};
 use dcm_sim::dist::Dist;
 use dcm_sim::faults::FaultPlan;
 use dcm_sim::rng::{derive_seed, SimRng};
@@ -963,19 +963,17 @@ fn mva_population(s: &HuntScenario) -> u32 {
 
 fn check_mva(s: &HuntScenario) -> CheckOutcome {
     let scenario = Scenario {
-        name: "hunt",
-        kind: ScenarioKind::ZeroOverhead,
-        counts: (s.web, s.app, s.db),
-        db_threads: s.db_threads,
-        web_demand: s.web_demand,
-        app_demand: s.app_demand,
-        db_demand: s.db_demand,
-        db_visits: s.db_visits,
-        think: s.think_z,
-        db_law: ServiceLaw::frictionless(s.db_demand),
-        populations: &[],
         warmup: 40.0,
         measure: 300.0,
+        ..Scenario::chain(
+            "hunt",
+            (s.web, s.app, s.db),
+            (s.web_demand, s.app_demand),
+            ServiceLaw::frictionless(s.db_demand),
+            s.db_threads,
+            s.db_visits,
+            s.think_z,
+        )
     };
     let population = mva_population(s);
     let point = run_scenario(&scenario, population, s.seed, 1);
@@ -984,7 +982,8 @@ fn check_mva(s: &HuntScenario) -> CheckOutcome {
     fnv.u64(u64::from(population));
     fnv.u64(point.completions);
     fnv.f64(point.throughput.des);
-    fnv.f64(point.db_queue.des);
+    // The DB's mean queue, X·R_db by Little's law.
+    fnv.f64(point.throughput.des * point.residence[2].1.des);
 
     let mut problems = Vec::new();
     let err = point.max_rel_err();
@@ -1411,7 +1410,7 @@ impl HuntScenario {
         };
         let (d_slo, d_margin, d_rho, d_alpha, d_beta, d_step) = KV_ZOO_DEFAULTS;
         let (d_coin, d_fanout, d_hit, d_warm, d_cap, d_mix) = KV_MESH_DEFAULTS;
-        Ok(HuntScenario {
+        let scenario = HuntScenario {
             oracle: OracleKind::parse(get("oracle")?)?,
             seed: get_u64("seed")?,
             web: get_u32("web")?,
@@ -1462,7 +1461,64 @@ impl HuntScenario {
             cache_warmup: get_f64_or("cache_warmup", d_warm)?,
             vm_large_capacity: get_f64_or("vm_large_capacity", d_cap)?,
             vm_mix: get_bool_or("vm_mix", d_mix)?,
-        })
+        };
+        scenario.check_domain()?;
+        Ok(scenario)
+    }
+
+    /// Rejects, naming the key, a value outside the domain the oracles run
+    /// in: a zero count or pool size; a horizon, think time, demand or
+    /// multiplier that is not finite and positive; a probability outside
+    /// `[0, 1]`; or a smoothing factor outside `(0, 1]`.
+    fn check_domain(&self) -> Result<(), String> {
+        let counts = [
+            ("web", self.web),
+            ("app", self.app),
+            ("db", self.db),
+            ("web_threads", self.web_threads),
+            ("app_threads", self.app_threads),
+            ("db_conns", self.db_conns),
+            ("db_threads", self.db_threads),
+            ("db_visits", self.db_visits),
+            ("users", self.users),
+            ("cohort_size", self.cohort_size),
+            ("max_servers", self.max_servers),
+            ("fanout_calls", self.fanout_calls),
+        ];
+        if let Some((key, _)) = counts.iter().find(|(_, v)| *v == 0) {
+            return Err(format!("{key:?} must be positive, got 0"));
+        }
+        let positive = [
+            ("horizon_secs", self.horizon_secs),
+            ("think_secs", self.think_secs),
+            ("think_z", self.think_z),
+            ("web_demand", self.web_demand),
+            ("app_demand", self.app_demand),
+            ("db_demand", self.db_demand),
+            ("straggler_factor", self.straggler_factor),
+            ("headroom", self.headroom),
+            ("vm_large_capacity", self.vm_large_capacity),
+        ];
+        if let Some((key, v)) = positive.iter().find(|(_, v)| !(v.is_finite() && *v > 0.0)) {
+            return Err(format!("{key:?} must be finite and positive, got {v}"));
+        }
+        let probabilities = [
+            ("transient_prob", self.transient_prob),
+            ("cache_hit", self.cache_hit),
+            ("mesh_coin", self.mesh_coin),
+            ("mva_util", self.mva_util),
+        ];
+        if let Some((key, v)) = probabilities.iter().find(|(_, v)| !(0.0..=1.0).contains(v)) {
+            return Err(format!("{key:?} must lie in [0, 1], got {v}"));
+        }
+        let smoothing = [
+            ("hw_level_alpha", self.hw_level_alpha),
+            ("hw_trend_beta", self.hw_trend_beta),
+        ];
+        if let Some((key, v)) = smoothing.iter().find(|(_, v)| !(*v > 0.0 && *v <= 1.0)) {
+            return Err(format!("{key:?} must lie in (0, 1], got {v}"));
+        }
+        Ok(())
     }
 
     /// The canonical regression filename for this scenario.
@@ -1712,6 +1768,41 @@ mod tests {
         }
         assert!(HuntScenario::from_kv("oracle mva\n").is_err());
         assert!(HuntScenario::from_kv("garbage").is_err());
+    }
+
+    #[test]
+    fn out_of_domain_kv_values_are_errors_naming_the_key() {
+        // Each probe replaces one line of a pinned regression with an
+        // out-of-domain value, which must fail to parse, naming its key.
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../tests/regressions/hunt_mva_7165920320026392122.txt"
+        );
+        let pinned = std::fs::read_to_string(path).expect("pinned regression readable");
+        assert!(HuntScenario::from_kv(&pinned).is_ok());
+        let probes = [
+            ("web", "0"),
+            ("db", "0"),
+            ("db_threads", "0"),
+            ("db_demand", "-1"),
+            ("horizon_secs", "-5"),
+            ("horizon_secs", "NaN"),
+            ("think_secs", "-1"),
+            ("transient_prob", "2"),
+            ("db_visits", "0"),
+        ];
+        for (key, value) in probes {
+            let probe: String = pinned
+                .lines()
+                .map(|line| match line.split_once(' ') {
+                    Some((k, _)) if k == key => format!("{key} {value}\n"),
+                    _ => format!("{line}\n"),
+                })
+                .collect();
+            let err = HuntScenario::from_kv(&probe)
+                .expect_err(&format!("{key} {value} must be rejected"));
+            assert!(err.contains(&format!("{key:?}")), "{key} {value}: {err}");
+        }
     }
 
     #[test]

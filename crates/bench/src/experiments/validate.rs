@@ -3,15 +3,12 @@
 //! Sweeps the [`dcm_oracle`] conformance grid — topologies whose analytic
 //! steady state is known exactly (product-form networks solved by
 //! load-dependent MVA) — and reports the relative error of the simulator's
-//! throughput, per-tier residence, and DB queue length at every
-//! `(scenario, population)` point. Zero-overhead points must land within
-//! 2 %, load-dependent points within 5 %, the asymptotic bounds must never
-//! be violated, and every point's conservation audit must be clean.
+//! throughput and per-node residence at every `(scenario, population)`
+//! point. Zero-overhead points must land within 2 %, load-dependent points
+//! within 5 %, the asymptotic bounds must never be violated, and every
+//! point's conservation audit must be clean.
 
-use dcm_oracle::{
-    default_grid, default_mesh_grid, run_mesh_scenario, run_scenario, ConformancePoint, MeshPoint,
-    ScenarioKind,
-};
+use dcm_oracle::{default_grid, run_scenario, ConformancePoint, ScenarioKind};
 use dcm_sim::rng::derive_seed;
 
 use crate::format::{num, TextTable};
@@ -20,6 +17,10 @@ use super::Fidelity;
 
 /// Base seed for the conformance sweep (point seeds derive from it).
 const SEED: u64 = 20170607;
+
+/// Seed-index offsets of the grid's two families, the chain and the mesh:
+/// point `j` of scenario `i` draws `derive_seed(SEED, offset | i << 8 | j)`.
+const STREAMS: [u64; 2] = [0, 0x4D << 16];
 
 /// Cohort size for the aggregated-generator column: every grid point is
 /// re-run with users multiplexed into cohorts of this size, and gated
@@ -49,12 +50,8 @@ pub struct ValidatePoint {
 /// The conformance sweep results.
 #[derive(Debug, Clone)]
 pub struct Validate {
-    /// Every measured grid point, in grid order.
+    /// Every measured grid point, chain then mesh, in grid order.
     pub points: Vec<ValidatePoint>,
-    /// Every mesh grid point (fan-out DAG, steady-state cache,
-    /// heterogeneous VM capacity), in grid order. All mesh scenarios are
-    /// frictionless, so the zero-overhead tolerance gates them.
-    pub mesh_points: Vec<MeshPoint>,
     /// The zero-overhead tolerance applied.
     pub tol_zero: f64,
     /// The load-dependent tolerance applied.
@@ -68,45 +65,28 @@ pub struct Validate {
 /// `--jobs` value).
 pub fn run_validate(fidelity: Fidelity) -> Validate {
     let (tol_zero, tol_law) = tolerances(fidelity);
+    let scale = match fidelity {
+        Fidelity::Quick => 0.1,
+        Fidelity::Full => 1.0,
+    };
     let mut jobs = Vec::new();
-    for (i, scenario) in default_grid().into_iter().enumerate() {
-        let scale = match fidelity {
-            Fidelity::Quick => 0.1,
-            Fidelity::Full => 1.0,
-        };
-        for (j, &population) in scenario.populations.iter().enumerate() {
-            let mut s = scenario.clone();
-            s.warmup *= scale;
-            s.measure *= scale;
-            let seed = derive_seed(SEED, (i as u64) << 8 | j as u64);
-            jobs.push((s, population, seed));
+    for (family, stream) in default_grid().into_iter().zip(STREAMS) {
+        for (i, scenario) in family.into_iter().enumerate() {
+            for (j, &population) in scenario.populations.iter().enumerate() {
+                let mut s = scenario.clone();
+                s.warmup *= scale;
+                s.measure *= scale;
+                let seed = derive_seed(SEED, stream | (i as u64) << 8 | j as u64);
+                jobs.push((s, population, seed));
+            }
         }
     }
     let points = dcm_sim::runner::run_ordered(jobs, |(scenario, population, seed)| ValidatePoint {
         per_user: run_scenario(&scenario, population, seed, 1),
         cohort: run_scenario(&scenario, population, seed, COHORT_SIZE),
     });
-    let mut mesh_jobs = Vec::new();
-    for (i, scenario) in default_mesh_grid().into_iter().enumerate() {
-        let scale = match fidelity {
-            Fidelity::Quick => 0.1,
-            Fidelity::Full => 1.0,
-        };
-        for (j, &population) in scenario.populations.iter().enumerate() {
-            let mut s = scenario.clone();
-            s.warmup *= scale;
-            s.measure *= scale;
-            // Distinct index space from the chain grid's `(i << 8) | j`.
-            let seed = derive_seed(SEED, (0x4D << 16) | (i as u64) << 8 | j as u64);
-            mesh_jobs.push((s, population, seed));
-        }
-    }
-    let mesh_points = dcm_sim::runner::run_ordered(mesh_jobs, |(scenario, population, seed)| {
-        run_mesh_scenario(&scenario, population, seed)
-    });
     Validate {
         points,
-        mesh_points,
         tol_zero,
         tol_law,
         cohort_size: COHORT_SIZE,
@@ -114,64 +94,47 @@ pub fn run_validate(fidelity: Fidelity) -> Validate {
 }
 
 impl Validate {
-    /// The tolerance gating one point, by its oracle kind.
-    fn tolerance(&self, kind: ScenarioKind) -> f64 {
-        match kind {
+    /// Whether one measurement satisfies its gate: errors within the
+    /// tolerance of its oracle kind, bound respected, audit clean.
+    pub fn point_ok(&self, p: &ConformancePoint) -> bool {
+        let tolerance = match p.kind {
             ScenarioKind::ZeroOverhead => self.tol_zero,
             ScenarioKind::LoadDependent => self.tol_law,
-        }
+        };
+        p.max_rel_err() <= tolerance && p.bound_ok && p.audit_violations == 0
     }
 
-    /// Whether one measurement satisfies its gate: errors within
-    /// tolerance, bound respected, audit clean.
-    pub fn point_ok(&self, p: &ConformancePoint) -> bool {
-        p.max_rel_err() <= self.tolerance(p.kind) && p.bound_ok && p.audit_violations == 0
-    }
-
-    /// Whether one mesh measurement satisfies its gate. Mesh scenarios are
-    /// all frictionless, so the zero-overhead tolerance applies.
-    pub fn mesh_point_ok(&self, p: &MeshPoint) -> bool {
-        p.max_rel_err() <= self.tol_zero && p.bound_ok && p.audit_violations == 0
-    }
-
-    /// Whether every point passed — per-user, cohort, and mesh alike.
+    /// Whether every point passed, per-user and cohort alike.
     pub fn passed(&self) -> bool {
         self.points
             .iter()
             .all(|p| self.point_ok(&p.per_user) && self.point_ok(&p.cohort))
-            && self.mesh_points.iter().all(|p| self.mesh_point_ok(p))
     }
 
-    /// The largest relative error across the mesh grid.
-    pub fn mesh_max_rel_err(&self) -> f64 {
-        self.mesh_points
+    /// The largest relative error across the chosen measurement of the
+    /// points of the given kind.
+    fn worst(&self, kind: ScenarioKind, pick: fn(&ValidatePoint) -> &ConformancePoint) -> f64 {
+        self.points
             .iter()
-            .map(MeshPoint::max_rel_err)
+            .map(pick)
+            .filter(|p| p.kind == kind)
+            .map(ConformancePoint::max_rel_err)
             .fold(0.0, f64::max)
     }
 
     /// The largest per-user relative error across points of the given kind.
     pub fn max_rel_err(&self, kind: ScenarioKind) -> f64 {
-        self.points
-            .iter()
-            .map(|p| &p.per_user)
-            .filter(|p| p.kind == kind)
-            .map(ConformancePoint::max_rel_err)
-            .fold(0.0, f64::max)
+        self.worst(kind, |p| &p.per_user)
     }
 
     /// The largest cohort-aggregated relative error across points of the
     /// given kind.
     pub fn cohort_max_rel_err(&self, kind: ScenarioKind) -> f64 {
-        self.points
-            .iter()
-            .map(|p| &p.cohort)
-            .filter(|p| p.kind == kind)
-            .map(ConformancePoint::max_rel_err)
-            .fold(0.0, f64::max)
+        self.worst(kind, |p| &p.cohort)
     }
 
-    /// The per-point conformance table.
+    /// The per-point conformance table. The residence columns are the web
+    /// and app nodes and the worst node past them (the DB on the chain).
     pub fn table(&self) -> TextTable {
         let mut t = TextTable::new([
             "scenario",
@@ -182,8 +145,7 @@ impl Validate {
             "X err%",
             "R_web err%",
             "R_app err%",
-            "R_db err%",
-            "Q_db err%",
+            "R_rest err%",
             "bound ok",
             "audits",
             "pass",
@@ -191,9 +153,17 @@ impl Validate {
             "coh max err%",
             "coh pass",
         ]);
+        let yes = |ok: bool| if ok { "yes" } else { "NO" }.to_string();
         for pair in &self.points {
             let p = &pair.per_user;
             let c = &pair.cohort;
+            let err = |m: usize| p.residence.get(m).map_or(0.0, |(_, t)| t.rel_err);
+            let rest = p
+                .residence
+                .iter()
+                .skip(2)
+                .map(|(_, t)| t.rel_err)
+                .fold(0.0, f64::max);
             t.row([
                 p.scenario.to_string(),
                 kind_label(p.kind).to_string(),
@@ -201,47 +171,15 @@ impl Validate {
                 num(p.throughput.des, 3),
                 num(p.throughput.mva, 3),
                 num(100.0 * p.throughput.rel_err, 3),
-                num(100.0 * p.residence[0].rel_err, 3),
-                num(100.0 * p.residence[1].rel_err, 3),
-                num(100.0 * p.residence[2].rel_err, 3),
-                num(100.0 * p.db_queue.rel_err, 3),
-                if p.bound_ok { "yes" } else { "NO" }.to_string(),
+                num(100.0 * err(0), 3),
+                num(100.0 * err(1), 3),
+                num(100.0 * rest, 3),
+                yes(p.bound_ok),
                 p.audit_violations.to_string(),
-                if self.point_ok(p) { "yes" } else { "NO" }.to_string(),
+                yes(self.point_ok(p)),
                 num(100.0 * c.throughput.rel_err, 3),
                 num(100.0 * c.max_rel_err(), 3),
-                if self.point_ok(c) { "yes" } else { "NO" }.to_string(),
-            ]);
-        }
-        for p in &self.mesh_points {
-            // Mesh rows reuse the chain columns: the first two residence
-            // slots are nodes 0 and 1, the third is the worst remaining
-            // node; cohort columns do not apply.
-            let r0 = p.residence.first().map_or(0.0, |t| t.rel_err);
-            let r1 = p.residence.get(1).map_or(0.0, |t| t.rel_err);
-            let rest = p
-                .residence
-                .iter()
-                .skip(2)
-                .map(|t| t.rel_err)
-                .fold(0.0, f64::max);
-            t.row([
-                p.scenario.to_string(),
-                "mesh".to_string(),
-                p.population.to_string(),
-                num(p.throughput.des, 3),
-                num(p.throughput.mva, 3),
-                num(100.0 * p.throughput.rel_err, 3),
-                num(100.0 * r0, 3),
-                num(100.0 * r1, 3),
-                num(100.0 * rest, 3),
-                "-".to_string(),
-                if p.bound_ok { "yes" } else { "NO" }.to_string(),
-                p.audit_violations.to_string(),
-                if self.mesh_point_ok(p) { "yes" } else { "NO" }.to_string(),
-                "-".to_string(),
-                "-".to_string(),
-                "-".to_string(),
+                yes(self.point_ok(c)),
             ]);
         }
         t
@@ -251,47 +189,38 @@ impl Validate {
     /// shapes are fixed for downstream tooling and the CI tolerance gate).
     pub fn to_json(&self) -> String {
         let mut json = String::from("{\n");
-        json.push_str(&format!(
-            "  \"tolerance_zero_overhead\": {:.6},\n",
-            self.tol_zero
-        ));
-        json.push_str(&format!(
-            "  \"tolerance_load_dependent\": {:.6},\n",
-            self.tol_law
-        ));
-        json.push_str(&format!(
-            "  \"max_rel_err_zero_overhead\": {:.6},\n",
-            self.max_rel_err(ScenarioKind::ZeroOverhead)
-        ));
-        json.push_str(&format!(
-            "  \"max_rel_err_load_dependent\": {:.6},\n",
-            self.max_rel_err(ScenarioKind::LoadDependent)
-        ));
-        json.push_str(&format!("  \"cohort_size\": {},\n", self.cohort_size));
-        json.push_str(&format!(
-            "  \"cohort_max_rel_err_zero_overhead\": {:.6},\n",
-            self.cohort_max_rel_err(ScenarioKind::ZeroOverhead)
-        ));
-        json.push_str(&format!(
-            "  \"cohort_max_rel_err_load_dependent\": {:.6},\n",
-            self.cohort_max_rel_err(ScenarioKind::LoadDependent)
-        ));
-        json.push_str(&format!(
-            "  \"max_rel_err_mesh\": {:.6},\n",
-            self.mesh_max_rel_err()
-        ));
-        json.push_str(&format!("  \"passed\": {},\n", self.passed()));
+        let mut field = |key: &str, value: String| {
+            json.push_str(&format!("  \"{key}\": {value},\n"));
+        };
+        let six = |v: f64| format!("{v:.6}");
+        let (zero, law) = (ScenarioKind::ZeroOverhead, ScenarioKind::LoadDependent);
+        field("tolerance_zero_overhead", six(self.tol_zero));
+        field("tolerance_load_dependent", six(self.tol_law));
+        field("max_rel_err_zero_overhead", six(self.max_rel_err(zero)));
+        field("max_rel_err_load_dependent", six(self.max_rel_err(law)));
+        field("cohort_size", self.cohort_size.to_string());
+        let cohort_zero = six(self.cohort_max_rel_err(zero));
+        field("cohort_max_rel_err_zero_overhead", cohort_zero);
+        field(
+            "cohort_max_rel_err_load_dependent",
+            six(self.cohort_max_rel_err(law)),
+        );
+        field("passed", self.passed().to_string());
         json.push_str("  \"points\": [\n");
         for (i, pair) in self.points.iter().enumerate() {
             let p = &pair.per_user;
             let c = &pair.cohort;
+            let nodes: Vec<String> = p
+                .residence
+                .iter()
+                .map(|(name, r)| format!("{{\"node\": \"{name}\", \"rel_err\": {:.6}}}", r.rel_err))
+                .collect();
             json.push_str(&format!(
                 "    {{\"scenario\": \"{}\", \"kind\": \"{}\", \"population\": {}, \
                  \"completions\": {}, \
                  \"throughput_des\": {:.6}, \"throughput_mva\": {:.6}, \
                  \"throughput_rel_err\": {:.6}, \
-                 \"residence_rel_err\": [{:.6}, {:.6}, {:.6}], \
-                 \"db_queue_rel_err\": {:.6}, \
+                 \"residence\": [{}], \
                  \"throughput_bound\": {:.6}, \"bound_ok\": {}, \
                  \"audit_violations\": {}, \"pass\": {}, \
                  \"cohort_throughput_rel_err\": {:.6}, \
@@ -303,10 +232,7 @@ impl Validate {
                 p.throughput.des,
                 p.throughput.mva,
                 p.throughput.rel_err,
-                p.residence[0].rel_err,
-                p.residence[1].rel_err,
-                p.residence[2].rel_err,
-                p.db_queue.rel_err,
+                nodes.join(", "),
                 p.throughput_bound,
                 p.bound_ok,
                 p.audit_violations,
@@ -315,41 +241,6 @@ impl Validate {
                 c.max_rel_err(),
                 self.point_ok(c),
                 if i + 1 < self.points.len() { "," } else { "" }
-            ));
-        }
-        json.push_str("  ],\n");
-        json.push_str("  \"mesh_points\": [\n");
-        for (i, p) in self.mesh_points.iter().enumerate() {
-            let nodes: Vec<String> = p
-                .node_names
-                .iter()
-                .zip(&p.residence)
-                .map(|(name, r)| format!("{{\"node\": \"{name}\", \"rel_err\": {:.6}}}", r.rel_err))
-                .collect();
-            json.push_str(&format!(
-                "    {{\"scenario\": \"{}\", \"population\": {}, \
-                 \"completions\": {}, \
-                 \"throughput_des\": {:.6}, \"throughput_mva\": {:.6}, \
-                 \"throughput_rel_err\": {:.6}, \
-                 \"residence\": [{}], \
-                 \"throughput_bound\": {:.6}, \"bound_ok\": {}, \
-                 \"audit_violations\": {}, \"pass\": {}}}{}\n",
-                p.scenario,
-                p.population,
-                p.completions,
-                p.throughput.des,
-                p.throughput.mva,
-                p.throughput.rel_err,
-                nodes.join(", "),
-                p.throughput_bound,
-                p.bound_ok,
-                p.audit_violations,
-                self.mesh_point_ok(p),
-                if i + 1 < self.mesh_points.len() {
-                    ","
-                } else {
-                    ""
-                }
             ));
         }
         json.push_str("  ]\n}\n");
@@ -374,7 +265,10 @@ impl Validate {
         vec![
             format!(
                 "zero-overhead conformance: {zero_points} points, worst error \
-                 {:.3}% (gate {:.0}%) — delay tiers + M/M/c DB match exact MVA",
+                 {:.3}% (gate {:.0}%) — delay + M/M/c stations match exact MVA \
+                 on the chain, a fan-out DAG, a steady-state cache (Bernoulli \
+                 routing) and a heterogeneous DB fleet (capacity-rescaled \
+                 stations)",
                 100.0 * zero,
                 100.0 * self.tol_zero
             ),
@@ -402,15 +296,6 @@ impl Validate {
                     .count(),
                 self.points.len()
             ),
-            format!(
-                "mesh conformance: {} points (fan-out DAG, steady-state cache, \
-                 heterogeneous VM capacity), worst error {:.3}% (gate {:.0}%) — \
-                 DAG visit ratios, Bernoulli cache routing, and capacity-rescaled \
-                 stations stay exact product-form",
-                self.mesh_points.len(),
-                100.0 * self.mesh_max_rel_err(),
-                100.0 * self.tol_zero
-            ),
         ]
     }
 }
@@ -429,8 +314,7 @@ mod tests {
     #[test]
     fn quick_validate_passes_and_serializes() {
         let result = run_validate(Fidelity::Quick);
-        assert!(result.points.len() >= 18, "grid too small");
-        assert!(result.mesh_points.len() >= 9, "mesh grid too small");
+        assert!(result.points.len() >= 29, "grid too small");
         assert!(
             result.passed(),
             "conformance gate failed:\n{}",
@@ -440,12 +324,8 @@ mod tests {
         assert!(json.contains("\"passed\": true"));
         assert!(json.ends_with("}\n"));
         assert!(json.contains("\"cohort_max_rel_err\""));
-        assert!(json.contains("\"mesh_points\""));
-        assert!(json.contains("\"max_rel_err_mesh\""));
-        assert_eq!(result.findings().len(), 5);
-        assert_eq!(
-            result.table().len(),
-            result.points.len() + result.mesh_points.len()
-        );
+        assert!(json.contains("{\"node\": \"svc\", \"rel_err\": "));
+        assert_eq!(result.findings().len(), 4);
+        assert_eq!(result.table().len(), result.points.len());
     }
 }

@@ -127,14 +127,6 @@ pub fn app_tier_sweep(levels: &[u32], options: &SweepOptions) -> Vec<SweepPoint>
     })
 }
 
-/// Sweeps the db tier on `1/2/1` (the paper's MySQL training setup).
-/// Parallel over levels like [`app_tier_sweep`].
-pub fn db_tier_sweep(levels: &[u32], options: &SweepOptions) -> Vec<SweepPoint> {
-    run_ordered(levels.to_vec(), |users| {
-        measure_steady_state((1, 2, 1), SoftConfig::DEFAULT, 2, users, options)
-    })
-}
-
 /// Directly stresses MySQL at a precisely controlled query concurrency —
 /// the paper's Fig. 2(a) methodology ("Jmeter … with precisely controlled
 /// concurrency to stress the MySQL server", thread pool matched to the
@@ -213,12 +205,6 @@ pub fn default_app_levels() -> Vec<u32> {
     vec![
         1, 2, 3, 5, 8, 12, 16, 20, 25, 30, 40, 55, 70, 90, 100, 130, 160, 200,
     ]
-}
-
-/// The default offered levels for the `1/2/1` db sweep (drives MySQL
-/// concurrency from single digits toward the 160-connection cap).
-pub fn default_db_levels() -> Vec<u32> {
-    vec![4, 8, 16, 30, 50, 80, 120, 160, 200, 260, 320, 400, 500]
 }
 
 /// Default controlled-concurrency levels for direct MySQL stress: dense
@@ -300,8 +286,7 @@ pub fn train_app_model(options: &SweepOptions) -> Result<TrainingRun, FitError> 
 /// Uses the controlled-concurrency direct stress of the paper's §II rather
 /// than the end-to-end `1/2/1` sweep: with the app tier in front, its own
 /// contention caps how much query concurrency ever reaches MySQL, so the
-/// knee region cannot be traced through the full stack (see
-/// [`db_tier_sweep`] for that distorted measurement, kept for comparison).
+/// knee region cannot be traced through the full stack.
 /// Throughput here is **queries/second**, so the fitted `γ` absorbs the
 /// visit ratio exactly as in the paper.
 ///

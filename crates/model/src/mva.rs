@@ -850,6 +850,41 @@ mod tests {
     }
 
     #[test]
+    fn per_server_delay_stations_are_exact() {
+        // A delay tier of k servers behind a random balancer is k delay
+        // stations of visit V/k. Their demands fold into the one
+        // infinite-server factor, so beside an M/M/c station the split
+        // leaves X and the tier's summed residence where one station of
+        // visit V puts them.
+        let mmc = Station::Queueing {
+            visit_ratio: 2.0,
+            service_time: 0.04,
+            servers: 3,
+        };
+        let network = |k: u32| {
+            let mut stations: Vec<Station> = (0..k)
+                .map(|_| Station::Delay {
+                    visit_ratio: 1.0 / f64::from(k),
+                    service_time: 0.008,
+                })
+                .collect();
+            stations.push(mmc.clone());
+            ClosedNetwork::new(stations, 0.8)
+        };
+        let whole = network(1);
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-12 * b.abs();
+        for k in 1..=4u32 {
+            let split = network(k);
+            for n in 1..=50 {
+                let (a, b) = (whole.solve(n), split.solve(n));
+                let tier: f64 = b.station_residence[..k as usize].iter().sum();
+                assert!(close(b.throughput, a.throughput), "k={k} n={n}");
+                assert!(close(tier, a.station_residence[0]), "k={k} n={n}");
+            }
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_rejected() {
         let _ = Station::queueing_with_capacity(1.0, 0.08, 1, 0.0);

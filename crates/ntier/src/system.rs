@@ -740,11 +740,6 @@ impl System {
         self.event_log.get_or_insert_with(Vec::new);
     }
 
-    /// True when server-event recording is on.
-    pub fn event_log_enabled(&self) -> bool {
-        self.event_log.is_some()
-    }
-
     /// Takes the recorded server events, leaving recording enabled.
     pub fn take_server_events(&mut self) -> Vec<crate::spans::ServerEvent> {
         self.event_log

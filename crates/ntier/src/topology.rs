@@ -78,12 +78,9 @@ pub struct ThreeTierBuilder {
     app: u32,
     db: u32,
     soft: SoftConfig,
-    web_law: ServiceLaw,
     app_law: ServiceLaw,
     db_law: ServiceLaw,
-    db_threads: u32,
     balancer: BalancerPolicy,
-    boot_delay: SimDuration,
     seed: u64,
     db_load_balancer: bool,
 }
@@ -104,15 +101,9 @@ impl ThreeTierBuilder {
             app: 1,
             db: 1,
             soft: SoftConfig::DEFAULT,
-            web_law: reference::apache(),
             app_law: reference::tomcat(),
             db_law: reference::mysql(),
-            // MySQL max_connections: high enough that the *upstream*
-            // connection pool is what actually caps DB concurrency, as in
-            // the paper's deployment.
-            db_threads: 800,
             balancer: BalancerPolicy::RoundRobin,
-            boot_delay: SimDuration::from_secs(15),
             seed: 1,
             db_load_balancer: false,
         }
@@ -137,12 +128,6 @@ impl ThreeTierBuilder {
         self
     }
 
-    /// Overrides the web-tier law.
-    pub fn web_law(mut self, law: ServiceLaw) -> Self {
-        self.web_law = law;
-        self
-    }
-
     /// Overrides the app-tier law.
     pub fn app_law(mut self, law: ServiceLaw) -> Self {
         self.app_law = law;
@@ -155,26 +140,9 @@ impl ThreeTierBuilder {
         self
     }
 
-    /// Overrides the MySQL server-side thread cap (`max_connections`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if zero.
-    pub fn db_threads(mut self, threads: u32) -> Self {
-        assert!(threads > 0, "db threads must be positive");
-        self.db_threads = threads;
-        self
-    }
-
     /// Sets the balancing policy for the scalable tiers.
     pub fn balancer(mut self, policy: BalancerPolicy) -> Self {
         self.balancer = policy;
-        self
-    }
-
-    /// Sets the VM preparation period.
-    pub fn boot_delay(mut self, delay: SimDuration) -> Self {
-        self.boot_delay = delay;
         self
     }
 
@@ -197,10 +165,10 @@ impl ThreeTierBuilder {
 
     /// Builds the world and a fresh engine: the [`MeshBuilder`] chain of
     /// web, app (with its downstream connection pool), the optional lb
-    /// node, and db.
+    /// node, and db, with the mesh's 15-second VM preparation.
     pub fn build(&self) -> (World, SimEngine) {
         let mut mesh = MeshBuilder::new()
-            .node(MeshNode::new("web", self.web_law, self.soft.web_threads).count(self.web))
+            .node(MeshNode::new("web", reference::apache(), self.soft.web_threads).count(self.web))
             .node(
                 MeshNode::new("app", self.app_law, self.soft.app_threads)
                     .conns(self.soft.db_conns)
@@ -211,9 +179,11 @@ impl ThreeTierBuilder {
             let law = ServiceLaw::new(1.0e-4, 1.0e-6, 1.0e-10);
             mesh = mesh.node(MeshNode::new("lb", law, 4096));
         }
-        mesh.node(MeshNode::new("db", self.db_law, self.db_threads).count(self.db))
+        // MySQL max_connections: high enough that the *upstream* connection
+        // pool is what actually caps DB concurrency, as in the paper's
+        // deployment.
+        mesh.node(MeshNode::new("db", self.db_law, 800).count(self.db))
             .balancer(self.balancer)
-            .boot_delay(self.boot_delay)
             .seed(self.seed)
             .build()
     }
@@ -466,7 +436,6 @@ mod tests {
             .node(MeshNode::new("db", reference::mysql(), 800))
             .seed(7)
             .balancer(three.balancer)
-            .boot_delay(three.boot_delay)
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //!
 //! Proves the simulator right (or catches it drifting): every conformance
 //! scenario builds the *same* system twice — once as a DES topology
-//! ([`dcm_ntier::topology::ThreeTierBuilder`] + a think-time client
+//! ([`dcm_ntier::topology::MeshBuilder`] + a think-time client
 //! population) and once as a closed product-form queueing network solved
-//! exactly by load-dependent MVA ([`dcm_model::mva`]) — then compares
-//! steady-state throughput, per-tier residence, and queue lengths.
+//! exactly by load-dependent MVA ([`dcm_model::mva`]), one station per
+//! server — then compares steady-state throughput and per-node residence.
 //!
 //! The mapping rests on how the simulated server actually works (see
 //! [`dcm_ntier::cpu`]): all bursts progress at speed `1/f(n)`, so
@@ -29,13 +29,10 @@
 #![warn(missing_debug_implementations)]
 
 pub mod conformance;
-pub mod mesh;
 pub mod planner;
 
 pub use conformance::{
-    default_grid, run_scenario, ConformancePoint, Scenario, ScenarioKind, TierComparison,
-};
-pub use mesh::{
-    default_mesh_grid, run_mesh_scenario, CacheSpec, MeshNodeSpec, MeshPoint, MeshScenario,
+    default_grid, run_scenario, CacheSpec, ConformancePoint, NodeSpec, Scenario, ScenarioKind,
+    TierComparison,
 };
 pub use planner::{predict, throughput_bound, PlannedTier, Prediction};

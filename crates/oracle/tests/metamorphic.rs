@@ -8,7 +8,7 @@ use dcm_ntier::law::{reference, ServiceLaw};
 use dcm_ntier::server::VmType;
 use dcm_ntier::system::VmPolicy;
 use dcm_ntier::topology::{MeshBuilder, MeshNode, SoftConfig, ThreeTierBuilder};
-use dcm_oracle::{run_scenario, Scenario, ScenarioKind};
+use dcm_oracle::{run_scenario, Scenario};
 use dcm_sim::dist::Dist;
 use dcm_sim::time::SimTime;
 use dcm_workload::cohort::CohortPopulation;
@@ -23,28 +23,21 @@ use dcm_workload::profile::{NodeDemand, ProfileFactory};
 /// utilization where the residual is well under the tolerance.)
 #[test]
 fn doubling_servers_and_load_preserves_per_server_state() {
-    let base = Scenario {
-        name: "meta-base",
-        kind: ScenarioKind::ZeroOverhead,
-        counts: (1, 1, 1),
-        db_threads: 2,
-        web_demand: 0.002,
-        app_demand: 0.008,
-        db_demand: 0.08,
-        db_visits: 1,
-        think: 0.8,
-        db_law: ServiceLaw::frictionless(0.08),
-        populations: &[10],
+    let scenario = |name, servers| Scenario {
         warmup: 50.0,
         measure: 1500.0,
+        ..Scenario::chain(
+            name,
+            (servers, servers, servers),
+            (0.002, 0.008),
+            ServiceLaw::frictionless(0.08),
+            2,
+            1,
+            0.8,
+        )
     };
-    let doubled = Scenario {
-        name: "meta-doubled",
-        counts: (2, 2, 2),
-        ..base.clone()
-    };
-    let one = run_scenario(&base, 10, 9001, 1);
-    let two = run_scenario(&doubled, 20, 9002, 1);
+    let one = run_scenario(&scenario("meta-base", 1), 10, 9001, 1);
+    let two = run_scenario(&scenario("meta-doubled", 2), 20, 9002, 1);
     assert_eq!(one.audit_violations, 0);
     assert_eq!(two.audit_violations, 0);
 
@@ -58,11 +51,11 @@ fn doubling_servers_and_load_preserves_per_server_state() {
         two.throughput.des
     );
     // Mean per-request residence at each tier is invariant.
-    for (tier, (a, b)) in one.residence.iter().zip(two.residence.iter()).enumerate() {
+    for ((tier, a), (_, b)) in one.residence.iter().zip(&two.residence) {
         let rel = (a.des - b.des).abs() / a.des;
         assert!(
             rel < 0.05,
-            "tier {tier} residence must be invariant: {:.6} vs {:.6} ({:.2}%)",
+            "{tier} residence must be invariant: {:.6} vs {:.6} ({:.2}%)",
             a.des,
             b.des,
             100.0 * rel

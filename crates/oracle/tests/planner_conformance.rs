@@ -7,54 +7,39 @@
 
 use dcm_ntier::law::ServiceLaw;
 use dcm_oracle::planner::{predict, PlannedTier};
-use dcm_oracle::{run_scenario, Scenario, ScenarioKind};
-
-/// Ample web/app pools in the conformance topology: model them as very
-/// wide queueing stations (numerically a delay station at these
-/// populations).
-const AMPLE: u32 = 4096;
+use dcm_oracle::{run_scenario, Scenario};
 
 /// The PR-3 zero-overhead conformance gate.
 const GATE: f64 = 0.02;
 
+/// The planner's view of a scenario: one tier per node, its servers behind
+/// their thread pools (the ample web/app pools are numerically delay
+/// stations at these populations).
 fn planner_tiers(s: &Scenario) -> Vec<PlannedTier> {
-    vec![
-        PlannedTier {
-            servers: s.counts.0,
-            concurrency: AMPLE,
-            demand: s.web_demand,
-            visits: 1.0,
-        },
-        PlannedTier {
-            servers: s.counts.1,
-            concurrency: AMPLE,
-            demand: s.app_demand,
-            visits: 1.0,
-        },
-        PlannedTier {
-            servers: s.counts.2,
-            concurrency: s.db_threads,
-            demand: s.db_demand,
-            visits: f64::from(s.db_visits),
-        },
-    ]
+    s.nodes
+        .iter()
+        .zip(s.expected_visit_ratios())
+        .map(|(node, visits)| PlannedTier {
+            servers: node.capacities.len() as u32,
+            concurrency: node.threads,
+            demand: node.law.s0(),
+            visits,
+        })
+        .collect()
 }
 
 fn scenario(name: &'static str, db_threads: u32, db_demand: f64, db_visits: u32) -> Scenario {
     Scenario {
-        name,
-        kind: ScenarioKind::ZeroOverhead,
-        counts: (1, 1, 1),
-        db_threads,
-        web_demand: 0.005,
-        app_demand: 0.012,
-        db_demand,
-        db_visits,
-        think: 1.0,
-        db_law: ServiceLaw::frictionless(db_demand),
-        populations: &[],
         warmup: 200.0,
-        measure: 4000.0,
+        ..Scenario::chain(
+            name,
+            (1, 1, 1),
+            (0.005, 0.012),
+            ServiceLaw::frictionless(db_demand),
+            db_threads,
+            db_visits,
+            1.0,
+        )
     }
 }
 

@@ -212,11 +212,6 @@ impl StepGauge {
         }
         max
     }
-
-    /// Change points as a time series (for plotting/export).
-    pub fn to_series(&self) -> TimeSeries {
-        self.steps.iter().copied().collect()
-    }
 }
 
 /// Accumulates a count over fixed windows and reports per-window rates

@@ -120,7 +120,7 @@ impl ChainReference {
     }
 }
 
-/// A one-servlet mix, as the conformance harness and training build.
+/// A one-servlet mix, as training builds.
 fn single(name: &'static str, db_queries: u32) -> ServletMix {
     ServletMix::from_servlets(vec![Servlet {
         name,
@@ -135,8 +135,8 @@ fn single(name: &'static str, db_queries: u32) -> ServletMix {
 
 /// Every preset under test, as (name, preset, reference).
 fn cases() -> Vec<(&'static str, ProfileFactory, ChainReference)> {
-    // `conformance::run_scenario`'s factory for a three-query
-    // scenario.
+    // A one-servlet deterministic preset with constant web and app
+    // demands and three exponential queries.
     let conformance_bases = || {
         (
             Dist::constant(0.002),
@@ -152,7 +152,7 @@ fn cases() -> Vec<(&'static str, ProfileFactory, ChainReference)> {
     let conformance_ref = ChainReference::rubbos_deterministic()
         .with_mix(single("conformance", 3))
         .with_bases(web, app, db);
-    // `training::measure_db_point`'s factory.
+    // `training::db_stress_point`'s factory.
     let training_bases = || {
         (
             Dist::constant(1e-7),
