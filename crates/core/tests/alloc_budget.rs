@@ -10,16 +10,24 @@
 //! per request is the amortised growth of logs plus the rare boxed events
 //! (inter-tier retry backoff, faults, monitor ticks). One case divides by
 //! the client retries instead, which must allocate nothing of their own.
+//!
+//! The allocator also keeps the thread's live and peak requested bytes, so
+//! two cases bound the memory of a run's end: summarizing a completion log
+//! into a [`LoadReport`] and handing the span ring over.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use dcm_ntier::faults::install_fault_plan;
 use dcm_ntier::graph::TopologyGraph;
+use dcm_ntier::ids::{RequestId, ServerId};
 use dcm_ntier::law::reference;
+use dcm_ntier::request::{Completion, Outcome};
+use dcm_ntier::spans::{Span, SpanStatus};
 use dcm_ntier::system::InterTierRetry;
 use dcm_ntier::topology::{MeshBuilder, MeshNode, ThreeTierBuilder};
 use dcm_ntier::world::{SimEngine, World};
+use dcm_obs::recorder::{SamplerConfig, SpanRecorder};
 use dcm_sim::dist::Dist;
 use dcm_sim::faults::FaultPlan;
 use dcm_sim::time::{SimDuration, SimTime};
@@ -27,6 +35,7 @@ use dcm_workload::cache::CacheDynamics;
 use dcm_workload::cohort::CohortPopulation;
 use dcm_workload::generator::RetryPolicy;
 use dcm_workload::profile::{NodeDemand, ProfileFactory};
+use dcm_workload::report::LoadReport;
 use dcm_workload::traces;
 
 /// Allocations per completed request each case must stay under. Boxing
@@ -41,6 +50,10 @@ struct Counting;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes requested and not yet freed by this thread (negative when it
+    /// frees memory another thread allocated).
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
+    static PEAK_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
 fn count() {
@@ -48,24 +61,36 @@ fn count() {
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
 }
 
+/// Moves the live bytes by `to - from` requested bytes, raising the peak.
+fn track(from: usize, to: usize) {
+    let delta = i64::try_from(to).unwrap_or(i64::MAX) - i64::try_from(from).unwrap_or(i64::MAX);
+    let _ = LIVE_BYTES.try_with(|live| {
+        live.set(live.get() + delta);
+        let _ = PEAK_BYTES.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
+}
+
 // SAFETY: every method forwards to the system allocator with the caller's
 // arguments unchanged, so the `GlobalAlloc` contract the caller upholds for
-// this allocator is exactly the one `System` requires; the counter is a
-// const-initialised thread-local `Cell`, which never allocates.
+// this allocator is exactly the one `System` requires; the counters are
+// const-initialised thread-local `Cell`s, which never allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count();
+        track(0, layout.size());
         // SAFETY: forwarded unchanged (see the impl).
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        track(layout.size(), 0);
         // SAFETY: forwarded unchanged (see the impl).
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count();
+        track(layout.size(), new_size);
         // SAFETY: forwarded unchanged (see the impl).
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -76,6 +101,15 @@ static GLOBAL: Counting = Counting;
 
 fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
+}
+
+/// Runs `f` and returns its result with the most its live bytes rose above
+/// their level at the call (a realloc counts its new size only).
+fn peak_rise<R>(f: impl FnOnce() -> R) -> (R, i64) {
+    let start = LIVE_BYTES.with(Cell::get);
+    PEAK_BYTES.with(|peak| peak.set(start));
+    let result = f();
+    (result, PEAK_BYTES.with(Cell::get) - start)
 }
 
 /// Runs `engine` from `warm` to `until` and returns the allocations per
@@ -269,4 +303,65 @@ fn client_retry() {
         "client retry: {per_retry:.3} allocations per retry ({allocs} in {retries} retries), \
          budget {RETRY_BUDGET}"
     );
+}
+
+#[test]
+fn load_report_holds_one_exact_buffer() {
+    // 160,000 completions over 100 s: every fifth a failure or a timeout,
+    // and the window drops the first and last 5 s.
+    let completions: Vec<Completion> = (0..160_000u64)
+        .map(|i| Completion {
+            id: RequestId::new(i),
+            class: 0,
+            submitted: SimTime::from_nanos(i * 625_000),
+            finished: SimTime::from_nanos(i * 625_000 + 1_000_000 + (i % 977) * 1_000),
+            outcome: match i % 10 {
+                3 => Outcome::Failed { at_tier: 2 },
+                7 => Outcome::TimedOut,
+                _ => Outcome::Completed,
+            },
+        })
+        .collect();
+    let (start, end) = (SimTime::from_secs(5), SimTime::from_secs(95));
+    let (mut report, rise) = peak_rise(|| LoadReport::from_completions(&completions, start, end));
+    let successes = report.completed();
+    assert!(successes >= 100_000, "{successes} successes in the window");
+    let budget = 8 * successes as i64 + 1024;
+    assert!(
+        rise <= budget,
+        "summarizing {successes} successes raised the peak by {rise} bytes, budget {budget}"
+    );
+    assert!(report.response_time_quantile(0.5).is_some());
+}
+
+#[test]
+fn finishing_a_full_span_ring_allocates_nothing() {
+    let capacity = 4096;
+    let mut recorder = SpanRecorder::new(SamplerConfig {
+        capacity,
+        ..SamplerConfig::default()
+    });
+    // Past capacity, so the ring has wrapped and evicted.
+    for i in 0..(capacity as u64 * 5 / 2) {
+        recorder.record(&Span {
+            request: RequestId::new(i),
+            tier: 0,
+            server: ServerId::new(0),
+            arrived_at: SimTime::from_nanos(i),
+            started_at: SimTime::from_nanos(i + 1),
+            finished_at: SimTime::from_nanos(i + 2),
+            status: SpanStatus::Completed,
+        });
+    }
+    let before = allocations();
+    let ((spans, stats), rise) = peak_rise(|| recorder.finish());
+    let allocs = allocations() - before;
+    assert_eq!(spans.len(), capacity);
+    assert!(stats.evicted > 0, "the ring wrapped");
+    assert!(
+        spans.windows(2).all(|w| w[0].request < w[1].request),
+        "spans come out in admission order"
+    );
+    assert_eq!(allocs, 0, "finish allocated {allocs} times");
+    assert_eq!(rise, 0, "finish raised the peak by {rise} bytes");
 }

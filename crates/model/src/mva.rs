@@ -552,23 +552,19 @@ pub struct AsymptoticBounds {
 /// `s_star(m)` must return the adjusted service time `S*(m)` for `m ≥ 1`
 /// concurrent threads (pass `ServiceLaw::adjusted_service_time`); `s0` is
 /// the single-thread service time the per-visit demand is expressed in.
+/// The table has `threads` entries: past the pool size the multiplier stays
+/// at its last entry, which [`Station::LoadDependent`] applies to every
+/// larger population.
 ///
 /// # Panics
 ///
-/// Panics if `threads == 0`, `max_population == 0`, or the law returns a
-/// non-positive adjusted time.
-pub fn law_rate_table(
-    s0: f64,
-    threads: u32,
-    max_population: u32,
-    s_star: impl Fn(u32) -> f64,
-) -> Vec<f64> {
+/// Panics if `threads == 0` or the law returns a non-positive adjusted
+/// time.
+pub fn law_rate_table(s0: f64, threads: u32, s_star: impl Fn(u32) -> f64) -> Vec<f64> {
     assert!(threads > 0, "threads must be positive");
-    assert!(max_population > 0, "population must be positive");
     assert!(s0.is_finite() && s0 > 0.0, "s0 must be positive");
-    (1..=max_population.max(threads))
-        .map(|n| {
-            let m = n.min(threads);
+    (1..=threads)
+        .map(|m| {
             let adj = s_star(m);
             assert!(adj.is_finite() && adj > 0.0, "S*({m}) must be positive");
             f64::from(m) * s0 / adj
@@ -698,8 +694,7 @@ mod tests {
             s0 + alpha * (m - 1.0) + beta * m * (m - 1.0)
         };
         let threads = 8;
-        let n_max = 24u32;
-        let rate = law_rate_table(s0, threads, n_max, s_star);
+        let rate = law_rate_table(s0, threads, s_star);
         let z = 0.4;
         let net = ClosedNetwork::new(
             vec![Station::LoadDependent {
@@ -892,11 +887,24 @@ mod tests {
 
     #[test]
     fn law_rate_table_frictionless_is_mmc() {
-        let rate = law_rate_table(0.05, 3, 10, |_| 0.05);
-        assert_eq!(rate.len(), 10);
+        let rate = law_rate_table(0.05, 3, |_| 0.05);
+        assert_eq!(rate.len(), 3);
         assert!((rate[0] - 1.0).abs() < 1e-12);
         assert!((rate[1] - 2.0).abs() < 1e-12);
         assert!((rate[2] - 3.0).abs() < 1e-12);
-        assert!((rate[9] - 3.0).abs() < 1e-12, "caps at the pool size");
+        let station = Station::LoadDependent {
+            visit_ratio: 1.0,
+            service_time: 0.05,
+            rate,
+        };
+        let mmc = Station::Queueing {
+            visit_ratio: 1.0,
+            service_time: 0.05,
+            servers: 3,
+        };
+        for n in 1..=10 {
+            let (law, mmc) = (station.rate_at(n).unwrap(), mmc.rate_at(n).unwrap());
+            assert!((law - mmc).abs() < 1e-9, "n={n}: caps at the pool size");
+        }
     }
 }

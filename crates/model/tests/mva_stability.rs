@@ -58,7 +58,7 @@ fn load_dependent_stations_stay_exact_at_saturation() {
         s0 + alpha * (m - 1.0) + beta * m * (m - 1.0)
     };
     let threads = 48u32;
-    let rate = dcm_model::mva::law_rate_table(s0, threads, 300, s_star);
+    let rate = dcm_model::mva::law_rate_table(s0, threads, s_star);
     let net = ClosedNetwork::new(
         vec![Station::LoadDependent {
             visit_ratio: 1.0,

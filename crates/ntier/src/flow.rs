@@ -268,7 +268,8 @@ fn thread_granted(world: &mut World, engine: &mut SimEngine, fid: FlightId) {
     // unwind releases the freshly granted thread (cancel_burst is a no-op).
     let p = world.system.transient_failure_prob;
     if p > 0.0 && world.rng.next_f64() < p {
-        unwind(world, engine, fid, Outcome::Failed { at_tier: tier });
+        let at_tier = outcome_tier(tier);
+        unwind(world, engine, fid, Outcome::Failed { at_tier });
         return;
     }
     world
@@ -531,8 +532,15 @@ fn complete(world: &mut World, engine: &mut SimEngine, fid: FlightId, outcome: O
 
 /// Rejection path: release every resource the request holds, bottom-up,
 /// then complete with a rejected outcome.
-fn unwind_reject(world: &mut World, engine: &mut SimEngine, fid: FlightId, at_tier: usize) {
+fn unwind_reject(world: &mut World, engine: &mut SimEngine, fid: FlightId, tier: usize) {
+    let at_tier = outcome_tier(tier);
     unwind(world, engine, fid, Outcome::Rejected { at_tier });
+}
+
+/// `tier` as an [`Outcome`]'s tier index. Lossless: `System::new` refuses
+/// more tiers than a `u16` indexes.
+fn outcome_tier(tier: usize) -> u16 {
+    tier as u16
 }
 
 /// Releases every resource the request holds, innermost frame first, then
@@ -868,7 +876,8 @@ pub fn crash_server(world: &mut World, engine: &mut SimEngine, sid: ServerId) {
         // resumed waiter failing transiently) by an earlier unwind; its
         // slot generation no longer matches then.
         if world.system.requests.get(fid).is_some() {
-            unwind(world, engine, fid, Outcome::Failed { at_tier: tier });
+            let at_tier = outcome_tier(tier);
+            unwind(world, engine, fid, Outcome::Failed { at_tier });
         }
     }
     world.system.retire_server(sid, now);

@@ -504,10 +504,13 @@ impl System {
     ///
     /// # Panics
     ///
-    /// Panics if `tiers` is empty, counts don't match, or any initial count
-    /// is zero (every tier needs at least one server).
+    /// Panics if `tiers` is empty or has more tiers than a `u16` indexes
+    /// (a request [`Outcome`](crate::request::Outcome) names its tier in
+    /// 16 bits), counts don't match, or any initial count is zero (every
+    /// tier needs at least one server).
     pub fn new(tiers: Vec<TierSpec>, initial: &[u32], now: SimTime) -> Self {
         assert!(!tiers.is_empty(), "system needs at least one tier");
+        assert!(tiers.len() <= usize::from(u16::MAX), "too many tiers");
         assert_eq!(tiers.len(), initial.len(), "one count per tier");
         assert!(
             initial.iter().all(|&c| c > 0),
@@ -725,6 +728,17 @@ impl System {
             .as_mut()
             .map(std::mem::take)
             .unwrap_or_default()
+    }
+
+    /// Hands back a buffer [`System::take_spans`] returned, so the span log
+    /// reuses its capacity instead of regrowing from empty. The buffer is
+    /// cleared; it is dropped instead when recording is off or spans were
+    /// recorded since the take.
+    pub fn recycle_spans(&mut self, mut spans: Vec<crate::spans::Span>) {
+        if let Some(log) = self.span_log.as_mut().filter(|log| log.is_empty()) {
+            spans.clear();
+            *log = spans;
+        }
     }
 
     pub(crate) fn record_span(&mut self, span: crate::spans::Span) {

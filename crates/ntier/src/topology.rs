@@ -78,8 +78,6 @@ pub struct ThreeTierBuilder {
     app: u32,
     db: u32,
     soft: SoftConfig,
-    app_law: ServiceLaw,
-    db_law: ServiceLaw,
     balancer: BalancerPolicy,
     seed: u64,
     db_load_balancer: bool,
@@ -101,8 +99,6 @@ impl ThreeTierBuilder {
             app: 1,
             db: 1,
             soft: SoftConfig::DEFAULT,
-            app_law: reference::tomcat(),
-            db_law: reference::mysql(),
             balancer: BalancerPolicy::RoundRobin,
             seed: 1,
             db_load_balancer: false,
@@ -125,18 +121,6 @@ impl ThreeTierBuilder {
     /// Sets the soft-resource triple.
     pub fn soft(mut self, soft: SoftConfig) -> Self {
         self.soft = soft;
-        self
-    }
-
-    /// Overrides the app-tier law.
-    pub fn app_law(mut self, law: ServiceLaw) -> Self {
-        self.app_law = law;
-        self
-    }
-
-    /// Overrides the db-tier law.
-    pub fn db_law(mut self, law: ServiceLaw) -> Self {
-        self.db_law = law;
         self
     }
 
@@ -170,7 +154,7 @@ impl ThreeTierBuilder {
         let mut mesh = MeshBuilder::new()
             .node(MeshNode::new("web", reference::apache(), self.soft.web_threads).count(self.web))
             .node(
-                MeshNode::new("app", self.app_law, self.soft.app_threads)
+                MeshNode::new("app", reference::tomcat(), self.soft.app_threads)
                     .conns(self.soft.db_conns)
                     .count(self.app),
             );
@@ -182,7 +166,7 @@ impl ThreeTierBuilder {
         // MySQL max_connections: high enough that the *upstream* connection
         // pool is what actually caps DB concurrency, as in the paper's
         // deployment.
-        mesh.node(MeshNode::new("db", self.db_law, 800).count(self.db))
+        mesh.node(MeshNode::new("db", reference::mysql(), 800).count(self.db))
             .balancer(self.balancer)
             .seed(self.seed)
             .build()

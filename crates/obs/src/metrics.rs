@@ -62,36 +62,49 @@ impl Registry {
     ///
     /// Panics if `low >= high` or `bins == 0` when the histogram is created.
     pub fn histogram_record(&mut self, name: &str, low: f64, high: f64, bins: usize, value: f64) {
-        let h = self.histograms.entry(name.to_string()).or_insert_with(|| {
-            match Histogram::new(low, high, bins) {
-                Ok(h) => h,
-                Err(e) => panic!("invalid histogram bounds for {name}: {e:?}"),
-            }
-        });
-        h.record(value);
+        self.histogram_entry(name, low, high, bins).record(value);
     }
 
     /// The named histogram, created with the given bounds on first access.
-    /// Hot paths that record many values per period should fetch the
-    /// histogram once through this method instead of paying a name lookup
-    /// per [`Registry::histogram_record`] call.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `low >= high` or `bins == 0` when the histogram is created.
-    pub fn histogram_entry(
-        &mut self,
-        name: &str,
-        low: f64,
-        high: f64,
-        bins: usize,
-    ) -> &mut Histogram {
+    fn histogram_entry(&mut self, name: &str, low: f64, high: f64, bins: usize) -> &mut Histogram {
         self.histograms.entry(name.to_string()).or_insert_with(|| {
             match Histogram::new(low, high, bins) {
                 Ok(h) => h,
                 Err(e) => panic!("invalid histogram bounds for {name}: {e:?}"),
             }
         })
+    }
+
+    /// The named histograms, in the order of `names`, each created with the
+    /// given bounds on first access. Hot paths that record many values per
+    /// period fetch their histograms once through this method, all at
+    /// once, instead of paying a name lookup per
+    /// [`Registry::histogram_record`] call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a name repeats, or if a histogram is created with
+    /// `low >= high` or `bins == 0`.
+    pub fn histogram_entries(
+        &mut self,
+        names: &[String],
+        low: f64,
+        high: f64,
+        bins: usize,
+    ) -> Vec<&mut Histogram> {
+        for name in names {
+            self.histogram_entry(name, low, high, bins);
+        }
+        let mut entries: Vec<Option<&mut Histogram>> = names.iter().map(|_| None).collect();
+        for (name, h) in &mut self.histograms {
+            if let Some(i) = names.iter().position(|n| n == name) {
+                entries[i] = Some(h);
+            }
+        }
+        entries
+            .into_iter()
+            .map(|h| h.expect("histogram names are distinct"))
+            .collect()
     }
 
     /// The named histogram, if it exists.
@@ -351,6 +364,18 @@ mod tests {
         let h = r.histogram("dwell").expect("created on first record");
         assert_eq!(h.count(), 2);
         assert_eq!(r.names().len(), 3);
+    }
+
+    #[test]
+    fn histogram_entries_come_in_name_order() {
+        let mut r = Registry::new();
+        r.histogram_record("b", 0.0, 10.0, 10, 1.0);
+        let names = ["b".to_string(), "a".to_string()];
+        let mut entries = r.histogram_entries(&names, 0.0, 10.0, 10);
+        entries[1].record(2.0);
+        entries[1].record(4.0);
+        assert_eq!(r.histogram("b").map(Histogram::count), Some(1));
+        assert_eq!(r.histogram("a").map(Histogram::mean), Some(3.0));
     }
 
     #[test]

@@ -132,13 +132,14 @@ impl SpanRecorder {
     }
 
     /// Consumes the recorder, returning the retained spans (in admission
-    /// order) and the final accounting.
+    /// order) and the final accounting. The ring's buffer becomes the
+    /// returned `Vec`, rotated in place, so finishing allocates nothing.
     pub fn finish(self) -> (Vec<Span>, RecorderStats) {
         match self {
             SpanRecorder::Off => (Vec::new(), RecorderStats::default()),
             SpanRecorder::On(active) => {
-                let stats = active.stats;
-                (active.ring.into_iter().collect(), stats)
+                let ActiveRecorder { ring, stats, .. } = *active;
+                (Vec::from(ring), stats)
             }
         }
     }

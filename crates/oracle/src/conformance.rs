@@ -87,7 +87,7 @@ impl NodeSpec {
             Station::LoadDependent {
                 visit_ratio,
                 service_time: s0 / capacity,
-                rate: law_rate_table(s0, self.threads, 1, |m| law.adjusted_service_time(m)),
+                rate: law_rate_table(s0, self.threads, |m| law.adjusted_service_time(m)),
             }
         } else if self.threads >= AMPLE {
             Station::Delay {

@@ -2,12 +2,11 @@
 //! configuration must transform the steady state in a known way, with no
 //! oracle in the loop (the simulator is checked against itself).
 
-use dcm_ntier::balancer::BalancerPolicy;
 use dcm_ntier::graph::TopologyGraph;
 use dcm_ntier::law::{reference, ServiceLaw};
 use dcm_ntier::server::VmType;
 use dcm_ntier::system::VmPolicy;
-use dcm_ntier::topology::{MeshBuilder, MeshNode, SoftConfig, ThreeTierBuilder};
+use dcm_ntier::topology::{MeshBuilder, MeshNode};
 use dcm_oracle::{run_scenario, Scenario};
 use dcm_sim::dist::Dist;
 use dcm_sim::time::SimTime;
@@ -61,57 +60,6 @@ fn doubling_servers_and_load_preserves_per_server_state() {
             100.0 * rel
         );
     }
-}
-
-/// Permuting the order in which two identical middle tiers are configured
-/// (the app/db builder arguments swapped, and the setters called in the
-/// opposite order) produces a bit-identical simulation: same completion
-/// count and identical per-request finish timestamps.
-#[test]
-fn permuting_identical_tier_configuration_is_bit_identical() {
-    let law = ServiceLaw::new(0.02, 1.0e-3, 1.0e-5);
-    let demand = 0.02;
-    let run = |swap: bool| {
-        let builder = ThreeTierBuilder::new()
-            .counts(1, 1, 1)
-            .soft(SoftConfig::new(1000, 24, 24))
-            .balancer(BalancerPolicy::Random)
-            .seed(4711);
-        // The two middle-tier laws are equal; `swap` routes each value
-        // through the other setter and flips the call order.
-        let builder = if swap {
-            builder.db_law(law).app_law(law)
-        } else {
-            builder.app_law(law).db_law(law)
-        };
-        let (mut world, mut engine) = builder.build();
-        let factory = ProfileFactory::rubbos().with_bases(
-            dcm_sim::dist::Dist::constant(0.002),
-            dcm_sim::dist::Dist::constant(demand),
-            dcm_sim::dist::Dist::exponential_mean(demand),
-        );
-        let pop = CohortPopulation::start_think_time(
-            &mut world,
-            &mut engine,
-            factory,
-            60,
-            1.0,
-            SimTime::from_secs(120),
-        );
-        engine.run(&mut world);
-        let counters = world.system.counters();
-        let finishes =
-            pop.with_completions(|log| log.iter().map(|c| c.finished).collect::<Vec<_>>());
-        (counters, finishes)
-    };
-    let (counters_a, finishes_a) = run(false);
-    let (counters_b, finishes_b) = run(true);
-    assert_eq!(counters_a, counters_b, "outcome counters must be identical");
-    assert!(counters_a.completed > 1000, "sanity: the run did something");
-    assert_eq!(
-        finishes_a, finishes_b,
-        "per-request finish timestamps must be bit-identical"
-    );
 }
 
 /// A heterogeneous VM policy whose catalog holds only the small flavor is

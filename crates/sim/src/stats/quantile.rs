@@ -5,8 +5,8 @@ use serde::{Deserialize, Serialize};
 /// Exact quantiles over a retained sample buffer.
 ///
 /// Retains every observation, so use for bounded experiment windows (the
-/// per-run response-time distributions in the reproduction are at most a few
-/// hundred thousand points). For unbounded streams use [`P2Quantile`].
+/// per-run response-time distributions in the reproduction are at most
+/// about a million points). For unbounded streams use [`P2Quantile`].
 ///
 /// # Examples
 ///
@@ -29,8 +29,14 @@ pub struct SampleQuantiles {
 impl SampleQuantiles {
     /// Creates an empty buffer.
     pub fn new() -> Self {
+        Self::with_capacity(0)
+    }
+
+    /// Creates an empty buffer with room for `capacity` observations, so a
+    /// caller that knows its sample count allocates once.
+    pub fn with_capacity(capacity: usize) -> Self {
         SampleQuantiles {
-            samples: Vec::new(),
+            samples: Vec::with_capacity(capacity),
             sorted: true,
         }
     }
@@ -54,8 +60,19 @@ impl SampleQuantiles {
         self.samples.is_empty()
     }
 
+    /// Number of retained observations at most `x`.
+    pub fn count_at_most(&self, x: f64) -> usize {
+        self.samples.iter().filter(|&&s| s <= x).count()
+    }
+
     /// The `q`-quantile (0 ≤ q ≤ 1) with linear interpolation between order
     /// statistics; `None` when empty.
+    ///
+    /// The first call sorts the buffer in place, without a scratch buffer.
+    /// The sort is unstable, so `-0.0` and `0.0`, which compare equal, may
+    /// land in either order and a quantile between them may carry either
+    /// sign; every other result is exact and independent of recording
+    /// order.
     ///
     /// # Panics
     ///
@@ -67,7 +84,7 @@ impl SampleQuantiles {
         }
         if !self.sorted {
             self.samples
-                .sort_by(|a, b| a.partial_cmp(b).expect("NaN filtered at record"));
+                .sort_unstable_by(|a, b| a.partial_cmp(b).expect("NaN filtered at record"));
             self.sorted = true;
         }
         let n = self.samples.len();

@@ -1,9 +1,15 @@
 //! Load-test result collection and summarization.
+//!
+//! A trace run's completion log holds one 32-byte record per logical
+//! request, and a [`LoadReport`] over it keeps one response time per
+//! success in its window (8 bytes each, in one buffer sized by a counting
+//! pass), so summarizing a run adds at most a quarter of the size of the
+//! records it reads.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use dcm_ntier::request::Completion;
+use dcm_ntier::request::{Completion, Outcome};
 use dcm_sim::stats::{OnlineStats, SampleQuantiles, TimeSeries};
 use dcm_sim::time::{SimDuration, SimTime};
 
@@ -46,8 +52,8 @@ pub struct LoadReport {
     timed_out: u64,
     failed: u64,
     rt_stats: OnlineStats,
+    /// The response time of every success in the window.
     rt_quantiles: SampleQuantiles,
-    response_times: Vec<f64>,
 }
 
 impl LoadReport {
@@ -59,40 +65,38 @@ impl LoadReport {
         window_start: SimTime,
         window_end: SimTime,
     ) -> Self {
-        let mut completed = 0;
+        let in_window = || {
+            completions
+                .iter()
+                .filter(move |c| c.finished >= window_start && c.finished < window_end)
+        };
+        let successes = in_window().filter(|c| c.is_success()).count();
         let mut rejected = 0;
         let mut timed_out = 0;
         let mut failed = 0;
         let mut rt_stats = OnlineStats::new();
-        let mut rt_quantiles = SampleQuantiles::new();
-        let mut response_times = Vec::new();
-        for c in completions
-            .iter()
-            .filter(|c| c.finished >= window_start && c.finished < window_end)
-        {
+        let mut rt_quantiles = SampleQuantiles::with_capacity(successes);
+        for c in in_window() {
             match c.outcome {
-                dcm_ntier::request::Outcome::Completed => {
-                    completed += 1;
+                Outcome::Completed => {
                     let rt = c.response_time().as_secs_f64();
                     rt_stats.record(rt);
                     rt_quantiles.record(rt);
-                    response_times.push(rt);
                 }
-                dcm_ntier::request::Outcome::Rejected { .. } => rejected += 1,
-                dcm_ntier::request::Outcome::TimedOut => timed_out += 1,
-                dcm_ntier::request::Outcome::Failed { .. } => failed += 1,
+                Outcome::Rejected { .. } => rejected += 1,
+                Outcome::TimedOut => timed_out += 1,
+                Outcome::Failed { .. } => failed += 1,
             }
         }
         LoadReport {
             window_start,
             window_end,
-            completed,
+            completed: successes as u64,
             rejected,
             timed_out,
             failed,
             rt_stats,
             rt_quantiles,
-            response_times,
         }
     }
 
@@ -154,11 +158,7 @@ impl LoadReport {
         if total == 0 {
             return 1.0;
         }
-        let within = self
-            .response_times
-            .iter()
-            .filter(|&&rt| rt <= threshold_secs)
-            .count() as u64;
+        let within = self.rt_quantiles.count_at_most(threshold_secs) as u64;
         within as f64 / total as f64
     }
 }
@@ -275,7 +275,6 @@ pub fn windowed_series(
 mod tests {
     use super::*;
     use dcm_ntier::ids::RequestId;
-    use dcm_ntier::request::Outcome;
 
     fn completion(id: u64, submitted: f64, finished: f64, ok: bool) -> Completion {
         Completion {
