@@ -739,7 +739,7 @@ fn main() -> ExitCode {
     }
 
     // `league` runs the full controller × trace matrix; like `hunt` it is
-    // its own CI job, not part of `all`.
+    // not part of `all`, and it shares a CI job with `mesh`.
     if cli.command == "league" {
         matched = true;
         let models = models.expect("trained above");
@@ -761,8 +761,8 @@ fn main() -> ExitCode {
     }
 
     // `mesh` takes the controllers off the three-tier chain: a fan-out
-    // microservice DAG with a warming cache and a mixed VM fleet. Like
-    // `league` it is its own CI job, not part of `all`.
+    // microservice DAG with a warming cache and a mixed VM fleet, run by
+    // the league's matrix harness. Like `league` it is not part of `all`.
     if cli.command == "mesh" {
         matched = true;
         let models = models.expect("trained above");

@@ -1,8 +1,8 @@
 //! Ablations beyond the paper: which half of DCM's soft-resource actuation
 //! carries the benefit, and how sensitive DCM is to mis-estimated optima.
 
-use dcm_core::controller::{Dcm, DcmConfig, DcmModels, Ec2AutoScale};
-use dcm_core::experiment::{run_trace_experiment, TraceExperimentConfig};
+use dcm_core::controller::{DcmConfig, DcmModels};
+use dcm_core::experiment::{ControllerSpec, Experiment};
 use dcm_core::policy::ScalingConfig;
 
 use crate::format::{num, TextTable};
@@ -10,38 +10,27 @@ use crate::format::{num, TextTable};
 use super::fig5::{fig5_config, summarize, RunSummary};
 use super::Fidelity;
 
-/// How one ablation variant drives its run.
-#[derive(Debug, Clone)]
-enum VariantSpec {
-    Ec2,
-    Dcm(DcmConfig),
-    DcmRefit(DcmConfig),
-}
-
-/// Runs every `(label, config, spec)` variant in parallel (each builds its
-/// own world) and collects summaries in the given presentation order.
-fn run_variants(
-    models: DcmModels,
-    specs: Vec<(String, TraceExperimentConfig, VariantSpec)>,
-) -> Ablation {
-    let variants = dcm_sim::runner::run_ordered(specs, |(label, config, spec)| {
-        let run = match spec {
-            VariantSpec::Ec2 => run_trace_experiment(&config, |bus| {
-                Ec2AutoScale::new(bus, ScalingConfig::default())
-            }),
-            VariantSpec::Dcm(dcm_config) => {
-                run_trace_experiment(&config, |bus| Dcm::new(bus, dcm_config, models))
-            }
-            VariantSpec::DcmRefit(dcm_config) => run_trace_experiment(&config, |bus| {
-                Dcm::new(bus, dcm_config, models).with_online_refit(16, 4)
-            }),
-        };
+/// Runs every `(label, experiment, controller)` variant in parallel (each
+/// builds its own world) and collects summaries in the given presentation
+/// order.
+fn run_variants(variants: Vec<(String, Experiment, ControllerSpec)>) -> Ablation {
+    let variants = dcm_sim::runner::run_ordered(variants, |(label, experiment, controller)| {
+        let run = experiment.run(&controller).expect("a valid preset");
         Variant {
             label,
             summary: summarize(&run),
         }
     });
     Ablation { variants }
+}
+
+/// DCM under `config` with the given models and no online refit.
+fn dcm(config: DcmConfig, models: DcmModels) -> ControllerSpec {
+    ControllerSpec::Dcm {
+        config,
+        models,
+        refit: None,
+    }
 }
 
 /// One ablation variant's outcome.
@@ -63,61 +52,58 @@ pub struct Ablation {
 /// Runs the actuation ablation: full DCM, threads-only, conns-only, and
 /// the hardware-only baseline, all on the same trace and models.
 pub fn run_actuation_ablation(fidelity: Fidelity, models: DcmModels) -> Ablation {
-    let config = fig5_config(fidelity);
+    let experiment = fig5_config(fidelity);
     let dcm_variant = |label: &str, adapt_threads: bool, adapt_conns: bool| {
-        (
-            label.to_string(),
-            config.clone(),
-            VariantSpec::Dcm(DcmConfig {
-                adapt_threads,
-                adapt_conns,
-                ..DcmConfig::default()
-            }),
-        )
+        let config = DcmConfig {
+            adapt_threads,
+            adapt_conns,
+            ..DcmConfig::default()
+        };
+        (label.to_string(), experiment.clone(), dcm(config, models))
     };
-    run_variants(
-        models,
-        vec![
-            dcm_variant("DCM (both)", true, true),
-            dcm_variant("DCM threads-only", true, false),
-            dcm_variant("DCM conns-only", false, true),
-            (
-                "EC2-AutoScale (neither)".into(),
-                config.clone(),
-                VariantSpec::Ec2,
-            ),
-        ],
-    )
+    run_variants(vec![
+        dcm_variant("DCM (both)", true, true),
+        dcm_variant("DCM threads-only", true, false),
+        dcm_variant("DCM conns-only", false, true),
+        (
+            "EC2-AutoScale (neither)".into(),
+            experiment.clone(),
+            ControllerSpec::ec2(),
+        ),
+    ])
 }
 
 /// Runs the controller-extension comparison: plain reactive DCM vs the
 /// predictive variant (Holt trend forecast one boot-delay ahead) vs online
 /// model refitting.
 pub fn run_extensions(fidelity: Fidelity, models: DcmModels) -> Ablation {
-    let config = fig5_config(fidelity);
-    let variant = |label: &str, make_config: DcmConfig, refit: bool| {
-        let spec = if refit {
-            VariantSpec::DcmRefit(make_config)
-        } else {
-            VariantSpec::Dcm(make_config)
-        };
-        (label.to_string(), config.clone(), spec)
+    let experiment = fig5_config(fidelity);
+    let variant = |label: &str, controller: ControllerSpec| {
+        (label.to_string(), experiment.clone(), controller)
     };
-    run_variants(
-        models,
-        vec![
-            variant("DCM reactive", DcmConfig::default(), false),
-            variant(
-                "DCM predictive",
+    run_variants(vec![
+        variant("DCM reactive", ControllerSpec::dcm(models)),
+        variant(
+            "DCM predictive",
+            dcm(
                 DcmConfig {
                     predictive: Some(dcm_core::predictor::HoltConfig::default()),
                     ..DcmConfig::default()
                 },
-                false,
+                models,
             ),
-            variant("DCM online-refit", DcmConfig::default(), true),
-            variant(
-                "DCM dwell-SLA trigger",
+        ),
+        variant(
+            "DCM online-refit",
+            ControllerSpec::Dcm {
+                config: DcmConfig::default(),
+                models,
+                refit: Some((16, 4)),
+            },
+        ),
+        variant(
+            "DCM dwell-SLA trigger",
+            dcm(
                 DcmConfig {
                     scaling: ScalingConfig {
                         trigger: dcm_core::policy::TriggerSignal::DwellPressure { sla_secs: 0.5 },
@@ -125,10 +111,10 @@ pub fn run_extensions(fidelity: Fidelity, models: DcmModels) -> Ablation {
                     },
                     ..DcmConfig::default()
                 },
-                false,
+                models,
             ),
-        ],
-    )
+        ),
+    ])
 }
 
 /// Runs the fault-injection comparison: DCM vs EC2-AutoScale when a
@@ -141,46 +127,49 @@ pub fn run_fault_injection(
     models: DcmModels,
     failure_probs: &[f64],
 ) -> Ablation {
-    let specs = failure_probs
+    let variants = failure_probs
         .iter()
         .flat_map(|&p| {
-            let mut config = fig5_config(fidelity);
-            config.boot_failure_prob = p;
+            let experiment = Experiment {
+                boot_failure_prob: p,
+                ..fig5_config(fidelity)
+            };
             [
                 (
                     format!("DCM, {:.0}% boot failures", p * 100.0),
-                    config.clone(),
-                    VariantSpec::Dcm(DcmConfig::default()),
+                    experiment.clone(),
+                    ControllerSpec::dcm(models),
                 ),
                 (
                     format!("EC2, {:.0}% boot failures", p * 100.0),
-                    config,
-                    VariantSpec::Ec2,
+                    experiment,
+                    ControllerSpec::ec2(),
                 ),
             ]
         })
         .collect();
-    run_variants(models, specs)
+    run_variants(variants)
 }
 
 /// Runs the N*-sensitivity sweep: DCM with the pool targets scaled by each
 /// factor (a mis-trained model over/under-shooting the true optimum).
 pub fn run_sensitivity(fidelity: Fidelity, models: DcmModels, factors: &[f64]) -> Ablation {
-    let config = fig5_config(fidelity);
-    let specs = factors
+    let experiment = fig5_config(fidelity);
+    let variants = factors
         .iter()
         .map(|&factor| {
+            let config = DcmConfig {
+                headroom: 1.1 * factor,
+                ..DcmConfig::default()
+            };
             (
                 format!("N* x {factor:.2}"),
-                config.clone(),
-                VariantSpec::Dcm(DcmConfig {
-                    headroom: 1.1 * factor,
-                    ..DcmConfig::default()
-                }),
+                experiment.clone(),
+                dcm(config, models),
             )
         })
         .collect();
-    run_variants(models, specs)
+    run_variants(variants)
 }
 
 impl Ablation {

@@ -10,53 +10,48 @@
 //! lost VM on the next control period regardless of thresholds, while the
 //! baseline must wait until the survivors' utilization signal re-trips.
 
-use dcm_core::controller::{Dcm, DcmConfig, DcmModels, Ec2AutoScale};
-use dcm_core::experiment::{run_trace_experiment, TraceExperimentConfig, TraceRunResult};
-use dcm_core::policy::ScalingConfig;
+use dcm_core::controller::DcmModels;
+use dcm_core::experiment::{Experiment, TraceRunResult};
 use dcm_ntier::system::InterTierRetry;
 use dcm_sim::faults::FaultPlan;
-use dcm_sim::time::{SimDuration, SimTime};
+use dcm_sim::time::SimDuration;
 use dcm_workload::generator::RetryPolicy;
-use dcm_workload::traces;
 
 use crate::format::{num, TextTable};
 
-use super::Fidelity;
+use super::league::{league_trace_config, TraceKind, SLO_SECS, WINDOW_SECS};
+use super::{fig5, Fidelity};
 
-/// Goodput windows used for recovery measurement, in seconds.
-const WINDOW_SECS: f64 = 5.0;
 /// A window counts as degraded below this fraction of pre-crash goodput.
 const RECOVERY_FRACTION: f64 = 0.9;
 
-/// The chaos schedule and experiment configuration for a fidelity level.
+/// The chaos schedule and experiment for a fidelity level: the league's
+/// step trace with an app-VM crash at half the horizon, a DB straggler a
+/// minute later, 0.2 % transient failures, client retry, an 8 s client
+/// deadline and inter-tier retry. The league's chaos trace is this
+/// experiment too.
 ///
-/// Returns the trace config (faults, client retry, deadline, and
-/// inter-tier retry installed) plus the crash time the recovery metrics
-/// are anchored on.
-pub fn chaos_config(fidelity: Fidelity) -> (TraceExperimentConfig, f64) {
-    let (horizon_secs, crash_at) = match fidelity {
-        Fidelity::Quick => (240.0, 120.0),
-        Fidelity::Full => (600.0, 300.0),
-    };
+/// Returns the experiment plus the crash time the recovery metrics are
+/// anchored on.
+pub fn chaos_config(fidelity: Fidelity) -> (Experiment, f64) {
     // Ramp to a plateau high enough that the tiers scale out before the
     // crash; the crash then removes a meaningful fraction of app capacity.
-    let mut config = TraceExperimentConfig::figure5(traces::step(60, 240, 30.0));
-    config.horizon = SimTime::from_secs_f64(horizon_secs);
-    config.seed = 4242;
-    config.fault_plan = Some(
+    let mut experiment = league_trace_config(TraceKind::Step, fidelity);
+    let crash_at = experiment.horizon.as_secs_f64() / 2.0;
+    experiment.fault_plan = Some(
         FaultPlan::none()
             .with_crash(crash_at, 1, 0)
             .with_straggler(crash_at + 60.0, 2, 0, 4.0, 45.0)
             .with_transient_failures(0.002),
     );
-    config.client_retry = Some(RetryPolicy::default());
-    config.request_deadline_secs = Some(8.0);
-    config.inter_tier_retry = Some(InterTierRetry::default());
-    (config, crash_at)
+    experiment.client_retry = Some(RetryPolicy::default());
+    experiment.request_deadline_secs = Some(8.0);
+    experiment.inter_tier_retry = Some(InterTierRetry::default());
+    (experiment, crash_at)
 }
 
 /// Resilience metrics of one controller's chaos run.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChaosSummary {
     /// Successful completions over the whole run.
     pub completed: u64,
@@ -92,10 +87,10 @@ pub fn summarize_chaos(run: &TraceRunResult, crash_at_secs: f64) -> ChaosSummary
     let logical = run.completions.len().max(1) as u64;
     let overall = {
         let r = run.overall();
-        (r.throughput(), r.sla_attainment(1.0))
+        (r.throughput(), r.sla_attainment(SLO_SECS))
     };
     let series = run.series(SimDuration::from_secs_f64(WINDOW_SECS));
-    let slo_windows_violated = series.mean_rt.iter().filter(|&(_, v)| v > 1.0).count();
+    let slo_windows_violated = series.mean_rt.iter().filter(|&(_, v)| v > SLO_SECS).count();
 
     // Pre-crash baseline: the minute of fully-pre-crash windows.
     let pre: Vec<f64> = series
@@ -175,22 +170,9 @@ pub struct Chaos {
 /// jobs > 1; each run builds its own world, so results are bit-identical
 /// for every `--jobs` value).
 pub fn run_chaos(fidelity: Fidelity, models: DcmModels) -> Chaos {
-    let (config, crash_at_secs) = chaos_config(fidelity);
-    let horizon_secs = config.horizon.as_secs_f64();
-    let (ec2, dcm) = dcm_sim::runner::join(
-        {
-            let config = config.clone();
-            move || {
-                run_trace_experiment(&config, |bus| {
-                    Ec2AutoScale::new(bus, ScalingConfig::default())
-                })
-            }
-        },
-        {
-            let config = config.clone();
-            move || run_trace_experiment(&config, |bus| Dcm::new(bus, DcmConfig::default(), models))
-        },
-    );
+    let (experiment, crash_at_secs) = chaos_config(fidelity);
+    let horizon_secs = experiment.horizon.as_secs_f64();
+    let (ec2, dcm) = fig5::run_ec2_and_dcm(experiment, models);
     Chaos {
         dcm: summarize_chaos(&dcm, crash_at_secs),
         ec2: summarize_chaos(&ec2, crash_at_secs),

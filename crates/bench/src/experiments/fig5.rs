@@ -2,9 +2,8 @@
 //! response-time/throughput timelines, per-tier scaling activity, CPU
 //! utilization, and the resource-efficiency summary.
 
-use dcm_core::controller::{Dcm, DcmConfig, DcmModels, Ec2AutoScale};
-use dcm_core::experiment::{run_trace_experiment, TraceExperimentConfig, TraceRunResult};
-use dcm_core::policy::ScalingConfig;
+use dcm_core::controller::DcmModels;
+use dcm_core::experiment::{ControllerSpec, Experiment, TraceRunResult};
 use dcm_core::training::{train_app_model, train_db_model, SweepOptions};
 use dcm_model::lsq::FitError;
 use dcm_sim::time::{SimDuration, SimTime};
@@ -43,14 +42,14 @@ pub fn train_models(fidelity: Fidelity) -> Result<DcmModels, FitError> {
     })
 }
 
-/// The experiment configuration for the given fidelity (full = the paper's
-/// 700 s horizon).
-pub fn fig5_config(fidelity: Fidelity) -> TraceExperimentConfig {
-    let mut config = TraceExperimentConfig::figure5(traces::large_variation());
+/// The experiment for the given fidelity (full = the paper's 700 s
+/// horizon).
+pub fn fig5_config(fidelity: Fidelity) -> Experiment {
+    let mut experiment = Experiment::figure5(traces::large_variation());
     if fidelity == Fidelity::Quick {
-        config.horizon = SimTime::from_secs(200);
+        experiment.horizon = SimTime::from_secs(200);
     }
-    config
+    experiment
 }
 
 /// Runs both controllers on an arbitrary external trace.
@@ -59,37 +58,42 @@ pub fn run_fig5_on_trace(
     models: DcmModels,
     trace: traces::WorkloadTrace,
 ) -> Fig5 {
-    let mut config = fig5_config(fidelity);
-    config.horizon = config
+    let mut experiment = fig5_config(fidelity);
+    experiment.horizon = experiment
         .horizon
-        .max(trace.last_change() + dcm_sim::time::SimDuration::from_secs(30));
-    config.trace = trace;
-    run_with_config(&config, models)
+        .max(trace.last_change() + SimDuration::from_secs(30));
+    experiment.trace = trace;
+    let (ec2, dcm) = run_ec2_and_dcm(experiment, models);
+    Fig5 { dcm, ec2, models }
 }
 
 /// Runs both controllers on the same trace with the given models.
 pub fn run_fig5(fidelity: Fidelity, models: DcmModels) -> Fig5 {
-    let config = fig5_config(fidelity);
-    run_with_config(&config, models)
-}
-
-fn run_with_config(config: &TraceExperimentConfig, models: DcmModels) -> Fig5 {
-    let config = config.clone();
-    // The two controller runs are independent (each builds its own world
-    // from the shared config), so they execute concurrently when jobs > 1.
-    let (ec2, dcm) = dcm_sim::runner::join(
-        || {
-            run_trace_experiment(&config, |bus| {
-                Ec2AutoScale::new(bus, ScalingConfig::default())
-            })
-        },
-        || run_trace_experiment(&config, |bus| Dcm::new(bus, DcmConfig::default(), models)),
-    );
+    let (ec2, dcm) = run_ec2_and_dcm(fig5_config(fidelity), models);
     Fig5 { dcm, ec2, models }
 }
 
+/// Runs EC2-AutoScale and DCM on `experiment` and returns `(ec2, dcm)`.
+/// The two runs are independent (each builds its own world), so they
+/// execute concurrently when jobs > 1 and the results do not depend on
+/// `--jobs`.
+pub(crate) fn run_ec2_and_dcm(
+    experiment: Experiment,
+    models: DcmModels,
+) -> (TraceRunResult, TraceRunResult) {
+    let ec2 = experiment.clone();
+    dcm_sim::runner::join(
+        move || ec2.run(&ControllerSpec::ec2()).expect("a valid preset"),
+        move || {
+            experiment
+                .run(&ControllerSpec::dcm(models))
+                .expect("a valid preset")
+        },
+    )
+}
+
 /// Summary metrics of one run, used in the comparison table.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunSummary {
     /// Successful completions.
     pub completed: u64,
@@ -155,16 +159,16 @@ pub fn run_fig5_replicated(fidelity: Fidelity, models: DcmModels, seeds: &[u64])
         .flat_map(|&seed| [(seed, true), (seed, false)])
         .collect();
     let summaries = dcm_sim::runner::run_ordered(descriptors, |(seed, is_dcm)| {
-        let mut config = fig5_config(fidelity);
-        config.seed = seed;
-        let run = if is_dcm {
-            run_trace_experiment(&config, |bus| Dcm::new(bus, DcmConfig::default(), models))
-        } else {
-            run_trace_experiment(&config, |bus| {
-                Ec2AutoScale::new(bus, ScalingConfig::default())
-            })
+        let experiment = Experiment {
+            seed,
+            ..fig5_config(fidelity)
         };
-        summarize(&run)
+        let controller = if is_dcm {
+            ControllerSpec::dcm(models)
+        } else {
+            ControllerSpec::ec2()
+        };
+        summarize(&experiment.run(&controller).expect("a valid preset"))
     });
     for pair in summaries.chunks(2) {
         for (s, slot) in [(pair[0], &mut out.dcm), (pair[1], &mut out.ec2)] {

@@ -21,7 +21,7 @@ use crate::format::{num, TextTable};
 use super::Fidelity;
 
 /// One K's measurement under both balancing policies.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GammaPoint {
     /// Bottleneck-tier servers.
     pub servers: u32,

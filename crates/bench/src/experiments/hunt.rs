@@ -45,16 +45,15 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use dcm_core::agents::Action;
-use dcm_core::controller::{Controller, Dcm, DcmConfig, DcmModels, Ec2AutoScale};
+use dcm_core::controller::{DcmConfig, DcmModels};
 use dcm_core::experiment::{
-    run_mesh_trace_experiment, run_trace_experiment, steady_state_throughput, MeshExperimentConfig,
-    SteadyStateOptions, TraceExperimentConfig, TraceRunResult,
+    steady_state_throughput, Audit, ControllerSpec, Experiment, SteadyStateOptions, TraceRunResult,
+    WorkloadShape,
 };
-use dcm_core::monitor::MetricsBus;
-use dcm_core::mpc::{ModelPredictive, MpcConfig};
+use dcm_core::mpc::MpcConfig;
 use dcm_core::policy::ScalingConfig;
 use dcm_core::predictor::HoltConfig;
-use dcm_core::zoo::{HoltWinters, StaffingConfig, ThresholdMmc};
+use dcm_core::zoo::StaffingConfig;
 use dcm_model::concurrency::ConcurrencyModel;
 use dcm_ntier::graph::TopologyGraph;
 use dcm_ntier::law::{reference, ServiceLaw};
@@ -70,8 +69,8 @@ use dcm_sim::time::{SimDuration, SimTime};
 use dcm_workload::cache::CacheDynamics;
 use dcm_workload::cohort::CohortPopulation;
 use dcm_workload::generator::RetryPolicy;
+use dcm_workload::profile::CacheEdge;
 use dcm_workload::profile::ProfileFactory;
-use dcm_workload::profile::{CacheEdge, NodeDemand};
 use dcm_workload::traces;
 
 use crate::format::TextTable;
@@ -541,6 +540,16 @@ pub struct CheckOutcome {
     pub violation: Option<String>,
 }
 
+impl CheckOutcome {
+    /// The outcome of a run fingerprinted by `fnv` that broke `problems`.
+    fn new(fnv: Fnv, problems: &[String]) -> Self {
+        CheckOutcome {
+            fingerprint: fnv.0,
+            violation: (!problems.is_empty()).then(|| problems.join("; ")),
+        }
+    }
+}
+
 struct Fnv(u64);
 
 impl Fnv {
@@ -582,10 +591,8 @@ fn trace_for(s: &HuntScenario) -> dcm_workload::WorkloadTrace {
 
 fn fault_plan_for(s: &HuntScenario) -> Option<FaultPlan> {
     let mut plan = FaultPlan::none();
-    let mut any = false;
     if s.crash_at_secs > 0.0 {
         plan = plan.with_crash(s.crash_at_secs, s.crash_tier as usize, 0);
-        any = true;
     }
     if s.straggler_at_secs > 0.0 {
         plan = plan.with_straggler(
@@ -595,43 +602,9 @@ fn fault_plan_for(s: &HuntScenario) -> Option<FaultPlan> {
             s.straggler_factor,
             s.straggler_secs,
         );
-        any = true;
     }
-    if s.transient_prob > 0.0 {
-        plan = plan.with_transient_failures(s.transient_prob);
-        any = true;
-    }
-    any.then_some(plan)
-}
-
-fn trace_config_for(s: &HuntScenario) -> TraceExperimentConfig {
-    TraceExperimentConfig {
-        trace: trace_for(s),
-        horizon: SimTime::from_secs_f64(s.horizon_secs),
-        think_time_secs: s.think_secs,
-        initial_soft: SoftConfig::new(s.web_threads, s.app_threads, s.db_conns),
-        initial_counts: (s.web, s.app, s.db),
-        control_period: SimDuration::from_secs(15),
-        seed: s.seed,
-        boot_failure_prob: 0.0,
-        fault_plan: fault_plan_for(s),
-        client_retry: s.client_retry.then(RetryPolicy::default),
-        request_deadline_secs: (s.deadline_secs > 0.0).then_some(s.deadline_secs),
-        inter_tier_retry: s.inter_tier_retry.then(InterTierRetry::default),
-        audit: true,
-        audit_tolerant: true,
-        obs: None,
-    }
-}
-
-fn scaling_config_for(s: &HuntScenario) -> ScalingConfig {
-    ScalingConfig {
-        up_threshold: s.up_threshold,
-        down_threshold: s.down_threshold,
-        down_consecutive: s.down_consecutive,
-        max_servers: s.max_servers as usize,
-        ..ScalingConfig::default()
-    }
+    plan.transient_failure_prob = s.transient_prob;
+    (plan != FaultPlan::none()).then_some(plan)
 }
 
 fn dcm_models() -> DcmModels {
@@ -643,104 +616,103 @@ fn dcm_models() -> DcmModels {
     }
 }
 
-fn staffing_config_for(s: &HuntScenario) -> StaffingConfig {
-    StaffingConfig {
+/// The trace run a scenario's conservation, replay and league oracles
+/// check, and the controller that scales it. A mesh-active scenario runs
+/// `web → app → {db×fanout, svc}`: the scenario's pool sizes and tier
+/// counts on the first three nodes, an optional warming cache on the
+/// app→db edge, and (when `vm_mix`) an alternating small/large DB fleet
+/// whose large flavor has the scenario's capacity multiplier. The audit
+/// collects violations so the campaign can shrink and pin them.
+fn experiment_for(s: &HuntScenario) -> (Experiment, ControllerSpec) {
+    let scaling = ScalingConfig {
+        up_threshold: s.up_threshold,
+        down_threshold: s.down_threshold,
+        down_consecutive: s.down_consecutive,
+        max_servers: s.max_servers as usize,
+        ..ScalingConfig::default()
+    };
+    let staffing = StaffingConfig {
         rho_target: s.rho_target,
         max_servers: s.max_servers as usize,
         step_limit: s.step_limit as usize,
         ..StaffingConfig::default()
-    }
-}
-
-/// The mesh world a mesh-active scenario runs: `web → app → {db×fanout,
-/// svc}`, the scenario's pool sizes and tier counts on the first three
-/// nodes, an optional warming cache on the app→db edge, and (when
-/// `vm_mix`) an alternating small/large DB fleet whose large flavor has
-/// the scenario's capacity multiplier.
-fn mesh_config_for(s: &HuntScenario) -> MeshExperimentConfig {
-    let graph = TopologyGraph::from_edges(4, &[(0, 1, 1), (1, 2, s.fanout_calls), (1, 3, 1)]);
-    let db_policy = if s.vm_mix {
-        let large = VmType {
-            name: "hunt-large",
-            capacity: s.vm_large_capacity,
-            price_per_hour: VmType::SMALL.price_per_hour * s.vm_large_capacity * 1.2,
-        };
-        VmPolicy::cycle(vec![VmType::SMALL, large])
-    } else {
-        VmPolicy::default()
     };
-    MeshExperimentConfig {
-        run: trace_config_for(s),
-        nodes: vec![
-            MeshNode::new("web", reference::apache(), s.web_threads).count(s.web),
-            MeshNode::new("app", reference::tomcat(), s.app_threads)
-                .conns(s.db_conns)
-                .count(s.app),
-            MeshNode::new("db", reference::mysql(), 800)
-                .count(s.db)
-                .vm_policy(db_policy),
-            MeshNode::new("svc", reference::tomcat(), 50),
-        ],
-        graph,
-        demands: vec![
-            NodeDemand::split(Dist::constant(0.002)),
-            NodeDemand::split(Dist::constant(0.008)),
-            NodeDemand::leaf(Dist::exponential_mean(0.02)).iid_visits(),
-            NodeDemand::leaf(Dist::exponential_mean(0.012)).iid_visits(),
-        ],
-        cache: (s.cache_hit > 0.0).then(|| CacheEdge {
-            from: 1,
-            to: 2,
-            dynamics: CacheDynamics::new(s.cache_hit, s.cache_warmup),
-        }),
-    }
-}
-
-/// Runs one trace-driven scenario on whichever world its mesh coin chose.
-fn drive<C, F>(s: &HuntScenario, make: F) -> TraceRunResult
-where
-    C: Controller + 'static,
-    F: FnOnce(MetricsBus) -> C,
-{
-    if mesh_active(s) {
-        run_mesh_trace_experiment(&mesh_config_for(s), make)
-    } else {
-        run_trace_experiment(&trace_config_for(s), make)
-    }
-}
-
-fn run_trace_scenario(s: &HuntScenario) -> TraceRunResult {
-    match s.controller {
-        ControllerKind::Ec2 => drive(s, |bus| Ec2AutoScale::new(bus, scaling_config_for(s))),
-        ControllerKind::Dcm => drive(s, |bus| {
-            let dcm_config = DcmConfig {
-                scaling: scaling_config_for(s),
+    let controller = match s.controller {
+        ControllerKind::Ec2 => ControllerSpec::Ec2(scaling),
+        ControllerKind::Dcm => ControllerSpec::Dcm {
+            config: DcmConfig {
+                scaling,
                 headroom: s.headroom,
                 ..DcmConfig::default()
-            };
-            Dcm::new(bus, dcm_config, dcm_models())
-        }),
-        ControllerKind::Mpc => drive(s, |bus| {
-            let mpc_config = MpcConfig {
+            },
+            models: dcm_models(),
+            refit: None,
+        },
+        ControllerKind::Mpc => ControllerSpec::Mpc {
+            config: MpcConfig {
                 slo_secs: s.mpc_slo_secs,
                 think_time_secs: s.think_secs,
                 max_servers: s.max_servers as usize,
                 step_limit: s.step_limit as usize,
                 scale_in_margin: s.mpc_scale_in_margin,
                 ..MpcConfig::default()
-            };
-            ModelPredictive::new(bus, mpc_config, dcm_models())
-        }),
-        ControllerKind::Mmc => drive(s, |bus| ThresholdMmc::new(bus, staffing_config_for(s))),
-        ControllerKind::Hw => drive(s, |bus| {
-            let holt = HoltConfig {
+            },
+            models: dcm_models(),
+        },
+        ControllerKind::Mmc => ControllerSpec::Mmc(staffing),
+        ControllerKind::Hw => ControllerSpec::HoltWinters {
+            staffing,
+            holt: HoltConfig {
                 level_alpha: s.hw_level_alpha,
                 trend_beta: s.hw_trend_beta,
                 ..HoltConfig::default()
+            },
+        },
+    };
+
+    let mut nodes = ThreeTierBuilder::new()
+        .counts(s.web, s.app, s.db)
+        .soft(SoftConfig::new(s.web_threads, s.app_threads, s.db_conns))
+        .nodes();
+    let workload = if mesh_active(s) {
+        if s.vm_mix {
+            let large = VmType {
+                name: "hunt-large",
+                capacity: s.vm_large_capacity,
+                price_per_hour: VmType::SMALL.price_per_hour * s.vm_large_capacity * 1.2,
             };
-            HoltWinters::new(bus, staffing_config_for(s), holt)
-        }),
-    }
+            nodes[2].vm_policy = VmPolicy::cycle(vec![VmType::SMALL, large]);
+        }
+        nodes.push(MeshNode::new("svc", reference::tomcat(), 50));
+        WorkloadShape::Dag {
+            graph: TopologyGraph::from_edges(4, &[(0, 1, 1), (1, 2, s.fanout_calls), (1, 3, 1)]),
+            demands: super::mesh::demands(),
+            cache: (s.cache_hit > 0.0).then(|| CacheEdge {
+                from: 1,
+                to: 2,
+                dynamics: CacheDynamics::new(s.cache_hit, s.cache_warmup),
+            }),
+        }
+    } else {
+        WorkloadShape::Rubbos
+    };
+    let experiment = Experiment {
+        nodes,
+        workload,
+        trace: trace_for(s),
+        think_time_secs: s.think_secs,
+        fault_plan: fault_plan_for(s),
+        boot_failure_prob: 0.0,
+        client_retry: s.client_retry.then(RetryPolicy::default),
+        request_deadline_secs: (s.deadline_secs > 0.0).then_some(s.deadline_secs),
+        inter_tier_retry: s.inter_tier_retry.then(InterTierRetry::default),
+        control_period: SimDuration::from_secs(15),
+        horizon: SimTime::from_secs_f64(s.horizon_secs),
+        seed: s.seed,
+        audit: Audit::Collect,
+        obs: None,
+    };
+    (experiment, controller)
 }
 
 fn fingerprint_run(fnv: &mut Fnv, run: &TraceRunResult) {
@@ -761,10 +733,9 @@ fn fingerprint_run(fnv: &mut Fnv, run: &TraceRunResult) {
     }
 }
 
-fn check_conservation(s: &HuntScenario) -> CheckOutcome {
-    let run = run_trace_scenario(s);
+fn check_conservation(run: &TraceRunResult) -> CheckOutcome {
     let mut fnv = Fnv::new();
-    fingerprint_run(&mut fnv, &run);
+    fingerprint_run(&mut fnv, run);
     let mut problems = Vec::new();
     let in_flight = run.counters.in_flight();
     if in_flight != 0 {
@@ -777,17 +748,12 @@ fn check_conservation(s: &HuntScenario) -> CheckOutcome {
     if !report.is_clean() {
         problems.push(format!("audit: {}", report.summary()));
     }
-    CheckOutcome {
-        fingerprint: fnv.0,
-        violation: (!problems.is_empty()).then(|| problems.join("; ")),
-    }
+    CheckOutcome::new(fnv, &problems)
 }
 
-fn check_replay(s: &HuntScenario) -> CheckOutcome {
-    let a = run_trace_scenario(s);
-    let b = run_trace_scenario(s);
+fn check_replay(a: &TraceRunResult, b: &TraceRunResult) -> CheckOutcome {
     let mut fnv = Fnv::new();
-    fingerprint_run(&mut fnv, &a);
+    fingerprint_run(&mut fnv, a);
     let mut problems = Vec::new();
     if a.counters != b.counters {
         problems.push(format!(
@@ -809,30 +775,17 @@ fn check_replay(s: &HuntScenario) -> CheckOutcome {
             b.actions.len()
         ));
     }
-    if a.vm_seconds
-        .iter()
-        .map(|v| v.to_bits())
-        .ne(b.vm_seconds.iter().map(|v| v.to_bits()))
-    {
-        problems.push(format!(
-            "vm-seconds diverged: {:?} vs {:?}",
-            a.vm_seconds, b.vm_seconds
-        ));
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let costs = [
+        ("vm-seconds", &a.vm_seconds, &b.vm_seconds),
+        ("vm-dollars", &a.vm_cost, &b.vm_cost),
+    ];
+    for (what, x, y) in costs {
+        if bits(x) != bits(y) {
+            problems.push(format!("{what} diverged: {x:?} vs {y:?}"));
+        }
     }
-    if a.vm_cost
-        .iter()
-        .map(|v| v.to_bits())
-        .ne(b.vm_cost.iter().map(|v| v.to_bits()))
-    {
-        problems.push(format!(
-            "vm-dollars diverged: {:?} vs {:?}",
-            a.vm_cost, b.vm_cost
-        ));
-    }
-    CheckOutcome {
-        fingerprint: fnv.0,
-        violation: (!problems.is_empty()).then(|| problems.join("; ")),
-    }
+    CheckOutcome::new(fnv, &problems)
 }
 
 fn check_cohort(s: &HuntScenario) -> CheckOutcome {
@@ -893,10 +846,7 @@ fn check_cohort(s: &HuntScenario) -> CheckOutcome {
             per_user.len()
         ));
     }
-    CheckOutcome {
-        fingerprint: fnv.0,
-        violation: (!problems.is_empty()).then(|| problems.join("; ")),
-    }
+    CheckOutcome::new(fnv, &problems)
 }
 
 fn check_doubling(s: &HuntScenario) -> CheckOutcome {
@@ -1006,10 +956,7 @@ fn check_mva(s: &HuntScenario) -> CheckOutcome {
             point.audit_violations
         ));
     }
-    CheckOutcome {
-        fingerprint: fnv.0,
-        violation: (!problems.is_empty()).then(|| problems.join("; ")),
-    }
+    CheckOutcome::new(fnv, &problems)
 }
 
 /// Per-tick net-VM-change allowance for the league oracle. The threshold
@@ -1025,10 +972,9 @@ fn league_step_allowance(s: &HuntScenario) -> i64 {
     base + i64::from(s.crash_at_secs > 0.0)
 }
 
-fn check_league(s: &HuntScenario) -> CheckOutcome {
-    let run = run_trace_scenario(s);
+fn check_league(s: &HuntScenario, run: &TraceRunResult) -> CheckOutcome {
     let mut fnv = Fnv::new();
-    fingerprint_run(&mut fnv, &run);
+    fingerprint_run(&mut fnv, run);
     let mut problems = Vec::new();
 
     // Fold the actuation log into per-tier VM counts. Crashes are not in
@@ -1081,22 +1027,29 @@ fn check_league(s: &HuntScenario) -> CheckOutcome {
     }
     flush(tick, &mut deltas, &mut problems);
 
-    CheckOutcome {
-        fingerprint: fnv.0,
-        violation: (!problems.is_empty()).then(|| problems.join("; ")),
-    }
+    CheckOutcome::new(fnv, &problems)
 }
 
-/// Runs one scenario through its oracle.
+/// Runs one scenario through its oracle. A scenario whose trace run is
+/// not a valid [`Experiment`] (only a hand-edited kv file can hold one)
+/// is a violation naming the field.
 pub fn check(s: &HuntScenario) -> CheckOutcome {
-    match s.oracle {
-        OracleKind::Conservation => check_conservation(s),
-        OracleKind::Replay => check_replay(s),
-        OracleKind::Cohort => check_cohort(s),
-        OracleKind::Doubling => check_doubling(s),
-        OracleKind::Mva => check_mva(s),
-        OracleKind::League => check_league(s),
-    }
+    let trace_run = || {
+        let (experiment, controller) = experiment_for(s);
+        experiment.run(&controller)
+    };
+    let outcome = match s.oracle {
+        OracleKind::Conservation => trace_run().map(|run| check_conservation(&run)),
+        OracleKind::Replay => trace_run().and_then(|a| Ok(check_replay(&a, &trace_run()?))),
+        OracleKind::Cohort => Ok(check_cohort(s)),
+        OracleKind::Doubling => Ok(check_doubling(s)),
+        OracleKind::Mva => Ok(check_mva(s)),
+        OracleKind::League => trace_run().map(|run| check_league(s, &run)),
+    };
+    outcome.unwrap_or_else(|err| CheckOutcome {
+        fingerprint: 0,
+        violation: Some(format!("invalid scenario: {err}")),
+    })
 }
 
 /// Result of shrinking one violating scenario.

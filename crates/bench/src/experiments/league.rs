@@ -18,66 +18,38 @@
 //! bit-identical for every `--jobs` value. The MPC step-trace run also
 //! captures its decision journal (plan provenance: candidates evaluated,
 //! predicted throughput/response, chosen plan, rolling prediction error),
-//! exported as `results/league_mpc.journal.json`.
+//! exported as `results/league_mpc.journal.json`. The mesh bench runs its
+//! matrix through the same harness (`run_matrix`).
 
-use dcm_core::controller::{Dcm, DcmConfig, DcmModels, Ec2AutoScale};
-use dcm_core::experiment::{
-    run_trace_experiment, ObsConfig, TraceExperimentConfig, TraceRunResult,
-};
-use dcm_core::mpc::{ModelPredictive, MpcConfig};
-use dcm_core::policy::ScalingConfig;
+use dcm_core::controller::DcmModels;
+use dcm_core::experiment::{ControllerSpec, Experiment, ObsArtifacts, ObsConfig, TraceRunResult};
 use dcm_core::predictor::HoltConfig;
-use dcm_core::zoo::{HoltWinters, StaffingConfig, ThresholdMmc};
-use dcm_ntier::system::InterTierRetry;
-use dcm_sim::faults::FaultPlan;
+use dcm_core::zoo::StaffingConfig;
 use dcm_sim::time::{SimDuration, SimTime};
-use dcm_workload::generator::RetryPolicy;
 use dcm_workload::traces;
 
 use crate::format::{num, TextTable};
 
-use super::Fidelity;
+use super::{chaos, Fidelity};
 
 /// Response-time windows used for SLO accounting, in seconds.
-const WINDOW_SECS: f64 = 5.0;
+pub(crate) const WINDOW_SECS: f64 = 5.0;
 /// The response-time SLO every controller is judged against.
-const SLO_SECS: f64 = 1.0;
+pub(crate) const SLO_SECS: f64 = 1.0;
 
-/// The league's contestants.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ControllerKind {
-    /// The paper's two-level controller (hardware + soft resources).
-    Dcm,
-    /// Hardware-only threshold baseline.
-    Ec2,
-    /// MVA-predictive planner over candidate topologies and pools.
-    Mpc,
-    /// M/M/c-style utilization-law staffing.
-    Mmc,
-    /// Holt-trend predictive staffing.
-    HoltWinters,
-}
-
-impl ControllerKind {
-    /// All contestants, in ranking-table order.
-    pub const ALL: [ControllerKind; 5] = [
-        ControllerKind::Dcm,
-        ControllerKind::Ec2,
-        ControllerKind::Mpc,
-        ControllerKind::Mmc,
-        ControllerKind::HoltWinters,
-    ];
-
-    /// Display name (matches each controller's `Controller::name`).
-    pub fn name(self) -> &'static str {
-        match self {
-            ControllerKind::Dcm => "DCM",
-            ControllerKind::Ec2 => "EC2-AutoScale",
-            ControllerKind::Mpc => "MPC",
-            ControllerKind::Mmc => "MMC-Threshold",
-            ControllerKind::HoltWinters => "Holt-Winters",
-        }
-    }
+/// The league's contestants, in ranking-table order: DCM, EC2-AutoScale,
+/// MPC, M/M/c threshold staffing and Holt-Winters staffing.
+pub fn contestants(models: DcmModels) -> [ControllerSpec; 5] {
+    [
+        ControllerSpec::dcm(models),
+        ControllerSpec::ec2(),
+        ControllerSpec::mpc(models),
+        ControllerSpec::Mmc(StaffingConfig::default()),
+        ControllerSpec::HoltWinters {
+            staffing: StaffingConfig::default(),
+            holt: HoltConfig::default(),
+        },
+    ]
 }
 
 /// The trace library every contestant faces.
@@ -114,39 +86,27 @@ impl TraceKind {
     }
 }
 
-/// The experiment configuration one league cell runs under. Identical for
-/// every controller facing the same trace (same seed, same horizon), so
-/// the matrix compares controllers and nothing else.
-pub fn league_trace_config(kind: TraceKind, fidelity: Fidelity) -> TraceExperimentConfig {
-    let horizon_secs = match fidelity {
-        Fidelity::Quick => 240.0,
-        Fidelity::Full => 600.0,
-    };
+/// The experiment one league cell runs. Identical for every controller
+/// facing the same trace (same seed, same horizon), so the matrix compares
+/// controllers and nothing else. The chaos trace is
+/// [`chaos::chaos_config`]'s experiment.
+pub fn league_trace_config(kind: TraceKind, fidelity: Fidelity) -> Experiment {
+    let horizon_secs = fidelity.trace_horizon_secs();
     let trace = match kind {
-        TraceKind::Step | TraceKind::Chaos => traces::step(60, 240, 30.0),
+        TraceKind::Step => traces::step(60, 240, 30.0),
         TraceKind::Flash => traces::flash_crowd(60, 280, horizon_secs * 0.35, horizon_secs * 0.25),
         TraceKind::Sine => traces::sine(60, 220, horizon_secs / 2.0, horizon_secs, 10.0),
+        TraceKind::Chaos => return chaos::chaos_config(fidelity).0,
     };
-    let mut config = TraceExperimentConfig::figure5(trace);
-    config.horizon = SimTime::from_secs_f64(horizon_secs);
-    config.seed = 4242;
-    if kind == TraceKind::Chaos {
-        let crash_at = horizon_secs / 2.0;
-        config.fault_plan = Some(
-            FaultPlan::none()
-                .with_crash(crash_at, 1, 0)
-                .with_straggler(crash_at + 60.0, 2, 0, 4.0, 45.0)
-                .with_transient_failures(0.002),
-        );
-        config.client_retry = Some(RetryPolicy::default());
-        config.request_deadline_secs = Some(8.0);
-        config.inter_tier_retry = Some(InterTierRetry::default());
+    Experiment {
+        horizon: SimTime::from_secs_f64(horizon_secs),
+        seed: 4242,
+        ..Experiment::figure5(trace)
     }
-    config
 }
 
-/// One (controller, trace) cell of the league matrix.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+/// One (controller, trace) cell of a controller matrix.
+#[derive(Debug, Clone, PartialEq)]
 pub struct LeagueCell {
     /// Controller display name.
     pub controller: &'static str,
@@ -162,6 +122,9 @@ pub struct LeagueCell {
     pub slo_violation_secs: f64,
     /// Total VM-seconds across tiers, in hours.
     pub vm_hours: f64,
+    /// Total dollars across tiers — the metric that separates VM flavors
+    /// VM-hours cannot.
+    pub vm_dollars: f64,
     /// Candidate-plan evaluations (deterministic decision-latency proxy).
     pub planner_evals: u64,
     /// Tier-entry attempts per logical client request.
@@ -170,32 +133,54 @@ pub struct LeagueCell {
     pub actions: usize,
 }
 
-/// Reduces one run to its league metrics.
-pub fn summarize_cell(
-    controller: ControllerKind,
-    trace: TraceKind,
-    run: &TraceRunResult,
-) -> LeagueCell {
+/// Reduces one run to its matrix metrics.
+pub fn summarize_cell(trace: TraceKind, run: &TraceRunResult) -> LeagueCell {
     let overall = run.overall();
     let series = run.series(SimDuration::from_secs_f64(WINDOW_SECS));
     let violated = series.mean_rt.iter().filter(|&(_, v)| v > SLO_SECS).count();
     let logical = run.completions.len().max(1) as u64;
     LeagueCell {
-        controller: controller.name(),
+        controller: run.controller,
         trace: trace.name(),
         completed: run.counters.completed,
         goodput: overall.throughput(),
         slo_attainment_1s: overall.sla_attainment(SLO_SECS),
         slo_violation_secs: violated as f64 * WINDOW_SECS,
         vm_hours: run.total_vm_seconds() / 3600.0,
+        vm_dollars: run.total_vm_cost(),
         planner_evals: run.planner_evals,
         retry_amplification: run.counters.submitted as f64 / logical as f64,
         actions: run.actions.len(),
     }
 }
 
+/// Runs every (controller, trace) cell of a matrix, controller-major, in
+/// parallel when jobs > 1: each cell builds its own world from
+/// `experiment`, so the result is bit-identical for every `--jobs` value.
+/// Returns each cell's summary with the obs artifacts its experiment
+/// captured, if it asked for them.
+pub(crate) fn run_matrix<F>(
+    controllers: &[ControllerSpec],
+    traces: &[TraceKind],
+    experiment: F,
+) -> Vec<(LeagueCell, Option<ObsArtifacts>)>
+where
+    F: Fn(&ControllerSpec, TraceKind) -> Experiment + Sync,
+{
+    let cells: Vec<(ControllerSpec, TraceKind)> = controllers
+        .iter()
+        .flat_map(|c| traces.iter().map(move |&t| (c.clone(), t)))
+        .collect();
+    dcm_sim::runner::run_ordered(cells, |(controller, trace)| {
+        let mut run = experiment(&controller, trace)
+            .run(&controller)
+            .expect("a valid preset");
+        (summarize_cell(trace, &run), run.obs.take())
+    })
+}
+
 /// One controller's aggregate across the whole trace library, ranked.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LeagueStanding {
     /// 1-based rank (1 = winner).
     pub rank: usize,
@@ -215,8 +200,8 @@ pub struct LeagueStanding {
 /// decision journal captured from the step-trace run.
 #[derive(Debug, Clone)]
 pub struct League {
-    /// All cells, controller-major in [`ControllerKind::ALL`] order, traces
-    /// in [`TraceKind::ALL`] order.
+    /// All cells, controller-major in [`contestants`] order, traces in
+    /// [`TraceKind::ALL`] order.
     pub cells: Vec<LeagueCell>,
     /// Controllers ranked by (SLO-violation seconds, VM-hours, plan
     /// evaluations) ascending.
@@ -231,86 +216,41 @@ pub struct League {
     pub mpc_journal_explain: String,
 }
 
-fn run_cell(
-    controller: ControllerKind,
-    trace: TraceKind,
-    fidelity: Fidelity,
-    models: DcmModels,
-) -> TraceRunResult {
-    let mut config = league_trace_config(trace, fidelity);
-    if controller == ControllerKind::Mpc && trace == TraceKind::Step {
-        // Capture plan provenance once, on the clean ramp.
-        config.obs = Some(ObsConfig::default());
-    }
-    match controller {
-        ControllerKind::Dcm => {
-            run_trace_experiment(&config, |bus| Dcm::new(bus, DcmConfig::default(), models))
-        }
-        ControllerKind::Ec2 => run_trace_experiment(&config, |bus| {
-            Ec2AutoScale::new(bus, ScalingConfig::default())
-        }),
-        ControllerKind::Mpc => run_trace_experiment(&config, |bus| {
-            ModelPredictive::new(bus, MpcConfig::default(), models)
-        }),
-        ControllerKind::Mmc => run_trace_experiment(&config, |bus| {
-            ThresholdMmc::new(bus, StaffingConfig::default())
-        }),
-        ControllerKind::HoltWinters => run_trace_experiment(&config, |bus| {
-            HoltWinters::new(bus, StaffingConfig::default(), HoltConfig::default())
-        }),
-    }
-}
-
-/// Runs the full matrix (in parallel when jobs > 1; each cell builds its
-/// own world from the same per-trace seed, so the result is bit-identical
-/// for every `--jobs` value) and ranks the contestants.
+/// Runs the full matrix and ranks the contestants.
 pub fn run_league(fidelity: Fidelity, models: DcmModels) -> League {
-    let descriptors: Vec<(ControllerKind, TraceKind)> = ControllerKind::ALL
-        .iter()
-        .flat_map(|&c| TraceKind::ALL.iter().map(move |&t| (c, t)))
-        .collect();
-    let runs = dcm_sim::runner::run_ordered(descriptors, |(controller, trace)| {
-        let run = run_cell(controller, trace, fidelity, models);
-        let cell = summarize_cell(controller, trace, &run);
-        let journal = (controller == ControllerKind::Mpc && trace == TraceKind::Step).then(|| {
-            let obs = run
-                .obs
-                .as_ref()
-                .expect("MPC step cell runs with obs enabled");
-            (obs.journal.to_json(), obs.journal.render_explain(false))
-        });
-        (cell, journal)
+    let controllers = contestants(models);
+    let runs = run_matrix(&controllers, &TraceKind::ALL, |controller, trace| {
+        let mut experiment = league_trace_config(trace, fidelity);
+        if matches!(controller, ControllerSpec::Mpc { .. }) && trace == TraceKind::Step {
+            // Capture plan provenance once, on the clean ramp.
+            experiment.obs = Some(ObsConfig::default());
+        }
+        experiment
     });
 
-    let mut cells = Vec::with_capacity(runs.len());
-    let mut mpc_journal_json = String::new();
-    let mut mpc_journal_explain = String::new();
-    for (cell, journal) in runs {
-        if let Some((json, explain)) = journal {
-            mpc_journal_json = json;
-            mpc_journal_explain = explain;
-        }
-        cells.push(cell);
-    }
-
-    let horizon_secs = match fidelity {
-        Fidelity::Quick => 240.0,
-        Fidelity::Full => 600.0,
-    };
-    let standings = standings_of(&cells);
+    let (cells, obs): (Vec<LeagueCell>, Vec<Option<ObsArtifacts>>) = runs.into_iter().unzip();
+    let journal = obs
+        .into_iter()
+        .flatten()
+        .next()
+        .expect("the MPC step cell runs with obs")
+        .journal;
+    let standings = standings_of(&controllers, &cells);
     League {
         cells,
         standings,
-        horizon_secs,
-        mpc_journal_json,
-        mpc_journal_explain,
+        horizon_secs: league_trace_config(TraceKind::Step, fidelity)
+            .horizon
+            .as_secs_f64(),
+        mpc_journal_json: journal.to_json(),
+        mpc_journal_explain: journal.render_explain(false),
     }
 }
 
-fn standings_of(cells: &[LeagueCell]) -> Vec<LeagueStanding> {
-    let mut standings: Vec<LeagueStanding> = ControllerKind::ALL
+fn standings_of(controllers: &[ControllerSpec], cells: &[LeagueCell]) -> Vec<LeagueStanding> {
+    let mut standings: Vec<LeagueStanding> = controllers
         .iter()
-        .map(|&c| {
+        .map(|c| {
             let mine: Vec<&LeagueCell> = cells
                 .iter()
                 .filter(|cell| cell.controller == c.name())
@@ -339,13 +279,110 @@ fn standings_of(cells: &[LeagueCell]) -> Vec<LeagueStanding> {
     standings
 }
 
+/// The cell of `controller` (a display name) on `trace`.
+pub(crate) fn find_cell<'a>(
+    cells: &'a [LeagueCell],
+    controller: &str,
+    trace: TraceKind,
+) -> &'a LeagueCell {
+    cells
+        .iter()
+        .find(|c| c.controller == controller && c.trace == trace.name())
+        .expect("every (controller, trace) pair ran")
+}
+
+/// The columns of a matrix artifact: JSON/CSV key and table header. The
+/// league writes all but `vm_dollars`, the mesh bench all but
+/// `retry_amplification`.
+const COLUMNS: [(&str, &str); 11] = [
+    ("controller", "controller"),
+    ("trace", "trace"),
+    ("completed", "completed"),
+    ("goodput", "goodput"),
+    ("slo_attainment_1s", "SLO att."),
+    ("slo_violation_secs", "SLO-viol (s)"),
+    ("vm_hours", "VM-hours"),
+    ("vm_dollars", "dollars"),
+    ("planner_evals", "plan evals"),
+    ("retry_amplification", "retry amp"),
+    ("actions", "actions"),
+];
+
+/// `cell`'s columns other than `skip`, as `(key, JSON/CSV value, table
+/// value)`: full precision for the files, rounded for the table.
+fn row(cell: &LeagueCell, skip: &str) -> Vec<(&'static str, String, String)> {
+    let both = |s: String| (s.clone(), s);
+    let real = |v: f64, shown: usize| (format!("{v:.6}"), num(v, shown));
+    let values = [
+        both(cell.controller.to_string()),
+        both(cell.trace.to_string()),
+        both(cell.completed.to_string()),
+        real(cell.goodput, 1),
+        real(cell.slo_attainment_1s, 3),
+        real(cell.slo_violation_secs, 0),
+        real(cell.vm_hours, 3),
+        real(cell.vm_dollars, 4),
+        both(cell.planner_evals.to_string()),
+        real(cell.retry_amplification, 3),
+        both(cell.actions.to_string()),
+    ];
+    COLUMNS
+        .iter()
+        .zip(values)
+        .filter(|((key, _), _)| *key != skip)
+        .map(|((key, _), (raw, shown))| (*key, raw, shown))
+        .collect()
+}
+
+/// The table of `cells` without the `skip` column, one row per cell.
+pub(crate) fn cells_table(cells: &[LeagueCell], skip: &str) -> TextTable {
+    let headers = COLUMNS.iter().filter(|(key, _)| *key != skip);
+    let mut t = TextTable::new(headers.map(|(_, header)| *header));
+    for cell in cells {
+        t.row(row(cell, skip).into_iter().map(|(_, _, shown)| shown));
+    }
+    t
+}
+
+/// The CSV of `cells` without the `skip` column.
+pub(crate) fn cells_csv(cells: &[LeagueCell], skip: &str) -> String {
+    let keys: Vec<&str> = COLUMNS
+        .iter()
+        .map(|(key, _)| *key)
+        .filter(|key| *key != skip)
+        .collect();
+    let mut out = keys.join(",") + "\n";
+    for cell in cells {
+        let values: Vec<String> = row(cell, skip).into_iter().map(|(_, raw, _)| raw).collect();
+        out.push_str(&values.join(","));
+        out.push('\n');
+    }
+    out
+}
+
+/// The `"cells"` member of a matrix's JSON: one object per cell without
+/// the `skip` column, in a fixed key order.
+pub(crate) fn cells_json(cells: &[LeagueCell], skip: &str) -> String {
+    let mut out = String::from("  \"cells\": [\n");
+    for (i, cell) in cells.iter().enumerate() {
+        let fields: Vec<String> = row(cell, skip)
+            .into_iter()
+            .map(|(key, raw, _)| match key {
+                "controller" | "trace" => format!("\"{key}\": \"{raw}\""),
+                _ => format!("\"{key}\": {raw}"),
+            })
+            .collect();
+        let sep = if i + 1 < cells.len() { "," } else { "" };
+        out.push_str(&format!("    {{{}}}{sep}\n", fields.join(", ")));
+    }
+    out.push_str("  ]\n");
+    out
+}
+
 impl League {
-    /// A cell by controller and trace kind.
-    pub fn cell(&self, controller: ControllerKind, trace: TraceKind) -> &LeagueCell {
-        self.cells
-            .iter()
-            .find(|c| c.controller == controller.name() && c.trace == trace.name())
-            .expect("every (controller, trace) pair ran")
+    /// A cell by controller display name and trace kind.
+    pub fn cell(&self, controller: &str, trace: TraceKind) -> &LeagueCell {
+        find_cell(&self.cells, controller, trace)
     }
 
     /// The ranking table (the headline of `repro explain league`).
@@ -373,33 +410,7 @@ impl League {
 
     /// The full matrix table, one row per cell.
     pub fn table(&self) -> TextTable {
-        let mut t = TextTable::new([
-            "controller",
-            "trace",
-            "completed",
-            "goodput",
-            "SLO att.",
-            "SLO-viol (s)",
-            "VM-hours",
-            "plan evals",
-            "retry amp",
-            "actions",
-        ]);
-        for c in &self.cells {
-            t.row([
-                c.controller.to_string(),
-                c.trace.to_string(),
-                c.completed.to_string(),
-                num(c.goodput, 1),
-                num(c.slo_attainment_1s, 3),
-                num(c.slo_violation_secs, 0),
-                num(c.vm_hours, 3),
-                c.planner_evals.to_string(),
-                num(c.retry_amplification, 3),
-                c.actions.to_string(),
-            ]);
-        }
-        t
+        cells_table(&self.cells, "vm_dollars")
     }
 
     /// Stable JSON for `results/league.json` (hand-rolled; keys and shapes
@@ -427,53 +438,15 @@ impl League {
                 s.retry_amplification,
             ));
         }
-        out.push_str("  ],\n  \"cells\": [\n");
-        for (i, c) in self.cells.iter().enumerate() {
-            let sep = if i + 1 < self.cells.len() { "," } else { "" };
-            out.push_str(&format!(
-                "    {{\"controller\": \"{}\", \"trace\": \"{}\", \
-                 \"completed\": {}, \"goodput\": {:.6}, \
-                 \"slo_attainment_1s\": {:.6}, \"slo_violation_secs\": {:.6}, \
-                 \"vm_hours\": {:.6}, \"planner_evals\": {}, \
-                 \"retry_amplification\": {:.6}, \"actions\": {}}}{sep}\n",
-                c.controller,
-                c.trace,
-                c.completed,
-                c.goodput,
-                c.slo_attainment_1s,
-                c.slo_violation_secs,
-                c.vm_hours,
-                c.planner_evals,
-                c.retry_amplification,
-                c.actions,
-            ));
-        }
-        out.push_str("  ]\n}\n");
+        out.push_str("  ],\n");
+        out.push_str(&cells_json(&self.cells, "vm_dollars"));
+        out.push_str("}\n");
         out
     }
 
     /// CSV of the raw matrix for `results/league.csv`.
     pub fn to_csv(&self) -> String {
-        let mut out = String::from(
-            "controller,trace,completed,goodput,slo_attainment_1s,\
-             slo_violation_secs,vm_hours,planner_evals,retry_amplification,actions\n",
-        );
-        for c in &self.cells {
-            out.push_str(&format!(
-                "{},{},{},{:.6},{:.6},{:.6},{:.6},{},{:.6},{}\n",
-                c.controller,
-                c.trace,
-                c.completed,
-                c.goodput,
-                c.slo_attainment_1s,
-                c.slo_violation_secs,
-                c.vm_hours,
-                c.planner_evals,
-                c.retry_amplification,
-                c.actions,
-            ));
-        }
-        out
+        cells_csv(&self.cells, "vm_dollars")
     }
 
     /// Self-checks against the league's qualitative claims.
@@ -489,8 +462,8 @@ impl League {
             TraceKind::ALL.len()
         ));
         for trace in [TraceKind::Step, TraceKind::Flash] {
-            let mpc = self.cell(ControllerKind::Mpc, trace);
-            let dcm = self.cell(ControllerKind::Dcm, trace);
+            let mpc = self.cell("MPC", trace);
+            let dcm = self.cell("DCM", trace);
             out.push(format!(
                 "{}: MPC SLO attainment {:.3} at {:.3} VM-hours vs DCM {:.3} \
                  at {:.3} VM-hours (the planner buys the SLO no dearer than \
@@ -502,7 +475,7 @@ impl League {
                 dcm.vm_hours,
             ));
         }
-        let chaos_mpc = self.cell(ControllerKind::Mpc, TraceKind::Chaos);
+        let chaos_mpc = self.cell("MPC", TraceKind::Chaos);
         out.push(format!(
             "chaos: MPC keeps retry amplification at {:.3} with {} \
              SLO-violation seconds under crash + straggler + transient faults",
@@ -512,8 +485,7 @@ impl League {
         out.push(format!(
             "decision latency: MPC paid {} plan evaluations; every model-free \
              baseline paid 0",
-            self.cell(ControllerKind::Mpc, TraceKind::Step)
-                .planner_evals
+            self.cell("MPC", TraceKind::Step).planner_evals
         ));
         out
     }
@@ -539,9 +511,9 @@ mod tests {
         let league = run_league(Fidelity::Quick, models());
         assert_eq!(
             league.cells.len(),
-            ControllerKind::ALL.len() * TraceKind::ALL.len()
+            contestants(models()).len() * TraceKind::ALL.len()
         );
-        assert_eq!(league.standings.len(), ControllerKind::ALL.len());
+        assert_eq!(league.standings.len(), contestants(models()).len());
         // Ranks are a permutation 1..=n and the sort keys are respected.
         for (i, s) in league.standings.iter().enumerate() {
             assert_eq!(s.rank, i + 1);
@@ -560,23 +532,13 @@ mod tests {
         }
         // Only MPC plans; every baseline is model-free per the proxy.
         for trace in TraceKind::ALL {
-            assert!(league.cell(ControllerKind::Mpc, trace).planner_evals > 0);
-            for kind in [
-                ControllerKind::Dcm,
-                ControllerKind::Ec2,
-                ControllerKind::Mmc,
-                ControllerKind::HoltWinters,
-            ] {
+            assert!(league.cell("MPC", trace).planner_evals > 0);
+            for kind in ["DCM", "EC2-AutoScale", "MMC-Threshold", "Holt-Winters"] {
                 assert_eq!(league.cell(kind, trace).planner_evals, 0);
             }
         }
         // Chaos is the only trace that arms client retries.
-        assert!(
-            league
-                .cell(ControllerKind::Dcm, TraceKind::Chaos)
-                .retry_amplification
-                >= 1.0
-        );
+        assert!(league.cell("DCM", TraceKind::Chaos).retry_amplification >= 1.0);
         // Artifacts are well-formed.
         assert!(league.to_json().ends_with("}\n"));
         assert_eq!(league.to_csv().lines().count(), 1 + league.cells.len());
@@ -596,8 +558,8 @@ mod tests {
         // guard that keeps that result from silently rotting.
         let league = run_league(Fidelity::Quick, models());
         for trace in [TraceKind::Step, TraceKind::Flash] {
-            let mpc = league.cell(ControllerKind::Mpc, trace);
-            let dcm = league.cell(ControllerKind::Dcm, trace);
+            let mpc = league.cell("MPC", trace);
+            let dcm = league.cell("DCM", trace);
             assert!(
                 mpc.slo_violation_secs <= dcm.slo_violation_secs + WINDOW_SECS,
                 "MPC must hold the SLO as well as DCM on {}: MPC {} s vs DCM {} s violated",
@@ -615,8 +577,8 @@ mod tests {
         }
         // On the flash crowd the planner's pre-provisioning pays off
         // outright: strictly better attainment than the reactive DCM.
-        let mpc = league.cell(ControllerKind::Mpc, TraceKind::Flash);
-        let dcm = league.cell(ControllerKind::Dcm, TraceKind::Flash);
+        let mpc = league.cell("MPC", TraceKind::Flash);
+        let dcm = league.cell("DCM", TraceKind::Flash);
         assert!(
             mpc.slo_attainment_1s > dcm.slo_attainment_1s,
             "MPC must beat DCM's attainment on flash: {:.3} vs {:.3}",

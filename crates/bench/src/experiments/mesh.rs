@@ -17,117 +17,71 @@
 //! * **VM types.** The DB tier launches alternating small/large flavors
 //!   ([`VmPolicy::cycle`]) and the app tier buys the cheapest capacity per
 //!   dollar from a large/xlarge catalog, so the cost metric is **dollars**
-//!   ([`TraceRunResult::vm_cost`]), not VM-hours.
+//!   ([`TraceRunResult::vm_cost`](dcm_core::experiment::TraceRunResult::vm_cost)),
+//!   not VM-hours.
 //!
 //! DCM, MPC, and EC2-AutoScale each face the step and flash-crowd traces.
 //! Every cell builds its own world from the same seed, so the matrix is
 //! bit-identical for every `--jobs` value.
 
-use dcm_core::controller::{Dcm, DcmConfig, DcmModels, Ec2AutoScale};
-use dcm_core::experiment::{
-    run_mesh_trace_experiment, MeshExperimentConfig, TraceExperimentConfig, TraceRunResult,
-};
-use dcm_core::mpc::{ModelPredictive, MpcConfig};
-use dcm_core::policy::ScalingConfig;
+use dcm_core::controller::DcmModels;
+use dcm_core::experiment::{ControllerSpec, Experiment, WorkloadShape};
 use dcm_ntier::graph::TopologyGraph;
 use dcm_ntier::law::reference;
 use dcm_ntier::server::VmType;
 use dcm_ntier::system::{VmPolicy, VmSelection};
 use dcm_ntier::topology::MeshNode;
 use dcm_sim::dist::Dist;
-use dcm_sim::time::{SimDuration, SimTime};
 use dcm_workload::cache::CacheDynamics;
 use dcm_workload::profile::{CacheEdge, NodeDemand};
-use dcm_workload::traces;
 
-use crate::format::{num, TextTable};
+use crate::format::TextTable;
 
+use super::league::{
+    cells_csv, cells_json, cells_table, find_cell, league_trace_config, run_matrix, LeagueCell,
+    TraceKind,
+};
 use super::Fidelity;
 
-/// Response-time windows used for SLO accounting, in seconds.
-const WINDOW_SECS: f64 = 5.0;
-/// The response-time SLO every controller is judged against.
-const SLO_SECS: f64 = 1.0;
-/// Shared seed: every cell differs only in controller and trace.
-const SEED: u64 = 4242;
-
-/// The mesh bench's contestants.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MeshController {
-    /// The paper's two-level controller (hardware + soft resources).
-    Dcm,
-    /// MVA-predictive planner over candidate topologies and pools.
-    Mpc,
-    /// Hardware-only threshold baseline.
-    Ec2,
-}
-
-impl MeshController {
-    /// All contestants, in matrix order.
-    pub const ALL: [MeshController; 3] = [
-        MeshController::Dcm,
-        MeshController::Mpc,
-        MeshController::Ec2,
-    ];
-
-    /// Display name (matches each controller's `Controller::name`).
-    pub fn name(self) -> &'static str {
-        match self {
-            MeshController::Dcm => "DCM",
-            MeshController::Mpc => "MPC",
-            MeshController::Ec2 => "EC2-AutoScale",
-        }
-    }
-}
-
-/// The traces every contestant faces on the mesh.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MeshTrace {
-    /// Ramp to a plateau (the cache warms through the ramp).
-    Step,
-    /// Flash crowd arriving before the cache has warmed.
-    Flash,
-}
-
-impl MeshTrace {
-    /// All traces, in matrix order.
-    pub const ALL: [MeshTrace; 2] = [MeshTrace::Step, MeshTrace::Flash];
-
-    /// Short artifact name.
-    pub fn name(self) -> &'static str {
-        match self {
-            MeshTrace::Step => "step",
-            MeshTrace::Flash => "flash",
-        }
-    }
-}
+/// The traces every contestant faces on the mesh: a ramp to a plateau
+/// (the cache warms through the ramp) and a flash crowd arriving before
+/// the cache has warmed.
+pub const TRACES: [TraceKind; 2] = [TraceKind::Step, TraceKind::Flash];
 
 /// Steady-state cache hit ratio the app→db edge warms toward.
 pub const CACHE_MAX_HIT: f64 = 0.6;
 /// Requests over which the cache warms to `1 − 1/e` of its maximum.
 pub const CACHE_WARMUP_REQUESTS: f64 = 3000.0;
 
-/// The mesh every cell runs: topology, demands, cache, VM policies.
-/// Public so the degeneracy tests and `repro explain` can inspect it.
-pub fn mesh_experiment_config(trace: MeshTrace, fidelity: Fidelity) -> MeshExperimentConfig {
-    let horizon_secs = match fidelity {
-        Fidelity::Quick => 240.0,
-        Fidelity::Full => 600.0,
-    };
-    let trace = match trace {
-        MeshTrace::Step => traces::step(60, 240, 30.0),
-        MeshTrace::Flash => traces::flash_crowd(60, 280, horizon_secs * 0.35, horizon_secs * 0.25),
-    };
-    let mut run = TraceExperimentConfig::figure5(trace);
-    run.horizon = SimTime::from_secs_f64(horizon_secs);
-    run.seed = SEED;
-    run.control_period = SimDuration::from_secs(15);
+/// The mesh bench's contestants, in matrix order: DCM, MPC and
+/// EC2-AutoScale.
+pub fn contestants(models: DcmModels) -> [ControllerSpec; 3] {
+    [
+        ControllerSpec::dcm(models),
+        ControllerSpec::mpc(models),
+        ControllerSpec::ec2(),
+    ]
+}
+
+/// Per-node demands of the mesh's web, app, db and svc tiers (the fuzzer's
+/// mesh-active scenarios use them too).
+pub(crate) fn demands() -> Vec<NodeDemand> {
+    vec![
+        NodeDemand::split(Dist::constant(0.002)),
+        NodeDemand::split(Dist::constant(0.008)),
+        NodeDemand::leaf(Dist::exponential_mean(0.02)).iid_visits(),
+        NodeDemand::leaf(Dist::exponential_mean(0.012)).iid_visits(),
+    ]
+}
+
+/// The mesh every cell runs — topology, demands, cache, VM policies —
+/// under the league's experiment for `trace` (same trace, seed, horizon
+/// and control period).
+pub fn mesh_experiment_config(trace: TraceKind, fidelity: Fidelity) -> Experiment {
     // web(0) → app(1) → db(2) ×2 calls, app(1) → svc(3) ×1 call. The DB
     // keeps tier index 2, so DcmConfig/MpcConfig defaults (app tier 1, DB
     // tier 2) target the same tiers they do on the chain.
-    let graph = TopologyGraph::from_edges(4, &[(0, 1, 1), (1, 2, 2), (1, 3, 1)]);
-    MeshExperimentConfig {
-        run,
+    Experiment {
         nodes: vec![
             MeshNode::new("web", reference::apache(), 1000),
             MeshNode::new("app", reference::tomcat(), 200)
@@ -140,216 +94,69 @@ pub fn mesh_experiment_config(trace: MeshTrace, fidelity: Fidelity) -> MeshExper
                 .vm_policy(VmPolicy::cycle(vec![VmType::SMALL, VmType::LARGE])),
             MeshNode::new("svc", reference::tomcat(), 50).count(2),
         ],
-        graph,
-        demands: vec![
-            NodeDemand::split(Dist::constant(0.002)),
-            NodeDemand::split(Dist::constant(0.008)),
-            NodeDemand::leaf(Dist::exponential_mean(0.02)).iid_visits(),
-            NodeDemand::leaf(Dist::exponential_mean(0.012)).iid_visits(),
-        ],
-        cache: Some(CacheEdge {
-            from: 1,
-            to: 2,
-            dynamics: CacheDynamics::new(CACHE_MAX_HIT, CACHE_WARMUP_REQUESTS),
-        }),
-    }
-}
-
-/// One (controller, trace) cell of the mesh matrix.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct MeshCell {
-    /// Controller display name.
-    pub controller: &'static str,
-    /// Trace name.
-    pub trace: &'static str,
-    /// Successful completions over the run.
-    pub completed: u64,
-    /// Completions per second over the run.
-    pub goodput: f64,
-    /// Fraction of requests meeting the 1 s SLO.
-    pub slo_attainment_1s: f64,
-    /// Seconds spent in 5 s windows whose mean RT exceeded the SLO.
-    pub slo_violation_secs: f64,
-    /// Total VM-seconds across tiers, in hours.
-    pub vm_hours: f64,
-    /// Total dollars across tiers — the metric that separates flavors
-    /// VM-hours cannot.
-    pub vm_dollars: f64,
-    /// Candidate-plan evaluations (deterministic decision-latency proxy).
-    pub planner_evals: u64,
-    /// Scaling actions the controller actually applied.
-    pub actions: usize,
-}
-
-/// Reduces one mesh run to its cell metrics.
-pub fn summarize_mesh_cell(
-    controller: MeshController,
-    trace: MeshTrace,
-    run: &TraceRunResult,
-) -> MeshCell {
-    let overall = run.overall();
-    let series = run.series(SimDuration::from_secs_f64(WINDOW_SECS));
-    let violated = series.mean_rt.iter().filter(|&(_, v)| v > SLO_SECS).count();
-    MeshCell {
-        controller: controller.name(),
-        trace: trace.name(),
-        completed: run.counters.completed,
-        goodput: overall.throughput(),
-        slo_attainment_1s: overall.sla_attainment(SLO_SECS),
-        slo_violation_secs: violated as f64 * WINDOW_SECS,
-        vm_hours: run.total_vm_seconds() / 3600.0,
-        vm_dollars: run.total_vm_cost(),
-        planner_evals: run.planner_evals,
-        actions: run.actions.len(),
+        workload: WorkloadShape::Dag {
+            graph: TopologyGraph::from_edges(4, &[(0, 1, 1), (1, 2, 2), (1, 3, 1)]),
+            demands: demands(),
+            cache: Some(CacheEdge {
+                from: 1,
+                to: 2,
+                dynamics: CacheDynamics::new(CACHE_MAX_HIT, CACHE_WARMUP_REQUESTS),
+            }),
+        },
+        ..league_trace_config(trace, fidelity)
     }
 }
 
 /// The full mesh bench result.
 #[derive(Debug, Clone)]
 pub struct MeshBench {
-    /// All cells, controller-major in [`MeshController::ALL`] order, traces
-    /// in [`MeshTrace::ALL`] order.
-    pub cells: Vec<MeshCell>,
+    /// All cells, controller-major in [`contestants`] order, traces in
+    /// [`TRACES`] order.
+    pub cells: Vec<LeagueCell>,
     /// Run length per cell in seconds.
     pub horizon_secs: f64,
 }
 
-fn run_cell(
-    controller: MeshController,
-    trace: MeshTrace,
-    fidelity: Fidelity,
-    models: DcmModels,
-) -> TraceRunResult {
-    let config = mesh_experiment_config(trace, fidelity);
-    match controller {
-        MeshController::Dcm => {
-            run_mesh_trace_experiment(&config, |bus| Dcm::new(bus, DcmConfig::default(), models))
-        }
-        MeshController::Mpc => run_mesh_trace_experiment(&config, |bus| {
-            ModelPredictive::new(bus, MpcConfig::default(), models)
-        }),
-        MeshController::Ec2 => run_mesh_trace_experiment(&config, |bus| {
-            Ec2AutoScale::new(bus, ScalingConfig::default())
-        }),
-    }
-}
-
-/// Runs the full mesh matrix (cells fan out across workers; each builds
-/// its own world from the same seed, so the result is bit-identical for
-/// every `--jobs` value).
+/// Runs the full mesh matrix through the league's harness.
 pub fn run_mesh(fidelity: Fidelity, models: DcmModels) -> MeshBench {
-    let descriptors: Vec<(MeshController, MeshTrace)> = MeshController::ALL
-        .iter()
-        .flat_map(|&c| MeshTrace::ALL.iter().map(move |&t| (c, t)))
-        .collect();
-    let cells = dcm_sim::runner::run_ordered(descriptors, |(controller, trace)| {
-        let run = run_cell(controller, trace, fidelity, models);
-        summarize_mesh_cell(controller, trace, &run)
+    let cells = run_matrix(&contestants(models), &TRACES, |_, trace| {
+        mesh_experiment_config(trace, fidelity)
     });
-    let horizon_secs = match fidelity {
-        Fidelity::Quick => 240.0,
-        Fidelity::Full => 600.0,
-    };
     MeshBench {
-        cells,
-        horizon_secs,
+        cells: cells.into_iter().map(|(cell, _)| cell).collect(),
+        horizon_secs: mesh_experiment_config(TraceKind::Step, fidelity)
+            .horizon
+            .as_secs_f64(),
     }
 }
 
 impl MeshBench {
-    /// A cell by controller and trace kind.
-    pub fn cell(&self, controller: MeshController, trace: MeshTrace) -> &MeshCell {
-        self.cells
-            .iter()
-            .find(|c| c.controller == controller.name() && c.trace == trace.name())
-            .expect("every (controller, trace) pair ran")
+    /// A cell by controller display name and trace kind.
+    pub fn cell(&self, controller: &str, trace: TraceKind) -> &LeagueCell {
+        find_cell(&self.cells, controller, trace)
     }
 
     /// The matrix table, one row per cell.
     pub fn table(&self) -> TextTable {
-        let mut t = TextTable::new([
-            "controller",
-            "trace",
-            "completed",
-            "goodput",
-            "SLO att.",
-            "SLO-viol (s)",
-            "VM-hours",
-            "dollars",
-            "plan evals",
-            "actions",
-        ]);
-        for c in &self.cells {
-            t.row([
-                c.controller.to_string(),
-                c.trace.to_string(),
-                c.completed.to_string(),
-                num(c.goodput, 1),
-                num(c.slo_attainment_1s, 3),
-                num(c.slo_violation_secs, 0),
-                num(c.vm_hours, 3),
-                num(c.vm_dollars, 4),
-                c.planner_evals.to_string(),
-                c.actions.to_string(),
-            ]);
-        }
-        t
+        cells_table(&self.cells, "retry_amplification")
     }
 
     /// Stable JSON for `results/mesh.json` (hand-rolled; keys and shapes
     /// are fixed for downstream tooling and the determinism check).
     pub fn to_json(&self) -> String {
-        let mut out = format!(
+        format!(
             "{{\n  \"horizon_secs\": {:.6},\n  \"cache_max_hit\": {:.6},\n  \
-             \"cache_warmup_requests\": {:.6},\n  \"cells\": [\n",
-            self.horizon_secs, CACHE_MAX_HIT, CACHE_WARMUP_REQUESTS
-        );
-        for (i, c) in self.cells.iter().enumerate() {
-            let sep = if i + 1 < self.cells.len() { "," } else { "" };
-            out.push_str(&format!(
-                "    {{\"controller\": \"{}\", \"trace\": \"{}\", \
-                 \"completed\": {}, \"goodput\": {:.6}, \
-                 \"slo_attainment_1s\": {:.6}, \"slo_violation_secs\": {:.6}, \
-                 \"vm_hours\": {:.6}, \"vm_dollars\": {:.6}, \
-                 \"planner_evals\": {}, \"actions\": {}}}{sep}\n",
-                c.controller,
-                c.trace,
-                c.completed,
-                c.goodput,
-                c.slo_attainment_1s,
-                c.slo_violation_secs,
-                c.vm_hours,
-                c.vm_dollars,
-                c.planner_evals,
-                c.actions,
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
+             \"cache_warmup_requests\": {:.6},\n{}}}\n",
+            self.horizon_secs,
+            CACHE_MAX_HIT,
+            CACHE_WARMUP_REQUESTS,
+            cells_json(&self.cells, "retry_amplification")
+        )
     }
 
     /// CSV of the matrix for `results/mesh.csv`.
     pub fn to_csv(&self) -> String {
-        let mut out = String::from(
-            "controller,trace,completed,goodput,slo_attainment_1s,\
-             slo_violation_secs,vm_hours,vm_dollars,planner_evals,actions\n",
-        );
-        for c in &self.cells {
-            out.push_str(&format!(
-                "{},{},{},{:.6},{:.6},{:.6},{:.6},{:.6},{},{}\n",
-                c.controller,
-                c.trace,
-                c.completed,
-                c.goodput,
-                c.slo_attainment_1s,
-                c.slo_violation_secs,
-                c.vm_hours,
-                c.vm_dollars,
-                c.planner_evals,
-                c.actions,
-            ));
-        }
-        out
+        cells_csv(&self.cells, "retry_amplification")
     }
 
     /// Self-checks against the mesh bench's qualitative claims.
@@ -363,9 +170,9 @@ impl MeshBench {
             CACHE_WARMUP_REQUESTS,
             2.0 * (1.0 - CACHE_MAX_HIT),
         ));
-        for trace in MeshTrace::ALL {
-            let dcm = self.cell(MeshController::Dcm, trace);
-            let ec2 = self.cell(MeshController::Ec2, trace);
+        for trace in TRACES {
+            let dcm = self.cell("DCM", trace);
+            let ec2 = self.cell("EC2-AutoScale", trace);
             out.push(format!(
                 "{}: DCM attains {:.3} of the 1 s SLO for ${:.4} vs \
                  EC2-AutoScale {:.3} for ${:.4} (mixed small/large DB fleet, \
@@ -378,7 +185,7 @@ impl MeshBench {
                 ec2.vm_dollars,
             ));
         }
-        let mpc = self.cell(MeshController::Mpc, MeshTrace::Step);
+        let mpc = self.cell("MPC", TraceKind::Step);
         out.push(format!(
             "decision latency: MPC paid {} plan evaluations on the mesh; \
              DCM and EC2-AutoScale paid 0",
@@ -407,7 +214,7 @@ mod tests {
         let bench = run_mesh(Fidelity::Quick, models());
         assert_eq!(
             bench.cells.len(),
-            MeshController::ALL.len() * MeshTrace::ALL.len()
+            contestants(models()).len() * TRACES.len()
         );
         for cell in &bench.cells {
             assert!(cell.completed > 0, "{cell:?}");
@@ -426,10 +233,10 @@ mod tests {
             );
         }
         // Only MPC plans.
-        for trace in MeshTrace::ALL {
-            assert!(bench.cell(MeshController::Mpc, trace).planner_evals > 0);
-            assert_eq!(bench.cell(MeshController::Dcm, trace).planner_evals, 0);
-            assert_eq!(bench.cell(MeshController::Ec2, trace).planner_evals, 0);
+        for trace in TRACES {
+            assert!(bench.cell("MPC", trace).planner_evals > 0);
+            assert_eq!(bench.cell("DCM", trace).planner_evals, 0);
+            assert_eq!(bench.cell("EC2-AutoScale", trace).planner_evals, 0);
         }
         // Artifacts are well-formed.
         assert!(bench.to_json().ends_with("}\n"));

@@ -22,8 +22,8 @@ pub mod validate;
 
 use dcm_sim::time::SimDuration;
 
-/// Experiment size: `Quick` for smoke tests and Criterion, `Full` for the
-/// numbers reported in EXPERIMENTS.md.
+/// Experiment size: `Quick` for smoke tests, `Full` for the numbers
+/// reported in EXPERIMENTS.md.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fidelity {
     /// Short windows, coarse sweeps.
@@ -46,6 +46,15 @@ impl Fidelity {
         match self {
             Fidelity::Quick => SimDuration::from_secs(20),
             Fidelity::Full => SimDuration::from_secs(60),
+        }
+    }
+
+    /// Run length of the chaos, league and mesh trace experiments, in
+    /// seconds.
+    pub fn trace_horizon_secs(self) -> f64 {
+        match self {
+            Fidelity::Quick => 240.0,
+            Fidelity::Full => 600.0,
         }
     }
 }

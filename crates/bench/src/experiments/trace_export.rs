@@ -12,9 +12,8 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use dcm_core::controller::{Dcm, DcmConfig, DcmModels, Ec2AutoScale};
-use dcm_core::experiment::{run_trace_experiment, ObsArtifacts, ObsConfig};
-use dcm_core::policy::ScalingConfig;
+use dcm_core::controller::DcmModels;
+use dcm_core::experiment::{ObsArtifacts, ObsConfig, TraceRunResult};
 use dcm_obs::trace::{chrome_trace_json, spans_csv};
 
 use crate::format::{num, TextTable};
@@ -62,23 +61,10 @@ pub fn obs_config(fidelity: Fidelity) -> ObsConfig {
 /// are independent and execute concurrently when `--jobs > 1`; the
 /// artifacts are nevertheless byte-identical for every jobs value.
 pub fn run_trace_export(fidelity: Fidelity, models: DcmModels) -> TraceExport {
-    let mut config = fig5::fig5_config(fidelity);
-    config.obs = Some(obs_config(fidelity));
-    let ec2_config = config.clone();
-    let dcm_config = config;
-    let (ec2, dcm) = dcm_sim::runner::join(
-        move || {
-            run_trace_experiment(&ec2_config, |bus| {
-                Ec2AutoScale::new(bus, ScalingConfig::default())
-            })
-        },
-        move || {
-            run_trace_experiment(&dcm_config, |bus| {
-                Dcm::new(bus, DcmConfig::default(), models)
-            })
-        },
-    );
-    let export = |label: &'static str, run: dcm_core::experiment::TraceRunResult| {
+    let mut experiment = fig5::fig5_config(fidelity);
+    experiment.obs = Some(obs_config(fidelity));
+    let (ec2, dcm) = fig5::run_ec2_and_dcm(experiment, models);
+    let export = |label: &'static str, run: TraceRunResult| {
         let summary = fig5::summarize(&run);
         ControllerExport {
             label,

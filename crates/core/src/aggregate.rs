@@ -4,10 +4,9 @@ use std::collections::BTreeMap;
 
 use dcm_bus::Entry;
 use dcm_ntier::metrics::ServerSample;
-use serde::{Deserialize, Serialize};
 
 /// Per-tier summary of one control window.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TierWindow {
     /// Tier index.
     pub tier: usize,

@@ -1,6 +1,12 @@
 //! The Fig. 5 experiment harness: a trace-driven run of the full stack —
 //! workload, monitor, broker, controller — producing every series the
 //! paper's evaluation plots.
+//!
+//! Every trace run is one [`Experiment`] (the world, requests, trace,
+//! faults, client behaviour and clock, as plain data) scaled by one
+//! [`ControllerSpec`]. [`Experiment::check`] validates the description in
+//! one place, returning a [`ConfigError`] that names the field, and
+//! [`Experiment::run`] runs it.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -9,7 +15,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use dcm_bus::{Entry, GroupConsumer};
 use dcm_ntier::audit::ConservationAuditor;
-use dcm_ntier::graph::TopologyGraph;
+use dcm_ntier::graph::{GraphEdge, TopologyGraph};
 use dcm_ntier::ids::ServerId;
 use dcm_ntier::metrics::ServerSample;
 use dcm_ntier::request::Completion;
@@ -21,6 +27,7 @@ use dcm_obs::journal::DecisionJournal;
 use dcm_obs::metrics::{Registry, SeriesTable};
 use dcm_obs::recorder::{SamplerConfig, SpanRecorder};
 use dcm_obs::trace::{ControlTick, TraceData};
+use dcm_sim::dist::Sample;
 use dcm_sim::faults::FaultPlan;
 use dcm_sim::stats::TimeSeries;
 use dcm_sim::time::{SimDuration, SimTime};
@@ -31,14 +38,18 @@ use dcm_workload::report::{windowed_series, LoadReport, WindowedSeries};
 use dcm_workload::traces::WorkloadTrace;
 
 use crate::agents::ActionRecord;
-use crate::controller::Controller;
+use crate::controller::{Controller, Dcm, DcmConfig, DcmModels, Ec2AutoScale};
 use crate::monitor::{install_monitor, new_metrics_bus, MetricsBus, MonitorConfig, METRICS_TOPIC};
+use crate::mpc::{ModelPredictive, MpcConfig};
+use crate::policy::ScalingConfig;
+use crate::predictor::HoltConfig;
+use crate::zoo::{HoltWinters, StaffingConfig, ThresholdMmc};
 
 /// Process-wide default for the conservation audit, consulted by the
-/// config constructors ([`TraceExperimentConfig::figure5`],
+/// presets ([`Experiment::figure5`], [`TraceExperimentConfig::figure5`],
 /// [`SteadyStateOptions::default`]). Set once at startup (e.g. from a
-/// `--audit` CLI flag) before building configs; individual configs can
-/// still override their own `audit` field.
+/// `--audit` CLI flag) before building them; each description can still
+/// override its own `audit` field.
 static GLOBAL_AUDIT: AtomicBool = AtomicBool::new(false);
 
 /// Makes every subsequently-constructed experiment config carry a
@@ -52,7 +63,341 @@ pub fn global_audit() -> bool {
     GLOBAL_AUDIT.load(Ordering::SeqCst)
 }
 
-/// Configuration of a trace-driven scaling experiment.
+/// Conservation audit of a trace run: a [`ConservationAuditor`] checks flow
+/// balance, Little's law, the utilization law and work conservation across
+/// the whole run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Audit {
+    /// No auditor.
+    Off,
+    /// Panic on any violated law.
+    Enforce,
+    /// Return the report in [`TraceRunResult::audit`] instead, so the fuzz
+    /// harness can shrink and pin violations rather than abort.
+    Collect,
+}
+
+/// The requests a trace run's users send. Kept as data and turned into a
+/// [`ProfileFactory`] inside the run: the factory shares its routes
+/// through `Rc`, so a description that holds one could not cross threads.
+#[derive(Debug, Clone)]
+pub enum WorkloadShape {
+    /// The RUBBoS browse-only servlet mix over the web → app → db chain
+    /// ([`ProfileFactory::rubbos`]).
+    Rubbos,
+    /// Requests over a microservice call graph.
+    Dag {
+        /// The per-request call graph, one tier per world node.
+        graph: TopologyGraph,
+        /// Per-node demand specs, aligned with the world's nodes.
+        demands: Vec<NodeDemand>,
+        /// Optional cache edge: hits skip the downstream hop, and the hit
+        /// ratio warms over served requests ([`dcm_workload::CacheDynamics`]).
+        cache: Option<CacheEdge>,
+    },
+}
+
+impl WorkloadShape {
+    fn factory(&self) -> ProfileFactory {
+        match self {
+            WorkloadShape::Rubbos => ProfileFactory::rubbos(),
+            WorkloadShape::Dag {
+                graph,
+                demands,
+                cache,
+            } => {
+                let factory = ProfileFactory::new(graph.clone(), demands.clone());
+                match cache {
+                    Some(c) => factory.with_cache(c.from, c.to, c.dynamics.clone()),
+                    None => factory,
+                }
+            }
+        }
+    }
+}
+
+/// One trace-driven run, described as plain data: the world, the requests
+/// and user trace, faults and client behaviour, and the control loop's
+/// clock — everything but the controller, which [`Experiment::run`] takes
+/// as a [`ControllerSpec`]. Every experiment preset (Fig. 5, chaos, the
+/// league, the mesh bench, the fuzzer's scenarios) is a value of this type.
+#[derive(Debug, Clone)]
+pub struct Experiment {
+    /// One node per tier, in tier order (node 0 is the entry tier).
+    pub nodes: Vec<MeshNode>,
+    /// What each request does.
+    pub workload: WorkloadShape,
+    /// The user-count trace to follow.
+    pub trace: WorkloadTrace,
+    /// Mean client think time (the paper's RUBBoS clients average 3 s).
+    pub think_time_secs: f64,
+    /// Scheduled crashes, stragglers and transient failures.
+    pub fault_plan: Option<FaultPlan>,
+    /// Probability that a VM boot fails (0 in the paper's environment).
+    pub boot_failure_prob: f64,
+    /// Client-side retry; `None` gives up on the first failure.
+    pub client_retry: Option<RetryPolicy>,
+    /// Per-request client deadline in seconds; `None` waits forever.
+    pub request_deadline_secs: Option<f64>,
+    /// Inter-tier retry; `None` rejects when a tier has no routable server.
+    pub inter_tier_retry: Option<InterTierRetry>,
+    /// Controller invocation period (15 s in the paper).
+    pub control_period: SimDuration,
+    /// Run length.
+    pub horizon: SimTime,
+    /// RNG seed.
+    pub seed: u64,
+    /// Conservation audit across the run.
+    pub audit: Audit,
+    /// Observability capture ([`dcm_obs`]); `None` costs nothing.
+    pub obs: Option<ObsConfig>,
+}
+
+/// An invalid [`Experiment`]: the field at fault and what is wrong with it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ConfigError {
+    /// Path of the offending field, e.g. `nodes[2].threads` or `horizon`.
+    pub field: String,
+    /// Why its value is rejected.
+    pub reason: String,
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}: {}", self.field, self.reason)
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
+fn probability(p: f64) -> bool {
+    (0.0..=1.0).contains(&p)
+}
+
+/// `Err` naming `field` unless `ok`.
+fn ensure(ok: bool, field: impl Into<String>, why: impl Into<String>) -> Result<(), ConfigError> {
+    if ok {
+        return Ok(());
+    }
+    Err(ConfigError {
+        field: field.into(),
+        reason: why.into(),
+    })
+}
+
+/// `Err` naming the first `(field, value)` that fails `ok`.
+fn ensure_each(values: &[(&str, f64)], ok: fn(f64) -> bool, rule: &str) -> Result<(), ConfigError> {
+    values
+        .iter()
+        .try_for_each(|&(field, v)| ensure(ok(v), field, format!("{rule}, got {v}")))
+}
+
+impl Experiment {
+    /// The paper's Fig. 5 setup around the given trace: the RUBBoS chain at
+    /// `1/1/1` with the `1000-200-40` soft allocation, 3 s think time, a
+    /// 15 s control period, a 700 s horizon, seed 42, no faults, and the
+    /// process-wide audit default.
+    pub fn figure5(trace: WorkloadTrace) -> Self {
+        Experiment::from(&TraceExperimentConfig::figure5(trace))
+    }
+
+    /// Checks every field a run depends on. [`Experiment::run`] and
+    /// [`Experiment::run_with`] call this before they build anything, so
+    /// an invalid description executes no event. A horizon given as a
+    /// negative or NaN number of seconds converts to 0 and is rejected
+    /// here.
+    ///
+    /// # Errors
+    ///
+    /// A [`ConfigError`] naming the first field out of its domain.
+    pub fn check(&self) -> Result<(), ConfigError> {
+        let tiers = self.nodes.len();
+        ensure(tiers > 0, "nodes", "the world needs at least one node")?;
+        for (i, node) in self.nodes.iter().enumerate() {
+            let sizes = [("count", node.count), ("threads", node.threads)];
+            for (name, size) in sizes.into_iter().chain(node.conns.map(|c| ("conns", c))) {
+                ensure(size > 0, format!("nodes[{i}].{name}"), "must be at least 1")?;
+            }
+        }
+        match &self.workload {
+            WorkloadShape::Rubbos => {
+                let nodes = format!("the RUBBoS mix runs on web, app and db nodes, not {tiers}");
+                ensure(tiers == 3, "nodes", nodes)?;
+            }
+            WorkloadShape::Dag {
+                graph,
+                demands,
+                cache,
+            } => {
+                let shape = format!("{} tiers for {tiers} nodes", graph.tiers());
+                ensure(graph.tiers() == tiers, "workload.graph", shape)?;
+                if let Some(m) = graph.visit_ratios().iter().position(|&v| v == 0) {
+                    ensure(false, "workload.graph", format!("tier {m} is never called"))?;
+                }
+                let entries = format!("{} entries for {tiers} nodes", demands.len());
+                ensure(demands.len() == tiers, "workload.demands", entries)?;
+                for (i, demand) in demands.iter().enumerate() {
+                    let mean = demand.base.mean().is_none_or(|m| m.is_finite() && m >= 0.0);
+                    let rule = "needs a finite non-negative mean and a pre-call fraction in [0, 1]";
+                    let ok = mean && probability(demand.pre_fraction);
+                    ensure(ok, format!("workload.demands[{i}]"), rule)?;
+                }
+                if let Some(c) = cache {
+                    let calls = |e: &GraphEdge| usize::from(e.to) == c.to;
+                    let edge = c.from < tiers && graph.out_edges(c.from).iter().any(calls);
+                    let missing = format!("{}->{} is not an edge of the graph", c.from, c.to);
+                    ensure(edge, "workload.cache", missing)?;
+                }
+            }
+        }
+        let plan = self.fault_plan.clone().unwrap_or_default();
+        for (i, event) in plan.events.iter().enumerate() {
+            let field = format!("fault_plan.events[{i}].tier");
+            let world = format!("tier {} of a {tiers}-tier world", event.tier);
+            ensure(event.tier < tiers, field, world)?;
+        }
+        let transient = plan.transient_failure_prob;
+        let probabilities = [
+            ("fault_plan.transient_failure_prob", transient),
+            ("boot_failure_prob", self.boot_failure_prob),
+            ("obs.sample_rate", self.obs.map_or(0.0, |o| o.sample_rate)),
+        ];
+        ensure_each(&probabilities, probability, "must lie in [0, 1]")?;
+        let deadline = self.request_deadline_secs.unwrap_or(1.0);
+        let durations = [
+            ("think_time_secs", self.think_time_secs),
+            ("request_deadline_secs", deadline),
+            ("control_period", self.control_period.as_secs_f64()),
+            ("horizon", self.horizon.as_secs_f64()),
+        ];
+        let positive = |v: f64| v.is_finite() && v > 0.0;
+        ensure_each(&durations, positive, "must be finite and positive")
+    }
+
+    /// Runs the experiment under `controller`: the one place a
+    /// [`ControllerSpec`] becomes a controller.
+    ///
+    /// # Errors
+    ///
+    /// A [`ConfigError`] from [`Experiment::check`]; nothing runs then.
+    pub fn run(&self, controller: &ControllerSpec) -> Result<TraceRunResult, ConfigError> {
+        match controller.clone() {
+            ControllerSpec::Ec2(scaling) => self.run_with(|bus| Ec2AutoScale::new(bus, scaling)),
+            ControllerSpec::Dcm {
+                config,
+                models,
+                refit,
+            } => self.run_with(|bus| {
+                let dcm = Dcm::new(bus, config, models);
+                match refit {
+                    Some((min_points, every)) => dcm.with_online_refit(min_points, every),
+                    None => dcm,
+                }
+            }),
+            ControllerSpec::Mpc { config, models } => {
+                self.run_with(|bus| ModelPredictive::new(bus, config, models))
+            }
+            ControllerSpec::Mmc(staffing) => self.run_with(|bus| ThresholdMmc::new(bus, staffing)),
+            ControllerSpec::HoltWinters { staffing, holt } => {
+                self.run_with(|bus| HoltWinters::new(bus, staffing, holt))
+            }
+        }
+    }
+
+    /// Runs the experiment under the controller produced by `make` (which
+    /// receives the metrics bus the monitor publishes to): the path for
+    /// controllers no [`ControllerSpec`] names.
+    ///
+    /// # Errors
+    ///
+    /// A [`ConfigError`] from [`Experiment::check`]; `make` is not called
+    /// and nothing runs then.
+    pub fn run_with<C, F>(&self, make: F) -> Result<TraceRunResult, ConfigError>
+    where
+        C: Controller + 'static,
+        F: FnOnce(MetricsBus) -> C,
+    {
+        self.check()?;
+        let mut mesh = MeshBuilder::new().seed(self.seed);
+        for node in &self.nodes {
+            mesh = mesh.node(node.clone());
+        }
+        let (world, engine) = mesh.build();
+        Ok(run_trace_on_world(self, world, engine, make))
+    }
+}
+
+/// The controller a trace run is scaled by, with its configuration and
+/// models ([`Experiment::run`] builds it).
+#[derive(Debug, Clone)]
+pub enum ControllerSpec {
+    /// The hardware-only threshold baseline ([`Ec2AutoScale`]).
+    Ec2(ScalingConfig),
+    /// The paper's two-level controller ([`Dcm`]).
+    Dcm {
+        /// Scaling policy, actuated tiers and pool headroom.
+        config: DcmConfig,
+        /// The offline-trained models.
+        models: DcmModels,
+        /// Online refit as `(min_points, refit_every_ticks)`
+        /// ([`Dcm::with_online_refit`]); `None` keeps the offline models.
+        refit: Option<(usize, u32)>,
+    },
+    /// The MVA-predictive planner ([`ModelPredictive`]).
+    Mpc {
+        /// Planner configuration.
+        config: MpcConfig,
+        /// The models it plans with.
+        models: DcmModels,
+    },
+    /// M/M/c-style utilization-law staffing ([`ThresholdMmc`]).
+    Mmc(StaffingConfig),
+    /// Holt-trend predictive staffing ([`HoltWinters`]).
+    HoltWinters {
+        /// Staffing rule.
+        staffing: StaffingConfig,
+        /// Trend smoothing.
+        holt: HoltConfig,
+    },
+}
+
+impl ControllerSpec {
+    /// EC2-AutoScale with the default thresholds.
+    pub fn ec2() -> Self {
+        ControllerSpec::Ec2(ScalingConfig::default())
+    }
+
+    /// DCM with the default configuration and no online refit.
+    pub fn dcm(models: DcmModels) -> Self {
+        ControllerSpec::Dcm {
+            config: DcmConfig::default(),
+            models,
+            refit: None,
+        }
+    }
+
+    /// MPC with the default configuration.
+    pub fn mpc(models: DcmModels) -> Self {
+        let config = MpcConfig::default();
+        ControllerSpec::Mpc { config, models }
+    }
+
+    /// The display name of the controller this spec builds (its
+    /// [`Controller::name`]).
+    pub fn name(&self) -> &'static str {
+        match self {
+            ControllerSpec::Ec2(_) => "EC2-AutoScale",
+            ControllerSpec::Dcm { .. } => "DCM",
+            ControllerSpec::Mpc { .. } => "MPC",
+            ControllerSpec::Mmc(_) => "MMC-Threshold",
+            ControllerSpec::HoltWinters { .. } => "Holt-Winters",
+        }
+    }
+}
+
+/// The run description perfbench builds: the RUBBoS chain under a user
+/// trace. It converts into an [`Experiment`] (`audit` and `audit_tolerant`
+/// become [`Audit`]); [`run_trace_experiment`] runs it that way.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceExperimentConfig {
     /// The user-count trace to follow.
@@ -61,8 +406,7 @@ pub struct TraceExperimentConfig {
     pub horizon: SimTime,
     /// Client think time (the paper's RUBBoS clients average 3 s).
     pub think_time_secs: f64,
-    /// Initial `#W_T/#A_T/#A_C` soft allocation (the paper's Fig. 5 run
-    /// starts at `1000-200-40`).
+    /// Initial `#W_T/#A_T/#A_C` soft allocation.
     pub initial_soft: SoftConfig,
     /// Initial `#W/#A/#D` hardware configuration.
     pub initial_counts: (u32, u32, u32),
@@ -70,32 +414,21 @@ pub struct TraceExperimentConfig {
     pub control_period: SimDuration,
     /// RNG seed.
     pub seed: u64,
-    /// Probability that a VM boot fails (failure injection; 0 in the
-    /// paper's environment).
+    /// Probability that a VM boot fails.
     pub boot_failure_prob: f64,
-    /// Scheduled fault injection (crashes, stragglers, transient
-    /// failures); `None` runs the paper's fault-free environment.
+    /// Scheduled fault injection.
     pub fault_plan: Option<FaultPlan>,
-    /// Client-side retry with exponential backoff and a shared budget;
-    /// `None` means clients give up on the first failure.
+    /// Client-side retry.
     pub client_retry: Option<RetryPolicy>,
-    /// Per-request client deadline in seconds; `None` waits forever.
+    /// Per-request client deadline in seconds.
     pub request_deadline_secs: Option<f64>,
-    /// Inter-tier retry (park + backoff when a tier momentarily has no
-    /// routable server); `None` rejects outright as before.
+    /// Inter-tier retry.
     pub inter_tier_retry: Option<InterTierRetry>,
-    /// Run a [`ConservationAuditor`] across the whole run and panic on any
-    /// violated conservation law (flow balance, Little's law, utilization
-    /// law, work conservation).
+    /// Audit the run ([`Audit::Enforce`]).
     pub audit: bool,
-    /// With `audit` set, collect the [`AuditReport`] into
-    /// [`TraceRunResult::audit`] instead of panicking on violations. The
-    /// fuzz harness uses this to treat violations as data (shrink and pin
-    /// them) rather than aborting the campaign.
+    /// With `audit`, collect the report instead ([`Audit::Collect`]).
     pub audit_tolerant: bool,
-    /// Observability capture ([`dcm_obs`]): span recording, per-period
-    /// metric snapshots, and the controller decision journal. `None` (the
-    /// default) records nothing and costs nothing on the hot path.
+    /// Observability capture.
     pub obs: Option<ObsConfig>,
 }
 
@@ -142,6 +475,35 @@ impl TraceExperimentConfig {
     }
 }
 
+impl From<&TraceExperimentConfig> for Experiment {
+    fn from(config: &TraceExperimentConfig) -> Self {
+        let (web, app, db) = config.initial_counts;
+        Experiment {
+            nodes: ThreeTierBuilder::new()
+                .counts(web, app, db)
+                .soft(config.initial_soft)
+                .nodes(),
+            workload: WorkloadShape::Rubbos,
+            trace: config.trace.clone(),
+            think_time_secs: config.think_time_secs,
+            fault_plan: config.fault_plan.clone(),
+            boot_failure_prob: config.boot_failure_prob,
+            client_retry: config.client_retry,
+            request_deadline_secs: config.request_deadline_secs,
+            inter_tier_retry: config.inter_tier_retry,
+            control_period: config.control_period,
+            horizon: config.horizon,
+            seed: config.seed,
+            audit: match (config.audit, config.audit_tolerant) {
+                (false, _) => Audit::Off,
+                (true, false) => Audit::Enforce,
+                (true, true) => Audit::Collect,
+            },
+            obs: config.obs,
+        }
+    }
+}
+
 /// Everything a Fig. 5 style run produces.
 #[derive(Debug, Clone)]
 pub struct TraceRunResult {
@@ -172,10 +534,11 @@ pub struct TraceRunResult {
     pub counters: SystemCounters,
     /// The configured horizon.
     pub horizon: SimTime,
-    /// Observability artifacts, present when the config asked for them.
+    /// Observability artifacts, present when the experiment asked for them.
     pub obs: Option<ObsArtifacts>,
-    /// The conservation-audit report, present when the config set `audit`.
-    /// Clean unless `audit_tolerant` allowed violations through.
+    /// The conservation-audit report, present unless the audit was
+    /// [`Audit::Off`]. Clean unless [`Audit::Collect`] let violations
+    /// through.
     pub audit: Option<dcm_ntier::audit::AuditReport>,
 }
 
@@ -219,49 +582,6 @@ impl TraceRunResult {
     }
 }
 
-/// Configuration of a trace-driven scaling experiment on a microservice
-/// mesh (arbitrary tree-shaped call graph, optional warming cache edge,
-/// per-tier VM policies) instead of the paper's fixed chain.
-#[derive(Debug, Clone)]
-pub struct MeshExperimentConfig {
-    /// Everything shared with the chain harness: trace, horizon, think
-    /// time, control period, seed, faults, retries, audit, obs. The
-    /// chain-only `initial_soft` / `initial_counts` fields are ignored —
-    /// a mesh world takes its pools, counts, and VM types from `nodes`.
-    pub run: TraceExperimentConfig,
-    /// One node per tier, in tier order (node 0 is the entry tier).
-    pub nodes: Vec<MeshNode>,
-    /// The per-request call graph (must match `nodes` in tier count).
-    pub graph: TopologyGraph,
-    /// Per-node demand specs, aligned with `nodes`.
-    pub demands: Vec<NodeDemand>,
-    /// Optional cache edge: hits skip the downstream hop, and the hit
-    /// ratio warms over served requests ([`dcm_workload::CacheDynamics`]).
-    pub cache: Option<CacheEdge>,
-}
-
-/// Runs a trace experiment on a mesh topology with the controller
-/// produced by `make`. Identical harness to [`run_trace_experiment`] —
-/// monitor, per-second recorder, controller loop, optional obs/audit —
-/// over a [`MeshBuilder`] world driven by a [`ProfileFactory`].
-pub fn run_mesh_trace_experiment<C, F>(config: &MeshExperimentConfig, make: F) -> TraceRunResult
-where
-    C: Controller + 'static,
-    F: FnOnce(MetricsBus) -> C,
-{
-    let mut builder = MeshBuilder::new().seed(config.run.seed);
-    for node in config.nodes.clone() {
-        builder = builder.node(node);
-    }
-    builder.check_graph(&config.graph);
-    let (world, engine) = builder.build();
-    let mut factory = ProfileFactory::new(config.graph.clone(), config.demands.clone());
-    if let Some(cache) = config.cache.clone() {
-        factory = factory.with_cache(cache.from, cache.to, cache.dynamics);
-    }
-    run_trace_on_world(&config.run, world, engine, factory, make)
-}
-
 /// Options for a steady-state throughput measurement under think-time
 /// clients (the validation-phase workload of Fig. 2(b)/Fig. 4).
 #[derive(Debug, Clone, PartialEq)]
@@ -292,7 +612,7 @@ impl Default for SteadyStateOptions {
 }
 
 /// Result of one steady-state measurement.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SteadyStateReport {
     /// Concurrent users offered.
     pub users: u32,
@@ -538,34 +858,30 @@ impl ObsState {
     }
 }
 
-/// Runs a trace experiment with the controller produced by `make` (which
-/// receives the metrics bus the monitor publishes to).
+/// Runs a [`TraceExperimentConfig`] with the controller produced by `make`
+/// (which receives the metrics bus the monitor publishes to), as the
+/// [`Experiment`] it converts into.
+///
+/// # Panics
+///
+/// Panics, naming the field, if the config is invalid
+/// ([`Experiment::check`]).
 pub fn run_trace_experiment<C, F>(config: &TraceExperimentConfig, make: F) -> TraceRunResult
 where
     C: Controller + 'static,
     F: FnOnce(MetricsBus) -> C,
 {
-    let (world, engine) = ThreeTierBuilder::new()
-        .counts(
-            config.initial_counts.0,
-            config.initial_counts.1,
-            config.initial_counts.2,
-        )
-        .soft(config.initial_soft)
-        .seed(config.seed)
-        .build();
-    run_trace_on_world(config, world, engine, ProfileFactory::rubbos(), make)
+    Experiment::from(config)
+        .run_with(make)
+        .unwrap_or_else(|e| panic!("invalid trace experiment: {e}"))
 }
 
 /// The shared experiment core: full monitoring/control/obs stack over a
-/// pre-built world (chain or mesh) and workload factory. The config's
-/// `initial_soft` / `initial_counts` are NOT consulted here — topology is
-/// the caller's job; this function owns everything that happens after.
+/// world built from `config`'s nodes and a factory built from its workload.
 fn run_trace_on_world<C, F>(
-    config: &TraceExperimentConfig,
+    config: &Experiment,
     mut world: World,
     mut engine: SimEngine,
-    factory: ProfileFactory,
     make: F,
 ) -> TraceRunResult
 where
@@ -577,7 +893,7 @@ where
     if let Some(plan) = &config.fault_plan {
         dcm_ntier::faults::install_fault_plan(&mut world, &mut engine, plan);
     }
-    let auditor = config.audit.then(|| {
+    let auditor = (config.audit != Audit::Off).then(|| {
         world.system.enable_tracing();
         ConservationAuditor::begin(&world.system, engine.now())
     });
@@ -600,23 +916,33 @@ where
         tier_vm_counts: vec![TimeSeries::new(); tier_count],
         tier_cpu_util: vec![TimeSeries::new(); tier_count],
     }));
-    let rec_consumer = {
+    let mut rec_consumer = {
         let broker = bus.borrow();
         GroupConsumer::new("recorder", METRICS_TOPIC, &broker).expect("metrics topic exists")
     };
-    schedule_recorder(
-        &mut engine,
-        Rc::clone(&recorder),
-        Rc::clone(&bus),
-        Rc::new(RefCell::new(rec_consumer)),
-        config.horizon,
-    );
+    let (rec, rec_bus) = (Rc::clone(&recorder), Rc::clone(&bus));
+    let second = SimDuration::from_secs(1);
+    schedule_every(&mut engine, second, config.horizon, move |world, engine| {
+        let now = engine.now();
+        let mut rec = rec.borrow_mut();
+        for tier in 0..world.system.tier_count() {
+            rec.tier_vm_counts[tier].push(now, world.system.running_count(tier) as f64);
+        }
+        let records = rec_consumer
+            .poll(&rec_bus.borrow(), 10_000)
+            .expect("metrics topic exists");
+        let windows = crate::aggregate::aggregate_by_tier(&records);
+        for tier in 0..world.system.tier_count() {
+            let util = windows.get(&tier).map_or(0.0, |w| w.mean_cpu_util);
+            rec.tier_cpu_util[tier].push(now, util);
+        }
+    });
 
     // Workload.
     let population = CohortPopulation::start_trace_driven(
         &mut world,
         &mut engine,
-        factory,
+        config.workload.factory(),
         &config.trace,
         config.think_time_secs,
         config.horizon,
@@ -633,12 +959,10 @@ where
     // times) runs the controller first and the obs capture sees the
     // decisions of the tick it stamps.
     let controller = Rc::new(RefCell::new(make(Rc::clone(&bus))));
-    schedule_controller(
-        &mut engine,
-        Rc::clone(&controller),
-        config.control_period,
-        config.horizon,
-    );
+    let (period, ticking) = (config.control_period, Rc::clone(&controller));
+    schedule_every(&mut engine, period, config.horizon, move |world, engine| {
+        ticking.borrow_mut().on_tick(world, engine);
+    });
 
     // Observability capture (spans, metrics, journal), one event per
     // control period.
@@ -670,16 +994,16 @@ where
                 .collect(),
             last_counters: world.system.counters(),
             last_actions: 0,
-            auditing: config.audit,
+            auditing: config.audit != Audit::Off,
         }));
-        schedule_obs(
-            &mut engine,
-            Rc::clone(&state),
-            Rc::clone(&controller),
-            Rc::clone(&bus),
-            config.control_period,
-            config.horizon,
-        );
+        let (capture, observed, obs_bus) =
+            (Rc::clone(&state), Rc::clone(&controller), Rc::clone(&bus));
+        schedule_every(&mut engine, period, config.horizon, move |world, engine| {
+            let now = engine.now();
+            capture
+                .borrow_mut()
+                .capture(world, &observed, &obs_bus, now, period);
+        });
         state
     });
 
@@ -710,7 +1034,7 @@ where
             .map_or_else(Vec::new, |state| std::mem::take(&mut state.audit_spans));
         spans.extend(tail);
         let report = auditor.finish(&world.system, &spans, engine.now());
-        if !config.audit_tolerant {
+        if config.audit == Audit::Enforce {
             report.assert_clean();
         }
         report
@@ -757,113 +1081,88 @@ where
     }
 }
 
-fn schedule_obs<C: Controller + 'static>(
-    engine: &mut SimEngine,
-    state: Rc<RefCell<ObsState>>,
-    controller: Rc<RefCell<C>>,
-    bus: MetricsBus,
-    period: SimDuration,
-    stop_at: SimTime,
-) {
+/// Runs `tick` every `period` from now until `stop_at`, each occurrence
+/// scheduling the next after it ran.
+fn schedule_every<F>(engine: &mut SimEngine, period: SimDuration, stop_at: SimTime, mut tick: F)
+where
+    F: FnMut(&mut World, &mut SimEngine) + 'static,
+{
     let next = engine.now() + period;
     if next > stop_at {
         return;
     }
     engine.schedule_at(next, move |world: &mut World, engine: &mut SimEngine| {
-        let now = engine.now();
-        state
-            .borrow_mut()
-            .capture(world, &controller, &bus, now, period);
-        schedule_obs(engine, state, controller, bus, period, stop_at);
-    });
-}
-
-fn schedule_controller<C: Controller + 'static>(
-    engine: &mut SimEngine,
-    controller: Rc<RefCell<C>>,
-    period: SimDuration,
-    stop_at: SimTime,
-) {
-    let next = engine.now() + period;
-    if next > stop_at {
-        return;
-    }
-    engine.schedule_at(next, move |world: &mut World, engine: &mut SimEngine| {
-        controller.borrow_mut().on_tick(world, engine);
-        schedule_controller(engine, controller, period, stop_at);
-    });
-}
-
-fn schedule_recorder(
-    engine: &mut SimEngine,
-    recorder: Rc<RefCell<RecorderState>>,
-    bus: MetricsBus,
-    consumer: Rc<RefCell<GroupConsumer>>,
-    stop_at: SimTime,
-) {
-    let next = engine.now() + SimDuration::from_secs(1);
-    if next > stop_at {
-        return;
-    }
-    engine.schedule_at(next, move |world: &mut World, engine: &mut SimEngine| {
-        let now = engine.now();
-        {
-            let mut rec = recorder.borrow_mut();
-            for tier in 0..world.system.tier_count() {
-                rec.tier_vm_counts[tier].push(now, world.system.running_count(tier) as f64);
-            }
-            let records = {
-                let broker = bus.borrow();
-                consumer
-                    .borrow_mut()
-                    .poll(&broker, 10_000)
-                    .expect("metrics topic exists")
-            };
-            let windows = crate::aggregate::aggregate_by_tier(&records);
-            for tier in 0..world.system.tier_count() {
-                let util = windows.get(&tier).map_or(0.0, |w| w.mean_cpu_util);
-                rec.tier_cpu_util[tier].push(now, util);
-            }
-        }
-        schedule_recorder(engine, recorder, bus, consumer, stop_at);
+        tick(world, engine);
+        schedule_every(engine, period, stop_at, tick);
     });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::controller::{DcmConfig, DcmModels, Ec2AutoScale};
-    use crate::policy::ScalingConfig;
+    use crate::controller::Ec2AutoScale;
     use dcm_model::concurrency::ConcurrencyModel;
     use dcm_ntier::law::reference;
+    use dcm_sim::dist::Dist;
     use dcm_workload::traces;
 
-    fn quick_config(trace: WorkloadTrace) -> TraceExperimentConfig {
-        TraceExperimentConfig {
-            trace,
+    fn quick(trace: WorkloadTrace) -> Experiment {
+        Experiment {
             horizon: SimTime::from_secs(120),
             think_time_secs: 1.0,
-            initial_soft: SoftConfig::new(1000, 200, 40),
-            initial_counts: (1, 1, 1),
-            control_period: SimDuration::from_secs(15),
             seed: 5,
-            boot_failure_prob: 0.0,
-            fault_plan: None,
-            client_retry: None,
-            request_deadline_secs: None,
-            inter_tier_retry: None,
-            audit: true,
-            audit_tolerant: false,
-            obs: None,
+            audit: Audit::Enforce,
+            ..Experiment::figure5(trace)
+        }
+    }
+
+    fn models() -> DcmModels {
+        let app = reference::tomcat();
+        let db = reference::mysql();
+        DcmModels {
+            app: ConcurrencyModel::new(app.s0(), app.alpha(), app.beta(), 1.0, 1),
+            db: ConcurrencyModel::new(db.s0(), db.alpha(), db.beta(), 1.0, 1),
+        }
+    }
+
+    /// Fan-out mesh: web -> app -> {svc, db×2}, a warming cache on the
+    /// app -> db edge, and a mixed small/large DB fleet.
+    fn mesh(trace: WorkloadTrace) -> Experiment {
+        use dcm_ntier::server::VmType;
+        use dcm_ntier::system::VmPolicy;
+        use dcm_workload::cache::CacheDynamics;
+        Experiment {
+            nodes: vec![
+                MeshNode::new("web", reference::apache(), 1000),
+                MeshNode::new("app", reference::tomcat(), 100).conns(80),
+                MeshNode::new("svc", reference::tomcat(), 50),
+                MeshNode::new("db", reference::mysql(), 800)
+                    .count(2)
+                    .vm_policy(VmPolicy::cycle(vec![VmType::SMALL, VmType::LARGE])),
+            ],
+            workload: WorkloadShape::Dag {
+                graph: TopologyGraph::from_edges(4, &[(0, 1, 1), (1, 2, 1), (1, 3, 2)]),
+                demands: vec![
+                    NodeDemand::split(Dist::constant(0.002)),
+                    NodeDemand::split(Dist::constant(0.008)),
+                    NodeDemand::leaf(Dist::exponential_mean(0.01)).iid_visits(),
+                    NodeDemand::leaf(Dist::exponential_mean(0.02)).iid_visits(),
+                ],
+                cache: Some(CacheEdge {
+                    from: 1,
+                    to: 3,
+                    dynamics: CacheDynamics::new(0.5, 200.0),
+                }),
+            },
+            ..quick(trace)
         }
     }
 
     #[test]
     fn ec2_run_scales_out_under_step_load() {
-        let config = quick_config(traces::step(20, 320, 30.0));
-        let result = run_trace_experiment(&config, |bus| {
-            Ec2AutoScale::new(bus, ScalingConfig::default())
-        });
+        let result = quick(traces::step(20, 320, 30.0))
+            .run(&ControllerSpec::ec2())
+            .expect("valid");
         assert_eq!(result.controller, "EC2-AutoScale");
         assert!(
             result
@@ -884,16 +1183,9 @@ mod tests {
 
     #[test]
     fn dcm_run_applies_soft_allocations() {
-        let config = quick_config(traces::step(20, 320, 30.0));
-        let app = reference::tomcat();
-        let db = reference::mysql();
-        let models = DcmModels {
-            app: ConcurrencyModel::new(app.s0(), app.alpha(), app.beta(), 1.0, 1),
-            db: ConcurrencyModel::new(db.s0(), db.alpha(), db.beta(), 1.0, 1),
-        };
-        let result = run_trace_experiment(&config, |bus| {
-            crate::controller::Dcm::new(bus, DcmConfig::default(), models)
-        });
+        let result = quick(traces::step(20, 320, 30.0))
+            .run(&ControllerSpec::dcm(models()))
+            .expect("valid");
         assert_eq!(result.controller, "DCM");
         assert!(
             result
@@ -907,18 +1199,148 @@ mod tests {
     }
 
     #[test]
-    fn obs_capture_journals_every_action_with_reasons() {
-        let mut config = quick_config(traces::step(20, 320, 30.0));
-        config.obs = Some(ObsConfig::default());
-        let app = reference::tomcat();
-        let db = reference::mysql();
-        let models = DcmModels {
-            app: ConcurrencyModel::new(app.s0(), app.alpha(), app.beta(), 1.0, 1),
-            db: ConcurrencyModel::new(db.s0(), db.alpha(), db.beta(), 1.0, 1),
-        };
-        let result = run_trace_experiment(&config, |bus| {
-            crate::controller::Dcm::new(bus, DcmConfig::default(), models)
+    fn trace_config_runs_as_the_experiment_it_converts_into() {
+        // The legacy description and its conversion are one run.
+        let mut config = TraceExperimentConfig::figure5(traces::step(20, 200, 30.0));
+        config.horizon = SimTime::from_secs(90);
+        config.seed = 9;
+        let legacy = run_trace_experiment(&config, |bus| {
+            Ec2AutoScale::new(bus, ScalingConfig::default())
         });
+        let converted = Experiment::from(&config)
+            .run(&ControllerSpec::ec2())
+            .expect("valid");
+        assert_eq!(legacy.completions, converted.completions);
+        assert_eq!(legacy.counters, converted.counters);
+        assert_eq!(legacy.actions.len(), converted.actions.len());
+    }
+
+    #[test]
+    fn controller_spec_names_match_the_controllers() {
+        let staffing = StaffingConfig::default();
+        let specs = [
+            ControllerSpec::ec2(),
+            ControllerSpec::Dcm {
+                config: DcmConfig::default(),
+                models: models(),
+                refit: Some((16, 4)),
+            },
+            ControllerSpec::mpc(models()),
+            ControllerSpec::Mmc(staffing.clone()),
+            ControllerSpec::HoltWinters {
+                staffing,
+                holt: HoltConfig::default(),
+            },
+        ];
+        let experiment = Experiment {
+            horizon: SimTime::from_secs(20),
+            ..quick(traces::step(10, 20, 5.0))
+        };
+        for spec in &specs {
+            let run = experiment.run(spec).expect("valid");
+            assert_eq!(run.controller, spec.name());
+        }
+    }
+
+    #[test]
+    fn invalid_descriptions_are_config_errors_naming_the_field() {
+        type Edit = fn(&mut Experiment);
+        let rubbos = || quick(traces::step(20, 100, 30.0));
+        let dag = || mesh(traces::step(20, 100, 30.0));
+        let set_graph = |e: &mut Experiment, g: TopologyGraph| {
+            if let WorkloadShape::Dag { graph, .. } = &mut e.workload {
+                *graph = g;
+            }
+        };
+        // Each row edits one field of a valid description through the
+        // public API; the run must refuse it, naming the field, before it
+        // builds the controller (so before any event executes).
+        let rows: [(&str, Experiment, Edit); 13] = [
+            ("nodes[0].count", rubbos(), |e| e.nodes[0].count = 0),
+            ("nodes[2].threads", rubbos(), |e| e.nodes[2].threads = 0),
+            ("workload.demands[3]", dag(), |e| {
+                if let WorkloadShape::Dag { demands, .. } = &mut e.workload {
+                    demands[3].base = Dist::Exponential { lambda: -1.0 }; // mean −1 s
+                }
+            }),
+            ("workload.graph", rubbos(), |e| {
+                // The db edge of a chain carries 0 calls.
+                e.workload = WorkloadShape::Dag {
+                    graph: TopologyGraph::chain(&[1, 1, 0]),
+                    demands: vec![NodeDemand::leaf(Dist::constant(0.01)); 3],
+                    cache: None,
+                };
+            }),
+            ("workload.graph", dag(), |e| {
+                let three = TopologyGraph::from_edges(3, &[(0, 1, 1), (1, 2, 2)]);
+                if let WorkloadShape::Dag { graph, .. } = &mut e.workload {
+                    *graph = three;
+                }
+            }),
+            ("workload.graph", rubbos(), |e| {
+                // One node under a two-tier chain.
+                e.nodes.truncate(1);
+                e.workload = WorkloadShape::Dag {
+                    graph: TopologyGraph::chain(&[1, 1]),
+                    demands: vec![NodeDemand::leaf(Dist::constant(0.01))],
+                    cache: None,
+                };
+            }),
+            ("horizon", rubbos(), |e| {
+                e.horizon = SimTime::from_secs_f64(-5.0)
+            }),
+            ("horizon", rubbos(), |e| {
+                e.horizon = SimTime::from_secs_f64(f64::NAN)
+            }),
+            ("think_time_secs", rubbos(), |e| e.think_time_secs = -1.0),
+            ("fault_plan.transient_failure_prob", rubbos(), |e| {
+                let mut plan = FaultPlan::none();
+                plan.transient_failure_prob = 2.0;
+                e.fault_plan = Some(plan);
+            }),
+            ("fault_plan.events[0].tier", rubbos(), |e| {
+                e.fault_plan = Some(FaultPlan::none().with_crash(30.0, 7, 0));
+            }),
+            ("request_deadline_secs", rubbos(), |e| {
+                e.request_deadline_secs = Some(0.0);
+            }),
+            ("request_deadline_secs", rubbos(), |e| {
+                e.request_deadline_secs = Some(-2.0);
+            }),
+        ];
+        for (field, mut experiment, edit) in rows {
+            edit(&mut experiment);
+            let built = std::cell::Cell::new(false);
+            let err = experiment
+                .run_with(|bus| {
+                    built.set(true);
+                    Ec2AutoScale::new(bus, ScalingConfig::default())
+                })
+                .expect_err(field);
+            assert_eq!(err.field, field, "{err}");
+            assert!(!built.get(), "{field}: the run started");
+        }
+        // The shapes the rows break are valid as built, and a chain graph
+        // whose tiers match the nodes is accepted.
+        assert_eq!(rubbos().check(), Ok(()));
+        assert_eq!(dag().check(), Ok(()));
+        let mut chain = dag();
+        chain.nodes.truncate(3);
+        set_graph(&mut chain, TopologyGraph::chain(&[1, 1, 2]));
+        if let WorkloadShape::Dag { demands, cache, .. } = &mut chain.workload {
+            demands.truncate(3);
+            *cache = None;
+        }
+        assert_eq!(chain.check(), Ok(()));
+    }
+
+    #[test]
+    fn obs_capture_journals_every_action_with_reasons() {
+        let mut experiment = quick(traces::step(20, 320, 30.0));
+        experiment.obs = Some(ObsConfig::default());
+        let result = experiment
+            .run(&ControllerSpec::dcm(models()))
+            .expect("valid");
         let obs = result.obs.as_ref().expect("obs requested");
         // One journal entry, control tick, and series row per control
         // period (120 s horizon / 15 s period).
@@ -964,17 +1386,15 @@ mod tests {
         assert!(obs.series.column("tier1.utilization").is_some());
         assert!(obs.series.column("tier1.occupancy").is_some());
         assert!(obs.series.column("sys.completed").is_some());
-        // The audit ran alongside obs (quick_config sets audit: true), so
+        // The audit ran alongside obs (`quick` enforces it), so
         // the periodic span drain fed both consumers without conflict.
     }
 
     #[test]
     fn audit_report_is_surfaced_in_the_result() {
-        let mut config = quick_config(traces::step(20, 120, 30.0));
-        config.audit_tolerant = true;
-        let run = run_trace_experiment(&config, |bus| {
-            Ec2AutoScale::new(bus, ScalingConfig::default())
-        });
+        let mut experiment = quick(traces::step(20, 120, 30.0));
+        experiment.audit = Audit::Collect;
+        let run = experiment.run(&ControllerSpec::ec2()).expect("valid");
         let report = run.audit.as_ref().expect("audit requested");
         assert!(report.is_clean(), "clean run: {:?}", report.violations);
         assert!(report.spans_audited > 0, "audit must have seen spans");
@@ -982,50 +1402,20 @@ mod tests {
 
     #[test]
     fn obs_disabled_run_carries_no_artifacts() {
-        let config = quick_config(traces::step(20, 320, 30.0));
-        let result = run_trace_experiment(&config, |bus| {
-            Ec2AutoScale::new(bus, ScalingConfig::default())
-        });
+        let result = quick(traces::step(20, 320, 30.0))
+            .run(&ControllerSpec::ec2())
+            .expect("valid");
         assert!(result.obs.is_none());
     }
 
     #[test]
     fn mesh_run_with_cache_and_mixed_vms_conserves_requests() {
         use dcm_ntier::server::VmType;
-        use dcm_ntier::system::VmPolicy;
-        use dcm_sim::dist::Dist;
-        use dcm_workload::cache::CacheDynamics;
 
-        // Fan-out mesh: web -> app -> {svc, db×2}, a warming cache on the
-        // app -> db edge, and a mixed small/large DB fleet. The full
-        // monitoring/control/audit stack must hold on this topology too.
-        let graph = TopologyGraph::from_edges(4, &[(0, 1, 1), (1, 2, 1), (1, 3, 2)]);
-        let config = MeshExperimentConfig {
-            run: quick_config(traces::step(20, 200, 30.0)),
-            nodes: vec![
-                MeshNode::new("web", reference::apache(), 1000),
-                MeshNode::new("app", reference::tomcat(), 100).conns(80),
-                MeshNode::new("svc", reference::tomcat(), 50),
-                MeshNode::new("db", reference::mysql(), 800)
-                    .count(2)
-                    .vm_policy(VmPolicy::cycle(vec![VmType::SMALL, VmType::LARGE])),
-            ],
-            graph: graph.clone(),
-            demands: vec![
-                NodeDemand::split(Dist::constant(0.002)),
-                NodeDemand::split(Dist::constant(0.008)),
-                NodeDemand::leaf(Dist::exponential_mean(0.01)).iid_visits(),
-                NodeDemand::leaf(Dist::exponential_mean(0.02)).iid_visits(),
-            ],
-            cache: Some(CacheEdge {
-                from: 1,
-                to: 3,
-                dynamics: CacheDynamics::new(0.5, 200.0),
-            }),
-        };
-        let result = run_mesh_trace_experiment(&config, |bus| {
-            Ec2AutoScale::new(bus, ScalingConfig::default())
-        });
+        // The full monitoring/control/audit stack must hold on the mesh.
+        let result = mesh(traces::step(20, 200, 30.0))
+            .run(&ControllerSpec::ec2())
+            .expect("valid");
         assert_eq!(result.counters.in_flight(), 0, "mesh conservation");
         assert!(result.overall().completed() > 200);
         assert_eq!(result.vm_seconds.len(), 4);
@@ -1045,19 +1435,17 @@ mod tests {
 
     #[test]
     fn faulted_run_conserves_requests() {
-        let mut config = quick_config(traces::step(20, 200, 30.0));
-        config.fault_plan = Some(
+        let mut experiment = quick(traces::step(20, 200, 30.0));
+        experiment.fault_plan = Some(
             FaultPlan::none()
                 .with_crash(40.0, 1, 0)
                 .with_straggler(60.0, 2, 0, 4.0, 20.0)
                 .with_transient_failures(0.005),
         );
-        config.client_retry = Some(RetryPolicy::default());
-        config.request_deadline_secs = Some(10.0);
-        config.inter_tier_retry = Some(InterTierRetry::default());
-        let result = run_trace_experiment(&config, |bus| {
-            Ec2AutoScale::new(bus, ScalingConfig::default())
-        });
+        experiment.client_retry = Some(RetryPolicy::default());
+        experiment.request_deadline_secs = Some(10.0);
+        experiment.inter_tier_retry = Some(InterTierRetry::default());
+        let result = experiment.run(&ControllerSpec::ec2()).expect("valid");
         assert_eq!(result.counters.in_flight(), 0, "conservation under faults");
         assert!(
             result.counters.failed > 0,

@@ -21,24 +21,27 @@
 //!   APP-agent (runtime pool resizing).
 //! * [`training`] — the offline §V-A pipeline that fits the
 //!   concurrency-aware model from closed-loop sweeps (Table I).
-//! * [`experiment`] — the §V-B harness: trace-driven runs producing every
-//!   series of Fig. 5.
+//! * [`experiment`] — the §V-B harness: every trace-driven run is one
+//!   [`Experiment`] (world nodes, requests, trace, faults, client
+//!   behaviour, clock, audit, obs) scaled by one [`ControllerSpec`],
+//!   checked in one place ([`Experiment::check`], a [`ConfigError`] naming
+//!   the field) and producing every series of Fig. 5.
 //!
 //! ## Example: a miniature Fig. 5 run
 //!
 //! ```
-//! use dcm_core::controller::Ec2AutoScale;
-//! use dcm_core::experiment::{run_trace_experiment, TraceExperimentConfig};
-//! use dcm_core::policy::ScalingConfig;
+//! use dcm_core::experiment::{ControllerSpec, Experiment};
 //! use dcm_sim::time::SimTime;
 //! use dcm_workload::traces;
 //!
-//! let mut config = TraceExperimentConfig::figure5(traces::step(20, 150, 20.0));
-//! config.horizon = SimTime::from_secs(60); // keep the doctest quick
-//! let result = run_trace_experiment(&config, |bus| {
-//!     Ec2AutoScale::new(bus, ScalingConfig::default())
-//! });
+//! let mut experiment = Experiment::figure5(traces::step(20, 150, 20.0));
+//! experiment.horizon = SimTime::from_secs(60); // keep the doctest quick
+//! let result = experiment.run(&ControllerSpec::ec2()).expect("a valid description");
 //! assert_eq!(result.counters.in_flight(), 0);
+//!
+//! experiment.horizon = SimTime::from_secs_f64(-5.0); // becomes 0
+//! let err = experiment.run(&ControllerSpec::ec2()).expect_err("nothing to run");
+//! assert_eq!(err.field, "horizon");
 //! ```
 
 #![warn(missing_docs)]
@@ -59,9 +62,9 @@ pub use agents::{Action, ActionRecord, AppAgent, VmAgent};
 pub use aggregate::{aggregate_by_tier, TierWindow};
 pub use controller::{Controller, Dcm, DcmConfig, DcmModels, Ec2AutoScale};
 pub use experiment::{
-    run_mesh_trace_experiment, run_trace_experiment, steady_state_throughput, MeshExperimentConfig,
+    run_trace_experiment, steady_state_throughput, Audit, ConfigError, ControllerSpec, Experiment,
     ObsArtifacts, ObsConfig, SteadyStateOptions, SteadyStateReport, TraceExperimentConfig,
-    TraceRunResult,
+    TraceRunResult, WorkloadShape,
 };
 pub use monitor::{install_monitor, new_metrics_bus, MetricsBus, MonitorConfig, METRICS_TOPIC};
 pub use mpc::{ModelPredictive, MpcConfig};

@@ -21,10 +21,9 @@ use dcm_sim::time::{SimDuration, SimTime};
 use dcm_workload::cohort::CohortPopulation;
 use dcm_workload::profile::ProfileFactory;
 use dcm_workload::report::LoadReport;
-use serde::{Deserialize, Serialize};
 
 /// One steady-state measurement.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SweepPoint {
     /// Offered closed-loop users.
     pub offered: u32,

@@ -16,8 +16,6 @@
 //! MySQL server). [`FitOptions::fix_s0`] pins the scale when a measured
 //! single-thread service time is available.
 
-use serde::{Deserialize, Serialize};
-
 use crate::lsq::{levenberg_marquardt, r_squared, FitError, LmOptions};
 
 /// A fitted concurrency-aware throughput model for one tier.
@@ -33,7 +31,7 @@ use crate::lsq::{levenberg_marquardt, r_squared, FitError, LmOptions};
 /// let xmax = model.predicted_max_throughput();
 /// assert!((xmax - 946.0).abs() < 5.0, "Table I reports 946: {xmax}");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConcurrencyModel {
     /// Single-threaded service time `S⁰` (seconds).
     pub s0: f64,

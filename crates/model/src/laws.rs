@@ -5,8 +5,6 @@
 //! largest per-server service demand `V_m·S_m/K_m` saturates first and caps
 //! system throughput at `X_max = γ·K_b/(V_b·S_b)`.
 
-use serde::{Deserialize, Serialize};
-
 /// Utilization Law: `U = X·S` — utilization from throughput and mean
 /// service time.
 pub fn utilization(throughput: f64, service_time: f64) -> f64 {
@@ -32,7 +30,7 @@ pub fn interactive_response_time(n_users: f64, throughput: f64, think_time: f64)
 }
 
 /// One tier's operational parameters for bottleneck analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TierDemand {
     /// End-to-end visit ratio `V_m` (sub-requests per client request).
     pub visit_ratio: f64,
@@ -55,7 +53,7 @@ impl TierDemand {
 }
 
 /// Result of a bottleneck analysis over the tier chain.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BottleneckAnalysis {
     /// Index of the bottleneck tier.
     pub bottleneck: usize,

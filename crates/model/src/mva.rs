@@ -49,10 +49,8 @@
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use serde::{Deserialize, Serialize};
-
 /// One service station of a closed network.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Station {
     /// Infinite-server (pure delay) station: residence per visit is always
     /// `service_time`, no queueing ever.
@@ -214,7 +212,7 @@ impl Station {
 }
 
 /// A closed single-class network: a think-time terminal plus stations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClosedNetwork {
     /// The service stations.
     pub stations: Vec<Station>,
@@ -515,7 +513,7 @@ fn conv_key(n: u32, z_total: Option<f64>, left: &[&Station], right: &[&Station])
 }
 
 /// The exact MVA solution at one population.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MvaSolution {
     /// Client population `N`.
     pub population: u32,
@@ -533,7 +531,7 @@ pub struct MvaSolution {
 }
 
 /// Operational asymptotic bounds at one population.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AsymptoticBounds {
     /// Client population `N`.
     pub population: u32,

@@ -2,14 +2,13 @@
 //! in the paper's deployment).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use dcm_sim::rng::SimRng;
 
 use crate::ids::ServerId;
 
 /// Balancing policy for one tier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BalancerPolicy {
     /// Cycle through servers in order (HAProxy `roundrobin`, the paper's
     /// configuration).
@@ -37,7 +36,7 @@ pub enum BalancerPolicy {
 /// let b = lb.choose(&candidates, &mut rng).unwrap();
 /// assert_ne!(a, b); // round-robin alternates
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Balancer {
     policy: BalancerPolicy,
     cursor: usize,

@@ -20,11 +20,9 @@
 //! it on every downstream call), so all per-call accessors are allocation
 //! free: edges live in one flat vector indexed by a per-node prefix table.
 
-use serde::{Deserialize, Serialize};
-
 /// One call edge: `calls` sequential invocations of tier `to` per visit of
 /// the owning (`from`) tier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GraphEdge {
     /// Callee tier index.
     pub to: u16,
@@ -37,7 +35,7 @@ pub struct GraphEdge {
 /// with a per-node prefix index (`first_edge[m]..first_edge[m + 1]` are the
 /// out-edges of node `m`, in call order). A graph is never edited after it
 /// is built, so its visit ratios are computed once, at construction.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TopologyGraph {
     first_edge: Vec<u32>,
     edges: Vec<GraphEdge>,

@@ -18,8 +18,6 @@
 //! `dcm-model` must then *recover* it from noisy measurements, closing the
 //! same loop the paper closes against real hardware.
 
-use serde::{Deserialize, Serialize};
-
 /// Ground-truth concurrency law for one server: `S*(N) = s0 + α(N−1) + βN(N−1)`.
 ///
 /// # Examples
@@ -31,7 +29,7 @@ use serde::{Deserialize, Serialize};
 /// let mysql = ServiceLaw::new(7.19e-3, 5.04e-3, 1.65e-6);
 /// assert_eq!(mysql.optimal_concurrency(), 36);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServiceLaw {
     s0: f64,
     alpha: f64,

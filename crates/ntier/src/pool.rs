@@ -9,8 +9,6 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::RequestId;
 
 /// A bounded permit pool with a FIFO queue of waiting requests.
@@ -32,7 +30,7 @@ use crate::ids::RequestId;
 /// let next = pool.release();
 /// assert_eq!(next, Some(RequestId::new(2)));     // handed off directly
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Pool<T = RequestId> {
     capacity: u32,
     in_use: u32,

@@ -9,13 +9,12 @@
 //! when one floods.
 
 use dcm_sim::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::ids::{RequestId, ServerId};
 use crate::request::Outcome;
 
 /// How a tier visit ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SpanStatus {
     /// The visit ran to completion and replied upstream.
     Completed,
@@ -53,7 +52,7 @@ impl SpanStatus {
 }
 
 /// One tier visit of one request.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Span {
     /// The request.
     pub request: RequestId,
@@ -91,7 +90,7 @@ impl Span {
 
 /// What happened to a server (the VM-lifecycle / fault event stream the
 /// trace exporter turns into instant events).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ServerEventKind {
     /// A VM boot was requested; the server becomes routable `ready_at`.
     BootRequested {
@@ -128,7 +127,7 @@ impl ServerEventKind {
 }
 
 /// One timestamped server lifecycle event.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServerEvent {
     /// When it happened.
     pub at: SimTime,
@@ -152,7 +151,7 @@ pub fn waterfall(spans: &[Span], request: RequestId) -> Vec<Span> {
 }
 
 /// Per-tier aggregate of queue and service time.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct TierTiming {
     /// Visits observed.
     pub visits: u64,

@@ -7,7 +7,6 @@
 use dcm_sim::time::SimDuration;
 
 use crate::balancer::BalancerPolicy;
-use crate::graph::TopologyGraph;
 use crate::law::{reference, ServiceLaw};
 use crate::system::{System, TierSpec, VmPolicy};
 use crate::world::{SimEngine, World};
@@ -147,26 +146,34 @@ impl ThreeTierBuilder {
         self
     }
 
-    /// Builds the world and a fresh engine: the [`MeshBuilder`] chain of
-    /// web, app (with its downstream connection pool), the optional lb
-    /// node, and db, with the mesh's 15-second VM preparation.
-    pub fn build(&self) -> (World, SimEngine) {
-        let mut mesh = MeshBuilder::new()
-            .node(MeshNode::new("web", reference::apache(), self.soft.web_threads).count(self.web))
-            .node(
-                MeshNode::new("app", reference::tomcat(), self.soft.app_threads)
-                    .conns(self.soft.db_conns)
-                    .count(self.app),
-            );
+    /// The chain's nodes in tier order: web, app (with its downstream
+    /// connection pool), the optional lb node, and db.
+    pub fn nodes(&self) -> Vec<MeshNode> {
+        let mut nodes = vec![
+            MeshNode::new("web", reference::apache(), self.soft.web_threads).count(self.web),
+            MeshNode::new("app", reference::tomcat(), self.soft.app_threads)
+                .conns(self.soft.db_conns)
+                .count(self.app),
+        ];
         if self.db_load_balancer {
             // HAProxy forwards in O(100 µs) with negligible contention.
             let law = ServiceLaw::new(1.0e-4, 1.0e-6, 1.0e-10);
-            mesh = mesh.node(MeshNode::new("lb", law, 4096));
+            nodes.push(MeshNode::new("lb", law, 4096));
         }
         // MySQL max_connections: high enough that the *upstream* connection
         // pool is what actually caps DB concurrency, as in the paper's
         // deployment.
-        mesh.node(MeshNode::new("db", reference::mysql(), 800).count(self.db))
+        nodes.push(MeshNode::new("db", reference::mysql(), 800).count(self.db));
+        nodes
+    }
+
+    /// Builds the world and a fresh engine: the [`MeshBuilder`] over
+    /// [`ThreeTierBuilder::nodes`], with the mesh's 15-second VM
+    /// preparation.
+    pub fn build(&self) -> (World, SimEngine) {
+        self.nodes()
+            .into_iter()
+            .fold(MeshBuilder::new(), MeshBuilder::node)
             .balancer(self.balancer)
             .seed(self.seed)
             .build()
@@ -229,9 +236,9 @@ impl MeshNode {
 
 /// Builder for an arbitrary microservice-DAG world: one [`MeshNode`] per
 /// tier, with the call structure supplied per request by its profile's
-/// [`TopologyGraph`]. Every world is built here: [`ThreeTierBuilder`] is
-/// the chain preset, and the `repro mesh` scenarios add fan-out services,
-/// cache tiers and heterogeneous VM types.
+/// [`TopologyGraph`](crate::graph::TopologyGraph). Every world is built
+/// here: [`ThreeTierBuilder`] is the chain preset, and the `repro mesh`
+/// scenarios add fan-out services, cache tiers and heterogeneous VM types.
 ///
 /// # Examples
 ///
@@ -297,27 +304,6 @@ impl MeshBuilder {
     /// Sets the world RNG seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Number of tiers added so far.
-    pub fn tier_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Asserts that `graph` is shaped for this mesh (same tier count).
-    /// Call structure itself lives on request profiles, so this is a
-    /// construction-time sanity check, not a stored field.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the graph's tier count differs from the node count.
-    pub fn check_graph(&self, graph: &TopologyGraph) -> &Self {
-        assert_eq!(
-            graph.tiers(),
-            self.nodes.len(),
-            "topology graph tier count must match mesh node count"
-        );
         self
     }
 
@@ -435,25 +421,6 @@ mod tests {
             assert_eq!(tw.system.tier(m).spec(), spec);
             assert_eq!(mw.system.running_count(m), tw.system.running_count(m));
         }
-    }
-
-    #[test]
-    fn mesh_check_graph_accepts_matching_shape() {
-        let mesh = MeshBuilder::new()
-            .node(MeshNode::new("web", reference::apache(), 1000))
-            .node(MeshNode::new("svc", reference::tomcat(), 100).conns(80))
-            .node(MeshNode::new("db", reference::mysql(), 800));
-        let g = TopologyGraph::chain(&[1, 1, 2]);
-        mesh.check_graph(&g);
-        assert_eq!(mesh.tier_count(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "topology graph tier count must match")]
-    fn mesh_check_graph_rejects_shape_mismatch() {
-        let mesh = MeshBuilder::new().node(MeshNode::new("web", reference::apache(), 10));
-        let g = TopologyGraph::chain(&[1, 1]);
-        mesh.check_graph(&g);
     }
 
     #[test]

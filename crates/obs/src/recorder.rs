@@ -23,10 +23,9 @@ use std::collections::VecDeque;
 
 use dcm_ntier::spans::Span;
 use dcm_sim::rng::derive_seed;
-use serde::{Deserialize, Serialize};
 
 /// Sampling and retention configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SamplerConfig {
     /// Probability in `[0, 1]` that a request's spans are kept (1.0 keeps
     /// everything, 0.0 keeps nothing).
@@ -54,7 +53,7 @@ impl Default for SamplerConfig {
 ///
 /// Invariant: `seen = recorded + unsampled`; the ring currently holds
 /// `recorded - evicted` spans.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecorderStats {
     /// Spans offered to the recorder.
     pub seen: u64,

@@ -37,13 +37,12 @@ use dcm_sim::time::SimTime;
 use dcm_workload::cache::CacheDynamics;
 use dcm_workload::cohort::CohortPopulation;
 use dcm_workload::profile::{NodeDemand, ProfileFactory};
-use serde::{Deserialize, Serialize};
 
 /// A pool size that never queues at the populations the grid sweeps.
 const AMPLE: u32 = 4096;
 
 /// What kind of analytic truth a scenario is checked against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScenarioKind {
     /// All laws frictionless: exact product-form network (delay and
     /// `M/M/c` stations). Tight tolerance applies.
@@ -55,7 +54,7 @@ pub enum ScenarioKind {
 }
 
 /// One node of a scenario.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NodeSpec {
     /// Display name (`web`, `svc`, `cache`, …).
     pub name: &'static str,
@@ -118,7 +117,7 @@ fn node(
 }
 
 /// A steady-state cache on one edge of the scenario graph.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CacheSpec {
     /// The caching node.
     pub from: usize,
@@ -130,7 +129,7 @@ pub struct CacheSpec {
 
 /// One conformance configuration (populations are swept separately, so
 /// each `(scenario, population)` pair is one run).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Scenario {
     /// Short name used in tables (`mm1`, `fanout`, …).
     pub name: &'static str,
@@ -297,7 +296,7 @@ impl Scenario {
 }
 
 /// DES-vs-oracle comparison of one quantity.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TierComparison {
     /// The measured value.
     pub des: f64,
@@ -316,7 +315,7 @@ fn compare(des: f64, mva: f64) -> TierComparison {
 }
 
 /// One `(scenario, population)` conformance measurement.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ConformancePoint {
     /// Scenario name.
     pub scenario: &'static str,

@@ -17,12 +17,10 @@
 //! time, which keeps a single plan meaningful across controllers that grow
 //! and shrink tiers differently.
 
-use serde::{Deserialize, Serialize};
-
 use crate::rng::{derive_seed, SimRng};
 
 /// What happens to the victim when a fault event fires.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
     /// The VM dies instantly: in-flight work on it fails, pools are torn
     /// down, and the balancer stops routing to it.
@@ -38,7 +36,7 @@ pub enum FaultKind {
 }
 
 /// One scheduled fault.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultEvent {
     /// Simulated time at which the fault fires, in seconds.
     pub at_secs: f64,
@@ -53,7 +51,7 @@ pub struct FaultEvent {
 }
 
 /// Parameters for sampling a random fault schedule.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultSpec {
     /// No fault fires before this time (lets the system warm up).
     pub start_secs: f64,
@@ -102,7 +100,7 @@ impl Default for FaultSpec {
 /// assert_eq!(plan.events.len(), 2);
 /// assert!(matches!(plan.events[0].kind, FaultKind::Crash));
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
     /// Scheduled faults, ordered by `at_secs`.
     pub events: Vec<FaultEvent>,

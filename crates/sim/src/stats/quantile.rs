@@ -1,7 +1,5 @@
 //! Quantile estimation: exact (sorted buffer) and streaming (P² algorithm).
 
-use serde::{Deserialize, Serialize};
-
 /// Exact quantiles over a retained sample buffer.
 ///
 /// Retains every observation, so use for bounded experiment windows (the
@@ -20,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(q.quantile(0.5), Some(50.5));
 /// assert_eq!(q.quantile(1.0), Some(100.0));
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SampleQuantiles {
     samples: Vec<f64>,
     sorted: bool,
@@ -146,7 +144,7 @@ impl FromIterator<f64> for SampleQuantiles {
 /// let est = p95.estimate().unwrap();
 /// assert!((est - 94.0).abs() < 3.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct P2Quantile {
     q: f64,
     // Marker heights, positions, and desired positions (5 markers).

@@ -5,8 +5,6 @@
 //! scenario proves little. The experiment harness runs each configuration
 //! under several seeds and reports Student-t confidence intervals.
 
-use serde::{Deserialize, Serialize};
-
 use super::OnlineStats;
 
 /// Two-sided Student-t critical values at 95 % confidence, indexed by
@@ -73,7 +71,7 @@ pub fn t_critical_95(df: usize) -> f64 {
 /// assert!(lo < 10.2 && 10.2 < hi);
 /// assert!((reps.mean() - 10.2).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Replications {
     stats: OnlineStats,
 }

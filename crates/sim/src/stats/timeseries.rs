@@ -9,8 +9,6 @@
 //!   the meaningful aggregate (a CPU that is busy 80 % of a window should
 //!   report 0.8 regardless of how many times the value changed).
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::{SimDuration, SimTime};
 
 /// A sequence of `(time, value)` samples in non-decreasing time order.
@@ -27,7 +25,7 @@ use crate::time::{SimDuration, SimTime};
 /// assert_eq!(ts.len(), 2);
 /// assert_eq!(ts.mean(), Some(15.0));
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TimeSeries {
     points: Vec<(SimTime, f64)>,
 }
@@ -127,7 +125,7 @@ impl FromIterator<(SimTime, f64)> for TimeSeries {
 /// let avg = g.time_weighted_mean(SimTime::ZERO, SimTime::from_secs(4));
 /// assert_eq!(avg, 5.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StepGauge {
     // Change points: value holds from its timestamp until the next one.
     steps: Vec<(SimTime, f64)>,
@@ -231,7 +229,7 @@ impl StepGauge {
 /// assert_eq!(windows.len(), 2);
 /// assert_eq!(windows.as_slice()[0].1, 2.0); // 2 events in first second
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RateMeter {
     window: SimDuration,
     current_window_start: SimTime,

@@ -9,10 +9,9 @@
 
 use dcm_sim::dist::{AliasTable, WeightsError};
 use dcm_sim::rng::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// One RUBBoS interaction type.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Servlet {
     /// Interaction name (RUBBoS servlet).
     pub name: &'static str,

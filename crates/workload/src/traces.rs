@@ -11,7 +11,6 @@
 use std::fmt;
 
 use dcm_sim::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// A piecewise-constant target for the number of concurrent users.
 ///
@@ -25,7 +24,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(trace.users_at(SimTime::from_secs(30)), 100);
 /// assert_eq!(trace.users_at(SimTime::from_secs(90)), 400);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorkloadTrace {
     // (time, target users), strictly increasing times, first at t=0.
     points: Vec<(SimTime, u32)>,

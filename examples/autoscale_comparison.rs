@@ -7,9 +7,8 @@
 //! cargo run -p dcm-bench --release --example autoscale_comparison
 //! ```
 
-use dcm_core::controller::{Dcm, DcmConfig, DcmModels, Ec2AutoScale};
-use dcm_core::experiment::{run_trace_experiment, TraceExperimentConfig};
-use dcm_core::policy::ScalingConfig;
+use dcm_core::controller::DcmModels;
+use dcm_core::experiment::{ControllerSpec, Experiment};
 use dcm_core::training::{train_app_model, train_db_model, SweepOptions};
 use dcm_sim::time::{SimDuration, SimTime};
 use dcm_workload::traces;
@@ -38,13 +37,11 @@ fn main() {
     };
 
     // A flash crowd: 120 users, spiking to 600 for 90 seconds.
-    let mut config = TraceExperimentConfig::figure5(traces::flash_crowd(120, 600, 60.0, 90.0));
-    config.horizon = SimTime::from_secs(300);
+    let mut experiment = Experiment::figure5(traces::flash_crowd(120, 600, 60.0, 90.0));
+    experiment.horizon = SimTime::from_secs(300);
 
-    let ec2 = run_trace_experiment(&config, |bus| {
-        Ec2AutoScale::new(bus, ScalingConfig::default())
-    });
-    let dcm = run_trace_experiment(&config, |bus| Dcm::new(bus, DcmConfig::default(), models));
+    let ec2 = experiment.run(&ControllerSpec::ec2()).expect("valid");
+    let dcm = experiment.run(&ControllerSpec::dcm(models)).expect("valid");
 
     println!(
         "{:<16} {:>10} {:>10} {:>10} {:>12}",

@@ -464,14 +464,14 @@ fn dcm_controls_the_four_tier_deployment() {
 fn chaos_run_passes_conservation_audit() {
     // The full chaos schedule — VM crash, straggler episode, transient
     // failures, client retries, deadlines, inter-tier retries — under the
-    // conservation auditor. run_trace_experiment panics on any violated
-    // conservation law when `audit` is set, so completing is the assertion.
-    let (mut config, _) =
+    // conservation auditor. The run panics on any violated conservation
+    // law when the audit is enforced, so completing is the assertion.
+    let (mut experiment, _) =
         dcm_bench::experiments::chaos::chaos_config(dcm_bench::experiments::Fidelity::Quick);
-    config.audit = true;
-    let run = run_trace_experiment(&config, |bus| {
-        Ec2AutoScale::new(bus, ScalingConfig::default())
-    });
+    experiment.audit = dcm_core::experiment::Audit::Enforce;
+    let run = experiment
+        .run(&dcm_core::experiment::ControllerSpec::ec2())
+        .expect("the chaos preset is valid");
     assert!(run.counters.failed > 0, "chaos must strike in-flight work");
     assert_eq!(run.counters.in_flight(), 0);
 }
