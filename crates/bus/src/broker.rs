@@ -1,81 +1,50 @@
-//! The broker: named topics, partitioning, consumer-group offsets.
+//! The broker: named topics, each one log with its groups' committed
+//! positions.
 
-use std::collections::hash_map::DefaultHasher;
-use std::collections::BTreeMap;
-use std::hash::{Hash, Hasher};
+use std::collections::{BTreeMap, VecDeque};
 
 use crate::error::BusError;
-use crate::log::{Entry, PartitionLog};
 
-/// Per-topic retention policy, enforced on append.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Retention {
-    /// Keep at most this many entries per partition (`None` = unbounded).
-    pub max_entries: Option<usize>,
-    /// Drop head entries older than this many milliseconds relative to the
-    /// newest appended timestamp (`None` = unbounded).
-    pub max_age_ms: Option<u64>,
+/// One record on a topic.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Entry<T> {
+    /// Assigned at append time: dense per topic from 0, never reused.
+    pub offset: u64,
+    /// Producer-supplied timestamp in milliseconds (the broker orders by
+    /// offset, never by time).
+    pub timestamp_ms: u64,
+    /// The payload.
+    pub value: T,
 }
 
-impl Retention {
-    /// Unbounded retention.
-    pub const UNBOUNDED: Retention = Retention {
-        max_entries: None,
-        max_age_ms: None,
-    };
-
-    /// Retention bounded by entry count only.
-    pub fn by_entries(max_entries: usize) -> Self {
-        Retention {
-            max_entries: Some(max_entries),
-            max_age_ms: None,
-        }
-    }
-
-    /// Retention bounded by age only.
-    pub fn by_age_ms(max_age_ms: u64) -> Self {
-        Retention {
-            max_entries: None,
-            max_age_ms: Some(max_age_ms),
-        }
-    }
-}
-
+/// One topic: the records still held, in offset order (the first has
+/// offset `start`), and the position (next offset to read) each group last
+/// committed.
 #[derive(Debug, Clone)]
 struct Topic<T> {
-    partitions: Vec<PartitionLog<T>>,
-    retention: Retention,
-    round_robin_cursor: u32,
+    records: VecDeque<Entry<T>>,
+    start: u64,
+    committed: BTreeMap<String, u64>,
 }
 
-/// An in-memory, Kafka-style message broker.
-///
-/// Generic over the payload type `T`, which keeps producers and consumers
-/// type-safe without a serialization layer (the paper uses Kafka purely as a
-/// rate-decoupling buffer between monitor agents and the controller — the
-/// semantics that matter are partitioned ordered logs and consumer-group
-/// offset tracking, both of which are faithfully implemented here).
+/// An in-memory, Kafka-style message broker, generic over the payload type
+/// `T` (type-safe producers and consumers, no serialization layer). Each
+/// topic is one log; a record is dropped once every group that has
+/// committed on the topic has read it.
 ///
 /// # Examples
 ///
 /// ```
-/// use dcm_bus::{Broker, Retention};
-///
-/// let mut broker: Broker<String> = Broker::new();
-/// broker.create_topic("metrics", 2, Retention::UNBOUNDED)?;
-/// broker.produce("metrics", 0, Some("tomcat-1".into()), "cpu=0.93".into())?;
-///
-/// let batch = broker.fetch("metrics", 0, 0, 100)?;
-/// // tomcat-1 hashes to some fixed partition; fetch both to find it
-/// let batch1 = broker.fetch("metrics", 1, 0, 100)?;
-/// assert_eq!(batch.len() + batch1.len(), 1);
+/// let mut broker: dcm_bus::Broker<&str> = dcm_bus::Broker::new();
+/// broker.create_topic("metrics")?;
+/// assert_eq!(broker.produce("metrics", 0, "cpu=0.93")?, 0);
+/// assert_eq!(broker.produce("metrics", 1, "cpu=0.88")?, 1);
+/// assert_eq!(broker.high_watermark("metrics", 0)?, 2);
 /// # Ok::<(), dcm_bus::BusError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct Broker<T> {
     topics: BTreeMap<String, Topic<T>>,
-    // (group, topic, partition) -> committed offset (next offset to read).
-    group_offsets: BTreeMap<(String, String, u32), u64>,
 }
 
 impl<T> Default for Broker<T> {
@@ -89,62 +58,25 @@ impl<T> Broker<T> {
     pub fn new() -> Self {
         Broker {
             topics: BTreeMap::new(),
-            group_offsets: BTreeMap::new(),
         }
     }
 
-    /// Creates a topic with `partitions` partitions.
+    /// Creates an empty topic.
     ///
     /// # Errors
     ///
-    /// [`BusError::TopicExists`] if the name is taken,
-    /// [`BusError::ZeroPartitions`] if `partitions == 0`.
-    pub fn create_topic(
-        &mut self,
-        name: &str,
-        partitions: u32,
-        retention: Retention,
-    ) -> Result<(), BusError> {
-        if partitions == 0 {
-            return Err(BusError::ZeroPartitions);
-        }
+    /// [`BusError::TopicExists`] if the name is taken.
+    pub fn create_topic(&mut self, name: &str) -> Result<(), BusError> {
         if self.topics.contains_key(name) {
             return Err(BusError::TopicExists { topic: name.into() });
         }
-        self.topics.insert(
-            name.to_owned(),
-            Topic {
-                partitions: (0..partitions).map(|_| PartitionLog::new()).collect(),
-                retention,
-                round_robin_cursor: 0,
-            },
-        );
+        let topic = Topic {
+            records: VecDeque::new(),
+            start: 0,
+            committed: BTreeMap::new(),
+        };
+        self.topics.insert(name.to_owned(), topic);
         Ok(())
-    }
-
-    /// True if the topic exists.
-    pub fn has_topic(&self, name: &str) -> bool {
-        self.topics.contains_key(name)
-    }
-
-    /// Topic names, in sorted order.
-    pub fn topics(&self) -> impl Iterator<Item = &str> {
-        self.topics.keys().map(String::as_str)
-    }
-
-    /// Number of partitions in a topic.
-    ///
-    /// # Errors
-    ///
-    /// [`BusError::UnknownTopic`] if the topic does not exist.
-    pub fn partition_count(&self, topic: &str) -> Result<u32, BusError> {
-        Ok(self.topic(topic)?.partitions.len() as u32)
-    }
-
-    fn topic(&self, name: &str) -> Result<&Topic<T>, BusError> {
-        self.topics
-            .get(name)
-            .ok_or_else(|| BusError::UnknownTopic { topic: name.into() })
     }
 
     fn topic_mut(&mut self, name: &str) -> Result<&mut Topic<T>, BusError> {
@@ -153,163 +85,73 @@ impl<T> Broker<T> {
             .ok_or_else(|| BusError::UnknownTopic { topic: name.into() })
     }
 
-    /// Appends a record, routing by key hash (or round-robin when `key` is
-    /// `None`). Returns `(partition, offset)`.
+    /// The offset of the first record still held on `topic`, and the held
+    /// records in offset order.
+    pub(crate) fn held(&self, topic: &str) -> Result<(u64, &VecDeque<Entry<T>>), BusError> {
+        match self.topics.get(topic) {
+            Some(t) => Ok((t.start, &t.records)),
+            None => Err(BusError::UnknownTopic {
+                topic: topic.into(),
+            }),
+        }
+    }
+
+    /// Number of partitions in a topic: always 1.
     ///
     /// # Errors
     ///
     /// [`BusError::UnknownTopic`] if the topic does not exist.
-    pub fn produce(
-        &mut self,
-        topic: &str,
-        timestamp_ms: u64,
-        key: Option<String>,
-        value: T,
-    ) -> Result<(u32, u64), BusError> {
-        let t = self.topic_mut(topic)?;
-        let n = t.partitions.len() as u32;
-        let partition = match &key {
-            Some(k) => {
-                let mut h = DefaultHasher::new();
-                k.hash(&mut h);
-                (h.finish() % n as u64) as u32
-            }
-            None => {
-                let p = t.round_robin_cursor % n;
-                t.round_robin_cursor = t.round_robin_cursor.wrapping_add(1);
-                p
-            }
-        };
-        let log = &mut t.partitions[partition as usize];
-        let offset = log.append(timestamp_ms, key, value);
-        if let Some(max) = t.retention.max_entries {
-            log.enforce_retention(max);
-        }
-        if let Some(age) = t.retention.max_age_ms {
-            log.expire_before(timestamp_ms.saturating_sub(age));
-        }
-        Ok((partition, offset))
+    pub fn partition_count(&self, topic: &str) -> Result<u32, BusError> {
+        self.held(topic).map(|_| 1)
     }
 
-    /// Appends to an explicit partition. Returns the assigned offset.
+    /// Appends a record and returns its offset.
     ///
     /// # Errors
     ///
-    /// [`BusError::UnknownTopic`] / [`BusError::UnknownPartition`].
-    pub fn produce_to_partition(
-        &mut self,
-        topic: &str,
-        partition: u32,
-        timestamp_ms: u64,
-        key: Option<String>,
-        value: T,
-    ) -> Result<u64, BusError> {
+    /// [`BusError::UnknownTopic`] if the topic does not exist.
+    pub fn produce(&mut self, topic: &str, timestamp_ms: u64, value: T) -> Result<u64, BusError> {
         let t = self.topic_mut(topic)?;
-        let n = t.partitions.len() as u32;
-        if partition >= n {
-            return Err(BusError::UnknownPartition {
-                topic: topic.into(),
-                partition,
-            });
-        }
-        let log = &mut t.partitions[partition as usize];
-        let offset = log.append(timestamp_ms, key, value);
-        if let Some(max) = t.retention.max_entries {
-            log.enforce_retention(max);
-        }
-        if let Some(age) = t.retention.max_age_ms {
-            log.expire_before(timestamp_ms.saturating_sub(age));
-        }
+        let offset = t.start + t.records.len() as u64;
+        t.records.push_back(Entry {
+            offset,
+            timestamp_ms,
+            value,
+        });
         Ok(offset)
     }
 
-    /// Reads up to `max` entries from `topic`/`partition` starting at
-    /// `offset`.
-    ///
-    /// # Errors
-    ///
-    /// [`BusError::UnknownTopic`], [`BusError::UnknownPartition`], or
-    /// [`BusError::OffsetOutOfRange`].
-    pub fn fetch(
-        &self,
-        topic: &str,
-        partition: u32,
-        offset: u64,
-        max: usize,
-    ) -> Result<&[Entry<T>], BusError> {
-        let t = self.topic(topic)?;
-        let log =
-            t.partitions
-                .get(partition as usize)
-                .ok_or_else(|| BusError::UnknownPartition {
-                    topic: topic.into(),
-                    partition,
-                })?;
-        log.fetch(offset, max)
-    }
-
-    /// The next offset to be assigned in `topic`/`partition`.
+    /// The offset the next record appended to `topic` gets: the number of
+    /// records ever produced to it. `partition` must be 0.
     ///
     /// # Errors
     ///
     /// [`BusError::UnknownTopic`] / [`BusError::UnknownPartition`].
     pub fn high_watermark(&self, topic: &str, partition: u32) -> Result<u64, BusError> {
-        let t = self.topic(topic)?;
-        t.partitions
-            .get(partition as usize)
-            .map(PartitionLog::high_watermark)
-            .ok_or_else(|| BusError::UnknownPartition {
-                topic: topic.into(),
-                partition,
-            })
+        let (start, records) = self.held(topic)?;
+        if partition != 0 {
+            let topic = topic.into();
+            return Err(BusError::UnknownPartition { topic, partition });
+        }
+        Ok(start + records.len() as u64)
     }
 
-    /// Commits a consumer group's position (the next offset it will read).
-    ///
-    /// # Errors
-    ///
-    /// [`BusError::UnknownTopic`] / [`BusError::UnknownPartition`].
-    pub fn commit_offset(
-        &mut self,
-        group: &str,
-        topic: &str,
-        partition: u32,
-        offset: u64,
-    ) -> Result<(), BusError> {
-        // Validate the target exists so stale groups surface early.
-        let n = self.partition_count(topic)?;
-        if partition >= n {
-            return Err(BusError::UnknownPartition {
-                topic: topic.into(),
-                partition,
-            });
-        }
-        self.group_offsets
-            .insert((group.into(), topic.into(), partition), offset);
+    /// Commits `group`'s position on `topic`, then drops every record below
+    /// the slowest committed position.
+    pub(crate) fn commit(&mut self, group: &str, topic: &str, at: u64) -> Result<(), BusError> {
+        let t = self.topic_mut(topic)?;
+        t.committed.insert(group.to_owned(), at);
+        let slowest = t.committed.values().copied().min().unwrap_or(at);
+        let dropped = slowest.saturating_sub(t.start).min(t.records.len() as u64);
+        t.records.drain(..dropped as usize);
+        t.start += dropped;
         Ok(())
     }
 
-    /// The committed position for a group (0 when never committed).
-    pub fn committed_offset(&self, group: &str, topic: &str, partition: u32) -> u64 {
-        self.group_offsets
-            .get(&(group.into(), topic.into(), partition))
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// Consumer lag: high watermark minus committed position, per partition.
-    ///
-    /// # Errors
-    ///
-    /// [`BusError::UnknownTopic`] if the topic does not exist.
-    pub fn lag(&self, group: &str, topic: &str) -> Result<Vec<u64>, BusError> {
-        let t = self.topic(topic)?;
-        Ok((0..t.partitions.len() as u32)
-            .map(|p| {
-                let hw = t.partitions[p as usize].high_watermark();
-                hw.saturating_sub(self.committed_offset(group, topic, p))
-            })
-            .collect())
+    /// The position `group` last committed on `topic` (0 when never).
+    pub(crate) fn committed(&self, group: &str, topic: &str) -> u64 {
+        let at = self.topics.get(topic).and_then(|t| t.committed.get(group));
+        at.map_or(0, |&at| at)
     }
 }
 
@@ -319,130 +161,98 @@ mod tests {
 
     fn broker() -> Broker<u32> {
         let mut b = Broker::new();
-        b.create_topic("t", 3, Retention::UNBOUNDED).unwrap();
+        b.create_topic("t").unwrap();
         b
+    }
+
+    fn held(b: &Broker<u32>) -> Vec<u32> {
+        b.held("t").unwrap().1.iter().map(|e| e.value).collect()
     }
 
     #[test]
     fn create_topic_validation() {
         let mut b: Broker<u32> = Broker::new();
+        b.create_topic("x").unwrap();
         assert_eq!(
-            b.create_topic("x", 0, Retention::UNBOUNDED),
-            Err(BusError::ZeroPartitions)
-        );
-        b.create_topic("x", 1, Retention::UNBOUNDED).unwrap();
-        assert_eq!(
-            b.create_topic("x", 1, Retention::UNBOUNDED),
+            b.create_topic("x"),
             Err(BusError::TopicExists { topic: "x".into() })
         );
-        assert!(b.has_topic("x"));
-        assert!(!b.has_topic("y"));
         assert_eq!(b.partition_count("x").unwrap(), 1);
+        assert_eq!(b.high_watermark("x", 0).unwrap(), 0);
+        assert_eq!(b.held("x").unwrap().0, 0);
     }
 
     #[test]
-    fn keyed_produce_is_sticky() {
+    fn produce_assigns_dense_offsets() {
         let mut b = broker();
-        let (p1, _) = b.produce("t", 0, Some("k1".into()), 1).unwrap();
-        let (p2, _) = b.produce("t", 1, Some("k1".into()), 2).unwrap();
-        assert_eq!(p1, p2, "same key must land in same partition");
-        let batch = b.fetch("t", p1, 0, 10).unwrap();
-        assert_eq!(batch.len(), 2);
-        assert_eq!(batch[0].value, 1);
-        assert_eq!(batch[1].value, 2);
-    }
-
-    #[test]
-    fn unkeyed_produce_round_robins() {
-        let mut b = broker();
-        let mut partitions = vec![];
-        for i in 0..6 {
-            let (p, _) = b.produce("t", i, None, i as u32).unwrap();
-            partitions.push(p);
+        for i in 0..4 {
+            assert_eq!(b.produce("t", 10 * i, i as u32).unwrap(), i);
         }
-        assert_eq!(partitions, vec![0, 1, 2, 0, 1, 2]);
+        let offsets: Vec<u64> = b.held("t").unwrap().1.iter().map(|e| e.offset).collect();
+        assert_eq!(offsets, vec![0, 1, 2, 3]);
+        assert_eq!(b.high_watermark("t", 0).unwrap(), 4);
     }
 
     #[test]
-    fn explicit_partition_produce() {
+    fn fetch_caught_up_consumer_gets_empty() {
         let mut b = broker();
-        let off = b.produce_to_partition("t", 2, 0, None, 7).unwrap();
-        assert_eq!(off, 0);
-        assert_eq!(b.high_watermark("t", 2).unwrap(), 1);
-        assert_eq!(
-            b.produce_to_partition("t", 9, 0, None, 7),
-            Err(BusError::UnknownPartition {
-                topic: "t".into(),
-                partition: 9
-            })
-        );
+        let mut c = crate::GroupConsumer::new("g", "t", &b).unwrap();
+        b.produce("t", 0, 1).unwrap();
+        assert_eq!(c.poll(&b, 10).unwrap().len(), 1);
+        assert!(c.poll(&b, 10).unwrap().is_empty());
+        assert_eq!(c.position(), b.high_watermark("t", 0).unwrap());
     }
 
     #[test]
     fn unknown_topic_paths() {
         let mut b = broker();
-        assert!(matches!(
-            b.produce("nope", 0, None, 1),
-            Err(BusError::UnknownTopic { .. })
-        ));
-        assert!(matches!(
-            b.fetch("nope", 0, 0, 1),
-            Err(BusError::UnknownTopic { .. })
-        ));
-        assert!(matches!(
-            b.commit_offset("g", "nope", 0, 0),
-            Err(BusError::UnknownTopic { .. })
-        ));
+        let unknown = Err(BusError::UnknownTopic {
+            topic: "nope".into(),
+        });
+        assert_eq!(b.produce("nope", 0, 1), unknown.clone().map(|()| 0));
+        assert_eq!(b.high_watermark("nope", 0), unknown.clone().map(|()| 0));
+        assert_eq!(b.partition_count("nope"), unknown.clone().map(|()| 0));
+        assert_eq!(b.commit("g", "nope", 0), unknown);
+        assert_eq!(
+            b.high_watermark("t", 1),
+            Err(BusError::UnknownPartition {
+                topic: "t".into(),
+                partition: 1
+            })
+        );
     }
 
     #[test]
     fn consumer_group_offsets_roundtrip() {
         let mut b = broker();
         for i in 0..5 {
-            b.produce_to_partition("t", 0, i, None, i as u32).unwrap();
+            b.produce("t", i, i as u32).unwrap();
         }
-        assert_eq!(b.committed_offset("g", "t", 0), 0);
-        b.commit_offset("g", "t", 0, 3).unwrap();
-        assert_eq!(b.committed_offset("g", "t", 0), 3);
+        assert_eq!(b.committed("g", "t"), 0);
+        b.commit("g", "t", 3).unwrap();
+        assert_eq!(b.committed("g", "t"), 3);
         // A different group is independent.
-        assert_eq!(b.committed_offset("h", "t", 0), 0);
-        assert_eq!(b.lag("g", "t").unwrap(), vec![2, 0, 0]);
+        assert_eq!(b.committed("h", "t"), 0);
+        // `g` is the only committed group: what it has read is dropped.
+        assert_eq!(b.held("t").unwrap().0, 3);
+        assert_eq!(held(&b), vec![3, 4]);
     }
 
     #[test]
-    fn retention_by_entries_trims_head() {
-        let mut b: Broker<u32> = Broker::new();
-        b.create_topic("t", 1, Retention::by_entries(3)).unwrap();
-        for i in 0..10 {
-            b.produce_to_partition("t", 0, i, None, i as u32).unwrap();
-        }
-        assert_eq!(b.high_watermark("t", 0).unwrap(), 10);
-        // Only offsets 7..10 retained.
-        assert!(b.fetch("t", 0, 6, 1).is_err());
-        let batch = b.fetch("t", 0, 7, 10).unwrap();
-        assert_eq!(batch.len(), 3);
-    }
-
-    #[test]
-    fn retention_by_age_trims_head() {
-        let mut b: Broker<u32> = Broker::new();
-        b.create_topic("t", 1, Retention::by_age_ms(100)).unwrap();
-        b.produce_to_partition("t", 0, 0, None, 0).unwrap();
-        b.produce_to_partition("t", 0, 50, None, 1).unwrap();
-        b.produce_to_partition("t", 0, 200, None, 2).unwrap();
-        // Entries older than 200-100=100 ms dropped: offset 0 (t=0), 1 (t=50).
-        let start_err = b.fetch("t", 0, 0, 1).unwrap_err();
-        assert!(matches!(
-            start_err,
-            BusError::OffsetOutOfRange { log_start: 2, .. }
-        ));
-    }
-
-    #[test]
-    fn fetch_caught_up_consumer_gets_empty() {
+    fn commit_drops_only_what_every_committed_group_has_read() {
         let mut b = broker();
-        b.produce_to_partition("t", 0, 0, None, 1).unwrap();
-        let batch = b.fetch("t", 0, 1, 10).unwrap();
-        assert!(batch.is_empty());
+        for i in 0..6 {
+            b.produce("t", i, i as u32).unwrap();
+        }
+        b.commit("slow", "t", 1).unwrap();
+        b.commit("fast", "t", 5).unwrap();
+        assert_eq!(held(&b), vec![1, 2, 3, 4, 5], "the slow group holds");
+        b.commit("slow", "t", 4).unwrap();
+        assert_eq!(held(&b), vec![4, 5]);
+        b.commit("slow", "t", 6).unwrap();
+        assert_eq!(held(&b), vec![5], "now the fast group holds");
+        // Appending continues at the high watermark.
+        assert_eq!(b.produce("t", 6, 6).unwrap(), 6);
+        assert_eq!(b.held("t").unwrap().0, 5);
     }
 }

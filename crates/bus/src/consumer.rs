@@ -1,29 +1,27 @@
-//! Position-tracking consumer over a [`Broker`].
-//!
-//! Wraps the raw fetch/commit API in the familiar poll-loop shape: the
-//! consumer remembers its position per partition, `poll` advances it, and
-//! `commit` persists the position into the broker's group-offset table so a
-//! restarted consumer resumes where the group left off.
+//! Position-tracking consumer over a [`Broker`]: `poll` advances the
+//! position, `commit` stores it as the group's, so a restarted consumer
+//! resumes where its group left off.
 
-use crate::broker::Broker;
+use crate::broker::{Broker, Entry};
 use crate::error::BusError;
-use crate::log::Entry;
 
-/// A consumer bound to one group and one topic, reading all partitions.
+/// A consumer bound to one group and one topic.
 ///
 /// # Examples
 ///
 /// ```
-/// use dcm_bus::{Broker, GroupConsumer, Retention};
+/// use dcm_bus::{Broker, GroupConsumer};
 ///
 /// let mut broker: Broker<&'static str> = Broker::new();
-/// broker.create_topic("metrics", 2, Retention::UNBOUNDED)?;
-/// broker.produce_to_partition("metrics", 0, 0, None, "a")?;
-/// broker.produce_to_partition("metrics", 1, 0, None, "b")?;
-///
+/// broker.create_topic("metrics")?;
 /// let mut consumer = GroupConsumer::new("controller", "metrics", &broker)?;
+/// consumer.commit(&mut broker)?;
+/// broker.produce("metrics", 0, "a")?;
+/// broker.produce("metrics", 1, "b")?;
+///
 /// let batch = consumer.poll(&broker, 10)?;
-/// assert_eq!(batch.len(), 2);
+/// let values: Vec<&str> = batch.iter().map(|e| e.value).collect();
+/// assert_eq!(values, ["a", "b"]);
 /// consumer.commit(&mut broker)?;
 /// # Ok::<(), dcm_bus::BusError>(())
 /// ```
@@ -31,26 +29,24 @@ use crate::log::Entry;
 pub struct GroupConsumer {
     group: String,
     topic: String,
-    // Next offset to read, per partition.
-    positions: Vec<u64>,
+    // Next offset to read.
+    position: u64,
 }
 
 impl GroupConsumer {
-    /// Creates a consumer resuming from the group's committed offsets
-    /// (0 for never-committed partitions).
+    /// Creates a consumer at its group's committed position, or at the
+    /// first record still held if that is later (a group that never
+    /// committed holds nothing back).
     ///
     /// # Errors
     ///
     /// [`BusError::UnknownTopic`] if the topic does not exist.
     pub fn new<T>(group: &str, topic: &str, broker: &Broker<T>) -> Result<Self, BusError> {
-        let partitions = broker.partition_count(topic)?;
-        let positions = (0..partitions)
-            .map(|p| broker.committed_offset(group, topic, p))
-            .collect();
+        let (start, _) = broker.held(topic)?;
         Ok(GroupConsumer {
             group: group.to_owned(),
             topic: topic.to_owned(),
-            positions,
+            position: broker.committed(group, topic).max(start),
         })
     }
 
@@ -64,21 +60,16 @@ impl GroupConsumer {
         &self.topic
     }
 
-    /// The next offset this consumer will read from `partition`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `partition` is out of range for the subscribed topic.
-    pub fn position(&self, partition: u32) -> u64 {
-        self.positions[partition as usize]
+    /// The next offset this consumer will read.
+    pub fn position(&self) -> u64 {
+        self.position
     }
 
-    /// Reads up to `max_per_partition` new entries from every partition and
-    /// advances the in-memory positions (not yet committed).
+    /// Reads up to `max` new records in offset order and advances the
+    /// in-memory position (not yet committed).
     ///
-    /// If a partition's head was trimmed past our position by retention, the
-    /// position snaps forward to the log start (records were lost; the
-    /// monitor pipeline tolerates gaps by design).
+    /// If records this consumer had not read were dropped (its group never
+    /// committed them), the read starts at the first record still held.
     ///
     /// # Errors
     ///
@@ -86,124 +77,74 @@ impl GroupConsumer {
     pub fn poll<T: Clone>(
         &mut self,
         broker: &Broker<T>,
-        max_per_partition: usize,
+        max: usize,
     ) -> Result<Vec<Entry<T>>, BusError> {
-        let mut out = Vec::new();
-        for p in 0..self.positions.len() as u32 {
-            let pos = self.positions[p as usize];
-            let batch = match broker.fetch(&self.topic, p, pos, max_per_partition) {
-                Ok(batch) => batch,
-                Err(BusError::OffsetOutOfRange { log_start, .. }) if log_start > pos => {
-                    self.positions[p as usize] = log_start;
-                    broker.fetch(&self.topic, p, log_start, max_per_partition)?
-                }
-                Err(e) => return Err(e),
-            };
-            if let Some(last) = batch.last() {
-                self.positions[p as usize] = last.offset + 1;
-            }
-            out.extend(batch.iter().cloned());
-        }
-        // Present a deterministic merge order across partitions.
-        out.sort_by_key(|e| (e.timestamp_ms, e.offset));
-        Ok(out)
+        let (start, records) = broker.held(&self.topic)?;
+        let skip = (self.position.saturating_sub(start) as usize).min(records.len());
+        let batch: Vec<Entry<T>> = records.range(skip..).take(max).cloned().collect();
+        self.position = self.position.max(start) + batch.len() as u64;
+        Ok(batch)
     }
 
-    /// Persists current positions as the group's committed offsets.
+    /// Commits the current position as the group's, dropping every record
+    /// all committed groups have read.
     ///
     /// # Errors
     ///
-    /// [`BusError::UnknownTopic`] / [`BusError::UnknownPartition`].
+    /// [`BusError::UnknownTopic`] if the topic vanished.
     pub fn commit<T>(&self, broker: &mut Broker<T>) -> Result<(), BusError> {
-        for (p, &pos) in self.positions.iter().enumerate() {
-            broker.commit_offset(&self.group, &self.topic, p as u32, pos)?;
-        }
-        Ok(())
-    }
-
-    /// Total unread entries across partitions.
-    ///
-    /// # Errors
-    ///
-    /// [`BusError::UnknownTopic`] / [`BusError::UnknownPartition`].
-    pub fn lag<T>(&self, broker: &Broker<T>) -> Result<u64, BusError> {
-        let mut total = 0;
-        for p in 0..self.positions.len() as u32 {
-            let hw = broker.high_watermark(&self.topic, p)?;
-            total += hw.saturating_sub(self.positions[p as usize]);
-        }
-        Ok(total)
+        broker.commit(&self.group, &self.topic, self.position)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::broker::Retention;
 
     fn setup() -> (Broker<u32>, GroupConsumer) {
         let mut b: Broker<u32> = Broker::new();
-        b.create_topic("t", 2, Retention::UNBOUNDED).unwrap();
+        b.create_topic("t").unwrap();
         let c = GroupConsumer::new("g", "t", &b).unwrap();
         (b, c)
     }
 
-    #[test]
-    fn poll_reads_all_partitions_in_timestamp_order() {
-        let (mut b, mut c) = setup();
-        b.produce_to_partition("t", 0, 30, None, 3).unwrap();
-        b.produce_to_partition("t", 1, 10, None, 1).unwrap();
-        b.produce_to_partition("t", 1, 20, None, 2).unwrap();
-        let batch = c.poll(&b, 10).unwrap();
-        let values: Vec<u32> = batch.iter().map(|e| e.value).collect();
-        assert_eq!(values, vec![1, 2, 3]);
-        // Positions advanced; next poll is empty.
-        assert!(c.poll(&b, 10).unwrap().is_empty());
+    fn values(batch: &[Entry<u32>]) -> Vec<u32> {
+        batch.iter().map(|e| e.value).collect()
     }
 
     #[test]
     fn commit_and_resume() {
         let (mut b, mut c) = setup();
         for i in 0..4 {
-            b.produce_to_partition("t", 0, i, None, i as u32).unwrap();
+            b.produce("t", i, i as u32).unwrap();
         }
         let first = c.poll(&b, 2).unwrap();
-        assert_eq!(first.len(), 2);
+        assert_eq!(values(&first), vec![0, 1]);
         c.commit(&mut b).unwrap();
         // A new consumer in the same group resumes after the commit.
         let mut resumed = GroupConsumer::new("g", "t", &b).unwrap();
-        let rest = resumed.poll(&b, 10).unwrap();
-        let values: Vec<u32> = rest.iter().map(|e| e.value).collect();
-        assert_eq!(values, vec![2, 3]);
-        // A different group starts from scratch.
+        assert_eq!(values(&resumed.poll(&b, 10).unwrap()), vec![2, 3]);
+        // A different group starts at the first record still held: `g`,
+        // the only committed group, had read 0 and 1, so they are gone.
         let mut fresh = GroupConsumer::new("other", "t", &b).unwrap();
-        assert_eq!(fresh.poll(&b, 10).unwrap().len(), 4);
-    }
-
-    #[test]
-    fn lag_accounts_for_unread() {
-        let (mut b, mut c) = setup();
-        for i in 0..5 {
-            b.produce_to_partition("t", 0, i, None, i as u32).unwrap();
-        }
-        assert_eq!(c.lag(&b).unwrap(), 5);
-        c.poll(&b, 3).unwrap();
-        assert_eq!(c.lag(&b).unwrap(), 2);
+        assert_eq!(fresh.position(), 2);
+        assert_eq!(values(&fresh.poll(&b, 10).unwrap()), vec![2, 3]);
     }
 
     #[test]
     fn position_snaps_forward_after_retention_loss() {
-        let mut b: Broker<u32> = Broker::new();
-        b.create_topic("t", 1, Retention::by_entries(2)).unwrap();
-        let mut c = GroupConsumer::new("g", "t", &b).unwrap();
+        let (mut b, mut c) = setup();
+        // `lazy` polls but never commits, so it holds nothing back.
+        let mut lazy = GroupConsumer::new("lazy", "t", &b).unwrap();
         for i in 0..10 {
-            b.produce_to_partition("t", 0, i, None, i as u32).unwrap();
+            b.produce("t", i, i as u32).unwrap();
         }
-        // Head trimmed to offset 8; consumer at 0 must skip forward.
-        let batch = c.poll(&b, 10).unwrap();
-        let values: Vec<u32> = batch.iter().map(|e| e.value).collect();
-        assert_eq!(values, vec![8, 9]);
-        assert_eq!(c.position(0), 10);
+        assert_eq!(values(&lazy.poll(&b, 3).unwrap()), vec![0, 1, 2]);
+        c.poll(&b, 8).unwrap();
+        c.commit(&mut b).unwrap();
+        // Offsets 3..8 were dropped before `lazy` read them.
+        assert_eq!(values(&lazy.poll(&b, 10).unwrap()), vec![8, 9]);
+        assert_eq!(lazy.position(), 10);
     }
 
     #[test]
@@ -220,6 +161,6 @@ mod tests {
         let (_b, c) = setup();
         assert_eq!(c.group(), "g");
         assert_eq!(c.topic(), "t");
-        assert_eq!(c.position(0), 0);
+        assert_eq!(c.position(), 0);
     }
 }

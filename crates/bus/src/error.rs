@@ -10,11 +10,12 @@ pub enum BusError {
         /// The topic that was requested.
         topic: String,
     },
-    /// The topic exists but the partition index is out of range.
+    /// The topic exists but has no such partition (every topic is one
+    /// log, partition 0).
     UnknownPartition {
         /// The topic that was requested.
         topic: String,
-        /// The out-of-range partition index.
+        /// The partition index other than 0.
         partition: u32,
     },
     /// A topic with this name already exists.
@@ -22,18 +23,6 @@ pub enum BusError {
         /// The conflicting topic name.
         topic: String,
     },
-    /// The requested offset is below the log start (compacted away) or
-    /// above the high watermark.
-    OffsetOutOfRange {
-        /// Requested offset.
-        requested: u64,
-        /// First offset still retained.
-        log_start: u64,
-        /// One past the last appended offset.
-        high_watermark: u64,
-    },
-    /// A topic must have at least one partition.
-    ZeroPartitions,
 }
 
 impl fmt::Display for BusError {
@@ -44,15 +33,6 @@ impl fmt::Display for BusError {
                 write!(f, "topic `{topic}` has no partition {partition}")
             }
             BusError::TopicExists { topic } => write!(f, "topic `{topic}` already exists"),
-            BusError::OffsetOutOfRange {
-                requested,
-                log_start,
-                high_watermark,
-            } => write!(
-                f,
-                "offset {requested} out of range [{log_start}, {high_watermark})"
-            ),
-            BusError::ZeroPartitions => write!(f, "topic must have at least one partition"),
         }
     }
 }
@@ -69,12 +49,15 @@ mod tests {
             topic: "metrics".into(),
         };
         assert_eq!(e.to_string(), "unknown topic `metrics`");
-        let e = BusError::OffsetOutOfRange {
-            requested: 9,
-            log_start: 10,
-            high_watermark: 20,
+        let e = BusError::UnknownPartition {
+            topic: "metrics".into(),
+            partition: 3,
         };
-        assert!(e.to_string().contains("[10, 20)"));
+        assert_eq!(e.to_string(), "topic `metrics` has no partition 3");
+        let e = BusError::TopicExists {
+            topic: "metrics".into(),
+        };
+        assert_eq!(e.to_string(), "topic `metrics` already exists");
     }
 
     #[test]

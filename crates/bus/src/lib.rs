@@ -1,43 +1,33 @@
-//! # dcm-bus — in-memory Kafka-style message broker
+//! # dcm-bus — in-memory metrics log
 //!
 //! The DCM paper decouples its monitoring agents from the optimization
 //! controller with Kafka: agents publish fine-grained metrics once per
 //! second, the controller consumes them at its own (15-second) control
-//! period. This crate reproduces the semantics that matter for that role:
-//!
-//! * **Topics** split into **partitions**, each an append-only,
-//!   offset-addressed log ([`log::PartitionLog`]).
-//! * **Keyed routing** (a server's metrics always land in the same
-//!   partition, preserving per-server ordering) or round-robin.
-//! * **Consumer groups** with committed offsets, so a controller restart
-//!   resumes where it left off ([`GroupConsumer`]).
-//! * **Retention** by entry count or age, with consumers that tolerate
-//!   head-trim gaps.
+//! period. This crate keeps the part of Kafka that role uses. Each
+//! **topic** is one append-only, offset-addressed log ([`Broker`]).
+//! **Consumer groups** read it in offset order and commit their position
+//! ([`GroupConsumer`]). A commit drops every record that all groups which
+//! have committed on the topic have read, so the log holds only what its
+//! slowest committed reader has yet to see; a group that never commits
+//! holds nothing back.
 //!
 //! The broker is generic over the payload type, trading Kafka's byte-blob
-//! interface for compile-time type safety — serialization is orthogonal to
-//! the rate-decoupling semantics the DCM pipeline needs.
+//! interface for compile-time type safety.
 //!
 //! ## Example
 //!
 //! ```
-//! use dcm_bus::{Broker, GroupConsumer, Retention};
+//! use dcm_bus::{Broker, GroupConsumer};
 //!
-//! #[derive(Clone, Debug, PartialEq)]
-//! struct Metric { server: String, cpu: f64 }
-//!
-//! let mut broker: Broker<Metric> = Broker::new();
-//! broker.create_topic("metrics", 4, Retention::by_entries(10_000))?;
-//!
-//! // A monitor agent publishes, keyed by server so ordering is preserved.
-//! broker.produce("metrics", 1_000, Some("tomcat-1".into()),
-//!                Metric { server: "tomcat-1".into(), cpu: 0.93 })?;
-//!
-//! // The controller consumes as a group and commits its progress.
-//! let mut consumer = GroupConsumer::new("controller", "metrics", &broker)?;
-//! let batch = consumer.poll(&broker, 100)?;
-//! assert_eq!(batch.len(), 1);
-//! consumer.commit(&mut broker)?;
+//! let mut broker: Broker<f64> = Broker::new();
+//! broker.create_topic("metrics")?;
+//! let mut controller = GroupConsumer::new("controller", "metrics", &broker)?;
+//! controller.commit(&mut broker)?; // keep what the controller has not read
+//! broker.produce("metrics", 1_000, 0.93)?;
+//! assert_eq!(controller.poll(&broker, 100)?.len(), 1);
+//! controller.commit(&mut broker)?; // every committed group has read it
+//! let mut late = GroupConsumer::new("late", "metrics", &broker)?;
+//! assert!(late.poll(&broker, 100)?.is_empty()); // so it was dropped
 //! # Ok::<(), dcm_bus::BusError>(())
 //! ```
 
@@ -47,9 +37,7 @@
 pub mod broker;
 pub mod consumer;
 pub mod error;
-pub mod log;
 
-pub use broker::{Broker, Retention};
+pub use broker::{Broker, Entry};
 pub use consumer::GroupConsumer;
 pub use error::BusError;
-pub use log::Entry;

@@ -1,150 +1,180 @@
-//! Property-based tests for the broker: offset discipline, consumer-group
-//! semantics, and retention under arbitrary operation sequences.
+//! Property-based tests for the broker: every committed group reads every
+//! record once, in order, and the log holds exactly what its slowest
+//! committed group has yet to read, under arbitrary operation sequences.
 
 use proptest::prelude::*;
 
-use dcm_bus::{Broker, GroupConsumer, Retention};
+use dcm_bus::{Broker, GroupConsumer};
 
 #[derive(Debug, Clone)]
 enum Op {
-    Produce { key: Option<u8>, value: u32 },
-    Poll { max: usize },
-    Commit,
+    Produce { value: u32 },
+    Poll { group: usize, max: usize },
+    Commit { group: usize },
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
-        (prop::option::of(0u8..8), any::<u32>())
-            .prop_map(|(key, value)| Op::Produce { key, value }),
-        (1usize..50).prop_map(|max| Op::Poll { max }),
-        Just(Op::Commit),
+        any::<u32>().prop_map(|value| Op::Produce { value }),
+        (0usize..3, 1usize..20).prop_map(|(group, max)| Op::Poll { group, max }),
+        (0usize..3).prop_map(|group| Op::Commit { group }),
     ]
 }
 
+/// A broker with topic `t` and `groups` consumers that have each committed
+/// their start, as every metrics reader does.
+fn committed_groups(groups: usize) -> (Broker<u32>, Vec<GroupConsumer>) {
+    let mut broker = Broker::new();
+    broker.create_topic("t").unwrap();
+    let consumers = (0..groups)
+        .map(|g| {
+            let consumer = GroupConsumer::new(&format!("g{g}"), "t", &broker).unwrap();
+            consumer.commit(&mut broker).unwrap();
+            consumer
+        })
+        .collect();
+    (broker, consumers)
+}
+
+/// Everything a fresh, never-committing group can read: the records the
+/// log still holds.
+fn held(broker: &Broker<u32>) -> Vec<u32> {
+    let mut probe = GroupConsumer::new("probe", "t", broker).unwrap();
+    probe
+        .poll(broker, usize::MAX)
+        .unwrap()
+        .iter()
+        .map(|e| e.value)
+        .collect()
+}
+
 proptest! {
-    /// A consumer sees every produced record exactly once, per partition in
-    /// offset order, across arbitrary produce/poll/commit interleavings.
+    /// Each of 1–3 committed groups sees every produced record exactly
+    /// once, in production order, with dense offsets from 0, across
+    /// arbitrary produce/poll/commit interleavings.
     #[test]
-    fn consumer_sees_everything_exactly_once(ops in prop::collection::vec(op_strategy(), 1..200)) {
-        let mut broker: Broker<u32> = Broker::new();
-        broker.create_topic("t", 3, Retention::UNBOUNDED).unwrap();
-        let mut consumer = GroupConsumer::new("g", "t", &broker).unwrap();
+    fn consumer_sees_everything_exactly_once(
+        groups in 1usize..4,
+        ops in prop::collection::vec(op_strategy(), 1..200),
+    ) {
+        let (mut broker, mut consumers) = committed_groups(groups);
         let mut produced: Vec<u32> = Vec::new();
-        let mut consumed: Vec<u32> = Vec::new();
-        let mut ts = 0u64;
+        let mut consumed: Vec<Vec<(u64, u32)>> = vec![Vec::new(); groups];
         for op in &ops {
-            match op {
-                Op::Produce { key, value } => {
-                    ts += 1;
-                    broker
-                        .produce("t", ts, key.map(|k| format!("k{k}")), *value)
-                        .unwrap();
-                    produced.push(*value);
+            match *op {
+                Op::Produce { value } => {
+                    let offset = broker.produce("t", produced.len() as u64, value).unwrap();
+                    prop_assert_eq!(offset, produced.len() as u64);
+                    produced.push(value);
                 }
-                Op::Poll { max } => {
-                    let batch = consumer.poll(&broker, *max).unwrap();
-                    consumed.extend(batch.iter().map(|e| e.value));
+                Op::Poll { group, max } => {
+                    let g = group % groups;
+                    let batch = consumers[g].poll(&broker, max).unwrap();
+                    prop_assert!(batch.len() <= max);
+                    consumed[g].extend(batch.iter().map(|e| (e.offset, e.value)));
                 }
-                Op::Commit => consumer.commit(&mut broker).unwrap(),
+                Op::Commit { group } => consumers[group % groups].commit(&mut broker).unwrap(),
             }
         }
-        // Drain whatever remains.
-        loop {
-            let batch = consumer.poll(&broker, 1000).unwrap();
-            if batch.is_empty() {
-                break;
+        let expected: Vec<(u64, u32)> = (0..).zip(produced.iter().copied()).collect();
+        for (consumer, seen) in consumers.iter_mut().zip(consumed.iter_mut()) {
+            let rest = consumer.poll(&broker, usize::MAX).unwrap();
+            seen.extend(rest.iter().map(|e| (e.offset, e.value)));
+            prop_assert_eq!(&*seen, &expected);
+            prop_assert!(consumer.poll(&broker, usize::MAX).unwrap().is_empty());
+        }
+        prop_assert_eq!(broker.high_watermark("t", 0).unwrap(), produced.len() as u64);
+    }
+
+    /// Offsets are dense: each produced record gets the prior high
+    /// watermark as its offset, and commits that drop records from the head
+    /// never renumber or reuse an offset.
+    #[test]
+    fn offsets_are_dense(ops in prop::collection::vec(op_strategy(), 1..150)) {
+        let (mut broker, mut consumers) = committed_groups(1);
+        let mut produced = 0u64;
+        for op in &ops {
+            match *op {
+                Op::Produce { value } => {
+                    let before = broker.high_watermark("t", 0).unwrap();
+                    let offset = broker.produce("t", produced, value).unwrap();
+                    prop_assert_eq!(offset, before);
+                    prop_assert_eq!(offset, produced);
+                    produced += 1;
+                    prop_assert_eq!(broker.high_watermark("t", 0).unwrap(), produced);
+                }
+                Op::Poll { max, .. } => {
+                    consumers[0].poll(&broker, max).unwrap();
+                }
+                Op::Commit { .. } => {
+                    consumers[0].commit(&mut broker).unwrap();
+                    prop_assert_eq!(broker.high_watermark("t", 0).unwrap(), produced);
+                }
             }
-            consumed.extend(batch.iter().map(|e| e.value));
         }
-        let mut produced_sorted = produced.clone();
-        let mut consumed_sorted = consumed.clone();
-        produced_sorted.sort_unstable();
-        consumed_sorted.sort_unstable();
-        prop_assert_eq!(produced_sorted, consumed_sorted);
-        prop_assert_eq!(consumer.lag(&broker).unwrap(), 0);
+        prop_assert_eq!(broker.high_watermark("t", 0).unwrap(), produced);
     }
 
-    /// High watermarks are dense: total records equals the sum of
-    /// watermarks; per-partition offsets are assigned 0,1,2,...
+    /// After every commit the log holds exactly the records from the
+    /// slowest committed position onward: nothing a committed group has
+    /// yet to read is lost, and nothing every committed group has read is
+    /// kept.
     #[test]
-    fn offsets_are_dense(keys in prop::collection::vec(prop::option::of(0u8..5), 1..150)) {
-        let mut broker: Broker<usize> = Broker::new();
-        broker.create_topic("t", 4, Retention::UNBOUNDED).unwrap();
-        for (i, key) in keys.iter().enumerate() {
-            let (partition, offset) = broker
-                .produce("t", i as u64, key.map(|k| format!("k{k}")), i)
-                .unwrap();
-            // The assigned offset must equal the prior watermark.
-            prop_assert_eq!(offset + 1, broker.high_watermark("t", partition).unwrap());
-        }
-        let total: u64 = (0..4).map(|p| broker.high_watermark("t", p).unwrap()).sum();
-        prop_assert_eq!(total, keys.len() as u64);
-    }
-
-    /// Same key always lands in the same partition.
-    #[test]
-    fn keyed_routing_is_deterministic(key in 0u8..32, n in 1usize..20) {
-        let mut broker: Broker<u32> = Broker::new();
-        broker.create_topic("t", 5, Retention::UNBOUNDED).unwrap();
-        let mut partitions = std::collections::HashSet::new();
-        for i in 0..n {
-            let (p, _) = broker
-                .produce("t", i as u64, Some(format!("key-{key}")), 0)
-                .unwrap();
-            partitions.insert(p);
-        }
-        prop_assert_eq!(partitions.len(), 1);
-    }
-
-    /// Count-bounded retention never retains more than the limit, never
-    /// advances the watermark backwards, and keeps the newest entries.
-    #[test]
-    fn retention_keeps_newest(limit in 1usize..20, n in 1usize..100) {
-        let mut broker: Broker<usize> = Broker::new();
-        broker
-            .create_topic("t", 1, Retention::by_entries(limit))
-            .unwrap();
-        for i in 0..n {
-            broker.produce_to_partition("t", 0, i as u64, None, i).unwrap();
-        }
-        let hw = broker.high_watermark("t", 0).unwrap();
-        prop_assert_eq!(hw, n as u64);
-        let start = hw.saturating_sub(limit as u64);
-        let batch = broker.fetch("t", 0, start, 1000).unwrap();
-        prop_assert!(batch.len() <= limit);
-        // Retained values are exactly the newest ones.
-        for (i, entry) in batch.iter().enumerate() {
-            prop_assert_eq!(entry.value, start as usize + i);
+    fn retention_keeps_newest(
+        groups in 1usize..4,
+        ops in prop::collection::vec(op_strategy(), 1..200),
+    ) {
+        let (mut broker, mut consumers) = committed_groups(groups);
+        let mut produced: Vec<u32> = Vec::new();
+        let mut committed = vec![0u64; groups];
+        for op in &ops {
+            match *op {
+                Op::Produce { value } => {
+                    broker.produce("t", produced.len() as u64, value).unwrap();
+                    produced.push(value);
+                }
+                Op::Poll { group, max } => {
+                    consumers[group % groups].poll(&broker, max).unwrap();
+                }
+                Op::Commit { group } => {
+                    let g = group % groups;
+                    consumers[g].commit(&mut broker).unwrap();
+                    committed[g] = consumers[g].position();
+                    let slowest = *committed.iter().min().expect("at least one group");
+                    prop_assert_eq!(held(&broker), produced[slowest as usize..].to_vec());
+                }
+            }
         }
     }
 
-    /// A consumer that resumes after retention trimmed its position still
-    /// terminates with zero lag and sees only retained records.
+    /// A group created after records were dropped starts at the first
+    /// record still held and then reads every later record once.
     #[test]
     fn consumer_survives_retention_gaps(
         produce_before in 1usize..80,
-        produce_after in 1usize..80,
+        read_before in 0usize..80,
+        produce_after in 0usize..80,
     ) {
-        let mut broker: Broker<usize> = Broker::new();
-        broker.create_topic("t", 1, Retention::by_entries(10)).unwrap();
-        let mut consumer = GroupConsumer::new("g", "t", &broker).unwrap();
+        let (mut broker, mut consumers) = committed_groups(1);
         for i in 0..produce_before {
-            broker.produce_to_partition("t", 0, i as u64, None, i).unwrap();
+            broker.produce("t", i as u64, i as u32).unwrap();
         }
-        let first = consumer.poll(&broker, 1000).unwrap();
-        for i in 0..produce_after {
-            broker
-                .produce_to_partition("t", 0, (produce_before + i) as u64, None, produce_before + i)
-                .unwrap();
+        let read = consumers[0].poll(&broker, read_before).unwrap().len();
+        consumers[0].commit(&mut broker).unwrap();
+
+        let mut late = GroupConsumer::new("late", "t", &broker).unwrap();
+        prop_assert_eq!(late.position(), read as u64);
+        let total = produce_before + produce_after;
+        for i in produce_before..total {
+            broker.produce("t", i as u64, i as u32).unwrap();
         }
-        let second = consumer.poll(&broker, 1000).unwrap();
-        prop_assert!(first.len() <= 10 && second.len() <= 10 + 1);
-        prop_assert_eq!(consumer.lag(&broker).unwrap(), 0);
-        // No duplicates across polls.
-        let mut all: Vec<usize> = first.iter().chain(second.iter()).map(|e| e.value).collect();
-        let before_dedup = all.len();
-        all.sort_unstable();
-        all.dedup();
-        prop_assert_eq!(all.len(), before_dedup, "duplicate delivery");
+        let mut seen: Vec<u32> = Vec::new();
+        for _ in 0..3 {
+            let batch = late.poll(&broker, 50).unwrap();
+            seen.extend(batch.iter().map(|e| e.value));
+        }
+        seen.extend(late.poll(&broker, usize::MAX).unwrap().iter().map(|e| e.value));
+        let expected: Vec<u32> = (read as u32..total as u32).collect();
+        prop_assert_eq!(seen, expected);
     }
 }

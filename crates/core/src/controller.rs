@@ -13,14 +13,13 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use dcm_bus::GroupConsumer;
 use dcm_model::concurrency::ConcurrencyModel;
 use dcm_ntier::world::{SimEngine, World};
 use dcm_obs::journal::{Decision, DecisionJournal, FitSnapshot, JournalEntry, TierObservation};
 
 use crate::agents::{ActionRecord, AppAgent, VmAgent};
-use crate::aggregate::{aggregate_by_tier, TierWindow};
-use crate::monitor::{MetricsBus, METRICS_TOPIC};
+use crate::aggregate::TierWindow;
+use crate::monitor::{MetricsBus, MetricsFeed};
 use crate::policy::{ScaleDecision, ScalingConfig, ThresholdPolicy, TriggerSignal};
 use crate::predictor::{HoltConfig, HoltTrend};
 
@@ -46,39 +45,6 @@ pub trait Controller {
     /// clocks are banned in Strict crates). Model-free controllers cost 0.
     fn planner_evals(&self) -> u64 {
         0
-    }
-}
-
-/// Shared metric-consumption plumbing.
-pub(crate) struct MetricsFeed {
-    bus: MetricsBus,
-    consumer: GroupConsumer,
-}
-
-impl MetricsFeed {
-    pub(crate) fn new(bus: MetricsBus, group: &str) -> Self {
-        let consumer = {
-            let broker = bus.borrow();
-            GroupConsumer::new(group, METRICS_TOPIC, &broker)
-                .expect("metrics topic exists on the bus")
-        };
-        MetricsFeed { bus, consumer }
-    }
-
-    pub(crate) fn poll_windows(&mut self) -> std::collections::BTreeMap<usize, TierWindow> {
-        let records = {
-            let broker = self.bus.borrow();
-            self.consumer
-                .poll(&broker, 100_000)
-                .expect("metrics topic exists")
-        };
-        {
-            let mut broker = self.bus.borrow_mut();
-            self.consumer
-                .commit(&mut broker)
-                .expect("metrics topic exists");
-        }
-        aggregate_by_tier(&records)
     }
 }
 
@@ -910,21 +876,18 @@ mod tests {
             cpu_util: cpu,
             busy_fraction: cpu,
             active_threads: 10.0,
-            active_conns: None,
             completed: 50,
             throughput: 50.0,
             mean_dwell: None,
             thread_pool_size: 100,
-            conn_pool_size: None,
             thread_queue: 0,
             conn_queue: 0,
         }
     }
 
     fn produce(bus: &MetricsBus, ts_ms: u64, sample: ServerSample) {
-        let key = sample.server.clone();
         bus.borrow_mut()
-            .produce(METRICS_TOPIC, ts_ms, Some(key), sample)
+            .produce(METRICS_TOPIC, ts_ms, sample)
             .expect("metrics topic exists");
     }
 

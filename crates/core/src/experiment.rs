@@ -13,11 +13,9 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use dcm_bus::{Entry, GroupConsumer};
 use dcm_ntier::audit::ConservationAuditor;
 use dcm_ntier::graph::{GraphEdge, TopologyGraph};
 use dcm_ntier::ids::ServerId;
-use dcm_ntier::metrics::ServerSample;
 use dcm_ntier::request::Completion;
 use dcm_ntier::spans::Span;
 use dcm_ntier::system::{InterTierRetry, SystemCounters};
@@ -39,7 +37,9 @@ use dcm_workload::traces::WorkloadTrace;
 
 use crate::agents::ActionRecord;
 use crate::controller::{Controller, Dcm, DcmConfig, DcmModels, Ec2AutoScale};
-use crate::monitor::{install_monitor, new_metrics_bus, MetricsBus, MonitorConfig, METRICS_TOPIC};
+use crate::monitor::{
+    install_monitor, new_metrics_bus, schedule_every, MetricsBus, MetricsFeed, MonitorConfig,
+};
 use crate::mpc::{ModelPredictive, MpcConfig};
 use crate::policy::ScalingConfig;
 use crate::predictor::HoltConfig;
@@ -686,7 +686,7 @@ struct ObsState {
     recorder: SpanRecorder,
     registry: Registry,
     series: SeriesTable,
-    consumer: GroupConsumer,
+    feed: MetricsFeed,
     ticks: Vec<ControlTick>,
     /// Spans drained from the system en route to the recorder, kept whole
     /// for the conservation auditor when one is running.
@@ -700,14 +700,13 @@ struct ObsState {
 }
 
 impl ObsState {
-    /// One control-period capture: drain spans, fold this period's monitor
-    /// samples into per-tier gauges, convert system-counter deltas into
+    /// One control-period capture: drain spans, set per-tier gauges from
+    /// this period's monitor windows, convert system-counter deltas into
     /// rates, mark the controller tick, snapshot a series row.
     fn capture<C: Controller>(
         &mut self,
         world: &mut World,
         controller: &Rc<RefCell<C>>,
-        bus: &MetricsBus,
         now: SimTime,
         period: SimDuration,
     ) {
@@ -728,19 +727,20 @@ impl ObsState {
         }
         world.system.recycle_spans(spans);
 
-        let records = {
-            let broker = bus.borrow();
-            self.consumer
-                .poll(&broker, 100_000)
-                .expect("metrics topic exists")
-        };
-        {
-            let mut broker = bus.borrow_mut();
-            self.consumer
-                .commit(&mut broker)
-                .expect("metrics topic exists");
+        for (tier, w) in self.feed.poll_windows() {
+            let gauges = [
+                ("utilization", w.mean_cpu_util),
+                ("goodput", w.total_throughput),
+                ("concurrency", w.mean_concurrency),
+                ("thread_queue", w.mean_thread_queue),
+                ("conn_queue", w.mean_conn_queue),
+                ("occupancy", w.mean_occupancy),
+            ];
+            for (name, value) in gauges {
+                self.registry
+                    .gauge_set(&format!("tier{tier}.{name}"), value);
+            }
         }
-        self.fold_samples(&records);
         for tier in 0..world.system.tier_count() {
             self.registry.gauge_set(
                 &format!("tier{tier}.running"),
@@ -793,68 +793,6 @@ impl ObsState {
         self.last_actions = total_actions;
 
         self.series.snapshot(now.as_secs_f64(), &self.registry);
-    }
-
-    /// Per-tier gauges from one period's raw monitor samples: each server
-    /// is first averaged over its own samples, then servers are averaged
-    /// (throughput summed) across the tier — the same convention as
-    /// [`crate::aggregate::aggregate_by_tier`], extended with pool
-    /// occupancy and connection-queue depth.
-    fn fold_samples(&mut self, records: &[Entry<ServerSample>]) {
-        #[derive(Default)]
-        struct Acc {
-            n: f64,
-            cpu: f64,
-            xput: f64,
-            threads: f64,
-            thread_queue: f64,
-            conn_queue: f64,
-            occupancy: f64,
-        }
-        let mut tiers: BTreeMap<usize, BTreeMap<String, Acc>> = BTreeMap::new();
-        for e in records {
-            let s = &e.value;
-            let acc = tiers
-                .entry(s.tier)
-                .or_default()
-                .entry(s.server.clone())
-                .or_default();
-            acc.n += 1.0;
-            acc.cpu += s.cpu_util;
-            acc.xput += s.throughput;
-            acc.threads += s.active_threads;
-            acc.thread_queue += s.thread_queue as f64;
-            acc.conn_queue += s.conn_queue as f64;
-            acc.occupancy += if s.thread_pool_size > 0 {
-                s.active_threads / f64::from(s.thread_pool_size)
-            } else {
-                0.0
-            };
-        }
-        for (tier, servers) in tiers {
-            let k = servers.len() as f64;
-            let mut sums = Acc::default();
-            for a in servers.values() {
-                sums.cpu += a.cpu / a.n;
-                sums.xput += a.xput / a.n;
-                sums.threads += a.threads / a.n;
-                sums.thread_queue += a.thread_queue / a.n;
-                sums.conn_queue += a.conn_queue / a.n;
-                sums.occupancy += a.occupancy / a.n;
-            }
-            self.registry
-                .gauge_set(&format!("tier{tier}.utilization"), sums.cpu / k);
-            self.registry
-                .gauge_set(&format!("tier{tier}.goodput"), sums.xput);
-            self.registry
-                .gauge_set(&format!("tier{tier}.concurrency"), sums.threads / k);
-            self.registry
-                .gauge_set(&format!("tier{tier}.thread_queue"), sums.thread_queue / k);
-            self.registry
-                .gauge_set(&format!("tier{tier}.conn_queue"), sums.conn_queue / k);
-            self.registry
-                .gauge_set(&format!("tier{tier}.occupancy"), sums.occupancy / k);
-        }
     }
 }
 
@@ -916,11 +854,8 @@ where
         tier_vm_counts: vec![TimeSeries::new(); tier_count],
         tier_cpu_util: vec![TimeSeries::new(); tier_count],
     }));
-    let mut rec_consumer = {
-        let broker = bus.borrow();
-        GroupConsumer::new("recorder", METRICS_TOPIC, &broker).expect("metrics topic exists")
-    };
-    let (rec, rec_bus) = (Rc::clone(&recorder), Rc::clone(&bus));
+    let mut rec_feed = MetricsFeed::new(Rc::clone(&bus), "recorder");
+    let rec = Rc::clone(&recorder);
     let second = SimDuration::from_secs(1);
     schedule_every(&mut engine, second, config.horizon, move |world, engine| {
         let now = engine.now();
@@ -928,10 +863,7 @@ where
         for tier in 0..world.system.tier_count() {
             rec.tier_vm_counts[tier].push(now, world.system.running_count(tier) as f64);
         }
-        let records = rec_consumer
-            .poll(&rec_bus.borrow(), 10_000)
-            .expect("metrics topic exists");
-        let windows = crate::aggregate::aggregate_by_tier(&records);
+        let windows = rec_feed.poll_windows();
         for tier in 0..world.system.tier_count() {
             let util = windows.get(&tier).map_or(0.0, |w| w.mean_cpu_util);
             rec.tier_cpu_util[tier].push(now, util);
@@ -969,10 +901,6 @@ where
     let journal = Rc::new(RefCell::new(DecisionJournal::new()));
     let obs_state = config.obs.map(|obs_config| {
         controller.borrow_mut().attach_journal(Rc::clone(&journal));
-        let consumer = {
-            let broker = bus.borrow();
-            GroupConsumer::new("obs", METRICS_TOPIC, &broker).expect("metrics topic exists")
-        };
         let state = Rc::new(RefCell::new(ObsState {
             recorder: SpanRecorder::new(SamplerConfig {
                 rate: obs_config.sample_rate,
@@ -981,7 +909,7 @@ where
             }),
             registry: Registry::new(),
             series: SeriesTable::new(),
-            consumer,
+            feed: MetricsFeed::new(Rc::clone(&bus), "obs"),
             ticks: Vec::new(),
             audit_spans: Vec::new(),
             span_histograms: (0..tier_count)
@@ -996,13 +924,10 @@ where
             last_actions: 0,
             auditing: config.audit != Audit::Off,
         }));
-        let (capture, observed, obs_bus) =
-            (Rc::clone(&state), Rc::clone(&controller), Rc::clone(&bus));
+        let (capture, observed) = (Rc::clone(&state), Rc::clone(&controller));
         schedule_every(&mut engine, period, config.horizon, move |world, engine| {
             let now = engine.now();
-            capture
-                .borrow_mut()
-                .capture(world, &observed, &obs_bus, now, period);
+            capture.borrow_mut().capture(world, &observed, now, period);
         });
         state
     });
@@ -1079,22 +1004,6 @@ where
         obs,
         audit: audit_report,
     }
-}
-
-/// Runs `tick` every `period` from now until `stop_at`, each occurrence
-/// scheduling the next after it ran.
-fn schedule_every<F>(engine: &mut SimEngine, period: SimDuration, stop_at: SimTime, mut tick: F)
-where
-    F: FnMut(&mut World, &mut SimEngine) + 'static,
-{
-    let next = engine.now() + period;
-    if next > stop_at {
-        return;
-    }
-    engine.schedule_at(next, move |world: &mut World, engine: &mut SimEngine| {
-        tick(world, engine);
-        schedule_every(engine, period, stop_at, tick);
-    });
 }
 
 #[cfg(test)]
@@ -1264,9 +1173,10 @@ mod tests {
                 }
             }),
             ("workload.graph", rubbos(), |e| {
-                // The db edge of a chain carries 0 calls.
+                // The db edge of a chain carries 0 calls: a cache-hit route,
+                // which no request may take as its only one.
                 e.workload = WorkloadShape::Dag {
-                    graph: TopologyGraph::chain(&[1, 1, 0]),
+                    graph: TopologyGraph::chain(&[1, 1, 1]).skipping(1, 2),
                     demands: vec![NodeDemand::leaf(Dist::constant(0.01)); 3],
                     cache: None,
                 };
@@ -1406,6 +1316,39 @@ mod tests {
             .run(&ControllerSpec::ec2())
             .expect("valid");
         assert!(result.obs.is_none());
+    }
+
+    /// The recorder, the obs capture and the controller each commit what
+    /// they read, so after a run the metrics topic holds at most the
+    /// samples published since the last control tick, not the whole run.
+    #[test]
+    fn metrics_topic_holds_about_one_control_period() {
+        use crate::monitor::METRICS_TOPIC;
+        use dcm_bus::GroupConsumer;
+
+        let mut experiment = quick(traces::step(20, 320, 30.0));
+        experiment.obs = Some(ObsConfig::default());
+        let mut kept: Option<MetricsBus> = None;
+        let result = experiment
+            .run_with(|bus| {
+                kept = Some(Rc::clone(&bus));
+                Ec2AutoScale::new(bus, ScalingConfig::default())
+            })
+            .expect("valid");
+        let bus = kept.expect("the controller was built");
+        let broker = bus.borrow();
+        let mut probe = GroupConsumer::new("probe", METRICS_TOPIC, &broker).expect("topic");
+        let held = probe.poll(&broker, 1_000_000).expect("topic").len();
+        let servers = result.obs.expect("obs on").trace.server_names.len();
+        let period_secs = experiment.control_period.as_secs_f64() as usize;
+        assert!(
+            held > 0,
+            "the last samples are still unread by the controller"
+        );
+        assert!(
+            held <= servers * (period_secs + 1),
+            "{held} samples held for {servers} servers"
+        );
     }
 
     #[test]

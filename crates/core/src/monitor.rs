@@ -2,18 +2,22 @@
 //!
 //! A monitoring agent runs "in each VM" — here, one recurring simulation
 //! event samples every live server once per second and publishes the
-//! samples to a Kafka-style broker, keyed by server name so each server's
-//! stream stays ordered. The optimization controller consumes them at its
-//! own (15-second) pace; the broker decouples the rates exactly as Kafka
-//! does in the paper's deployment.
+//! samples to a Kafka-style broker. Every reader — the controllers, the
+//! per-second recorder and the obs capture — consumes them at its own pace
+//! through a `MetricsFeed`; the broker decouples the rates exactly as
+//! Kafka does in the paper's deployment, and drops each sample once every
+//! feed has read it.
 
 use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use dcm_bus::{Broker, Retention};
+use dcm_bus::{Broker, GroupConsumer};
 use dcm_ntier::metrics::ServerSample;
 use dcm_ntier::world::{SimEngine, World};
 use dcm_sim::time::{SimDuration, SimTime};
+
+use crate::aggregate::{aggregate_by_tier, TierWindow};
 
 /// The metrics transport shared by monitor, controller, and recorders.
 pub type MetricsBus = Rc<RefCell<Broker<ServerSample>>>;
@@ -21,14 +25,70 @@ pub type MetricsBus = Rc<RefCell<Broker<ServerSample>>>;
 /// Topic the monitor publishes to.
 pub const METRICS_TOPIC: &str = "dcm.metrics";
 
-/// Creates a metrics bus with the standard topic (4 partitions, bounded
-/// retention).
+/// Creates a metrics bus with the standard topic.
 pub fn new_metrics_bus() -> MetricsBus {
     let mut broker = Broker::new();
     broker
-        .create_topic(METRICS_TOPIC, 4, Retention::by_entries(100_000))
+        .create_topic(METRICS_TOPIC)
         .expect("fresh broker accepts topic");
     Rc::new(RefCell::new(broker))
+}
+
+/// One consumer group's reading of the metrics topic, reduced per tier.
+///
+/// The feed commits its start position when it is created, so the topic
+/// keeps every sample until this group has read it.
+#[derive(Debug)]
+pub(crate) struct MetricsFeed {
+    bus: MetricsBus,
+    consumer: GroupConsumer,
+}
+
+impl MetricsFeed {
+    pub(crate) fn new(bus: MetricsBus, group: &str) -> Self {
+        let consumer = {
+            let mut broker = bus.borrow_mut();
+            let consumer = GroupConsumer::new(group, METRICS_TOPIC, &broker)
+                .expect("metrics topic exists on the bus");
+            consumer.commit(&mut broker).expect("metrics topic exists");
+            consumer
+        };
+        MetricsFeed { bus, consumer }
+    }
+
+    /// Reads every sample published since the last call, commits, and
+    /// summarizes the batch per tier.
+    pub(crate) fn poll_windows(&mut self) -> BTreeMap<usize, TierWindow> {
+        let mut broker = self.bus.borrow_mut();
+        let records = self
+            .consumer
+            .poll(&broker, usize::MAX)
+            .expect("metrics topic exists");
+        self.consumer
+            .commit(&mut broker)
+            .expect("metrics topic exists");
+        aggregate_by_tier(&records)
+    }
+}
+
+/// Runs `tick` every `period` from now until `stop_at`, each occurrence
+/// scheduling the next after it ran.
+pub(crate) fn schedule_every<F>(
+    engine: &mut SimEngine,
+    period: SimDuration,
+    stop_at: SimTime,
+    mut tick: F,
+) where
+    F: FnMut(&mut World, &mut SimEngine) + 'static,
+{
+    let next = engine.now() + period;
+    if next > stop_at {
+        return;
+    }
+    engine.schedule_at(next, move |world: &mut World, engine: &mut SimEngine| {
+        tick(world, engine);
+        schedule_every(engine, period, stop_at, tick);
+    });
 }
 
 /// Configuration for the monitoring agents.
@@ -51,38 +111,29 @@ impl MonitorConfig {
 }
 
 /// Installs the recurring sampling event. Samples are produced to
-/// [`METRICS_TOPIC`] keyed by server name, timestamped with the window end
-/// (millisecond virtual time).
+/// [`METRICS_TOPIC`], timestamped with the window end (millisecond virtual
+/// time).
 pub fn install_monitor(engine: &mut SimEngine, bus: MetricsBus, config: MonitorConfig) {
-    schedule_tick(engine, bus, config);
-}
-
-fn schedule_tick(engine: &mut SimEngine, bus: MetricsBus, config: MonitorConfig) {
-    let next = engine.now() + config.interval;
-    if next > config.stop_at {
-        return;
-    }
-    engine.schedule_at(next, move |world: &mut World, engine: &mut SimEngine| {
-        let now = engine.now();
-        let samples = world.system.sample_all(now);
-        {
-            let mut broker = bus.borrow_mut();
+    schedule_every(
+        engine,
+        config.interval,
+        config.stop_at,
+        move |world, engine| {
+            let now = engine.now();
             let ts_ms = now.as_nanos() / 1_000_000;
-            for sample in samples {
-                let key = sample.server.clone();
+            let mut broker = bus.borrow_mut();
+            for sample in world.system.sample_all(now) {
                 broker
-                    .produce(METRICS_TOPIC, ts_ms, Some(key), sample)
+                    .produce(METRICS_TOPIC, ts_ms, sample)
                     .expect("metrics topic exists");
             }
-        }
-        schedule_tick(engine, bus, config);
-    });
+        },
+    );
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcm_bus::GroupConsumer;
     use dcm_ntier::topology::ThreeTierBuilder;
 
     #[test]
@@ -101,14 +152,12 @@ mod tests {
         let records = consumer.poll(&broker, 10_000).unwrap();
         // 10 ticks × 4 servers.
         assert_eq!(records.len(), 40);
-        // Keyed by server: each server's records share a partition, in
-        // timestamp order.
-        let mut app1_ts = vec![];
-        for r in &records {
-            if r.key.as_deref() == Some("app-1") {
-                app1_ts.push(r.timestamp_ms);
-            }
-        }
+        // Each server's records arrive in timestamp order.
+        let app1_ts: Vec<u64> = records
+            .iter()
+            .filter(|r| r.value.server == "app-1")
+            .map(|r| r.timestamp_ms)
+            .collect();
         assert_eq!(app1_ts.len(), 10);
         assert!(app1_ts.windows(2).all(|w| w[0] < w[1]));
     }
@@ -125,9 +174,7 @@ mod tests {
         engine.run(&mut world);
         assert_eq!(engine.now(), SimTime::from_secs(3));
         let broker = bus.borrow();
-        let total: u64 = (0..4)
-            .map(|p| broker.high_watermark(METRICS_TOPIC, p).unwrap())
-            .sum();
-        assert_eq!(total, 9); // 3 ticks × 3 servers
+        // 3 ticks × 3 servers.
+        assert_eq!(broker.high_watermark(METRICS_TOPIC, 0).unwrap(), 9);
     }
 }

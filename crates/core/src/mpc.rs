@@ -38,8 +38,8 @@ use dcm_oracle::planner::{predict_with, PlannedTier, Prediction};
 
 use crate::agents::{ActionRecord, AppAgent, VmAgent};
 use crate::aggregate::TierWindow;
-use crate::controller::{Controller, DcmModels, MetricsFeed, SILENT_TICKS_FOR_PRESSURE};
-use crate::monitor::MetricsBus;
+use crate::controller::{Controller, DcmModels, SILENT_TICKS_FOR_PRESSURE};
+use crate::monitor::{MetricsBus, MetricsFeed};
 
 /// Effective concurrency ceiling for tiers the MPC does not pool-manage
 /// (the web tier's 1000-thread default never binds at league populations).
@@ -737,21 +737,18 @@ mod tests {
             cpu_util: cpu,
             busy_fraction: cpu,
             active_threads: 1.0,
-            active_conns: None,
             completed: x as u64,
             throughput: x,
             mean_dwell: Some(0.05),
             thread_pool_size: 100,
-            conn_pool_size: None,
             thread_queue: 0,
             conn_queue: 0,
         }
     }
 
     fn produce(bus: &MetricsBus, ts_ms: u64, sample: ServerSample) {
-        let key = sample.server.clone();
         bus.borrow_mut()
-            .produce(METRICS_TOPIC, ts_ms, Some(key), sample)
+            .produce(METRICS_TOPIC, ts_ms, sample)
             .expect("metrics topic exists");
     }
 

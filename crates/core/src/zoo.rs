@@ -28,8 +28,8 @@ use dcm_obs::journal::{Decision, DecisionJournal, JournalEntry, TierObservation}
 
 use crate::agents::{ActionRecord, VmAgent};
 use crate::aggregate::TierWindow;
-use crate::controller::{Controller, MetricsFeed, SILENT_TICKS_FOR_PRESSURE};
-use crate::monitor::MetricsBus;
+use crate::controller::{Controller, SILENT_TICKS_FOR_PRESSURE};
+use crate::monitor::{MetricsBus, MetricsFeed};
 use crate::predictor::{HoltConfig, HoltTrend};
 
 /// Shared configuration for the staffing-rule controllers.
@@ -379,21 +379,18 @@ mod tests {
             cpu_util: cpu,
             busy_fraction: cpu,
             active_threads: 10.0,
-            active_conns: None,
             completed: 50,
             throughput: 50.0,
             mean_dwell: Some(0.05),
             thread_pool_size: 100,
-            conn_pool_size: None,
             thread_queue: 0,
             conn_queue: 0,
         }
     }
 
     fn produce(bus: &MetricsBus, ts_ms: u64, sample: ServerSample) {
-        let key = sample.server.clone();
         bus.borrow_mut()
-            .produce(METRICS_TOPIC, ts_ms, Some(key), sample)
+            .produce(METRICS_TOPIC, ts_ms, sample)
             .expect("metrics topic exists");
     }
 

@@ -368,7 +368,7 @@ fn maybe_call(world: &mut World, engine: &mut SimEngine, fid: FlightId) {
                 .system
                 .server_mut(sid)
                 .expect("frame server exists")
-                .acquire_conn(now, fid);
+                .acquire_conn(fid);
             if granted {
                 conn_granted(world, engine, fid);
             }
@@ -484,7 +484,7 @@ fn finish_frame(world: &mut World, engine: &mut SimEngine, fid: FlightId) {
             .system
             .server_mut(psid)
             .expect("parent server exists")
-            .release_conn(now);
+            .release_conn();
         if let Some(next) = conn_waiter {
             resume_parked(world, engine, next);
         }
@@ -603,7 +603,7 @@ fn unwind(world: &mut World, engine: &mut SimEngine, fid: FlightId, outcome: Out
             }
             Phase::InCall => {
                 if frame.holds_conn {
-                    let conn_waiter = server.release_conn(now);
+                    let conn_waiter = server.release_conn();
                     if let Some(next) = conn_waiter {
                         resume_parked(world, engine, next);
                     }
@@ -973,9 +973,8 @@ pub fn set_server_thread_pool(world: &mut World, engine: &mut SimEngine, sid: Se
 
 /// Resizes one server's downstream connection pool at runtime.
 pub fn set_server_conn_pool(world: &mut World, engine: &mut SimEngine, sid: ServerId, size: u32) {
-    let now = engine.now();
     let admitted = match world.system.server_mut(sid) {
-        Some(server) if !server.is_stopped() => server.resize_conn_pool(now, size),
+        Some(server) if !server.is_stopped() => server.resize_conn_pool(size),
         _ => return,
     };
     for fid in admitted {

@@ -67,28 +67,21 @@ impl TopologyGraph {
     }
 
     /// The chain topology for the given per-hop visit counts (`visits[m]`
-    /// calls from tier `m − 1` into tier `m`; `visits[0]` must be 1).
+    /// calls from tier `m − 1` into tier `m`; `visits[0]` must be 1), built
+    /// through [`TopologyGraph::from_edges`].
     ///
     /// # Panics
     ///
-    /// Panics if `visits` is empty or `visits[0] != 1`.
+    /// Panics if `visits` is empty, `visits[0] != 1`, or a later hop
+    /// carries 0 calls (a skipped hop is a route, built with
+    /// [`TopologyGraph::skipping`]).
     pub fn chain(visits: &[u32]) -> Self {
         assert!(!visits.is_empty(), "a chain needs at least one tier");
         assert_eq!(visits[0], 1, "the client makes exactly one front-tier call");
-        assert!(visits.len() <= usize::from(u16::MAX), "too many tiers");
-        let mut first_edge = Vec::with_capacity(visits.len() + 1);
-        let mut edges = Vec::with_capacity(visits.len() - 1);
-        first_edge.push(0);
         // Node `m - 1` calls node `m`; the last node has no out-edges.
-        for (m, &calls) in visits.iter().enumerate().skip(1) {
-            edges.push(GraphEdge {
-                to: m as u16,
-                calls,
-            });
-            first_edge.push(edges.len() as u32);
-        }
-        first_edge.push(edges.len() as u32);
-        Self::with_ratios(first_edge, edges)
+        let edges: Vec<(usize, usize, u32)> =
+            (1..visits.len()).map(|m| (m - 1, m, visits[m])).collect();
+        Self::from_edges(visits.len(), &edges)
     }
 
     /// Builds a graph over `tiers` nodes from `(from, to, calls)` edges.
@@ -316,6 +309,12 @@ mod tests {
         assert_eq!(hit.out_edges(1)[1], GraphEdge { to: 3, calls: 0 });
         // The original is untouched.
         assert_eq!(g.visit_ratios(), [1, 1, 1, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "edge (1,2) must carry at least one call")]
+    fn chain_rejects_a_zero_call_hop() {
+        let _ = TopologyGraph::chain(&[1, 1, 0]);
     }
 
     #[test]

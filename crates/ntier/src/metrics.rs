@@ -79,9 +79,6 @@ pub struct ServerSample {
     /// Time-weighted mean of threads in use (the "active threads number
     /// (concurrency)" metric).
     pub active_threads: f64,
-    /// Time-weighted mean of downstream connections in use, if the server
-    /// has a connection pool.
-    pub active_conns: Option<f64>,
     /// Requests completed in the window.
     pub completed: u64,
     /// Completions per second over the window.
@@ -91,8 +88,6 @@ pub struct ServerSample {
     pub mean_dwell: Option<f64>,
     /// Current thread-pool capacity.
     pub thread_pool_size: u32,
-    /// Current connection-pool capacity, if present.
-    pub conn_pool_size: Option<u32>,
     /// Requests queued for a thread at window end.
     pub thread_queue: usize,
     /// Requests queued for a connection at window end.
@@ -151,12 +146,10 @@ mod tests {
             cpu_util: 0.5,
             busy_fraction: 0.5,
             active_threads: 3.2,
-            active_conns: None,
             completed: 42,
             throughput: 42.0,
             mean_dwell: Some(0.02),
             thread_pool_size: 20,
-            conn_pool_size: None,
             thread_queue: 0,
             conn_queue: 0,
         };

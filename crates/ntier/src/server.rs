@@ -120,7 +120,6 @@ pub struct Server {
     /// the CPU busy — the key the flushed timer takes.
     pub(crate) rearm_seq: u64,
     threads_tw: TimeWeighted,
-    conns_tw: TimeWeighted,
     completed_total: u64,
     dwell_sum_total: f64,
     // Window marks for sampling.
@@ -130,7 +129,6 @@ pub struct Server {
     completed_mark: u64,
     dwell_mark: f64,
     threads_integral_mark: f64,
-    conns_integral_mark: f64,
     launched_at: SimTime,
     stopped_at: Option<SimTime>,
     /// Service-time multiplier for new CPU bursts (1.0 = healthy;
@@ -162,7 +160,6 @@ impl Server {
             rearm_pending: false,
             rearm_seq: 0,
             threads_tw: TimeWeighted::new(now, 0.0),
-            conns_tw: TimeWeighted::new(now, 0.0),
             completed_total: 0,
             dwell_sum_total: 0.0,
             window_start: now,
@@ -171,7 +168,6 @@ impl Server {
             completed_mark: 0,
             dwell_mark: 0.0,
             threads_integral_mark: 0.0,
-            conns_integral_mark: 0.0,
             launched_at: now,
             stopped_at: None,
             slowdown: 1.0,
@@ -294,11 +290,6 @@ impl Server {
         self.threads_tw.set(now, f64::from(n));
     }
 
-    fn sync_conns(&mut self, now: SimTime) {
-        let n = self.conn_pool.as_ref().map_or(0, Pool::in_use);
-        self.conns_tw.set(now, f64::from(n));
-    }
-
     /// Tries to take a thread for `req`; queues it on failure.
     pub fn acquire_thread(&mut self, now: SimTime, req: FlightId) -> bool {
         let granted = self.thread_pool.try_acquire(req);
@@ -325,17 +316,10 @@ impl Server {
 
     /// Tries to take a downstream connection; queues on failure. Servers
     /// without a connection pool always grant.
-    pub fn acquire_conn(&mut self, now: SimTime, req: FlightId) -> bool {
-        match self.conn_pool.as_mut() {
-            Some(pool) => {
-                let granted = pool.try_acquire(req);
-                if granted {
-                    self.sync_conns(now);
-                }
-                granted
-            }
-            None => true,
-        }
+    pub fn acquire_conn(&mut self, req: FlightId) -> bool {
+        self.conn_pool
+            .as_mut()
+            .is_none_or(|pool| pool.try_acquire(req))
     }
 
     /// Releases a downstream connection; returns the next waiter if the
@@ -344,15 +328,8 @@ impl Server {
     /// # Panics
     ///
     /// Panics if the server has a pool and no connection is in use.
-    pub fn release_conn(&mut self, now: SimTime) -> Option<FlightId> {
-        match self.conn_pool.as_mut() {
-            Some(pool) => {
-                let next = pool.release();
-                self.sync_conns(now);
-                next
-            }
-            None => None,
-        }
+    pub fn release_conn(&mut self) -> Option<FlightId> {
+        self.conn_pool.as_mut().and_then(Pool::release)
     }
 
     /// Resizes the thread pool; newly admitted waiters are returned for
@@ -365,15 +342,10 @@ impl Server {
 
     /// Resizes the connection pool (no-op returning empty when the server
     /// has none).
-    pub fn resize_conn_pool(&mut self, now: SimTime, capacity: u32) -> Vec<FlightId> {
-        match self.conn_pool.as_mut() {
-            Some(pool) => {
-                let admitted = pool.resize(capacity);
-                self.sync_conns(now);
-                admitted
-            }
-            None => Vec::new(),
-        }
+    pub fn resize_conn_pool(&mut self, capacity: u32) -> Vec<FlightId> {
+        self.conn_pool
+            .as_mut()
+            .map_or_else(Vec::new, |pool| pool.resize(capacity))
     }
 
     /// Starts a CPU burst for `req`. While the server straggles, new
@@ -460,7 +432,6 @@ impl Server {
     pub fn sample(&mut self, now: SimTime) -> ServerSample {
         self.cpu.advance(now);
         self.threads_tw.settle(now);
-        self.conns_tw.settle(now);
         let dt = now.saturating_since(self.window_start).as_secs_f64();
         let safe_dt = if dt > 0.0 { dt } else { 1.0 };
         let completed = self.completed_total - self.completed_mark;
@@ -476,15 +447,10 @@ impl Server {
             cpu_util,
             busy_fraction,
             active_threads: mean_threads,
-            active_conns: self
-                .conn_pool
-                .as_ref()
-                .map(|_| (self.conns_tw.integral() - self.conns_integral_mark) / safe_dt),
             completed,
             throughput: completed as f64 / safe_dt,
             mean_dwell: (completed > 0).then(|| dwell / completed as f64),
             thread_pool_size: self.thread_pool.capacity(),
-            conn_pool_size: self.conn_pool.as_ref().map(Pool::capacity),
             thread_queue: self.thread_pool.queued(),
             conn_queue: self.conn_pool.as_ref().map_or(0, Pool::queued),
         };
@@ -494,7 +460,6 @@ impl Server {
         self.completed_mark = self.completed_total;
         self.dwell_mark = self.dwell_sum_total;
         self.threads_integral_mark = self.threads_tw.integral();
-        self.conns_integral_mark = self.conns_tw.integral();
         sample
     }
 }
@@ -572,9 +537,9 @@ mod tests {
     #[test]
     fn conn_pool_optional_semantics() {
         let mut s = server();
-        assert!(s.acquire_conn(t(0.0), r(1)));
-        assert!(!s.acquire_conn(t(0.0), r(2)), "capacity 1");
-        assert_eq!(s.release_conn(t(1.0)), Some(r(2)));
+        assert!(s.acquire_conn(r(1)));
+        assert!(!s.acquire_conn(r(2)), "capacity 1");
+        assert_eq!(s.release_conn(), Some(r(2)));
 
         // A leaf server without a pool always grants.
         let leaf_spec = ServerSpec {
@@ -588,8 +553,8 @@ mod tests {
             t(0.0),
             ServerState::Running,
         );
-        assert!(leaf.acquire_conn(t(0.0), r(9)));
-        assert_eq!(leaf.release_conn(t(0.0)), None);
+        assert!(leaf.acquire_conn(r(9)));
+        assert_eq!(leaf.release_conn(), None);
     }
 
     #[test]
@@ -618,7 +583,6 @@ mod tests {
         assert_eq!(sample.mean_dwell, Some(0.5));
         assert!((sample.active_threads - 0.5).abs() < 1e-9);
         assert_eq!(sample.thread_pool_size, 2);
-        assert_eq!(sample.conn_pool_size, Some(1));
 
         // Second window is fresh.
         let sample2 = s.sample(t(2.0));
