@@ -213,21 +213,10 @@ impl Ablation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcm_model::concurrency::ConcurrencyModel;
-    use dcm_ntier::law::reference;
-
-    fn models() -> DcmModels {
-        let app = reference::tomcat();
-        let db = reference::mysql();
-        DcmModels {
-            app: ConcurrencyModel::new(app.s0(), app.alpha(), app.beta(), 1.0, 1),
-            db: ConcurrencyModel::new(db.s0(), db.alpha(), db.beta(), 1.0, 1),
-        }
-    }
 
     #[test]
     fn actuation_ablation_orders_variants() {
-        let result = run_actuation_ablation(Fidelity::Quick, models());
+        let result = run_actuation_ablation(Fidelity::Quick, DcmModels::reference());
         assert_eq!(result.variants.len(), 4);
         let full = &result.variants[0].summary;
         let none = &result.variants[3].summary;
@@ -242,7 +231,7 @@ mod tests {
 
     #[test]
     fn extensions_all_function() {
-        let result = run_extensions(Fidelity::Quick, models());
+        let result = run_extensions(Fidelity::Quick, DcmModels::reference());
         assert_eq!(result.variants.len(), 4);
         for v in &result.variants {
             assert!(v.summary.completed > 0, "{} produced nothing", v.label);
@@ -251,7 +240,7 @@ mod tests {
 
     #[test]
     fn fault_injection_degrades_gracefully() {
-        let result = run_fault_injection(Fidelity::Quick, models(), &[0.0, 0.5]);
+        let result = run_fault_injection(Fidelity::Quick, DcmModels::reference(), &[0.0, 0.5]);
         assert_eq!(result.variants.len(), 4);
         let healthy = &result.variants[0].summary;
         let faulty = &result.variants[2].summary;
@@ -268,7 +257,7 @@ mod tests {
 
     #[test]
     fn sensitivity_covers_factors() {
-        let result = run_sensitivity(Fidelity::Quick, models(), &[0.5, 1.0]);
+        let result = run_sensitivity(Fidelity::Quick, DcmModels::reference(), &[0.5, 1.0]);
         assert_eq!(result.variants.len(), 2);
         assert!(result.best_throughput().is_some());
     }

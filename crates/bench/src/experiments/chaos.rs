@@ -336,21 +336,10 @@ impl Chaos {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcm_model::concurrency::ConcurrencyModel;
-    use dcm_ntier::law::reference;
-
-    fn models() -> DcmModels {
-        let app = reference::tomcat();
-        let db = reference::mysql();
-        DcmModels {
-            app: ConcurrencyModel::new(app.s0(), app.alpha(), app.beta(), 1.0, 1),
-            db: ConcurrencyModel::new(db.s0(), db.alpha(), db.beta(), 1.0, 1),
-        }
-    }
 
     #[test]
     fn chaos_dcm_recovers_no_slower_than_ec2() {
-        let result = run_chaos(Fidelity::Quick, models());
+        let result = run_chaos(Fidelity::Quick, DcmModels::reference());
         assert!(result.dcm.completed > 0 && result.ec2.completed > 0);
         assert!(
             result.dcm.failed > 0 && result.ec2.failed > 0,

@@ -342,23 +342,10 @@ impl Fig5 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcm_model::concurrency::ConcurrencyModel;
-    use dcm_ntier::law::reference;
-
-    fn cheap_models() -> DcmModels {
-        // Ground-truth laws as stand-in fitted models (skips training in
-        // the quick test).
-        let app = reference::tomcat();
-        let db = reference::mysql();
-        DcmModels {
-            app: ConcurrencyModel::new(app.s0(), app.alpha(), app.beta(), 1.0, 1).with_servers(1),
-            db: ConcurrencyModel::new(db.s0(), db.alpha(), db.beta(), 1.0, 1).with_servers(1),
-        }
-    }
 
     #[test]
     fn quick_fig5_dcm_is_more_stable_than_ec2() {
-        let result = run_fig5(Fidelity::Quick, cheap_models());
+        let result = run_fig5(Fidelity::Quick, DcmModels::reference());
         let d = summarize(&result.dcm);
         let e = summarize(&result.ec2);
         assert!(d.completed > 0 && e.completed > 0);

@@ -10,8 +10,10 @@
 //! oracles continuously fuzz the DAG dispatch path too:
 //!
 //! * **conservation** — a faulted, controller-driven trace run must end
-//!   with a clean [`ConservationAuditor`] report and zero in-flight
-//!   requests (every submitted request is accounted for).
+//!   with a clean
+//!   [`ConservationAuditor`](dcm_ntier::audit::ConservationAuditor) report
+//!   and zero in-flight requests (every submitted request is accounted
+//!   for).
 //! * **replay** — running the identical scenario twice must be
 //!   bit-identical: same completion log, same counters, same VM-seconds.
 //!   This is the campaign's permutation oracle: tier servers are
@@ -54,7 +56,6 @@ use dcm_core::mpc::MpcConfig;
 use dcm_core::policy::ScalingConfig;
 use dcm_core::predictor::HoltConfig;
 use dcm_core::zoo::StaffingConfig;
-use dcm_model::concurrency::ConcurrencyModel;
 use dcm_ntier::graph::TopologyGraph;
 use dcm_ntier::law::{reference, ServiceLaw};
 use dcm_ntier::server::VmType;
@@ -607,15 +608,6 @@ fn fault_plan_for(s: &HuntScenario) -> Option<FaultPlan> {
     (plan != FaultPlan::none()).then_some(plan)
 }
 
-fn dcm_models() -> DcmModels {
-    let app = reference::tomcat();
-    let db = reference::mysql();
-    DcmModels {
-        app: ConcurrencyModel::new(app.s0(), app.alpha(), app.beta(), 1.0, 1),
-        db: ConcurrencyModel::new(db.s0(), db.alpha(), db.beta(), 1.0, 1),
-    }
-}
-
 /// The trace run a scenario's conservation, replay and league oracles
 /// check, and the controller that scales it. A mesh-active scenario runs
 /// `web → app → {db×fanout, svc}`: the scenario's pool sizes and tier
@@ -645,7 +637,7 @@ fn experiment_for(s: &HuntScenario) -> (Experiment, ControllerSpec) {
                 headroom: s.headroom,
                 ..DcmConfig::default()
             },
-            models: dcm_models(),
+            models: DcmModels::reference(),
             refit: None,
         },
         ControllerKind::Mpc => ControllerSpec::Mpc {
@@ -657,7 +649,7 @@ fn experiment_for(s: &HuntScenario) -> (Experiment, ControllerSpec) {
                 scale_in_margin: s.mpc_scale_in_margin,
                 ..MpcConfig::default()
             },
-            models: dcm_models(),
+            models: DcmModels::reference(),
         },
         ControllerKind::Mmc => ControllerSpec::Mmc(staffing),
         ControllerKind::Hw => ControllerSpec::HoltWinters {

@@ -494,26 +494,18 @@ impl League {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcm_model::concurrency::ConcurrencyModel;
-    use dcm_ntier::law::reference;
-
-    fn models() -> DcmModels {
-        let app = reference::tomcat();
-        let db = reference::mysql();
-        DcmModels {
-            app: ConcurrencyModel::new(app.s0(), app.alpha(), app.beta(), 1.0, 1),
-            db: ConcurrencyModel::new(db.s0(), db.alpha(), db.beta(), 1.0, 1),
-        }
-    }
 
     #[test]
     fn league_ranks_all_controllers_on_all_traces() {
-        let league = run_league(Fidelity::Quick, models());
+        let league = run_league(Fidelity::Quick, DcmModels::reference());
         assert_eq!(
             league.cells.len(),
-            contestants(models()).len() * TraceKind::ALL.len()
+            contestants(DcmModels::reference()).len() * TraceKind::ALL.len()
         );
-        assert_eq!(league.standings.len(), contestants(models()).len());
+        assert_eq!(
+            league.standings.len(),
+            contestants(DcmModels::reference()).len()
+        );
         // Ranks are a permutation 1..=n and the sort keys are respected.
         for (i, s) in league.standings.iter().enumerate() {
             assert_eq!(s.rank, i + 1);
@@ -556,7 +548,7 @@ mod tests {
         // fidelity (the committed artifact) MPC is strictly cheaper than
         // DCM on both traces; the quick bounds here are the regression
         // guard that keeps that result from silently rotting.
-        let league = run_league(Fidelity::Quick, models());
+        let league = run_league(Fidelity::Quick, DcmModels::reference());
         for trace in [TraceKind::Step, TraceKind::Flash] {
             let mpc = league.cell("MPC", trace);
             let dcm = league.cell("DCM", trace);
@@ -594,7 +586,7 @@ mod tests {
         // plan provenance with a rolling prediction error, and once the
         // plateau settles the planner's throughput prediction must track
         // the realized rate to within 15 %.
-        let league = run_league(Fidelity::Quick, models());
+        let league = run_league(Fidelity::Quick, DcmModels::reference());
         let json = &league.mpc_journal_json;
         for field in [
             "\"candidates\"",
@@ -632,9 +624,9 @@ mod tests {
         // The determinism contract behind `--jobs`: re-running the matrix
         // must reproduce the artifacts byte for byte.
         dcm_sim::runner::set_jobs(1);
-        let serial = run_league(Fidelity::Quick, models());
+        let serial = run_league(Fidelity::Quick, DcmModels::reference());
         dcm_sim::runner::set_jobs(4);
-        let parallel = run_league(Fidelity::Quick, models());
+        let parallel = run_league(Fidelity::Quick, DcmModels::reference());
         dcm_sim::runner::set_jobs(0);
         assert_eq!(serial.to_json(), parallel.to_json());
         assert_eq!(serial.to_csv(), parallel.to_csv());

@@ -198,23 +198,13 @@ impl MeshBench {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcm_model::concurrency::ConcurrencyModel;
-
-    fn models() -> DcmModels {
-        let app = reference::tomcat();
-        let db = reference::mysql();
-        DcmModels {
-            app: ConcurrencyModel::new(app.s0(), app.alpha(), app.beta(), 1.0, 1),
-            db: ConcurrencyModel::new(db.s0(), db.alpha(), db.beta(), 1.0, 1),
-        }
-    }
 
     #[test]
     fn mesh_matrix_runs_every_cell_with_real_work() {
-        let bench = run_mesh(Fidelity::Quick, models());
+        let bench = run_mesh(Fidelity::Quick, DcmModels::reference());
         assert_eq!(
             bench.cells.len(),
-            contestants(models()).len() * TRACES.len()
+            contestants(DcmModels::reference()).len() * TRACES.len()
         );
         for cell in &bench.cells {
             assert!(cell.completed > 0, "{cell:?}");
@@ -249,9 +239,9 @@ mod tests {
         // The determinism contract behind `--jobs`: re-running the matrix
         // must reproduce the artifacts byte for byte.
         dcm_sim::runner::set_jobs(1);
-        let serial = run_mesh(Fidelity::Quick, models());
+        let serial = run_mesh(Fidelity::Quick, DcmModels::reference());
         dcm_sim::runner::set_jobs(4);
-        let parallel = run_mesh(Fidelity::Quick, models());
+        let parallel = run_mesh(Fidelity::Quick, DcmModels::reference());
         dcm_sim::runner::set_jobs(0);
         assert_eq!(serial.to_json(), parallel.to_json());
         assert_eq!(serial.to_csv(), parallel.to_csv());

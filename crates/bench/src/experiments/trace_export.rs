@@ -146,21 +146,10 @@ impl TraceExport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcm_model::concurrency::ConcurrencyModel;
-    use dcm_ntier::law::reference;
-
-    fn cheap_models() -> DcmModels {
-        let app = reference::tomcat();
-        let db = reference::mysql();
-        DcmModels {
-            app: ConcurrencyModel::new(app.s0(), app.alpha(), app.beta(), 1.0, 1),
-            db: ConcurrencyModel::new(db.s0(), db.alpha(), db.beta(), 1.0, 1),
-        }
-    }
 
     #[test]
     fn quick_trace_export_produces_all_artifacts() {
-        let export = run_trace_export(Fidelity::Quick, cheap_models());
+        let export = run_trace_export(Fidelity::Quick, DcmModels::reference());
         for run in [&export.dcm, &export.ec2] {
             assert!(run.obs.trace.stats.seen > 0, "{}: no spans seen", run.label);
             assert!(!run.obs.trace.spans.is_empty());
@@ -177,8 +166,8 @@ mod tests {
 
     #[test]
     fn repeated_export_is_byte_identical() {
-        let a = run_trace_export(Fidelity::Quick, cheap_models());
-        let b = run_trace_export(Fidelity::Quick, cheap_models());
+        let a = run_trace_export(Fidelity::Quick, DcmModels::reference());
+        let b = run_trace_export(Fidelity::Quick, DcmModels::reference());
         for (x, y) in [(&a.dcm, &b.dcm), (&a.ec2, &b.ec2)] {
             assert_eq!(
                 chrome_trace_json(&x.obs.trace),

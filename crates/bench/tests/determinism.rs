@@ -6,6 +6,7 @@
 use std::sync::Mutex;
 
 use dcm_bench::experiments::{chaos, fig2, Fidelity};
+use dcm_core::controller::DcmModels;
 use dcm_core::training::{db_stress_sweep, SweepOptions};
 use dcm_ntier::topology::{SoftConfig, ThreeTierBuilder};
 use dcm_sim::runner::{run_ordered_with, set_jobs};
@@ -60,31 +61,11 @@ fn chaos_outputs_are_byte_identical_across_jobs() {
     // Fault injection, retries, and timeouts all draw from derived RNG
     // streams, so the chaos experiment must stay bit-deterministic under
     // the parallel runner exactly like the steady-state figures.
-    let models = || {
-        let app = dcm_ntier::law::reference::tomcat();
-        let db = dcm_ntier::law::reference::mysql();
-        dcm_core::controller::DcmModels {
-            app: dcm_model::concurrency::ConcurrencyModel::new(
-                app.s0(),
-                app.alpha(),
-                app.beta(),
-                1.0,
-                1,
-            ),
-            db: dcm_model::concurrency::ConcurrencyModel::new(
-                db.s0(),
-                db.alpha(),
-                db.beta(),
-                1.0,
-                1,
-            ),
-        }
-    };
     let _guard = JOBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     set_jobs(1);
-    let serial = chaos::run_chaos(Fidelity::Quick, models());
+    let serial = chaos::run_chaos(Fidelity::Quick, DcmModels::reference());
     set_jobs(4);
-    let parallel = chaos::run_chaos(Fidelity::Quick, models());
+    let parallel = chaos::run_chaos(Fidelity::Quick, DcmModels::reference());
     set_jobs(0);
     assert_eq!(
         serial.to_json(),

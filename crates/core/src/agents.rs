@@ -102,11 +102,6 @@ impl VmAgent {
     pub fn log(&self) -> &[ActionRecord] {
         &self.log
     }
-
-    /// Consumes the agent, returning its log.
-    pub fn into_log(self) -> Vec<ActionRecord> {
-        self.log
-    }
 }
 
 /// APP-agent: adjusts thread/connection pools of a whole tier at runtime.
@@ -127,58 +122,56 @@ impl AppAgent {
 
     /// Sets every server of `tier` to `size` threads (and makes `size` the
     /// default for future servers of the tier). No-op if `size` is already
-    /// in effect.
+    /// in effect. Returns whether the pools changed.
     pub fn set_tier_threads(
         &mut self,
         world: &mut World,
         engine: &mut SimEngine,
         tier: usize,
         size: u32,
-    ) {
-        if self.current_threads.get(&tier) == Some(&size) {
-            return;
+    ) -> bool {
+        if self.current_threads.get(&tier) == Some(&size)
+            || flow::set_tier_thread_pools(world, engine, tier, size).is_err()
+        {
+            return false;
         }
-        if flow::set_tier_thread_pools(world, engine, tier, size).is_ok() {
-            world.system.set_tier_defaults(tier, size, None);
-            self.current_threads.insert(tier, size);
-            self.log.push(ActionRecord {
-                at: engine.now(),
-                action: Action::SetThreadPools { tier, size },
-            });
-        }
+        world.system.set_tier_defaults(tier, size, None);
+        self.current_threads.insert(tier, size);
+        self.log.push(ActionRecord {
+            at: engine.now(),
+            action: Action::SetThreadPools { tier, size },
+        });
+        true
     }
 
     /// Sets every server of `tier` to `size` downstream connections (and
-    /// updates the tier default). No-op if already in effect.
+    /// updates the tier default). No-op if already in effect. Returns
+    /// whether the pools changed.
     pub fn set_tier_conns(
         &mut self,
         world: &mut World,
         engine: &mut SimEngine,
         tier: usize,
         size: u32,
-    ) {
-        if self.current_conns.get(&tier) == Some(&size) {
-            return;
+    ) -> bool {
+        if self.current_conns.get(&tier) == Some(&size)
+            || flow::set_tier_conn_pools(world, engine, tier, size).is_err()
+        {
+            return false;
         }
-        if flow::set_tier_conn_pools(world, engine, tier, size).is_ok() {
-            let threads = world.system.tier(tier).spec().default_threads;
-            world.system.set_tier_defaults(tier, threads, Some(size));
-            self.current_conns.insert(tier, size);
-            self.log.push(ActionRecord {
-                at: engine.now(),
-                action: Action::SetConnPools { tier, size },
-            });
-        }
+        let threads = world.system.tier(tier).spec().default_threads;
+        world.system.set_tier_defaults(tier, threads, Some(size));
+        self.current_conns.insert(tier, size);
+        self.log.push(ActionRecord {
+            at: engine.now(),
+            action: Action::SetConnPools { tier, size },
+        });
+        true
     }
 
     /// The actuation timeline.
     pub fn log(&self) -> &[ActionRecord] {
         &self.log
-    }
-
-    /// Consumes the agent, returning its log.
-    pub fn into_log(self) -> Vec<ActionRecord> {
-        self.log
     }
 }
 
@@ -200,7 +193,7 @@ mod tests {
         assert_eq!(agent.log().len(), 1);
         engine.run_until(&mut world, SimTime::from_secs(16));
         assert!(agent.scale_in(&mut world, &mut engine, 1).is_some());
-        assert_eq!(agent.into_log().len(), 2);
+        assert_eq!(agent.log().len(), 2);
     }
 
     #[test]

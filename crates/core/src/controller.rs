@@ -1,9 +1,10 @@
 //! The Optimization Controller (paper §IV) and the EC2-AutoScale baseline
 //! (paper §V-B).
 //!
-//! Both controllers wake every control period (15 s), consume the monitor
-//! stream from the bus, aggregate it per tier, and make VM-level decisions
-//! with the same quick-start/slow-stop threshold policy. **DCM additionally
+//! Both controllers wake every control period (15 s) on the shared
+//! [control core](crate::control), which consumes the monitor stream,
+//! aggregates it per tier and classifies each scalable tier; their plan is
+//! the same quick-start/slow-stop threshold policy. **DCM additionally
 //! runs the APP-agent**: after every (potential) topology change it pushes
 //! the concurrency-aware model's optimal soft-resource allocation into the
 //! live pools — Tomcat thread pools sized to the app model's `N*`, MySQL
@@ -14,14 +15,18 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use dcm_model::concurrency::ConcurrencyModel;
+use dcm_ntier::law::{reference, ServiceLaw};
 use dcm_ntier::world::{SimEngine, World};
-use dcm_obs::journal::{Decision, DecisionJournal, FitSnapshot, JournalEntry, TierObservation};
+use dcm_obs::journal::{DecisionJournal, FitSnapshot};
 
-use crate::agents::{ActionRecord, AppAgent, VmAgent};
+use crate::agents::ActionRecord;
 use crate::aggregate::TierWindow;
-use crate::monitor::{MetricsBus, MetricsFeed};
+use crate::control::{
+    capacity, ControlCore, TierClass, TierView, MONITOR_SILENT, SILENT_TICKS_FOR_PRESSURE,
+};
+use crate::monitor::MetricsBus;
 use crate::policy::{ScaleDecision, ScalingConfig, ThresholdPolicy, TriggerSignal};
-use crate::predictor::{HoltConfig, HoltTrend};
+use crate::predictor::{HoltConfig, TierTrends};
 
 /// A scaling controller invoked once per control period.
 pub trait Controller {
@@ -36,7 +41,8 @@ pub trait Controller {
     fn name(&self) -> &'static str;
 
     /// Attaches a decision journal: the controller appends one
-    /// [`JournalEntry`] per tick — inputs, model state, decisions, reasons.
+    /// [`JournalEntry`](dcm_obs::journal::JournalEntry) per tick — inputs,
+    /// model state, decisions, reasons.
     /// The default implementation journals nothing.
     fn attach_journal(&mut self, _journal: Rc<RefCell<DecisionJournal>>) {}
 
@@ -48,178 +54,120 @@ pub trait Controller {
     }
 }
 
-/// Consecutive silent control periods before a tier that *has* capacity is
-/// treated as wedged (a tier with no capacity at all is flagged on the
-/// first silent period — there is nothing to wait for).
-pub(crate) const SILENT_TICKS_FOR_PRESSURE: u32 = 2;
+/// A boxed controller forwards every method, the provided ones included,
+/// so [`crate::experiment::ControllerSpec::build`]'s trait objects journal
+/// and count planner evaluations like the controllers inside them.
+impl<C: Controller + ?Sized> Controller for Box<C> {
+    fn on_tick(&mut self, world: &mut World, engine: &mut SimEngine) {
+        (**self).on_tick(world, engine);
+    }
 
-/// Per-tier outcome of the shared VM-scaling pass: the journal-ready
-/// observation, the policy's decision, whether the agent executed it, and
-/// the reason with the numbers that drove it.
-pub(crate) struct TierTickReport {
-    pub(crate) observation: TierObservation,
-    pub(crate) decision: ScaleDecision,
-    pub(crate) applied: bool,
-    pub(crate) reason: String,
+    fn actions(&self) -> Vec<ActionRecord> {
+        (**self).actions()
+    }
+
+    fn name(&self) -> &'static str {
+        (**self).name()
+    }
+
+    fn attach_journal(&mut self, journal: Rc<RefCell<DecisionJournal>>) {
+        (**self).attach_journal(journal);
+    }
+
+    fn planner_evals(&self) -> u64 {
+        (**self).planner_evals()
+    }
 }
 
-impl TierTickReport {
-    pub(crate) fn to_decision(&self) -> Decision {
-        let action = match self.decision {
-            ScaleDecision::Out => "scale-out",
-            ScaleDecision::In => "scale-in",
-            ScaleDecision::Hold => "hold",
-        };
-        Decision {
-            action: action.to_string(),
-            tier: self.observation.tier,
-            value: None,
-            applied: self.applied,
-            reason: self.reason.clone(),
+/// A reporting tier's threshold pressure under `trigger`, and its label.
+fn pressure(trigger: TriggerSignal, window: &TierWindow) -> (f64, String) {
+    match trigger {
+        TriggerSignal::CpuUtil => (window.mean_cpu_util, "cpu-util".to_string()),
+        TriggerSignal::DwellPressure { sla_secs } => {
+            let pressure = match window.mean_dwell {
+                Some(dwell) => dwell / sla_secs.max(1e-9),
+                // No completions: a wedged-but-loaded tier is maximal
+                // pressure; a genuinely idle one is zero.
+                None if window.mean_concurrency > 1.0 => f64::INFINITY,
+                None => 0.0,
+            };
+            (pressure, format!("dwell-pressure(sla={sla_secs}s)"))
         }
     }
 }
 
-/// Shared VM-scaling pass. Returns one report per scalable tier; the
-/// applied flag is false for holds and for requested actions the agent
-/// could not execute (e.g. scale-in of the last server).
-///
-/// A tier absent from `windows` is *silent*. When the whole map is empty
-/// the monitoring pipeline itself produced nothing, so every tier holds
-/// (no evidence of anything). But when other tiers are reporting and a
-/// scalable tier is not, that silence is itself a signal: its servers
-/// crashed or wedged so hard they stopped sampling. Such a tier used to be
-/// skipped — held forever — and is now treated as maximal pressure,
-/// mirroring the wedged-tier `mean_dwell: None` rule below.
-pub(crate) fn vm_decisions(
+/// The threshold plan EC2-AutoScale and DCM share: a monitor-silent or
+/// waiting tier holds, a reporting or wedged one goes through `policy` at
+/// its pressure, and the VM-agent executes a scale-out or scale-in. Returns
+/// the tiers whose scaling was executed; holds and actions the agent could
+/// not execute (e.g. scale-in of the last server) are only journaled.
+fn vm_decisions(
+    core: &mut ControlCore,
+    policy: &mut ThresholdPolicy,
     world: &mut World,
     engine: &mut SimEngine,
-    policy: &mut ThresholdPolicy,
-    vm: &mut VmAgent,
-    windows: &std::collections::BTreeMap<usize, TierWindow>,
-    silence: &mut std::collections::BTreeMap<usize, u32>,
-) -> Vec<TierTickReport> {
-    let tiers: Vec<usize> = policy.config().scalable_tiers.clone();
-    let trigger = policy.config().trigger;
+    views: &[TierView],
+) -> Vec<(usize, ScaleDecision)> {
     let (up, down, down_consecutive) = {
         let c = policy.config();
         (c.up_threshold, c.down_threshold, c.down_consecutive)
     };
-    let mut reports = Vec::new();
-    for tier in tiers {
-        let running = world.system.running_count(tier);
-        let booting = world.system.booting_count(tier);
-        let mut observation = TierObservation {
-            tier,
-            pressure: 0.0,
-            signal: String::new(),
-            utilization: None,
-            throughput: None,
-            concurrency: None,
-            mean_dwell: None,
-            queue: None,
-            running,
-            booting,
-            silent_streak: 0,
-        };
-        let pressure = match windows.get(&tier) {
-            Some(window) => {
-                silence.insert(tier, 0);
-                observation.utilization = Some(window.mean_cpu_util);
-                observation.throughput = Some(window.total_throughput);
-                observation.concurrency = Some(window.mean_concurrency);
-                observation.mean_dwell = window.mean_dwell;
-                observation.queue = Some(window.mean_thread_queue);
-                match trigger {
-                    TriggerSignal::CpuUtil => {
-                        observation.signal = "cpu-util".to_string();
-                        window.mean_cpu_util
-                    }
-                    TriggerSignal::DwellPressure { sla_secs } => {
-                        observation.signal = format!("dwell-pressure(sla={sla_secs}s)");
-                        match window.mean_dwell {
-                            Some(dwell) => dwell / sla_secs.max(1e-9),
-                            // No completions: a wedged-but-loaded tier is
-                            // maximal pressure; a genuinely idle one is zero.
-                            None if window.mean_concurrency > 1.0 => f64::INFINITY,
-                            None => 0.0,
-                        }
-                    }
-                }
+    let mut applied = Vec::new();
+    for view in views {
+        let (tier, have) = (view.tier, view.capacity());
+        let pressure = match view.class {
+            TierClass::MonitorSilent => {
+                core.decide("hold", tier, None, false, MONITOR_SILENT);
+                continue;
             }
-            None => {
-                let streak = silence.entry(tier).or_insert(0);
-                *streak += 1;
-                observation.signal = "silent".to_string();
-                observation.silent_streak = *streak;
-                if windows.is_empty() {
-                    // No metrics from anywhere: the monitor is not
-                    // running. Hold rather than guess.
-                    reports.push(TierTickReport {
-                        observation,
-                        decision: ScaleDecision::Hold,
-                        applied: false,
-                        reason: "no metrics from any tier: monitor silent, holding".to_string(),
-                    });
-                    continue;
-                }
-                let dead = running == 0 && booting == 0;
-                if dead || *streak >= SILENT_TICKS_FOR_PRESSURE {
-                    f64::INFINITY
-                } else {
-                    let reason = format!(
-                        "tier silent {streak}/{SILENT_TICKS_FOR_PRESSURE} period(s) \
-                         but has capacity; waiting before treating as wedged"
-                    );
-                    reports.push(TierTickReport {
-                        observation,
-                        decision: ScaleDecision::Hold,
-                        applied: false,
-                        reason,
-                    });
-                    continue;
-                }
+            TierClass::Waiting(streak) => {
+                let reason = format!(
+                    "tier silent {streak}/{SILENT_TICKS_FOR_PRESSURE} period(s) \
+                     but has capacity; waiting before treating as wedged"
+                );
+                core.decide("hold", tier, None, false, reason);
+                continue;
             }
+            TierClass::Reporting | TierClass::Wedged => view.pressure,
         };
-        observation.pressure = pressure;
-        let decision = policy.decide(tier, pressure, running, booting);
-        let streak = policy.below_count(tier);
-        let (applied, reason) = match decision {
+        let decision = policy.decide(tier, pressure, view.running, view.booting);
+        let (action, ok, reason) = match decision {
             ScaleDecision::Out => {
                 let why = if pressure.is_finite() {
                     format!("pressure {pressure:.3} > up_threshold {up:.2}")
                 } else {
                     "tier silent/dead under load: treated as maximal pressure".to_string()
                 };
-                let ok = vm.scale_out(world, engine, tier).is_some();
+                let ok = core.drive(world, engine, tier, have + 1, None).1 > have;
                 let reason = if ok {
                     why
                 } else {
                     format!("{why}, but provisioning failed")
                 };
-                (ok, reason)
+                ("scale-out", ok, reason)
             }
             ScaleDecision::In => {
                 let why = format!(
                     "pressure {pressure:.3} < down_threshold {down:.2} \
                      for {down_consecutive} consecutive periods"
                 );
-                let ok = vm.scale_in(world, engine, tier).is_some();
+                let ok = core.drive(world, engine, tier, have - 1, None).1 < have;
                 let reason = if ok {
                     why
                 } else {
                     format!("{why}, but scale-in refused")
                 };
-                (ok, reason)
+                ("scale-in", ok, reason)
             }
             ScaleDecision::Hold => {
                 let why = if pressure > up {
-                    if booting > 0 {
+                    if view.booting > 0 {
                         format!("pressure {pressure:.3} above up_threshold {up:.2} but a boot is already pending")
                     } else {
                         format!("pressure {pressure:.3} above up_threshold {up:.2} but tier is at max_servers")
                     }
                 } else if pressure < down {
+                    let streak = policy.below_count(tier);
                     format!(
                         "pressure {pressure:.3} < down_threshold {down:.2}, \
                          cold streak {streak}/{down_consecutive} (slow stop)"
@@ -227,28 +175,23 @@ pub(crate) fn vm_decisions(
                 } else {
                     format!("pressure {pressure:.3} within [{down:.2}, {up:.2}] band")
                 };
-                (false, why)
+                ("hold", false, why)
             }
         };
-        reports.push(TierTickReport {
-            observation,
-            decision,
-            applied,
-            reason,
-        });
+        if ok {
+            applied.push((tier, decision));
+        }
+        core.decide(action, tier, None, ok, reason);
     }
-    reports
+    applied
 }
 
 /// The hardware-only baseline: Amazon EC2-AutoScale–style threshold scaling
 /// with **no** soft-resource adaptation — new servers join with whatever
-/// pool sizes the tier was configured with.
+/// pool sizes the tier was configured with — and no capacity memory.
 pub struct Ec2AutoScale {
-    feed: MetricsFeed,
+    core: ControlCore,
     policy: ThresholdPolicy,
-    vm: VmAgent,
-    silence: std::collections::BTreeMap<usize, u32>,
-    journal: Option<Rc<RefCell<DecisionJournal>>>,
 }
 
 impl std::fmt::Debug for Ec2AutoScale {
@@ -262,49 +205,35 @@ impl std::fmt::Debug for Ec2AutoScale {
 impl Ec2AutoScale {
     /// Creates the baseline controller reading from `bus`.
     pub fn new(bus: MetricsBus, config: ScalingConfig) -> Self {
+        let servers = (config.min_servers, config.max_servers);
         Ec2AutoScale {
-            feed: MetricsFeed::new(bus, "ec2-autoscale"),
+            core: ControlCore::new(bus, "EC2-AutoScale", &config.scalable_tiers, servers),
             policy: ThresholdPolicy::new(config),
-            vm: VmAgent::new(),
-            silence: std::collections::BTreeMap::new(),
-            journal: None,
         }
     }
 }
 
 impl Controller for Ec2AutoScale {
     fn on_tick(&mut self, world: &mut World, engine: &mut SimEngine) {
-        let windows = self.feed.poll_windows();
-        let reports = vm_decisions(
-            world,
-            engine,
-            &mut self.policy,
-            &mut self.vm,
-            &windows,
-            &mut self.silence,
-        );
-        if let Some(journal) = &self.journal {
-            journal.borrow_mut().push(JournalEntry {
-                at: engine.now(),
-                controller: "EC2-AutoScale".to_string(),
-                observations: reports.iter().map(|r| r.observation.clone()).collect(),
-                fits: Vec::new(),
-                decisions: reports.iter().map(TierTickReport::to_decision).collect(),
-                plan: None,
-            });
-        }
+        let windows = self.core.poll();
+        let trigger = self.policy.config().trigger;
+        let views = self
+            .core
+            .observe(world, &windows, |_, w| pressure(trigger, w));
+        vm_decisions(&mut self.core, &mut self.policy, world, engine, &views);
+        self.core.finish_tick(engine.now(), Vec::new(), None);
     }
 
     fn actions(&self) -> Vec<ActionRecord> {
-        self.vm.log().to_vec()
+        self.core.actions()
     }
 
     fn name(&self) -> &'static str {
-        "EC2-AutoScale"
+        self.core.name()
     }
 
     fn attach_journal(&mut self, journal: Rc<RefCell<DecisionJournal>>) {
-        self.journal = Some(journal);
+        self.core.attach_journal(journal);
     }
 }
 
@@ -318,6 +247,20 @@ pub struct DcmModels {
     pub db: ConcurrencyModel,
 }
 
+impl DcmModels {
+    /// The simulated servers' own Tomcat and MySQL laws
+    /// ([`reference::tomcat`], [`reference::mysql`]) as one-server models
+    /// with `γ = 1`: the stand-in for trained models where a run or test
+    /// skips training.
+    pub fn reference() -> Self {
+        let model =
+            |law: ServiceLaw| ConcurrencyModel::new(law.s0(), law.alpha(), law.beta(), 1.0, 1);
+        DcmModels {
+            app: model(reference::tomcat()),
+            db: model(reference::mysql()),
+        }
+    }
+}
 /// DCM configuration on top of the shared scaling policy.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DcmConfig {
@@ -400,38 +343,22 @@ impl OnlineFit {
 /// ```
 /// use dcm_core::controller::{Controller, Dcm, DcmConfig, DcmModels};
 /// use dcm_core::monitor::new_metrics_bus;
-/// use dcm_model::concurrency::ConcurrencyModel;
 /// use dcm_ntier::topology::ThreeTierBuilder;
 ///
 /// let (mut world, mut engine) = ThreeTierBuilder::new().build();
 /// let bus = new_metrics_bus();
-/// let models = DcmModels {
-///     app: ConcurrencyModel::new(0.0284, 0.016, 7.0e-5, 1.0, 1),
-///     db: ConcurrencyModel::new(0.0296, 0.0045, 1.93e-5, 1.0, 1),
-/// };
-/// let mut dcm = Dcm::new(bus, DcmConfig::default(), models);
+/// let mut dcm = Dcm::new(bus, DcmConfig::default(), DcmModels::reference());
 /// dcm.on_tick(&mut world, &mut engine); // applies the optimal pools
 /// assert!(!dcm.actions().is_empty());
 /// ```
 pub struct Dcm {
-    feed: MetricsFeed,
+    core: ControlCore,
     policy: ThresholdPolicy,
-    vm: VmAgent,
-    app: AppAgent,
     models: DcmModels,
     config: DcmConfig,
     online: Option<OnlineFit>,
-    trends: std::collections::BTreeMap<usize, HoltTrend>,
-    silence: std::collections::BTreeMap<usize, u32>,
-    /// Capacity DCM believes each scalable tier should have, updated by
-    /// its own scaling decisions. When actual capacity falls below this
-    /// (a VM crashed), the gap is re-provisioned on the next tick without
-    /// waiting for thresholds to re-trip.
-    desired: std::collections::BTreeMap<usize, usize>,
-    /// Per-tier server count at the previous tick; a change resets that
-    /// tier's Holt smoother (per-server utilization shifts discontinuously
-    /// across scale events, so the old trend is meaningless).
-    last_counts: std::collections::BTreeMap<usize, usize>,
+    /// The predictive extension's smoothers (`None` = reactive).
+    trends: Option<TierTrends>,
     /// `(k_app, k_db, threads, conns)` of the last applied soft
     /// allocation; a change invalidates the online-refit buffers.
     last_shape: Option<(usize, usize, u32, u32)>,
@@ -440,7 +367,6 @@ pub struct Dcm {
     /// `("online-refit", Some(r²))`.
     app_fit: (&'static str, Option<f64>),
     db_fit: (&'static str, Option<f64>),
-    journal: Option<Rc<RefCell<DecisionJournal>>>,
 }
 
 impl std::fmt::Debug for Dcm {
@@ -455,22 +381,18 @@ impl std::fmt::Debug for Dcm {
 impl Dcm {
     /// Creates the DCM controller with offline-trained models.
     pub fn new(bus: MetricsBus, config: DcmConfig, models: DcmModels) -> Self {
+        let scaling = &config.scaling;
+        let servers = (scaling.min_servers, scaling.max_servers);
         Dcm {
-            feed: MetricsFeed::new(bus, "dcm"),
+            core: ControlCore::new(bus, "DCM", &scaling.scalable_tiers, servers),
             policy: ThresholdPolicy::new(config.scaling.clone()),
-            vm: VmAgent::new(),
-            app: AppAgent::new(),
             models,
+            trends: config.predictive.map(TierTrends::new),
             config,
             online: None,
-            trends: std::collections::BTreeMap::new(),
-            silence: std::collections::BTreeMap::new(),
-            desired: std::collections::BTreeMap::new(),
-            last_counts: std::collections::BTreeMap::new(),
             last_shape: None,
             app_fit: ("offline", None),
             db_fit: ("offline", None),
-            journal: None,
         }
     }
 
@@ -489,21 +411,12 @@ impl Dcm {
         self
     }
 
-    /// The models currently in use.
-    pub fn models(&self) -> DcmModels {
-        self.models
-    }
-
     /// The soft allocation DCM wants for the current topology:
     /// `(app threads per server, app→db conns per server)`. Booting
     /// servers count toward the split so they join correctly sized.
     pub fn desired_soft_allocation(&self, world: &World) -> (u32, u32) {
-        let k_app = (world.system.running_count(self.config.app_tier)
-            + world.system.booting_count(self.config.app_tier))
-        .max(1) as u32;
-        let k_db = (world.system.running_count(self.config.db_tier)
-            + world.system.booting_count(self.config.db_tier))
-        .max(1) as u32;
+        let k_app = capacity(world, self.config.app_tier).max(1) as u32;
+        let k_db = capacity(world, self.config.db_tier).max(1) as u32;
         let alloc = dcm_model::allocation::optimal_soft_allocation(
             &self.models.app,
             &self.models.db,
@@ -574,11 +487,11 @@ impl Dcm {
             .map(|o| (o.app_points.len(), o.db_points.len()))
     }
 
-    /// Observation count of a tier's Holt smoother; `None` when predictive
-    /// scaling is off or the tier has never reported. Exposed for tests
-    /// and diagnostics.
+    /// Observation count of a scalable tier's Holt smoother; `None` when
+    /// predictive scaling is off or the tier has not reported since its
+    /// last restart. Exposed for tests and diagnostics.
     pub fn trend_observations(&self, tier: usize) -> Option<u64> {
-        self.trends.get(&tier).map(|t| t.observations())
+        self.trends.as_ref()?.observations(tier)
     }
 }
 
@@ -602,154 +515,94 @@ fn fit_snapshot(
 
 impl Controller for Dcm {
     fn on_tick(&mut self, world: &mut World, engine: &mut SimEngine) {
-        let mut windows = self.feed.poll_windows();
+        let mut windows = self.core.poll();
         self.collect_online(&windows);
+        let scaling = &self.config.scaling;
         // Optional predictive extension: replace each tier's utilization
         // with its forecast so scale-out decisions lead the ramp by one
-        // boot delay. The forecast never *suppresses* a hot reading —
-        // reacting to genuine saturation must stay instant.
-        if let Some(holt) = self.config.predictive {
-            for (tier, window) in windows.iter_mut() {
-                // A scale event shifts per-server utilization
-                // discontinuously; extrapolating the old trend across it
-                // produces phantom forecasts, so restart the smoother.
-                let count = world.system.running_count(*tier) + world.system.booting_count(*tier);
-                if self.last_counts.insert(*tier, count) != Some(count) {
-                    self.trends.remove(tier);
+        // boot delay.
+        if let Some(trends) = self.trends.as_mut() {
+            trends.restart_changed(world, &scaling.scalable_tiers);
+            for &tier in &scaling.scalable_tiers {
+                if let Some(window) = windows.get_mut(&tier) {
+                    window.mean_cpu_util = trends.forecast(tier, window.mean_cpu_util);
                 }
-                let trend = self
-                    .trends
-                    .entry(*tier)
-                    .or_insert_with(|| HoltTrend::new(holt));
-                trend.observe(window.mean_cpu_util);
-                window.mean_cpu_util = window.mean_cpu_util.max(trend.forecast());
             }
         }
         // First level: VM scaling, identical policy to the baseline. DCM
-        // additionally tracks the capacity its own decisions aimed for, so
-        // that lost VMs (crashes) are re-detected and replaced on the very
-        // next tick instead of waiting for thresholds to re-trip.
-        let scalable: Vec<usize> = self.policy.config().scalable_tiers.clone();
-        for &tier in &scalable {
-            let have = world.system.running_count(tier) + world.system.booting_count(tier);
-            self.desired.entry(tier).or_insert(have);
-        }
-        let reports = vm_decisions(
-            world,
-            engine,
-            &mut self.policy,
-            &mut self.vm,
-            &windows,
-            &mut self.silence,
-        );
-        let (min_servers, max_servers) = (
-            self.config.scaling.min_servers,
-            self.config.scaling.max_servers,
-        );
-        for report in &reports {
-            if !report.applied {
-                continue;
-            }
-            let desired = self.desired.entry(report.observation.tier).or_insert(1);
-            match report.decision {
-                ScaleDecision::Out => *desired = (*desired + 1).min(max_servers),
-                ScaleDecision::In => *desired = desired.saturating_sub(1).max(min_servers),
-                ScaleDecision::Hold => {}
+        // additionally remembers the capacity its own decisions aimed for,
+        // starting from the capacity it first sees, so that lost VMs
+        // (crashes) are re-detected and replaced on the very next tick
+        // instead of waiting for thresholds to re-trip.
+        let trigger = scaling.trigger;
+        let (min_servers, max_servers) = (scaling.min_servers, scaling.max_servers);
+        let views = self
+            .core
+            .observe(world, &windows, |_, w| pressure(trigger, w));
+        for view in &views {
+            if self.core.remembered(view.tier).is_none() {
+                self.core.remember(view.tier, view.capacity());
             }
         }
-        let mut extra_decisions: Vec<Decision> = Vec::new();
-        for &tier in &scalable {
-            let desired = self.desired[&tier].clamp(min_servers, max_servers);
-            let before = world.system.running_count(tier) + world.system.booting_count(tier);
-            let mut have = before;
-            while have < desired {
-                if self.vm.scale_out(world, engine, tier).is_none() {
-                    break;
-                }
-                have += 1;
-            }
-            if before < desired {
-                let booted = have - before;
-                extra_decisions.push(Decision {
-                    action: "replace-lost".to_string(),
-                    tier,
-                    value: Some(desired as u32),
-                    applied: booted > 0,
-                    reason: format!(
-                        "capacity {before} below remembered desired {desired} \
-                         (VM loss); re-provisioned {booted} VM(s)"
-                    ),
-                });
+        let applied = vm_decisions(&mut self.core, &mut self.policy, world, engine, &views);
+        for (tier, decision) in applied {
+            let desired = self.core.remembered(tier).unwrap_or(1);
+            let desired = match decision {
+                ScaleDecision::Out => (desired + 1).min(max_servers),
+                _ => desired.saturating_sub(1).max(min_servers),
+            };
+            self.core.remember(tier, desired);
+        }
+        for view in &views {
+            if let Some((before, after, desired)) =
+                self.core.restore(world, engine, view.tier, None)
+            {
+                let reason = format!(
+                    "capacity {before} below remembered desired {desired} \
+                     (VM loss); re-provisioned {} VM(s)",
+                    after - before
+                );
+                self.core.decide(
+                    "replace-lost",
+                    view.tier,
+                    Some(desired as u32),
+                    after > before,
+                    reason,
+                );
             }
         }
         // Second level: soft-resource re-allocation for the (possibly new)
         // topology. Idempotent; the APP-agent skips unchanged sizes.
         let (threads, conns) = self.desired_soft_allocation(world);
+        let (app_tier, db_tier) = (self.config.app_tier, self.config.db_tier);
+        let (k_app, k_db) = (capacity(world, app_tier), capacity(world, db_tier));
+        let (models, headroom) = (&self.models, self.config.headroom);
         if self.config.adapt_threads {
-            let before = self.app.log().len();
-            self.app
-                .set_tier_threads(world, engine, self.config.app_tier, threads);
-            if self.app.log().len() > before {
-                extra_decisions.push(Decision {
-                    action: "set-threads".to_string(),
-                    tier: self.config.app_tier,
-                    value: Some(threads),
-                    applied: true,
-                    reason: format!(
-                        "app model N*={} with headroom {:.2} -> {threads} threads/server",
-                        self.models.app.optimal_concurrency(),
-                        self.config.headroom,
-                    ),
-                });
-            }
-        }
-        if self.config.adapt_conns {
-            let before = self.app.log().len();
-            self.app
-                .set_tier_conns(world, engine, self.config.app_tier, conns);
-            if self.app.log().len() > before {
-                let k_app = (world.system.running_count(self.config.app_tier)
-                    + world.system.booting_count(self.config.app_tier))
-                .max(1);
-                let k_db = (world.system.running_count(self.config.db_tier)
-                    + world.system.booting_count(self.config.db_tier))
-                .max(1);
-                extra_decisions.push(Decision {
-                    action: "set-conns".to_string(),
-                    tier: self.config.app_tier,
-                    value: Some(conns),
-                    applied: true,
-                    reason: format!(
-                        "db model N*={} x {k_db} db server(s), headroom {:.2}, \
-                         split across {k_app} app server(s) -> {conns} conns each",
-                        self.models.db.optimal_concurrency(),
-                        self.config.headroom,
-                    ),
-                });
-            }
-        }
-        if let Some(journal) = &self.journal {
-            let mut decisions: Vec<Decision> =
-                reports.iter().map(TierTickReport::to_decision).collect();
-            decisions.extend(extra_decisions);
-            journal.borrow_mut().push(JournalEntry {
-                at: engine.now(),
-                controller: "DCM".to_string(),
-                observations: reports.iter().map(|r| r.observation.clone()).collect(),
-                fits: vec![
-                    fit_snapshot("app", &self.models.app, self.app_fit),
-                    fit_snapshot("db", &self.models.db, self.db_fit),
-                ],
-                decisions,
-                plan: None,
+            self.core.set_threads(world, engine, app_tier, threads, || {
+                format!(
+                    "app model N*={} with headroom {headroom:.2} -> {threads} threads/server",
+                    models.app.optimal_concurrency(),
+                )
             });
         }
+        if self.config.adapt_conns {
+            self.core.set_conns(world, engine, app_tier, conns, || {
+                format!(
+                    "db model N*={} x {} db server(s), headroom {headroom:.2}, \
+                     split across {} app server(s) -> {conns} conns each",
+                    models.db.optimal_concurrency(),
+                    k_db.max(1),
+                    k_app.max(1),
+                )
+            });
+        }
+        let fits = vec![
+            fit_snapshot("app", &self.models.app, self.app_fit),
+            fit_snapshot("db", &self.models.db, self.db_fit),
+        ];
+        self.core.finish_tick(engine.now(), fits, None);
         // Online-refit points are only comparable within one configuration:
         // if the topology or pool sizes changed, flush the buffers.
-        let k_app = world.system.running_count(self.config.app_tier)
-            + world.system.booting_count(self.config.app_tier);
-        let k_db = world.system.running_count(self.config.db_tier)
-            + world.system.booting_count(self.config.db_tier);
         let shape = (k_app, k_db, threads, conns);
         if self.last_shape != Some(shape) {
             if self.last_shape.is_some() {
@@ -762,56 +615,39 @@ impl Controller for Dcm {
     }
 
     fn actions(&self) -> Vec<ActionRecord> {
-        let mut all: Vec<ActionRecord> = self
-            .vm
-            .log()
-            .iter()
-            .chain(self.app.log().iter())
-            .cloned()
-            .collect();
-        all.sort_by_key(|r| r.at);
-        all
+        self.core.actions()
     }
 
     fn name(&self) -> &'static str {
-        "DCM"
+        self.core.name()
     }
 
     fn attach_journal(&mut self, journal: Rc<RefCell<DecisionJournal>>) {
-        self.journal = Some(journal);
+        self.core.attach_journal(journal);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::control::tests::{check, Rule};
     use crate::monitor::{new_metrics_bus, METRICS_TOPIC};
     use dcm_ntier::flow;
-    use dcm_ntier::law::reference;
     use dcm_ntier::metrics::ServerSample;
     use dcm_ntier::topology::ThreeTierBuilder;
     use dcm_sim::time::SimTime;
     use std::rc::Rc;
 
-    fn models() -> DcmModels {
-        let app = reference::tomcat();
-        let db = reference::mysql();
-        DcmModels {
-            app: ConcurrencyModel::new(app.s0(), app.alpha(), app.beta(), 1.0, 1),
-            db: ConcurrencyModel::new(db.s0(), db.alpha(), db.beta(), 1.0, 1),
-        }
-    }
-
     #[test]
     fn dcm_desired_allocation_tracks_topology() {
         let (world, _engine) = ThreeTierBuilder::new().build();
         let bus = new_metrics_bus();
-        let dcm = Dcm::new(bus, DcmConfig::default(), models());
+        let dcm = Dcm::new(bus, DcmConfig::default(), DcmModels::reference());
         // 1/1/1 with headroom 1.1 over the tier-local laws: threads =
         // ceil(N*_app·1.1), conns = ceil(36·1·1.1/1) = 40 (the paper's
         // Fig. 5 initial 40). Production use passes *fitted* system-level
         // models, whose app knee lands near the paper's 20.
-        let n_app = models().app.optimal_concurrency() as f64;
+        let n_app = DcmModels::reference().app.optimal_concurrency() as f64;
         let expect_threads = (n_app * 1.1).ceil() as u32;
         let (threads, conns) = dcm.desired_soft_allocation(&world);
         assert_eq!(threads, expect_threads);
@@ -830,11 +666,16 @@ mod tests {
     fn dcm_tick_applies_soft_allocation() {
         let (mut world, mut engine) = ThreeTierBuilder::new().build();
         let bus = new_metrics_bus();
-        let mut dcm = Dcm::new(std::rc::Rc::clone(&bus), DcmConfig::default(), models());
+        let mut dcm = Dcm::new(
+            std::rc::Rc::clone(&bus),
+            DcmConfig::default(),
+            DcmModels::reference(),
+        );
         dcm.on_tick(&mut world, &mut engine);
         let sid = world.system.tier(1).members()[0];
         let server = world.system.server(sid).unwrap();
-        let expect_threads = (models().app.optimal_concurrency() as f64 * 1.1).ceil() as u32;
+        let expect_threads =
+            (DcmModels::reference().app.optimal_concurrency() as f64 * 1.1).ceil() as u32;
         assert_eq!(server.thread_pool().capacity(), expect_threads);
         assert_eq!(server.conn_pool().unwrap().capacity(), 40);
         let actions = dcm.actions();
@@ -851,20 +692,14 @@ mod tests {
             adapt_conns: false,
             ..DcmConfig::default()
         };
-        let mut dcm = Dcm::new(bus, config, models());
+        let mut dcm = Dcm::new(bus, config, DcmModels::reference());
         dcm.on_tick(&mut world, &mut engine);
         assert!(dcm.actions().is_empty());
     }
 
     #[test]
     fn ec2_tick_without_metrics_holds() {
-        let (mut world, mut engine) = ThreeTierBuilder::new().build();
-        let bus = new_metrics_bus();
-        let mut ec2 = Ec2AutoScale::new(bus, ScalingConfig::default());
-        ec2.on_tick(&mut world, &mut engine);
-        assert!(ec2.actions().is_empty());
-        assert_eq!(world.system.running_count(1), 1);
-        assert_eq!(ec2.name(), "EC2-AutoScale");
+        check("EC2-AutoScale", Rule::MonitorSilent);
     }
 
     fn sample(server: &str, tier: usize, cpu: f64) -> ServerSample {
@@ -891,93 +726,24 @@ mod tests {
             .expect("metrics topic exists");
     }
 
-    /// Regression: a tier whose every server crashed goes silent; the
-    /// controller used to skip it (`continue`) and hold it dead forever.
     #[test]
     fn silent_crashed_tier_triggers_scale_out() {
-        let (mut world, mut engine) = ThreeTierBuilder::new().build();
-        let bus = new_metrics_bus();
-        let mut ec2 = Ec2AutoScale::new(Rc::clone(&bus), ScalingConfig::default());
-        let victim = world.system.tier(1).members()[0];
-        flow::crash_server(&mut world, &mut engine, victim);
-        assert_eq!(world.system.running_count(1), 0);
-        // The web tier keeps reporting, so the monitoring pipeline is
-        // demonstrably alive — tier 1's silence is the signal.
-        produce(&bus, 1_000, sample("web-1", 0, 0.3));
-        ec2.on_tick(&mut world, &mut engine);
-        assert_eq!(
-            world.system.booting_count(1),
-            1,
-            "a dead-silent tier must be re-provisioned, not held forever"
-        );
+        check("EC2-AutoScale", Rule::DeadTier);
     }
 
-    /// A silent tier that still has capacity needs a streak of silent
-    /// periods before it is treated as wedged (one missed window can be a
-    /// sampling hiccup), and an all-empty poll still holds everything.
     #[test]
     fn silent_wedged_tier_scales_out_after_streak() {
-        let (mut world, mut engine) = ThreeTierBuilder::new().build();
-        let bus = new_metrics_bus();
-        let mut ec2 = Ec2AutoScale::new(Rc::clone(&bus), ScalingConfig::default());
-        produce(&bus, 1_000, sample("web-1", 0, 0.3));
-        ec2.on_tick(&mut world, &mut engine);
-        assert_eq!(
-            world.system.booting_count(1),
-            0,
-            "one silent period is not evidence of a wedge"
-        );
-        produce(&bus, 2_000, sample("web-1", 0, 0.3));
-        ec2.on_tick(&mut world, &mut engine);
-        assert_eq!(
-            world.system.booting_count(1),
-            1,
-            "consecutive silence on a loaded system means wedged"
-        );
+        check("EC2-AutoScale", Rule::SilentTier);
     }
 
-    /// Regression: DCM remembers the capacity its decisions aimed for and
-    /// replaces a crashed VM on the next tick, even though the surviving
-    /// servers' pressure is below every threshold.
     #[test]
     fn dcm_replaces_crashed_vm_within_one_period() {
-        let (mut world, mut engine) = ThreeTierBuilder::new().counts(1, 2, 1).build();
-        let bus = new_metrics_bus();
-        let mut dcm = Dcm::new(Rc::clone(&bus), DcmConfig::default(), models());
-        for name_tier in [("web-1", 0), ("app-1", 1), ("app-2", 1), ("db-1", 2)] {
-            produce(&bus, 1_000, sample(name_tier.0, name_tier.1, 0.5));
-        }
-        dcm.on_tick(&mut world, &mut engine);
-        assert_eq!(world.system.running_count(1), 2);
-        let victim = world.system.tier(1).members()[0];
-        flow::crash_server(&mut world, &mut engine, victim);
-        assert_eq!(world.system.running_count(1), 1);
-        // The survivor reports mid-band load: threshold policy says hold.
-        for name_tier in [("web-1", 0), ("app-2", 1), ("db-1", 2)] {
-            produce(&bus, 2_000, sample(name_tier.0, name_tier.1, 0.5));
-        }
-        dcm.on_tick(&mut world, &mut engine);
-        assert_eq!(
-            world.system.booting_count(1),
-            1,
-            "lost capacity must be re-provisioned without a threshold re-trip"
-        );
+        check("DCM", Rule::LostCapacity);
     }
 
-    /// The baseline has no capacity memory: after a partial crash with
-    /// mid-band survivor load it holds — the blind spot DCM closes above.
     #[test]
     fn ec2_holds_after_partial_crash_below_threshold() {
-        let (mut world, mut engine) = ThreeTierBuilder::new().counts(1, 2, 1).build();
-        let bus = new_metrics_bus();
-        let mut ec2 = Ec2AutoScale::new(Rc::clone(&bus), ScalingConfig::default());
-        let victim = world.system.tier(1).members()[0];
-        flow::crash_server(&mut world, &mut engine, victim);
-        for name_tier in [("web-1", 0), ("app-2", 1), ("db-1", 2)] {
-            produce(&bus, 1_000, sample(name_tier.0, name_tier.1, 0.5));
-        }
-        ec2.on_tick(&mut world, &mut engine);
-        assert_eq!(world.system.booting_count(1), 0);
+        check("EC2-AutoScale", Rule::LostCapacity);
     }
 
     /// Regression: the online-refit point buffers used to grow without
@@ -994,7 +760,8 @@ mod tests {
             },
             ..DcmConfig::default()
         };
-        let mut dcm = Dcm::new(Rc::clone(&bus), config, models()).with_online_refit(8, 100_000);
+        let mut dcm =
+            Dcm::new(Rc::clone(&bus), config, DcmModels::reference()).with_online_refit(8, 100_000);
         for k in 0..600u64 {
             let ts = (k + 1) * 1_000;
             produce(&bus, ts, sample("app-1", 1, 0.9));
@@ -1013,8 +780,12 @@ mod tests {
     fn online_refit_buffers_reset_on_scale_event() {
         let (mut world, mut engine) = ThreeTierBuilder::new().build();
         let bus = new_metrics_bus();
-        let mut dcm =
-            Dcm::new(Rc::clone(&bus), DcmConfig::default(), models()).with_online_refit(8, 100_000);
+        let mut dcm = Dcm::new(
+            Rc::clone(&bus),
+            DcmConfig::default(),
+            DcmModels::reference(),
+        )
+        .with_online_refit(8, 100_000);
         for k in 0..3u64 {
             let ts = (k + 1) * 1_000;
             produce(&bus, ts, sample("app-1", 1, 0.75));
@@ -1045,7 +816,7 @@ mod tests {
             predictive: Some(HoltConfig::default()),
             ..DcmConfig::default()
         };
-        let mut dcm = Dcm::new(Rc::clone(&bus), config, models());
+        let mut dcm = Dcm::new(Rc::clone(&bus), config, DcmModels::reference());
         for k in 0..4u64 {
             let ts = (k + 1) * 1_000;
             produce(&bus, ts, sample("app-1", 1, 0.2 + 0.05 * k as f64));

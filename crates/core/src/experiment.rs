@@ -274,34 +274,14 @@ impl Experiment {
         ensure_each(&durations, positive, "must be finite and positive")
     }
 
-    /// Runs the experiment under `controller`: the one place a
-    /// [`ControllerSpec`] becomes a controller.
+    /// Runs the experiment under the controller `controller` builds
+    /// ([`ControllerSpec::build`]).
     ///
     /// # Errors
     ///
     /// A [`ConfigError`] from [`Experiment::check`]; nothing runs then.
     pub fn run(&self, controller: &ControllerSpec) -> Result<TraceRunResult, ConfigError> {
-        match controller.clone() {
-            ControllerSpec::Ec2(scaling) => self.run_with(|bus| Ec2AutoScale::new(bus, scaling)),
-            ControllerSpec::Dcm {
-                config,
-                models,
-                refit,
-            } => self.run_with(|bus| {
-                let dcm = Dcm::new(bus, config, models);
-                match refit {
-                    Some((min_points, every)) => dcm.with_online_refit(min_points, every),
-                    None => dcm,
-                }
-            }),
-            ControllerSpec::Mpc { config, models } => {
-                self.run_with(|bus| ModelPredictive::new(bus, config, models))
-            }
-            ControllerSpec::Mmc(staffing) => self.run_with(|bus| ThresholdMmc::new(bus, staffing)),
-            ControllerSpec::HoltWinters { staffing, holt } => {
-                self.run_with(|bus| HoltWinters::new(bus, staffing, holt))
-            }
-        }
+        self.run_with(|bus| controller.build(bus))
     }
 
     /// Runs the experiment under the controller produced by `make` (which
@@ -328,7 +308,7 @@ impl Experiment {
 }
 
 /// The controller a trace run is scaled by, with its configuration and
-/// models ([`Experiment::run`] builds it).
+/// models ([`ControllerSpec::build`] builds it).
 #[derive(Debug, Clone)]
 pub enum ControllerSpec {
     /// The hardware-only threshold baseline ([`Ec2AutoScale`]).
@@ -380,6 +360,32 @@ impl ControllerSpec {
     pub fn mpc(models: DcmModels) -> Self {
         let config = MpcConfig::default();
         ControllerSpec::Mpc { config, models }
+    }
+
+    /// The controller reading `bus`: the one place a spec becomes a
+    /// controller.
+    pub fn build(&self, bus: MetricsBus) -> Box<dyn Controller> {
+        match self.clone() {
+            ControllerSpec::Ec2(scaling) => Box::new(Ec2AutoScale::new(bus, scaling)),
+            ControllerSpec::Dcm {
+                config,
+                models,
+                refit,
+            } => {
+                let dcm = Dcm::new(bus, config, models);
+                Box::new(match refit {
+                    Some((min_points, every)) => dcm.with_online_refit(min_points, every),
+                    None => dcm,
+                })
+            }
+            ControllerSpec::Mpc { config, models } => {
+                Box::new(ModelPredictive::new(bus, config, models))
+            }
+            ControllerSpec::Mmc(staffing) => Box::new(ThresholdMmc::new(bus, staffing)),
+            ControllerSpec::HoltWinters { staffing, holt } => {
+                Box::new(HoltWinters::new(bus, staffing, holt))
+            }
+        }
     }
 
     /// The display name of the controller this spec builds (its
@@ -1010,7 +1016,6 @@ where
 mod tests {
     use super::*;
     use crate::controller::Ec2AutoScale;
-    use dcm_model::concurrency::ConcurrencyModel;
     use dcm_ntier::law::reference;
     use dcm_sim::dist::Dist;
     use dcm_workload::traces;
@@ -1022,15 +1027,6 @@ mod tests {
             seed: 5,
             audit: Audit::Enforce,
             ..Experiment::figure5(trace)
-        }
-    }
-
-    fn models() -> DcmModels {
-        let app = reference::tomcat();
-        let db = reference::mysql();
-        DcmModels {
-            app: ConcurrencyModel::new(app.s0(), app.alpha(), app.beta(), 1.0, 1),
-            db: ConcurrencyModel::new(db.s0(), db.alpha(), db.beta(), 1.0, 1),
         }
     }
 
@@ -1093,7 +1089,7 @@ mod tests {
     #[test]
     fn dcm_run_applies_soft_allocations() {
         let result = quick(traces::step(20, 320, 30.0))
-            .run(&ControllerSpec::dcm(models()))
+            .run(&ControllerSpec::dcm(DcmModels::reference()))
             .expect("valid");
         assert_eq!(result.controller, "DCM");
         assert!(
@@ -1131,10 +1127,10 @@ mod tests {
             ControllerSpec::ec2(),
             ControllerSpec::Dcm {
                 config: DcmConfig::default(),
-                models: models(),
+                models: DcmModels::reference(),
                 refit: Some((16, 4)),
             },
-            ControllerSpec::mpc(models()),
+            ControllerSpec::mpc(DcmModels::reference()),
             ControllerSpec::Mmc(staffing.clone()),
             ControllerSpec::HoltWinters {
                 staffing,
@@ -1249,7 +1245,7 @@ mod tests {
         let mut experiment = quick(traces::step(20, 320, 30.0));
         experiment.obs = Some(ObsConfig::default());
         let result = experiment
-            .run(&ControllerSpec::dcm(models()))
+            .run(&ControllerSpec::dcm(DcmModels::reference()))
             .expect("valid");
         let obs = result.obs.as_ref().expect("obs requested");
         // One journal entry, control tick, and series row per control

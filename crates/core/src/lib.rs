@@ -10,6 +10,9 @@
 //! * [`monitor`] — the Fine-Grained Resource Monitor: per-second server
 //!   samples published to a Kafka-style broker ([`dcm_bus`]).
 //! * [`aggregate`] — turning raw samples into per-tier control inputs.
+//! * [`control`] — the control core every controller runs on: the shared
+//!   observe step (with the silent- and dead-tier rules) and execute step
+//!   (agents, capacity memory, journal), leaving each controller its plan.
 //! * [`controller`] — the Optimization Controller ([`controller::Dcm`]) and
 //!   the hardware-only baseline ([`controller::Ec2AutoScale`]); both share
 //!   the quick-start/slow-stop threshold policy ([`policy`]).
@@ -49,6 +52,7 @@
 
 pub mod agents;
 pub mod aggregate;
+pub mod control;
 pub mod controller;
 pub mod experiment;
 pub mod monitor;
@@ -66,7 +70,9 @@ pub use experiment::{
     ObsArtifacts, ObsConfig, SteadyStateOptions, SteadyStateReport, TraceExperimentConfig,
     TraceRunResult, WorkloadShape,
 };
-pub use monitor::{install_monitor, new_metrics_bus, MetricsBus, MonitorConfig, METRICS_TOPIC};
+pub use monitor::{
+    install_monitor, new_metrics_bus, schedule_every, MetricsBus, MonitorConfig, METRICS_TOPIC,
+};
 pub use mpc::{ModelPredictive, MpcConfig};
 pub use policy::{ScaleDecision, ScalingConfig, ThresholdPolicy};
 pub use predictor::{HoltConfig, HoltTrend};

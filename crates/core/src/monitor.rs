@@ -72,13 +72,10 @@ impl MetricsFeed {
 }
 
 /// Runs `tick` every `period` from now until `stop_at`, each occurrence
-/// scheduling the next after it ran.
-pub(crate) fn schedule_every<F>(
-    engine: &mut SimEngine,
-    period: SimDuration,
-    stop_at: SimTime,
-    mut tick: F,
-) where
+/// scheduling the next after it ran: the clock of the monitor, the
+/// controller, the per-second recorder and the obs capture.
+pub fn schedule_every<F>(engine: &mut SimEngine, period: SimDuration, stop_at: SimTime, mut tick: F)
+where
     F: FnMut(&mut World, &mut SimEngine) + 'static,
 {
     let next = engine.now() + period;

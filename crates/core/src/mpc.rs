@@ -20,12 +20,11 @@
 //! soft allocation changes shape — points measured under a different
 //! configuration describe a different system.
 //!
-//! The controller closes the same failure blind spots the DCM controller
-//! does: a tier gone silent while the rest of the system reports is
-//! treated as wedged after [`SILENT_TICKS_FOR_PRESSURE`] periods (a dead
-//! tier immediately), and the plan the controller last committed to is
-//! remembered as desired capacity, so a crashed VM is re-provisioned on
-//! the next tick without waiting for load to re-trip anything.
+//! The controller runs on the [control core](crate::control): a wedged
+//! tier gets one more server at once, and the plan the controller last
+//! committed to is its remembered capacity, so a crashed VM is
+//! re-provisioned on the next tick without waiting for load to re-trip
+//! anything.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -33,13 +32,14 @@ use std::rc::Rc;
 
 use dcm_model::mva::ConvCache;
 use dcm_ntier::world::{SimEngine, World};
-use dcm_obs::journal::{Decision, DecisionJournal, JournalEntry, PlanProvenance, TierObservation};
+use dcm_obs::journal::{DecisionJournal, PlanProvenance};
 use dcm_oracle::planner::{predict_with, PlannedTier, Prediction};
 
-use crate::agents::{ActionRecord, AppAgent, VmAgent};
+use crate::agents::ActionRecord;
 use crate::aggregate::TierWindow;
-use crate::controller::{Controller, DcmModels, SILENT_TICKS_FOR_PRESSURE};
-use crate::monitor::{MetricsBus, MetricsFeed};
+use crate::control::{capacity, ControlCore, TierClass};
+use crate::controller::{Controller, DcmModels};
+use crate::monitor::MetricsBus;
 
 /// Effective concurrency ceiling for tiers the MPC does not pool-manage
 /// (the web tier's 1000-thread default never binds at league populations).
@@ -113,16 +113,10 @@ struct TierEstimate {
 
 /// The model-predictive controller.
 pub struct ModelPredictive {
-    feed: MetricsFeed,
-    vm: VmAgent,
-    app: AppAgent,
+    core: ControlCore,
     models: DcmModels,
     config: MpcConfig,
     estimates: BTreeMap<usize, TierEstimate>,
-    silence: BTreeMap<usize, u32>,
-    /// Capacity the last committed plan called for, per scalable tier
-    /// (crash-replacement memory).
-    desired: BTreeMap<usize, usize>,
     /// `(per-tier counts, threads, conns)` shape under which the current
     /// estimates were measured; a change invalidates them.
     last_shape: Option<(Vec<usize>, u32, u32)>,
@@ -132,7 +126,6 @@ pub struct ModelPredictive {
     /// predicted-vs-realized journal line.
     last_predicted_x: Option<f64>,
     planner_evals: u64,
-    journal: Option<Rc<RefCell<DecisionJournal>>>,
 }
 
 impl std::fmt::Debug for ModelPredictive {
@@ -165,20 +158,16 @@ impl ModelPredictive {
     /// Creates the controller reading from `bus`, planning with the given
     /// fitted tier models.
     pub fn new(bus: MetricsBus, config: MpcConfig, models: DcmModels) -> Self {
+        let servers = (config.min_servers, config.max_servers);
         ModelPredictive {
-            feed: MetricsFeed::new(bus, "mpc"),
-            vm: VmAgent::new(),
-            app: AppAgent::new(),
+            core: ControlCore::new(bus, "MPC", &config.scalable_tiers, servers),
             models,
             config,
             estimates: BTreeMap::new(),
-            silence: BTreeMap::new(),
-            desired: BTreeMap::new(),
             last_shape: None,
             committed_pools: None,
             last_predicted_x: None,
             planner_evals: 0,
-            journal: None,
         }
     }
 
@@ -282,10 +271,8 @@ impl ModelPredictive {
             let to = (cur + self.config.step_limit).min(hi);
             from..=to
         };
-        let cur_app = world.system.running_count(self.config.app_tier)
-            + world.system.booting_count(self.config.app_tier);
-        let cur_db = world.system.running_count(self.config.db_tier)
-            + world.system.booting_count(self.config.db_tier);
+        let cur_app = capacity(world, self.config.app_tier);
+        let cur_db = capacity(world, self.config.db_tier);
         let web_servers = world.system.running_count(0).max(1);
 
         let n_app = self.models.app.optimal_concurrency().min(10_000);
@@ -399,109 +386,15 @@ impl ModelPredictive {
             ),
         }
     }
-
-    /// Scales `tier` toward `target` VMs, one provision/drain at a time.
-    fn drive_tier(
-        &mut self,
-        world: &mut World,
-        engine: &mut SimEngine,
-        tier: usize,
-        target: usize,
-        decisions: &mut Vec<Decision>,
-        reason: &str,
-    ) {
-        let mut have = world.system.running_count(tier) + world.system.booting_count(tier);
-        while have < target {
-            if self.vm.scale_out(world, engine, tier).is_none() {
-                break;
-            }
-            have += 1;
-            decisions.push(Decision {
-                action: "scale-out".to_string(),
-                tier,
-                value: Some(have as u32),
-                applied: true,
-                reason: reason.to_string(),
-            });
-        }
-        while have > target {
-            if self.vm.scale_in(world, engine, tier).is_none() {
-                break;
-            }
-            have -= 1;
-            decisions.push(Decision {
-                action: "scale-in".to_string(),
-                tier,
-                value: Some(have as u32),
-                applied: true,
-                reason: reason.to_string(),
-            });
-        }
-    }
-
-    /// Builds the journal observation for one tier and maintains the
-    /// silence streaks; returns whether the tier must be force-scaled
-    /// (dead or wedged-silent).
-    fn observe_tier(
-        &mut self,
-        world: &World,
-        tier: usize,
-        windows: &BTreeMap<usize, TierWindow>,
-    ) -> (TierObservation, bool) {
-        let running = world.system.running_count(tier);
-        let booting = world.system.booting_count(tier);
-        let mut obs = TierObservation {
-            tier,
-            pressure: 0.0,
-            signal: String::new(),
-            utilization: None,
-            throughput: None,
-            concurrency: None,
-            mean_dwell: None,
-            queue: None,
-            running,
-            booting,
-            silent_streak: 0,
-        };
-        match windows.get(&tier) {
-            Some(w) => {
-                self.silence.insert(tier, 0);
-                obs.signal = "cpu-util".to_string();
-                obs.pressure = w.mean_cpu_util;
-                obs.utilization = Some(w.mean_cpu_util);
-                obs.throughput = Some(w.total_throughput);
-                obs.concurrency = Some(w.mean_concurrency);
-                obs.mean_dwell = w.mean_dwell;
-                obs.queue = Some(w.mean_thread_queue);
-                (obs, false)
-            }
-            None => {
-                let streak = self.silence.entry(tier).or_insert(0);
-                *streak += 1;
-                obs.signal = "silent".to_string();
-                obs.silent_streak = *streak;
-                if windows.is_empty() {
-                    // Monitor itself silent: no evidence of anything.
-                    return (obs, false);
-                }
-                let dead = running == 0 && booting == 0;
-                let wedged = dead || *streak >= SILENT_TICKS_FOR_PRESSURE;
-                if wedged {
-                    obs.pressure = f64::INFINITY;
-                }
-                (obs, wedged)
-            }
-        }
-    }
 }
 
 impl Controller for ModelPredictive {
     fn on_tick(&mut self, world: &mut World, engine: &mut SimEngine) {
-        let windows = self.feed.poll_windows();
+        let windows = self.core.poll();
 
         // Estimates are only comparable within one configuration shape.
         let counts: Vec<usize> = (0..world.system.tier_count())
-            .map(|t| world.system.running_count(t) + world.system.booting_count(t))
+            .map(|t| capacity(world, t))
             .collect();
         let (threads_now, conns_now) = self.committed_pools.unwrap_or((0, 0));
         let shape = (counts, threads_now, conns_now);
@@ -521,128 +414,65 @@ impl Controller for ModelPredictive {
             _ => None,
         };
 
-        let scalable = self.config.scalable_tiers.clone();
-        let mut observations = Vec::new();
-        let mut decisions: Vec<Decision> = Vec::new();
-        let mut forced: Vec<usize> = Vec::new();
-        for &tier in &scalable {
-            let (obs, wedged) = self.observe_tier(world, tier, &windows);
-            if wedged {
-                forced.push(tier);
-            }
-            observations.push(obs);
-        }
-
-        // Blind spot 1: silent/dead tiers get capacity now, not after the
+        let views = self.core.observe(world, &windows, |_, w| {
+            (w.mean_cpu_util, "cpu-util".to_string())
+        });
+        let (lo, hi) = (self.config.min_servers, self.config.max_servers);
+        // Blind spot 1: wedged tiers get capacity now, not after the
         // planner regains signal (it never will while the tier is down).
-        for &tier in &forced {
-            let have = world.system.running_count(tier) + world.system.booting_count(tier);
-            let target = (have + 1).clamp(self.config.min_servers, self.config.max_servers);
-            self.drive_tier(
-                world,
-                engine,
-                tier,
-                target,
-                &mut decisions,
-                "tier silent/dead under load: forced scale-out",
-            );
+        let forced = Some("tier silent/dead under load: forced scale-out");
+        for view in views.iter().filter(|v| v.class == TierClass::Wedged) {
+            let target = (view.capacity() + 1).clamp(lo, hi);
+            self.core.drive(world, engine, view.tier, target, forced);
         }
-
         // Blind spot 2: the last committed plan is remembered as desired
-        // capacity; a crashed VM is replaced without re-planning (the
-        // estimates were just invalidated by the shape change, so the
-        // planner is blind exactly when the crash happens).
-        for &tier in &scalable {
-            let desired = match self.desired.get(&tier) {
-                Some(&d) => d.clamp(self.config.min_servers, self.config.max_servers),
-                None => continue,
-            };
-            let before = world.system.running_count(tier) + world.system.booting_count(tier);
-            if before < desired {
-                self.drive_tier(
-                    world,
-                    engine,
-                    tier,
-                    desired,
-                    &mut decisions,
-                    "capacity below committed plan (VM loss); re-provisioning",
-                );
-                decisions.push(Decision {
-                    action: "replace-lost".to_string(),
-                    tier,
-                    value: Some(desired as u32),
-                    applied: true,
-                    reason: format!("capacity {before} below committed plan {desired}"),
-                });
+        // capacity; a crashed VM is replaced before re-planning (the shape
+        // change just reset the estimates, so the planner sees at most this
+        // one window, and none from a tier that died).
+        let lost = Some("capacity below committed plan (VM loss); re-provisioning");
+        for view in &views {
+            if let Some((before, _, desired)) = self.core.restore(world, engine, view.tier, lost) {
+                let reason = format!("capacity {before} below committed plan {desired}");
+                let value = Some(desired as u32);
+                self.core
+                    .decide("replace-lost", view.tier, value, true, reason);
             }
         }
 
         // Plan only with a full set of demand estimates; until then the
         // forced-capacity paths above are the whole policy.
+        let (app_tier, db_tier) = (self.config.app_tier, self.config.db_tier);
         let have_estimates = self.estimates.contains_key(&0)
-            && self.estimates.contains_key(&self.config.app_tier)
-            && self.estimates.contains_key(&self.config.db_tier);
+            && self.estimates.contains_key(&app_tier)
+            && self.estimates.contains_key(&db_tier);
         let mut plan = None;
         if have_estimates {
             if let Some(population) = self.estimate_population(&windows) {
-                let cur_app = world.system.running_count(self.config.app_tier)
-                    + world.system.booting_count(self.config.app_tier);
-                let cur_db = world.system.running_count(self.config.db_tier)
-                    + world.system.booting_count(self.config.db_tier);
+                let (cur_app, cur_db) = (capacity(world, app_tier), capacity(world, db_tier));
                 let candidates = self.enumerate(world, population);
                 let (chosen, reason) = self.choose(&candidates, cur_app, cur_db);
-                self.drive_tier(
-                    world,
-                    engine,
-                    self.config.app_tier,
-                    chosen.app_servers,
-                    &mut decisions,
-                    reason,
-                );
-                self.drive_tier(
-                    world,
-                    engine,
-                    self.config.db_tier,
-                    chosen.db_servers,
-                    &mut decisions,
-                    reason,
-                );
-                self.desired
-                    .insert(self.config.app_tier, chosen.app_servers);
-                self.desired.insert(self.config.db_tier, chosen.db_servers);
-
-                let k_app = (world.system.running_count(self.config.app_tier)
-                    + world.system.booting_count(self.config.app_tier))
-                .max(1) as u32;
-                let conns_per_app = chosen.db_conns_total.div_ceil(k_app).max(1);
-                let before = self.app.log().len();
-                self.app
-                    .set_tier_threads(world, engine, self.config.app_tier, chosen.app_threads);
-                if self.app.log().len() > before {
-                    decisions.push(Decision {
-                        action: "set-threads".to_string(),
-                        tier: self.config.app_tier,
-                        value: Some(chosen.app_threads),
-                        applied: true,
-                        reason: format!("plan pool size {}", chosen.app_threads),
-                    });
+                for (tier, servers) in
+                    [(app_tier, chosen.app_servers), (db_tier, chosen.db_servers)]
+                {
+                    self.core.drive(world, engine, tier, servers, Some(reason));
                 }
-                let before = self.app.log().len();
-                self.app
-                    .set_tier_conns(world, engine, self.config.app_tier, conns_per_app);
-                if self.app.log().len() > before {
-                    decisions.push(Decision {
-                        action: "set-conns".to_string(),
-                        tier: self.config.app_tier,
-                        value: Some(conns_per_app),
-                        applied: true,
-                        reason: format!(
+                self.core.remember(app_tier, chosen.app_servers);
+                self.core.remember(db_tier, chosen.db_servers);
+
+                let k_app = capacity(world, app_tier).max(1) as u32;
+                let conns_per_app = chosen.db_conns_total.div_ceil(k_app).max(1);
+                let threads = chosen.app_threads;
+                self.core.set_threads(world, engine, app_tier, threads, || {
+                    format!("plan pool size {threads}")
+                });
+                self.core
+                    .set_conns(world, engine, app_tier, conns_per_app, || {
+                        format!(
                             "plan db concurrency {} split across {k_app} app server(s)",
                             chosen.db_conns_total
-                        ),
+                        )
                     });
-                }
-                self.committed_pools = Some((chosen.app_threads, conns_per_app));
+                self.committed_pools = Some((threads, conns_per_app));
                 self.last_predicted_x = Some(chosen.prediction.throughput);
                 plan = Some(PlanProvenance {
                     candidates: candidates.len() as u32,
@@ -662,45 +492,22 @@ impl Controller for ModelPredictive {
             }
         }
         if plan.is_none() {
-            decisions.push(Decision {
-                action: "hold".to_string(),
-                tier: self.config.app_tier,
-                value: None,
-                applied: false,
-                reason: "demand estimates not yet seeded; planning deferred".to_string(),
-            });
+            let reason = "demand estimates not yet seeded; planning deferred";
+            self.core.decide("hold", app_tier, None, false, reason);
         }
-
-        if let Some(journal) = &self.journal {
-            journal.borrow_mut().push(JournalEntry {
-                at: engine.now(),
-                controller: "MPC".to_string(),
-                observations,
-                fits: Vec::new(),
-                decisions,
-                plan,
-            });
-        }
+        self.core.finish_tick(engine.now(), Vec::new(), plan);
     }
 
     fn actions(&self) -> Vec<ActionRecord> {
-        let mut all: Vec<ActionRecord> = self
-            .vm
-            .log()
-            .iter()
-            .chain(self.app.log().iter())
-            .cloned()
-            .collect();
-        all.sort_by_key(|r| r.at);
-        all
+        self.core.actions()
     }
 
     fn name(&self) -> &'static str {
-        "MPC"
+        self.core.name()
     }
 
     fn attach_journal(&mut self, journal: Rc<RefCell<DecisionJournal>>) {
-        self.journal = Some(journal);
+        self.core.attach_journal(journal);
     }
 
     fn planner_evals(&self) -> u64 {
@@ -711,22 +518,12 @@ impl Controller for ModelPredictive {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::control::tests::{check, Rule};
     use crate::monitor::{new_metrics_bus, METRICS_TOPIC};
-    use dcm_model::concurrency::ConcurrencyModel;
     use dcm_ntier::flow;
-    use dcm_ntier::law::reference;
     use dcm_ntier::metrics::ServerSample;
     use dcm_ntier::topology::ThreeTierBuilder;
     use dcm_sim::time::SimTime;
-
-    fn models() -> DcmModels {
-        let app = reference::tomcat();
-        let db = reference::mysql();
-        DcmModels {
-            app: ConcurrencyModel::new(app.s0(), app.alpha(), app.beta(), 1.0, 1),
-            db: ConcurrencyModel::new(db.s0(), db.alpha(), db.beta(), 1.0, 1),
-        }
-    }
 
     fn sample(server: &str, tier: usize, cpu: f64, x: f64) -> ServerSample {
         ServerSample {
@@ -762,7 +559,11 @@ mod tests {
     fn seeds_estimates_then_plans_and_journals_provenance() {
         let (mut world, mut engine) = ThreeTierBuilder::new().build();
         let bus = new_metrics_bus();
-        let mut mpc = ModelPredictive::new(Rc::clone(&bus), MpcConfig::default(), models());
+        let mut mpc = ModelPredictive::new(
+            Rc::clone(&bus),
+            MpcConfig::default(),
+            DcmModels::reference(),
+        );
         let journal = Rc::new(RefCell::new(DecisionJournal::new()));
         mpc.attach_journal(Rc::clone(&journal));
 
@@ -797,88 +598,22 @@ mod tests {
 
     #[test]
     fn without_metrics_holds_everything() {
-        let (mut world, mut engine) = ThreeTierBuilder::new().build();
-        let bus = new_metrics_bus();
-        let mut mpc = ModelPredictive::new(bus, MpcConfig::default(), models());
-        mpc.on_tick(&mut world, &mut engine);
-        assert!(mpc.actions().is_empty());
-        assert_eq!(world.system.running_count(1), 1);
+        check("MPC", Rule::MonitorSilent);
     }
 
-    /// Blind spot 1: a tier whose every server crashed goes silent; the
-    /// MPC must re-provision it within [`SILENT_TICKS_FOR_PRESSURE`]
-    /// ticks even though the planner has no signal from it.
     #[test]
     fn dead_silent_tier_is_reprovisioned_immediately() {
-        let (mut world, mut engine) = ThreeTierBuilder::new().build();
-        let bus = new_metrics_bus();
-        let mut mpc = ModelPredictive::new(Rc::clone(&bus), MpcConfig::default(), models());
-        let victim = world.system.tier(1).members()[0];
-        flow::crash_server(&mut world, &mut engine, victim);
-        assert_eq!(world.system.running_count(1), 0);
-        // Other tiers keep reporting: the pipeline is alive.
-        produce(&bus, 1_000, sample("web-1", 0, 0.3, 20.0));
-        mpc.on_tick(&mut world, &mut engine);
-        assert_eq!(
-            world.system.booting_count(1),
-            1,
-            "a dead-silent tier must not be ignored"
-        );
+        check("MPC", Rule::DeadTier);
     }
 
-    /// Blind spot 1b: a silent-but-capacitated tier is wedged after the
-    /// streak, not on the first missed window.
     #[test]
     fn wedged_silent_tier_scales_out_after_streak() {
-        let (mut world, mut engine) = ThreeTierBuilder::new().build();
-        let bus = new_metrics_bus();
-        let mut mpc = ModelPredictive::new(Rc::clone(&bus), MpcConfig::default(), models());
-        produce(&bus, 1_000, sample("web-1", 0, 0.3, 20.0));
-        mpc.on_tick(&mut world, &mut engine);
-        assert_eq!(world.system.booting_count(1), 0, "one miss is a hiccup");
-        produce(&bus, 2_000, sample("web-1", 0, 0.3, 20.0));
-        mpc.on_tick(&mut world, &mut engine);
-        assert_eq!(
-            world.system.booting_count(1),
-            1,
-            "consecutive silence means wedged"
-        );
+        check("MPC", Rule::SilentTier);
     }
 
-    /// Blind spot 2: the committed plan is capacity memory — a crashed VM
-    /// is replaced on the next tick even when the survivors report
-    /// mid-band load.
     #[test]
     fn crashed_vm_is_replaced_from_committed_plan() {
-        let (mut world, mut engine) = ThreeTierBuilder::new().counts(1, 2, 1).build();
-        let bus = new_metrics_bus();
-        let mut mpc = ModelPredictive::new(Rc::clone(&bus), MpcConfig::default(), models());
-        // Saturated app tier at low throughput: the per-visit demand is
-        // heavy, so the committed plan needs more than the survivors.
-        produce(&bus, 1_000, sample("web-1", 0, 0.3, 10.0));
-        produce(&bus, 1_000, sample("app-1", 1, 0.95, 5.0));
-        produce(&bus, 1_000, sample("app-2", 1, 0.95, 5.0));
-        produce(&bus, 1_000, sample("db-1", 2, 0.3, 10.0));
-        mpc.on_tick(&mut world, &mut engine);
-        let committed = mpc.desired[&1];
-        assert!(
-            committed > 2,
-            "a saturated tier's plan must grow it: committed {committed}"
-        );
-        let victim = world.system.tier(1).members()[0];
-        flow::crash_server(&mut world, &mut engine, victim);
-        let after_crash = world.system.running_count(1) + world.system.booting_count(1);
-        assert!(after_crash < committed);
-        // Estimates were invalidated by the shape change, so the planner
-        // is blind this tick — only the committed-capacity memory acts.
-        produce(&bus, 2_000, sample("web-1", 0, 0.3, 10.0));
-        produce(&bus, 2_000, sample("app-2", 1, 0.95, 5.0));
-        produce(&bus, 2_000, sample("db-1", 2, 0.3, 10.0));
-        mpc.on_tick(&mut world, &mut engine);
-        assert!(
-            world.system.running_count(1) + world.system.booting_count(1) >= committed,
-            "lost capacity must be re-provisioned from the committed plan"
-        );
+        check("MPC", Rule::LostCapacity);
     }
 
     /// Blind spot 3: estimates measured under one shape must not leak
@@ -887,7 +622,11 @@ mod tests {
     fn estimates_reset_on_shape_change() {
         let (mut world, mut engine) = ThreeTierBuilder::new().build();
         let bus = new_metrics_bus();
-        let mut mpc = ModelPredictive::new(Rc::clone(&bus), MpcConfig::default(), models());
+        let mut mpc = ModelPredictive::new(
+            Rc::clone(&bus),
+            MpcConfig::default(),
+            DcmModels::reference(),
+        );
         feed_all(&bus, 1_000, 0.5);
         mpc.on_tick(&mut world, &mut engine);
         assert!(!mpc.estimated_tiers().is_empty());

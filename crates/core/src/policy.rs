@@ -150,11 +150,6 @@ impl ThresholdPolicy {
     pub fn below_count(&self, tier: usize) -> u32 {
         self.below_counts.get(&tier).copied().unwrap_or(0)
     }
-
-    /// Resets all per-tier state (e.g. between experiment runs).
-    pub fn reset(&mut self) {
-        self.below_counts.clear();
-    }
 }
 
 #[cfg(test)]
@@ -231,16 +226,5 @@ mod tests {
             p.decide(1, 0.1, 2, 0);
         }
         assert_eq!(p.below_count(1), 0, "firing a scale-in resets");
-    }
-
-    #[test]
-    fn reset_clears_streaks() {
-        let mut p = policy();
-        p.decide(1, 0.1, 2, 0);
-        p.decide(1, 0.1, 2, 0);
-        p.reset();
-        assert_eq!(p.decide(1, 0.1, 2, 0), ScaleDecision::Hold);
-        assert_eq!(p.decide(1, 0.1, 2, 0), ScaleDecision::Hold);
-        assert_eq!(p.decide(1, 0.1, 2, 0), ScaleDecision::In);
     }
 }

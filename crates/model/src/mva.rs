@@ -42,9 +42,9 @@
 //! `X(N) = G(N−1)/G(N)` needs. Batches of solves that share stations
 //! share the partial convolutions themselves through a [`ConvCache`].
 //!
-//! [`asymptotic_bounds`] provides the classic operational bounds
-//! `X(N) ≤ min(N/(Z+ΣD), min_m μ_m^max/V_m)` that any measurement must
-//! respect regardless of distributional assumptions.
+//! [`ClosedNetwork::asymptotic_bounds`] provides the classic operational
+//! bounds `X(N) ≤ min(N/(Z+ΣD), min_m μ_m^max/V_m)` that any measurement
+//! must respect regardless of distributional assumptions.
 
 use std::collections::BTreeMap;
 use std::rc::Rc;

@@ -7,20 +7,18 @@
 //! experiment run, deterministically (byte-identical across `--jobs`):
 //!
 //! * [`recorder`] — a bounded, seed-deterministic sampling
-//!   [`SpanRecorder`](recorder::SpanRecorder) over the simulator's span
-//!   stream: head sampling by a `derive_seed` per-request coin, a hard
-//!   ring-buffer cap, and drop counters so truncation is never silent.
+//!   [`SpanRecorder`] over the simulator's span stream: head sampling by a
+//!   `derive_seed` per-request coin, a hard ring-buffer cap, and drop
+//!   counters so truncation is never silent.
 //!   Disabled recording is a no-op enum arm — zero cost on the hot path.
 //! * [`trace`] — exporters for Chrome trace-event JSON (loadable in
 //!   `chrome://tracing` / Perfetto: one track per server, queue vs service
 //!   slices, instant events for boots/crashes/control ticks) and flat CSV.
-//! * [`metrics`] — a typed counter/gauge/histogram
-//!   [`Registry`](metrics::Registry) snapshotted once per control period
-//!   into a columnar [`SeriesTable`](metrics::SeriesTable); also the home
-//!   of the `repro` binary's wall-clock bookkeeping
-//!   ([`PerfLog`](metrics::PerfLog)).
-//! * [`journal`] — the controller
-//!   [`DecisionJournal`](journal::DecisionJournal): per tick, the
+//! * [`metrics`] — a typed counter/gauge/histogram [`Registry`]
+//!   snapshotted once per control period into a columnar [`SeriesTable`];
+//!   also the home of the `repro` binary's wall-clock bookkeeping
+//!   ([`PerfLog`]).
+//! * [`journal`] — the controller [`DecisionJournal`]: per tick, the
 //!   measurements seen, the fitted S⁰/α/β/γ (+N*, residual, provenance),
 //!   every decision and a human-readable reason. `repro explain` renders
 //!   it as "at t=300s tier=2: scale-out because …".

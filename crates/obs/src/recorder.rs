@@ -4,9 +4,8 @@
 //! Two properties drive its design:
 //!
 //! * **Determinism** — the keep/drop decision for a request is a pure
-//!   function of `(seed, request id)` via
-//!   [`derive_seed`](dcm_sim::rng::derive_seed), so the recorded set is
-//!   identical for every `--jobs` value and across machines. This is
+//!   function of `(seed, request id)` via [`derive_seed`], so the recorded
+//!   set is identical for every `--jobs` value and across machines. This is
 //!   *head sampling*: one coin per request, flipped on its id, so a kept
 //!   request keeps **all** of its tier visits and a trace waterfall is
 //!   never half-recorded.

@@ -7,25 +7,13 @@
 //! ```
 
 use dcm_core::controller::{Controller, Dcm, DcmConfig, DcmModels};
-use dcm_core::monitor::{install_monitor, new_metrics_bus, MonitorConfig};
-use dcm_model::concurrency::ConcurrencyModel;
-use dcm_ntier::law::reference;
+use dcm_core::monitor::{install_monitor, new_metrics_bus, schedule_every, MonitorConfig};
 use dcm_ntier::topology::{SoftConfig, ThreeTierBuilder};
-use dcm_ntier::world::{SimEngine, World};
 use dcm_sim::time::{SimDuration, SimTime};
 use dcm_workload::burstiness::{index_of_dispersion, MmppConfig, MmppModulator};
 use dcm_workload::cohort::CohortPopulation;
 use dcm_workload::profile::ProfileFactory;
 use dcm_workload::report::LoadReport;
-
-fn models() -> DcmModels {
-    let app = reference::tomcat();
-    let db = reference::mysql();
-    DcmModels {
-        app: ConcurrencyModel::new(app.s0(), app.alpha(), app.beta(), 1.0, 1),
-        db: ConcurrencyModel::new(db.s0(), db.alpha(), db.beta(), 1.0, 1),
-    }
-}
 
 fn run(mmpp: Option<MmppConfig>, label: &str) {
     let horizon = SimTime::from_secs(400);
@@ -41,12 +29,13 @@ fn run(mmpp: Option<MmppConfig>, label: &str) {
         std::rc::Rc::clone(&bus),
         MonitorConfig::every_second_until(horizon),
     );
-    let controller = std::rc::Rc::new(std::cell::RefCell::new(Dcm::new(
-        bus,
-        DcmConfig::default(),
-        models(),
-    )));
-    schedule_controller(&mut engine, controller, horizon);
+    let mut controller = Dcm::new(bus, DcmConfig::default(), DcmModels::reference());
+    schedule_every(
+        &mut engine,
+        SimDuration::from_secs(15),
+        horizon,
+        move |w, e| controller.on_tick(w, e),
+    );
 
     let modulator = mmpp.map(|config| MmppModulator::install(&mut engine, config, horizon));
     let population = CohortPopulation::start_think_time_modulated(
@@ -80,21 +69,6 @@ fn run(mmpp: Option<MmppConfig>, label: &str) {
         report.mean_response_time() * 1e3,
         report.response_time_quantile(0.95).unwrap_or(0.0) * 1e3,
     );
-}
-
-fn schedule_controller(
-    engine: &mut SimEngine,
-    controller: std::rc::Rc<std::cell::RefCell<Dcm>>,
-    stop_at: SimTime,
-) {
-    let next = engine.now() + SimDuration::from_secs(15);
-    if next > stop_at {
-        return;
-    }
-    engine.schedule_at(next, move |world: &mut World, engine: &mut SimEngine| {
-        controller.borrow_mut().on_tick(world, engine);
-        schedule_controller(engine, controller, stop_at);
-    });
 }
 
 fn main() {

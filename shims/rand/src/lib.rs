@@ -2,7 +2,7 @@
 //! workspace uses: the [`RngCore`] / [`SeedableRng`] plumbing traits and the
 //! [`Rng`] extension trait (`gen`, `gen_range`, `gen_bool`).
 //!
-//! The workspace's own generator ([`dcm_sim::rng`]) implements these traits;
+//! The workspace's own generator (`dcm_sim::rng`) implements these traits;
 //! this shim exists so the repository builds fully offline with no registry
 //! access. Uniform sampling here uses Lemire-style widening multiplication,
 //! which is unbiased enough for simulation use and — critically — fully

@@ -7,20 +7,9 @@ use dcm_core::experiment::{
     run_trace_experiment, steady_state_throughput, SteadyStateOptions, TraceExperimentConfig,
 };
 use dcm_core::policy::ScalingConfig;
-use dcm_model::concurrency::ConcurrencyModel;
-use dcm_ntier::law::reference;
 use dcm_ntier::topology::SoftConfig;
 use dcm_sim::time::{SimDuration, SimTime};
 use dcm_workload::traces;
-
-fn models() -> DcmModels {
-    let app = reference::tomcat();
-    let db = reference::mysql();
-    DcmModels {
-        app: ConcurrencyModel::new(app.s0(), app.alpha(), app.beta(), 1.0, 1),
-        db: ConcurrencyModel::new(db.s0(), db.alpha(), db.beta(), 1.0, 1),
-    }
-}
 
 fn quick_config(trace: traces::WorkloadTrace, horizon: u64, seed: u64) -> TraceExperimentConfig {
     let mut config = TraceExperimentConfig::figure5(trace);
@@ -33,8 +22,9 @@ fn quick_config(trace: traces::WorkloadTrace, horizon: u64, seed: u64) -> TraceE
 fn trace_runs_conserve_requests_and_resources() {
     for seed in [1, 77] {
         let config = quick_config(traces::large_variation(), 150, seed);
-        let run =
-            run_trace_experiment(&config, |bus| Dcm::new(bus, DcmConfig::default(), models()));
+        let run = run_trace_experiment(&config, |bus| {
+            Dcm::new(bus, DcmConfig::default(), DcmModels::reference())
+        });
         let c = run.counters;
         assert_eq!(
             c.submitted,
@@ -82,8 +72,9 @@ fn identical_seeds_give_identical_runs() {
 #[test]
 fn dcm_actuates_soft_resources_and_ec2_does_not() {
     let config = quick_config(traces::step(50, 400, 30.0), 150, 5);
-    let dcm_run =
-        run_trace_experiment(&config, |bus| Dcm::new(bus, DcmConfig::default(), models()));
+    let dcm_run = run_trace_experiment(&config, |bus| {
+        Dcm::new(bus, DcmConfig::default(), DcmModels::reference())
+    });
     let ec2_run = run_trace_experiment(&config, |bus| {
         Ec2AutoScale::new(bus, ScalingConfig::default())
     });
@@ -117,8 +108,9 @@ fn dcm_actuates_soft_resources_and_ec2_does_not() {
 #[test]
 fn dcm_beats_hardware_only_scaling_under_burst() {
     let config = quick_config(traces::flash_crowd(100, 550, 40.0, 70.0), 200, 9);
-    let dcm_run =
-        run_trace_experiment(&config, |bus| Dcm::new(bus, DcmConfig::default(), models()));
+    let dcm_run = run_trace_experiment(&config, |bus| {
+        Dcm::new(bus, DcmConfig::default(), DcmModels::reference())
+    });
     let ec2_run = run_trace_experiment(&config, |bus| {
         Ec2AutoScale::new(bus, ScalingConfig::default())
     });
@@ -173,7 +165,7 @@ fn scale_out_crossover_reproduces_fig2b() {
 fn online_refit_controller_still_functions() {
     let config = quick_config(traces::large_variation(), 150, 21);
     let run = run_trace_experiment(&config, |bus| {
-        Dcm::new(bus, DcmConfig::default(), models()).with_online_refit(12, 4)
+        Dcm::new(bus, DcmConfig::default(), DcmModels::reference()).with_online_refit(12, 4)
     });
     assert!(run.counters.completed > 1000);
     assert_eq!(run.counters.in_flight(), 0);
@@ -219,7 +211,7 @@ fn controller_trait_objects_compose() {
             std::rc::Rc::clone(&bus),
             ScalingConfig::default(),
         )),
-        Box::new(Dcm::new(bus, DcmConfig::default(), models())),
+        Box::new(Dcm::new(bus, DcmConfig::default(), DcmModels::reference())),
     ];
     let (mut world, mut engine) = dcm_ntier::topology::ThreeTierBuilder::new().build();
     for c in controllers.iter_mut() {
@@ -233,7 +225,7 @@ fn monitor_outage_leaves_controller_holding() {
     // A controller consuming an empty/stale bus must hold rather than act:
     // run a system where the monitor stops at t=30s but the controller
     // keeps ticking to t=120s under rising load.
-    use dcm_core::monitor::{install_monitor, new_metrics_bus, MonitorConfig};
+    use dcm_core::monitor::{install_monitor, new_metrics_bus, schedule_every, MonitorConfig};
     use dcm_ntier::topology::ThreeTierBuilder;
     use dcm_workload::cohort::CohortPopulation;
     use dcm_workload::profile::ProfileFactory;
@@ -249,25 +241,11 @@ fn monitor_outage_leaves_controller_holding() {
         std::rc::Rc::clone(&bus),
         ScalingConfig::default(),
     )));
-    fn tick(
-        engine: &mut dcm_ntier::world::SimEngine,
-        c: std::rc::Rc<std::cell::RefCell<Ec2AutoScale>>,
-        stop: SimTime,
-    ) {
-        let next = engine.now() + SimDuration::from_secs(15);
-        if next > stop {
-            return;
-        }
-        engine.schedule_at(next, move |w: &mut dcm_ntier::world::World, e| {
-            c.borrow_mut().on_tick(w, e);
-            tick(e, c, stop);
-        });
-    }
-    tick(
-        &mut engine,
-        std::rc::Rc::clone(&controller),
-        SimTime::from_secs(120),
-    );
+    let ticking = std::rc::Rc::clone(&controller);
+    let (period, stop) = (SimDuration::from_secs(15), SimTime::from_secs(120));
+    schedule_every(&mut engine, period, stop, move |w, e| {
+        ticking.borrow_mut().on_tick(w, e)
+    });
     // Load that would normally trigger scale-out arrives AFTER the outage.
     CohortPopulation::start_trace_driven(
         &mut world,
@@ -389,7 +367,7 @@ fn four_tier_deployment_matches_three_tier() {
 fn dcm_controls_the_four_tier_deployment() {
     // DCM's tier indices are configurable: on the four-tier deployment the
     // database sits at index 3 (behind the LB tier at 2).
-    use dcm_core::monitor::{install_monitor, new_metrics_bus, MonitorConfig};
+    use dcm_core::monitor::{install_monitor, new_metrics_bus, schedule_every, MonitorConfig};
     use dcm_ntier::topology::{SoftConfig, ThreeTierBuilder};
     use dcm_workload::cohort::CohortPopulation;
     use dcm_workload::profile::ProfileFactory;
@@ -415,22 +393,18 @@ fn dcm_controls_the_four_tier_deployment() {
         },
         ..DcmConfig::default()
     };
-    let controller = std::rc::Rc::new(std::cell::RefCell::new(Dcm::new(bus, config, models())));
-    fn tick(
-        engine: &mut dcm_ntier::world::SimEngine,
-        c: std::rc::Rc<std::cell::RefCell<Dcm>>,
-        stop: SimTime,
-    ) {
-        let next = engine.now() + SimDuration::from_secs(15);
-        if next > stop {
-            return;
-        }
-        engine.schedule_at(next, move |w: &mut dcm_ntier::world::World, e| {
-            c.borrow_mut().on_tick(w, e);
-            tick(e, c, stop);
-        });
-    }
-    tick(&mut engine, std::rc::Rc::clone(&controller), horizon);
+    let controller = std::rc::Rc::new(std::cell::RefCell::new(Dcm::new(
+        bus,
+        config,
+        DcmModels::reference(),
+    )));
+    let ticking = std::rc::Rc::clone(&controller);
+    schedule_every(
+        &mut engine,
+        SimDuration::from_secs(15),
+        horizon,
+        move |w, e| ticking.borrow_mut().on_tick(w, e),
+    );
     CohortPopulation::start_trace_driven(
         &mut world,
         &mut engine,
@@ -557,7 +531,9 @@ fn long_soak_under_oscillating_load_stays_clean() {
     // nothing may leak, counters must conserve, VM counts stay bounded.
     let mut config = quick_config(traces::sine(80, 520, 300.0, 2000.0, 10.0), 2000, 23);
     config.initial_soft = SoftConfig::new(1000, 200, 40);
-    let run = run_trace_experiment(&config, |bus| Dcm::new(bus, DcmConfig::default(), models()));
+    let run = run_trace_experiment(&config, |bus| {
+        Dcm::new(bus, DcmConfig::default(), DcmModels::reference())
+    });
     assert_eq!(run.counters.in_flight(), 0);
     assert_eq!(run.counters.rejected, 0);
     // Multiple scale-out AND scale-in cycles happened.
