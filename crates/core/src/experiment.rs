@@ -279,8 +279,10 @@ impl Experiment {
     ///
     /// # Errors
     ///
-    /// A [`ConfigError`] from [`Experiment::check`]; nothing runs then.
+    /// A [`ConfigError`] from [`ControllerSpec::check`] or
+    /// [`Experiment::check`]; nothing runs then.
     pub fn run(&self, controller: &ControllerSpec) -> Result<TraceRunResult, ConfigError> {
+        controller.check()?;
         self.run_with(|bus| controller.build(bus))
     }
 
@@ -360,6 +362,28 @@ impl ControllerSpec {
     pub fn mpc(models: DcmModels) -> Self {
         let config = MpcConfig::default();
         ControllerSpec::Mpc { config, models }
+    }
+
+    /// Checks the server caps every controller scales its tiers within:
+    /// `min_servers ≤ max_servers`, or no server count is allowed.
+    ///
+    /// # Errors
+    ///
+    /// A [`ConfigError`] naming `controller.max_servers`.
+    pub fn check(&self) -> Result<(), ConfigError> {
+        let (lo, hi) = match self {
+            ControllerSpec::Ec2(s)
+            | ControllerSpec::Dcm {
+                config: DcmConfig { scaling: s, .. },
+                ..
+            } => (s.min_servers, s.max_servers),
+            ControllerSpec::Mpc { config, .. } => (config.min_servers, config.max_servers),
+            ControllerSpec::Mmc(s) | ControllerSpec::HoltWinters { staffing: s, .. } => {
+                (s.min_servers, s.max_servers)
+            }
+        };
+        let why = format!("must be at least controller.min_servers ({lo}), got {hi}");
+        ensure(lo <= hi, "controller.max_servers", why)
     }
 
     /// The controller reading `bus`: the one place a spec becomes a
@@ -1238,6 +1262,72 @@ mod tests {
             *cache = None;
         }
         assert_eq!(chain.check(), Ok(()));
+    }
+
+    /// Server caps that allow no count are refused for every controller,
+    /// naming the field, before the run starts: under them the MPC would
+    /// have no candidate plan to choose from.
+    #[test]
+    fn inverted_server_caps_are_config_errors() {
+        let models = DcmModels::reference;
+        let scaling = ScalingConfig {
+            min_servers: 3,
+            max_servers: 2,
+            ..ScalingConfig::default()
+        };
+        let staffing = StaffingConfig {
+            min_servers: 3,
+            max_servers: 2,
+            ..StaffingConfig::default()
+        };
+        let mpc = MpcConfig {
+            min_servers: 3,
+            max_servers: 2,
+            ..MpcConfig::default()
+        };
+        let dcm = DcmConfig {
+            scaling: scaling.clone(),
+            ..DcmConfig::default()
+        };
+        let specs = [
+            ControllerSpec::Mpc {
+                config: mpc,
+                models: models(),
+            },
+            ControllerSpec::Ec2(scaling),
+            ControllerSpec::Dcm {
+                config: dcm,
+                models: models(),
+                refit: None,
+            },
+            ControllerSpec::Mmc(staffing.clone()),
+            ControllerSpec::HoltWinters {
+                staffing,
+                holt: HoltConfig::default(),
+            },
+        ];
+        let experiment = quick(traces::step(20, 100, 30.0));
+        for spec in specs {
+            let err = experiment.run(&spec).expect_err(spec.name());
+            assert_eq!(err.field, "controller.max_servers", "{err}");
+        }
+        assert_eq!(ControllerSpec::mpc(models()).check(), Ok(()));
+    }
+
+    /// A world that starts above the MPC's cap (12 app servers against
+    /// `max_servers` 8) plans back within it: the app tier's span
+    /// `12 ± 2` clamps to `8..=8`, where capping only its top would leave
+    /// `10..=8`, which holds no candidate.
+    #[test]
+    fn mpc_plans_an_over_cap_world_within_max_servers() {
+        let mut experiment = quick(traces::step(20, 100, 30.0));
+        experiment.nodes[1].count = 12;
+        let result = experiment
+            .run(&ControllerSpec::mpc(DcmModels::reference()))
+            .expect("valid");
+        assert!(result.planner_evals > 0, "the MPC planned");
+        let (_, app_vms) = result.tier_vm_counts[1].iter().last().expect("sampled");
+        assert!(app_vms <= 8.0, "{app_vms} app VMs after planning");
     }
 
     #[test]

@@ -8,7 +8,11 @@
 //! connection-pool sizes around each tier model's `N*` — predicts each
 //! candidate's throughput and response time with exact MVA, and applies
 //! the cheapest plan whose predicted latency meets the SLO (falling back
-//! to the best-effort plan when none does).
+//! to the best-effort plan when none does). The web tier is not
+//! pool-managed; whenever its channels reach the planning population
+//! (always, at league populations) the planner solves it as a delay
+//! station and convolves only the app and db tiers, so a tick's
+//! candidates share one convolution per app and per db configuration.
 //!
 //! Demands are estimated online from the monitor stream by inverting the
 //! CPU sensor's work-rate law — `S⁰_i = U_i·k_i·(n*/f(n*)) / X_i`, the
@@ -261,16 +265,20 @@ impl ModelPredictive {
     }
 
     /// Enumerates and evaluates every candidate within caps and step
-    /// limits; returns them in deterministic enumeration order. The
-    /// candidates share one tick-local convolution cache: the web tier is
-    /// common to all of them and each app and db configuration recurs.
+    /// limits; returns them in deterministic enumeration order. A tier's
+    /// span is `cur ± step_limit` clamped into the server caps, so it is
+    /// never empty, and a tier already beyond a cap plans back to it.
+    ///
+    /// The candidates share one tick-local convolution cache. While the
+    /// web tier's [`UNMANAGED_CONCURRENCY`] channels per server reach the
+    /// planning population, the planner folds the tier into the
+    /// think-time factor; each candidate then needs one convolution with
+    /// its app configuration and one with its db configuration, and every
+    /// configuration recurs across the grid.
     fn enumerate(&mut self, world: &World, population: u32) -> Vec<Candidate> {
         let (lo, hi) = (self.config.min_servers, self.config.max_servers);
-        let span = |cur: usize| {
-            let from = cur.saturating_sub(self.config.step_limit).max(lo);
-            let to = (cur + self.config.step_limit).min(hi);
-            from..=to
-        };
+        let step = self.config.step_limit;
+        let span = |cur: usize| cur.saturating_sub(step).clamp(lo, hi)..=(cur + step).clamp(lo, hi);
         let cur_app = capacity(world, self.config.app_tier);
         let cur_db = capacity(world, self.config.db_tier);
         let web_servers = world.system.running_count(0).max(1);

@@ -9,6 +9,16 @@
 //! behind a random balancer, each admitting `N` concurrent requests, has
 //! exactly that aggregate completion rate when demands are i.i.d.).
 //!
+//! A tier with at least as many channels as the planning population can
+//! never queue: its rate `min(n, c)/S` is `n/S` for every `n ≤ N`, which
+//! is the infinite-server rate, so it is built as a delay station, the
+//! station the conformance harness builds for its ample pools. The
+//! solver folds delay stations into the think-time factor, so a
+//! prediction convolves only the tiers that can queue (the MPC's wide
+//! web tier never does). The fold is exact in real arithmetic, and the
+//! floats agree with the all-queueing solve to within `1e-12` relative
+//! (proptested).
+//!
 //! The demands are *inputs*: contention effects (the paper's concurrency
 //! law `S*(N)`) are folded in by the caller, which adjusts each
 //! candidate's demand via the fitted [`dcm_model::concurrency`] model
@@ -68,7 +78,9 @@ pub struct Prediction {
 
 /// Builds the closed network for a candidate deployment. Tiers with zero
 /// visits are kept as (unvisited) stations so residence indices line up.
-fn network(tiers: &[PlannedTier], think: f64) -> ClosedNetwork {
+/// A tier of at least `population` channels is a delay station: it never
+/// queues at that population.
+fn network(tiers: &[PlannedTier], think: f64, population: u32) -> ClosedNetwork {
     assert!(!tiers.is_empty(), "planner needs at least one tier");
     let stations = tiers
         .iter()
@@ -77,10 +89,18 @@ fn network(tiers: &[PlannedTier], think: f64) -> ClosedNetwork {
                 t.demand.is_finite() && t.demand > 0.0,
                 "tier demand must be positive"
             );
-            Station::Queueing {
-                visit_ratio: t.visits,
-                service_time: t.demand,
-                servers: t.channels(),
+            let (visit_ratio, service_time, servers) = (t.visits, t.demand, t.channels());
+            if servers >= population {
+                Station::Delay {
+                    visit_ratio,
+                    service_time,
+                }
+            } else {
+                Station::Queueing {
+                    visit_ratio,
+                    service_time,
+                    servers,
+                }
             }
         })
         .collect();
@@ -113,21 +133,29 @@ pub fn predict_with(
     population: u32,
     cache: &mut ConvCache,
 ) -> Prediction {
-    let sol = network(tiers, think).solve_with(population, cache);
+    let sol = network(tiers, think, population).solve_with(population, cache);
+    // A folded tier's utilization is still the fraction of its peak
+    // rate `c/S`, in the queueing station's own float operations.
+    let utilization = tiers
+        .iter()
+        .map(|t| sol.throughput * t.visits / (f64::from(t.channels()) / t.demand))
+        .collect();
     Prediction {
         population,
         throughput: sol.throughput,
         response_time: sol.response_time,
         residence: sol.station_residence,
-        utilization: sol.station_utilization,
+        utilization,
     }
 }
 
 /// The classic asymptotic throughput bound for a candidate deployment:
 /// `X ≤ min(N/(Z+ΣD), min_m c_m/D_m)` where `c_m` is the tier's aggregate
-/// channel count. Every [`predict`] result respects it (proptested).
+/// channel count. A tier folded into a delay station drops out of the
+/// second arm, where its `c_m/D_m ≥ N/D_m ≥ N/(Z+ΣD)` never binds. Every
+/// [`predict`] result respects the bound (proptested).
 pub fn throughput_bound(tiers: &[PlannedTier], think: f64, population: u32) -> f64 {
-    network(tiers, think)
+    network(tiers, think, population)
         .asymptotic_bounds(population)
         .throughput_upper
 }
@@ -205,13 +233,11 @@ mod tests {
         (p.population, fields.map(f64::to_bits).collect())
     }
 
-    /// One MPC tick's candidate grid through one cache: every prediction
-    /// is bit-identical to an uncached one, and the cache ends with the 85
-    /// distinct convolutions of the 36 candidates — IS⊛web, 6
-    /// (IS⊛web)⊛app prefixes, 36 app⊛db suffixes, 36 IS⊛(app⊛db) and 6
-    /// (IS⊛web)⊛db complements — out of 180 lookups.
-    #[test]
-    fn shared_cache_is_bit_identical_on_an_mpc_grid() {
+    /// One MPC tick's 36-candidate grid at `N = 240` through one cache,
+    /// with the web tier at `web_concurrency` channels; every prediction
+    /// is bit-identical to an uncached one. Returns the distinct
+    /// convolutions the cache ends with.
+    fn mpc_grid_convolutions(web_concurrency: u32) -> usize {
         let tier = |servers, concurrency, demand, visits| PlannedTier {
             servers,
             concurrency,
@@ -227,7 +253,7 @@ mod tests {
                         let app_demand = 0.012 * (1.0 + 0.02 * f64::from(threads));
                         let db_demand = 0.004 * (1.0 + 0.01 * f64::from(conns));
                         let tiers = [
-                            tier(1, 1024, 0.002, 1.0),
+                            tier(1, web_concurrency, 0.002, 1.0),
                             tier(a, threads, app_demand, 1.0),
                             tier(d, conns, db_demand, 2.0),
                         ];
@@ -237,7 +263,42 @@ mod tests {
                 }
             }
         }
-        assert_eq!(cache.len(), 85);
+        cache.len()
+    }
+
+    /// The MPC's web tier (1 × 1024 channels) folds into the think-time
+    /// factor, so the 36 candidates need only one IS⊛app per app
+    /// configuration and one IS⊛db per db configuration: 6 + 6 distinct
+    /// convolutions out of 72 lookups.
+    #[test]
+    fn shared_cache_is_bit_identical_on_an_mpc_grid() {
+        assert_eq!(mpc_grid_convolutions(1024), 12);
+    }
+
+    /// A web tier of 1 × 128 channels can queue at `N = 240` and stays a
+    /// station of its own: the grid's 85 distinct convolutions are
+    /// IS⊛web, 6 (IS⊛web)⊛app prefixes, 36 app⊛db suffixes, 36
+    /// IS⊛(app⊛db) and 6 (IS⊛web)⊛db complements, out of 180 lookups.
+    #[test]
+    fn shared_cache_is_bit_identical_on_a_grid_that_queues_everywhere() {
+        assert_eq!(mpc_grid_convolutions(128), 85);
+    }
+
+    /// A tier folds exactly when its channels reach the population: with
+    /// the web tier at `N` channels one prediction convolves two
+    /// stations (IS⊛app and IS⊛db), at `N − 1` all three (`3k − 4 = 5`).
+    #[test]
+    fn a_tier_folds_at_exactly_the_population() {
+        let mut tiers = three_tier();
+        let cached = |tiers: &[PlannedTier]| {
+            let mut cache = ConvCache::default();
+            let _ = predict_with(tiers, 1.0, 100, &mut cache);
+            cache.len()
+        };
+        assert_eq!(tiers[0].channels(), 100);
+        assert_eq!(cached(&tiers), 2);
+        tiers[0].concurrency = 99;
+        assert_eq!(cached(&tiers), 5);
     }
 
     #[test]

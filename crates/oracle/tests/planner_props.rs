@@ -1,11 +1,13 @@
 //! Property tests for the MPC planner API: over randomized topologies and
 //! demands, predicted throughput must be monotone non-decreasing in every
-//! tier's server count and concurrency at fixed load, and must never
-//! exceed the asymptotic operational bound
-//! `X ≤ min(N/(Z+ΣD), min_m c_m/D_m)`.
+//! tier's server count and concurrency at fixed load, must never exceed
+//! the asymptotic operational bound `X ≤ min(N/(Z+ΣD), min_m c_m/D_m)`,
+//! and must not move beyond rounding when a tier too wide to queue is
+//! planned as a delay station.
 
 use proptest::prelude::*;
 
+use dcm_model::mva::{ClosedNetwork, Station};
 use dcm_oracle::planner::{predict, throughput_bound, PlannedTier};
 
 /// Strategy for one random tier: 1–4 VMs, 1–64 per-VM concurrency,
@@ -119,6 +121,44 @@ proptest! {
             );
             prop_assert!((p.residence.iter().sum::<f64>() - p.response_time).abs() < 1e-9);
             last = p.throughput;
+        }
+    }
+
+    /// A tier with at least as many channels as the population is planned
+    /// as a delay station. The fold is exact, so the prediction matches
+    /// the solve with every tier a queueing station to within rounding,
+    /// and utilization stays the fraction of each tier's peak `c/S`.
+    #[test]
+    fn ample_tiers_fold_exactly(
+        tiers in topology(),
+        think in 0.0f64..3.0,
+        population in 1u32..200,
+        which in 0usize..4,
+        slack in 0u32..3,
+    ) {
+        let mut tiers = tiers;
+        let idx = which % tiers.len();
+        tiers[idx].concurrency = population.div_ceil(tiers[idx].servers) + slack;
+        let p = predict(&tiers, think, population);
+        let stations = tiers
+            .iter()
+            .map(|t| Station::Queueing {
+                visit_ratio: t.visits,
+                service_time: t.demand,
+                servers: t.servers * t.concurrency,
+            })
+            .collect();
+        let q = ClosedNetwork::new(stations, think).solve(population);
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-12 * b.abs();
+        prop_assert!(close(p.throughput, q.throughput), "X {} vs {}", p.throughput, q.throughput);
+        prop_assert!(
+            close(p.response_time, q.response_time),
+            "R {} vs {}", p.response_time, q.response_time
+        );
+        for (m, (&r, &u)) in p.residence.iter().zip(&p.utilization).enumerate() {
+            let (r_q, u_q) = (q.station_residence[m], q.station_utilization[m]);
+            prop_assert!(close(r, r_q), "tier {m} residence {r} vs {r_q}");
+            prop_assert!(close(u, u_q), "tier {m} utilization {u} vs {u_q}");
         }
     }
 }
