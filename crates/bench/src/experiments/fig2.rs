@@ -2,8 +2,9 @@
 //! Fig. 2(b): throughput vs users for `1/1/1` and `1/2/1`, both with the
 //! default soft allocation — the scale-out-made-it-worse crossover.
 
-use dcm_core::experiment::{steady_state_throughput, SteadyStateOptions, SteadyStateReport};
+use dcm_core::experiment::{steady_state_throughput, think_time_run, SteadyStateReport};
 use dcm_core::training::{db_stress_sweep, SweepOptions, SweepPoint};
+use dcm_ntier::law::reference;
 use dcm_ntier::topology::SoftConfig;
 
 use crate::format::{num, TextTable};
@@ -32,7 +33,7 @@ pub fn run_fig2a(fidelity: Fidelity) -> Fig2a {
         deterministic: false,
     };
     Fig2a {
-        points: db_stress_sweep(&levels, &options),
+        points: db_stress_sweep(reference::mysql(), &levels, &options),
     }
 }
 
@@ -100,13 +101,6 @@ pub fn run_fig2b(fidelity: Fidelity) -> Fig2b {
         Fidelity::Quick => vec![100, 250, 400],
         Fidelity::Full => vec![50, 100, 150, 200, 250, 300, 350, 400, 450, 500],
     };
-    let options = SteadyStateOptions {
-        warmup: fidelity.warmup(),
-        measure: fidelity.measure(),
-        think_time_secs: 3.0,
-        seed: 20170602,
-        ..SteadyStateOptions::default()
-    };
     let soft = SoftConfig::DEFAULT; // 1000-100-80
                                     // Both curves' runs fan out together; results come back in input order,
                                     // so the split below reproduces the serial curves exactly.
@@ -115,8 +109,9 @@ pub fn run_fig2b(fidelity: Fidelity) -> Fig2b {
         .iter()
         .flat_map(|&counts| users.iter().map(move |&u| (counts, u)))
         .collect();
+    let (warmup, window) = (fidelity.warmup(), fidelity.measure());
     let mut reports = dcm_sim::runner::run_ordered(descriptors, |(counts, u)| {
-        steady_state_throughput(counts, soft, u, &options)
+        steady_state_throughput(&think_time_run(counts, soft, u, 20170602, warmup, window))
     });
     let scaled_out = reports.split_off(users.len());
     Fig2b {

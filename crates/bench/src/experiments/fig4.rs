@@ -6,7 +6,7 @@
 //!   split (paper: 18 per Tomcat ≈ 36/2) — the optimum should dominate,
 //!   with the default 80 (→ 160 at MySQL) far behind.
 
-use dcm_core::experiment::{steady_state_throughput, SteadyStateOptions, SteadyStateReport};
+use dcm_core::experiment::{steady_state_throughput, think_time_run, SteadyStateReport};
 use dcm_ntier::topology::SoftConfig;
 
 use crate::format::{num, TextTable};
@@ -52,15 +52,8 @@ pub fn run_fig4a(fidelity: Fidelity, optimal: u32) -> Fig4 {
     let mut sizes = vec![5, 20, optimal, 100, 200];
     sizes.sort_unstable();
     sizes.dedup();
-    let options = SteadyStateOptions {
-        warmup: fidelity.warmup(),
-        measure: fidelity.measure(),
-        think_time_secs: 3.0,
-        seed: 20170603,
-        ..SteadyStateOptions::default()
-    };
     let users = user_levels(fidelity);
-    let curves = sweep_allocations(&sizes, &users, &options, |threads| {
+    let curves = sweep_allocations(&sizes, &users, fidelity, 20170603, |threads| {
         (
             format!("1000/{threads}/80"),
             (1, 1, 1),
@@ -76,12 +69,14 @@ pub fn run_fig4a(fidelity: Fidelity, optimal: u32) -> Fig4 {
 }
 
 /// Measures every `(allocation, user level)` combination in one parallel
-/// batch and regroups the in-order results into per-allocation curves —
-/// identical to nested serial loops over `sizes` then `users`.
+/// batch of think-time runs seeded from `seed`, and regroups the in-order
+/// results into per-allocation curves — identical to nested serial loops
+/// over `sizes` then `users`.
 fn sweep_allocations(
     sizes: &[u32],
     users: &[u32],
-    options: &SteadyStateOptions,
+    fidelity: Fidelity,
+    seed: u64,
     configure: impl Fn(u32) -> (String, (u32, u32, u32), SoftConfig),
 ) -> Vec<AllocationCurve> {
     let descriptors: Vec<((u32, u32, u32), SoftConfig, u32)> = sizes
@@ -91,8 +86,9 @@ fn sweep_allocations(
             users.iter().map(move |&u| (counts, soft, u))
         })
         .collect();
+    let (warmup, window) = (fidelity.warmup(), fidelity.measure());
     let mut points = dcm_sim::runner::run_ordered(descriptors, |(counts, soft, u)| {
-        steady_state_throughput(counts, soft, u, options)
+        steady_state_throughput(&think_time_run(counts, soft, u, seed, warmup, window))
     })
     .into_iter();
     sizes
@@ -116,15 +112,8 @@ pub fn run_fig4b(fidelity: Fidelity, optimal_per_server: u32) -> Fig4 {
     let mut sizes = vec![4, 9, 18, optimal_per_server, 40, 80];
     sizes.sort_unstable();
     sizes.dedup();
-    let options = SteadyStateOptions {
-        warmup: fidelity.warmup(),
-        measure: fidelity.measure(),
-        think_time_secs: 3.0,
-        seed: 20170604,
-        ..SteadyStateOptions::default()
-    };
     let users = user_levels(fidelity);
-    let curves = sweep_allocations(&sizes, &users, &options, |conns| {
+    let curves = sweep_allocations(&sizes, &users, fidelity, 20170604, |conns| {
         (
             format!("1000/100/{conns}"),
             (1, 2, 1),

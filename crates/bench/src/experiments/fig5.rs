@@ -4,8 +4,6 @@
 
 use dcm_core::controller::DcmModels;
 use dcm_core::experiment::{ControllerSpec, Experiment, TraceRunResult};
-use dcm_core::training::{train_app_model, train_db_model, SweepOptions};
-use dcm_model::lsq::FitError;
 use dcm_sim::time::{SimDuration, SimTime};
 use dcm_workload::traces;
 
@@ -22,24 +20,6 @@ pub struct Fig5 {
     pub ec2: TraceRunResult,
     /// The offline-trained models DCM used.
     pub models: DcmModels,
-}
-
-/// Trains the models (paper §V-A) and returns them for DCM use.
-///
-/// # Errors
-///
-/// Propagates [`FitError`] if training fails.
-pub fn train_models(fidelity: Fidelity) -> Result<DcmModels, FitError> {
-    let options = SweepOptions {
-        warmup: fidelity.warmup(),
-        measure: fidelity.measure(),
-        seed: 20170601,
-        deterministic: false,
-    };
-    Ok(DcmModels {
-        app: train_app_model(&options)?.report.model,
-        db: train_db_model(&options)?.report.model,
-    })
 }
 
 /// The experiment for the given fidelity (full = the paper's 700 s

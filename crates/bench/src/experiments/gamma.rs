@@ -8,13 +8,10 @@
 //! resources at each K's optimum, and report the per-step scaling
 //! efficiency `X(K)/(K·X(1))`.
 
-use dcm_core::experiment::{SteadyStateOptions, SteadyStateReport};
+use dcm_core::experiment::{steady_state_throughput, think_time_run};
 use dcm_ntier::balancer::BalancerPolicy;
-use dcm_ntier::topology::{SoftConfig, ThreeTierBuilder};
-use dcm_sim::time::SimTime;
-use dcm_workload::cohort::CohortPopulation;
-use dcm_workload::profile::ProfileFactory;
-use dcm_workload::report::LoadReport;
+use dcm_ntier::topology::SoftConfig;
+use dcm_workload::steady::SteadyRun;
 
 use crate::format::{num, TextTable};
 
@@ -42,36 +39,23 @@ pub struct GammaSweep {
     pub points: Vec<GammaPoint>,
 }
 
-fn measure(k: u32, policy: BalancerPolicy, options: &SteadyStateOptions) -> SteadyStateReport {
+/// The think-time run at `k` DB servers under `policy`.
+fn run_at(k: u32, policy: BalancerPolicy, fidelity: Fidelity) -> SteadyRun {
     let app_servers = 2 * k;
     let conns = (36 * k).div_ceil(app_servers).max(1);
+    let soft = SoftConfig::new(2000, 22, conns);
     let users = 400 * k;
-    let (mut world, mut engine) = ThreeTierBuilder::new()
-        .counts(1, app_servers, k)
-        .soft(SoftConfig::new(2000, 22, conns))
-        .balancer(policy)
-        .seed(dcm_sim::rng::derive_seed(options.seed, u64::from(users)))
-        .build();
-    let warmup_end = SimTime::ZERO + options.warmup;
-    let measure_end = warmup_end + options.measure;
-    let population = CohortPopulation::start_think_time(
-        &mut world,
-        &mut engine,
-        ProfileFactory::rubbos(),
-        users,
-        options.think_time_secs,
-        measure_end,
-    );
-    engine.run_until(&mut world, measure_end);
-    population.with_completions(|log| {
-        let mut report = LoadReport::from_completions(log, warmup_end, measure_end);
-        SteadyStateReport {
+    SteadyRun {
+        balancer: policy,
+        ..think_time_run(
+            (1, app_servers, k),
+            soft,
             users,
-            throughput: report.throughput(),
-            mean_rt: report.mean_response_time(),
-            p95_rt: report.response_time_quantile(0.95).unwrap_or(0.0),
-        }
-    })
+            20170606,
+            fidelity.warmup(),
+            fidelity.measure(),
+        )
+    }
 }
 
 /// Runs the sweep: DB tier scaled `1..=max_servers`, app tier at `2K`
@@ -81,13 +65,6 @@ fn measure(k: u32, policy: BalancerPolicy, options: &SteadyStateOptions) -> Stea
 /// are measured — without per-server back-pressure, round-robin feeds a
 /// slow database until it thrashes, while least-connections self-corrects.
 pub fn run_gamma_sweep(fidelity: Fidelity, max_servers: u32) -> GammaSweep {
-    let options = SteadyStateOptions {
-        warmup: fidelity.warmup(),
-        measure: fidelity.measure(),
-        think_time_secs: 3.0,
-        seed: 20170606,
-        ..SteadyStateOptions::default()
-    };
     // Measure every (K, policy) pair in parallel; the efficiency ratios
     // need K=1's throughputs, so they are computed from the ordered results
     // afterwards — same values the serial loop produced.
@@ -101,8 +78,9 @@ pub fn run_gamma_sweep(fidelity: Fidelity, max_servers: u32) -> GammaSweep {
             ]
         })
         .collect();
-    let reports =
-        dcm_sim::runner::run_ordered(descriptors, |(k, policy)| measure(k, policy, &options));
+    let reports = dcm_sim::runner::run_ordered(descriptors, |(k, policy)| {
+        steady_state_throughput(&run_at(k, policy, fidelity))
+    });
     let (x1_rr, x1_lc) = (reports[0].throughput, reports[1].throughput);
     let points = ks
         .iter()

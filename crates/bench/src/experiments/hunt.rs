@@ -49,7 +49,7 @@ use std::fmt::Write as _;
 use dcm_core::agents::Action;
 use dcm_core::controller::{DcmConfig, DcmModels};
 use dcm_core::experiment::{
-    steady_state_throughput, Audit, ControllerSpec, Experiment, SteadyStateOptions, TraceRunResult,
+    steady_state_throughput, think_time_run, Audit, ControllerSpec, Experiment, TraceRunResult,
     WorkloadShape,
 };
 use dcm_core::mpc::MpcConfig;
@@ -68,10 +68,10 @@ use dcm_sim::faults::FaultPlan;
 use dcm_sim::rng::{derive_seed, SimRng};
 use dcm_sim::time::{SimDuration, SimTime};
 use dcm_workload::cache::CacheDynamics;
-use dcm_workload::cohort::CohortPopulation;
 use dcm_workload::generator::RetryPolicy;
 use dcm_workload::profile::CacheEdge;
 use dcm_workload::profile::ProfileFactory;
+use dcm_workload::steady::SteadyRun;
 use dcm_workload::traces;
 
 use crate::format::TextTable;
@@ -781,32 +781,32 @@ fn check_replay(a: &TraceRunResult, b: &TraceRunResult) -> CheckOutcome {
 }
 
 fn check_cohort(s: &HuntScenario) -> CheckOutcome {
-    let think = Some(Dist::exponential_mean(s.think_z.clamp(0.2, 1.0)));
-    let horizon = SimTime::from_secs(20);
-    let run = |cohort_size: u32| {
-        let (mut world, mut engine) = ThreeTierBuilder::new()
-            .counts(s.web, s.app, s.db)
-            .soft(SoftConfig::new(
-                s.web_threads.max(200),
-                s.app_threads.max(100),
-                s.db_conns.max(30),
-            ))
-            .seed(s.seed)
-            .build();
-        let pop = CohortPopulation::start_with_think_dist(
-            &mut world,
-            &mut engine,
-            ProfileFactory::rubbos(),
+    let nodes = ThreeTierBuilder::new()
+        .counts(s.web, s.app, s.db)
+        .soft(hunt_soft(s))
+        .nodes();
+    // Measured over the whole 20 s the users run, then drained.
+    let base = SteadyRun {
+        seed: s.seed,
+        think: Some(Dist::exponential_mean(s.think_z.clamp(0.2, 1.0))),
+        ..SteadyRun::new(
+            nodes,
             s.users,
+            SimDuration::ZERO,
+            SimDuration::from_secs(20),
+        )
+    };
+    let run = |cohort_size: u32| {
+        let mut w = SteadyRun {
             cohort_size,
-            think.clone(),
-            horizon,
-        );
-        engine.run(&mut world);
+            ..base.clone()
+        }
+        .run(ProfileFactory::rubbos());
+        w.engine.run(&mut w.world);
         (
-            pop.completions(),
-            engine.executed(),
-            world.system.counters(),
+            w.population.completion_count(),
+            w.engine.executed(),
+            w.world.system.counters(),
         )
     };
 
@@ -814,9 +814,9 @@ fn check_cohort(s: &HuntScenario) -> CheckOutcome {
     let (batched, _, batched_counters) = run(s.cohort_size);
 
     let mut fnv = Fnv::new();
-    fnv.u64(per_user.len() as u64);
+    fnv.u64(per_user as u64);
     fnv.u64(per_user_events);
-    fnv.u64(batched.len() as u64);
+    fnv.u64(batched as u64);
     fnv.u64(batched_counters.submitted);
 
     let mut problems = Vec::new();
@@ -827,38 +827,49 @@ fn check_cohort(s: &HuntScenario) -> CheckOutcome {
             batched_counters.in_flight()
         ));
     }
-    let a = per_user.len() as f64;
-    let b = batched.len() as f64;
+    let a = per_user as f64;
+    let b = batched as f64;
     if a > 0.0 && ((a - b).abs() / a) > COHORT_BAND {
         problems.push(format!(
-            "cohort_size={} moved throughput beyond {:.0}%: {} vs {} completions",
+            "cohort_size={} moved throughput beyond {:.0}%: {batched} vs {per_user} completions",
             s.cohort_size,
             COHORT_BAND * 100.0,
-            batched.len(),
-            per_user.len()
         ));
     }
     CheckOutcome::new(fnv, &problems)
 }
 
-fn check_doubling(s: &HuntScenario) -> CheckOutcome {
-    let soft = SoftConfig::new(
+/// The soft allocation of the steady oracles: the scenario's pools,
+/// raised to floors at which every tier can serve their users.
+fn hunt_soft(s: &HuntScenario) -> SoftConfig {
+    SoftConfig::new(
         s.web_threads.max(200),
         s.app_threads.max(100),
         s.db_conns.max(30),
-    );
-    let options = SteadyStateOptions {
-        warmup: SimDuration::from_secs(30),
-        measure: SimDuration::from_secs(120),
-        think_time_secs: s.think_z.max(1.5),
-        seed: s.seed,
-        audit: false,
-    };
+    )
+}
+
+fn check_doubling(s: &HuntScenario) -> CheckOutcome {
     // Think-limited by construction: <= 24 users at >= 1.5 s think offer
     // <= 16 req/s against >= 56 req/s of single-server app capacity.
     let users = s.users.clamp(8, 24);
-    let base = steady_state_throughput((s.web, s.app, s.db), soft, users, &options);
-    let doubled = steady_state_throughput((2 * s.web, 2 * s.app, 2 * s.db), soft, users, &options);
+    let measure = |counts: (u32, u32, u32)| {
+        let run = think_time_run(
+            counts,
+            hunt_soft(s),
+            users,
+            s.seed,
+            SimDuration::from_secs(30),
+            SimDuration::from_secs(120),
+        );
+        steady_state_throughput(&SteadyRun {
+            think: Some(Dist::exponential_mean(s.think_z.max(1.5))),
+            audit: false,
+            ..run
+        })
+    };
+    let base = measure((s.web, s.app, s.db));
+    let doubled = measure((2 * s.web, 2 * s.app, 2 * s.db));
 
     let mut fnv = Fnv::new();
     fnv.f64(base.throughput);
@@ -918,10 +929,12 @@ fn check_mva(s: &HuntScenario) -> CheckOutcome {
         )
     };
     let population = mva_population(s);
-    let point = run_scenario(&scenario, population, s.seed, 1);
-
     let mut fnv = Fnv::new();
     fnv.u64(u64::from(population));
+    let point = match run_scenario(&scenario, population, s.seed, 1) {
+        Ok(point) => point,
+        Err(empty) => return CheckOutcome::new(fnv, &[empty.to_string()]),
+    };
     fnv.u64(point.completions);
     fnv.f64(point.throughput.des);
     // The DB's mean queue, X·R_db by Little's law.
@@ -1713,6 +1726,31 @@ mod tests {
         }
         assert!(HuntScenario::from_kv("oracle mva\n").is_err());
         assert!(HuntScenario::from_kv("garbage").is_err());
+    }
+
+    #[test]
+    fn mva_oracle_reports_an_empty_window_as_a_violation() {
+        // A think time of 10^6 s is finite and positive, so the kv parser
+        // accepts it; every user then submits once at time zero and thinks
+        // past the whole run, leaving the measurement window empty. The
+        // oracle must say so instead of panicking.
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../tests/regressions/hunt_mva_7165920320026392122.txt"
+        );
+        let pinned = std::fs::read_to_string(path).expect("pinned regression readable");
+        let text = pinned.replace("\nthink_z 1\n", "\nthink_z 1000000\n");
+        assert_ne!(text, pinned, "the probe sets think_z");
+        let scenario = HuntScenario::from_kv(&text).expect("the kv file parses");
+        assert_eq!(scenario.oracle, OracleKind::Mva);
+        let violation = check(&scenario)
+            .violation
+            .expect("an empty window is a violation");
+        assert!(
+            violation
+                .contains("no request both arrived and completed inside the measurement window"),
+            "{violation}"
+        );
     }
 
     #[test]

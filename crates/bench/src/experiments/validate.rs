@@ -81,9 +81,15 @@ pub fn run_validate(fidelity: Fidelity) -> Validate {
             }
         }
     }
-    let points = dcm_sim::runner::run_ordered(jobs, |(scenario, population, seed)| ValidatePoint {
-        per_user: run_scenario(&scenario, population, seed, 1),
-        cohort: run_scenario(&scenario, population, seed, COHORT_SIZE),
+    let points = dcm_sim::runner::run_ordered(jobs, |(scenario, population, seed)| {
+        let point = |cohort_size| {
+            run_scenario(&scenario, population, seed, cohort_size)
+                .expect("every grid window sees completions")
+        };
+        ValidatePoint {
+            per_user: point(1),
+            cohort: point(COHORT_SIZE),
+        }
     });
     Validate {
         points,

@@ -8,6 +8,7 @@ use std::sync::Mutex;
 use dcm_bench::experiments::{chaos, fig2, Fidelity};
 use dcm_core::controller::DcmModels;
 use dcm_core::training::{db_stress_sweep, SweepOptions};
+use dcm_ntier::law::reference;
 use dcm_ntier::topology::{SoftConfig, ThreeTierBuilder};
 use dcm_sim::runner::{run_ordered_with, set_jobs};
 use dcm_sim::time::{SimDuration, SimTime};
@@ -34,10 +35,10 @@ fn run_ordered_serial_and_parallel_sweeps_are_bit_identical() {
     let options = quick_sweep_options();
     let levels: Vec<u32> = vec![4, 9, 16, 25, 36, 49, 64, 81];
     let serial = run_ordered_with(1, levels.clone(), |c| {
-        dcm_core::training::db_stress_point(c, &options)
+        dcm_core::training::db_stress_point(reference::mysql(), c, &options)
     });
     let parallel = run_ordered_with(4, levels, |c| {
-        dcm_core::training::db_stress_point(c, &options)
+        dcm_core::training::db_stress_point(reference::mysql(), c, &options)
     });
     assert_eq!(serial, parallel);
 }
@@ -85,9 +86,9 @@ fn training_sweep_respects_global_jobs_setting() {
     let options = quick_sweep_options();
     let levels = [2u32, 8, 20, 36, 60];
     set_jobs(1);
-    let serial = db_stress_sweep(&levels, &options);
+    let serial = db_stress_sweep(reference::mysql(), &levels, &options);
     set_jobs(4);
-    let parallel = db_stress_sweep(&levels, &options);
+    let parallel = db_stress_sweep(reference::mysql(), &levels, &options);
     set_jobs(0);
     assert_eq!(serial, parallel);
 }
@@ -103,11 +104,13 @@ fn identical_runs_execute_identical_event_counts() {
             .seed(dcm_sim::rng::derive_seed(777, 3))
             .build();
         let horizon = SimTime::from_secs(20);
-        let _population = CohortPopulation::start_closed_loop(
+        let _population = CohortPopulation::start_with_think_dist(
             &mut world,
             &mut engine,
             ProfileFactory::rubbos(),
             25,
+            1,
+            None,
             horizon,
         );
         engine.run_until(&mut world, horizon);

@@ -25,7 +25,7 @@ use dcm_obs::journal::DecisionJournal;
 use dcm_obs::metrics::{Registry, SeriesTable};
 use dcm_obs::recorder::{SamplerConfig, SpanRecorder};
 use dcm_obs::trace::{ControlTick, TraceData};
-use dcm_sim::dist::Sample;
+use dcm_sim::dist::{Dist, Sample};
 use dcm_sim::faults::FaultPlan;
 use dcm_sim::stats::TimeSeries;
 use dcm_sim::time::{SimDuration, SimTime};
@@ -33,6 +33,7 @@ use dcm_workload::cohort::CohortPopulation;
 use dcm_workload::generator::RetryPolicy;
 use dcm_workload::profile::{CacheEdge, NodeDemand, ProfileFactory};
 use dcm_workload::report::{windowed_series, LoadReport, WindowedSeries};
+use dcm_workload::steady::SteadyRun;
 use dcm_workload::traces::WorkloadTrace;
 
 use crate::agents::ActionRecord;
@@ -47,9 +48,9 @@ use crate::zoo::{HoltWinters, StaffingConfig, ThresholdMmc};
 
 /// Process-wide default for the conservation audit, consulted by the
 /// presets ([`Experiment::figure5`], [`TraceExperimentConfig::figure5`],
-/// [`SteadyStateOptions::default`]). Set once at startup (e.g. from a
-/// `--audit` CLI flag) before building them; each description can still
-/// override its own `audit` field.
+/// [`think_time_run`] and the training sweeps). Set once at startup (e.g.
+/// from a `--audit` CLI flag) before building them; each description can
+/// still override its own `audit` field.
 static GLOBAL_AUDIT: AtomicBool = AtomicBool::new(false);
 
 /// Makes every subsequently-constructed experiment config carry a
@@ -612,35 +613,6 @@ impl TraceRunResult {
     }
 }
 
-/// Options for a steady-state throughput measurement under think-time
-/// clients (the validation-phase workload of Fig. 2(b)/Fig. 4).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SteadyStateOptions {
-    /// Settling time excluded from measurement.
-    pub warmup: SimDuration,
-    /// Measurement window.
-    pub measure: SimDuration,
-    /// Mean think time between a user's requests (the RUBBoS client's 3 s).
-    pub think_time_secs: f64,
-    /// RNG seed.
-    pub seed: u64,
-    /// Run a [`ConservationAuditor`] across the run and panic on any
-    /// violated conservation law.
-    pub audit: bool,
-}
-
-impl Default for SteadyStateOptions {
-    fn default() -> Self {
-        SteadyStateOptions {
-            warmup: SimDuration::from_secs(30),
-            measure: SimDuration::from_secs(90),
-            think_time_secs: 3.0,
-            seed: 1,
-            audit: global_audit(),
-        }
-    }
-}
-
 /// Result of one steady-state measurement.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SteadyStateReport {
@@ -654,45 +626,48 @@ pub struct SteadyStateReport {
     pub p95_rt: f64,
 }
 
-/// Measures steady-state throughput and response time of a fixed topology
-/// under `users` think-time clients (no controllers; this is the paper's
-/// validation methodology for Fig. 2(b) and Fig. 4).
-pub fn steady_state_throughput(
+/// The RUBBoS think-time client's run (the validation workload of
+/// Fig. 2(b) and Fig. 4): `users` clients with exponential think times of
+/// mean 3 s on the `counts` chain under `soft`, warmed up for `warmup` and
+/// measured over `window`, the users stopping when it closes. The world
+/// seed is derived from `seed` and the user count, and the audit follows
+/// [`global_audit`].
+pub fn think_time_run(
     counts: (u32, u32, u32),
     soft: SoftConfig,
     users: u32,
-    options: &SteadyStateOptions,
-) -> SteadyStateReport {
-    let (mut world, mut engine) = ThreeTierBuilder::new()
+    seed: u64,
+    warmup: SimDuration,
+    window: SimDuration,
+) -> SteadyRun {
+    let nodes = ThreeTierBuilder::new()
         .counts(counts.0, counts.1, counts.2)
         .soft(soft)
-        .seed(dcm_sim::rng::derive_seed(options.seed, u64::from(users)))
-        .build();
-    let auditor = options.audit.then(|| {
-        world.system.enable_tracing();
-        ConservationAuditor::begin(&world.system, engine.now())
-    });
-    let warmup_end = SimTime::ZERO + options.warmup;
-    let measure_end = warmup_end + options.measure;
-    let population = CohortPopulation::start_think_time(
-        &mut world,
-        &mut engine,
-        ProfileFactory::rubbos(),
-        users,
-        options.think_time_secs,
-        measure_end,
-    );
-    engine.run_until(&mut world, measure_end);
-    if let Some(auditor) = auditor {
-        let spans = world.system.take_spans();
-        auditor
-            .finish(&world.system, &spans, engine.now())
-            .assert_clean();
+        .nodes();
+    SteadyRun {
+        seed: dcm_sim::rng::derive_seed(seed, u64::from(users)),
+        think: Some(Dist::exponential_mean(3.0)),
+        audit: global_audit(),
+        ..SteadyRun::new(nodes, users, warmup, window)
     }
-    population.with_completions(|log| {
-        let mut report = LoadReport::from_completions(log, warmup_end, measure_end);
+}
+
+/// Measures the steady-state throughput and response time of RUBBoS
+/// requests over `run`'s window (no controllers; the paper's validation
+/// methodology for Fig. 2(b) and Fig. 4).
+///
+/// # Panics
+///
+/// Panics if the run is audited and a conservation law is violated.
+pub fn steady_state_throughput(run: &SteadyRun) -> SteadyStateReport {
+    let window = run.run(ProfileFactory::rubbos());
+    if let Some(audit) = &window.audit {
+        audit.assert_clean();
+    }
+    window.population.with_completions(|log| {
+        let mut report = LoadReport::from_completions(log, window.start, window.end);
         SteadyStateReport {
-            users,
+            users: run.users,
             throughput: report.throughput(),
             mean_rt: report.mean_response_time(),
             p95_rt: report.response_time_quantile(0.95).unwrap_or(0.0),

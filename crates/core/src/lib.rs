@@ -66,8 +66,8 @@ pub use agents::{Action, ActionRecord, AppAgent, VmAgent};
 pub use aggregate::{aggregate_by_tier, TierWindow};
 pub use controller::{Controller, Dcm, DcmConfig, DcmModels, Ec2AutoScale};
 pub use experiment::{
-    run_trace_experiment, steady_state_throughput, Audit, ConfigError, ControllerSpec, Experiment,
-    ObsArtifacts, ObsConfig, SteadyStateOptions, SteadyStateReport, TraceExperimentConfig,
+    run_trace_experiment, steady_state_throughput, think_time_run, Audit, ConfigError,
+    ControllerSpec, Experiment, ObsArtifacts, ObsConfig, SteadyStateReport, TraceExperimentConfig,
     TraceRunResult, WorkloadShape,
 };
 pub use monitor::{

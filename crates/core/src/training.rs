@@ -14,13 +14,19 @@
 
 use dcm_model::concurrency::{fit_throughput_curve, FitOptions, FitReport};
 use dcm_model::lsq::FitError;
-use dcm_ntier::topology::{SoftConfig, ThreeTierBuilder};
+use dcm_ntier::law::{reference, ServiceLaw};
+use dcm_ntier::metrics::ServerSample;
+use dcm_ntier::topology::{MeshNode, SoftConfig, ThreeTierBuilder};
+use dcm_sim::dist::Dist;
 use dcm_sim::rng::derive_seed;
 use dcm_sim::runner::run_ordered;
-use dcm_sim::time::{SimDuration, SimTime};
-use dcm_workload::cohort::CohortPopulation;
+use dcm_sim::time::SimDuration;
 use dcm_workload::profile::ProfileFactory;
 use dcm_workload::report::LoadReport;
+use dcm_workload::servlets::{Servlet, ServletMix};
+use dcm_workload::steady::{SteadyRun, SteadyWindow};
+
+use crate::experiment::global_audit;
 
 /// One steady-state measurement.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -34,7 +40,8 @@ pub struct SweepPoint {
     pub throughput: f64,
 }
 
-/// Sweep configuration.
+/// Sweep configuration. Every level is one closed-loop
+/// [`SteadyRun`], audited when [`global_audit`] is on.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepOptions {
     /// Settling time excluded from measurement.
@@ -68,6 +75,33 @@ pub struct TrainingRun {
     pub report: FitReport,
 }
 
+/// The closed-loop (Jmeter) training run: `users` zero-think clients on
+/// `nodes`, warmed up and measured as `options` says, the users stopping
+/// when the window closes. The world seed is derived from the sweep seed
+/// and the user count, and the audit follows [`global_audit`].
+fn closed_loop_run(nodes: Vec<MeshNode>, users: u32, options: &SweepOptions) -> SteadyRun {
+    SteadyRun {
+        seed: derive_seed(options.seed, u64::from(users)),
+        audit: global_audit(),
+        ..SteadyRun::new(nodes, users, options.warmup, options.measure)
+    }
+}
+
+/// Runs `run` with `factory`'s requests, checks its audit, and returns the
+/// run at its window's close with every server's sample over the window.
+///
+/// # Panics
+///
+/// Panics if the run is audited and a conservation law is violated.
+fn sampled_window(run: &SteadyRun, factory: ProfileFactory) -> (SteadyWindow, Vec<ServerSample>) {
+    let mut window = run.run(factory);
+    if let Some(audit) = &window.audit {
+        audit.assert_clean();
+    }
+    let samples = window.world.system.sample_all(window.end);
+    (window, samples)
+}
+
 /// Runs one steady-state closed-loop measurement of `tier` on the given
 /// topology and soft configuration.
 pub fn measure_steady_state(
@@ -77,35 +111,24 @@ pub fn measure_steady_state(
     users: u32,
     options: &SweepOptions,
 ) -> SweepPoint {
-    let (mut world, mut engine) = ThreeTierBuilder::new()
+    let nodes = ThreeTierBuilder::new()
         .counts(counts.0, counts.1, counts.2)
         .soft(soft)
-        .seed(derive_seed(options.seed, u64::from(users)))
-        .build();
+        .nodes();
     let factory = if options.deterministic {
         ProfileFactory::rubbos_deterministic()
     } else {
         ProfileFactory::rubbos()
     };
-    let warmup_end = SimTime::ZERO + options.warmup;
-    let measure_end = warmup_end + options.measure;
-    let population =
-        CohortPopulation::start_closed_loop(&mut world, &mut engine, factory, users, measure_end);
-
-    // Warm up, then reset every server's measurement window.
-    engine.run_until(&mut world, warmup_end);
-    let _ = world.system.sample_all(warmup_end);
-
-    engine.run_until(&mut world, measure_end);
-    let samples = world.system.sample_all(measure_end);
+    let (window, samples) = sampled_window(&closed_loop_run(nodes, users, options), factory);
     let tier_samples: Vec<_> = samples.iter().filter(|s| s.tier == tier).collect();
     let concurrency = if tier_samples.is_empty() {
         0.0
     } else {
         tier_samples.iter().map(|s| s.active_threads).sum::<f64>() / tier_samples.len() as f64
     };
-    let throughput = population.with_completions(|log| {
-        LoadReport::from_completions(log, warmup_end, measure_end).throughput()
+    let throughput = window.population.with_completions(|log| {
+        LoadReport::from_completions(log, window.start, window.end).throughput()
     });
     SweepPoint {
         offered: users,
@@ -126,28 +149,25 @@ pub fn app_tier_sweep(levels: &[u32], options: &SweepOptions) -> Vec<SweepPoint>
     })
 }
 
-/// Directly stresses MySQL at a precisely controlled query concurrency —
-/// the paper's Fig. 2(a) methodology ("Jmeter … with precisely controlled
-/// concurrency to stress the MySQL server", thread pool matched to the
-/// workload concurrency).
+/// Directly stresses a database serving under `db_law` at a precisely
+/// controlled query concurrency — the paper's Fig. 2(a) methodology
+/// ("Jmeter … with precisely controlled concurrency to stress the MySQL
+/// server", thread pool matched to the workload concurrency).
 ///
-/// The upstream tiers carry negligible demand and wide-open pools, so the
-/// closed-loop user count maps 1:1 onto in-flight MySQL queries. Returns
-/// the measured MySQL concurrency and **query** throughput (queries/s).
-pub fn db_stress_point(concurrency: u32, options: &SweepOptions) -> SweepPoint {
-    use dcm_ntier::law::reference;
-    use dcm_sim::dist::Dist;
-    use dcm_workload::servlets::{Servlet, ServletMix};
+/// The world is the `1/1/1` chain with `db_law` on its DB node; the
+/// upstream tiers carry negligible demand and wide-open pools, so the
+/// closed-loop user count maps 1:1 onto in-flight queries, and each query's
+/// demand has the DB node's `S⁰` as its mean. Returns the measured DB
+/// concurrency and **query** throughput (queries/s).
+pub fn db_stress_point(db_law: ServiceLaw, concurrency: u32, options: &SweepOptions) -> SweepPoint {
+    let pool = concurrency.max(1);
+    let mut nodes = ThreeTierBuilder::new()
+        .soft(SoftConfig::new(2 * pool, 2 * pool, pool))
+        .nodes();
+    let db_tier = nodes.len() - 1;
+    nodes[db_tier].law = db_law;
+    let run = closed_loop_run(nodes, concurrency, options);
 
-    let (mut world, mut engine) = ThreeTierBuilder::new()
-        .counts(1, 1, 1)
-        .soft(SoftConfig::new(
-            concurrency.max(1) * 2,
-            concurrency.max(1) * 2,
-            concurrency.max(1),
-        ))
-        .seed(derive_seed(options.seed, u64::from(concurrency)))
-        .build();
     let single = ServletMix::from_servlets(vec![Servlet {
         name: "DbStress",
         weight: 1.0,
@@ -157,33 +177,21 @@ pub fn db_stress_point(concurrency: u32, options: &SweepOptions) -> SweepPoint {
         db_queries: 2,
     }])
     .expect("single-servlet mix is valid");
+    let db_mean = run.nodes[db_tier].law.s0();
     let db_base = if options.deterministic {
-        Dist::constant(reference::mysql().s0())
+        Dist::constant(db_mean)
     } else {
-        Dist::exponential_mean(reference::mysql().s0())
+        Dist::exponential_mean(db_mean)
     };
     let factory = ProfileFactory::rubbos().with_mix(single).with_bases(
         Dist::constant(1e-7),
         Dist::constant(1e-7),
         db_base,
     );
-
-    let warmup_end = SimTime::ZERO + options.warmup;
-    let measure_end = warmup_end + options.measure;
-    let _population = CohortPopulation::start_closed_loop(
-        &mut world,
-        &mut engine,
-        factory,
-        concurrency,
-        measure_end,
-    );
-    engine.run_until(&mut world, warmup_end);
-    let _ = world.system.sample_all(warmup_end);
-    engine.run_until(&mut world, measure_end);
-    let samples = world.system.sample_all(measure_end);
+    let (_, samples) = sampled_window(&run, factory);
     let db = samples
         .iter()
-        .find(|s| s.tier == 2)
+        .find(|s| s.tier == db_tier)
         .expect("db tier sampled");
     SweepPoint {
         offered: concurrency,
@@ -192,10 +200,14 @@ pub fn db_stress_point(concurrency: u32, options: &SweepOptions) -> SweepPoint {
     }
 }
 
-/// Sweeps MySQL under direct stress over the given concurrency levels.
-/// Parallel over levels like [`app_tier_sweep`].
-pub fn db_stress_sweep(levels: &[u32], options: &SweepOptions) -> Vec<SweepPoint> {
-    run_ordered(levels.to_vec(), |c| db_stress_point(c, options))
+/// Sweeps a database serving under `db_law` under direct stress over the
+/// given concurrency levels. Parallel over levels like [`app_tier_sweep`].
+pub fn db_stress_sweep(
+    db_law: ServiceLaw,
+    levels: &[u32],
+    options: &SweepOptions,
+) -> Vec<SweepPoint> {
+    run_ordered(levels.to_vec(), |c| db_stress_point(db_law, c, options))
 }
 
 /// The default offered-concurrency levels for the app sweep (1 → 200, as
@@ -293,7 +305,7 @@ pub fn train_app_model(options: &SweepOptions) -> Result<TrainingRun, FitError> 
 ///
 /// Propagates [`FitError`] from the optimizer.
 pub fn train_db_model(options: &SweepOptions) -> Result<TrainingRun, FitError> {
-    let points = db_stress_sweep(&default_db_stress_levels(), options);
+    let points = db_stress_sweep(reference::mysql(), &default_db_stress_levels(), options);
     let report = fit_sweep_robust(&points, 1, 0.25)?;
     Ok(TrainingRun { points, report })
 }
@@ -370,8 +382,26 @@ mod tests {
     }
 
     #[test]
+    fn db_stress_sweep_fits_the_law_it_is_given() {
+        // A steep law with an early cliff: its quadratic peaks at
+        // N* = sqrt((S0 - alpha)/beta) = 9.7, against 36 for the reference
+        // MySQL law. The sweep serves it on the description's DB node and
+        // draws each query's demand from that node's S0, so the fit must
+        // find the early knee: 8 here (R² 0.953), where the reference law
+        // fits to 26.
+        let law = ServiceLaw::new(4e-2, 2e-3, 4e-4).with_thrash(15.0, 1e-3);
+        let points = db_stress_sweep(law, &default_db_stress_levels(), &SweepOptions::default());
+        let report = fit_sweep_robust(&points, 1, 0.25).expect("fit converges");
+        let n_star = report.model.optimal_concurrency();
+        assert!(
+            (5..15).contains(&n_star),
+            "fitted N* {n_star} for a 9.7 law"
+        );
+    }
+
+    #[test]
     fn db_stress_pins_concurrency() {
-        let p = db_stress_point(36, &quick_options());
+        let p = db_stress_point(reference::mysql(), 36, &quick_options());
         assert!((p.concurrency - 36.0).abs() < 1.5, "N {}", p.concurrency);
         // Near the knee the measured query throughput approaches the law's
         // peak (~169 q/s).

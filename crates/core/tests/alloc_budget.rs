@@ -227,12 +227,13 @@ fn mesh_factory_with_cache_edge() {
         ],
     )
     .with_cache(1, 3, CacheDynamics::new(0.5, 200.0));
-    let _pop = CohortPopulation::start_think_time(
+    let _pop = CohortPopulation::start_with_think_dist(
         &mut world,
         &mut engine,
         factory,
         60,
-        0.5,
+        1,
+        Some(Dist::exponential_mean(0.5)),
         SimTime::from_secs(200),
     );
     let cost = per_request(
@@ -250,11 +251,13 @@ fn closed_loop_training_point() {
     // The shape of one `dcm_core::training` sweep level: 1/1/1, zero
     // think time, warm-up then measurement window.
     let (mut world, mut engine) = ThreeTierBuilder::new().counts(1, 1, 1).seed(14).build();
-    let _pop = CohortPopulation::start_closed_loop(
+    let _pop = CohortPopulation::start_with_think_dist(
         &mut world,
         &mut engine,
         ProfileFactory::rubbos(),
         60,
+        1,
+        None,
         SimTime::from_secs(50),
     );
     let cost = per_request(
@@ -278,12 +281,13 @@ fn client_retry() {
         &mut engine,
         &FaultPlan::none().with_transient_failures(0.01),
     );
-    let pop = CohortPopulation::start_think_time(
+    let pop = CohortPopulation::start_with_think_dist(
         &mut world,
         &mut engine,
         ProfileFactory::rubbos(),
         120,
-        2.0,
+        1,
+        Some(Dist::exponential_mean(2.0)),
         SimTime::from_secs(200),
     );
     pop.set_client_retry(RetryPolicy::default());

@@ -22,7 +22,6 @@
 use std::collections::BTreeMap;
 
 use dcm_model::mva::{law_rate_table, ClosedNetwork, Station};
-use dcm_ntier::audit::ConservationAuditor;
 use dcm_ntier::balancer::BalancerPolicy;
 use dcm_ntier::graph::TopologyGraph;
 use dcm_ntier::ids::RequestId;
@@ -30,13 +29,12 @@ use dcm_ntier::law::ServiceLaw;
 use dcm_ntier::server::VmType;
 use dcm_ntier::spans::Span;
 use dcm_ntier::system::VmPolicy;
-use dcm_ntier::topology::{MeshBuilder, MeshNode};
-use dcm_ntier::world::{SimEngine, World};
+use dcm_ntier::topology::MeshNode;
 use dcm_sim::dist::Dist;
-use dcm_sim::time::SimTime;
+use dcm_sim::time::{SimDuration, SimTime};
 use dcm_workload::cache::CacheDynamics;
-use dcm_workload::cohort::CohortPopulation;
 use dcm_workload::profile::{NodeDemand, ProfileFactory};
+use dcm_workload::steady::SteadyRun;
 
 /// A pool size that never queues at the populations the grid sweeps.
 const AMPLE: u32 = 4096;
@@ -267,31 +265,49 @@ impl Scenario {
         }
     }
 
-    /// The DES world this scenario runs in.
-    fn build_world(&self, seed: u64) -> (World, SimEngine) {
-        let mut builder = MeshBuilder::new()
-            .balancer(BalancerPolicy::Random)
-            .seed(seed);
-        for node in &self.nodes {
-            // The per-server thread pool IS the station's `c`; outbound
-            // calls stay unpooled, so threads are the only concurrency gate.
-            let mut mesh_node = MeshNode::new(node.name, node.law, node.threads)
-                .count(node.capacities.len() as u32);
-            if node.capacities.iter().any(|&c| (c - 1.0).abs() > 1e-12) {
-                let types: Vec<VmType> = node
-                    .capacities
-                    .iter()
-                    .map(|&c| VmType {
-                        name: "mesh-custom",
-                        capacity: c,
-                        price_per_hour: 0.10 * c,
-                    })
-                    .collect();
-                mesh_node = mesh_node.vm_policy(VmPolicy::cycle(types));
-            }
-            builder = builder.node(mesh_node);
+    /// The DES run of this scenario at `population` users in cohorts of
+    /// `cohort_size`: its nodes on the `Random` balancer, constant think
+    /// times, audited from time zero to the window's close.
+    fn steady_run(&self, population: u32, seed: u64, cohort_size: u32) -> SteadyRun {
+        let nodes = self
+            .nodes
+            .iter()
+            .map(|node| {
+                // The per-server thread pool IS the station's `c`; outbound
+                // calls stay unpooled, so threads are the only concurrency
+                // gate.
+                let mut mesh_node = MeshNode::new(node.name, node.law, node.threads)
+                    .count(node.capacities.len() as u32);
+                if node.capacities.iter().any(|&c| (c - 1.0).abs() > 1e-12) {
+                    let types: Vec<VmType> = node
+                        .capacities
+                        .iter()
+                        .map(|&c| VmType {
+                            name: "mesh-custom",
+                            capacity: c,
+                            price_per_hour: 0.10 * c,
+                        })
+                        .collect();
+                    mesh_node = mesh_node.vm_policy(VmPolicy::cycle(types));
+                }
+                mesh_node
+            })
+            .collect();
+        let warmup = SimDuration::from_secs_f64(self.warmup);
+        // The window closes at `warmup + measure` converted once, not at
+        // the sum of the two converted lengths.
+        let end = SimTime::from_secs_f64(self.warmup + self.measure);
+        SteadyRun {
+            nodes,
+            balancer: BalancerPolicy::Random,
+            seed,
+            users: population,
+            cohort_size,
+            think: Some(Dist::constant(self.think)),
+            warmup,
+            window: end.saturating_since(SimTime::ZERO + warmup),
+            audit: true,
         }
-        builder.build()
     }
 }
 
@@ -336,8 +352,8 @@ pub struct ConformancePoint {
     /// Whether measured throughput respects the bound (with 0.5%
     /// measurement slack).
     pub bound_ok: bool,
-    /// Conservation-audit violations over the measurement window (must be
-    /// zero).
+    /// Conservation-audit violations from time zero to the window's close
+    /// (must be zero).
     pub audit_violations: usize,
 }
 
@@ -355,60 +371,66 @@ impl ConformancePoint {
     }
 }
 
+/// A conformance run whose measurement window saw no request from
+/// arrival to completion, so there is nothing to compare with MVA (a think
+/// time far longer than the window, say).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct EmptyWindow {
+    /// Scenario name.
+    pub scenario: &'static str,
+    /// Client population `N`.
+    pub population: u32,
+    /// Requests completed inside the window.
+    pub completions: u64,
+}
+
+impl std::fmt::Display for EmptyWindow {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} at N={}: no request both arrived and completed inside the measurement \
+             window ({} completions in it), so there is nothing to compare with MVA",
+            self.scenario, self.population, self.completions
+        )
+    }
+}
+
 /// Runs one scenario at one population of users in cohorts of
-/// `cohort_size` ([`CohortPopulation`]; 1 is the per-user run) and
-/// compares against the exact MVA oracle. With the scenarios' constant
-/// think time a cohort reproduces the per-user sample path; either way
-/// every point is gated against the same oracle.
+/// `cohort_size` ([`CohortPopulation`](dcm_workload::cohort::CohortPopulation);
+/// 1 is the per-user run) and compares against the exact MVA oracle. With
+/// the scenarios' constant think time a cohort reproduces the per-user
+/// sample path; either way every point is gated against the same oracle.
+///
+/// # Errors
+///
+/// Returns [`EmptyWindow`] when no request arrived and completed inside
+/// the measurement window (any population works, in the scenario's sweep
+/// or not).
 ///
 /// # Panics
 ///
-/// Panics if `cohort_size` is zero or the DES produces no completions in
-/// the window (any population works, in the scenario's sweep or not).
+/// Panics if `cohort_size` is zero.
 pub fn run_scenario(
     scenario: &Scenario,
     population: u32,
     seed: u64,
     cohort_size: u32,
-) -> ConformancePoint {
-    let horizon = scenario.warmup + scenario.measure + 60.0;
-    let (mut world, mut engine) = scenario.build_world(seed);
-    world.system.enable_tracing();
-
-    let _pop = CohortPopulation::start_with_think_dist(
-        &mut world,
-        &mut engine,
-        scenario.factory(),
+) -> Result<ConformancePoint, EmptyWindow> {
+    let run = scenario
+        .steady_run(population, seed, cohort_size)
+        .run(scenario.factory());
+    let completions = run.world.system.counters().completed - run.counters.completed;
+    let empty = EmptyWindow {
+        scenario: scenario.name,
         population,
-        cohort_size,
-        Some(Dist::constant(scenario.think)),
-        SimTime::from_secs_f64(horizon),
-    );
-
-    engine.run_until(&mut world, SimTime::from_secs_f64(scenario.warmup));
-    let t0 = engine.now();
-    let _ = world.system.take_spans();
-    let auditor = ConservationAuditor::begin(&world.system, t0);
-    let completed_mark = world.system.counters().completed;
-
-    engine.run_until(
-        &mut world,
-        SimTime::from_secs_f64(scenario.warmup + scenario.measure),
-    );
-    let t1 = engine.now();
-    let spans = world.system.take_spans();
-    let audit = auditor.finish(&world.system, &spans, t1);
-    let window = t1.saturating_since(t0).as_secs_f64();
-    assert!(window > 0.0, "empty measurement window");
-
-    let completions = world.system.counters().completed - completed_mark;
-    assert!(
-        completions > 0,
-        "no completions in window for {}",
-        scenario.name
-    );
+        completions,
+    };
+    if completions == 0 {
+        return Err(empty);
+    }
+    let window = run.end.saturating_since(run.start).as_secs_f64();
     let x_des = completions as f64 / window;
-    let res_des = node_residences(&spans, t0, &scenario.graph());
+    let res_des = node_residences(&run.spans, run.start, &scenario.graph()).ok_or(empty)?;
 
     let net = scenario.network();
     let sol = net.solve(population);
@@ -424,7 +446,7 @@ pub fn run_scenario(
         })
         .collect();
 
-    ConformancePoint {
+    Ok(ConformancePoint {
         scenario: scenario.name,
         kind: scenario.kind(),
         population,
@@ -433,16 +455,16 @@ pub fn run_scenario(
         residence,
         throughput_bound: bounds.throughput_upper,
         bound_ok: x_des <= bounds.throughput_upper * 1.005,
-        audit_violations: audit.violations.len(),
-    }
+        audit_violations: run.audit.map_or(0, |audit| audit.violations.len()),
+    })
 }
 
 /// Mean per-request exclusive residence per node over the window, from
-/// spans of requests fully inside it. A span's `[arrived, finished]`
-/// covers downstream time; on a tree every node has a unique parent, so
-/// the exclusive residence subtracts each child's span time from its
-/// parent, request by request.
-fn node_residences(spans: &[Span], t0: SimTime, graph: &TopologyGraph) -> Vec<f64> {
+/// spans of requests fully inside it (`None` when there are none). A
+/// span's `[arrived, finished]` covers downstream time; on a tree every
+/// node has a unique parent, so the exclusive residence subtracts each
+/// child's span time from its parent, request by request.
+fn node_residences(spans: &[Span], t0: SimTime, graph: &TopologyGraph) -> Option<Vec<f64>> {
     let n = graph.tiers();
     let mut parent = vec![usize::MAX; n];
     graph.for_each_edge(|from, to, _calls| {
@@ -477,12 +499,14 @@ fn node_residences(spans: &[Span], t0: SimTime, graph: &TopologyGraph) -> Vec<f6
             }
         }
     }
-    assert!(count > 0, "no fully-observed requests in window");
+    if count == 0 {
+        return None;
+    }
     let count = count as f64;
     for s in &mut sums {
         *s /= count;
     }
-    sums
+    Some(sums)
 }
 
 /// The committed grid in two families, which `repro validate` seeds on
@@ -686,32 +710,49 @@ mod tests {
         assert!((net.stations[2].visit_ratio() - 0.5).abs() < 1e-12);
     }
 
+    fn point(s: &Scenario, population: u32, seed: u64, cohort_size: u32) -> ConformancePoint {
+        run_scenario(s, population, seed, cohort_size).expect("the window sees completions")
+    }
+
+    #[test]
+    fn a_window_without_completions_is_an_error_naming_it() {
+        // Every user submits at time zero and then thinks far past the
+        // window, so nothing arrives and completes inside it.
+        let s = Scenario {
+            think: 1.0e6,
+            ..quick("mm1")
+        };
+        let err = run_scenario(&s, 4, 1234, 1).expect_err("an empty window");
+        assert_eq!(err.completions, 0);
+        assert!(err.to_string().contains("mm1 at N=4"), "{err}");
+    }
+
     #[test]
     fn quick_point_conforms_and_audits_clean() {
         // A cheap smoke point: mm1 at N=8 with a short window still lands
         // within a loose 10% of the oracle and audits clean.
-        assert_conforms(&run_scenario(&quick("mm1"), 8, 1234, 1));
+        assert_conforms(&point(&quick("mm1"), 8, 1234, 1));
     }
 
     #[test]
     fn quick_cohort_point_conforms_and_audits_clean() {
         // The cohort-aggregated generator must land on the same oracle.
-        assert_conforms(&run_scenario(&quick("mm1"), 8, 1234, 4));
+        assert_conforms(&point(&quick("mm1"), 8, 1234, 4));
     }
 
     #[test]
     fn quick_fanout_point_conforms_and_audits_clean() {
-        assert_conforms(&run_scenario(&quick("fanout"), 6, 1234, 1));
+        assert_conforms(&point(&quick("fanout"), 6, 1234, 1));
     }
 
     #[test]
     fn quick_cache_point_conforms_and_audits_clean() {
-        assert_conforms(&run_scenario(&quick("cache-steady"), 8, 77, 1));
+        assert_conforms(&point(&quick("cache-steady"), 8, 77, 1));
     }
 
     #[test]
     fn quick_hetero_point_conforms_and_audits_clean() {
-        assert_conforms(&run_scenario(&quick("hetero-db"), 6, 4321, 1));
+        assert_conforms(&point(&quick("hetero-db"), 6, 4321, 1));
     }
 
     /// Every number a point carries, as bits.
@@ -730,8 +771,8 @@ mod tests {
         // per-user sample path: the same completions and the same numbers
         // to the bit, on the chain and on a cached mesh.
         for (s, n, seed) in [(quick("mm1"), 20, 5), (quick("cache-steady"), 20, 9)] {
-            let per_user = run_scenario(&s, n, seed, 1);
-            let cohort = run_scenario(&s, n, seed, 16);
+            let per_user = point(&s, n, seed, 1);
+            let cohort = point(&s, n, seed, 16);
             assert!(per_user.completions > 1000, "{}: sanity", s.name);
             assert_eq!(bits(&per_user), bits(&cohort), "{}", s.name);
             assert_eq!(per_user.audit_violations, cohort.audit_violations);
@@ -750,7 +791,7 @@ mod tests {
             for (i, s) in family.iter().enumerate() {
                 for (j, &n) in s.populations.iter().enumerate() {
                     let seed = (i as u64) * 100 + j as u64 + seed_base;
-                    let p = run_scenario(s, n, seed, 1);
+                    let p = point(s, n, seed, 1);
                     let residence: Vec<String> = p
                         .residence
                         .iter()

@@ -32,7 +32,7 @@ pub mod conformance;
 pub mod planner;
 
 pub use conformance::{
-    default_grid, run_scenario, CacheSpec, ConformancePoint, NodeSpec, Scenario, ScenarioKind,
-    TierComparison,
+    default_grid, run_scenario, CacheSpec, ConformancePoint, EmptyWindow, NodeSpec, Scenario,
+    ScenarioKind, TierComparison,
 };
 pub use planner::{predict, throughput_bound, PlannedTier, Prediction};

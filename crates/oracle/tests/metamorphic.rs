@@ -35,8 +35,8 @@ fn doubling_servers_and_load_preserves_per_server_state() {
             0.8,
         )
     };
-    let one = run_scenario(&scenario("meta-base", 1), 10, 9001, 1);
-    let two = run_scenario(&scenario("meta-doubled", 2), 20, 9002, 1);
+    let one = run_scenario(&scenario("meta-base", 1), 10, 9001, 1).expect("base window");
+    let two = run_scenario(&scenario("meta-doubled", 2), 20, 9002, 1).expect("doubled window");
     assert_eq!(one.audit_violations, 0);
     assert_eq!(two.audit_violations, 0);
 
@@ -92,8 +92,16 @@ fn single_flavor_vm_policy_is_bit_identical_to_homogeneous_default() {
                 NodeDemand::leaf(Dist::exponential_mean(0.02)).iid_visits(),
             ],
         );
-        let pop =
-            CohortPopulation::start_think_time(&mut world, &mut engine, factory, 30, 1.0, horizon);
+        let think = Some(Dist::exponential_mean(1.0));
+        let pop = CohortPopulation::start_with_think_dist(
+            &mut world,
+            &mut engine,
+            factory,
+            30,
+            1,
+            think,
+            horizon,
+        );
         engine.run(&mut world);
         let counters = world.system.counters();
         let finishes =

@@ -54,7 +54,8 @@ fn planner_prediction_matches_des_within_gates() {
         (scenario("plan-mm4-hot", 4, 0.05, 2), 36u32),
     ];
     for (s, population) in cases {
-        let point = run_scenario(&s, population, 0x0D0C_5EED, 1);
+        let point =
+            run_scenario(&s, population, 0x0D0C_5EED, 1).expect("the window sees completions");
         let plan = predict(&planner_tiers(&s), s.think, population);
         let err = (plan.throughput - point.throughput.des).abs() / plan.throughput;
         assert!(

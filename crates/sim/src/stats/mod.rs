@@ -2,9 +2,10 @@
 //!
 //! Everything here is allocation-light and incremental so monitors can run
 //! inside the event loop: [`OnlineStats`] (Welford mean/variance),
-//! [`SampleQuantiles`] / [`P2Quantile`] (exact and streaming percentiles),
-//! [`Histogram`] (binned distributions), and the time-indexed recorders
-//! [`TimeSeries`], [`StepGauge`], and [`RateMeter`].
+//! [`SampleQuantiles`] (exact percentiles), [`Histogram`] (binned
+//! distributions), [`Replications`] (confidence intervals across
+//! replications), and the time-indexed recorders [`TimeSeries`] and
+//! [`StepGauge`].
 
 mod histogram;
 mod quantile;
@@ -13,7 +14,7 @@ mod timeseries;
 mod welford;
 
 pub use histogram::{BinningMismatch, Histogram, InvalidHistogramBounds};
-pub use quantile::{P2Quantile, SampleQuantiles};
+pub use quantile::SampleQuantiles;
 pub use replication::{t_critical_95, Replications};
-pub use timeseries::{RateMeter, StepGauge, TimeSeries};
+pub use timeseries::{StepGauge, TimeSeries};
 pub use welford::OnlineStats;

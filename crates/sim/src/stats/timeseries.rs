@@ -9,7 +9,7 @@
 //!   the meaningful aggregate (a CPU that is busy 80 % of a window should
 //!   report 0.8 regardless of how many times the value changed).
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 
 /// A sequence of `(time, value)` samples in non-decreasing time order.
 ///
@@ -212,79 +212,6 @@ impl StepGauge {
     }
 }
 
-/// Accumulates a count over fixed windows and reports per-window rates
-/// (e.g. completed requests/second per 1-second window).
-///
-/// # Examples
-///
-/// ```
-/// use dcm_sim::stats::RateMeter;
-/// use dcm_sim::time::{SimDuration, SimTime};
-///
-/// let mut m = RateMeter::new(SimDuration::from_secs(1));
-/// m.record(SimTime::from_secs_f64(0.2));
-/// m.record(SimTime::from_secs_f64(0.7));
-/// m.record(SimTime::from_secs_f64(1.1));
-/// let windows = m.finish(SimTime::from_secs(2));
-/// assert_eq!(windows.len(), 2);
-/// assert_eq!(windows.as_slice()[0].1, 2.0); // 2 events in first second
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct RateMeter {
-    window: SimDuration,
-    current_window_start: SimTime,
-    current_count: u64,
-    series: TimeSeries,
-}
-
-impl RateMeter {
-    /// Creates a meter with the given window length.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is zero.
-    pub fn new(window: SimDuration) -> Self {
-        assert!(!window.is_zero(), "rate window must be positive");
-        RateMeter {
-            window,
-            current_window_start: SimTime::ZERO,
-            current_count: 0,
-            series: TimeSeries::new(),
-        }
-    }
-
-    /// Records one event at time `at`, flushing any windows that closed
-    /// before `at`.
-    pub fn record(&mut self, at: SimTime) {
-        self.roll_to(at);
-        self.current_count += 1;
-    }
-
-    /// Flushes windows that end at or before `at` into the series (emitting
-    /// zero-rate windows for idle gaps).
-    fn roll_to(&mut self, at: SimTime) {
-        while at >= self.current_window_start + self.window {
-            let end = self.current_window_start + self.window;
-            let rate = self.current_count as f64 / self.window.as_secs_f64();
-            self.series.push(self.current_window_start, rate);
-            self.current_window_start = end;
-            self.current_count = 0;
-        }
-    }
-
-    /// Closes out through `end` and returns the per-window rate series
-    /// (window start time → events/sec).
-    pub fn finish(mut self, end: SimTime) -> TimeSeries {
-        self.roll_to(end);
-        self.series
-    }
-
-    /// The completed windows so far, without consuming the meter.
-    pub fn series(&self) -> &TimeSeries {
-        &self.series
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -350,24 +277,5 @@ mod tests {
     fn gauge_empty_interval_returns_instant_value() {
         let g = StepGauge::new(SimTime::ZERO, 9.0);
         assert_eq!(g.time_weighted_mean(t(1.0), t(1.0)), 9.0);
-    }
-
-    #[test]
-    fn rate_meter_emits_idle_windows() {
-        let mut m = RateMeter::new(SimDuration::from_secs(1));
-        m.record(t(0.5));
-        m.record(t(3.5));
-        let ts = m.finish(t(4.0));
-        let values: Vec<f64> = ts.iter().map(|(_, v)| v).collect();
-        assert_eq!(values, vec![1.0, 0.0, 0.0, 1.0]);
-    }
-
-    #[test]
-    fn rate_meter_scales_by_window_length() {
-        let mut m = RateMeter::new(SimDuration::from_millis(500));
-        m.record(t(0.1));
-        m.record(t(0.2));
-        let ts = m.finish(t(0.5));
-        assert_eq!(ts.as_slice()[0].1, 4.0); // 2 events / 0.5 s
     }
 }

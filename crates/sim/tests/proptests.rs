@@ -5,8 +5,8 @@ use proptest::prelude::*;
 use dcm_sim::dist::{AliasTable, Dist, Sample};
 use dcm_sim::engine::Engine;
 use dcm_sim::rng::SimRng;
-use dcm_sim::stats::{Histogram, OnlineStats, RateMeter, SampleQuantiles, StepGauge};
-use dcm_sim::time::{SimDuration, SimTime};
+use dcm_sim::stats::{Histogram, OnlineStats, SampleQuantiles, StepGauge};
+use dcm_sim::time::SimTime;
 
 fn key_half() -> impl Strategy<Value = u64> {
     prop_oneof![0u64..4, any::<u64>(), Just(u64::MAX)]
@@ -123,20 +123,6 @@ proptest! {
         }
         let mean = gauge.time_weighted_mean(SimTime::ZERO, SimTime::from_nanos(2000));
         prop_assert!((0.0..=100.0).contains(&mean), "mean {mean}");
-    }
-
-    /// RateMeter windows account for every event exactly once.
-    #[test]
-    fn rate_meter_conserves_events(times in prop::collection::vec(0.0f64..100.0, 0..300)) {
-        let mut sorted = times.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let mut meter = RateMeter::new(SimDuration::from_secs(1));
-        for &t in &sorted {
-            meter.record(SimTime::from_secs_f64(t));
-        }
-        let series = meter.finish(SimTime::from_secs(101));
-        let total: f64 = series.iter().map(|(_, rate)| rate).sum();
-        prop_assert!((total - sorted.len() as f64).abs() < 1e-6);
     }
 
     /// Samples from every distribution are non-negative and finite.

@@ -16,7 +16,9 @@
 //! All three are presets of one mechanism: a [`CohortPopulation`] with
 //! cohort size 1, whose virtual users each run submit → (complete → think)
 //! cycles on their own timer and lazily retire when the population target
-//! drops. [`UserPopulation`] names the same type.
+//! drops. The first two run on a fixed world, as a
+//! [`SteadyRun`](crate::steady::SteadyRun) with no think time or an
+//! exponential one; [`UserPopulation`] names the population type.
 
 use std::cell::Cell;
 use std::rc::Rc;
@@ -72,11 +74,13 @@ impl Default for RetryPolicy {
 /// use dcm_sim::time::SimTime;
 ///
 /// let (mut world, mut engine) = ThreeTierBuilder::new().build();
-/// let pop = CohortPopulation::start_closed_loop(
+/// let pop = CohortPopulation::start_with_think_dist(
 ///     &mut world,
 ///     &mut engine,
 ///     ProfileFactory::rubbos(),
-///     10,                       // 10 users, zero think time
+///     10,                       // 10 users ...
+///     1,                        // ... one per cohort
+///     None,                     // zero think time
 ///     SimTime::from_secs(5),    // stop submitting at t=5s
 /// );
 /// engine.run(&mut world);
@@ -86,38 +90,10 @@ pub type UserPopulation = CohortPopulation;
 
 /// The per-user presets (cohort size 1) and the end-of-run copies.
 impl CohortPopulation {
-    /// Starts a closed-loop (zero think time) population of `users`
-    /// clients; no new requests are issued at or after `stop_at`.
-    pub fn start_closed_loop(
-        world: &mut World,
-        engine: &mut SimEngine,
-        factory: ProfileFactory,
-        users: u32,
-        stop_at: SimTime,
-    ) -> Self {
-        Self::start_with_think_dist(world, engine, factory, users, 1, None, stop_at)
-    }
-
-    /// Starts a think-time population (the RUBBoS client): users pause for
-    /// an exponential think time with the given mean between requests.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mean_think_secs <= 0`.
-    pub fn start_think_time(
-        world: &mut World,
-        engine: &mut SimEngine,
-        factory: ProfileFactory,
-        users: u32,
-        mean_think_secs: f64,
-        stop_at: SimTime,
-    ) -> Self {
-        let think = Some(Dist::exponential_mean(mean_think_secs));
-        Self::start_with_think_dist(world, engine, factory, users, 1, think, stop_at)
-    }
-
-    /// Like [`CohortPopulation::start_think_time`], with an optional shared
-    /// think-time multiplier cell (see
+    /// Starts a think-time population (the RUBBoS client) of `users`, one
+    /// per cohort, pausing for an exponential think time with the given
+    /// mean between requests, with an optional shared think-time
+    /// multiplier cell (see
     /// [`crate::burstiness::MmppModulator`]) applied to every sampled
     /// think time — the burstiness-injection hook.
     ///
@@ -134,13 +110,19 @@ impl CohortPopulation {
         think_multiplier: Option<Rc<Cell<f64>>>,
         stop_at: SimTime,
     ) -> Self {
-        let pop = Self::start_think_time(world, engine, factory, users, mean_think_secs, stop_at);
+        let think = Some(Dist::exponential_mean(mean_think_secs));
+        let pop = Self::start_with_think_dist(world, engine, factory, users, 1, think, stop_at);
         pop.inner.borrow_mut().think_multiplier = think_multiplier;
         pop
     }
 
-    /// Starts a trace-driven population: the user target follows `trace`
-    /// (think time as given), stopping at `stop_at`.
+    /// Starts a trace-driven population, one user per cohort: the user
+    /// target follows `trace` (exponential think time with the given
+    /// mean), stopping at `stop_at`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mean_think_secs <= 0`.
     pub fn start_trace_driven(
         world: &mut World,
         engine: &mut SimEngine,
@@ -150,7 +132,8 @@ impl CohortPopulation {
         stop_at: SimTime,
     ) -> Self {
         let initial = trace.users_at(SimTime::ZERO);
-        let pop = Self::start_think_time(world, engine, factory, initial, mean_think_secs, stop_at);
+        let think = Some(Dist::exponential_mean(mean_think_secs));
+        let pop = Self::start_with_think_dist(world, engine, factory, initial, 1, think, stop_at);
         for &(at, users) in trace.points().iter().skip(1) {
             if at >= stop_at {
                 break;
@@ -185,11 +168,13 @@ mod tests {
     #[test]
     fn closed_loop_keeps_concurrency_at_user_count() {
         let (mut world, mut engine) = ThreeTierBuilder::new().seed(2).build();
-        let pop = CohortPopulation::start_closed_loop(
+        let pop = CohortPopulation::start_with_think_dist(
             &mut world,
             &mut engine,
             ProfileFactory::rubbos_deterministic(),
             5,
+            1,
+            None,
             SimTime::from_secs(30),
         );
         engine.run(&mut world);
@@ -206,23 +191,15 @@ mod tests {
     fn think_time_population_offers_less_load() {
         let run = |think: Option<f64>| {
             let (mut world, mut engine) = ThreeTierBuilder::new().seed(3).build();
-            let pop = match think {
-                Some(z) => CohortPopulation::start_think_time(
-                    &mut world,
-                    &mut engine,
-                    ProfileFactory::rubbos(),
-                    20,
-                    z,
-                    SimTime::from_secs(60),
-                ),
-                None => CohortPopulation::start_closed_loop(
-                    &mut world,
-                    &mut engine,
-                    ProfileFactory::rubbos(),
-                    20,
-                    SimTime::from_secs(60),
-                ),
-            };
+            let pop = CohortPopulation::start_with_think_dist(
+                &mut world,
+                &mut engine,
+                ProfileFactory::rubbos(),
+                20,
+                1,
+                think.map(Dist::exponential_mean),
+                SimTime::from_secs(60),
+            );
             engine.run(&mut world);
             pop.completion_count()
         };

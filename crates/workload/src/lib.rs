@@ -4,9 +4,12 @@
 //!
 //! | Paper tool | Here | Role |
 //! |---|---|---|
-//! | Jmeter, zero think time | [`cohort::CohortPopulation::start_closed_loop`] | model training: offered concurrency = user count |
-//! | original RUBBoS client (3 s think) | [`cohort::CohortPopulation::start_think_time`] | model validation under realistic static load |
+//! | Jmeter, zero think time | [`steady::SteadyRun`] with `think: None` | model training: offered concurrency = user count |
+//! | original RUBBoS client (3 s think) | [`steady::SteadyRun`] with an exponential think time | model validation under realistic static load |
 //! | revised RUBBoS emulator + trace file | [`cohort::CohortPopulation::start_trace_driven`] | bursty Fig. 5 evaluation |
+//!
+//! A [`steady::SteadyRun`] is one fixed-world measurement: world, users,
+//! warm-up, window and audit as plain data, run by one function.
 //!
 //! Plus the RUBBoS browse-only servlet mix ([`servlets`]), trace synthesis
 //! and parsing ([`traces`] — including the reconstructed "Large Variation"
@@ -22,6 +25,7 @@ pub mod generator;
 pub mod profile;
 pub mod report;
 pub mod servlets;
+pub mod steady;
 pub mod traces;
 
 pub use burstiness::{index_of_dispersion, MmppConfig, MmppModulator};
@@ -31,4 +35,5 @@ pub use generator::{RetryPolicy, UserPopulation};
 pub use profile::{CacheEdge, NodeDemand, ProfileFactory};
 pub use report::{class_breakdown, shared_log, ClassStats, LoadReport, WindowedSeries};
 pub use servlets::{Servlet, ServletMix};
+pub use steady::{SteadyRun, SteadyWindow};
 pub use traces::{TraceError, WorkloadTrace};

@@ -6,7 +6,7 @@
 //! cargo run -p dcm-bench --release --example capacity_planning
 //! ```
 
-use dcm_core::experiment::{steady_state_throughput, SteadyStateOptions};
+use dcm_core::experiment::{steady_state_throughput, think_time_run};
 use dcm_model::laws::{analyze_bottleneck, TierDemand};
 use dcm_ntier::topology::SoftConfig;
 use dcm_sim::time::SimDuration;
@@ -70,13 +70,6 @@ fn main() {
     // Validate by simulation: drive the sized system with enough users to
     // demand the target load (X = U/(RT+Z) → U ≈ X·(Z+RT)).
     let users = (target_load * 3.4).ceil() as u32;
-    let options = SteadyStateOptions {
-        warmup: SimDuration::from_secs(20),
-        measure: SimDuration::from_secs(60),
-        think_time_secs: 3.0,
-        seed: 5,
-        ..SteadyStateOptions::default()
-    };
     // Soft resources at each tier's optimum: app pools at N*_app, conn
     // pools sharing N*_db per db server across app servers.
     let n_app = app_law.optimal_concurrency();
@@ -87,7 +80,9 @@ fn main() {
         "validating with {} users on 1/{}/{} at soft 1000/{}/{} ...",
         users, app_servers, db_servers, n_app, conns
     );
-    let measured = steady_state_throughput((1, app_servers, db_servers), soft, users, &options);
+    let (warmup, window) = (SimDuration::from_secs(20), SimDuration::from_secs(60));
+    let run = think_time_run((1, app_servers, db_servers), soft, users, 5, warmup, window);
+    let measured = steady_state_throughput(&run);
     println!(
         "measured: {:.1} req/s at mean RT {:.0} ms (target {target_load} req/s)",
         measured.throughput,

@@ -8,6 +8,7 @@
 
 use dcm_ntier::flow;
 use dcm_ntier::topology::{SoftConfig, ThreeTierBuilder};
+use dcm_sim::dist::Dist;
 use dcm_sim::time::SimTime;
 use dcm_workload::cohort::CohortPopulation;
 use dcm_workload::profile::ProfileFactory;
@@ -25,12 +26,13 @@ fn main() {
 
     // 300 virtual users browsing with ~3 s think time (the RUBBoS client).
     let horizon = SimTime::from_secs(240);
-    let population = CohortPopulation::start_think_time(
+    let population = CohortPopulation::start_with_think_dist(
         &mut world,
         &mut engine,
         ProfileFactory::rubbos(),
         300,
-        3.0,
+        1,
+        Some(Dist::exponential_mean(3.0)),
         horizon,
     );
 

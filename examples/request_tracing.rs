@@ -9,6 +9,7 @@
 use dcm_ntier::flow;
 use dcm_ntier::spans::{tier_breakdown, waterfall};
 use dcm_ntier::topology::{SoftConfig, ThreeTierBuilder};
+use dcm_sim::dist::Dist;
 use dcm_sim::time::SimTime;
 use dcm_workload::cohort::CohortPopulation;
 use dcm_workload::profile::ProfileFactory;
@@ -20,12 +21,13 @@ fn trace_under(soft: SoftConfig, label: &str) {
     world.system.enable_tracing();
 
     // Background load plus one traced probe request at t = 5 s.
-    CohortPopulation::start_think_time(
+    CohortPopulation::start_with_think_dist(
         &mut world,
         &mut engine,
         ProfileFactory::rubbos(),
         250,
-        3.0,
+        1,
+        Some(Dist::exponential_mean(3.0)),
         SimTime::from_secs(10),
     );
     let probe = std::rc::Rc::new(std::cell::Cell::new(None));

@@ -4,11 +4,12 @@
 
 use dcm_core::controller::{Controller, Dcm, DcmConfig, DcmModels, Ec2AutoScale};
 use dcm_core::experiment::{
-    run_trace_experiment, steady_state_throughput, SteadyStateOptions, TraceExperimentConfig,
+    run_trace_experiment, steady_state_throughput, think_time_run, TraceExperimentConfig,
 };
 use dcm_core::policy::ScalingConfig;
 use dcm_ntier::topology::SoftConfig;
 use dcm_sim::time::{SimDuration, SimTime};
+use dcm_workload::steady::SteadyRun;
 use dcm_workload::traces;
 
 fn quick_config(trace: traces::WorkloadTrace, horizon: u64, seed: u64) -> TraceExperimentConfig {
@@ -134,16 +135,16 @@ fn dcm_beats_hardware_only_scaling_under_burst() {
 fn scale_out_crossover_reproduces_fig2b() {
     // The motivating phenomenon end-to-end: 1/2/1 with the default soft
     // allocation does WORSE than 1/1/1 at high load.
-    let options = SteadyStateOptions {
-        warmup: SimDuration::from_secs(10),
-        measure: SimDuration::from_secs(30),
-        think_time_secs: 3.0,
-        seed: 3,
-        audit: true,
+    let measure = |counts, soft| {
+        let (warmup, window) = (SimDuration::from_secs(10), SimDuration::from_secs(30));
+        steady_state_throughput(&SteadyRun {
+            audit: true,
+            ..think_time_run(counts, soft, 400, 3, warmup, window)
+        })
     };
     let soft = SoftConfig::DEFAULT;
-    let baseline = steady_state_throughput((1, 1, 1), soft, 400, &options);
-    let scaled = steady_state_throughput((1, 2, 1), soft, 400, &options);
+    let baseline = measure((1, 1, 1), soft);
+    let scaled = measure((1, 2, 1), soft);
     assert!(
         scaled.throughput < baseline.throughput,
         "scaled-out {:.1} should underperform baseline {:.1} at 400 users",
@@ -152,7 +153,7 @@ fn scale_out_crossover_reproduces_fig2b() {
     );
     // And fixing the soft allocation (paper's remedy: split the optimal 36
     // connections across the two app servers) recovers the scaling win.
-    let fixed = steady_state_throughput((1, 2, 1), SoftConfig::new(1000, 100, 18), 400, &options);
+    let fixed = measure((1, 2, 1), SoftConfig::new(1000, 100, 18));
     assert!(
         fixed.throughput > baseline.throughput * 1.2,
         "reallocated 1/2/1 {:.1} should clearly beat 1/1/1 {:.1}",
@@ -290,12 +291,13 @@ fn least_connections_balances_heterogeneous_backends_better() {
             Dist::log_normal((0.0284f64).ln() - 0.72, 1.2),
             Dist::exponential_mean(0.0296),
         );
-        let pop = CohortPopulation::start_think_time(
+        let pop = CohortPopulation::start_with_think_dist(
             &mut world,
             &mut engine,
             factory,
             250,
-            3.0,
+            1,
+            Some(Dist::exponential_mean(3.0)),
             SimTime::from_secs(120),
         );
         engine.run(&mut world);
@@ -322,6 +324,7 @@ fn four_tier_deployment_matches_three_tier() {
     // four-tier deployment's steady-state throughput must match the
     // three-tier one within a few percent.
     use dcm_ntier::topology::ThreeTierBuilder;
+    use dcm_sim::dist::Dist;
     use dcm_workload::cohort::CohortPopulation;
     use dcm_workload::profile::ProfileFactory;
     use dcm_workload::report::LoadReport;
@@ -340,12 +343,13 @@ fn four_tier_deployment_matches_three_tier() {
         } else {
             ProfileFactory::rubbos()
         };
-        let pop = CohortPopulation::start_think_time(
+        let pop = CohortPopulation::start_with_think_dist(
             &mut world,
             &mut engine,
             factory,
             250,
-            3.0,
+            1,
+            Some(Dist::exponential_mean(3.0)),
             SimTime::from_secs(120),
         );
         engine.run(&mut world);
