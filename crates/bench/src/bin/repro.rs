@@ -128,49 +128,50 @@ fn usage() -> String {
      \x20 export-trace write the built-in Large-Variation trace as CSV\n\
      \x20 faults      behaviour under VM boot failures\n\
      \x20 chaos       crash/straggler injection + retry resilience (writes\n\
-     \x20             results/chaos.json and results/chaos.csv)\n\
+     \x20             chaos.json and chaos.csv)\n\
      \x20 validate    DES vs exact queueing theory (MVA oracle; writes\n\
-     \x20             results/validate.json and results/validate.csv,\n\
-     \x20             exits non-zero on any tolerance breach; every point\n\
-     \x20             is also re-run with cohort-aggregated users and held\n\
-     \x20             to the same gates)\n\
+     \x20             validate.json and validate.csv, exits non-zero on\n\
+     \x20             any tolerance breach; every point is also re-run\n\
+     \x20             with cohort-aggregated users and held to the same\n\
+     \x20             gates)\n\
      \x20 fleet       fleet-scale DES: up to 1,000 servers per tier and 1M\n\
-     \x20             cohort-aggregated users (writes results/fleet.json\n\
-     \x20             and results/fleet.csv — virtual-time quantities only,\n\
-     \x20             byte-identical for every --jobs value)\n\
+     \x20             cohort-aggregated users (writes fleet.json and\n\
+     \x20             fleet.csv — virtual-time quantities only, byte-\n\
+     \x20             identical for every --jobs value)\n\
      \x20 queuebench  event-queue microbenchmarks: the engine's indexed heap\n\
-     \x20             vs a tombstoning binary-heap reference (hold /\n\
-     \x20             cancel-heavy / timeout-churn / 16-byte captured\n\
-     \x20             payloads, also as fn events / successors scheduled\n\
-     \x20             from the popped event's handler; wall-clock rates\n\
-     \x20             feed the perf log)\n\
+     \x20             under hold / cancel-heavy / timeout-churn / 16-byte\n\
+     \x20             captured payloads, also as fn events / successors\n\
+     \x20             scheduled from the popped event's handler (wall-clock\n\
+     \x20             rates feed the perf log; runs only when named, and\n\
+     \x20             under perf)\n\
      \x20 perf        the performance baseline: training + trace +\n\
      \x20             queuebench + fleet in one run, accumulated into\n\
      \x20             results/perf.json (the file CI gates against; every\n\
      \x20             other command writes its wall-clock log to the\n\
-     \x20             gitignored results/perf_<command>.json instead)\n\
+     \x20             gitignored results/perf_<command>.json instead; the\n\
+     \x20             perf logs stay under results/ whatever --csv says)\n\
      \x20 league      controller league: DCM, EC2-AutoScale, MPC,\n\
      \x20             MMC-Threshold, and Holt-Winters on the step, flash,\n\
      \x20             sine, and chaos traces, ranked by SLO-violation\n\
      \x20             seconds then VM-hours then decision latency (writes\n\
-     \x20             results/league.json, results/league.csv, and the MPC\n\
-     \x20             plan journal results/league_mpc.journal.json —\n\
-     \x20             byte-identical for every --jobs value; `repro\n\
-     \x20             explain league` renders the ranking + journal)\n\
+     \x20             league.json, league.csv, and the MPC plan journal\n\
+     \x20             league_mpc.journal.json — byte-identical for every\n\
+     \x20             --jobs value; `repro explain league` renders the\n\
+     \x20             ranking + journal)\n\
      \x20 mesh        controllers off the chain: DCM, MPC, and\n\
      \x20             EC2-AutoScale on a fan-out microservice mesh with a\n\
      \x20             warming cache (bottleneck migrates mid-run) and a\n\
      \x20             mixed small/large VM fleet ranked on dollars (writes\n\
-     \x20             results/mesh.json and results/mesh.csv —\n\
-     \x20             byte-identical for every --jobs value)\n\
+     \x20             mesh.json and mesh.csv — byte-identical for every\n\
+     \x20             --jobs value)\n\
      \x20 hunt        adversarial scenario fuzzing: a seed-deterministic\n\
      \x20             campaign of random topologies, traces, fault\n\
      \x20             schedules, and controller configs checked against\n\
      \x20             conservation/replay/cohort/doubling/MVA oracles;\n\
      \x20             shrinks violations and pins them under\n\
-     \x20             tests/regressions/ (writes results/hunt.json and\n\
-     \x20             results/hunt.csv — byte-identical for every --jobs\n\
-     \x20             value; exits non-zero on any violation)\n\
+     \x20             tests/regressions/ (writes hunt.json and hunt.csv —\n\
+     \x20             byte-identical for every --jobs value; exits\n\
+     \x20             non-zero on any violation)\n\
      \x20 perfgate <baseline.json> <current.json>\n\
      \x20             events/s regression gate: exits non-zero when any\n\
      \x20             baseline experiment lost more than --max-drop (15 %)\n\
@@ -183,7 +184,8 @@ fn usage() -> String {
      \x20 explain <exp> print the controller decision journal as text:\n\
      \x20             every scaling and soft-allocation action with the\n\
      \x20             measurements, fitted model, and reason behind it\n\
-     \x20 all         everything above, in order\n\
+     \x20 all         every experiment above from fig2a to fleet except\n\
+     \x20             export-trace, in order\n\
      \x20 lint        dcm-lint determinism static analysis over the whole\n\
      \x20             workspace: cross-file taint, hot-path allocation,\n\
      \x20             panic-safety, and atomics-ordering rule families\n\
@@ -193,12 +195,14 @@ fn usage() -> String {
      \x20 --quick       short windows / coarse sweeps\n\
      \x20 --audit       run every experiment under the conservation auditor\n\
      \x20               (panics on any violated conservation law)\n\
-     \x20 --csv DIR     also write every table as CSV into DIR\n\
+     \x20 --csv DIR     also write every table as CSV into DIR, and write\n\
+     \x20               the artifacts named above (and export-trace's CSV)\n\
+     \x20               there instead of results/\n\
      \x20 --trace FILE  drive fig5 with an external `seconds,users` CSV trace\n\
      \x20 --obs DIR     output directory for `trace` artifacts\n\
      \x20               (default results/obs)\n\
-     \x20 --max-drop P  perfgate: allowed events/s drop in percent\n\
-     \x20               (default 15)\n\
+     \x20 --max-drop P  perfgate: allowed events/s drop in percent,\n\
+     \x20               at least 0 and below 100 (default 15)\n\
      \x20 --budget N    hunt: scenarios per campaign (default 200)\n\
      \x20 --seeds N     replicate fig5 across N seeds, report mean ± 95% CI\n\
      \x20 --jobs N      worker threads for independent runs (0 = all cores);\n\
@@ -400,7 +404,10 @@ fn rate(events: u64, secs: f64) -> f64 {
 }
 
 struct Output {
-    csv_dir: Option<PathBuf>,
+    /// Where artifacts go: the `--csv` directory, or `results/` without it.
+    dir: PathBuf,
+    /// Whether every table is also written there as CSV (`--csv`).
+    csv: bool,
     /// Artifacts that could not be written; any makes the run exit 1 once
     /// its output is printed.
     failed_writes: RefCell<Vec<PathBuf>>,
@@ -413,8 +420,8 @@ impl Output {
 
     fn table(&self, name: &str, table: &TextTable) {
         print!("{}", table.render());
-        if let Some(dir) = &self.csv_dir {
-            self.write(&dir.join(format!("{name}.csv")), &table.to_csv());
+        if self.csv {
+            self.write(&self.dir.join(format!("{name}.csv")), &table.to_csv());
         }
     }
 
@@ -472,7 +479,8 @@ fn main() -> ExitCode {
         return run_perfgate(&cli.paths, cli.max_drop);
     }
     let out = Output {
-        csv_dir: cli.csv_dir.clone(),
+        csv: cli.csv_dir.is_some(),
+        dir: cli.csv_dir.unwrap_or_else(|| PathBuf::from("results")),
         failed_writes: RefCell::new(Vec::new()),
     };
     dcm_sim::runner::set_jobs(cli.jobs);
@@ -485,9 +493,7 @@ fn main() -> ExitCode {
     // trace runs (the long-standing reference numbers) plus the queue
     // microbenchmarks and the fleet sweep, accumulated into one perf.json.
     let run_perf = cli.command == "perf";
-    let wants = |name: &str| {
-        run_all || cli.command == name || (run_perf && matches!(name, "queuebench" | "fleet"))
-    };
+    let wants = |name: &str| run_all || cli.command == name || (run_perf && name == "fleet");
     let mut matched = false;
     println!(
         "(running with {jobs} worker thread{})",
@@ -681,12 +687,9 @@ fn main() -> ExitCode {
     }
     if cli.command == "export-trace" {
         matched = true;
-        let dir = cli
-            .csv_dir
-            .clone()
-            .unwrap_or_else(|| PathBuf::from("results"));
+        let dir = &out.dir;
         let trace = dcm_workload::traces::large_variation();
-        match fs::create_dir_all(&dir)
+        match fs::create_dir_all(dir)
             .and_then(|()| fs::write(dir.join("large_variation.csv"), trace.to_csv()))
         {
             Ok(()) => println!(
@@ -731,7 +734,7 @@ fn main() -> ExitCode {
         let result = perf.time("chaos", || chaos::run_chaos(f, models));
         out.table("chaos", &result.table());
         out.findings(&result.findings());
-        let dir = PathBuf::from("results");
+        let dir = &out.dir;
         out.artifacts(&[
             (dir.join("chaos.json"), result.to_json()),
             (dir.join("chaos.csv"), result.table().to_csv()),
@@ -749,7 +752,7 @@ fn main() -> ExitCode {
         println!();
         out.table("league", &result.table());
         out.findings(&result.findings());
-        let dir = PathBuf::from("results");
+        let dir = &out.dir;
         out.artifacts(&[
             (dir.join("league.json"), result.to_json()),
             (dir.join("league.csv"), result.to_csv()),
@@ -770,16 +773,17 @@ fn main() -> ExitCode {
         let result = perf.time("mesh", || mesh::run_mesh(f, models));
         out.table("mesh", &result.table());
         out.findings(&result.findings());
-        let dir = PathBuf::from("results");
+        let dir = &out.dir;
         out.artifacts(&[
             (dir.join("mesh.json"), result.to_json()),
             (dir.join("mesh.csv"), result.to_csv()),
         ]);
     }
 
-    if wants("queuebench") {
+    // Wall-clock microbenchmarks: like `league`, not part of `all`.
+    if cli.command == "queuebench" || run_perf {
         matched = true;
-        out.section("Queue microbenchmarks: engine vs binary-heap reference");
+        out.section("Queue microbenchmarks: the engine under seeded operation streams");
         let result = queuebench::run_queuebench(f);
         out.table("queuebench", &result.table());
         out.findings(&result.findings());
@@ -800,7 +804,7 @@ fn main() -> ExitCode {
         let (allocated, reused) = result.total_slab();
         perf.record_slab("fleet", allocated, reused);
         perf.record_peak_rss("fleet");
-        let dir = PathBuf::from("results");
+        let dir = &out.dir;
         out.artifacts(&[
             (dir.join("fleet.json"), result.to_json()),
             (dir.join("fleet.csv"), result.table().to_csv()),
@@ -814,7 +818,7 @@ fn main() -> ExitCode {
         let result = perf.time("validate", || validate::run_validate(f));
         out.table("validate", &result.table());
         out.findings(&result.findings());
-        let dir = PathBuf::from("results");
+        let dir = &out.dir;
         out.artifacts(&[
             (dir.join("validate.json"), result.to_json()),
             (dir.join("validate.csv"), result.table().to_csv()),
@@ -844,7 +848,7 @@ fn main() -> ExitCode {
         let result = perf.time("hunt", || hunt::run_hunt(cli.budget, hunt::SEED));
         out.table("hunt", &result.table());
         out.findings(&result.findings());
-        let dir = PathBuf::from("results");
+        let dir = &out.dir;
         out.artifacts(&[
             (dir.join("hunt.json"), result.to_json()),
             (dir.join("hunt.csv"), result.table().to_csv()),

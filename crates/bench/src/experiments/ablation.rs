@@ -198,16 +198,6 @@ impl Ablation {
         }
         t
     }
-
-    /// The variant with the highest throughput.
-    pub fn best_throughput(&self) -> Option<&Variant> {
-        self.variants.iter().max_by(|a, b| {
-            a.summary
-                .throughput
-                .partial_cmp(&b.summary.throughput)
-                .expect("finite throughput")
-        })
-    }
 }
 
 #[cfg(test)]
@@ -259,6 +249,5 @@ mod tests {
     fn sensitivity_covers_factors() {
         let result = run_sensitivity(Fidelity::Quick, DcmModels::reference(), &[0.5, 1.0]);
         assert_eq!(result.variants.len(), 2);
-        assert!(result.best_throughput().is_some());
     }
 }

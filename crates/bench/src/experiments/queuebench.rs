@@ -1,46 +1,37 @@
-//! Event-queue microbenchmarks: the engine vs a binary-heap reference.
+//! Event-queue microbenchmarks: the engine under seeded operation streams.
 //!
 //! The engine keeps pending events in an indexed heap with eager
 //! cancellation (see `dcm_sim::engine`). These microbenchmarks drive it
-//! and a tombstoning `BinaryHeap` with identical, seeded operation streams
-//! through profiles that bracket the simulator's real access
-//! patterns:
+//! with seeded operation streams through profiles that bracket the
+//! simulator's real access patterns:
 //!
 //! * **hold** — the classic hold model: a steady pending set where every
 //!   pop schedules one replacement at `now + Exp(1)`. This is the pure
 //!   schedule/pop path (no cancellations).
 //! * **cancel** — cancel-heavy churn: every iteration schedules two
 //!   events and immediately cancels one of them (~50 % of scheduled
-//!   events never run), the regime where tombstones make the heap pay
-//!   for work it will discard.
+//!   events never run).
 //! * **churn** — timeout churn: every completion event carries a far
 //!   timeout that is cancelled when the completion pops first — exactly
 //!   the request-timeout pattern on the simulator's hot path, where
 //!   almost every timeout is armed and then cancelled.
 //! * **capture** — the hold stream again, but every event carries a
 //!   16-byte payload (a tag and its own timestamp) that its action folds
-//!   into the world. As a capturing closure it costs a `Box` per event,
-//!   which the other profiles' empty closures never pay. A third backend,
-//!   `fn`, schedules the same stream with `Engine::schedule_fn_at`: the
-//!   tag rides in the `u64` payload and the timestamp half is the engine's
-//!   clock when the event runs, so it folds the same values with no
-//!   allocation.
+//!   into the world. As a capturing closure (backend `engine`) it costs a
+//!   `Box` per event, which the other profiles' empty closures never pay.
+//!   Backend `fn` schedules the same stream with `Engine::schedule_fn_at`:
+//!   the tag rides in the `u64` payload and the timestamp half is the
+//!   engine's clock when the event runs, so it folds the same values with
+//!   no allocation.
 //! * **handler** — the hold stream once more, but each popped event's own
 //!   handler schedules its successor, as every simulator timer does. The
-//!   engine runs it as fn events and fuses each pop with that schedule;
-//!   the heap reference, which cannot schedule from inside a pop, replays
-//!   the stream as in `hold`.
+//!   engine runs it as fn events and fuses each pop with that schedule.
 //!
-//! The heap reference is the engine's original design: a `BinaryHeap`
-//! ordered by `(time, seq)` storing boxed closures, with O(1)
-//! cancellation via generation-stamped tombstones that are discarded
-//! lazily when they surface. Timing uses wall clocks, so the results are
-//! machine-dependent and live in `results/perf.json` (exempt from the
-//! bit-identity rule); the *operation streams* are seeded and identical
-//! across backends, so both sides always do the same virtual work.
+//! Timing uses wall clocks, so the results are machine-dependent and live
+//! in `results/perf.json` (exempt from the bit-identity rule); the
+//! *operation streams* are seeded, so every run does the same virtual
+//! work.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::time::Instant;
 
 use dcm_sim::engine::Engine;
@@ -52,7 +43,7 @@ use crate::format::{num, TextTable};
 
 use super::Fidelity;
 
-/// Seed for the operation streams (same for both backends).
+/// Seed for the operation streams.
 const SEED: u64 = 7_2026_0807;
 
 /// Pending events held by the hold/churn profiles.
@@ -67,116 +58,7 @@ fn iterations(fidelity: Fidelity) -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// The binary-heap reference backend (the original engine, distilled).
-// ---------------------------------------------------------------------------
-
-struct HeapEntry {
-    at: SimTime,
-    seq: u64,
-    slot: u32,
-    gen: u32,
-    #[allow(dead_code)]
-    action: Box<dyn FnOnce()>,
-}
-
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for HeapEntry {}
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Min-heap on (time, seq) via reversed comparison.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
-
-/// A `BinaryHeap` event queue with generation-stamped tombstone
-/// cancellation — the engine's original data structure.
-struct HeapQueue {
-    heap: BinaryHeap<HeapEntry>,
-    gens: Vec<u32>,
-    free: Vec<u32>,
-    next_seq: u64,
-    now: SimTime,
-    executed: u64,
-}
-
-/// Handle for cancelling a heap-queue event.
-#[derive(Clone, Copy)]
-struct HeapEventId {
-    slot: u32,
-    gen: u32,
-}
-
-impl HeapQueue {
-    fn new() -> Self {
-        HeapQueue {
-            heap: BinaryHeap::new(),
-            gens: Vec::new(),
-            free: Vec::new(),
-            next_seq: 0,
-            now: SimTime::ZERO,
-            executed: 0,
-        }
-    }
-
-    fn schedule_at(&mut self, at: SimTime, action: Box<dyn FnOnce()>) -> HeapEventId {
-        let at = at.max(self.now);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let slot = match self.free.pop() {
-            Some(slot) => slot,
-            None => {
-                let slot = u32::try_from(self.gens.len()).expect("too many events");
-                self.gens.push(0);
-                slot
-            }
-        };
-        let gen = self.gens[slot as usize];
-        self.heap.push(HeapEntry {
-            at,
-            seq,
-            slot,
-            gen,
-            action,
-        });
-        HeapEventId { slot, gen }
-    }
-
-    fn cancel(&mut self, id: HeapEventId) -> bool {
-        if self.gens[id.slot as usize] != id.gen {
-            return false;
-        }
-        self.gens[id.slot as usize] = self.gens[id.slot as usize].wrapping_add(1);
-        self.free.push(id.slot);
-        true
-    }
-
-    /// Pops the next live event, discarding tombstones that surface.
-    fn step(&mut self) -> bool {
-        while let Some(entry) = self.heap.pop() {
-            if self.gens[entry.slot as usize] != entry.gen {
-                continue; // tombstone
-            }
-            self.gens[entry.slot as usize] = self.gens[entry.slot as usize].wrapping_add(1);
-            self.free.push(entry.slot);
-            self.now = entry.at;
-            self.executed += 1;
-            return true;
-        }
-        false
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Profiles: each drives one backend with the same seeded operation stream.
+// Profiles: each drives the engine with one seeded operation stream.
 // ---------------------------------------------------------------------------
 
 fn exp_delay(rng: &mut SimRng) -> SimDuration {
@@ -232,22 +114,6 @@ fn handler_engine(iters: u64) -> (u64, f64) {
     (ops, secs)
 }
 
-fn hold_heap(iters: u64) -> (u64, f64) {
-    let mut queue = HeapQueue::new();
-    let mut rng = SimRng::seed_from(SEED);
-    for _ in 0..HELD {
-        let at = SimTime::ZERO + exp_delay(&mut rng);
-        queue.schedule_at(at, Box::new(|| {}));
-    }
-    let start = Instant::now();
-    for _ in 0..iters {
-        queue.step();
-        let at = queue.now + exp_delay(&mut rng);
-        queue.schedule_at(at, Box::new(|| {}));
-    }
-    (2 * iters, start.elapsed().as_secs_f64())
-}
-
 /// Cancel-heavy churn: schedule two, cancel one, pop one.
 fn cancel_engine(iters: u64) -> (u64, f64) {
     let mut engine: Engine<()> = Engine::new();
@@ -260,21 +126,6 @@ fn cancel_engine(iters: u64) -> (u64, f64) {
         let doomed = engine.schedule_at(drop_at, |_, _| {});
         engine.cancel(doomed);
         engine.step(&mut ());
-    }
-    (4 * iters, start.elapsed().as_secs_f64())
-}
-
-fn cancel_heap(iters: u64) -> (u64, f64) {
-    let mut queue = HeapQueue::new();
-    let mut rng = SimRng::seed_from(SEED);
-    let start = Instant::now();
-    for _ in 0..iters {
-        let keep = queue.now + exp_delay(&mut rng);
-        queue.schedule_at(keep, Box::new(|| {}));
-        let drop_at = queue.now + exp_delay(&mut rng);
-        let doomed = queue.schedule_at(drop_at, Box::new(|| {}));
-        queue.cancel(doomed);
-        queue.step();
     }
     (4 * iters, start.elapsed().as_secs_f64())
 }
@@ -301,29 +152,6 @@ fn churn_engine(iters: u64) -> (u64, f64) {
         engine.schedule_at(at, |_, _| {});
         let far = engine.now() + SimDuration::from_secs(1000) + exp_delay(&mut rng);
         timeouts[slot] = engine.schedule_at(far, |_, _| {});
-    }
-    (4 * iters, start.elapsed().as_secs_f64())
-}
-
-fn churn_heap(iters: u64) -> (u64, f64) {
-    let mut queue = HeapQueue::new();
-    let mut rng = SimRng::seed_from(SEED);
-    let mut timeouts = Vec::with_capacity(HELD);
-    for _ in 0..HELD {
-        let at = SimTime::ZERO + exp_delay(&mut rng);
-        queue.schedule_at(at, Box::new(|| {}));
-        let far = SimTime::ZERO + SimDuration::from_secs(1000) + exp_delay(&mut rng);
-        timeouts.push(queue.schedule_at(far, Box::new(|| {})));
-    }
-    let start = Instant::now();
-    for i in 0..iters {
-        queue.step();
-        let slot = (i % HELD as u64) as usize;
-        queue.cancel(timeouts[slot]);
-        let at = queue.now + exp_delay(&mut rng);
-        queue.schedule_at(at, Box::new(|| {}));
-        let far = queue.now + SimDuration::from_secs(1000) + exp_delay(&mut rng);
-        timeouts[slot] = queue.schedule_at(far, Box::new(|| {}));
     }
     (4 * iters, start.elapsed().as_secs_f64())
 }
@@ -390,36 +218,12 @@ fn capture_fn(iters: u64) -> (u64, f64) {
     (ops, secs)
 }
 
-fn capture_heap(iters: u64) -> (u64, f64) {
-    let mut queue = HeapQueue::new();
-    let mut rng = SimRng::seed_from(SEED);
-    let schedule = |queue: &mut HeapQueue, at: SimTime, tag: u64| {
-        let payload = (tag, at.as_nanos());
-        queue.schedule_at(
-            at,
-            Box::new(move || {
-                std::hint::black_box(payload);
-            }),
-        );
-    };
-    for tag in 0..HELD as u64 {
-        schedule(&mut queue, SimTime::ZERO + exp_delay(&mut rng), tag);
-    }
-    let start = Instant::now();
-    for i in 0..iters {
-        queue.step();
-        let at = queue.now + exp_delay(&mut rng);
-        schedule(&mut queue, at, HELD as u64 + i);
-    }
-    (2 * iters, start.elapsed().as_secs_f64())
-}
-
 /// One (profile, backend) measurement.
 #[derive(Debug, Clone)]
 pub struct QueueBenchPoint {
     /// Profile name: `hold`, `cancel`, `churn`, `capture` or `handler`.
     pub profile: &'static str,
-    /// Backend name: `engine`, `heap`, or (capture only) `fn`.
+    /// Backend name: `engine`, or (capture only) `fn`.
     pub backend: &'static str,
     /// Queue operations performed (schedules + pops + cancels).
     pub ops: u64,
@@ -438,7 +242,7 @@ impl QueueBenchPoint {
     }
 }
 
-/// The microbenchmark results, engine and heap side by side.
+/// The microbenchmark results.
 #[derive(Debug, Clone)]
 pub struct QueueBench {
     /// Measurements in (profile, backend) order.
@@ -452,18 +256,13 @@ type ProfileFn = fn(u64) -> (u64, f64);
 /// otherwise idle machine for stable numbers.
 pub fn run_queuebench(fidelity: Fidelity) -> QueueBench {
     let iters = iterations(fidelity);
-    let runs: [(&'static str, &'static str, ProfileFn); 11] = [
+    let runs: [(&'static str, &'static str, ProfileFn); 6] = [
         ("hold", "engine", hold_engine),
-        ("hold", "heap", hold_heap),
         ("cancel", "engine", cancel_engine),
-        ("cancel", "heap", cancel_heap),
         ("churn", "engine", churn_engine),
-        ("churn", "heap", churn_heap),
         ("capture", "engine", capture_engine),
-        ("capture", "heap", capture_heap),
         ("capture", "fn", capture_fn),
         ("handler", "engine", handler_engine),
-        ("handler", "heap", hold_heap),
     ];
     let points = runs
         .into_iter()
@@ -481,68 +280,50 @@ pub fn run_queuebench(fidelity: Fidelity) -> QueueBench {
 }
 
 impl QueueBench {
-    /// Speedup of `backend` over the heap reference for one profile.
-    pub fn speedup(&self, profile: &str, backend: &str) -> Option<f64> {
-        let rate = |backend: &str| {
+    /// The rate of the (profile, backend) point `a` over that of `b`.
+    fn ratio(&self, a: (&str, &str), b: (&str, &str)) -> Option<f64> {
+        let rate = |(profile, backend): (&str, &str)| {
             self.points
                 .iter()
                 .find(|p| p.profile == profile && p.backend == backend)
                 .map(QueueBenchPoint::ops_per_sec)
         };
-        match (rate(backend), rate("heap")) {
-            (Some(c), Some(h)) if h > 0.0 => Some(c / h),
+        match (rate(a), rate(b)) {
+            (Some(a), Some(b)) if b > 0.0 => Some(a / b),
             _ => None,
         }
     }
 
-    /// The side-by-side table.
+    /// One row per measurement.
     pub fn table(&self) -> TextTable {
-        let mut t = TextTable::new(["profile", "backend", "ops", "wall(s)", "Mops/s", "speedup"]);
+        let mut t = TextTable::new(["profile", "backend", "ops", "wall(s)", "Mops/s"]);
         for p in &self.points {
-            let speedup = if p.backend == "heap" {
-                String::new()
-            } else {
-                self.speedup(p.profile, p.backend)
-                    .map(|s| format!("{s:.2}x"))
-                    .unwrap_or_default()
-            };
             t.row([
                 p.profile.to_string(),
                 p.backend.to_string(),
                 p.ops.to_string(),
                 num(p.wall_secs, 3),
                 num(p.ops_per_sec() / 1e6, 2),
-                speedup,
             ]);
         }
         t
     }
 
-    /// Summary of the engine-vs-heap comparison.
+    /// The fn events against boxed closures, and the fused handler
+    /// schedule against the hold stream it replays.
     pub fn findings(&self) -> Vec<String> {
         let mut out = Vec::new();
-        for profile in ["hold", "cancel", "churn"] {
-            if let Some(s) = self.speedup(profile, "engine") {
-                out.push(format!(
-                    "{profile}: engine queue at {s:.2}x the binary-heap \
-                     reference (identical seeded operation stream)"
-                ));
-            }
-        }
-        if let (Some(boxed), Some(fns)) = (
-            self.speedup("capture", "engine"),
-            self.speedup("capture", "fn"),
-        ) {
+        if let Some(r) = self.ratio(("capture", "fn"), ("capture", "engine")) {
             out.push(format!(
-                "capture: 16-byte payloads as boxed closures at {boxed:.2}x \
-                 the binary-heap reference, as fn events at {fns:.2}x"
+                "capture: 16-byte payloads as fn events at {r:.2}x the rate \
+                 of boxed closures"
             ));
         }
-        if let Some(s) = self.speedup("handler", "engine") {
+        if let Some(r) = self.ratio(("handler", "engine"), ("hold", "engine")) {
             out.push(format!(
                 "handler: successors scheduled by the popped event's own \
-                 handler (one fused pop and schedule each) at {s:.2}x the \
-                 binary-heap reference"
+                 handler (one fused pop and schedule each) at {r:.2}x the \
+                 rate of the hold stream, which schedules them after the pop"
             ));
         }
         out
@@ -552,76 +333,6 @@ impl QueueBench {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn both_backends_agree_on_virtual_work() {
-        // The heap reference must execute the same number of live events
-        // as the engine for the same operation stream.
-        let iters = 2_000;
-        let mut engine: Engine<()> = Engine::new();
-        let mut queue = HeapQueue::new();
-        let mut rng_a = SimRng::seed_from(SEED);
-        let mut rng_b = SimRng::seed_from(SEED);
-        for i in 0..iters {
-            let da = exp_delay(&mut rng_a);
-            let db = exp_delay(&mut rng_b);
-            assert_eq!(da, db);
-            let a = engine.schedule_at(engine.now() + da, |_, _| {});
-            let b = queue.schedule_at(queue.now + db, Box::new(|| {}));
-            if i % 3 == 0 {
-                assert_eq!(engine.cancel(a), queue.cancel(b));
-            }
-            engine.step(&mut ());
-            queue.step();
-        }
-        while engine.step(&mut ()) {}
-        while queue.step() {}
-        assert_eq!(engine.executed(), queue.executed);
-        assert_eq!(engine.now(), queue.now);
-    }
-
-    #[test]
-    fn all_tombstone_bucket_purge_never_reorders() {
-        // Ordering regression, first written for a bucketed queue whose
-        // purge of a cancelled-only bucket could slide past a far event
-        // and replay it behind the clock. The shape stays a useful
-        // ordering check: round after round, a jittered cluster of near
-        // events, one live event well beyond them, then cancel the whole
-        // cluster so only the far event may pop. Both backends consume the
-        // same seeded stream and must pop the same instants.
-        use rand::RngCore;
-        let mut engine: Engine<()> = Engine::new();
-        let mut queue = HeapQueue::new();
-        let mut rng = SimRng::seed_from(SEED ^ 0x700B_570E);
-        for round in 0..256 {
-            let near = engine.now() + SimDuration::from_millis(2);
-            let cluster: Vec<_> = (0..1 + rng.next_u64() % 6)
-                .map(|_| {
-                    let at = near + SimDuration::from_nanos(rng.next_u64() % 1_000);
-                    (
-                        engine.schedule_at(at, |_, _| {}),
-                        queue.schedule_at(at, Box::new(|| {})),
-                    )
-                })
-                .collect();
-            let far = engine.now() + SimDuration::from_millis(80 + rng.next_u64() % 40);
-            engine.schedule_at(far, |_, _| {});
-            queue.schedule_at(far, Box::new(|| {}));
-            for (a, b) in cluster {
-                assert_eq!(engine.cancel(a), queue.cancel(b));
-            }
-            // The only live event left this round is the far one; a pop
-            // out of order would trip the engine's release-mode ordering
-            // assert.
-            assert!(engine.step(&mut ()));
-            assert!(queue.step());
-            assert_eq!(engine.now(), queue.now, "diverged at round {round}");
-        }
-        while engine.step(&mut ()) {}
-        while queue.step() {}
-        assert_eq!(engine.executed(), queue.executed);
-        assert_eq!(engine.now(), queue.now);
-    }
 
     #[test]
     fn capture_backends_fold_the_same_payloads() {
@@ -650,12 +361,12 @@ mod tests {
     #[test]
     fn quick_bench_produces_all_points() {
         let bench = run_queuebench(Fidelity::Quick);
-        assert_eq!(bench.points.len(), 11);
+        assert_eq!(bench.points.len(), 6);
         for p in &bench.points {
             assert!(p.ops > 0);
             assert!(p.wall_secs >= 0.0);
         }
-        assert_eq!(bench.findings().len(), 5);
-        assert_eq!(bench.table().len(), 11);
+        assert_eq!(bench.findings().len(), 2);
+        assert_eq!(bench.table().len(), 6);
     }
 }

@@ -201,6 +201,17 @@ impl Table1 {
 mod tests {
     use super::*;
 
+    use dcm_ntier::law::ServiceLaw;
+
+    #[test]
+    fn paper_table1_optima() {
+        // The literal Table I laws put their knees at the paper's N*.
+        let knee = |p: PaperColumn| ServiceLaw::new(p.s0, p.alpha, p.beta).optimal_concurrency();
+        assert_eq!(knee(PAPER_TOMCAT), 20);
+        assert_eq!(knee(PAPER_MYSQL), 36);
+        assert_eq!((PAPER_TOMCAT.n_star, PAPER_MYSQL.n_star), (20, 36));
+    }
+
     #[test]
     fn quick_table1_trains_both_models() {
         let result = run_table1(Fidelity::Quick).expect("fits converge");

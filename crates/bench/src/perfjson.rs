@@ -76,9 +76,10 @@ pub struct GateReport {
     pub failures: Vec<String>,
     /// Baseline entries with no counterpart in the current log.
     pub missing: Vec<String>,
-    /// Structural problems that make the comparison meaningless: an
-    /// empty/unparseable baseline, or a baseline rate of zero (a ratio
-    /// against it would be NaN or infinite, silently passing the gate).
+    /// Structural problems that make the comparison meaningless: a
+    /// tolerance outside `[0, 1)`, an empty/unparseable baseline, or a
+    /// baseline rate of zero (a ratio against it would be NaN or infinite,
+    /// silently passing the gate).
     pub errors: Vec<String>,
 }
 
@@ -93,9 +94,11 @@ impl GateReport {
 /// Compares `current` against `baseline`: every baseline experiment must
 /// still exist and keep at least `1 - max_drop` of its events/s (e.g.
 /// `max_drop = 0.15` fails on a >15 % slowdown). Speedups always pass.
-/// A baseline that parses to no entries, or a baseline entry whose rate
-/// is zero or non-finite, fails the gate with an explicit error rather
-/// than producing a NaN/Inf ratio verdict.
+/// A `max_drop` that is not a finite fraction in `[0, 1)` (NaN, or a drop
+/// of 100 % or more, which no rate could fail), a baseline that parses to
+/// no entries, or a baseline entry whose rate is zero or non-finite,
+/// fails the gate with an explicit error rather than producing a NaN/Inf
+/// ratio verdict.
 pub fn gate(baseline: &str, current: &str, max_drop: f64) -> GateReport {
     let base = parse_entries(baseline);
     let cur = parse_entries(current);
@@ -105,6 +108,13 @@ pub fn gate(baseline: &str, current: &str, max_drop: f64) -> GateReport {
         missing: Vec::new(),
         errors: Vec::new(),
     };
+    if !(0.0..1.0).contains(&max_drop) {
+        report.errors.push(format!(
+            "allowed drop {max_drop} is not a fraction in [0, 1) (--max-drop \
+             takes a percentage below 100)"
+        ));
+        return report;
+    }
     if base.is_empty() {
         report
             .errors
@@ -125,20 +135,18 @@ pub fn gate(baseline: &str, current: &str, max_drop: f64) -> GateReport {
             continue;
         }
         let ratio = c.events_per_sec / b.events_per_sec;
-        let verdict = if ratio >= 1.0 - max_drop {
-            "ok"
-        } else {
-            "FAIL"
-        };
+        // One comparison gives the line its verdict and the gate its
+        // failure, so a NaN ratio fails both.
+        let ok = ratio >= 1.0 - max_drop;
         report.lines.push(format!(
             "{}: {:.0} -> {:.0} events/s ({:+.1} %) {}",
             b.name,
             b.events_per_sec,
             c.events_per_sec,
             100.0 * (ratio - 1.0),
-            verdict
+            if ok { "ok" } else { "FAIL" }
         ));
-        if ratio < 1.0 - max_drop {
+        if !ok {
             report.failures.push(b.name.clone());
         }
     }
@@ -195,6 +203,22 @@ mod tests {
         let report = gate(SAMPLE, &slow, 0.15);
         assert!(!report.passed());
         assert_eq!(report.failures, vec!["training".to_string()]);
+    }
+
+    #[test]
+    fn gate_rejects_an_allowed_drop_outside_0_to_1() {
+        // Every rate collapsed to 1 event/s: no tolerance may let that
+        // through, a NaN or a drop of 100 % or more included.
+        let collapsed = SAMPLE.replace("\"events_per_sec\": 200.0", "\"events_per_sec\": 1.0");
+        for max_drop in [f64::NAN, 2.5, 1.0, -0.1, f64::INFINITY] {
+            let report = gate(SAMPLE, &collapsed, max_drop);
+            assert!(!report.passed(), "tolerance {max_drop} passed: {report:?}");
+            assert_eq!(report.errors.len(), 1);
+            assert!(report.errors[0].contains("[0, 1)"), "{}", report.errors[0]);
+        }
+        // Tolerances in range still judge the rates.
+        assert!(!gate(SAMPLE, &collapsed, 0.99).passed());
+        assert!(gate(SAMPLE, SAMPLE, 0.0).passed());
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! The controller acts on `N*`; if the training data barely constrain it
 //! (the dome's peak is flat), the operator should know. The residual
 //! bootstrap refits the model on `B` resampled datasets — original
-//! predictions plus residuals drawn with replacement — and reports
-//! percentile intervals for `N*` and the peak-throughput prediction.
+//! predictions plus residuals drawn with replacement — and reports a
+//! percentile interval for `N*`.
 
 use dcm_sim::rng::SimRng;
 
@@ -18,8 +18,6 @@ pub struct BootstrapReport {
     pub model: ConcurrencyModel,
     /// Bootstrap replicates of `N*`, sorted ascending.
     pub n_star_samples: Vec<f64>,
-    /// Bootstrap replicates of the predicted peak throughput, sorted.
-    pub x_max_samples: Vec<f64>,
     /// Resamples that failed to fit (excluded from the samples).
     pub failed: usize,
 }
@@ -29,11 +27,6 @@ impl BootstrapReport {
     /// percentiles); `None` if no replicate converged.
     pub fn n_star_interval(&self, confidence: f64) -> Option<(f64, f64)> {
         percentile_interval(&self.n_star_samples, confidence)
-    }
-
-    /// Percentile interval for the predicted maximum throughput.
-    pub fn x_max_interval(&self, confidence: f64) -> Option<(f64, f64)> {
-        percentile_interval(&self.x_max_samples, confidence)
     }
 }
 
@@ -71,7 +64,6 @@ pub fn bootstrap_fit(
         .collect();
     let mut rng = SimRng::seed_from(seed);
     let mut n_star_samples = Vec::with_capacity(replicates);
-    let mut x_max_samples = Vec::with_capacity(replicates);
     let mut failed = 0;
     for _ in 0..replicates {
         let resampled: Vec<(f64, f64)> = data
@@ -85,17 +77,14 @@ pub fn bootstrap_fit(
         match fit_throughput_curve(&resampled, servers, FitOptions::default()) {
             Ok(report) => {
                 n_star_samples.push(f64::from(report.model.optimal_concurrency().min(1_000_000)));
-                x_max_samples.push(report.model.predicted_max_throughput());
             }
             Err(_) => failed += 1,
         }
     }
     n_star_samples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    x_max_samples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     Ok(BootstrapReport {
         model: point.model,
         n_star_samples,
-        x_max_samples,
         failed,
     })
 }
@@ -151,9 +140,6 @@ mod tests {
             lo <= n_star && n_star <= hi,
             "N* {n_star} outside [{lo}, {hi}]"
         );
-        let (xlo, xhi) = report.x_max_interval(0.90).unwrap();
-        let x = report.model.predicted_max_throughput();
-        assert!(xlo <= x * 1.05 && xhi >= x * 0.95);
     }
 
     #[test]

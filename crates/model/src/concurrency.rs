@@ -110,15 +110,6 @@ impl ConcurrencyModel {
     pub fn predicted_max_throughput(&self) -> f64 {
         self.predict_throughput(f64::from(self.optimal_concurrency().min(1_000_000)))
     }
-
-    /// The same model re-expressed for a different server count `k`
-    /// (per-server `N*` is unchanged; aggregate throughput scales).
-    pub fn with_servers(&self, k: u32) -> ConcurrencyModel {
-        ConcurrencyModel {
-            servers: k.max(1),
-            ..*self
-        }
-    }
 }
 
 /// Options for [`fit_throughput_curve`].
@@ -329,7 +320,7 @@ mod tests {
     #[test]
     fn multi_server_prediction_scales() {
         let m1 = truth();
-        let m2 = m1.with_servers(2);
+        let m2 = ConcurrencyModel { servers: 2, ..m1 };
         assert_eq!(m2.optimal_concurrency(), m1.optimal_concurrency());
         let x1 = m1.predicted_max_throughput();
         let x2 = m2.predicted_max_throughput();

@@ -2,9 +2,6 @@
 //!
 //! The analytical core of the DCM reproduction (paper §III):
 //!
-//! * [`laws`] — operational queueing laws (Utilization, Forced Flow,
-//!   Little's, Interactive Response Time) and bottleneck analysis over the
-//!   tier chain (Eq. 1–4).
 //! * [`concurrency`] — the multi-threading throughput model
 //!   `X(N) = γKN/(S⁰+α(N−1)+βN(N−1))` (Eq. 5–8), its optimal-concurrency
 //!   prediction `N* = √((S⁰−α)/β)`, and online least-squares fitting from
@@ -12,8 +9,9 @@
 //!   procedure.
 //! * [`mva`] — exact load-dependent Mean Value Analysis for closed
 //!   product-form networks (multi-server stations, think-time terminal)
-//!   plus asymptotic operational bounds: the analytic oracle the DES is
-//!   validated against.
+//!   plus asymptotic operational bounds, among them the bottleneck bound
+//!   `min_m K_m/D_m` of the paper's Eq. 1–4: the analytic oracle the DES
+//!   is validated against.
 //! * [`lsq`] — Levenberg–Marquardt nonlinear least squares, `R²`, linear
 //!   regression.
 //! * [`linalg`] — the dense solver backing the fitter.
@@ -40,7 +38,6 @@
 pub mod allocation;
 pub mod bootstrap;
 pub mod concurrency;
-pub mod laws;
 pub mod linalg;
 pub mod lsq;
 pub mod mva;
@@ -48,6 +45,5 @@ pub mod mva;
 pub use allocation::{optimal_soft_allocation, SoftAllocation};
 pub use bootstrap::{bootstrap_fit, BootstrapReport};
 pub use concurrency::{fit_throughput_curve, ConcurrencyModel, FitOptions, FitReport};
-pub use laws::{analyze_bottleneck, BottleneckAnalysis, TierDemand};
 pub use lsq::{levenberg_marquardt, linear_regression, r_squared, FitError, LmOptions};
 pub use mva::{law_rate_table, AsymptoticBounds, ClosedNetwork, MvaSolution, Station};

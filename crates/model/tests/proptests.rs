@@ -4,7 +4,6 @@
 use proptest::prelude::*;
 
 use dcm_model::concurrency::{fit_throughput_curve, ConcurrencyModel, FitOptions};
-use dcm_model::laws::{analyze_bottleneck, TierDemand};
 use dcm_model::linalg::solve;
 use dcm_model::lsq::{linear_regression, r_squared};
 
@@ -93,38 +92,6 @@ proptest! {
             let a = m1.predict_throughput(n);
             let b = m2.predict_throughput(n);
             prop_assert!((a - b).abs() / a < 1e-9);
-        }
-    }
-
-    /// Bottleneck analysis picks the max demand-per-server tier and caps
-    /// utilizations at 1 for the bottleneck itself.
-    #[test]
-    fn bottleneck_is_max_demand(
-        demands in prop::collection::vec((0.001f64..0.1, 1u32..4, 1.0f64..3.0), 1..6),
-    ) {
-        let tiers: Vec<TierDemand> = demands
-            .iter()
-            .map(|&(s, k, v)| TierDemand {
-                visit_ratio: v,
-                service_time: s,
-                servers: k,
-            })
-            .collect();
-        let analysis = analyze_bottleneck(&tiers, 1.0);
-        let expected = tiers
-            .iter()
-            .enumerate()
-            .max_by(|(_, a), (_, b)| {
-                a.demand_per_server()
-                    .partial_cmp(&b.demand_per_server())
-                    .unwrap()
-            })
-            .unwrap()
-            .0;
-        prop_assert_eq!(analysis.bottleneck, expected);
-        prop_assert!((analysis.utilizations[expected] - 1.0).abs() < 1e-9);
-        for u in &analysis.utilizations {
-            prop_assert!(*u <= 1.0 + 1e-9);
         }
     }
 }

@@ -53,11 +53,6 @@ impl Balancer {
         self.policy
     }
 
-    /// Switches policy at runtime (cursor state is kept).
-    pub fn set_policy(&mut self, policy: BalancerPolicy) {
-        self.policy = policy;
-    }
-
     /// Picks a server among `candidates`, given as `(id, current load)`
     /// pairs of **routable** (running) servers. Returns `None` when the
     /// slice is empty.
@@ -194,16 +189,5 @@ mod tests {
                 assert_eq!(a, candidates[i].0, "{policy:?} diverged");
             }
         }
-    }
-
-    #[test]
-    fn policy_can_change_at_runtime() {
-        let mut lb = Balancer::new(BalancerPolicy::RoundRobin);
-        assert_eq!(lb.policy(), BalancerPolicy::RoundRobin);
-        lb.set_policy(BalancerPolicy::LeastConnections);
-        assert_eq!(lb.policy(), BalancerPolicy::LeastConnections);
-        let mut rng = rng();
-        let c = [(s(0), 9), (s(1), 1)];
-        assert_eq!(lb.choose(&c, &mut rng), Some(s(1)));
     }
 }

@@ -213,13 +213,6 @@ pub mod reference {
         ServiceLaw::new(2.84e-2, 1.6e-2, 7.0e-5)
     }
 
-    /// The literal Table I parameters for the Tomcat model (`S⁰ = 28.4 ms`,
-    /// `α = 9.87 ms`, `β = 45.4 µs` → `N* ≈ 20`), kept for comparing
-    /// fitted coefficients against the paper.
-    pub fn tomcat_table1() -> ServiceLaw {
-        ServiceLaw::new(2.84e-2, 9.87e-3, 4.54e-5)
-    }
-
     /// MySQL database server (per query): knee `N* = 36` as in Table I,
     /// **plus a thrash term** past 60 concurrent queries.
     ///
@@ -243,13 +236,6 @@ pub mod reference {
         ServiceLaw::new(2.95501e-2, 4.53985e-3, 1.9298e-5).with_thrash(60.0, 2.0e-4)
     }
 
-    /// The literal Table I parameters for the MySQL model (`S⁰ = 7.19 ms`,
-    /// `α = 5.04 ms`, `β = 1.65 µs` → `N* ≈ 36`), kept for comparing fitted
-    /// coefficients against the paper.
-    pub fn mysql_table1() -> ServiceLaw {
-        ServiceLaw::new(7.19e-3, 5.04e-3, 1.65e-6)
-    }
-
     /// Apache web server: cheap pass-through that is never the bottleneck
     /// in the browse-only workload (its pool is fixed at 1000 in every
     /// experiment of the paper).
@@ -270,12 +256,6 @@ mod tests {
         assert_eq!(law.inflation(1), 1.0);
         // n=0 treated as 1
         assert_eq!(law.adjusted_service_time(0), 0.02);
-    }
-
-    #[test]
-    fn paper_table1_optima() {
-        assert_eq!(reference::tomcat_table1().optimal_concurrency(), 20);
-        assert_eq!(reference::mysql_table1().optimal_concurrency(), 36);
     }
 
     #[test]

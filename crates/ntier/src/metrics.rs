@@ -94,15 +94,6 @@ pub struct ServerSample {
     pub conn_queue: usize,
 }
 
-impl ServerSample {
-    /// Window length in seconds.
-    pub fn window_secs(&self) -> f64 {
-        self.window_end
-            .saturating_since(self.window_start)
-            .as_secs_f64()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,25 +125,5 @@ mod tests {
         let mut tw = TimeWeighted::new(t(5.0), 1.0);
         tw.settle(t(3.0)); // earlier than start: no-op
         assert_eq!(tw.integral(), 0.0);
-    }
-
-    #[test]
-    fn sample_window_secs() {
-        let s = ServerSample {
-            server: "tomcat-1".into(),
-            tier: 1,
-            window_start: t(10.0),
-            window_end: t(11.0),
-            cpu_util: 0.5,
-            busy_fraction: 0.5,
-            active_threads: 3.2,
-            completed: 42,
-            throughput: 42.0,
-            mean_dwell: Some(0.02),
-            thread_pool_size: 20,
-            thread_queue: 0,
-            conn_queue: 0,
-        };
-        assert!((s.window_secs() - 1.0).abs() < 1e-12);
     }
 }

@@ -48,13 +48,6 @@ pub enum Dist {
         /// Rate parameter (events per unit).
         lambda: f64,
     },
-    /// Normal with the given mean and standard deviation, truncated at zero.
-    TruncatedNormal {
-        /// Mean of the untruncated normal.
-        mean: f64,
-        /// Standard deviation of the untruncated normal.
-        std_dev: f64,
-    },
     /// Log-normal parameterized by the underlying normal's `mu`/`sigma`.
     LogNormal {
         /// Mean of the underlying normal.
@@ -125,19 +118,6 @@ impl Dist {
         Dist::Exponential { lambda: 1.0 / mean }
     }
 
-    /// Normal truncated at zero.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `std_dev < 0` or parameters are not finite.
-    pub fn truncated_normal(mean: f64, std_dev: f64) -> Self {
-        assert!(
-            mean.is_finite() && std_dev.is_finite() && std_dev >= 0.0,
-            "invalid normal params"
-        );
-        Dist::TruncatedNormal { mean, std_dev }
-    }
-
     /// Log-normal from the underlying normal's parameters.
     ///
     /// # Panics
@@ -178,9 +158,6 @@ impl Sample for Dist {
             Dist::Constant(v) => v,
             Dist::Uniform { low, high } => low + (high - low) * rng.next_f64(),
             Dist::Exponential { lambda } => sample_exp(rng, lambda),
-            Dist::TruncatedNormal { mean, std_dev } => {
-                (mean + std_dev * sample_standard_normal(rng)).max(0.0)
-            }
             Dist::LogNormal { mu, sigma } => (mu + sigma * sample_standard_normal(rng)).exp(),
             Dist::Pareto { x_min, alpha } => {
                 // Inverse transform: F^-1(u) = x_min / (1-u)^{1/alpha}.
@@ -196,16 +173,6 @@ impl Sample for Dist {
             Dist::Constant(v) => Some(v),
             Dist::Uniform { low, high } => Some((low + high) / 2.0),
             Dist::Exponential { lambda } => Some(1.0 / lambda),
-            // Truncation shifts the mean; only exact when the mass below zero
-            // is negligible, so report the untruncated mean as approximation
-            // only when it is at least 4 sigma above zero.
-            Dist::TruncatedNormal { mean, std_dev } => {
-                if mean >= 4.0 * std_dev {
-                    Some(mean)
-                } else {
-                    None
-                }
-            }
             Dist::LogNormal { mu, sigma } => Some((mu + sigma * sigma / 2.0).exp()),
             Dist::Pareto { x_min, alpha } => {
                 if alpha > 1.0 {
@@ -225,7 +192,6 @@ impl fmt::Display for Dist {
             Dist::Constant(v) => write!(f, "const({v})"),
             Dist::Uniform { low, high } => write!(f, "uniform({low}, {high})"),
             Dist::Exponential { lambda } => write!(f, "exp(rate={lambda})"),
-            Dist::TruncatedNormal { mean, std_dev } => write!(f, "normal+({mean}, {std_dev})"),
             Dist::LogNormal { mu, sigma } => write!(f, "lognormal({mu}, {sigma})"),
             Dist::Pareto { x_min, alpha } => write!(f, "pareto({x_min}, {alpha})"),
             Dist::Erlang { k, lambda } => write!(f, "erlang({k}, rate={lambda})"),
@@ -415,15 +381,6 @@ mod tests {
             assert!((2.0..4.0).contains(&x));
         }
         assert!((empirical_mean(&d, 100_000) - 3.0).abs() < 0.01);
-    }
-
-    #[test]
-    fn truncated_normal_never_negative() {
-        let d = Dist::truncated_normal(0.01, 0.05);
-        let mut r = rng();
-        for _ in 0..10_000 {
-            assert!(d.sample(&mut r) >= 0.0);
-        }
     }
 
     #[test]

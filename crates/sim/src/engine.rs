@@ -867,10 +867,45 @@ mod tests {
         );
     }
 
+    #[test]
+    fn all_tombstone_bucket_purge_never_reorders() {
+        // Ordering regression, first written for a bucketed queue whose
+        // purge of a cancelled-only bucket could slide past a far event
+        // and replay it behind the clock. The shape stays a useful
+        // ordering check: round after round, a jittered cluster of near
+        // events, one live event well beyond them, then cancel the whole
+        // cluster so only the far event may pop.
+        let mut w: W = vec![];
+        let mut e = Engine::new();
+        let mut sm = SplitMix64::new(0x700B_570E);
+        for round in 0..256u32 {
+            let near = e.now() + SimDuration::from_millis(2);
+            let cluster: Vec<EventId> = (0..1 + sm.next_u64() % 6)
+                .map(|_| {
+                    let at = near + SimDuration::from_nanos(sm.next_u64() % 1_000);
+                    e.schedule_at(at, |w: &mut W, _| w.push(u32::MAX))
+                })
+                .collect();
+            let far = e.now() + SimDuration::from_millis(80 + sm.next_u64() % 40);
+            e.schedule_at(far, move |w: &mut W, _| w.push(round));
+            for id in cluster {
+                assert!(e.cancel(id), "round {round}: a near event must cancel");
+            }
+            assert!(e.step(&mut w), "round {round}: the far event must pop");
+            assert_eq!(e.now(), far, "round {round}: the clock must land on it");
+            assert_eq!(w.last(), Some(&round), "round {round}: only it may pop");
+            assert_eq!(e.pending(), 0);
+        }
+        assert!(!e.step(&mut w));
+        assert_eq!(w, (0..256).collect::<Vec<_>>());
+        assert_eq!(e.executed(), 256);
+    }
+
     /// Reference-model check: random schedule/cancel/reschedule/pop
     /// interleavings against a plain `BinaryHeap` + cancelled-set model
-    /// must pop in identical `(time, seq)` order, across slot reuse and
-    /// stale generations. The model treats a reschedule as a cancel plus a
+    /// must pop in identical `(time, seq)` order, at the model's instants
+    /// and with the model's executed count, across slot reuse and stale
+    /// generations. The model treats a reschedule as a cancel plus a
     /// fresh-`seq` schedule of the same action, and keys an event scheduled
     /// or moved with a reserved `seq` by that `seq`: reservations are taken
     /// between other schedules and used later (so their keys undercut
@@ -1025,15 +1060,15 @@ mod tests {
             let due = loop {
                 match h.model.pop() {
                     None => break None,
-                    Some(Reverse((_, seq, tag))) => {
+                    Some(Reverse((at, seq, tag))) => {
                         if h.cancelled.remove(&seq) {
                             continue;
                         }
-                        break Some((seq, tag));
+                        break Some((at, seq, tag));
                     }
                 }
             };
-            let Some((seq, tag)) = due else {
+            let Some((at, seq, tag)) = due else {
                 assert!(!e.step(h), "the engine ran an event the model lacks");
                 return false;
             };
@@ -1043,11 +1078,13 @@ mod tests {
             let (id, _, _) = h.live.swap_remove(i);
             h.dead.push(id);
             assert!(e.step(h), "the engine drained before the model");
+            assert_eq!(e.now().as_nanos(), at, "the clock must land on the pop");
             true
         }
 
         fn check(h: &Harness, e: &Engine<Harness>, seed: u64) {
             assert_eq!(e.pending(), h.live.len(), "live count must track the model");
+            assert_eq!(e.executed(), h.out.len() as u64, "executed must count runs");
             assert_eq!(
                 h.out, h.expected,
                 "seed {seed}: pop order diverged from reference"

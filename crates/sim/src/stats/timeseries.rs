@@ -200,16 +200,6 @@ impl StepGauge {
         integral += value * (end - cursor).as_secs_f64();
         integral / total
     }
-
-    /// Maximum value attained within `[start, end)` (including the value
-    /// carried into the interval).
-    pub fn max_over(&self, start: SimTime, end: SimTime) -> f64 {
-        let mut max = self.value_at(start);
-        for &(_, v) in self.steps.iter().filter(|&&(t, _)| t > start && t < end) {
-            max = max.max(v);
-        }
-        max
-    }
 }
 
 #[cfg(test)]
@@ -270,7 +260,6 @@ mod tests {
         assert_eq!(g.value(), 5.0);
         g.add(t(2.0), -5.0);
         assert_eq!(g.value(), 0.0);
-        assert_eq!(g.max_over(SimTime::ZERO, t(3.0)), 5.0);
     }
 
     #[test]

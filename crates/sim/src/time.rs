@@ -90,11 +90,6 @@ impl SimTime {
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Checked distance to `other` (`None` if `other > self`).
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
-    }
 }
 
 impl SimDuration {
@@ -152,16 +147,6 @@ impl SimDuration {
     /// Saturating subtraction.
     pub fn saturating_sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(rhs.0))
-    }
-
-    /// Scales the span by a non-negative factor, saturating on overflow.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if `factor` is negative or NaN.
-    pub fn mul_f64(self, factor: f64) -> SimDuration {
-        debug_assert!(factor >= 0.0, "duration factor must be non-negative");
-        SimDuration(secs_to_nanos(self.as_secs_f64() * factor))
     }
 }
 
@@ -323,7 +308,6 @@ mod tests {
         assert_eq!(t1 - t0, SimDuration::from_millis(500));
         assert_eq!(t1.saturating_since(t0), SimDuration::from_millis(500));
         assert_eq!(t0.saturating_since(t1), SimDuration::ZERO);
-        assert_eq!(t0.checked_since(t1), None);
     }
 
     #[test]
@@ -335,7 +319,6 @@ mod tests {
     #[test]
     fn scaling_durations() {
         let d = SimDuration::from_secs(1);
-        assert_eq!(d.mul_f64(0.25), SimDuration::from_millis(250));
         assert_eq!(d * 3, SimDuration::from_secs(3));
         assert_eq!(d / 4, SimDuration::from_millis(250));
     }

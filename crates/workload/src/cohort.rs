@@ -29,9 +29,8 @@
 //! Every population, whatever its cohort size, supports the trace-driven
 //! target ([`CohortPopulation::set_target`]: new members are appended,
 //! surplus members retire lazily at the end of their cycle), client retry
-//! with a shared token budget, a per-request deadline, think-time
-//! modulation, the offered-load series, the optional completion log and
-//! the aggregate [`CohortStats`].
+//! with a shared token budget, a per-request deadline, the offered-load
+//! series, the optional completion log and the aggregate [`CohortStats`].
 //!
 //! A population registers its state in the world's
 //! [`ClientTable`](dcm_ntier::world::ClientTable): cohort timers and
@@ -42,7 +41,7 @@
 //! and completion callback address that slot the same way, so retrying
 //! allocates nothing either.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::rc::Rc;
@@ -144,7 +143,6 @@ impl CohortStats {
 pub(crate) struct PopState {
     factory: ProfileFactory,
     think: Option<Dist>,
-    pub(crate) think_multiplier: Option<Rc<Cell<f64>>>,
     stop_at: SimTime,
     cohort_size: u32,
     target: u32,
@@ -338,7 +336,6 @@ impl CohortPopulation {
         let inner = Rc::new(RefCell::new(PopState {
             factory,
             think,
-            think_multiplier: None,
             stop_at,
             cohort_size,
             target: users,
@@ -598,16 +595,15 @@ fn attempt_done(
     if st.log_enabled {
         st.log.push(completion);
     }
-    let base = st
+    let think = st
         .think
         .as_ref()
         .map(|d| d.sample(&mut w.rng))
         .unwrap_or(0.0);
-    let multiplier = st.think_multiplier.as_ref().map_or(1.0, |cell| cell.get());
     // Zero think time still goes through the queue (as the next
     // same-time event) instead of recursing, so long closed-loop runs
     // keep a flat stack.
-    let due = e.now() + SimDuration::from_secs_f64(base * multiplier);
+    let due = e.now() + SimDuration::from_secs_f64(think);
     let cohort = &mut st.cohorts[index_of(payload)];
     cohort.push(due);
     cohort.rearm(e, payload);

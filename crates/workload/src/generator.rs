@@ -20,9 +20,6 @@
 //! [`SteadyRun`](crate::steady::SteadyRun) with no think time or an
 //! exponential one; [`UserPopulation`] names the population type.
 
-use std::cell::Cell;
-use std::rc::Rc;
-
 use dcm_ntier::request::Completion;
 use dcm_ntier::world::{SimEngine, World};
 use dcm_sim::dist::Dist;
@@ -90,32 +87,6 @@ pub type UserPopulation = CohortPopulation;
 
 /// The per-user presets (cohort size 1) and the end-of-run copies.
 impl CohortPopulation {
-    /// Starts a think-time population (the RUBBoS client) of `users`, one
-    /// per cohort, pausing for an exponential think time with the given
-    /// mean between requests, with an optional shared think-time
-    /// multiplier cell (see
-    /// [`crate::burstiness::MmppModulator`]) applied to every sampled
-    /// think time — the burstiness-injection hook.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mean_think_secs <= 0`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn start_think_time_modulated(
-        world: &mut World,
-        engine: &mut SimEngine,
-        factory: ProfileFactory,
-        users: u32,
-        mean_think_secs: f64,
-        think_multiplier: Option<Rc<Cell<f64>>>,
-        stop_at: SimTime,
-    ) -> Self {
-        let think = Some(Dist::exponential_mean(mean_think_secs));
-        let pop = Self::start_with_think_dist(world, engine, factory, users, 1, think, stop_at);
-        pop.inner.borrow_mut().think_multiplier = think_multiplier;
-        pop
-    }
-
     /// Starts a trace-driven population, one user per cohort: the user
     /// target follows `trace` (exponential think time with the given
     /// mean), stopping at `stop_at`.

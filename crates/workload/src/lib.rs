@@ -18,7 +18,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod burstiness;
 pub mod cache;
 pub mod cohort;
 pub mod generator;
@@ -28,7 +27,6 @@ pub mod servlets;
 pub mod steady;
 pub mod traces;
 
-pub use burstiness::{index_of_dispersion, MmppConfig, MmppModulator};
 pub use cache::CacheDynamics;
 pub use cohort::{CohortPopulation, CohortStats};
 pub use generator::{RetryPolicy, UserPopulation};

@@ -282,20 +282,6 @@ impl ProfileFactory {
         self
     }
 
-    /// Sets the fraction of a RUBBoS preset's app-tier demand that runs
-    /// before the DB calls.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fraction` is outside `[0, 1]` or the factory is not a
-    /// RUBBoS preset.
-    pub fn with_app_pre_fraction(mut self, fraction: f64) -> Self {
-        assert!((0.0..=1.0).contains(&fraction), "fraction must be in [0,1]");
-        assert!(self.mix.is_some(), "{PRESET_ONLY}");
-        self.demands[APP].pre_fraction = fraction;
-        self
-    }
-
     /// Installs a cache on the `from → to` edge: each request draws a
     /// hit/miss decision from `dynamics`; hits take a route whose edge
     /// carries no calls, built here once per request shape.
@@ -431,15 +417,6 @@ mod tests {
     }
 
     #[test]
-    fn app_pre_fraction_splits_demand() {
-        let factory = ProfileFactory::rubbos_deterministic().with_app_pre_fraction(0.25);
-        let mut rng = SimRng::seed_from(1);
-        let p = factory.sample(&mut rng);
-        let d = p.demand(1);
-        assert!((d.pre / d.total() - 0.25).abs() < 1e-9);
-    }
-
-    #[test]
     fn four_tier_profiles_route_through_lb() {
         let factory = ProfileFactory::rubbos_four_tier();
         let mut rng = SimRng::seed_from(4);
@@ -449,12 +426,6 @@ mod tests {
         assert_eq!(p.visits_to(3), 1, "lb forwards each query once");
         // Cumulative visits to the db equal the query count.
         assert_eq!(p.cumulative_visits(3), u64::from(p.visits_to(2)));
-    }
-
-    #[test]
-    #[should_panic(expected = "fraction must be in [0,1]")]
-    fn invalid_fraction_rejected() {
-        let _ = ProfileFactory::rubbos().with_app_pre_fraction(1.5);
     }
 
     fn diamond_factory() -> ProfileFactory {
